@@ -7,6 +7,8 @@ the radial pair (u, K), and checks the identities and bounds the
 construction must satisfy.
 """
 
+__version__ = "0.1.0"
+
 from .closed_forms import (AsymptoticData, BoundsReport, ETA_CRIT_UPPER,
                            asymptotic_start_state, eta_first_iterate,
                            explicit_bounds, lncosh, t0_state_bounds,
@@ -21,13 +23,12 @@ from .geometry import (AsymptoticFit, RadialSolution, asymptotic_fit,
 from .integrator import (BlowUpRecord, NotConvergedError, SolverConfig,
                          Trajectory, TrajectoryEvents, deflection,
                          detect_events, energy_drift, integrate)
-from .picard import (GridFunction, MonotonicityReport, PicardRun,
-                     iterate_future, iterate_past, monotonicity_report)
+from .picard import (GridFunction, MonotonicityReport, NewtonNotConvergedError,
+                     PicardRun, iterate_future, iterate_past,
+                     monotonicity_report)
 from .shooting import (BracketNotFoundError, ShootingResult, SweepRow,
                        deflection_of, shoot, sweep)
 from .analysis import (GradientFlowResult, GradientFlowState, InflectionReport,
                        SpectrumSample, estimate_delta0, gradient_flow_run,
                        inflection_diagnostics, linearization_spectrum,
                        spectrum_along)
-
-__version__ = "0.1.0"

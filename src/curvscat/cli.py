@@ -20,12 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, geometry, shooting, verification
+from . import __version__, analysis, geometry, shooting, verification
 from .closed_forms import AsymptoticData
 from .integrator import (NotConvergedError, SolverConfig, Trajectory,
                          deflection, integrate)
-
-TOOL_VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -144,7 +142,7 @@ def write_manifest(out_dir: Path, command: str, argv: list[str], inputs: dict,
         "inputs": inputs,
         "config": asdict(cfg),
         "outputs": sorted(outputs + ["manifest.json"]),
-        "version": f"curvscat {TOOL_VERSION}",
+        "version": f"curvscat {__version__}",
         "timestamp": datetime.now(timezone.utc).isoformat(),
     })
 

@@ -8,10 +8,11 @@ equations
 
 with II[] the double integral from -infinity, are iterated starting from
 eta_0 == eta_in.  Given the current eta, the xi equation is itself implicit;
-it is solved exactly on the grid by marching with trapezoid quadrature and a
-scalar Newton solve per node (the node equation is x + a*e^{2x} = c with
-a >= 0).  Solving the discrete equation, rather than pasting in the
-continuum closed form, keeps the discrete iterates exactly monotone:
+its trapezoid discretisation is solved on the whole grid at once by Newton's
+method.  Second differences turn each Newton system into a lower-triangular
+banded one, solved in O(n) by LAPACK, and Newton stops once the update is at
+roundoff.  Solving the discrete equation, rather than pasting in the
+continuum closed form, keeps the discrete iterates monotone up to roundoff:
 xi increases and eta decreases pointwise in the iteration index.  The
 (-inf, t_min] tails are evaluated from the free-motion asymptotics of the
 integrands (~ e^{2(xi_in+s)}), with error O(e^{4(xi_in+t_min)}).
@@ -34,9 +35,20 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 
-from .closed_forms import AsymptoticData, explicit_bounds
+from .closed_forms import AsymptoticData, explicit_bounds, xi_subsolution
 from .dynamics import PhasePoint
+
+
+# Newton on the past-zone grid converges quadratically from a seed within
+# O(h^2) (or one Picard step) of the solution, in at most four steps.
+_NEWTON_MAX_STEPS = 20
+_ROUNDOFF_ULPS = 16
+
+
+class NewtonNotConvergedError(RuntimeError):
+    """Raised when the grid Newton solve of the past-zone xi equation stalls."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,36 +117,82 @@ def _cumtrapz(values: np.ndarray, step: float, initial: float) -> np.ndarray:
 
 
 def _march_xi(t: np.ndarray, eta: np.ndarray, a: AsymptoticData,
-              step: float) -> np.ndarray:
+              step: float, seed: np.ndarray) -> np.ndarray:
     """Solve the discrete implicit xi equation for a fixed eta grid function.
 
-    Trapezoid composition of the double integral; the node unknown satisfies
-    x + (h^2/4)*eta_j*e^{2x} = c_j, solved by three Newton steps seeded from
-    the previous node (the correction is O(h^2), so this is ample).
+    The discrete equation is x = xi_in + t - Q[eta*e^{2x}], with Q the
+    trapezoid double integral from the free-motion tails at t_min.  It is
+    solved on the whole grid by Newton's method started from seed.  Second
+    differences of the Newton system J*delta = F (then x -= delta) leave a
+    lower-triangular matrix with two subdiagonals (d = 2*eta*e^{2x}):
+
+        row 0:   delta_0 = 0   (x_0 is explicit)
+        row 1:   (h^2/4) d_0 delta_0 + (1 + (h^2/4) d_1) delta_1 = F_1
+        row j:   (1 + (h^2/4) d_{j-2}) delta_{j-2}
+                 + (-2 + (h^2/2) d_{j-1}) delta_{j-1}
+                 + (1 + (h^2/4) d_j) delta_j = F_j - 2 F_{j-1} + F_{j-2}
+
+    solved by forward substitution in one LAPACK call per step (dtbtrs, the
+    triangular banded solve; the matrix is already triangular, so a general
+    banded LU would only add pivoting work).  Newton stops once the residual
+    F or the update is at roundoff, within 16 ulps of the largest term of
+    the equation, so the result is the discrete solution to roundoff and the
+    ladder built from it is monotone to roundoff.  Checking F first returns
+    a seed that already solves the equation unchanged, so a converged ladder
+    reaches an exact fixed point.  Raises NewtonNotConvergedError if neither
+    is at roundoff after _NEWTON_MAX_STEPS steps.
     """
-    h = step
     w_min = math.exp(2.0 * (a.xi_in + float(t[0])))
-    xi = np.empty_like(eta)
-    P = 0.5 * a.eta_in * w_min   # inner integral tail at t_min
-    Q = 0.25 * a.eta_in * w_min  # outer integral tail at t_min
-    xi[0] = a.xi_in + t[0] - Q
-    g_prev = eta[0] * math.exp(2.0 * xi[0])
-    xi_in = a.xi_in
-    exp_ = math.exp
-    for j in range(1, len(t)):
-        c = xi_in + t[j] - (Q + h * P + 0.25 * h * h * g_prev)
-        aj = 0.25 * h * h * eta[j]
-        x = xi[j - 1]
-        for _ in range(3):
-            e = exp_(2.0 * x)
-            x -= (x + aj * e - c) / (1.0 + 2.0 * aj * e)
-        xi[j] = x
-        g_new = eta[j] * exp_(2.0 * x)
-        P_new = P + 0.5 * h * (g_prev + g_new)
-        Q += 0.5 * h * (P + P_new)
-        P = P_new
-        g_prev = g_new
-    return xi
+    P0 = 0.5 * a.eta_in * w_min   # inner integral tail at t_min
+    Q0 = 0.25 * a.eta_in * w_min  # outer integral tail at t_min
+    c = a.xi_in + t
+    roundoff = (_ROUNDOFF_ULPS * np.finfo(float).eps
+                * max(1.0, float(np.max(np.abs(c)))))
+    xi = np.array(seed, dtype=float)
+    xi[0] = c[0] - Q0
+    n = len(t)
+    ab = np.zeros((3, n), order="F")  # LAPACK lower band storage
+    ab[0, 0] = 1.0
+    rhs = np.empty(n)
+    for _ in range(_NEWTON_MAX_STEPS):
+        g = eta * np.exp(2.0 * xi)
+        F = xi - c + _cumtrapz(_cumtrapz(g, step, P0), step, Q0)
+        F[0] = 0.0  # x_0 is exact; its rounding residual must not propagate
+        if float(np.max(np.abs(F))) <= roundoff:
+            return xi
+        rhs[:2] = F[:2]
+        rhs[2:] = F[2:] - 2.0 * F[1:-1] + F[:-2]
+        hd = 0.5 * step * step * g  # (h^2/4) * d
+        ab[0, 1:] = 1.0 + hd[1:]
+        ab[1, 0] = hd[0]
+        ab[1, 1:-1] = 2.0 * hd[1:-1] - 2.0
+        ab[2, :-2] = 1.0 + hd[:-2]
+        delta, info = dtbtrs(ab, rhs, uplo="L")
+        if info != 0:
+            raise NewtonNotConvergedError(
+                f"singular Newton matrix at node {info - 1}")
+        xi -= delta
+        if float(np.max(np.abs(delta))) <= roundoff:
+            return xi
+    raise NewtonNotConvergedError(
+        f"grid Newton residual and update still above roundoff "
+        f"({roundoff:.1e}) after {_NEWTON_MAX_STEPS} steps")
+
+
+def _uniform_grid(t_lo: float, t_hi: float, step: float,
+                  lo_name: str, hi_name: str) -> np.ndarray:
+    """Nodes t_lo + k*step up to t_hi; at least 3, as the schemes need."""
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be finite and positive, got {step}")
+    if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
+        raise ValueError(f"{lo_name} = {t_lo} and {hi_name} = {t_hi} "
+                         "must be finite")
+    n = int(round((t_hi - t_lo) / step))
+    if n < 2:
+        raise ValueError(
+            f"{hi_name} = {t_hi} leaves fewer than 3 grid nodes from "
+            f"{lo_name} = {t_lo} at step {step}")
+    return t_lo + step * np.arange(n + 1)
 
 
 def _eta_update(t: np.ndarray, xi: np.ndarray, a: AsymptoticData,
@@ -155,6 +213,8 @@ def iterate_past(a: AsymptoticData, t_handoff: float, step: float,
     where the monotone sandwich holds).  Stops when the summed sup-norm of
     consecutive differences drops to tol, or after max_iter new iterate
     pairs (converged flag False, final sup-difference in the history).
+    Raises ValueError unless step is finite and positive and the grid holds
+    at least 3 nodes, and NewtonNotConvergedError if an xi solve stalls.
     """
     if a.eta_in <= 0.0:
         raise ValueError("iterate_past needs eta_in > 0")
@@ -164,22 +224,21 @@ def iterate_past(a: AsymptoticData, t_handoff: float, step: float,
             f"t_handoff = {t_handoff} beyond the monotone zone bound {t0_lower}")
     if t_min is None:
         t_min = t0_lower - 14.0
-    n = int(round((t_handoff - t_min) / step))
-    t = t_min + step * np.arange(n + 1)
+    t = _uniform_grid(t_min, t_handoff, step, "t_min", "t_handoff")
     t_hi = float(t[-1])
 
     def gf(values):
         return GridFunction(float(t_min), t_hi, step, values)
 
-    eta = np.full(n + 1, a.eta_in, dtype=float)
-    xi = _march_xi(t, eta, a, step)
+    eta = np.full(len(t), a.eta_in, dtype=float)
+    xi = _march_xi(t, eta, a, step, seed=xi_subsolution(t, a))
     xis = [gf(xi)]
     etas = [gf(eta)]
     history: list[float] = []
     converged = False
     for _ in range(max_iter):
         eta_next = _eta_update(t, xi, a, step)
-        xi_next = _march_xi(t, eta_next, a, step)
+        xi_next = _march_xi(t, eta_next, a, step, seed=xi)
         d = float(np.max(np.abs(xi_next - xi)) + np.max(np.abs(eta_next - eta)))
         history.append(d)
         xi, eta = xi_next, eta_next
@@ -200,7 +259,8 @@ def iterate_future(p0: PhasePoint, t_max: float, step: float,
     p0 must be (close to) the eta = 0 crossing state with xi_dot < 0 and
     eta_dot in (-1, 0).  Raises ValueError if an iterate of the second
     component turns positive, which signals data outside the monotone
-    regime.
+    regime, and unless step is finite and positive and the grid holds at
+    least 3 nodes.
     """
     if abs(p0.eta) > eta_tol:
         raise ValueError(f"p0.eta = {p0.eta} is not an eta = 0 crossing state")
@@ -211,8 +271,7 @@ def iterate_future(p0: PhasePoint, t_max: float, step: float,
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
     T0 = p0.t
-    n = int(round((t_max - T0) / step))
-    t = T0 + step * np.arange(n + 1)
+    t = _uniform_grid(T0, t_max, step, "p0.t", "t_max")
     t_hi = float(t[-1])
     dt = t - T0
     LX = p0.xi_dot * dt + p0.xi

@@ -89,3 +89,37 @@ def rk4_grid_from_state(y0, t_grid, substeps=2):
             y = _step(y, h)
         out[j + 1] = y
     return out
+
+
+def march_xi_nodewise(t, eta, a, step):
+    """Node-by-node solve of the discrete past-zone xi equation.
+
+    The sequential form of the trapezoid march that `picard._march_xi`
+    solves on the whole grid at once: the node unknown satisfies
+    x + (h^2/4)*eta_j*e^{2x} = c_j, solved by three Newton steps seeded
+    from the previous node (the correction is O(h^2), so this is ample).
+    Kept as an independent oracle for the grid solve.
+    """
+    h = step
+    w_min = math.exp(2.0 * (a.xi_in + float(t[0])))
+    xi = np.empty_like(eta)
+    P = 0.5 * a.eta_in * w_min   # inner integral tail at t_min
+    Q = 0.25 * a.eta_in * w_min  # outer integral tail at t_min
+    xi[0] = a.xi_in + t[0] - Q
+    g_prev = eta[0] * math.exp(2.0 * xi[0])
+    xi_in = a.xi_in
+    exp_ = math.exp
+    for j in range(1, len(t)):
+        c = xi_in + t[j] - (Q + h * P + 0.25 * h * h * g_prev)
+        aj = 0.25 * h * h * eta[j]
+        x = xi[j - 1]
+        for _ in range(3):
+            e = exp_(2.0 * x)
+            x -= (x + aj * e - c) / (1.0 + 2.0 * aj * e)
+        xi[j] = x
+        g_new = eta[j] * exp_(2.0 * x)
+        P_new = P + 0.5 * h * (g_prev + g_new)
+        Q += 0.5 * h * (P + P_new)
+        P = P_new
+        g_prev = g_new
+    return xi

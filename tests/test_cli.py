@@ -44,6 +44,7 @@ def test_solve_emits_files_and_summary(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["outputs"]) == {"manifest.json", "radial.csv",
                                         "summary.json", "trajectory.csv"}
+    assert manifest["version"] == "curvscat 0.1.0"
 
 
 def test_solve_deterministic_reruns(tmp_path):

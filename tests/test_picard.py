@@ -4,9 +4,10 @@ import pytest
 from curvscat import (AsymptoticData, PhasePoint, explicit_bounds,
                       eta_first_iterate, iterate_future, iterate_past,
                       monotonicity_report, xi_subsolution)
-from curvscat.picard import GridFunction, PicardRun, final_residual, write_csv
+from curvscat.picard import (GridFunction, NewtonNotConvergedError, PicardRun,
+                             _march_xi, final_residual, write_csv)
 
-from _reference import rk4_grid_from_state, rk4_on_grid
+from _reference import march_xi_nodewise, rk4_grid_from_state, rk4_on_grid
 
 A8 = AsymptoticData(0.0, 8.0)
 HANDOFF8 = explicit_bounds(A8).t0_lower - 1.0
@@ -91,6 +92,52 @@ def test_preconditions():
         iterate_past(AsymptoticData(0.0, -2.0), 0.0, step=1e-2)
     with pytest.raises(ValueError, match="monotone zone"):
         iterate_past(A8, explicit_bounds(A8).t0_lower + 0.5, step=1e-2)
+    for step in (0.0, -1e-2, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="step"):
+            iterate_past(A8, HANDOFF8, step=step)
+    # t_min above, at, or one step below t_handoff: fewer than 3 nodes
+    for t_min in (HANDOFF8 + 1.0, HANDOFF8, HANDOFF8 - 1e-2):
+        with pytest.raises(ValueError, match="t_handoff"):
+            iterate_past(A8, HANDOFF8, step=1e-2, t_min=t_min)
+    with pytest.raises(ValueError, match="t_handoff"):
+        iterate_past(A8, float("nan"), step=1e-2)
+    assert len(iterate_past(A8, HANDOFF8, step=1e-2, t_min=HANDOFF8 - 2e-2,
+                            max_iter=1).xi_limit.values) == 3
+
+
+ORACLE_CASES = [(step, eta_in, xi_in) for step in (1e-3, 2e-3, 8e-3)
+                for eta_in in (1.31, 8.0, 64.0) for xi_in in (0.0, -0.7)]
+
+
+@pytest.mark.parametrize("step, eta_in, xi_in", ORACLE_CASES)
+def test_march_matches_nodewise_oracle(step, eta_in, xi_in):
+    # every xi iterate solves the discrete equation for the eta iterate it
+    # was marched from, as the node-by-node march solves it
+    a = AsymptoticData(xi_in, eta_in)
+    run = iterate_past(a, explicit_bounds(a).t0_lower - 1.0, step=step,
+                       tol=0.0, max_iter=2)
+    t = run.xi_limit.t
+    for gx, ge in zip(run.iterates_xi, run.iterates_eta):
+        ref = march_xi_nodewise(t, ge.values, a, step)
+        assert np.max(np.abs(gx.values - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("eta_in", [1.31, 8.0, 64.0])
+def test_verify_ladder_ordered(eta_in):
+    a = AsymptoticData(0.0, eta_in)
+    run = iterate_past(a, explicit_bounds(a).t0_lower - 1.0, step=2e-3,
+                       tol=0.0, max_iter=6)
+    assert monotonicity_report(run, allowance=1e-12).ordered
+
+
+def test_march_newton_cap_raises_named_error():
+    # a seed 50 above the solution: Newton on the e^{2x} term moves it down
+    # by about 1/2 per step, far more steps than the cap allows
+    step = 8e-3
+    t = HANDOFF8 - 2.0 + step * np.arange(251)
+    eta = np.full(len(t), A8.eta_in)
+    with pytest.raises(NewtonNotConvergedError, match="roundoff"):
+        _march_xi(t, eta, A8, step, seed=xi_subsolution(t, A8) + 50.0)
 
 
 # --- future zone ------------------------------------------------------------
@@ -142,6 +189,16 @@ def test_future_preconditions():
         iterate_future(PhasePoint(0.0, -2.0, 0.0, -0.6, 0.8), 4.0, 1e-2)
     with pytest.raises(ValueError, match="epsilon"):
         iterate_future(P0, 4.0, 1e-2, epsilon=1.5)
+
+
+def test_future_grid_preconditions():
+    for step in (0.0, -1e-2, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="step"):
+            iterate_future(P0, 4.0, step)
+    # t_max before, at, or one step after p0.t: fewer than 3 nodes
+    for t_max in (P0.t - 1.0, P0.t, P0.t + 1e-2, float("nan")):
+        with pytest.raises(ValueError, match="t_max"):
+            iterate_future(P0, t_max, 1e-2)
 
 
 # --- report machinery --------------------------------------------------------
