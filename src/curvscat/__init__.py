@@ -10,8 +10,8 @@ construction must satisfy.
 __version__ = "0.1.0"
 
 from .closed_forms import (AsymptoticData, BoundsReport, ETA_CRIT_UPPER,
-                           asymptotic_start_state, eta_first_iterate,
-                           explicit_bounds, lncosh, t0_state_bounds,
+                           eta_first_iterate, explicit_bounds,
+                           free_motion_expansion, lncosh, t0_state_bounds,
                            xi_subsolution, xi_supersolution)
 from .dynamics import (GAUGE_LOAD, BlowUpSignal, Homologous, PhasePoint,
                        Symmetry, TimeReverse, TimeTranslate, Zone,
@@ -22,7 +22,7 @@ from .geometry import (AsymptoticFit, RadialSolution, asymptotic_fit,
                        to_radial)
 from .integrator import (BlowUpRecord, NotConvergedError, SolverConfig,
                          Trajectory, TrajectoryEvents, deflection,
-                         detect_events, energy_drift, integrate)
+                         detect_events, integrate)
 from .picard import (GridFunction, MonotonicityReport, NewtonNotConvergedError,
                      PicardRun, iterate_future, iterate_past,
                      monotonicity_report)

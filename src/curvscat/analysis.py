@@ -264,11 +264,13 @@ def inflection_diagnostics(traj: Trajectory) -> InflectionReport:
     t_inf = float(traj.t[k] + frac * (traj.t[k + 1] - traj.t[k]))
     eta_sim = float(traj.eta[k] + frac * (traj.eta[k + 1] - traj.eta[k]))
 
-    f2 = np.exp(2.0 * traj.xi) * g / (2.0 * traj.eta_dot**3)
+    # sign of f'' = e^{2 xi} g / (2 eta_dot^3); e^{2 xi} > 0 is left out
+    # because it underflows to 0 on the late samples of long runs
+    f2_sign = np.sign(g) * np.sign(traj.eta_dot)
     # skip a narrow band around the crossing where the sign is not resolved
     band = 1e-9 * max(1.0, abs(traj.asymptotics.eta_in))
     above = traj.eta > eta_sim + band
     below = traj.eta < eta_sim - band
-    ok = bool(np.all(f2[above] < 0.0) and np.all(f2[below] > 0.0))
+    ok = bool(np.all(f2_sign[above] < 0.0) and np.all(f2_sign[below] > 0.0))
     return InflectionReport(t_inflection=t_inf, eta_sim=eta_sim,
                             sign_pattern_ok=ok, g_start=float(g[0]))

@@ -1,4 +1,4 @@
-"""Closed-form envelopes, explicit bounds, and the asymptotic start state.
+"""Closed-form envelopes, explicit bounds, and the free legs of the motion.
 
 For past-infinity data (xi_in, eta_in) with eta_in > 0 the zeroth iterate of
 the past-zone fixed-point scheme has the closed form
@@ -14,6 +14,9 @@ twice gives the first eta-iterate in closed form.  Setting the n-independent
 lower bound eta_in - exp(2*xi_in + 2*t)/8 to 0 and eta_in/2 yields the
 explicit time bounds t0_lower and t_half_lower; the cosh arguments vanish at
 the envelope maxima tm0 and tm_hat.
+
+The motion is free in both limits: free_motion_expansion gives the start
+state in the far past, free_leg the motion after escape.
 """
 
 from __future__ import annotations
@@ -148,17 +151,32 @@ def free_motion_expansion(t_start: float, a: AsymptoticData) -> PhasePoint:
     )
 
 
-def asymptotic_start_state(t_start: float, a: AsymptoticData,
-                           w_threshold: float = 1e-10) -> PhasePoint:
-    """Start state for numerical integration, valid for small w = e^{2(xi_in+t)}.
+def free_leg(y, s):
+    """State (xi, xi_dot, eta, eta_dot) a time s >= 0 after escape state y.
 
-    Raises ValueError when w exceeds w_threshold (move t_start earlier) or
-    when eta_in <= 0 (no scattering branch to seed).
+    First order about the straight line from y = (xi0, a, eta0, b), a < 0:
+    one undamped step of the future-zone map.  With lam = -2a,
+    E = exp(2*xi0), q = exp(-lam*s), I0 = (1 - q)/lam, I1 = (I0 - s*q)/lam,
+    J0 = (s - I0)/lam and J1 = (s - 2*I0 + s*q)/lam^2:
+
+        xi  = xi0 + a*s - E*(eta0*J0 + b*J1),  xi_dot  = a - E*(eta0*I0 + b*I1)
+        eta = eta0 + b*s - E*J0/2,             eta_dot = b - E*I0/2
+
+    Positions are computed as lines at the outgoing velocity plus bounded
+    offsets, so s = inf gives that velocity (I0 -> 1/lam, I1 -> 1/lam^2).
+    The neglected terms are second order in the potential eta*E.
     """
-    _require_positive_eta_in(a)
-    w = math.exp(2.0 * (a.xi_in + t_start))
-    if w > w_threshold:
-        raise ValueError(
-            f"start-state truncation w = {w:.3e} exceeds threshold {w_threshold:.3e}; "
-            f"move t_start earlier than {t_start}")
-    return free_motion_expansion(t_start, a)
+    xi0, a, eta0, b = (float(v) for v in y)
+    lam = -2.0 * a
+    E = math.exp(2.0 * xi0)
+    s = np.asarray(s, dtype=float)
+    q = np.exp(-lam * s)
+    sq = np.where(q > 0.0, s, 0.0) * q   # s*q, which tends to 0 as s -> inf
+    I0 = (1.0 - q) / lam
+    I1 = (I0 - sq) / lam
+    v_xi = a - E * (eta0 / lam + b / lam**2)
+    v_eta = b - 0.5 * E / lam
+    return (xi0 + v_xi * s + E * (eta0 * I0 + b * (2.0 * I0 - sq) / lam) / lam,
+            a - E * (eta0 * I0 + b * I1),
+            eta0 + v_eta * s + 0.5 * E * I0 / lam,
+            b - 0.5 * E * I0)

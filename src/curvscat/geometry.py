@@ -14,9 +14,10 @@ integrals over t:
 
 with I[] over the whole line.  The sampled window is integrated by Simpson's
 rule; the past tail uses the free-motion asymptotics of the integrand
-(~ e^{2(xi_in+t)}), the future tail an exponential model fitted to the tail
-samples.  Momentum balance along the run makes kappa = 2*pi*(1 - cos Theta)
-and alpha = -2*sqrt(2)*pi*sin Theta exact identities, and both satisfy
+(~ e^{2(xi_in+t)}), the future tail the impulse of the closed-form free leg
+from the last sample, at the slope of the last two samples.  Momentum
+balance along the run makes kappa = 2*pi*(1 - cos Theta) and
+alpha = -2*sqrt(2)*pi*sin Theta exact identities, and both satisfy
 alpha^2 = 2*kappa*(4*pi - kappa); the quadrature values are computed
 independently precisely so those identities can be checked.
 """
@@ -30,7 +31,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.integrate import simpson
 
-from .closed_forms import AsymptoticData
+from .closed_forms import AsymptoticData, free_leg
 from .integrator import Trajectory
 
 _LN2_4 = 0.25 * math.log(2.0)
@@ -39,7 +40,7 @@ TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 ALPHA_SUP = 2.0 ** 1.5 * math.pi
 
-#: tail-window fraction for fits and the future quadrature tail
+#: tail-window fraction for the logarithmic tail fits
 FIT_WINDOW_FRACTION = 0.3
 #: required escape-leg depth beyond the eta = 0 crossing, in t units
 MIN_TAIL_BEYOND_T0 = 10.0
@@ -66,7 +67,6 @@ class RadialSolution:
     u_center: float
     asymptotics: AsymptoticData
     t0: float
-    quadrature_partial: bool = False
     center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
@@ -89,7 +89,6 @@ class AsymptoticFit:
 class QuadratureResult(NamedTuple):
     kappa: float
     alpha: float
-    partial: bool
 
 
 def _tail_arrays(traj: Trajectory):
@@ -107,37 +106,29 @@ def _windowed_quadrature(t: np.ndarray, xi: np.ndarray, eta: np.ndarray,
     area_past = 0.5 * w0
     curv_past = 0.5 * a.eta_in * w0
 
-    n = len(t)
-    i0 = int((1.0 - FIT_WINDOW_FRACTION) * n)
-    partial = False
-    area_fut = 0.0
-    curv_fut = 0.0
-    if n - i0 < 8:
-        partial = True
-    else:
-        p, q = np.polyfit(t[i0:], 2.0 * xi[i0:], 1)
-        if p >= 0.0:
-            partial = True  # tail not decaying: fit window too short
-        else:
-            aa, bb = np.polyfit(t[i0:], eta[i0:], 1)
-            T = float(t[-1])
-            e_pT = math.exp(p * T + q)
-            area_fut = e_pT / (-p)
-            curv_fut = e_pT * ((aa * T + bb) / (-p) + aa / (p * p))
+    # future tail: by the equations of motion the integrals are the free
+    # leg's velocity changes, -(xi_dot(inf) - xi_dot_T) and -2*(eta_dot(inf) - eta_dot_T)
+    h = float(t[-1] - t[-2])
+    xi_dot_T = float(xi[-1] - xi[-2]) / h
+    eta_dot_T = float(eta[-1] - eta[-2]) / h
+    if not xi_dot_T < 0.0:
+        raise ValueError(f"final xi slope {xi_dot_T} is not outgoing: no decaying future tail")
+    _, xi_dot_inf, _, eta_dot_inf = free_leg((xi[-1], xi_dot_T, eta[-1], eta_dot_T), math.inf)
+    curv_fut = xi_dot_T - float(xi_dot_inf)
+    area_fut = 2.0 * (eta_dot_T - float(eta_dot_inf))
 
     kappa = TWO_PI * (float(simpson(f_curv, x=t)) + curv_past + curv_fut)
     alpha = _SQRT2 * math.pi * (float(simpson(f_area, x=t)) + area_past + area_fut)
-    return QuadratureResult(kappa=kappa, alpha=alpha, partial=partial)
+    return QuadratureResult(kappa=kappa, alpha=alpha)
 
 
 def curvature_area_quadrature(sol: Optional[RadialSolution],
                               traj: Trajectory) -> QuadratureResult:
-    """Integral curvature and area by windowed quadrature plus tail models.
+    """Integral curvature and area by windowed quadrature plus closed-form tails.
 
     Works on the trajectory's uniform samples; sol may be None during radial
-    construction.  The future tail needs a decaying exponential fit over the
-    final window; when the window is too short to fit, the windowed values
-    are returned flagged partial.
+    construction.  Raises ValueError when the last two samples do not head
+    outward (xi decreasing), since the future tail then does not decay.
     """
     t, xi, eta = _tail_arrays(traj)
     return _windowed_quadrature(t, xi, eta, traj.asymptotics)
@@ -169,7 +160,6 @@ def to_radial(traj: Trajectory) -> RadialSolution:
         kappa=quad.kappa, alpha=quad.alpha,
         k_star=_SQRT2 * a.eta_in, u_center=a.xi_in - _LN2_4,
         asymptotics=a, t0=float(traj.events.t0),
-        quadrature_partial=quad.partial,
     )
 
 

@@ -14,10 +14,11 @@ A run ends in one of three ways:
     the last valid state, never as an exception;
   * budget exhausted: no escape within max_time after t_start.
 
-Escaped runs are continued past the escape point up to
-max(t0 + min_tail, t_escape + tail_pad) so the eta = 0 crossing and the
-asymptotic tail are inside the sampled window; the crossing can happen far
-beyond escape (it scales like eta_in/|sin Theta|).
+The solver stops at escape; after it, samples, the eta crossings and the
+deflection angle come from the closed-form free leg (closed_forms.free_leg).
+Escaped runs are sampled up to max(t0 + min_tail, t_escape + tail_pad),
+capped by the budget, so the eta = 0 crossing (which scales like
+eta_in/|sin Theta|) and the asymptotic tail are inside the window.
 
 Samples are taken on a uniform grid at dense_step spacing, with the refined
 event times inserted as extra sample points (uniform_mask marks the regular
@@ -28,13 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .closed_forms import AsymptoticData, explicit_bounds, free_motion_expansion
-from .dynamics import PhasePoint, energy_array
+from .closed_forms import (AsymptoticData, explicit_bounds, free_leg,
+                           free_motion_expansion)
+from .dynamics import PhasePoint, energy_array, rhs
 
 
 class NotConvergedError(Exception):
@@ -113,24 +115,12 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.t)
 
-    @property
-    def samples(self) -> Iterator[PhasePoint]:
-        for k in range(len(self.t)):
-            yield self.point(k)
-
     def point(self, k: int) -> PhasePoint:
         return PhasePoint(float(self.t[k]), float(self.xi[k]), float(self.eta[k]),
                           float(self.xi_dot[k]), float(self.eta_dot[k]))
 
     def energies(self) -> np.ndarray:
         return energy_array(self.xi, self.eta, self.xi_dot, self.eta_dot)
-
-
-def _rhs(t, y):
-    # clamp keeps embedded-stage evaluations finite near blow-up; the
-    # terminal blow-up event fires long before the clamp becomes active
-    e2 = math.exp(min(2.0 * y[0], 700.0))
-    return (y[1], -y[2] * e2, y[3], -0.5 * e2)
 
 
 def _start_time(a: AsymptoticData, cfg: SolverConfig) -> float:
@@ -141,22 +131,44 @@ def _start_time(a: AsymptoticData, cfg: SolverConfig) -> float:
     return -a.xi_in - cfg.t_start_offset
 
 
+def _escape_residual(y, tol: float) -> float:
+    """Negative when state y = (xi, xi_dot, eta, eta_dot) passes the escape test."""
+    if y[1] >= 0.0:
+        return 1.0
+    p = abs(y[2] * math.exp(min(2.0 * y[0], 700.0)))
+    s = abs(y[1] * y[1] + y[3] * y[3] - 1.0)
+    return max(p, s) - tol
+
+
+def _free_leg_crossing(y_e, level: float) -> float:
+    """Time after escape state y_e at which the free leg's eta falls to level.
+
+    Newton from the straight-line guess, which the small potential makes close.
+    """
+    s = (y_e[2] - level) / -y_e[3]
+    for _ in range(4):
+        _, _, eta, eta_dot = free_leg(y_e, s)
+        ds = float(eta - level) / float(eta_dot)
+        s -= ds
+        if abs(ds) <= 1e-15 * max(1.0, s):
+            break
+    return float(s)
+
+
 def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajectory:
     """Integrate the scattering equations for the given asymptotic data.
 
+    One solver call runs to escape, blow-up or the end of the budget.
     Always returns a Trajectory; blow-up and budget exhaustion are encoded in
     events.blowup and the escaped flag.
     """
     t_start = _start_time(a, cfg)
+    budget = t_start + cfg.max_time
     p0 = free_motion_expansion(t_start, a)
     y0 = np.array([p0.xi, p0.xi_dot, p0.eta, p0.eta_dot])
 
     def ev_escape(t, y):
-        if y[1] >= 0.0:
-            return 1.0
-        p = abs(y[2] * math.exp(min(2.0 * y[0], 700.0)))
-        s = abs(y[1] * y[1] + y[3] * y[3] - 1.0)
-        return max(p, s) - cfg.escape_tol
+        return _escape_residual(y, cfg.escape_tol)
     ev_escape.terminal = True
     ev_escape.direction = -1
 
@@ -177,62 +189,46 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
         return y[1]
     ev_xidot.direction = -1
 
-    kw = dict(method="DOP853", rtol=cfg.rel_tol, atol=cfg.abs_tol, dense_output=True)
-    sol1 = solve_ivp(_rhs, (t_start, t_start + cfg.max_time), y0,
-                     events=[ev_escape, ev_blowup, ev_eta0, ev_half, ev_xidot], **kw)
-    segments = [sol1]
+    sol = solve_ivp(rhs, (t_start, budget), y0, method="DOP853",
+                    rtol=cfg.rel_tol, atol=cfg.abs_tol, dense_output=True,
+                    events=[ev_escape, ev_blowup, ev_eta0, ev_half, ev_xidot])
 
     def first(ev_list):
         return float(ev_list[0]) if len(ev_list) else None
 
-    t_escape = first(sol1.t_events[0])
-    t_blow = first(sol1.t_events[1])
-    t0 = first(sol1.t_events[2])
-    t_half = first(sol1.t_events[3])
-    t_m = first(sol1.t_events[4])
-    t_end = float(sol1.t[-1])
+    t_escape = first(sol.t_events[0])
+    t_blow = first(sol.t_events[1])
+    t0 = first(sol.t_events[2])
+    t_half = first(sol.t_events[3])
+    t_m = first(sol.t_events[4])
+    t_end = float(sol.t[-1])
     escaped = t_escape is not None
     blowup = None
 
-    if t_blow is None and sol1.status == -1:
+    if t_blow is None and sol.status == -1:
         # adaptive steps collapsed below the number spacing: the solution is
         # diverging faster than the blow-up event level can be crossed
         t_blow = t_end
     if t_blow is not None:
-        y = sol1.sol(t_blow)
+        y = sol.sol(t_blow)
         blowup = BlowUpRecord(
             last_state=PhasePoint(t_blow, float(y[0]), float(y[2]), float(y[1]), float(y[3])),
             reason=("finite-time divergence: xi crossed the blow-up level"
-                    if sol1.status == 1 else
+                    if sol.status == 1 else
                     "finite-time divergence: step size collapsed at blow-up"),
         )
         t_end = t_blow
         escaped = False
     elif escaped:
-        budget = t_start + cfg.max_time
+        y_e = sol.y[:, -1]
         if t0 is None:
-            # eta = 0 lies beyond the escape point; from here the motion is
-            # free to machine accuracy, so the crossing time is predictable
-            y = sol1.sol(t_escape)
-            guess = t_escape + (-y[2] / y[3] if y[3] < 0.0 else 0.0)
-            stretch_end = min(max(guess + cfg.min_tail, t_escape + cfg.tail_pad) + 1.0, budget)
-            if stretch_end > t_escape:
-                sol2 = solve_ivp(_rhs, (t_escape, stretch_end), y,
-                                 events=[ev_eta0, ev_half], **kw)
-                segments.append(sol2)
-                if t0 is None:
-                    t0 = first(sol2.t_events[0])
-                if t_half is None:
-                    t_half = first(sol2.t_events[1])
-                t_end = float(sol2.t[-1])
-        want = max(t_escape + cfg.tail_pad,
-                   (t0 + cfg.min_tail) if t0 is not None else t_end)
-        want = min(want, budget)
-        if want > t_end:
-            y = segments[-1].sol(t_end)
-            sol3 = solve_ivp(_rhs, (t_end, want), y, **kw)
-            segments.append(sol3)
-            t_end = float(sol3.t[-1])
+            t0 = t_escape + _free_leg_crossing(y_e, 0.0)
+        if t_half is None:
+            t_half = t_escape + _free_leg_crossing(y_e, 0.5 * a.eta_in)
+        t_end = min(max(t_escape + cfg.tail_pad, t0 + cfg.min_tail), budget)
+        # crossings are reported only inside the budget
+        t0 = t0 if t0 <= budget else None
+        t_half = t_half if t_half <= budget else None
 
     # --- sampling ---------------------------------------------------------
     h = cfg.dense_step
@@ -252,14 +248,13 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
             ts = np.insert(ts, k, t_ev)
             mask = np.insert(mask, k, False)
 
-    Y = np.empty((4, len(ts)))
-    seg_ends = np.array([float(s.t[-1]) for s in segments])
-    idx = np.searchsorted(seg_ends[:-1], ts, side="left") if len(segments) > 1 else \
-        np.zeros(len(ts), dtype=int)
-    for k, s in enumerate(segments):
-        m = idx == k
-        if m.any():
-            Y[:, m] = s.sol(ts[m])
+    if escaped:
+        k = int(np.searchsorted(ts, t_escape, side="right"))
+        Y = np.empty((4, len(ts)))
+        Y[:, :k] = sol.sol(ts[:k])
+        Y[:, k:] = free_leg(y_e, ts[k:] - t_escape)
+    else:
+        Y = sol.sol(ts)
 
     xi, xi_dot, eta, eta_dot = Y[0], Y[1], Y[2], Y[3]
     drift = float(np.max(np.abs(2.0 * energy_array(xi, eta, xi_dot, eta_dot) - 1.0)))
@@ -271,35 +266,23 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
     )
 
 
-def meets_escape_criterion(traj: Trajectory, k: int = -1) -> bool:
-    """Escape test on one sample: both residuals small and heading outward."""
-    tol = traj.config.escape_tol
-    pot = abs(traj.eta[k] * math.exp(2.0 * traj.xi[k]))
-    spd = abs(traj.xi_dot[k] ** 2 + traj.eta_dot[k] ** 2 - 1.0)
-    return pot < tol and spd < tol and traj.xi_dot[k] < 0.0
-
-
 def deflection(traj: Trajectory) -> float:
-    """Deflection angle Theta = atan2(eta_dot, xi_dot) at the final sample.
+    """Deflection angle Theta, the direction in which the particle leaves.
 
-    Accepted scattering runs land in (-pi, -pi/2): both final velocities are
-    negative.  Raises NotConvergedError when the run did not escape or the
-    final sample fails the escape criterion.
+    Theta = atan2 of the outgoing velocity that closed_forms.free_leg gives
+    from the final sample.  Accepted scattering runs land in (-pi, -pi/2):
+    both outgoing velocities are negative.  Raises NotConvergedError when
+    the run did not escape or the final sample fails the escape criterion.
     """
     if traj.events.blowup is not None:
         raise NotConvergedError(f"blow-up: {traj.events.blowup.reason}")
     if not traj.escaped:
         raise NotConvergedError("no escape within the time budget")
-    if not meets_escape_criterion(traj):
+    y = (traj.xi[-1], traj.xi_dot[-1], traj.eta[-1], traj.eta_dot[-1])
+    if not _escape_residual(y, traj.config.escape_tol) < 0.0:
         raise NotConvergedError("final sample fails the escape criterion")
-    return math.atan2(float(traj.eta_dot[-1]), float(traj.xi_dot[-1]))
-
-
-def energy_drift(traj: Trajectory) -> float:
-    """max over samples of |2 E - 1|."""
-    if len(traj) == 0:
-        raise ValueError("empty trajectory")
-    return float(np.max(np.abs(2.0 * traj.energies() - 1.0)))
+    _, xi_dot, _, eta_dot = free_leg(y, math.inf)
+    return math.atan2(float(eta_dot), float(xi_dot))
 
 
 def _hermite(t, t0, t1, y0, y1, d0, d1):

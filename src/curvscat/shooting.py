@@ -18,7 +18,7 @@ from typing import Optional
 
 from .closed_forms import AsymptoticData
 from .integrator import (NotConvergedError, SolverConfig, Trajectory,
-                         deflection, energy_drift, integrate)
+                         deflection, integrate)
 from . import geometry
 
 DEFAULT_SEED = 8.0
@@ -204,7 +204,7 @@ def sweep(theta_grid, cfg: SolverConfig = SolverConfig(),
                 alpha=sol.alpha,
                 k_star=sol.k_star,
                 pokhozaev_residual=geometry.pokhozaev_residual(sol.kappa, sol.alpha),
-                energy_drift=energy_drift(res.trajectory),
+                energy_drift=res.trajectory.max_energy_drift,
             ))
         except (BracketNotFoundError, NotConvergedError, ValueError) as exc:
             nan = float("nan")

@@ -5,12 +5,15 @@ against the equations of motion; deliberately shares no code with the
 package integrator.  The frozen constants below were produced with this
 scheme before the package was built (step-halving leaves them stable to
 about 5e-13) and pin the deflection values the adaptive integrator must
-reproduce.
+reproduce.  theta_tight and continue_tight are the tight-tolerance
+references for the deflection angle and the free leg after escape: scipy's
+DOP853 at rtol 1e-13 on the same equations, sharing no code with the package.
 """
 
 import math
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 # eta_in = 8, xi_in = 0, h = 1e-4, t in [-15, 40]
 ORACLE_THETA_ETA8 = -3.0157679511680
@@ -123,3 +126,43 @@ def march_xi_nodewise(t, eta, a, step):
         P = P_new
         g_prev = g_new
     return xi
+
+
+def _rhs(t, y):
+    return _f(y)
+
+
+def _outbound_potential(t, y):
+    # crosses zero once the potential term is below 1e-18 on the way out
+    if y[1] >= 0.0:
+        return 1.0
+    return abs(y[2] * math.exp(2.0 * y[0])) - 1e-18
+
+
+_outbound_potential.terminal = True
+_outbound_potential.direction = -1
+
+
+def theta_tight(eta_in):
+    """Deflection angle at xi_in = 0 by DOP853 at rtol 1e-13.
+
+    Runs from w = e^{2t} of about e^-50/eta_in until the potential term
+    eta*e^{2 xi} is below 1e-18 on the outbound leg; the impulse left after
+    that is below 1e-15.  Theta does not depend on xi_in.
+    """
+    t = -0.5 * math.log(eta_in) - 25.0
+    sol = solve_ivp(_rhs, (t, t + 1e5), free_start(0.0, eta_in, t),
+                    method="DOP853", rtol=1e-13, atol=1e-15,
+                    events=[_outbound_potential])
+    if sol.status != 1:
+        raise RuntimeError(f"reference run for eta_in = {eta_in} did not escape")
+    y = sol.y[:, -1]
+    return math.atan2(y[3], y[1])
+
+
+def continue_tight(y0, t_grid):
+    """States [xi, xi_dot, eta, eta_dot] on t_grid by DOP853 at rtol 1e-13
+    from y0 at t_grid[0]; one row per node."""
+    sol = solve_ivp(_rhs, (t_grid[0], t_grid[-1]), list(y0), method="DOP853",
+                    rtol=1e-13, atol=1e-15, t_eval=t_grid)
+    return sol.y.T

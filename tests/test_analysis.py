@@ -178,6 +178,15 @@ def test_inflection_unique_crossing(traj8):
     assert traj8.t[0] < rep.t_inflection < traj8.t[-1]
 
 
+def test_inflection_pattern_where_exp_underflows(cfg):
+    # long run: e^{2 xi} underflows to 0 on late samples, which must not
+    # hide the sign of f'' = e^{2 xi} g / (2 eta_dot^3)
+    from curvscat import AsymptoticData, integrate
+    traj = integrate(AsymptoticData(0.0, 20.0), cfg)
+    assert np.any(np.exp(2.0 * traj.xi) == 0.0)
+    assert inflection_diagnostics(traj).sign_pattern_ok
+
+
 def test_inflection_requires_crossing(trio):
     import dataclasses
     traj = trio[1]

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from curvscat import (ETA_CRIT_UPPER, AsymptoticData, asymptotic_start_state,
-                      energy, eta_first_iterate, explicit_bounds, lncosh,
-                      t0_state_bounds, xi_subsolution, xi_supersolution)
-from curvscat.closed_forms import free_motion_expansion
+from curvscat import (ETA_CRIT_UPPER, AsymptoticData, energy,
+                      eta_first_iterate, explicit_bounds, free_motion_expansion,
+                      lncosh, t0_state_bounds, xi_subsolution, xi_supersolution)
 
 A04 = AsymptoticData(0.0, 4.0)
 A08 = AsymptoticData(0.0, 8.0)
@@ -110,14 +109,13 @@ def test_domain_errors_nonpositive_eta(eta_in, xi_in):
     for fn in (lambda: xi_subsolution(0.0, a),
                lambda: eta_first_iterate(0.0, a),
                lambda: xi_supersolution(0.0, a),
-               lambda: explicit_bounds(a),
-               lambda: asymptotic_start_state(-20.0, a)):
+               lambda: explicit_bounds(a)):
         with pytest.raises(ValueError):
             fn()
 
 
 def test_start_state_values_eta8():
-    p = asymptotic_start_state(-12.0, A08)
+    p = free_motion_expansion(-12.0, A08)
     w = math.exp(-24.0)
     assert math.isclose(p.eta, 8.0 - 0.125 * w, rel_tol=1e-15)
     assert math.isclose(p.eta_dot, -0.25 * w, rel_tol=1e-15)
@@ -127,7 +125,7 @@ def test_start_state_values_eta8():
 
 def test_start_state_free_limit():
     a = AsymptoticData(0.0, 8.0)
-    p = asymptotic_start_state(-40.0, a)
+    p = free_motion_expansion(-40.0, a)
     assert math.isclose(p.xi, -40.0, rel_tol=1e-14)
     assert math.isclose(p.eta, 8.0, rel_tol=1e-15)
     assert math.isclose(p.xi_dot, 1.0, rel_tol=1e-15)
@@ -138,13 +136,8 @@ def test_start_state_energy_at_representable_floor():
     # w = 1e-10: truncation drift is O(w^2) ~ 1e-20, below the float floor,
     # so the measured drift is pure rounding
     t_start = 0.5 * math.log(1e-10)
-    p = asymptotic_start_state(t_start, A08, w_threshold=1.0000001e-10)
+    p = free_motion_expansion(t_start, A08)
     assert abs(2.0 * energy(p) - 1.0) <= 1e-15
-
-
-def test_start_state_threshold_error():
-    with pytest.raises(ValueError, match="truncation"):
-        asymptotic_start_state(-2.0, A08)
 
 
 def test_free_expansion_accepts_nonpositive_eta():

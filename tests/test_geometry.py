@@ -63,7 +63,6 @@ def test_quadrature_matches_momentum_identities(traj8, sol8):
     assert abs(sol8.kappa - kap_id) / kap_id <= 1e-3
     assert abs(sol8.alpha - al_id) / al_id <= 1e-3
     quad = curvature_area_quadrature(sol8, traj8)
-    assert not quad.partial
     assert quad.kappa == sol8.kappa and quad.alpha == sol8.alpha
 
 
@@ -200,6 +199,15 @@ def test_scaling_covariance(sol8):
         quad = quadrature_on_radial(scaled)
         assert abs(quad.kappa - sol8.kappa) / sol8.kappa <= 1e-9
         assert abs(quad.alpha - sol8.alpha) / sol8.alpha <= 1e-9
+
+
+def test_quadrature_rejects_window_not_heading_out(traj8, sol8):
+    # cut before the xi maximum: xi still rises, so no decaying future tail
+    keep = np.log(sol8.r_grid) < traj8.events.t_m - 1.0
+    cut = replace(sol8, r_grid=sol8.r_grid[keep], u_values=sol8.u_values[keep],
+                  k_values=sol8.k_values[keep])
+    with pytest.raises(ValueError, match="not outgoing"):
+        quadrature_on_radial(cut)
 
 
 def test_to_radial_requires_escape(cfg):

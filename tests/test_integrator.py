@@ -5,11 +5,12 @@ import pytest
 
 from curvscat import (AsymptoticData, NotConvergedError, SolverConfig,
                       Trajectory, TrajectoryEvents, TimeTranslate,
-                      apply_symmetry, deflection, detect_events, energy_drift,
+                      apply_symmetry, deflection, detect_events,
                       explicit_bounds, integrate, t0_state_bounds)
 
 from _reference import (ORACLE_T0_ETA8, ORACLE_T_HALF_ETA8, ORACLE_T_M_ETA8,
-                        ORACLE_THETA_ETA8, ORACLE_THETA_ETA6)
+                        ORACLE_THETA_ETA8, ORACLE_THETA_ETA6, continue_tight,
+                        theta_tight)
 
 A8 = AsymptoticData(0.0, 8.0)
 
@@ -43,6 +44,63 @@ def test_deflection_eta6_matches_oracle(traj6):
     assert abs(deflection(traj6) - ORACLE_THETA_ETA6) < 1e-6
 
 
+@pytest.mark.parametrize("eta_in", [1.31, 1.35, 1.6, 3.0, 8.0, 30.0, 64.0])
+def test_deflection_matches_tight_reference(eta_in, cfg):
+    theta = deflection(integrate(AsymptoticData(0.0, eta_in), cfg))
+    assert abs(theta - theta_tight(eta_in)) <= 2e-10
+
+
+def test_deflection_at_shallow_end_matches_tight_reference(cfg):
+    # eta_in of the -0.505 pi root, the shallowest target the CLI accepts:
+    # escape comes late and the impulse after it is largest here
+    eta_in = 1.29983435648
+    theta = deflection(integrate(AsymptoticData(0.0, eta_in), cfg))
+    assert abs(theta - theta_tight(eta_in)) <= 5e-9
+
+
+class _SolverSpy:
+    """Stands in for integrator.solve_ivp; records every call's result."""
+
+    def __init__(self, monkeypatch):
+        import curvscat.integrator as integrator
+        self.calls = []
+        self._solve_ivp = integrator.solve_ivp
+        monkeypatch.setattr(integrator, "solve_ivp", self)
+
+    def __call__(self, *args, **kwargs):
+        sol = self._solve_ivp(*args, **kwargs)
+        self.calls.append(sol)
+        return sol
+
+
+@pytest.mark.parametrize("eta_in", [1.31, 8.0, 64.0])
+def test_free_leg_samples_match_tight_continuation(eta_in, cfg, monkeypatch):
+    spy = _SolverSpy(monkeypatch)
+    traj = integrate(AsymptoticData(0.0, eta_in), cfg)
+    assert traj.escaped and len(spy.calls) == 1
+    sol = spy.calls[0]
+    t_escape = float(sol.t_events[0][0])
+    k = int(np.searchsorted(traj.t, t_escape, side="right"))
+    assert len(traj) - k > 100
+    ref = continue_tight(sol.y[:, -1], np.concatenate([[t_escape], traj.t[k:]]))[1:]
+    got = np.stack([traj.xi[k:], traj.xi_dot[k:], traj.eta[k:], traj.eta_dot[k:]], axis=1)
+    assert np.max(np.abs(got - ref)) <= 1e-11
+
+
+@pytest.mark.parametrize("eta_in, max_time, escaped", [
+    (8.0, 600.0, True),     # escape, t0 beyond it
+    (1.31, 600.0, True),    # escape, t0 before it
+    (64.0, 600.0, True),    # escape, t0 beyond the budget
+    (8.0, 19.0, False),     # budget exhausted
+    (-1.0, 600.0, False),   # blow-up
+])
+def test_one_solver_call_per_run(eta_in, max_time, escaped, monkeypatch):
+    spy = _SolverSpy(monkeypatch)
+    traj = integrate(AsymptoticData(0.0, eta_in), SolverConfig(max_time=max_time))
+    assert traj.escaped is escaped
+    assert len(spy.calls) == 1
+
+
 def test_deflection_agrees_with_position_slopes(traj8):
     # slope fits of the positions over the sampled tail reproduce the
     # velocity-based angle up to escape_tol-driven error
@@ -55,7 +113,7 @@ def test_deflection_agrees_with_position_slopes(traj8):
 
 def test_energy_drift_small(traj8):
     assert traj8.max_energy_drift <= 1e-8
-    assert energy_drift(traj8) == traj8.max_energy_drift
+    assert _drift(traj8) == traj8.max_energy_drift
 
 
 def test_eta_strictly_decreasing(traj8):
@@ -164,6 +222,11 @@ def test_detect_events_absent_reported_absent(cfg):
     assert ev.blowup is traj.events.blowup
 
 
+def _drift(traj):
+    # max over samples of |2 E - 1|
+    return float(np.max(np.abs(2.0 * traj.energies() - 1.0)))
+
+
 def _free_trajectory(ts, eta_in):
     xi = ts.copy()
     return Trajectory(
@@ -181,7 +244,7 @@ def test_energy_drift_free_motion():
     traj = _free_trajectory(ts, 8.0)
     # drift is the neglected potential term, worst at the last sample;
     # (1 + x) - 1 rounding limits the agreement to ~1e-8 relative
-    assert math.isclose(energy_drift(traj), 8.0 * math.exp(-20.0), rel_tol=1e-6)
+    assert math.isclose(_drift(traj), 8.0 * math.exp(-20.0), rel_tol=1e-6)
 
 
 def test_energy_drift_single_boundary_sample():
@@ -194,7 +257,7 @@ def test_energy_drift_single_boundary_sample():
         asymptotics=AsymptoticData(0.0, 1.0), escaped=False,
         config=SolverConfig(),
     )
-    assert energy_drift(traj) == 0.0
+    assert _drift(traj) == 0.0
 
 
 def test_samples_strictly_increasing_validated():
