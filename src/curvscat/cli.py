@@ -186,17 +186,24 @@ def _events_dict(traj: Trajectory) -> dict:
     return out
 
 
+def _summary(inputs: dict, cfg: SolverConfig, traj: "Trajectory | None" = None,
+             **fields) -> dict:
+    """summary.json body: schema and inputs, the run's events, the given
+    fields, the run's drift, then the config (the run's entries only with
+    traj)."""
+    summary = {"schema": "curvscat/summary/v1", "inputs": inputs}
+    if traj is not None:
+        summary["events"] = _events_dict(traj)
+    summary.update(fields)
+    if traj is not None:
+        summary["drift"] = traj.max_energy_drift
+    summary["config"] = asdict(cfg)
+    return summary
+
+
 def _solution_summary(traj: Trajectory, inputs: dict, cfg: SolverConfig) -> tuple[dict, "geometry.RadialSolution | None"]:
     theta = deflection(traj)
-    summary = {
-        "schema": "curvscat/summary/v1",
-        "inputs": inputs,
-        "events": _events_dict(traj),
-        "theta": theta,
-        "escaped": True,
-        "drift": traj.max_energy_drift,
-        "config": asdict(cfg),
-    }
+    summary = _summary(inputs, cfg, traj, theta=theta, escaped=True)
     sol = None
     if traj.events.t0 is not None:
         sol = geometry.to_radial(traj)
@@ -234,13 +241,8 @@ def cmd_solve(args, argv) -> int:
     outputs = []
 
     if args.eta_in <= 0.0:
-        summary = {
-            "schema": "curvscat/summary/v1",
-            "inputs": inputs,
-            "escaped": False,
-            "blowup": {"reason": "eta_in nonpositive: no scattering"},
-            "config": asdict(cfg),
-        }
+        summary = _summary(inputs, cfg, escaped=False,
+                           blowup={"reason": "eta_in nonpositive: no scattering"})
         write_json(out / "summary.json", summary)
         outputs.append("summary.json")
         write_manifest(out, "solve", argv, inputs, cfg, outputs)
@@ -254,15 +256,8 @@ def cmd_solve(args, argv) -> int:
     if traj.events.blowup is not None or not traj.escaped:
         reason = (traj.events.blowup.reason if traj.events.blowup is not None
                   else "no escape within the time budget")
-        summary = {
-            "schema": "curvscat/summary/v1",
-            "inputs": inputs,
-            "events": _events_dict(traj),
-            "escaped": traj.escaped,
-            "blowup": {"reason": reason},
-            "drift": traj.max_energy_drift,
-            "config": asdict(cfg),
-        }
+        summary = _summary(inputs, cfg, traj, escaped=traj.escaped,
+                           blowup={"reason": reason})
         write_json(out / "summary.json", summary)
         outputs.append("summary.json")
         write_manifest(out, "solve", argv, inputs, cfg, outputs)
@@ -290,13 +285,9 @@ def cmd_shoot(args, argv) -> int:
         res = shooting.shoot(theta_t, cfg, root_tol=args.root_tol,
                              ceiling=args.eta_ceiling)
     except shooting.BracketNotFoundError as exc:
-        write_json(out / "summary.json", {
-            "schema": "curvscat/summary/v1",
-            "inputs": inputs,
-            "error": str(exc),
-            "scanned": [{"eta_in": e, "theta": th} for e, th in exc.scanned],
-            "config": asdict(cfg),
-        })
+        write_json(out / "summary.json", _summary(
+            inputs, cfg, error=str(exc),
+            scanned=[{"eta_in": e, "theta": th} for e, th in exc.scanned]))
         write_manifest(out, "shoot", argv, inputs, cfg, ["summary.json"])
         print(f"bracket not found: {exc}")
         return EXIT_NONSCATTERING
@@ -328,13 +319,13 @@ def cmd_sweep(args, argv) -> int:
     grid = np.linspace(lo, hi, args.n)
     inputs = {"theta_min": lo, "theta_max": hi, "n": args.n,
               "root_tol": args.root_tol}
-    rows = []
-    for theta_t in grid:
-        rows += shooting.sweep([theta_t], cfg, root_tol=args.root_tol,
-                               ceiling=args.eta_ceiling)
-        r = rows[-1]
-        print(f"theta {theta_t:+.6f}: {r.status}"
+
+    def report(r: shooting.SweepRow) -> None:
+        print(f"theta {r.theta_target:+.6f}: {r.status}"
               + (f" eta_in = {r.eta_in:.9g}" if r.status == "ok" else ""))
+
+    rows = shooting.sweep(grid, cfg, root_tol=args.root_tol,
+                          ceiling=args.eta_ceiling, on_row=report)
     write_sweep_csv(out / "sweep.csv", rows)
     write_json(out / "sweep.json", {
         "schema": "curvscat/sweep/v1",

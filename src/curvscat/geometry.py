@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import simpson
@@ -122,12 +122,10 @@ def _windowed_quadrature(t: np.ndarray, xi: np.ndarray, eta: np.ndarray,
     return QuadratureResult(kappa=kappa, alpha=alpha)
 
 
-def curvature_area_quadrature(sol: Optional[RadialSolution],
-                              traj: Trajectory) -> QuadratureResult:
+def curvature_area_quadrature(traj: Trajectory) -> QuadratureResult:
     """Integral curvature and area by windowed quadrature plus closed-form tails.
 
-    Works on the trajectory's uniform samples; sol may be None during radial
-    construction.  Raises ValueError when the last two samples do not head
+    Works on the trajectory's uniform samples.  Raises ValueError when the last two samples do not head
     outward (xi decreasing), since the future tail then does not decay.
     """
     t, xi, eta = _tail_arrays(traj)
@@ -149,7 +147,7 @@ def to_radial(traj: Trajectory) -> RadialSolution:
     K = _SQRT2 * eta
     if not (np.all(np.diff(u) < 0.0) and np.all(np.diff(K) < 0.0)):
         raise ValueError("u and K must be strictly decreasing in r")
-    quad = curvature_area_quadrature(None, traj)
+    quad = curvature_area_quadrature(traj)
     if not (TWO_PI < quad.kappa < FOUR_PI):
         raise ValueError(f"integral curvature {quad.kappa} outside (2*pi, 4*pi)")
     if not (0.0 < quad.alpha < ALPHA_SUP):

@@ -23,6 +23,12 @@ eta_in/|sin Theta|) and the asymptotic tail are inside the window.
 Samples are taken on a uniform grid at dense_step spacing, with the refined
 event times inserted as extra sample points (uniform_mask marks the regular
 subgrid, which downstream radial reconstruction uses).
+
+deflection_of(a, cfg) gives deflection(integrate(a, cfg)) bit for bit from
+the same solver call without dense output or samples: it evaluates the free
+leg only at the final sample time.  It also stops non-scattering runs early:
+eta_dot < 0 throughout, so once eta < 0 with xi_dot > 0, xi'' > 0 keeps
+xi_dot > 0 and the escape gate can never open.
 """
 
 from __future__ import annotations
@@ -155,15 +161,14 @@ def _free_leg_crossing(y_e, level: float) -> float:
     return float(s)
 
 
-def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajectory:
-    """Integrate the scattering equations for the given asymptotic data.
+def _solve(a: AsymptoticData, cfg: SolverConfig, extra_events, dense_output: bool):
+    """One solver call from the free start state to escape, blow-up or the
+    end of the budget.
 
-    One solver call runs to escape, blow-up or the end of the budget.
-    Always returns a Trajectory; blow-up and budget exhaustion are encoded in
-    events.blowup and the escaped flag.
+    Events 0-2 are escape (terminal), blow-up (terminal) and eta = 0;
+    extra_events follow.  Returns (t_start, solve_ivp result).
     """
     t_start = _start_time(a, cfg)
-    budget = t_start + cfg.max_time
     p0 = free_motion_expansion(t_start, a)
     y0 = np.array([p0.xi, p0.xi_dot, p0.eta, p0.eta_dot])
 
@@ -181,6 +186,41 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
         return y[2]
     ev_eta0.direction = -1
 
+    sol = solve_ivp(rhs, (t_start, t_start + cfg.max_time), y0, method="DOP853",
+                    rtol=cfg.rel_tol, atol=cfg.abs_tol, dense_output=dense_output,
+                    events=[ev_escape, ev_blowup, ev_eta0, *extra_events])
+    return t_start, sol
+
+
+def _first(ev_list) -> Optional[float]:
+    return float(ev_list[0]) if len(ev_list) else None
+
+
+def _window_end(cfg: SolverConfig, t_start: float, t_escape: float, y_e,
+                t0: Optional[float]) -> tuple[float, float]:
+    """(t0, t_end) of an escaped run: the eta = 0 crossing, from the free leg
+    when the solver stopped before it, and the end of the sampling window."""
+    if t0 is None:
+        t0 = t_escape + _free_leg_crossing(y_e, 0.0)
+    return t0, min(max(t_escape + cfg.tail_pad, t0 + cfg.min_tail),
+                   t_start + cfg.max_time)
+
+
+def _grid_end(t_start: float, t_end: float, h: float) -> tuple[int, float]:
+    """(n, t_last): the regular grid is t_start + h*k for k <= n; t_last is
+    the final sample time, t_end itself unless the grid already ends there."""
+    n = int(math.floor((t_end - t_start) / h * (1.0 + 1e-12)))
+    t_n = t_start + h * n
+    return n, (t_end if t_end - t_n > 1e-9 * h else t_n)
+
+
+def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajectory:
+    """Integrate the scattering equations for the given asymptotic data.
+
+    One solver call runs to escape, blow-up or the end of the budget.
+    Always returns a Trajectory; blow-up and budget exhaustion are encoded in
+    events.blowup and the escaped flag.
+    """
     def ev_half(t, y):
         return y[2] - 0.5 * a.eta_in if a.eta_in > 0.0 else 1.0
     ev_half.direction = -1
@@ -189,18 +229,13 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
         return y[1]
     ev_xidot.direction = -1
 
-    sol = solve_ivp(rhs, (t_start, budget), y0, method="DOP853",
-                    rtol=cfg.rel_tol, atol=cfg.abs_tol, dense_output=True,
-                    events=[ev_escape, ev_blowup, ev_eta0, ev_half, ev_xidot])
-
-    def first(ev_list):
-        return float(ev_list[0]) if len(ev_list) else None
-
-    t_escape = first(sol.t_events[0])
-    t_blow = first(sol.t_events[1])
-    t0 = first(sol.t_events[2])
-    t_half = first(sol.t_events[3])
-    t_m = first(sol.t_events[4])
+    t_start, sol = _solve(a, cfg, [ev_half, ev_xidot], dense_output=True)
+    budget = t_start + cfg.max_time
+    t_escape = _first(sol.t_events[0])
+    t_blow = _first(sol.t_events[1])
+    t0 = _first(sol.t_events[2])
+    t_half = _first(sol.t_events[3])
+    t_m = _first(sol.t_events[4])
     t_end = float(sol.t[-1])
     escaped = t_escape is not None
     blowup = None
@@ -221,22 +256,20 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
         escaped = False
     elif escaped:
         y_e = sol.y[:, -1]
-        if t0 is None:
-            t0 = t_escape + _free_leg_crossing(y_e, 0.0)
+        t0, t_end = _window_end(cfg, t_start, t_escape, y_e, t0)
         if t_half is None:
             t_half = t_escape + _free_leg_crossing(y_e, 0.5 * a.eta_in)
-        t_end = min(max(t_escape + cfg.tail_pad, t0 + cfg.min_tail), budget)
         # crossings are reported only inside the budget
         t0 = t0 if t0 <= budget else None
         t_half = t_half if t_half <= budget else None
 
     # --- sampling ---------------------------------------------------------
     h = cfg.dense_step
-    n = int(math.floor((t_end - t_start) / h * (1.0 + 1e-12)))
+    n, t_last = _grid_end(t_start, t_end, h)
     ts = t_start + h * np.arange(n + 1)
     mask = np.ones(len(ts), dtype=bool)
-    if t_end - ts[-1] > 1e-9 * h:
-        ts = np.append(ts, t_end)
+    if t_last != ts[-1]:
+        ts = np.append(ts, t_last)
         mask = np.append(mask, False)
     for t_ev in (t0, t_half, t_m):
         if t_ev is None or not (t_start <= t_ev <= t_end):
@@ -266,6 +299,16 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
     )
 
 
+def _outgoing_angle(y, escape_tol: float) -> float:
+    """Theta from an escaped state y = (xi, xi_dot, eta, eta_dot): the atan2
+    of the free leg's outgoing velocity.  Raises NotConvergedError when y
+    fails the escape criterion."""
+    if not _escape_residual(y, escape_tol) < 0.0:
+        raise NotConvergedError("final sample fails the escape criterion")
+    _, xi_dot, _, eta_dot = free_leg(y, math.inf)
+    return math.atan2(float(eta_dot), float(xi_dot))
+
+
 def deflection(traj: Trajectory) -> float:
     """Deflection angle Theta, the direction in which the particle leaves.
 
@@ -279,10 +322,42 @@ def deflection(traj: Trajectory) -> float:
     if not traj.escaped:
         raise NotConvergedError("no escape within the time budget")
     y = (traj.xi[-1], traj.xi_dot[-1], traj.eta[-1], traj.eta_dot[-1])
-    if not _escape_residual(y, traj.config.escape_tol) < 0.0:
-        raise NotConvergedError("final sample fails the escape criterion")
-    _, xi_dot, _, eta_dot = free_leg(y, math.inf)
-    return math.atan2(float(eta_dot), float(xi_dot))
+    return _outgoing_angle(y, traj.config.escape_tol)
+
+
+def _ev_certificate(t, y):
+    # eta_dot < 0 always, so once eta < 0 and xi_dot > 0, xi'' = -eta*e^{2 xi}
+    # > 0 keeps xi_dot > 0 and the escape gate xi_dot < 0 never opens
+    return min(-y[2], y[1])
+
+
+_ev_certificate.terminal = True
+_ev_certificate.direction = 1
+
+
+def deflection_of(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> float:
+    """deflection(integrate(a, cfg)) without building the trajectory.
+
+    Runs the same solver call with no dense output and no sampling, and
+    applies deflection's arithmetic to the state integrate would put in its
+    final sample, so the two agree bit for bit.  One extra terminal event
+    certifies non-scattering early: eta < 0 with xi_dot > 0 can never
+    escape (integrate itself runs on to blowup_xi).  Raises
+    NotConvergedError wherever deflection(integrate(a, cfg)) would.
+    """
+    t_start, sol = _solve(a, cfg, [_ev_certificate], dense_output=False)
+    t_escape = _first(sol.t_events[0])
+    if t_escape is None:
+        if sol.status == 0:
+            raise NotConvergedError("no escape within the time budget")
+        why = ("eta < 0 with xi_dot > 0, so escape is impossible"
+               if len(sol.t_events[3]) else "finite-time divergence")
+        raise NotConvergedError(f"blow-up: {why}")
+    y_e = sol.y[:, -1]
+    _, t_end = _window_end(cfg, t_start, t_escape, y_e, _first(sol.t_events[2]))
+    _, t_last = _grid_end(t_start, t_end, cfg.dense_step)
+    y = free_leg(y_e, np.array([t_last - t_escape]))
+    return _outgoing_angle(tuple(v[0] for v in y), cfg.escape_tol)
 
 
 def _hermite(t, t0, t1, y0, y1, d0, d1):

@@ -6,19 +6,28 @@ one-dimensional).  Empirically the map decreases from -pi/2 toward -pi as
 eta_in grows, with a scattering onset somewhere below sqrt(2)*e^{arcosh 2};
 none of that is assumed: the bracket is established by a multiplicative scan
 (doubling upward, halving downward), non-scattering outcomes raise the scan
-floor, and the root is then located by bisection with guarded secant steps,
-which needs only the sign change.
+floor, and the root is then refined by the Illinois variant of regula falsi
+(the kept end's function value is halved when the same end survives twice in
+a row, so neither end stalls), with bisection whenever the step would leave
+the bracket interior; only the sign change is needed.
+
+Every evaluation is solver-only (integrator.deflection_of: no dense output,
+no samples, and an early certificate for non-scattering data); only the
+accepted root is integrated in full.  Refinement stops at a tenth of
+root_tol, leaving room for the solver's own error in Theta; an iterate
+within root_tol is still accepted when the bracket collapses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .closed_forms import AsymptoticData
 from .integrator import (NotConvergedError, SolverConfig, Trajectory,
                          deflection, integrate)
+from . import integrator
 from . import geometry
 
 DEFAULT_SEED = 8.0
@@ -44,12 +53,13 @@ class ShootingResult:
     iterations: int
     bracket: tuple[float, float]
     trajectory: Trajectory
+    scanned: list[tuple[float, Optional[float]]]   # every evaluation, in order
 
 
 def deflection_of(eta_in: float, xi_in: float = 0.0,
                   cfg: SolverConfig = SolverConfig()) -> float:
     """Deflection angle for given data; raises NotConvergedError otherwise."""
-    return deflection(integrate(AsymptoticData(xi_in, eta_in), cfg))
+    return integrator.deflection_of(AsymptoticData(xi_in, eta_in), cfg)
 
 
 def shoot(theta_target: float, cfg: SolverConfig = SolverConfig(),
@@ -61,15 +71,15 @@ def shoot(theta_target: float, cfg: SolverConfig = SolverConfig(),
     theta_target must keep the configured margin to the interval ends
     (-pi, -pi/2).  Non-scattering evaluations (blow-up or no escape within
     budget) raise the lower scan edge; bisection is the convergence
-    guarantee and secant proposals are accepted only strictly inside the
-    bracket.  Deterministic: identical inputs produce identical results.
+    guarantee and Illinois proposals are accepted only strictly inside the
+    bracket.  The search stops at |dtheta| <= root_tol/10.  Deterministic:
+    identical inputs produce identical results.
     """
     if not (-math.pi + margin < theta_target < -0.5 * math.pi - margin):
         raise ValueError(
             f"theta_target {theta_target} outside (-pi + {margin:g}, -pi/2 - {margin:g})")
 
     scanned: list[tuple[float, Optional[float]]] = []
-    traj_cache: dict[float, Trajectory] = {}
     good: dict[float, float] = {}   # eta -> theta(eta) - theta_target
     lo_fail = floor                 # largest eta known (or assumed) non-scattering
 
@@ -77,10 +87,8 @@ def shoot(theta_target: float, cfg: SolverConfig = SolverConfig(),
         nonlocal lo_fail
         if eta in good:
             return True
-        traj = integrate(AsymptoticData(0.0, eta), cfg)
-        traj_cache[eta] = traj
         try:
-            theta = deflection(traj)
+            theta = deflection_of(eta, 0.0, cfg)
         except NotConvergedError:
             scanned.append((eta, None))
             lo_fail = max(lo_fail, eta)
@@ -131,14 +139,18 @@ def shoot(theta_target: float, cfg: SolverConfig = SolverConfig(),
     lo, hi = sign_change_pair()
     f_lo, f_hi = good[lo], good[hi]
 
-    # --- safeguarded bisection with secant acceleration ---------------------
+    # --- Illinois steps, safeguarded by bisection ----------------------------
+    # g_lo, g_hi are the end values the secant formula uses; the end kept
+    # twice in a row gets its value halved
+    g_lo, g_hi = f_lo, f_hi
+    kept = 0                        # -1: lo kept last step, +1: hi kept
     best_eta, best_f = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
     iterations = 0
-    while abs(best_f) > root_tol and iterations < max_iter:
+    while abs(best_f) > 0.1 * root_tol and iterations < max_iter:
         iterations += 1
         cand = None
-        if f_hi != f_lo:
-            sec = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if g_hi != g_lo:
+            sec = hi - g_hi * (hi - lo) / (g_hi - g_lo)
             if lo < sec < hi and min(sec - lo, hi - sec) > 1e-15 * hi:
                 cand = sec
         if cand is None:
@@ -155,18 +167,25 @@ def shoot(theta_target: float, cfg: SolverConfig = SolverConfig(),
         if fc == 0.0:
             break
         if (fc > 0.0) == (f_lo > 0.0):
-            lo, f_lo = cand, fc
+            lo, f_lo, g_lo = cand, fc, fc
+            if kept == 1:
+                g_hi *= 0.5
+            kept = 1
         else:
-            hi, f_hi = cand, fc
+            hi, f_hi, g_hi = cand, fc, fc
+            if kept == -1:
+                g_lo *= 0.5
+            kept = -1
         if hi - lo <= 1e-15 * hi:
             break
 
     if abs(best_f) > root_tol:
         raise fail(f"root refinement stalled at |dtheta| = {abs(best_f):.3e}")
+    traj = integrate(AsymptoticData(0.0, best_eta), cfg)
     return ShootingResult(
         theta_target=theta_target, eta_in_found=best_eta,
-        theta_achieved=good[best_eta] + theta_target, iterations=iterations,
-        bracket=(lo, hi), trajectory=traj_cache[best_eta],
+        theta_achieved=deflection(traj), iterations=iterations,
+        bracket=(lo, hi), trajectory=traj, scanned=scanned,
     )
 
 
@@ -184,11 +203,12 @@ class SweepRow:
 
 
 def sweep(theta_grid, cfg: SolverConfig = SolverConfig(),
-          root_tol: float = 1e-8, **shoot_kw) -> list[SweepRow]:
+          root_tol: float = 1e-8, *, on_row: Optional[Callable[[SweepRow], None]] = None,
+          **shoot_kw) -> list[SweepRow]:
     """One shoot plus geometry evaluation per grid angle, in grid order.
 
     Row failures are recorded in the status field (values NaN) and the sweep
-    continues.
+    continues.  on_row, when given, is called with each row as it is done.
     """
     rows: list[SweepRow] = []
     for theta_t in theta_grid:
@@ -212,4 +232,6 @@ def sweep(theta_grid, cfg: SolverConfig = SolverConfig(),
                                  kappa=nan, alpha=nan, k_star=nan,
                                  pokhozaev_residual=nan, energy_drift=nan,
                                  status=f"failed: {exc}"))
+        if on_row is not None:
+            on_row(rows[-1])
     return rows

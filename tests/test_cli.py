@@ -1,10 +1,14 @@
 import json
 import math
 
+from dataclasses import asdict
+
 import pytest
 
+from curvscat import AsymptoticData, SolverConfig, integrate
 from curvscat.cli import (EXIT_NONSCATTERING, EXIT_OK, EXIT_PARTIAL,
-                          EXIT_USAGE, EXIT_VERIFY_FAIL, main, parse_angle)
+                          EXIT_USAGE, EXIT_VERIFY_FAIL, _json_render, main,
+                          parse_angle)
 
 from _reference import ORACLE_THETA_ETA8
 
@@ -71,6 +75,38 @@ def test_solve_blowup_branch_via_flags(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert "divergence" in summary["blowup"]["reason"]
     assert (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("eta_in, keys", [
+    ("-1", ["schema", "inputs", "escaped", "blowup", "config"]),
+    ("1.0", ["schema", "inputs", "events", "escaped", "blowup", "drift", "config"]),
+    ("8", ["schema", "inputs", "events", "theta", "escaped", "drift", "config",
+           "kappa", "alpha", "k_star", "fits", "residuals"]),
+])
+def test_solve_summary_layout(tmp_path, eta_in, keys):
+    # the three solve outcomes keep the summary.json layout key for key
+    out = tmp_path / "run"
+    _run("solve", f"--eta-in={eta_in}", "--out-dir", str(out))
+    text = (out / "summary.json").read_text()
+    summary = json.loads(text)
+    assert list(summary) == keys
+    assert summary["schema"] == "curvscat/summary/v1"
+    assert summary["inputs"] == {"eta_in": float(eta_in), "xi_in": 0.0}
+    assert list(summary["config"]) == list(asdict(SolverConfig()))
+    if float(eta_in) > 0.0:
+        traj = integrate(AsymptoticData(0.0, float(eta_in)), SolverConfig())
+        assert summary["drift"] == traj.max_energy_drift
+        assert summary["events"]["t0"] == traj.events.t0
+    if "blowup" in summary:
+        assert summary["escaped"] is False and list(summary["blowup"]) == ["reason"]
+    if eta_in == "-1":
+        assert text == _json_render({
+            "schema": "curvscat/summary/v1",
+            "inputs": {"eta_in": -1.0, "xi_in": 0.0},
+            "escaped": False,
+            "blowup": {"reason": "eta_in nonpositive: no scattering"},
+            "config": asdict(SolverConfig()),
+        }) + "\n"
 
 
 def test_usage_errors_exit_1(capsys):

@@ -62,7 +62,7 @@ def test_quadrature_matches_momentum_identities(traj8, sol8):
     kap_id, al_id = theta_identities(theta)
     assert abs(sol8.kappa - kap_id) / kap_id <= 1e-3
     assert abs(sol8.alpha - al_id) / al_id <= 1e-3
-    quad = curvature_area_quadrature(sol8, traj8)
+    quad = curvature_area_quadrature(traj8)
     assert quad.kappa == sol8.kappa and quad.alpha == sol8.alpha
 
 

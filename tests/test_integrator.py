@@ -7,6 +7,7 @@ from curvscat import (AsymptoticData, NotConvergedError, SolverConfig,
                       Trajectory, TrajectoryEvents, TimeTranslate,
                       apply_symmetry, deflection, detect_events,
                       explicit_bounds, integrate, t0_state_bounds)
+from curvscat.integrator import deflection_of
 
 from _reference import (ORACLE_T0_ETA8, ORACLE_T_HALF_ETA8, ORACLE_T_M_ETA8,
                         ORACLE_THETA_ETA8, ORACLE_THETA_ETA6, continue_tight,
@@ -99,6 +100,45 @@ def test_one_solver_call_per_run(eta_in, max_time, escaped, monkeypatch):
     traj = integrate(AsymptoticData(0.0, eta_in), SolverConfig(max_time=max_time))
     assert traj.escaped is escaped
     assert len(spy.calls) == 1
+
+
+EVALUATOR_ETAS = sorted(set(np.geomspace(1.2999, 70.0, 40).tolist())
+                        | {1.29983, 1.3, 1.31})
+
+
+@pytest.mark.parametrize("xi_in", [0.0, -0.7, 0.9])
+def test_evaluator_matches_deflection_of_trajectory(xi_in, cfg):
+    # the solver-only evaluator applies deflection's arithmetic to the state
+    # integrate puts in its final sample: equal bit for bit
+    for eta_in in EVALUATOR_ETAS:
+        a = AsymptoticData(xi_in, eta_in)
+        assert deflection_of(a, cfg) == deflection(integrate(a, cfg)), eta_in
+
+
+@pytest.mark.parametrize("eta_in", [-0.5, 0.0, 0.5, 1.0, 1.2, 1.2998])
+@pytest.mark.parametrize("xi_in", [0.0, -0.7, 0.9])
+def test_evaluator_nonscattering_raises_like_deflection(eta_in, xi_in, cfg):
+    a = AsymptoticData(xi_in, eta_in)
+    with pytest.raises(NotConvergedError):
+        deflection(integrate(a, cfg))
+    with pytest.raises(NotConvergedError, match="blow-up"):
+        deflection_of(a, cfg)
+
+
+def test_evaluator_budget_exhaustion_raises():
+    with pytest.raises(NotConvergedError, match="no escape"):
+        deflection_of(A8, SolverConfig(max_time=19.0))
+
+
+def test_evaluator_certificate_stops_blowup_early(cfg, monkeypatch):
+    spy = _SolverSpy(monkeypatch)
+    a = AsymptoticData(0.0, 1.0)
+    traj = integrate(a, cfg)
+    assert traj.events.blowup is not None
+    with pytest.raises(NotConvergedError):
+        deflection_of(a, cfg)
+    full, evaluator = spy.calls
+    assert evaluator.nfev <= full.nfev / 3
 
 
 def test_deflection_agrees_with_position_slopes(traj8):

@@ -7,7 +7,7 @@ from curvscat import (NotConvergedError, deflection_of, shoot, sweep,
                       theta_identities)
 from curvscat.shooting import BracketNotFoundError
 
-from _reference import ORACLE_THETA_ETA8
+from _reference import ORACLE_THETA_ETA8, theta_tight
 
 PI = math.pi
 
@@ -35,6 +35,38 @@ def test_shoot_recovers_known_eta(cfg):
     assert abs(res.eta_in_found - 8.0) <= 1e-4
     assert res.eta_in_found > 0.0
     assert res.bracket[0] <= res.eta_in_found <= res.bracket[1]
+    # the evaluation trace is kept on success: distinct etas, each with its
+    # angle, including the accepted root and both bracket ends
+    etas = [e for e, _ in res.scanned]
+    assert len(set(etas)) == len(etas) > res.iterations
+    assert (res.eta_in_found, res.theta_achieved) in res.scanned
+    thetas = dict(res.scanned)
+    assert thetas[res.bracket[0]] is not None and thetas[res.bracket[1]] is not None
+
+
+@pytest.mark.parametrize("target", [
+    -2.514344765366246,          # accepted just inside root_tol by regula falsi
+    -0.505 * PI - 1e-9 * PI,     # shallow end of the default margin
+    -0.55 * PI, -0.75 * PI, -0.9 * PI, -0.98 * PI,
+])
+def test_shoot_root_accurate_against_tight_reference(target, cfg):
+    res = shoot(target, cfg, root_tol=1e-8)
+    assert abs(theta_tight(res.eta_in_found) - target) <= 1e-8
+    assert res.iterations <= 8
+
+
+def test_shoot_integrates_only_the_accepted_root(cfg, monkeypatch):
+    import curvscat.shooting as shooting
+    real, calls = shooting.integrate, []
+
+    def spy(a, c):
+        calls.append(a)
+        return real(a, c)
+
+    monkeypatch.setattr(shooting, "integrate", spy)
+    res = shoot(-0.75 * PI, cfg, root_tol=1e-8)
+    assert [a.eta_in for a in calls] == [res.eta_in_found]
+    assert res.trajectory.asymptotics.eta_in == res.eta_in_found
 
 
 def test_shoot_deterministic(cfg):
@@ -97,7 +129,10 @@ def test_sweep_rows(cfg):
 
 
 def test_sweep_records_row_failures(cfg):
-    rows = sweep([-0.99 * PI, -0.75 * PI], cfg, root_tol=1e-8, ceiling=10.0)
+    seen = []
+    rows = sweep([-0.99 * PI, -0.75 * PI], cfg, root_tol=1e-8, ceiling=10.0,
+                 on_row=seen.append)
+    assert seen == rows
     assert rows[0].status.startswith("failed")
     assert math.isnan(rows[0].eta_in)
     assert rows[1].status == "ok"
