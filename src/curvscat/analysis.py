@@ -29,7 +29,6 @@ with f'' = e^{2 xi} (xi_dot - 2 eta eta_dot) / (2 eta_dot^3).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -100,16 +99,6 @@ def spectrum_along(traj: Trajectory) -> list[SpectrumSample]:
     ]
 
 
-def write_spectrum_csv(samples: list[SpectrumSample], path) -> None:
-    """Export spectrum samples as CSV (12 significant digits)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "lambda_real", "lambda_imag", "mu_plus", "mu_minus"])
-        for s in samples:
-            w.writerow([format(v, ".12g") for v in
-                        (s.t, s.lambda_real, s.lambda_imag, s.mu_plus, s.mu_minus)])
-
-
 # --- gradient-flow recurrence ---------------------------------------------
 
 
@@ -139,11 +128,6 @@ class GradientFlowState:
         if nu0 is None:
             nu0 = -math.sqrt(max(0.0, 1.0 - mu0 * mu0))
         return cls(mu=mu0, nu=nu0, mu0=mu0, nu0=nu0, delta=delta, epsilon=epsilon)
-
-
-def potential_value(s: GradientFlowState, mu: float, nu: float) -> float:
-    """W(mu, nu) for the state's anchor and coupling."""
-    return 0.5 * ((mu - s.mu0) ** 2 + (nu - s.nu0) ** 2) - s.delta * nu / mu
 
 
 def potential_gradient(s: GradientFlowState, mu: float, nu: float) -> tuple[float, float]:

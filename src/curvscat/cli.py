@@ -2,14 +2,16 @@
 
 All data files are emitted deterministically: CSV floats carry 12
 significant digits, JSON floats 17; timestamps appear only in the run
-manifest.  Exit codes: 0 ok, 1 usage error, 2 blow-up or non-scattering
-outcome, 3 partial sweep failure, 4 verification failure.
+manifest.  A CSV is its header line, then rows of '%.12g' fields ending in
+CR LF (csv.writer's dialect, never quoted); each block of _CSV_BLOCK_ROWS
+rows is rendered by one %-operation.  Exit codes: 0 ok, 1 usage error,
+2 blow-up or non-scattering outcome, 3 partial sweep failure,
+4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import re
@@ -52,6 +54,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def parse_angle(text: str) -> float:
     """Angle in radians, or a '<number>pi' literal such as -0.75pi."""
     s = text.strip().lower()
@@ -64,10 +73,6 @@ def parse_angle(text: str) -> float:
 
 
 # --- deterministic emission -------------------------------------------------
-
-
-def _csv_num(x) -> str:
-    return format(float(x), ".12g")
 
 
 def _json_render(obj, indent: int = 0) -> str:
@@ -102,35 +107,39 @@ def write_json(path: Path, obj) -> None:
     path.write_text(_json_render(obj) + "\n")
 
 
-def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    en = traj.energies()
+# rows per %-operation: big enough to amortise the call, small enough that a
+# block's stacked slice and tuple stay a few hundred kB
+_CSV_BLOCK_ROWS = 1024
+
+
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write equal-length float columns under a header as CSV rows."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    row_fmt = ",".join(["%.12g"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "xi", "eta", "xi_dot", "eta_dot", "energy"])
-        for k in range(len(traj)):
-            w.writerow([_csv_num(traj.t[k]), _csv_num(traj.xi[k]),
-                        _csv_num(traj.eta[k]), _csv_num(traj.xi_dot[k]),
-                        _csv_num(traj.eta_dot[k]), _csv_num(en[k])])
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[lo:lo + _CSV_BLOCK_ROWS] for c in columns])
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+
+
+def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
+    _write_csv(path, ["t", "xi", "eta", "xi_dot", "eta_dot", "energy"],
+               [traj.t, traj.xi, traj.eta, traj.xi_dot, traj.eta_dot,
+                traj.energies()])
 
 
 def write_radial_csv(path: Path, sol: geometry.RadialSolution) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["r", "u", "K"])
-        for k in range(len(sol.r_grid)):
-            w.writerow([_csv_num(sol.r_grid[k]), _csv_num(sol.u_values[k]),
-                        _csv_num(sol.k_values[k])])
+    _write_csv(path, ["r", "u", "K"], [sol.r_grid, sol.u_values, sol.k_values])
+
+
+_SWEEP_COLUMNS = ["theta", "eta_in", "kappa", "alpha", "k_star",
+                  "pokhozaev_residual", "energy_drift"]
 
 
 def write_sweep_csv(path: Path, rows: list[shooting.SweepRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["theta", "eta_in", "kappa", "alpha", "k_star",
-                    "pokhozaev_residual", "energy_drift"])
-        for r in rows:
-            w.writerow([_csv_num(r.theta), _csv_num(r.eta_in), _csv_num(r.kappa),
-                        _csv_num(r.alpha), _csv_num(r.k_star),
-                        _csv_num(r.pokhozaev_residual), _csv_num(r.energy_drift)])
+    _write_csv(path, _SWEEP_COLUMNS,
+               [[getattr(r, name) for r in rows] for name in _SWEEP_COLUMNS])
 
 
 def write_manifest(out_dir: Path, command: str, argv: list[str], inputs: dict,
@@ -374,11 +383,9 @@ def cmd_flow(args, argv) -> int:
         args.mu0, args.delta, args.epsilon, nu0=args.nu0)
     res = analysis.gradient_flow_run(state, tol=args.tol,
                                      max_iter=args.max_iter, keep_history=True)
-    with open(out / "flow.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "mu", "nu", "grad_norm"])
-        for n, (mu, nu, gn) in enumerate(res.history):
-            w.writerow([n, _csv_num(mu), _csv_num(nu), _csv_num(gn)])
+    history = np.asarray(res.history, dtype=float).reshape(-1, 3)
+    _write_csv(out / "flow.csv", ["n", "mu", "nu", "grad_norm"],
+               [np.arange(len(history)), *history.T])
     inputs = {"mu0": state.mu0, "nu0": state.nu0, "delta": state.delta,
               "epsilon": state.epsilon, "tol": args.tol}
     write_json(out / "flow_summary.json", {
@@ -420,7 +427,7 @@ def build_parser() -> _Parser:
     pw = sub.add_parser("sweep", help="tabulate the deflection map on a theta grid")
     pw.add_argument("--theta-min", required=True)
     pw.add_argument("--theta-max", required=True)
-    pw.add_argument("--n", type=int, required=True)
+    pw.add_argument("--n", type=_positive_int, required=True)
     pw.add_argument("--root-tol", type=float, default=1e-8)
     pw.add_argument("--eta-ceiling", type=float, default=shooting.DEFAULT_CEILING)
     _add_solver_flags(pw)

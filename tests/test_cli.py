@@ -155,6 +155,15 @@ def test_sweep_files_and_partial_exit(tmp_path):
     assert rows[1]["status"] == "ok"
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_sweep_n_below_one_is_usage_error(tmp_path, capsys, n):
+    out = tmp_path / "sweep"
+    assert _run("sweep", "--theta-min", "-0.8pi", "--theta-max", "-0.75pi",
+                "--n", n, "--out-dir", str(out)) == EXIT_USAGE
+    assert "at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_single_eta(tmp_path):
     out = tmp_path / "verify"
     assert _run("verify", "--eta-in", "6", "--out-dir", str(out)) == EXIT_OK
