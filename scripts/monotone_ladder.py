@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from curvscat import AsymptoticData, explicit_bounds, iterate_past
-from curvscat.picard import write_csv
+from curvscat.cli import write_csv
 
 
 def main(argv=None) -> int:
@@ -30,8 +30,8 @@ def main(argv=None) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for k, (gx, ge) in enumerate(zip(run.iterates_xi, run.iterates_eta)):
-        write_csv(gx, out / f"xi_{k:02d}.csv")
-        write_csv(ge, out / f"eta_{k:02d}.csv")
+        write_csv(out / f"xi_{k:02d}.csv", ["t", "value"], [gx.t, gx.values])
+        write_csv(out / f"eta_{k:02d}.csv", ["t", "value"], [ge.t, ge.values])
     print(f"wrote {2 * len(run.iterates_xi)} ladder files to {out}/")
     print("sup-norm steps:", ["%.3e" % d for d in run.sup_diff_history])
     return 0

@@ -10,6 +10,7 @@ construction must satisfy.
 __version__ = "0.1.0"
 
 from .closed_forms import (AsymptoticData, BoundsReport, ETA_CRIT_UPPER,
+                           deflection_deep, deflection_deep_inverse,
                            eta_first_iterate, explicit_bounds,
                            free_motion_expansion, lncosh, t0_state_bounds,
                            xi_subsolution, xi_supersolution)

@@ -61,6 +61,20 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
+
+
+def _positive_float(text: str) -> float:
+    x = float(text)
+    if not (math.isfinite(x) and x > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return x
+
+
 def parse_angle(text: str) -> float:
     """Angle in radians, or a '<number>pi' literal such as -0.75pi."""
     s = text.strip().lower()
@@ -112,7 +126,7 @@ def write_json(path: Path, obj) -> None:
 _CSV_BLOCK_ROWS = 1024
 
 
-def _write_csv(path: Path, header: list[str], columns) -> None:
+def write_csv(path: Path, header: list[str], columns) -> None:
     """Write equal-length float columns under a header as CSV rows."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     row_fmt = ",".join(["%.12g"] * len(columns)) + "\r\n"
@@ -124,13 +138,13 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    _write_csv(path, ["t", "xi", "eta", "xi_dot", "eta_dot", "energy"],
-               [traj.t, traj.xi, traj.eta, traj.xi_dot, traj.eta_dot,
-                traj.energies()])
+    write_csv(path, ["t", "xi", "eta", "xi_dot", "eta_dot", "energy"],
+              [traj.t, traj.xi, traj.eta, traj.xi_dot, traj.eta_dot,
+               traj.energies()])
 
 
 def write_radial_csv(path: Path, sol: geometry.RadialSolution) -> None:
-    _write_csv(path, ["r", "u", "K"], [sol.r_grid, sol.u_values, sol.k_values])
+    write_csv(path, ["r", "u", "K"], [sol.r_grid, sol.u_values, sol.k_values])
 
 
 _SWEEP_COLUMNS = ["theta", "eta_in", "kappa", "alpha", "k_star",
@@ -138,8 +152,8 @@ _SWEEP_COLUMNS = ["theta", "eta_in", "kappa", "alpha", "k_star",
 
 
 def write_sweep_csv(path: Path, rows: list[shooting.SweepRow]) -> None:
-    _write_csv(path, _SWEEP_COLUMNS,
-               [[getattr(r, name) for r in rows] for name in _SWEEP_COLUMNS])
+    write_csv(path, _SWEEP_COLUMNS,
+              [[getattr(r, name) for r in rows] for name in _SWEEP_COLUMNS])
 
 
 def write_manifest(out_dir: Path, command: str, argv: list[str], inputs: dict,
@@ -285,6 +299,7 @@ def cmd_solve(args, argv) -> int:
 
 
 def cmd_shoot(args, argv) -> int:
+    shooting.check_search(args.root_tol, shooting.DEFAULT_FLOOR, args.eta_ceiling)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg = _config_from(args)
@@ -321,6 +336,7 @@ def cmd_shoot(args, argv) -> int:
 
 
 def cmd_sweep(args, argv) -> int:
+    shooting.check_search(args.root_tol, shooting.DEFAULT_FLOOR, args.eta_ceiling)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg = _config_from(args)
@@ -384,8 +400,8 @@ def cmd_flow(args, argv) -> int:
     res = analysis.gradient_flow_run(state, tol=args.tol,
                                      max_iter=args.max_iter, keep_history=True)
     history = np.asarray(res.history, dtype=float).reshape(-1, 3)
-    _write_csv(out / "flow.csv", ["n", "mu", "nu", "grad_norm"],
-               [np.arange(len(history)), *history.T])
+    write_csv(out / "flow.csv", ["n", "mu", "nu", "grad_norm"],
+              [np.arange(len(history)), *history.T])
     inputs = {"mu0": state.mu0, "nu0": state.nu0, "delta": state.delta,
               "epsilon": state.epsilon, "tol": args.tol}
     write_json(out / "flow_summary.json", {
@@ -419,8 +435,9 @@ def build_parser() -> _Parser:
     ph = sub.add_parser("shoot", help="find eta_in for a target deflection")
     ph.add_argument("--theta", required=True,
                     help="target angle in radians or '<x>pi' (e.g. -0.75pi)")
-    ph.add_argument("--root-tol", type=float, default=1e-8)
-    ph.add_argument("--eta-ceiling", type=float, default=shooting.DEFAULT_CEILING)
+    ph.add_argument("--root-tol", type=_positive_float, default=1e-8)
+    ph.add_argument("--eta-ceiling", type=_positive_float,
+                    default=shooting.DEFAULT_CEILING)
     _add_solver_flags(ph)
     ph.set_defaults(func=cmd_shoot)
 
@@ -428,8 +445,9 @@ def build_parser() -> _Parser:
     pw.add_argument("--theta-min", required=True)
     pw.add_argument("--theta-max", required=True)
     pw.add_argument("--n", type=_positive_int, required=True)
-    pw.add_argument("--root-tol", type=float, default=1e-8)
-    pw.add_argument("--eta-ceiling", type=float, default=shooting.DEFAULT_CEILING)
+    pw.add_argument("--root-tol", type=_positive_float, default=1e-8)
+    pw.add_argument("--eta-ceiling", type=_positive_float,
+                    default=shooting.DEFAULT_CEILING)
     _add_solver_flags(pw)
     pw.set_defaults(func=cmd_sweep)
 
@@ -444,7 +462,7 @@ def build_parser() -> _Parser:
     pf.add_argument("--delta", type=float, required=True)
     pf.add_argument("--epsilon", type=float, default=0.1)
     pf.add_argument("--tol", type=float, default=1e-10)
-    pf.add_argument("--max-iter", type=int, default=100000)
+    pf.add_argument("--max-iter", type=_nonnegative_int, default=100000)
     _add_solver_flags(pf)
     pf.set_defaults(func=cmd_flow)
     return p

@@ -29,7 +29,6 @@ equations of motion on [T0, t_max] with asymptotically linear behavior.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -328,26 +327,3 @@ def monotonicity_report(run: PicardRun, allowance: float = 0.0) -> MonotonicityR
             worst, node = float(viol[k]), k
     return MonotonicityReport(ordered=worst <= allowance,
                               worst_violation=worst, node=node)
-
-
-def final_residual(run: PicardRun) -> tuple[float, float]:
-    """Centered-difference residuals of the limit against the motion equations.
-
-    Both are O(step^2) for a converged past-zone run; interior nodes only.
-    """
-    xi = run.xi_limit.values
-    eta = run.eta_limit.values
-    h = run.xi_limit.step
-    e2 = np.exp(2.0 * xi[1:-1])
-    r_xi = (xi[2:] - 2 * xi[1:-1] + xi[:-2]) / h**2 + eta[1:-1] * e2
-    r_eta = (eta[2:] - 2 * eta[1:-1] + eta[:-2]) / h**2 + 0.5 * e2
-    return float(np.max(np.abs(r_xi))), float(np.max(np.abs(r_eta)))
-
-
-def write_csv(gf: GridFunction, path) -> None:
-    """Export one iterate as CSV with columns t, value (12 significant digits)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "value"])
-        for tv, v in zip(gf.t, gf.values):
-            w.writerow([format(tv, ".12g"), format(v, ".12g")])

@@ -3,19 +3,30 @@
 The deflection map is evaluated with xi_in pinned to 0 (a xi_in shift is a
 pure time translation and leaves the angle unchanged, so the search space is
 one-dimensional).  Empirically the map decreases from -pi/2 toward -pi as
-eta_in grows, with a scattering onset somewhere below sqrt(2)*e^{arcosh 2};
-none of that is assumed: the bracket is established by a multiplicative scan
-(doubling upward, halving downward), non-scattering outcomes raise the scan
-floor, and the root is then refined by the Illinois variant of regula falsi
-(the kept end's function value is halved when the same end survives twice in
-a row, so neither end stalls), with bisection whenever the step would leave
-the bracket interior; only the sign change is needed.
+eta_in grows, above a scattering onset near eta_in = 1.2998; none of that is
+assumed, and only a sign change is needed.
 
-Every evaluation is solver-only (integrator.deflection_of: no dense output,
-no samples, and an early certificate for non-scattering data); only the
-accepted root is integrated in full.  Refinement stops at a tenth of
-root_tol, leaving room for the solver's own error in Theta; an iterate
-within root_tol is still accepted when the bracket collapses.
+The scan for it starts at the series inverse of the deep-end law
+(closed_forms.deflection_deep_inverse), clamped to [floor, ceiling], which
+lands within 1.0e-6 relative of the root at eta_in = 8 and closer above.
+The next probe is a Newton step on the law, with the slope of its series
+inverse at the angle seen, overshot 2x so that it lands across the root;
+each later probe doubles the relative step, up to a factor of 2 in eta.
+Which way to step comes from the signs seen.  Non-scattering outcomes raise the scan floor: a
+step that would pass it goes to the geometric mean of the floor and the
+lowest scattering point, and a step toward it is not overshot, as past the
+root lies the onset.  A non-scattering first probe (the law's inverse never
+falls below 2*sqrt(5/12) = 1.2910, just under the onset) is followed by
+probes climbing by _ONSET_STEP, doubling.
+
+The root is then refined by the Illinois variant of regula falsi (the kept
+end's function value is halved when the same end survives twice in a row,
+so neither end stalls), with bisection whenever the step would leave the
+bracket interior.  Every evaluation is solver-only (integrator.deflection_of:
+no dense output, no samples, and an early certificate for non-scattering
+data); only the accepted root is integrated in full.  Refinement stops at a
+tenth of root_tol, leaving room for the solver's own error in Theta; an
+iterate within root_tol is still accepted when the bracket collapses.
 """
 
 from __future__ import annotations
@@ -24,17 +35,23 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .closed_forms import AsymptoticData
+from .closed_forms import (AsymptoticData, deflection_deep_inverse,
+                           deflection_deep_inverse_slope)
 from .integrator import (NotConvergedError, SolverConfig, Trajectory,
                          deflection, integrate)
 from . import integrator
 from . import geometry
 
-DEFAULT_SEED = 8.0
 DEFAULT_FLOOR = 1e-6
 DEFAULT_CEILING = 1e6
 THETA_MARGIN = 0.005 * math.pi
 _SCAN_BUDGET = 80
+# least relative scan step: after an exact hit the next probe still moves
+_EPS = 2.0**-52
+# relative step after a non-scattering probe: the least power of 2 that lifts
+# the law inverse's lowest value, 1.29099, past the scattering onset (1.29982
+# at the default budget, 1.29981 at max_time 3000), so one step clears it
+_ONSET_STEP = 2.0**-7
 
 
 class BracketNotFoundError(RuntimeError):
@@ -62,10 +79,21 @@ def deflection_of(eta_in: float, xi_in: float = 0.0,
     return integrator.deflection_of(AsymptoticData(xi_in, eta_in), cfg)
 
 
+def check_search(root_tol: float, floor: float, ceiling: float) -> None:
+    """Raise ValueError, naming the argument, unless root_tol, floor and
+    ceiling are finite and positive with floor < ceiling."""
+    for name, value in (("root_tol", root_tol), ("floor", floor),
+                        ("ceiling", ceiling)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    if floor >= ceiling:
+        raise ValueError(f"floor {floor!r} must lie below ceiling {ceiling!r}")
+
+
 def shoot(theta_target: float, cfg: SolverConfig = SolverConfig(),
           root_tol: float = 1e-8, margin: float = THETA_MARGIN,
-          seed: float = DEFAULT_SEED, floor: float = DEFAULT_FLOOR,
-          ceiling: float = DEFAULT_CEILING, max_iter: int = 200) -> ShootingResult:
+          floor: float = DEFAULT_FLOOR, ceiling: float = DEFAULT_CEILING,
+          max_iter: int = 200) -> ShootingResult:
     """Find eta_in whose deflection hits theta_target to within root_tol.
 
     theta_target must keep the configured margin to the interval ends
@@ -73,8 +101,10 @@ def shoot(theta_target: float, cfg: SolverConfig = SolverConfig(),
     budget) raise the lower scan edge; bisection is the convergence
     guarantee and Illinois proposals are accepted only strictly inside the
     bracket.  The search stops at |dtheta| <= root_tol/10.  Deterministic:
-    identical inputs produce identical results.
+    identical inputs produce identical results.  Bad search arguments raise
+    ValueError (check_search).
     """
+    check_search(root_tol, floor, ceiling)
     if not (-math.pi + margin < theta_target < -0.5 * math.pi - margin):
         raise ValueError(
             f"theta_target {theta_target} outside (-pi + {margin:g}, -pi/2 - {margin:g})")
@@ -108,13 +138,22 @@ def shoot(theta_target: float, cfg: SolverConfig = SolverConfig(),
                 return e1, e2
         return None
 
-    # --- multiplicative scan for a sign change -----------------------------
-    eta = seed
+    # --- scan for a sign change, seeded by the deep-end law ------------------
+    eta = min(max(deflection_deep_inverse(theta_target), floor), ceiling)
+    rel = _ONSET_STEP
     while not evaluate(eta):
-        eta *= 2.0
-        if eta > ceiling:
+        if eta >= ceiling:
             raise fail("no scattering outcome up to the ceiling")
+        eta = min(eta * (1.0 + rel), ceiling)
+        rel = min(2.0 * rel, 1.0)
+    # Newton step on the law relative to eta, with the slope of its series
+    # inverse at the angle seen
+    f = good[eta]
+    rel = max(abs(f * deflection_deep_inverse_slope(theta_target + f)) / eta, _EPS)
 
+    # each probe doubles the relative step, up to a factor of 2 in eta; it is
+    # overshot 2x to land across the root, except toward a non-scattering
+    # outcome, as past the root lies the onset
     while sign_change_pair() is None:
         if len(scanned) > _SCAN_BUDGET:
             raise fail("scan budget exhausted")
@@ -122,19 +161,19 @@ def shoot(theta_target: float, cfg: SolverConfig = SolverConfig(),
         if good[es[0]] < 0.0:
             # every achieved angle too deep: explore smaller eta
             lo_min = es[0]
-            cand = 0.5 * lo_min
+            cand = lo_min / (1.0 + min(rel if lo_fail > floor else 2.0 * rel, 1.0))
             if cand <= lo_fail:
                 cand = math.sqrt(lo_fail * lo_min)
-            if cand <= lo_fail * (1.0 + 1e-12) or cand >= lo_min * (1.0 - 1e-12):
-                raise fail("lower edge pinned by non-scattering outcomes")
+                if cand <= lo_fail * (1.0 + 1e-12) or cand >= lo_min * (1.0 - 1e-12):
+                    raise fail("lower edge pinned by non-scattering outcomes")
             evaluate(cand)
         else:
             # every achieved angle too shallow: explore larger eta
-            cand = 2.0 * es[-1]
-            if cand > ceiling:
+            if es[-1] >= ceiling:
                 raise fail("upper edge reached the ceiling")
-            if not evaluate(cand):
+            if not evaluate(min(es[-1] * (1.0 + min(2.0 * rel, 1.0)), ceiling)):
                 raise fail("non-scattering outcome above a scattering point")
+        rel *= 2.0
 
     lo, hi = sign_change_pair()
     f_lo, f_hi = good[lo], good[hi]
@@ -208,8 +247,11 @@ def sweep(theta_grid, cfg: SolverConfig = SolverConfig(),
     """One shoot plus geometry evaluation per grid angle, in grid order.
 
     Row failures are recorded in the status field (values NaN) and the sweep
-    continues.  on_row, when given, is called with each row as it is done.
+    continues; bad search arguments raise ValueError before the first row.
+    on_row, when given, is called with each row as it is done.
     """
+    check_search(root_tol, shoot_kw.get("floor", DEFAULT_FLOOR),
+                 shoot_kw.get("ceiling", DEFAULT_CEILING))
     rows: list[SweepRow] = []
     for theta_t in theta_grid:
         theta_t = float(theta_t)

@@ -8,8 +8,9 @@ about 5e-13) and pin the deflection values the adaptive integrator must
 reproduce.  theta_tight and continue_tight are the tight-tolerance
 references for the deflection angle and the free leg after escape: scipy's
 DOP853 at rtol 1e-13 on the same equations, sharing no code with the package.
-The row-by-row CSV writers at the end are the oracle for the CLI's block
-writer.
+final_residual checks a Picard limit against the motion equations by
+centered differences.  The row-by-row CSV writers at the end are the oracle
+for the CLI's block writer.
 """
 
 import csv
@@ -171,6 +172,20 @@ def continue_tight(y0, t_grid):
     return sol.y.T
 
 
+def final_residual(run) -> tuple[float, float]:
+    """Centered-difference residuals of the limit against the motion equations.
+
+    Both are O(step^2) for a converged past-zone run; interior nodes only.
+    """
+    xi = run.xi_limit.values
+    eta = run.eta_limit.values
+    h = run.xi_limit.step
+    e2 = np.exp(2.0 * xi[1:-1])
+    r_xi = (xi[2:] - 2 * xi[1:-1] + xi[:-2]) / h**2 + eta[1:-1] * e2
+    r_eta = (eta[2:] - 2 * eta[1:-1] + eta[:-2]) / h**2 + 0.5 * e2
+    return float(np.max(np.abs(r_xi))), float(np.max(np.abs(r_eta)))
+
+
 # --- row-by-row CSV writers ---------------------------------------------------
 # The CLI's CSV emission before it rendered blocks of rows at once: one
 # csv.writer row per record, each field format(x, ".12g").
@@ -217,3 +232,12 @@ def write_flow_csv(path, history) -> None:
         w.writerow(["n", "mu", "nu", "grad_norm"])
         for n, (mu, nu, gn) in enumerate(history):
             w.writerow([n, _csv_num(mu), _csv_num(nu), _csv_num(gn)])
+
+
+def write_ladder_csv(gf, path) -> None:
+    """One Picard iterate as t, value rows (scripts/monotone_ladder.py)."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "value"])
+        for tv, v in zip(gf.t, gf.values):
+            w.writerow([format(tv, ".12g"), format(v, ".12g")])

@@ -17,9 +17,8 @@ from curvscat import (AsymptoticData, NotConvergedError, TimeReverse,
                       to_radial, xi_subsolution, xi_supersolution)
 from curvscat.analysis import GradientFlowState, g_values, gradient_flow_run
 from curvscat.closed_forms import ETA_CRIT_UPPER
-from curvscat.picard import final_residual
 
-from _reference import ORACLE_THETA_ETA8
+from _reference import ORACLE_THETA_ETA8, final_residual
 
 PI = math.pi
 _16PI2 = 16.0 * PI**2

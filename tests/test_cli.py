@@ -164,6 +164,39 @@ def test_sweep_n_below_one_is_usage_error(tmp_path, capsys, n):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (("shoot", "--theta", "-0.75pi", "--root-tol", "nan"), "--root-tol"),
+    (("shoot", "--theta", "-0.75pi", "--root-tol", "0"), "--root-tol"),
+    (("shoot", "--theta", "-0.75pi", "--root-tol", "-1"), "--root-tol"),
+    (("shoot", "--theta", "-0.75pi", "--eta-ceiling", "0"), "--eta-ceiling"),
+    (("shoot", "--theta", "-0.75pi", "--eta-ceiling", "nan"), "--eta-ceiling"),
+    (("shoot", "--theta", "-0.75pi", "--eta-ceiling", "1e-7"), "ceiling"),
+    (("sweep", "--theta-min", "-0.8pi", "--theta-max", "-0.75pi", "--n", "2",
+      "--root-tol", "inf"), "--root-tol"),
+    (("sweep", "--theta-min", "-0.8pi", "--theta-max", "-0.75pi", "--n", "2",
+      "--eta-ceiling", "-5"), "--eta-ceiling"),
+    (("flow", "--mu0", "-0.999", "--delta", "1e-6", "--max-iter", "-1"),
+     "--max-iter"),
+])
+def test_bad_search_and_flow_arguments_are_usage_errors(tmp_path, capsys,
+                                                        args, message):
+    # bad search arguments and a negative flow budget are usage errors,
+    # raised before any directory is made
+    out = tmp_path / "run"
+    assert _run(*args, "--out-dir", str(out)) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flow_zero_iterations_evaluates_once(tmp_path):
+    out = tmp_path / "flow0"
+    assert _run("flow", "--mu0", "-0.999", "--delta", "1e-6", "--max-iter", "0",
+                "--out-dir", str(out)) != EXIT_USAGE
+    summary = json.loads((out / "flow_summary.json").read_text())
+    assert summary["iterations"] == 0
+    assert len((out / "flow.csv").read_text().splitlines()) == 2
+
+
 def test_verify_single_eta(tmp_path):
     out = tmp_path / "verify"
     assert _run("verify", "--eta-in", "6", "--out-dir", str(out)) == EXIT_OK

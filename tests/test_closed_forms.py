@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from curvscat import (ETA_CRIT_UPPER, AsymptoticData, energy,
+from curvscat import (ETA_CRIT_UPPER, AsymptoticData, SolverConfig,
+                      deflection_deep, deflection_deep_inverse, energy,
                       eta_first_iterate, explicit_bounds, free_motion_expansion,
                       lncosh, t0_state_bounds, xi_subsolution, xi_supersolution)
+from curvscat.closed_forms import deflection_deep_inverse_slope
+from curvscat.integrator import deflection_of
 
 A04 = AsymptoticData(0.0, 4.0)
 A08 = AsymptoticData(0.0, 8.0)
@@ -153,3 +156,34 @@ def test_t0_state_bounds_eta8():
     assert math.isclose(xid_up, (-lc + 0.5 * math.log(2.0)) / math.log(8.0),
                         rel_tol=1e-14)
     assert -1.0 < etad_lo < 0.0
+
+
+@pytest.mark.parametrize("eta_in", [8.0, 16.0, 32.0, 64.0])
+def test_deflection_deep_law_remainder(eta_in):
+    # next term of the law, measured: 0.351-0.357/eta_in^5
+    theta = deflection_of(AsymptoticData(0.0, eta_in), SolverConfig())
+    assert 0.0 <= theta - deflection_deep(eta_in) <= 0.4 / eta_in**5
+
+
+@pytest.mark.parametrize("eta_in", [4.0, 8.0, 16.0, 32.0, 64.0])
+def test_deflection_deep_inverse_lands_below_root(eta_in):
+    # the series inverse undershoots by about 0.004/eta_in^4 relative
+    theta = deflection_of(AsymptoticData(0.0, eta_in), SolverConfig())
+    assert 0.0 < eta_in - deflection_deep_inverse(theta) <= 0.005 / eta_in**3
+
+
+def test_deflection_deep_inverse_inverts_the_law():
+    # the series stops at O(x^3): the round trip is off by 50/144/eta_in^3
+    etas = np.geomspace(4.0, 100.0, 25)
+    back = deflection_deep_inverse(deflection_deep(etas))
+    assert np.all(np.abs(back - etas - (50.0 / 144.0) / etas**3) <= 0.1 / etas**5)
+    # the inverse never falls below 2*sqrt(5/12), just under the onset
+    x = np.linspace(1e-3, 0.5 * math.pi, 2001)
+    assert np.min(deflection_deep_inverse(x - math.pi)) >= 2.0 * math.sqrt(5.0 / 12.0)
+
+
+def test_deflection_deep_inverse_slope_matches_difference():
+    theta = np.linspace(-0.99, -0.51, 49) * math.pi
+    h = 1e-6
+    diff = (deflection_deep_inverse(theta + h) - deflection_deep_inverse(theta - h)) / (2 * h)
+    assert np.allclose(deflection_deep_inverse_slope(theta), diff, rtol=1e-6, atol=1e-7)

@@ -4,10 +4,12 @@ import pytest
 from curvscat import (AsymptoticData, PhasePoint, explicit_bounds,
                       eta_first_iterate, iterate_future, iterate_past,
                       monotonicity_report, xi_subsolution)
+from curvscat.cli import write_csv
 from curvscat.picard import (GridFunction, NewtonNotConvergedError, PicardRun,
-                             _march_xi, final_residual, write_csv)
+                             _march_xi)
 
-from _reference import march_xi_nodewise, rk4_grid_from_state, rk4_on_grid
+from _reference import (final_residual, march_xi_nodewise, rk4_grid_from_state,
+                        rk4_on_grid, write_ladder_csv)
 
 A8 = AsymptoticData(0.0, 8.0)
 HANDOFF8 = explicit_bounds(A8).t0_lower - 1.0
@@ -234,13 +236,17 @@ def test_gridfunction_validation():
 
 
 def test_write_csv(tmp_path):
+    # an iterate through the CLI's block writer, as scripts/monotone_ladder.py
+    # writes it, byte for byte against the row-by-row ladder writer
     gf = _gf([1.0, 2.0, 3.0])
     path = tmp_path / "ladder.csv"
-    write_csv(gf, path)
+    write_csv(path, ["t", "value"], [gf.t, gf.values])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,value"
     assert len(lines) == 4
     assert lines[1].split(",") == ["0", "1"]
+    write_ladder_csv(gf, tmp_path / "rowwise.csv")
+    assert path.read_bytes() == (tmp_path / "rowwise.csv").read_bytes()
 
 
 def test_eta_first_iterate_between_limit_and_level(run8):

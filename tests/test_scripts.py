@@ -3,6 +3,10 @@ from pathlib import Path
 
 import numpy as np
 
+from curvscat import AsymptoticData, explicit_bounds, iterate_past
+
+from _reference import write_ladder_csv
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -23,3 +27,17 @@ def test_monotone_ladder_writes_ordered_csv(tmp_path):
     for prev, nxt in zip(xi, xi[1:]):
         assert np.array_equal(prev[:, 0], nxt[:, 0])
         assert np.all(nxt[:, 1] >= prev[:, 1])
+
+
+def test_monotone_ladder_csv_matches_rowwise(tmp_path):
+    ladder = _load("monotone_ladder")
+    assert ladder.main(["--iterates", "2", "--step", "8e-3",
+                        "--out-dir", str(tmp_path)]) == 0
+    a = AsymptoticData(0.0, 8.0)
+    run = iterate_past(a, explicit_bounds(a).t0_lower - 1.0, step=8e-3,
+                       tol=-1.0, max_iter=2)
+    for k, (gx, ge) in enumerate(zip(run.iterates_xi, run.iterates_eta)):
+        for name, gf in ((f"xi_{k:02d}.csv", gx), (f"eta_{k:02d}.csv", ge)):
+            write_ladder_csv(gf, tmp_path / "rowwise.csv")
+            assert ((tmp_path / name).read_bytes()
+                    == (tmp_path / "rowwise.csv").read_bytes())

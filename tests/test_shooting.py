@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from curvscat import (NotConvergedError, deflection_of, shoot, sweep,
-                      theta_identities)
+from curvscat import (NotConvergedError, deflection_deep_inverse,
+                      deflection_of, shoot, sweep, theta_identities)
 from curvscat.shooting import BracketNotFoundError
 
 from _reference import ORACLE_THETA_ETA8, theta_tight
@@ -53,6 +53,53 @@ def test_shoot_root_accurate_against_tight_reference(target, cfg):
     res = shoot(target, cfg, root_tol=1e-8)
     assert abs(theta_tight(res.eta_in_found) - target) <= 1e-8
     assert res.iterations <= 8
+
+
+@pytest.mark.parametrize("target, most", [
+    (-0.98 * PI, 8), (-0.9 * PI, 8), (-0.75 * PI, 8), (-0.6 * PI, 8),
+    (-0.505 * PI - 1e-9 * PI, 16),
+])
+def test_shoot_evaluations_seeded_by_the_law(target, most, cfg):
+    # the first probe is the deep-end law's inverse; a scan from eta_in = 8
+    # makes 7, 10, 12, 13 and 23 evaluations at these targets
+    res = shoot(target, cfg, root_tol=1e-8)
+    assert res.scanned[0][0] == deflection_deep_inverse(target)
+    assert len(res.scanned) <= most
+    assert abs(res.theta_achieved - target) <= 1e-9
+
+
+def test_shoot_climbs_past_the_onset_from_a_nonscattering_seed(cfg):
+    # at -0.55pi the law's inverse, 1.2964, lies below the onset near 1.2998
+    res = shoot(-0.55 * PI, cfg, root_tol=1e-8)
+    assert res.scanned[0] == (deflection_deep_inverse(-0.55 * PI), None)
+    assert abs(res.theta_achieved + 0.55 * PI) <= 1e-9
+    assert len(res.scanned) <= 12
+
+
+def test_shoot_seed_clamped_to_floor(cfg):
+    # the root near 3.314 lies below the floor: the first probe is the floor,
+    # and the scan stops there instead of crossing it
+    with pytest.raises(BracketNotFoundError, match="pinned") as e:
+        shoot(-0.9 * PI, cfg, floor=4.0)
+    assert e.value.scanned[0][0] == 4.0
+    assert min(eta for eta, _ in e.value.scanned) >= 4.0
+
+
+@pytest.mark.parametrize("kw, name", [
+    ({"root_tol": math.nan}, "root_tol"), ({"root_tol": 0.0}, "root_tol"),
+    ({"root_tol": -1.0}, "root_tol"), ({"root_tol": math.inf}, "root_tol"),
+    ({"ceiling": 0.0}, "ceiling"), ({"ceiling": math.nan}, "ceiling"),
+    ({"ceiling": math.inf}, "ceiling"), ({"floor": -1.0}, "floor"),
+    ({"floor": math.nan}, "floor"), ({"floor": 10.0, "ceiling": 10.0}, "floor"),
+    ({"floor": 20.0, "ceiling": 10.0}, "floor"),
+])
+def test_shoot_rejects_bad_search_arguments(cfg, monkeypatch, kw, name):
+    import curvscat.shooting as shooting
+    monkeypatch.setattr(shooting, "deflection_of", None)   # nothing evaluated
+    with pytest.raises(ValueError, match=name):
+        shoot(-0.75 * PI, cfg, **kw)
+    with pytest.raises(ValueError, match=name):
+        sweep([-0.75 * PI], cfg, **kw)
 
 
 def test_shoot_integrates_only_the_accepted_root(cfg, monkeypatch):
