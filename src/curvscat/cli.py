@@ -186,6 +186,12 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tail-pad", type=float, default=d.tail_pad)
 
 
+def _out_dir(args) -> Path:
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _config_from(args) -> SolverConfig:
     return SolverConfig(
         rel_tol=args.rel_tol, abs_tol=args.abs_tol, escape_tol=args.escape_tol,
@@ -257,9 +263,9 @@ def _solution_summary(traj: Trajectory, inputs: dict, cfg: SolverConfig) -> tupl
 
 
 def cmd_solve(args, argv) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     cfg = _config_from(args)
+    a = AsymptoticData(args.xi_in, args.eta_in)
+    out = _out_dir(args)
     inputs = {"eta_in": args.eta_in, "xi_in": args.xi_in}
     outputs = []
 
@@ -272,7 +278,7 @@ def cmd_solve(args, argv) -> int:
         print("non-scattering: eta_in nonpositive")
         return EXIT_NONSCATTERING
 
-    traj = integrate(AsymptoticData(args.xi_in, args.eta_in), cfg)
+    traj = integrate(a, cfg)
     write_trajectory_csv(out / "trajectory.csv", traj)
     outputs.append("trajectory.csv")
 
@@ -299,16 +305,15 @@ def cmd_solve(args, argv) -> int:
 
 
 def cmd_shoot(args, argv) -> int:
-    shooting.check_search(args.root_tol, shooting.DEFAULT_FLOOR, args.eta_ceiling)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     cfg = _config_from(args)
     theta_t = parse_angle(args.theta)
     inputs = {"theta_target": theta_t, "root_tol": args.root_tol}
+    # no directory until shoot has checked its arguments
     try:
         res = shooting.shoot(theta_t, cfg, root_tol=args.root_tol,
                              ceiling=args.eta_ceiling)
     except shooting.BracketNotFoundError as exc:
+        out = _out_dir(args)
         write_json(out / "summary.json", _summary(
             inputs, cfg, error=str(exc),
             scanned=[{"eta_in": e, "theta": th} for e, th in exc.scanned]))
@@ -316,6 +321,7 @@ def cmd_shoot(args, argv) -> int:
         print(f"bracket not found: {exc}")
         return EXIT_NONSCATTERING
 
+    out = _out_dir(args)
     outputs = ["trajectory.csv", "summary.json"]
     write_trajectory_csv(out / "trajectory.csv", res.trajectory)
     summary, sol = _solution_summary(res.trajectory, inputs, cfg)
@@ -337,10 +343,9 @@ def cmd_shoot(args, argv) -> int:
 
 def cmd_sweep(args, argv) -> int:
     shooting.check_search(args.root_tol, shooting.DEFAULT_FLOOR, args.eta_ceiling)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     cfg = _config_from(args)
     lo, hi = parse_angle(args.theta_min), parse_angle(args.theta_max)
+    out = _out_dir(args)
     grid = np.linspace(lo, hi, args.n)
     inputs = {"theta_min": lo, "theta_max": hi, "n": args.n,
               "root_tol": args.root_tol}
@@ -369,11 +374,10 @@ def cmd_sweep(args, argv) -> int:
 
 
 def cmd_verify(args, argv) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     cfg = _config_from(args)
     etas = args.eta_in
     results = verification.run_suite(etas, cfg)
+    out = _out_dir(args)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name} (eta_in = {r.eta_in:g}): {r.detail}")
     all_pass = all(r.passed for r in results)
@@ -392,13 +396,12 @@ def cmd_verify(args, argv) -> int:
 
 
 def cmd_flow(args, argv) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     cfg = _config_from(args)
     state = analysis.GradientFlowState.from_anchor(
         args.mu0, args.delta, args.epsilon, nu0=args.nu0)
     res = analysis.gradient_flow_run(state, tol=args.tol,
                                      max_iter=args.max_iter, keep_history=True)
+    out = _out_dir(args)
     history = np.asarray(res.history, dtype=float).reshape(-1, 3)
     write_csv(out / "flow.csv", ["n", "mu", "nu", "grad_norm"],
               [np.arange(len(history)), *history.T])

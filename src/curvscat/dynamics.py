@@ -38,19 +38,6 @@ GAUGE_LOAD: float = 1.0
 _EXP_ARG_LIMIT = 709.0
 
 
-class BlowUpSignal(Exception):
-    """Force evaluation left the representable range (finite-time blow-up).
-
-    Carries the last valid phase point so callers can report where the
-    trajectory left the scattering regime instead of crashing.
-    """
-
-    def __init__(self, point: "PhasePoint", reason: str):
-        super().__init__(reason)
-        self.point = point
-        self.reason = reason
-
-
 @dataclass(frozen=True)
 class PhasePoint:
     """Instantaneous state (t, xi, eta, xi_dot, eta_dot) of the particle."""
@@ -81,9 +68,10 @@ def rhs(t, y):
 
 
 def energy(p: PhasePoint) -> float:
-    """Total energy E = (xi'^2 + eta'^2 + eta*exp(2*xi)) / 2."""
-    if 2.0 * p.xi > _EXP_ARG_LIMIT:
-        raise BlowUpSignal(p, "exp(2*xi) overflows float64 in the potential term")
+    """Total energy E = (xi'^2 + eta'^2 + eta*exp(2*xi)) / 2.
+
+    Raises OverflowError when exp(2*xi) leaves the float64 range.
+    """
     return 0.5 * (p.xi_dot**2 + p.eta_dot**2 + p.eta * math.exp(2.0 * p.xi))
 
 

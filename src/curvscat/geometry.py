@@ -96,8 +96,14 @@ def _tail_arrays(traj: Trajectory):
     return traj.t[m], traj.xi[m], traj.eta[m]
 
 
-def _windowed_quadrature(t: np.ndarray, xi: np.ndarray, eta: np.ndarray,
-                         a: AsymptoticData) -> QuadratureResult:
+def curvature_area_quadrature(traj: Trajectory) -> QuadratureResult:
+    """Integral curvature and area by windowed quadrature plus closed-form tails.
+
+    Works on the trajectory's uniform samples.  Raises ValueError when the last two samples do not head
+    outward (xi decreasing), since the future tail then does not decay.
+    """
+    t, xi, eta = _tail_arrays(traj)
+    a = traj.asymptotics
     f_area = np.exp(2.0 * xi)
     f_curv = eta * f_area
 
@@ -120,16 +126,6 @@ def _windowed_quadrature(t: np.ndarray, xi: np.ndarray, eta: np.ndarray,
     kappa = TWO_PI * (float(simpson(f_curv, x=t)) + curv_past + curv_fut)
     alpha = _SQRT2 * math.pi * (float(simpson(f_area, x=t)) + area_past + area_fut)
     return QuadratureResult(kappa=kappa, alpha=alpha)
-
-
-def curvature_area_quadrature(traj: Trajectory) -> QuadratureResult:
-    """Integral curvature and area by windowed quadrature plus closed-form tails.
-
-    Works on the trajectory's uniform samples.  Raises ValueError when the last two samples do not head
-    outward (xi decreasing), since the future tail then does not decay.
-    """
-    t, xi, eta = _tail_arrays(traj)
-    return _windowed_quadrature(t, xi, eta, traj.asymptotics)
 
 
 def to_radial(traj: Trajectory) -> RadialSolution:
@@ -248,14 +244,3 @@ def scale_radial(sol: RadialSolution, k: float) -> RadialSolution:
         t0=sol.t0 - lk,
     )
 
-
-def quadrature_on_radial(sol: RadialSolution) -> QuadratureResult:
-    """Quadrature of kappa and alpha from radial data alone.
-
-    Same windowed-plus-tails scheme as curvature_area_quadrature but driven
-    by (r, u, K); used to verify scaling covariance on transformed solutions.
-    """
-    t = np.log(sol.r_grid)
-    xi = sol.u_values + t + _LN2_4
-    eta = sol.k_values / _SQRT2
-    return _windowed_quadrature(t, xi, eta, sol.asymptotics)

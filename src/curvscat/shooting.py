@@ -19,14 +19,15 @@ root lies the onset.  A non-scattering first probe (the law's inverse never
 falls below 2*sqrt(5/12) = 1.2910, just under the onset) is followed by
 probes climbing by _ONSET_STEP, doubling.
 
-The root is then refined by the Illinois variant of regula falsi (the kept
-end's function value is halved when the same end survives twice in a row,
-so neither end stalls), with bisection whenever the step would leave the
-bracket interior.  Every evaluation is solver-only (integrator.deflection_of:
-no dense output, no samples, and an early certificate for non-scattering
-data); only the accepted root is integrated in full.  Refinement stops at a
-tenth of root_tol, leaving room for the solver's own error in Theta; an
-iterate within root_tol is still accepted when the bracket collapses.
+The root is then refined by Brent's method (scipy.optimize.brentq) on the
+scan's bracket: inverse quadratic and secant steps, with bisection whenever
+they would not shrink the bracket fast enough.  Every evaluation is
+solver-only (integrator.deflection_of: no dense output, no samples, and an
+early certificate for non-scattering data); only the accepted root is
+integrated in full.  Refinement stops at a tenth of root_tol, leaving room
+for the solver's own error in Theta; an iterate within root_tol is still
+accepted when the bracket collapses to a few ulps.  A non-scattering point
+inside the bracket ends the search with a BracketNotFoundError.
 """
 
 from __future__ import annotations
@@ -35,11 +36,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from scipy.optimize import brentq
+
 from .closed_forms import (AsymptoticData, deflection_deep_inverse,
                            deflection_deep_inverse_slope)
 from .integrator import (NotConvergedError, SolverConfig, Trajectory,
-                         deflection, integrate)
-from . import integrator
+                         deflection, deflection_of, integrate)
 from . import geometry
 
 DEFAULT_FLOOR = 1e-6
@@ -73,12 +75,6 @@ class ShootingResult:
     scanned: list[tuple[float, Optional[float]]]   # every evaluation, in order
 
 
-def deflection_of(eta_in: float, xi_in: float = 0.0,
-                  cfg: SolverConfig = SolverConfig()) -> float:
-    """Deflection angle for given data; raises NotConvergedError otherwise."""
-    return integrator.deflection_of(AsymptoticData(xi_in, eta_in), cfg)
-
-
 def check_search(root_tol: float, floor: float, ceiling: float) -> None:
     """Raise ValueError, naming the argument, unless root_tol, floor and
     ceiling are finite and positive with floor < ceiling."""
@@ -91,23 +87,23 @@ def check_search(root_tol: float, floor: float, ceiling: float) -> None:
 
 
 def shoot(theta_target: float, cfg: SolverConfig = SolverConfig(),
-          root_tol: float = 1e-8, margin: float = THETA_MARGIN,
-          floor: float = DEFAULT_FLOOR, ceiling: float = DEFAULT_CEILING,
-          max_iter: int = 200) -> ShootingResult:
+          root_tol: float = 1e-8, floor: float = DEFAULT_FLOOR,
+          ceiling: float = DEFAULT_CEILING) -> ShootingResult:
     """Find eta_in whose deflection hits theta_target to within root_tol.
 
-    theta_target must keep the configured margin to the interval ends
-    (-pi, -pi/2).  Non-scattering evaluations (blow-up or no escape within
-    budget) raise the lower scan edge; bisection is the convergence
-    guarantee and Illinois proposals are accepted only strictly inside the
-    bracket.  The search stops at |dtheta| <= root_tol/10.  Deterministic:
-    identical inputs produce identical results.  Bad search arguments raise
-    ValueError (check_search).
+    theta_target must keep THETA_MARGIN to the interval ends (-pi, -pi/2).
+    Non-scattering evaluations (blow-up or no escape within budget) raise
+    the lower scan edge.  The search stops at |dtheta| <= root_tol/10.
+    iterations counts the evaluations made after the scan found its
+    bracket, and bracket is the first pair of neighbouring evaluations (in
+    eta order) whose residuals change sign once refinement is done.
+    Deterministic: identical inputs produce identical results.  Bad search
+    arguments (check_search) and targets outside the margin raise ValueError.
     """
     check_search(root_tol, floor, ceiling)
-    if not (-math.pi + margin < theta_target < -0.5 * math.pi - margin):
-        raise ValueError(
-            f"theta_target {theta_target} outside (-pi + {margin:g}, -pi/2 - {margin:g})")
+    if not (-math.pi + THETA_MARGIN < theta_target < -0.5 * math.pi - THETA_MARGIN):
+        raise ValueError(f"theta_target {theta_target} outside (-pi + "
+                         f"{THETA_MARGIN:g}, -pi/2 - {THETA_MARGIN:g})")
 
     scanned: list[tuple[float, Optional[float]]] = []
     good: dict[float, float] = {}   # eta -> theta(eta) - theta_target
@@ -118,7 +114,7 @@ def shoot(theta_target: float, cfg: SolverConfig = SolverConfig(),
         if eta in good:
             return True
         try:
-            theta = deflection_of(eta, 0.0, cfg)
+            theta = deflection_of(AsymptoticData(0.0, eta), cfg)
         except NotConvergedError:
             scanned.append((eta, None))
             lo_fail = max(lo_fail, eta)
@@ -175,56 +171,26 @@ def shoot(theta_target: float, cfg: SolverConfig = SolverConfig(),
                 raise fail("non-scattering outcome above a scattering point")
         rel *= 2.0
 
-    lo, hi = sign_change_pair()
-    f_lo, f_hi = good[lo], good[hi]
+    # --- Brent's method on the bracket --------------------------------------
+    # a residual within root_tol/10 reads as an exact zero, on which brentq
+    # stops; its rtol floor, 4*2^-52, stops it once the bracket collapses
+    def residual(eta: float) -> float:
+        if not evaluate(eta):
+            raise fail("bracket interior stopped scattering")
+        f = good[eta]
+        return 0.0 if abs(f) <= 0.1 * root_tol else f
 
-    # --- Illinois steps, safeguarded by bisection ----------------------------
-    # g_lo, g_hi are the end values the secant formula uses; the end kept
-    # twice in a row gets its value halved
-    g_lo, g_hi = f_lo, f_hi
-    kept = 0                        # -1: lo kept last step, +1: hi kept
-    best_eta, best_f = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
-    iterations = 0
-    while abs(best_f) > 0.1 * root_tol and iterations < max_iter:
-        iterations += 1
-        cand = None
-        if g_hi != g_lo:
-            sec = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-            if lo < sec < hi and min(sec - lo, hi - sec) > 1e-15 * hi:
-                cand = sec
-        if cand is None:
-            cand = 0.5 * (lo + hi)
-        if not evaluate(cand):
-            # interior point below the scattering onset: recover by moving
-            # toward the known-scattering upper end
-            cand = math.sqrt(cand * hi)
-            if not evaluate(cand):
-                raise fail("bracket interior stopped scattering")
-        fc = good[cand]
-        if abs(fc) < abs(best_f):
-            best_eta, best_f = cand, fc
-        if fc == 0.0:
-            break
-        if (fc > 0.0) == (f_lo > 0.0):
-            lo, f_lo, g_lo = cand, fc, fc
-            if kept == 1:
-                g_hi *= 0.5
-            kept = 1
-        else:
-            hi, f_hi, g_hi = cand, fc, fc
-            if kept == -1:
-                g_lo *= 0.5
-            kept = -1
-        if hi - lo <= 1e-15 * hi:
-            break
-
+    n_scan = len(scanned)
+    best_eta = brentq(residual, *sign_change_pair(), xtol=math.ulp(0.0),
+                      rtol=4.0 * _EPS, disp=False)
+    best_f = good[best_eta]
     if abs(best_f) > root_tol:
         raise fail(f"root refinement stalled at |dtheta| = {abs(best_f):.3e}")
     traj = integrate(AsymptoticData(0.0, best_eta), cfg)
     return ShootingResult(
         theta_target=theta_target, eta_in_found=best_eta,
-        theta_achieved=deflection(traj), iterations=iterations,
-        bracket=(lo, hi), trajectory=traj, scanned=scanned,
+        theta_achieved=deflection(traj), iterations=len(scanned) - n_scan,
+        bracket=sign_change_pair(), trajectory=traj, scanned=scanned,
     )
 
 

@@ -157,7 +157,7 @@ def test_07_forbidden_zone_and_inflection(trio):
 
 def test_08_symmetry(traj8, cfg):
     th0 = deflection(traj8)
-    th_shift = deflection_of(8.0, 1.0, cfg)
+    th_shift = deflection_of(AsymptoticData(1.0, 8.0), cfg)
     d_theta = abs(th_shift - th0)
     ok = d_theta <= 1e-6
 
@@ -199,7 +199,7 @@ def test_10_shooting_round_trip(sweep9, cfg):
     d_eta = abs(res.eta_in_found - 8.0)
     ok &= d_eta <= 1e-4
     # non-seed round trip, forcing the scan and refinement to do real work
-    target = deflection_of(3.0, 0.0, cfg)
+    target = deflection_of(AsymptoticData(0.0, 3.0), cfg)
     res3 = shoot(target, cfg, root_tol=1e-8)
     d3 = abs(res3.eta_in_found - 3.0)
     ok &= d3 <= 1e-4 and res3.iterations > 0

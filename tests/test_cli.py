@@ -188,6 +188,21 @@ def test_bad_search_and_flow_arguments_are_usage_errors(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ("shoot", "--theta=-0.4pi"),
+    ("solve", "--eta-in", "8", "--rel-tol", "-1"),
+    ("solve", "--eta-in", "nan"),
+    ("sweep", "--theta-min", "abc", "--theta-max", "-0.6pi", "--n", "2"),
+    ("verify", "--eta-in", "8", "--dense-step", "0"),
+])
+def test_bad_inputs_make_no_out_dir(tmp_path, capsys, args):
+    # the target margin, solver flags, data and angles are checked before
+    # any directory is made
+    out = tmp_path / "run"
+    assert _run(*args, "--out-dir", str(out)) == EXIT_USAGE
+    assert not out.exists()
+
+
 def test_flow_zero_iterations_evaluates_once(tmp_path):
     out = tmp_path / "flow0"
     assert _run("flow", "--mu0", "-0.999", "--delta", "1e-6", "--max-iter", "0",

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from curvscat import (AsymptoticData, asymptotic_fit, curvature_area_quadrature,
-                      deflection, pde_residual, pokhozaev_residual,
-                      scale_radial, theta_identities, to_radial)
+from curvscat import (AsymptoticData, TimeTranslate, apply_symmetry,
+                      asymptotic_fit, curvature_area_quadrature, deflection,
+                      pde_residual, pokhozaev_residual, scale_radial,
+                      theta_identities, to_radial)
 from curvscat.geometry import (ALPHA_SUP, FOUR_PI, TWO_PI, RadialSolution,
-                               WindowTooShortError, quadrature_on_radial)
+                               WindowTooShortError)
 
 LN2_4 = 0.25 * math.log(2.0)
 
@@ -192,22 +193,27 @@ def test_fit_on_exact_linear_tail():
     assert abs(fit.k_slope - math.sqrt(2.0) * math.sin(theta)) < 1e-12
 
 
-def test_scaling_covariance(sol8):
+def test_scaling_covariance(traj8, sol8):
+    # r -> r/k is the time translation t -> t - ln k of the run, which
+    # carries the asymptotic echo xi_in + ln k
+    a = traj8.asymptotics
     for k in (3.7, 0.2):
         scaled = scale_radial(sol8, k)
         assert np.all(np.diff(scaled.u_values) < 0.0)
-        quad = quadrature_on_radial(scaled)
+        moved = replace(apply_symmetry(traj8, TimeTranslate(-math.log(k))),
+                        asymptotics=AsymptoticData(a.xi_in + math.log(k), a.eta_in))
+        assert moved.asymptotics == scaled.asymptotics
+        quad = curvature_area_quadrature(moved)
         assert abs(quad.kappa - sol8.kappa) / sol8.kappa <= 1e-9
         assert abs(quad.alpha - sol8.alpha) / sol8.alpha <= 1e-9
 
 
-def test_quadrature_rejects_window_not_heading_out(traj8, sol8):
+def test_quadrature_rejects_window_not_heading_out(traj8):
     # cut before the xi maximum: xi still rises, so no decaying future tail
-    keep = np.log(sol8.r_grid) < traj8.events.t_m - 1.0
-    cut = replace(sol8, r_grid=sol8.r_grid[keep], u_values=sol8.u_values[keep],
-                  k_values=sol8.k_values[keep])
+    cut = replace(traj8, uniform_mask=traj8.uniform_mask
+                  & (traj8.t < traj8.events.t_m - 1.0))
     with pytest.raises(ValueError, match="not outgoing"):
-        quadrature_on_radial(cut)
+        curvature_area_quadrature(cut)
 
 
 def test_to_radial_requires_escape(cfg):

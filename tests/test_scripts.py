@@ -1,9 +1,12 @@
 import importlib.util
+import math
+import re
 from pathlib import Path
 
 import numpy as np
 
-from curvscat import AsymptoticData, explicit_bounds, iterate_past
+from curvscat import (AsymptoticData, SolverConfig, deflection_of,
+                      explicit_bounds, iterate_past, theta_identities)
 
 from _reference import write_ladder_csv
 
@@ -41,3 +44,22 @@ def test_monotone_ladder_csv_matches_rowwise(tmp_path):
             write_ladder_csv(gf, tmp_path / "rowwise.csv")
             assert ((tmp_path / name).read_bytes()
                     == (tmp_path / "rowwise.csv").read_bytes())
+
+
+def test_deflection_map_smoke(tmp_path, capsys):
+    dmap = _load("deflection_map")
+    out = tmp_path / "map.csv"
+    assert dmap.main(["--n", "3", "--onset-bisections", "4",
+                      "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "eta_in,outcome,theta,kappa,alpha"
+    assert len(lines) == 4
+    # the script's grid; deflection_of gives the script's Theta bit for bit
+    for eta, line in zip(np.geomspace(1.31, 64.0, 3), lines[1:]):
+        theta = deflection_of(AsymptoticData(0.0, float(eta)), SolverConfig())
+        assert -math.pi < theta < -0.5 * math.pi
+        assert line.split(",") == [format(eta, ".12g"), "scatter"] + [
+            format(v, ".12g") for v in (theta, *theta_identities(theta))]
+    lo, hi = map(float, re.search(r"onset in \(([^,]+), ([^)]+)\)",
+                                  capsys.readouterr().out).groups())
+    assert lo < 1.2998 < hi

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from curvscat import (NotConvergedError, deflection_deep_inverse,
-                      deflection_of, shoot, sweep, theta_identities)
+from curvscat import (AsymptoticData, NotConvergedError,
+                      deflection_deep_inverse, deflection_of, shoot, sweep,
+                      theta_identities)
 from curvscat.shooting import BracketNotFoundError
 
 from _reference import ORACLE_THETA_ETA8, theta_tight
@@ -13,20 +14,20 @@ PI = math.pi
 
 
 def test_deflection_of_matches_oracle(cfg):
-    assert abs(deflection_of(8.0, 0.0, cfg) - ORACLE_THETA_ETA8) < 1e-6
+    assert abs(deflection_of(AsymptoticData(0.0, 8.0), cfg) - ORACLE_THETA_ETA8) < 1e-6
 
 
 def test_deflection_invariant_under_xi_in_shift(cfg):
-    t0 = deflection_of(8.0, 0.0, cfg)
-    t1 = deflection_of(8.0, 1.0, cfg)
-    t2 = deflection_of(8.0, -2.5, cfg)
+    t0 = deflection_of(AsymptoticData(0.0, 8.0), cfg)
+    t1 = deflection_of(AsymptoticData(1.0, 8.0), cfg)
+    t2 = deflection_of(AsymptoticData(-2.5, 8.0), cfg)
     assert abs(t1 - t0) < 1e-6
     assert abs(t2 - t0) < 1e-6
 
 
 def test_deflection_of_nonscattering_raises(cfg):
     with pytest.raises(NotConvergedError):
-        deflection_of(-0.5, 0.0, cfg)
+        deflection_of(AsymptoticData(0.0, -0.5), cfg)
 
 
 def test_shoot_recovers_known_eta(cfg):
@@ -45,19 +46,21 @@ def test_shoot_recovers_known_eta(cfg):
 
 
 @pytest.mark.parametrize("target", [
-    -2.514344765366246,          # accepted just inside root_tol by regula falsi
+    -2.514344765366246,          # once accepted only just inside root_tol
     -0.505 * PI - 1e-9 * PI,     # shallow end of the default margin
-    -0.55 * PI, -0.75 * PI, -0.9 * PI, -0.98 * PI,
+    -0.52 * PI, -0.55 * PI, -0.57 * PI, -0.75 * PI, -0.9 * PI, -0.98 * PI,
 ])
 def test_shoot_root_accurate_against_tight_reference(target, cfg):
+    # the map steepens toward the onset at -0.52pi and -0.57pi
     res = shoot(target, cfg, root_tol=1e-8)
     assert abs(theta_tight(res.eta_in_found) - target) <= 1e-8
-    assert res.iterations <= 8
+    assert res.iterations <= 5
+    assert res.bracket[0] <= res.eta_in_found <= res.bracket[1]
 
 
 @pytest.mark.parametrize("target, most", [
     (-0.98 * PI, 8), (-0.9 * PI, 8), (-0.75 * PI, 8), (-0.6 * PI, 8),
-    (-0.505 * PI - 1e-9 * PI, 16),
+    (-0.505 * PI - 1e-9 * PI, 14),
 ])
 def test_shoot_evaluations_seeded_by_the_law(target, most, cfg):
     # the first probe is the deep-end law's inverse; a scan from eta_in = 8
@@ -100,6 +103,22 @@ def test_shoot_rejects_bad_search_arguments(cfg, monkeypatch, kw, name):
         shoot(-0.75 * PI, cfg, **kw)
     with pytest.raises(ValueError, match=name):
         sweep([-0.75 * PI], cfg, **kw)
+
+
+def test_shoot_bracket_interior_stopped_scattering(cfg, monkeypatch):
+    # a linear map that does not scatter near its root, inside the bracket
+    import curvscat.shooting as shooting
+    target = -0.75 * PI
+
+    def gap_at_root(a, c):
+        if abs(a.eta_in - 1.62) < 0.002:
+            raise NotConvergedError("no escape")
+        return target - 0.5 * (a.eta_in - 1.62)
+
+    monkeypatch.setattr(shooting, "deflection_of", gap_at_root)
+    with pytest.raises(BracketNotFoundError, match="interior stopped scattering") as e:
+        shoot(target, cfg)
+    assert e.value.scanned[-1][1] is None
 
 
 def test_shoot_integrates_only_the_accepted_root(cfg, monkeypatch):
@@ -146,7 +165,7 @@ def test_shoot_rejects_margin_violations(cfg):
     with pytest.raises(ValueError):
         shoot(-PI, cfg)
     with pytest.raises(ValueError):
-        shoot(-0.999 * PI, cfg, margin=0.01 * PI)
+        shoot(-0.996 * PI, cfg)
 
 
 def test_shoot_bracket_not_found_reports_scan(cfg):
@@ -189,7 +208,7 @@ def test_empirical_continuity_of_deflection_map(cfg):
     # refining an eta grid inside the scattering regime produces angles with
     # no jumps beyond the local Lipschitz estimate from neighbors
     etas = np.geomspace(2.0, 16.0, 13)
-    thetas = np.array([deflection_of(e, 0.0, cfg) for e in etas])
+    thetas = np.array([deflection_of(AsymptoticData(0.0, e), cfg) for e in etas])
     assert np.all(np.diff(thetas) < 0.0)  # observed monotone decrease
     d = np.abs(np.diff(thetas))
     for k in range(1, len(d) - 1):
