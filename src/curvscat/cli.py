@@ -220,7 +220,7 @@ def _summary(inputs: dict, cfg: SolverConfig, traj: "Trajectory | None" = None,
     """summary.json body: schema and inputs, the run's events, the given
     fields, the run's drift, then the config (the run's entries only with
     traj)."""
-    summary = {"schema": "curvscat/summary/v1", "inputs": inputs}
+    summary = {"schema": "curvscat/summary/v2", "inputs": inputs}
     if traj is not None:
         summary["events"] = _events_dict(traj)
     summary.update(fields)
@@ -236,7 +236,7 @@ def _solution_summary(traj: Trajectory, inputs: dict, cfg: SolverConfig) -> tupl
     sol = None
     if traj.events.t0 is not None:
         sol = geometry.to_radial(traj)
-        fit = geometry.asymptotic_fit(sol)
+        fit = geometry.asymptotic_fit(traj)
         kap_t, al_t = geometry.theta_identities(theta)
         summary.update({
             "kappa": sol.kappa,
@@ -245,7 +245,6 @@ def _solution_summary(traj: Trajectory, inputs: dict, cfg: SolverConfig) -> tupl
             "fits": {
                 "u_slope": fit.u_slope, "u_intercept": fit.u_intercept,
                 "k_slope": fit.k_slope, "k_intercept": fit.k_intercept,
-                "window_r": list(fit.fit_window), "residual": fit.residual,
             },
             "residuals": {
                 "pokhozaev": geometry.pokhozaev_residual(sol.kappa, sol.alpha),
@@ -259,47 +258,50 @@ def _solution_summary(traj: Trajectory, inputs: dict, cfg: SolverConfig) -> tupl
     return summary, sol
 
 
+def _write_run(args, argv, command: str, inputs: dict, cfg: SolverConfig,
+               summary: dict, traj: "Trajectory | None" = None,
+               sol: "geometry.RadialSolution | None" = None) -> None:
+    """Make the output directory and write a finished run's files into it."""
+    out = _out_dir(args)
+    outputs = ["summary.json"]
+    if traj is not None:
+        write_trajectory_csv(out / "trajectory.csv", traj)
+        outputs.append("trajectory.csv")
+    if sol is not None:
+        write_radial_csv(out / "radial.csv", sol)
+        outputs.append("radial.csv")
+    write_json(out / "summary.json", summary)
+    write_manifest(out, command, argv, inputs, cfg, outputs)
+
+
 # --- commands ----------------------------------------------------------------
 
 
 def cmd_solve(args, argv) -> int:
     cfg = _config_from(args)
     a = AsymptoticData(args.xi_in, args.eta_in)
-    out = _out_dir(args)
     inputs = {"eta_in": args.eta_in, "xi_in": args.xi_in}
-    outputs = []
 
     if args.eta_in <= 0.0:
         summary = _summary(inputs, cfg, escaped=False,
                            blowup={"reason": "eta_in nonpositive: no scattering"})
-        write_json(out / "summary.json", summary)
-        outputs.append("summary.json")
-        write_manifest(out, "solve", argv, inputs, cfg, outputs)
+        _write_run(args, argv, "solve", inputs, cfg, summary)
         print("non-scattering: eta_in nonpositive")
         return EXIT_NONSCATTERING
 
     traj = integrate(a, cfg)
-    write_trajectory_csv(out / "trajectory.csv", traj)
-    outputs.append("trajectory.csv")
-
     if traj.events.blowup is not None or not traj.escaped:
         reason = (traj.events.blowup.reason if traj.events.blowup is not None
                   else "no escape within the time budget")
         summary = _summary(inputs, cfg, traj, escaped=traj.escaped,
                            blowup={"reason": reason})
-        write_json(out / "summary.json", summary)
-        outputs.append("summary.json")
-        write_manifest(out, "solve", argv, inputs, cfg, outputs)
+        _write_run(args, argv, "solve", inputs, cfg, summary, traj)
         print(f"non-scattering: {reason}")
         return EXIT_NONSCATTERING
 
+    # the summary can still fail (a ValueError, exit 1): build it first
     summary, sol = _solution_summary(traj, inputs, cfg)
-    if sol is not None:
-        write_radial_csv(out / "radial.csv", sol)
-        outputs.append("radial.csv")
-    write_json(out / "summary.json", summary)
-    outputs.append("summary.json")
-    write_manifest(out, "solve", argv, inputs, cfg, outputs)
+    _write_run(args, argv, "solve", inputs, cfg, summary, traj, sol)
     print(f"theta = {summary['theta']:.12g}")
     return EXIT_OK
 
@@ -313,17 +315,12 @@ def cmd_shoot(args, argv) -> int:
         res = shooting.shoot(theta_t, cfg, root_tol=args.root_tol,
                              ceiling=args.eta_ceiling)
     except shooting.BracketNotFoundError as exc:
-        out = _out_dir(args)
-        write_json(out / "summary.json", _summary(
+        _write_run(args, argv, "shoot", inputs, cfg, _summary(
             inputs, cfg, error=str(exc),
             scanned=[{"eta_in": e, "theta": th} for e, th in exc.scanned]))
-        write_manifest(out, "shoot", argv, inputs, cfg, ["summary.json"])
         print(f"bracket not found: {exc}")
         return EXIT_NONSCATTERING
 
-    out = _out_dir(args)
-    outputs = ["trajectory.csv", "summary.json"]
-    write_trajectory_csv(out / "trajectory.csv", res.trajectory)
     summary, sol = _solution_summary(res.trajectory, inputs, cfg)
     summary["shooting"] = {
         "theta_target": res.theta_target,
@@ -332,11 +329,7 @@ def cmd_shoot(args, argv) -> int:
         "iterations": res.iterations,
         "bracket": list(res.bracket),
     }
-    if sol is not None:
-        write_radial_csv(out / "radial.csv", sol)
-        outputs.append("radial.csv")
-    write_json(out / "summary.json", summary)
-    write_manifest(out, "shoot", argv, inputs, cfg, outputs)
+    _write_run(args, argv, "shoot", inputs, cfg, summary, res.trajectory, sol)
     print(f"eta_in = {res.eta_in_found:.12g}  theta = {res.theta_achieved:.12g}")
     return EXIT_OK
 

@@ -16,9 +16,10 @@ explicit time bounds t0_lower and t_half_lower; the cosh arguments vanish at
 the envelope maxima tm0 and tm_hat.
 
 The motion is free in both limits: free_motion_expansion gives the start
-state in the far past, free_leg the motion after escape.  For large eta_in
-the whole deflection has a closed form, deflection_deep, whose series
-inverse deflection_deep_inverse seeds the shooting scan.
+state in the far past, free_leg the motion after escape and free_asymptote
+the straight line that motion approaches.  For large eta_in the whole
+deflection has a closed form, deflection_deep, whose series inverse
+deflection_deep_inverse seeds the shooting scan.
 """
 
 from __future__ import annotations
@@ -49,11 +50,6 @@ class AsymptoticData:
         if not (math.isfinite(self.xi_in) and math.isfinite(self.eta_in)):
             raise ValueError("asymptotic data must be finite")
 
-    @property
-    def is_scattering_candidate(self) -> bool:
-        """eta_in > 0 is necessary for a deflected escaping motion."""
-        return self.eta_in > 0.0
-
 
 @dataclass(frozen=True)
 class BoundsReport:
@@ -63,7 +59,6 @@ class BoundsReport:
     t_half_lower: float    # below the eta = eta_in/2 crossing time
     tm0: float             # maximum location of the subsolution envelope
     tm_hat: float          # maximum location of the supersolution envelope
-    eta_crit_upper: float  # = ETA_CRIT_UPPER, independent of the data
 
 
 def lncosh(z):
@@ -113,7 +108,6 @@ def explicit_bounds(a: AsymptoticData) -> BoundsReport:
         t_half_lower=math.log(2.0 * math.sqrt(e)) - a.xi_in,
         tm0=math.log(2.0 / math.sqrt(e)) - a.xi_in,
         tm_hat=math.log(2.0 * math.sqrt(2.0 / e)) - a.xi_in,
-        eta_crit_upper=ETA_CRIT_UPPER,
     )
 
 
@@ -207,6 +201,25 @@ def deflection_deep_inverse_slope(theta):
     return 5.0 / 12.0 - 1.0 / x**2
 
 
+def free_asymptote(y):
+    """The line the free leg from escape state y = (xi0, a, eta0, b) approaches.
+
+    Returns (v_xi, p_xi, v_eta, p_eta): the outgoing velocities and the
+    limiting offsets, xi(s) - v_xi*s -> p_xi and eta(s) - v_eta*s -> p_eta
+    as s -> inf.  With lam = -2a and E = exp(2*xi0), as in free_leg:
+
+        v_xi  = a - E*(eta0/lam + b/lam^2),   p_xi  = xi0 + E*(eta0 + 2b/lam)/lam^2
+        v_eta = b - E/(2 lam),                p_eta = eta0 + E/(2 lam^2)
+    """
+    xi0, a, eta0, b = (float(v) for v in y)
+    lam = -2.0 * a
+    E = math.exp(2.0 * xi0)
+    return (a - E * (eta0 / lam + b / lam**2),
+            xi0 + E * (eta0 + 2.0 * b / lam) / lam**2,
+            b - 0.5 * E / lam,
+            eta0 + 0.5 * E / lam**2)
+
+
 def free_leg(y, s):
     """State (xi, xi_dot, eta, eta_dot) a time s >= 0 after escape state y.
 
@@ -218,20 +231,20 @@ def free_leg(y, s):
         xi  = xi0 + a*s - E*(eta0*J0 + b*J1),  xi_dot  = a - E*(eta0*I0 + b*I1)
         eta = eta0 + b*s - E*J0/2,             eta_dot = b - E*I0/2
 
-    Positions are computed as lines at the outgoing velocity plus bounded
-    offsets, so s = inf gives that velocity (I0 -> 1/lam, I1 -> 1/lam^2).
-    The neglected terms are second order in the potential eta*E.
+    Positions are computed as lines at the outgoing velocity of
+    free_asymptote plus bounded offsets, so s = inf gives that velocity
+    (I0 -> 1/lam, I1 -> 1/lam^2).  The neglected terms are second order in
+    the potential eta*E.
     """
     xi0, a, eta0, b = (float(v) for v in y)
     lam = -2.0 * a
     E = math.exp(2.0 * xi0)
+    v_xi, _, v_eta, _ = free_asymptote(y)
     s = np.asarray(s, dtype=float)
     q = np.exp(-lam * s)
     sq = np.where(q > 0.0, s, 0.0) * q   # s*q, which tends to 0 as s -> inf
     I0 = (1.0 - q) / lam
     I1 = (I0 - sq) / lam
-    v_xi = a - E * (eta0 / lam + b / lam**2)
-    v_eta = b - 0.5 * E / lam
     return (xi0 + v_xi * s + E * (eta0 * I0 + b * (2.0 * I0 - sq) / lam) / lam,
             a - E * (eta0 * I0 + b * I1),
             eta0 + v_eta * s + 0.5 * E * I0 / lam,

@@ -20,6 +20,11 @@ balance along the run makes kappa = 2*pi*(1 - cos Theta) and
 alpha = -2*sqrt(2)*pi*sin Theta exact identities, and both satisfy
 alpha^2 = 2*kappa*(4*pi - kappa); the quadrature values are computed
 independently precisely so those identities can be checked.
+
+The logarithmic tails u ~ -(kappa/2pi) ln r and K ~ -(alpha/2pi) ln r are
+not fitted: after escape the motion is the closed-form free leg, and
+asymptotic_fit reads its outgoing line (closed_forms.free_asymptote) from
+the final sample.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import simpson
 
-from .closed_forms import AsymptoticData, free_leg
+from .closed_forms import AsymptoticData, free_asymptote, free_leg
 from .integrator import Trajectory
 
 _LN2_4 = 0.25 * math.log(2.0)
@@ -40,23 +45,10 @@ TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 ALPHA_SUP = 2.0 ** 1.5 * math.pi
 
-#: tail-window fraction for the logarithmic tail fits
-FIT_WINDOW_FRACTION = 0.3
-#: required escape-leg depth beyond the eta = 0 crossing, in t units
-MIN_TAIL_BEYOND_T0 = 10.0
-
-
-class WindowTooShortError(ValueError):
-    """Sampled range does not reach deep enough past the eta = 0 crossing."""
-
 
 @dataclass(frozen=True)
 class RadialSolution:
-    """Log-uniform radial samples of (u, K) with derived scalars.
-
-    center is the symmetry point in the plane, pinned to the origin; the
-    translation freedom is pure bookkeeping in radial coordinates.
-    """
+    """Log-uniform radial samples of (u, K) with derived scalars."""
 
     r_grid: np.ndarray
     u_values: np.ndarray
@@ -66,8 +58,6 @@ class RadialSolution:
     k_star: float
     u_center: float
     asymptotics: AsymptoticData
-    t0: float
-    center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         for arr in (self.r_grid, self.u_values, self.k_values):
@@ -76,14 +66,12 @@ class RadialSolution:
 
 @dataclass(frozen=True)
 class AsymptoticFit:
-    """Least-squares tail fits of u and K against ln r."""
+    """Tail lines u ~ u_slope*ln r + u_intercept, K ~ k_slope*ln r + k_intercept."""
 
     u_slope: float
     u_intercept: float
     k_slope: float
     k_intercept: float
-    fit_window: tuple[float, float]
-    residual: float
 
 
 class QuadratureResult(NamedTuple):
@@ -153,7 +141,7 @@ def to_radial(traj: Trajectory) -> RadialSolution:
         r_grid=np.exp(t), u_values=u, k_values=K,
         kappa=quad.kappa, alpha=quad.alpha,
         k_star=_SQRT2 * a.eta_in, u_center=a.xi_in - _LN2_4,
-        asymptotics=a, t0=float(traj.events.t0),
+        asymptotics=a,
     )
 
 
@@ -198,30 +186,21 @@ def pde_residual(sol: RadialSolution) -> tuple[float, float]:
     return res_u, res_k
 
 
-def asymptotic_fit(sol: RadialSolution) -> AsymptoticFit:
-    """Fit the logarithmic tails of u and K over the last window of the grid.
+def asymptotic_fit(traj: Trajectory) -> AsymptoticFit:
+    """The logarithmic tails of u and K: the lines the free leg approaches.
 
-    Slopes reproduce -kappa/(2*pi) and -alpha/(2*pi).  Requires the sampled
-    range to extend at least MIN_TAIL_BEYOND_T0 past the K sign change.
+    The final sample of an escaped run lies on the free leg, whose outgoing
+    line closed_forms.free_asymptote gives in closed form.  In ln r = t the
+    slopes are v_xi - 1 = -kappa/(2*pi) and sqrt(2)*v_eta = -alpha/(2*pi).
     """
-    t = np.log(sol.r_grid)
-    if float(t[-1]) < sol.t0 + MIN_TAIL_BEYOND_T0:
-        raise WindowTooShortError(
-            f"tail ends at t = {float(t[-1]):.3f}, need t0 + {MIN_TAIL_BEYOND_T0:g} "
-            f"= {sol.t0 + MIN_TAIL_BEYOND_T0:.3f}")
-    n = len(t)
-    i0 = int((1.0 - FIT_WINDOW_FRACTION) * n)
-    tw = t[i0:]
-    us, ui = np.polyfit(tw, sol.u_values[i0:], 1)
-    ks, ki = np.polyfit(tw, sol.k_values[i0:], 1)
-    ru = sol.u_values[i0:] - (us * tw + ui)
-    rk = sol.k_values[i0:] - (ks * tw + ki)
-    residual = float(max(np.sqrt(np.mean(ru**2)), np.sqrt(np.mean(rk**2))))
+    if not traj.escaped:
+        raise ValueError("tail lines need an escaped trajectory")
+    t = float(traj.t[-1])
+    v_xi, p_xi, v_eta, p_eta = free_asymptote(
+        (traj.xi[-1], traj.xi_dot[-1], traj.eta[-1], traj.eta_dot[-1]))
     return AsymptoticFit(
-        u_slope=float(us), u_intercept=float(ui),
-        k_slope=float(ks), k_intercept=float(ki),
-        fit_window=(float(sol.r_grid[i0]), float(sol.r_grid[-1])),
-        residual=residual,
+        u_slope=v_xi - 1.0, u_intercept=p_xi - v_xi * t - _LN2_4,
+        k_slope=_SQRT2 * v_eta, k_intercept=_SQRT2 * (p_eta - v_eta * t),
     )
 
 
@@ -241,6 +220,5 @@ def scale_radial(sol: RadialSolution, k: float) -> RadialSolution:
         u_values=sol.u_values + lk,
         u_center=sol.u_center + lk,
         asymptotics=AsymptoticData(a.xi_in + lk, a.eta_in),
-        t0=sol.t0 - lk,
     )
 

@@ -58,6 +58,7 @@ class SolverConfig:
     run is extended; blowup_xi is the xi level declared a finite-time
     blow-up (far below the exp overflow threshold, and unreachable by any
     scattering motion, whose xi stays near or below xi_in + t0_lower).
+    Every field must be finite, and every field but blowup_xi positive.
     """
 
     rel_tol: float = 1e-10
@@ -75,8 +76,11 @@ class SolverConfig:
         for name in ("rel_tol", "abs_tol", "t_start_offset", "escape_tol",
                      "max_time", "boundary_tol", "dense_step", "min_tail",
                      "tail_pad"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"SolverConfig.{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"SolverConfig.{name} must be finite and positive")
+        if not math.isfinite(self.blowup_xi):
+            raise ValueError("SolverConfig.blowup_xi must be finite")
 
 
 @dataclass(frozen=True)

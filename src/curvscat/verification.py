@@ -134,8 +134,9 @@ def _check_pokhozaev(sol: geometry.RadialSolution, a: AsymptoticData) -> CheckRe
                        f"alpha = {sol.alpha:.6f})")
 
 
-def _check_slopes(sol: geometry.RadialSolution, a: AsymptoticData) -> CheckResult:
-    fit = geometry.asymptotic_fit(sol)
+def _check_slopes(traj: Trajectory, sol: geometry.RadialSolution,
+                  a: AsymptoticData) -> CheckResult:
+    fit = geometry.asymptotic_fit(traj)
     ru = abs(fit.u_slope + sol.kappa / (2 * math.pi)) / (sol.kappa / (2 * math.pi))
     rk = abs(fit.k_slope + sol.alpha / (2 * math.pi)) / (sol.alpha / (2 * math.pi))
     ok = ru <= SLOPE_REL_TOL and rk <= SLOPE_REL_TOL
@@ -169,6 +170,6 @@ def run_suite(eta_values=(6.0, 8.0, 12.0),
             _check_interior_max(traj, a),
             _check_future_iteration(traj, a),
             _check_pokhozaev(sol, a),
-            _check_slopes(sol, a),
+            _check_slopes(traj, sol, a),
         ]
     return results

@@ -72,12 +72,12 @@ def test_04_asymptotic_slopes(trio):
     worst_u = worst_k = 0.0
     for t in trio:
         sol = to_radial(t)
-        fit = asymptotic_fit(sol)
+        fit = asymptotic_fit(t)
         worst_u = max(worst_u, abs(fit.u_slope + sol.kappa / (2 * PI))
                       / (sol.kappa / (2 * PI)))
         worst_k = max(worst_k, abs(fit.k_slope + sol.alpha / (2 * PI))
                       / (sol.alpha / (2 * PI)))
-    ok = worst_u <= 1e-3 and worst_k <= 1e-3
+    ok = worst_u <= 1e-9 and worst_k <= 1e-9
     _report("04 asymptotic-slopes", ok,
             f"u_slope rel {worst_u:.3e}, K_slope rel {worst_k:.3e}")
 

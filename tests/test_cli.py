@@ -36,7 +36,8 @@ def test_solve_emits_files_and_summary(tmp_path):
     for name in ("trajectory.csv", "radial.csv", "summary.json", "manifest.json"):
         assert (out / name).exists()
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["schema"] == "curvscat/summary/v1"
+    assert summary["schema"] == "curvscat/summary/v2"
+    assert list(summary["fits"]) == ["u_slope", "u_intercept", "k_slope", "k_intercept"]
     assert abs(summary["theta"] - ORACLE_THETA_ETA8) < 1e-6
     assert 2 * math.pi < summary["kappa"] < 4 * math.pi
     assert summary["residuals"]["pokhozaev_rel"] <= 1e-3
@@ -90,7 +91,7 @@ def test_solve_summary_layout(tmp_path, eta_in, keys):
     text = (out / "summary.json").read_text()
     summary = json.loads(text)
     assert list(summary) == keys
-    assert summary["schema"] == "curvscat/summary/v1"
+    assert summary["schema"] == "curvscat/summary/v2"
     assert summary["inputs"] == {"eta_in": float(eta_in), "xi_in": 0.0}
     assert list(summary["config"]) == list(asdict(SolverConfig()))
     if float(eta_in) > 0.0:
@@ -101,7 +102,7 @@ def test_solve_summary_layout(tmp_path, eta_in, keys):
         assert summary["escaped"] is False and list(summary["blowup"]) == ["reason"]
     if eta_in == "-1":
         assert text == _json_render({
-            "schema": "curvscat/summary/v1",
+            "schema": "curvscat/summary/v2",
             "inputs": {"eta_in": -1.0, "xi_in": 0.0},
             "escaped": False,
             "blowup": {"reason": "eta_in nonpositive: no scattering"},
@@ -194,13 +195,41 @@ def test_bad_search_and_flow_arguments_are_usage_errors(tmp_path, capsys,
     ("solve", "--eta-in", "nan"),
     ("sweep", "--theta-min", "abc", "--theta-max", "-0.6pi", "--n", "2"),
     ("verify", "--eta-in", "8", "--dense-step", "0"),
+    ("solve", "--eta-in", "8", "--escape-tol", "inf"),
+    ("shoot", "--theta=-0.75pi", "--escape-tol", "inf"),
+    ("solve", "--eta-in", "8", "--max-time", "inf", "--min-tail", "inf"),
+    ("solve", "--eta-in", "8", "--rel-tol", "inf"),
+    ("solve", "--eta-in", "8", "--abs-tol", "inf"),
+    ("solve", "--eta-in", "8", "--dense-step", "5"),
+    ("shoot", "--theta=-0.75pi", "--dense-step", "5"),
 ])
 def test_bad_inputs_make_no_out_dir(tmp_path, capsys, args):
     # the target margin, solver flags, data and angles are checked before
-    # any directory is made
+    # any directory is made; so is the summary, which a grid too coarse for
+    # the quadrature (--dense-step 5) fails
     out = tmp_path / "run"
     assert _run(*args, "--out-dir", str(out)) == EXIT_USAGE
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("solve", "--eta-in", "12", "--max-time", "160"),
+    ("solve", "--eta-in", "8", "--min-tail", "5"),
+    ("solve", "--eta-in", "24.2"),
+])
+def test_short_tail_past_t0_still_solves(tmp_path, args):
+    # t0 lies less than 10 before the end of the samples; the tail lines
+    # need no window there
+    out = tmp_path / "run"
+    assert _run(*args, "--out-dir", str(out)) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["fits"]["u_slope"] < 0.0 > summary["fits"]["k_slope"]
+    assert (out / "radial.csv").exists()
+
+
+def test_verify_short_tail_past_t0(tmp_path):
+    out = tmp_path / "verify"
+    assert _run("verify", "--eta-in", "24.2", "--out-dir", str(out)) == EXIT_OK
 
 
 def test_flow_zero_iterations_evaluates_once(tmp_path):

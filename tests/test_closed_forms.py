@@ -8,7 +8,8 @@ from curvscat import (ETA_CRIT_UPPER, AsymptoticData, SolverConfig,
                       deflection_deep, deflection_deep_inverse, energy,
                       eta_first_iterate, explicit_bounds, free_motion_expansion,
                       lncosh, t0_state_bounds, xi_subsolution, xi_supersolution)
-from curvscat.closed_forms import deflection_deep_inverse_slope
+from curvscat.closed_forms import (deflection_deep_inverse_slope, free_asymptote,
+                                   free_leg)
 from curvscat.integrator import deflection_of
 
 A04 = AsymptoticData(0.0, 4.0)
@@ -85,7 +86,7 @@ def test_explicit_bounds_values():
     assert math.isclose(b.t0_lower, 1.732868, abs_tol=1e-6)
     assert math.isclose(b.t_half_lower, math.log(4.0), rel_tol=1e-15)
     assert b.tm0 == 0.0
-    assert math.isclose(b.eta_crit_upper, math.sqrt(2.0) * (2.0 + math.sqrt(3.0)),
+    assert math.isclose(ETA_CRIT_UPPER, math.sqrt(2.0) * (2.0 + math.sqrt(3.0)),
                         rel_tol=1e-15)
     assert math.isclose(ETA_CRIT_UPPER, 5.2779168675, abs_tol=1e-9)
 
@@ -108,7 +109,6 @@ def test_bounds_ordering_above_sqrt2(eta_in, xi_in):
 @given(eta_in=st.floats(min_value=-10.0, max_value=0.0), xi_in=xi_any)
 def test_domain_errors_nonpositive_eta(eta_in, xi_in):
     a = AsymptoticData(xi_in, eta_in)
-    assert not a.is_scattering_candidate
     for fn in (lambda: xi_subsolution(0.0, a),
                lambda: eta_first_iterate(0.0, a),
                lambda: xi_supersolution(0.0, a),
@@ -187,3 +187,19 @@ def test_deflection_deep_inverse_slope_matches_difference():
     h = 1e-6
     diff = (deflection_deep_inverse(theta + h) - deflection_deep_inverse(theta - h)) / (2 * h)
     assert np.allclose(deflection_deep_inverse_slope(theta), diff, rtol=1e-6, atol=1e-7)
+
+
+def test_free_asymptote_is_the_limit_of_free_leg():
+    # from an escape state with a potential that is not negligible, the free
+    # leg converges to the line (p + v*s) at the rate e^{-lam s}
+    y = (-1.5, -0.3, -0.2, -0.9)
+    v_xi, p_xi, v_eta, p_eta = free_asymptote(y)
+    assert abs(v_xi - y[1]) > 1e-3 and abs(p_eta - y[2]) > 1e-3
+    xi, xi_dot, eta, eta_dot = free_leg(y, np.array([150.0]))
+    assert abs(float(xi[0]) - (p_xi + 150.0 * v_xi)) <= 1e-12
+    assert abs(float(eta[0]) - (p_eta + 150.0 * v_eta)) <= 1e-12
+    assert float(xi_dot[0]) == pytest.approx(v_xi, rel=0, abs=1e-15)
+    assert float(eta_dot[0]) == pytest.approx(v_eta, rel=0, abs=1e-15)
+    # and the velocities are free_leg's s = inf limit
+    _, xi_dot, _, eta_dot = free_leg(y, math.inf)
+    assert abs(float(xi_dot) - v_xi) <= 1e-15 and abs(float(eta_dot) - v_eta) <= 1e-15

@@ -7,10 +7,10 @@ from hypothesis import given, strategies as st
 
 from curvscat import (AsymptoticData, TimeTranslate, apply_symmetry,
                       asymptotic_fit, curvature_area_quadrature, deflection,
-                      pde_residual, pokhozaev_residual, scale_radial,
+                      integrate, pde_residual, pokhozaev_residual, scale_radial,
                       theta_identities, to_radial)
-from curvscat.geometry import (ALPHA_SUP, FOUR_PI, TWO_PI, RadialSolution,
-                               WindowTooShortError)
+from curvscat.closed_forms import free_asymptote
+from curvscat.geometry import ALPHA_SUP, FOUR_PI, TWO_PI
 
 LN2_4 = 0.25 * math.log(2.0)
 
@@ -31,7 +31,6 @@ def test_center_values(sol8):
     assert math.isclose(sol8.k_star, 8.0 * math.sqrt(2.0), rel_tol=1e-15)
     assert math.isclose(sol8.k_star, 11.313708, abs_tol=1e-6)
     assert math.isclose(sol8.u_center, -LN2_4, rel_tol=1e-15)
-    assert sol8.center == (0.0, 0.0)
 
 
 def test_k_sign_change_at_t0(traj8, sol8):
@@ -114,7 +113,6 @@ def test_pokhozaev_residual_values():
 
 
 def test_pde_residual_second_order(cfg):
-    from curvscat import integrate
     res = []
     for h in (0.04, 0.02):
         c = replace(cfg, dense_step=h, rel_tol=1e-12, abs_tol=1e-13)
@@ -159,38 +157,54 @@ def test_subsolution_solves_modified_equation():
         assert res <= 2.0 * h**2
 
 
-def test_asymptotic_fit_slopes(sol8):
-    fit = asymptotic_fit(sol8)
+def test_asymptotic_fit_slopes(traj8, sol8):
+    fit = asymptotic_fit(traj8)
     assert abs(fit.u_slope + sol8.kappa / TWO_PI) <= 1e-3 * sol8.kappa / TWO_PI
     assert abs(fit.k_slope + sol8.alpha / TWO_PI) <= 1e-3 * sol8.alpha / TWO_PI
-    assert fit.fit_window[1] == sol8.r_grid[-1]
-    # window spans well over the required two decades beyond the K zero
-    assert math.log10(float(sol8.r_grid[-1])) - math.log10(math.exp(sol8.t0)) > 2.0
-    assert fit.residual < 1e-6
+    # the samples span well over two decades beyond the K zero
+    assert math.log10(float(sol8.r_grid[-1])) - math.log10(math.exp(traj8.events.t0)) > 2.0
 
 
-def test_asymptotic_fit_window_too_short(sol8):
-    t = np.log(sol8.r_grid)
-    keep = t < sol8.t0 + 5.0
-    short = replace(sol8, r_grid=sol8.r_grid[keep], u_values=sol8.u_values[keep],
-                    k_values=sol8.k_values[keep])
-    with pytest.raises(WindowTooShortError):
-        asymptotic_fit(short)
+@pytest.mark.parametrize("eta_in", [1.31, 1.6, 3.0, 8.0, 23.9])
+def test_tail_slopes_match_quadrature(cfg, eta_in):
+    # the free leg's outgoing line against the independent quadrature; a
+    # least-squares fit over the last 30% of the grid misses -kappa/(2 pi)
+    # by 1.9e-6 relative at eta_in 1.31, where the motion in it is not yet free
+    traj = integrate(AsymptoticData(0.0, eta_in), cfg)
+    sol = to_radial(traj)
+    fit = asymptotic_fit(traj)
+    assert abs(fit.u_slope + sol.kappa / TWO_PI) <= 1e-9 * sol.kappa / TWO_PI
+    assert abs(fit.k_slope + sol.alpha / TWO_PI) <= 1e-9 * sol.alpha / TWO_PI
+
+
+@pytest.mark.parametrize("eta_in", [6.0, 8.0, 12.0, 20.0])
+def test_tail_lines_through_samples_past_t0(cfg, eta_in):
+    # the data past the eta = 0 crossing lie on the closed-form lines
+    traj = integrate(AsymptoticData(0.0, eta_in), cfg)
+    fit = asymptotic_fit(traj)
+    m = traj.uniform_mask & (traj.t >= traj.events.t0)
+    t = traj.t[m]
+    u = traj.xi[m] - t - LN2_4
+    K = math.sqrt(2.0) * traj.eta[m]
+    assert np.max(np.abs(u - (fit.u_slope * t + fit.u_intercept))) <= 1e-12
+    assert np.max(np.abs(K - (fit.k_slope * t + fit.k_intercept))) <= 1e-12
+
+
+def test_asymptotic_fit_requires_escape(cfg):
+    traj = integrate(AsymptoticData(0.0, 1.0), cfg)
+    with pytest.raises(ValueError, match="escaped"):
+        asymptotic_fit(traj)
 
 
 def test_fit_on_exact_linear_tail():
-    # pure free data: u slope is exactly cos(theta) - 1
+    # a free state, whose potential e^{2 xi} underflows: its line is the
+    # state's own, and the u slope is exactly cos(theta) - 1
     theta = -0.75 * math.pi
-    t = np.linspace(5.0, 20.0, 2001)
-    u = (math.cos(theta) - 1.0) * t - LN2_4
-    K = math.sqrt(2.0) * (math.sin(theta) * t + 0.3)
-    sol = RadialSolution(r_grid=np.exp(t), u_values=u, k_values=K,
-                         kappa=3.0 * math.pi, alpha=1.0, k_star=1.0,
-                         u_center=0.0, asymptotics=AsymptoticData(0.0, 1.0),
-                         t0=6.0)
-    fit = asymptotic_fit(sol)
-    assert abs(fit.u_slope - (math.cos(theta) - 1.0)) < 1e-12
-    assert abs(fit.k_slope - math.sqrt(2.0) * math.sin(theta)) < 1e-12
+    y = (-400.0, math.cos(theta), 0.3, math.sin(theta))
+    v_xi, p_xi, v_eta, p_eta = free_asymptote(y)
+    assert v_xi - 1.0 == math.cos(theta) - 1.0
+    assert math.sqrt(2.0) * v_eta == math.sqrt(2.0) * math.sin(theta)
+    assert (p_xi, p_eta) == (-400.0, 0.3)
 
 
 def test_scaling_covariance(traj8, sol8):
@@ -217,7 +231,6 @@ def test_quadrature_rejects_window_not_heading_out(traj8):
 
 
 def test_to_radial_requires_escape(cfg):
-    from curvscat import integrate
     traj = integrate(AsymptoticData(0.0, -1.0), cfg)
     with pytest.raises(ValueError, match="escaped"):
         to_radial(traj)
@@ -232,7 +245,7 @@ def test_asymptotic_fit_intercepts_match_moment_integrals(traj8, sol8):
     m = traj8.uniform_mask
     t, xi, eta = traj8.t[m], traj8.xi[m], traj8.eta[m]
     w = np.exp(2.0 * xi)
-    fit = asymptotic_fit(sol8)
+    fit = asymptotic_fit(traj8)
     u_pred = sol8.u_center + simpson(t * eta * w, x=t)
     k_pred = sol8.k_star + simpson(t * w, x=t) / math.sqrt(2.0)
     assert abs(fit.u_intercept - u_pred) <= 1e-3 * abs(u_pred)

@@ -326,6 +326,10 @@ def test_config_validation():
         SolverConfig(rel_tol=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(dense_step=0.0)
+    # infinities used to crash inside the run or read as non-scattering
+    for field in ("rel_tol", "escape_tol", "max_time", "blowup_xi"):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: math.inf})
 
 
 def _escaped_stub(xi_dot_f, eta_dot_f):
