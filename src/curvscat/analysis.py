@@ -116,8 +116,8 @@ class GradientFlowState:
     def __post_init__(self):
         if abs(self.mu0**2 + self.nu0**2 - 1.0) > 1e-12:
             raise ValueError("anchor (mu0, nu0) must sit on the unit circle")
-        if self.delta < 0.0:
-            raise ValueError("delta must be nonnegative")
+        if not (math.isfinite(self.delta) and self.delta >= 0.0):
+            raise ValueError(f"delta must be finite and nonnegative, got {self.delta!r}")
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
 

@@ -159,7 +159,7 @@ def write_sweep_csv(path: Path, rows: list[shooting.SweepRow]) -> None:
 def write_manifest(out_dir: Path, command: str, argv: list[str], inputs: dict,
                    cfg: SolverConfig, outputs: list[str]) -> None:
     write_json(out_dir / "manifest.json", {
-        "schema": "curvscat/manifest/v1",
+        "schema": "curvscat/manifest/v2",
         "command": command,
         "argv": argv,
         "inputs": inputs,
@@ -220,7 +220,7 @@ def _summary(inputs: dict, cfg: SolverConfig, traj: "Trajectory | None" = None,
     """summary.json body: schema and inputs, the run's events, the given
     fields, the run's drift, then the config (the run's entries only with
     traj)."""
-    summary = {"schema": "curvscat/summary/v2", "inputs": inputs}
+    summary = {"schema": "curvscat/summary/v3", "inputs": inputs}
     if traj is not None:
         summary["events"] = _events_dict(traj)
     summary.update(fields)
@@ -282,18 +282,11 @@ def cmd_solve(args, argv) -> int:
     a = AsymptoticData(args.xi_in, args.eta_in)
     inputs = {"eta_in": args.eta_in, "xi_in": args.xi_in}
 
-    if args.eta_in <= 0.0:
-        summary = _summary(inputs, cfg, escaped=False,
-                           blowup={"reason": "eta_in nonpositive: no scattering"})
-        _write_run(args, argv, "solve", inputs, cfg, summary)
-        print("non-scattering: eta_in nonpositive")
-        return EXIT_NONSCATTERING
-
     traj = integrate(a, cfg)
-    if traj.events.blowup is not None or not traj.escaped:
+    if not traj.escaped:
         reason = (traj.events.blowup.reason if traj.events.blowup is not None
                   else "no escape within the time budget")
-        summary = _summary(inputs, cfg, traj, escaped=traj.escaped,
+        summary = _summary(inputs, cfg, traj, escaped=False,
                            blowup={"reason": reason})
         _write_run(args, argv, "solve", inputs, cfg, summary, traj)
         print(f"non-scattering: {reason}")
@@ -351,7 +344,7 @@ def cmd_sweep(args, argv) -> int:
                           ceiling=args.eta_ceiling, on_row=report)
     write_sweep_csv(out / "sweep.csv", rows)
     write_json(out / "sweep.json", {
-        "schema": "curvscat/sweep/v1",
+        "schema": "curvscat/sweep/v2",
         "inputs": inputs,
         "rows": [{
             "theta_target": r.theta_target, "theta": r.theta, "eta_in": r.eta_in,
@@ -376,7 +369,7 @@ def cmd_verify(args, argv) -> int:
     all_pass = all(r.passed for r in results)
     inputs = {"eta_in": list(etas)}
     write_json(out / "verify_report.json", {
-        "schema": "curvscat/verify/v1",
+        "schema": "curvscat/verify/v2",
         "inputs": inputs,
         "items": [{"name": r.name, "eta_in": r.eta_in, "passed": r.passed,
                    "detail": r.detail} for r in results],
@@ -448,7 +441,7 @@ def build_parser() -> _Parser:
     pw.set_defaults(func=cmd_sweep)
 
     pv = sub.add_parser("verify", help="run the invariant suite")
-    pv.add_argument("--eta-in", type=float, nargs="*", default=[6.0, 8.0, 12.0])
+    pv.add_argument("--eta-in", type=float, nargs="+", default=[6.0, 8.0, 12.0])
     _add_solver_flags(pv)
     pv.set_defaults(func=cmd_verify)
 
@@ -457,7 +450,7 @@ def build_parser() -> _Parser:
     pf.add_argument("--nu0", type=float, default=None)
     pf.add_argument("--delta", type=float, required=True)
     pf.add_argument("--epsilon", type=float, default=0.1)
-    pf.add_argument("--tol", type=float, default=1e-10)
+    pf.add_argument("--tol", type=_positive_float, default=1e-10)
     pf.add_argument("--max-iter", type=_nonnegative_int, default=100000)
     _add_solver_flags(pf)
     pf.set_defaults(func=cmd_flow)

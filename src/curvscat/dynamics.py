@@ -60,8 +60,8 @@ def rhs(t, y):
 
     y = (xi, xi_dot, eta, eta_dot); returns (xi', xi'', eta', eta'').
     Autonomous: t is unused.  The exponent is clamped so that embedded-stage
-    evaluations near blow-up stay finite; the integrator's blow-up event
-    fires long before the clamp becomes active.
+    evaluations of a trial step stay finite; the integrator stops
+    non-scattering runs at the certificate, long before xi nears the clamp.
     """
     e2 = math.exp(min(2.0 * y[0], 700.0))
     return (y[1], -y[2] * e2, y[3], -0.5 * e2)

@@ -132,10 +132,14 @@ def to_radial(traj: Trajectory) -> RadialSolution:
     if not (np.all(np.diff(u) < 0.0) and np.all(np.diff(K) < 0.0)):
         raise ValueError("u and K must be strictly decreasing in r")
     quad = curvature_area_quadrature(traj)
+    # the quadrature's error grows with the grid step; no fixed step is
+    # fine enough for every eta_in
+    coarse = (f" on the grid dense_step = {traj.config.dense_step:g}; "
+              "a smaller --dense-step resolves it")
     if not (TWO_PI < quad.kappa < FOUR_PI):
-        raise ValueError(f"integral curvature {quad.kappa} outside (2*pi, 4*pi)")
+        raise ValueError(f"integral curvature {quad.kappa} outside (2*pi, 4*pi){coarse}")
     if not (0.0 < quad.alpha < ALPHA_SUP):
-        raise ValueError(f"area {quad.alpha} outside (0, 2^(3/2)*pi)")
+        raise ValueError(f"area {quad.alpha} outside (0, 2^(3/2)*pi){coarse}")
     a = traj.asymptotics
     return RadialSolution(
         r_grid=np.exp(t), u_values=u, k_values=K,

@@ -10,9 +10,15 @@ A run ends in one of three ways:
   * escape: |eta*exp(2*xi)| and |speed^2 - 1| both below escape_tol while
     xi_dot < 0 (the gate keeps the criterion from firing on the inbound leg,
     where the potential term is equally small);
-  * blow-up: xi crosses blowup_xi, reported as a structured record carrying
-    the last valid state, never as an exception;
+  * certified blow-up: eta < 0 with xi_dot > 0.  eta_dot < 0 throughout, so
+    from there xi'' = -eta*exp(2*xi) > 0 keeps xi_dot > 0, the escape gate
+    never opens and xi diverges.  The run stops at the certificate and
+    reports a structured record carrying the state there, never an
+    exception.  Data with eta_in <= 0 start inside it and make no solver
+    call;
   * budget exhausted: no escape within max_time after t_start.
+A solver failure is none of these: it raises NotConvergedError with
+solve_ivp's own message.
 
 The solver stops at escape; after it, samples, the eta crossings and the
 deflection angle come from the closed-form free leg (closed_forms.free_leg).
@@ -26,9 +32,7 @@ subgrid, which downstream radial reconstruction uses).
 
 deflection_of(a, cfg) gives deflection(integrate(a, cfg)) bit for bit from
 the same solver call without dense output or samples: it evaluates the free
-leg only at the final sample time.  It also stops non-scattering runs early:
-eta_dot < 0 throughout, so once eta < 0 with xi_dot > 0, xi'' > 0 keeps
-xi_dot > 0 and the escape gate can never open.
+leg only at the final sample time.
 """
 
 from __future__ import annotations
@@ -55,10 +59,7 @@ class SolverConfig:
 
     max_time is a duration budget measured from the start time.  min_tail and
     tail_pad control how far past the eta = 0 crossing and the escape point a
-    run is extended; blowup_xi is the xi level declared a finite-time
-    blow-up (far below the exp overflow threshold, and unreachable by any
-    scattering motion, whose xi stays near or below xi_in + t0_lower).
-    Every field must be finite, and every field but blowup_xi positive.
+    run is extended.  Every field must be finite and positive.
     """
 
     rel_tol: float = 1e-10
@@ -70,21 +71,17 @@ class SolverConfig:
     dense_step: float = 0.01
     min_tail: float = 12.0
     tail_pad: float = 6.0
-    blowup_xi: float = 30.0
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "t_start_offset", "escape_tol",
-                     "max_time", "boundary_tol", "dense_step", "min_tail",
-                     "tail_pad"):
-            value = getattr(self, name)
+        for name, value in vars(self).items():
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"SolverConfig.{name} must be finite and positive")
-        if not math.isfinite(self.blowup_xi):
-            raise ValueError("SolverConfig.blowup_xi must be finite")
 
 
 @dataclass(frozen=True)
 class BlowUpRecord:
+    """The state at which a run was certified non-scattering, and why."""
+
     last_state: PhasePoint
     reason: str
 
@@ -92,7 +89,8 @@ class BlowUpRecord:
 @dataclass(frozen=True)
 class TrajectoryEvents:
     """Detected event times: eta = 0 (t0), eta = eta_in/2 (t_half), xi_dot = 0
-    (t_m), plus an optional blow-up record.  Absent events stay None."""
+    (t_m), plus the blow-up record of a run stopped at the non-scattering
+    certificate.  Absent events stay None."""
 
     t0: Optional[float] = None
     t_half: Optional[float] = None
@@ -165,35 +163,64 @@ def _free_leg_crossing(y_e, level: float) -> float:
     return float(s)
 
 
-def _solve(a: AsymptoticData, cfg: SolverConfig, extra_events, dense_output: bool):
-    """One solver call from the free start state to escape, blow-up or the
-    end of the budget.
+_CERTIFIED = "eta < 0 with xi_dot > 0, so escape is impossible"
 
-    Events 0-2 are escape (terminal), blow-up (terminal) and eta = 0;
-    extra_events follow.  Returns (t_start, solve_ivp result).
+
+def _ev_certificate(t, y):
+    # eta_dot < 0 always, so once eta < 0 and xi_dot > 0, xi'' = -eta*e^{2 xi}
+    # > 0 keeps xi_dot > 0 and the escape gate xi_dot < 0 never opens
+    return min(-y[2], y[1])
+
+
+_ev_certificate.terminal = True
+_ev_certificate.direction = 1
+
+
+def _solve(a: AsymptoticData, cfg: SolverConfig, extra_events, dense_output: bool):
+    """One solver call from the free start state to escape, the
+    non-scattering certificate or the end of the budget, and its stop.
+
+    Events 0-2 are escape (terminal), eta = 0 and the certificate
+    (terminal); extra_events follow.  eta = 0 is listed ahead of the
+    certificate, which fires at that same root when xi_dot > 0 there, so
+    the crossing is kept.  Returns (p0, sol, blowup): the start state, the
+    solve_ivp result and the BlowUpRecord of a certified stop (None at
+    escape or budget exhaustion, which the escape event tells apart).
+    Data with eta_in <= 0 start certified and make no call (sol is None).
+    A solver failure raises NotConvergedError with solve_ivp's message.
     """
-    t_start = _start_time(a, cfg)
-    p0 = free_motion_expansion(t_start, a)
-    y0 = np.array([p0.xi, p0.xi_dot, p0.eta, p0.eta_dot])
+    p0 = free_motion_expansion(_start_time(a, cfg), a)
+    if a.eta_in <= 0.0:
+        return p0, None, BlowUpRecord(p0, _CERTIFIED)
 
     def ev_escape(t, y):
         return _escape_residual(y, cfg.escape_tol)
     ev_escape.terminal = True
     ev_escape.direction = -1
 
-    def ev_blowup(t, y):
-        return y[0] - cfg.blowup_xi
-    ev_blowup.terminal = True
-    ev_blowup.direction = 1
-
     def ev_eta0(t, y):
         return y[2]
     ev_eta0.direction = -1
 
-    sol = solve_ivp(rhs, (t_start, t_start + cfg.max_time), y0, method="DOP853",
+    sol = solve_ivp(rhs, (p0.t, p0.t + cfg.max_time),
+                    [p0.xi, p0.xi_dot, p0.eta, p0.eta_dot], method="DOP853",
                     rtol=cfg.rel_tol, atol=cfg.abs_tol, dense_output=dense_output,
-                    events=[ev_escape, ev_blowup, ev_eta0, *extra_events])
-    return t_start, sol
+                    events=[ev_escape, ev_eta0, _ev_certificate, *extra_events])
+    if sol.status == -1:
+        raise NotConvergedError(f"solver failure: {sol.message}")
+    blowup = None
+    if len(sol.t_events[2]):
+        y = sol.y[:, -1]
+        blowup = BlowUpRecord(PhasePoint(float(sol.t[-1]), float(y[0]), float(y[2]),
+                                         float(y[1]), float(y[3])), _CERTIFIED)
+    return p0, sol, blowup
+
+
+def _no_escape(blowup: Optional[BlowUpRecord]) -> NotConvergedError:
+    """The error of a run that did not escape: certified or out of budget."""
+    if blowup is not None:
+        return NotConvergedError(f"blow-up: {blowup.reason}")
+    return NotConvergedError("no escape within the time budget")
 
 
 def _first(ev_list) -> Optional[float]:
@@ -221,44 +248,28 @@ def _grid_end(t_start: float, t_end: float, h: float) -> tuple[int, float]:
 def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajectory:
     """Integrate the scattering equations for the given asymptotic data.
 
-    One solver call runs to escape, blow-up or the end of the budget.
-    Always returns a Trajectory; blow-up and budget exhaustion are encoded in
-    events.blowup and the escaped flag.
+    One solver call runs to escape, the non-scattering certificate or the
+    end of the budget; data with eta_in <= 0 make none and give the start
+    state as the only sample.  Always returns a Trajectory; a certified
+    stop is encoded in events.blowup, budget exhaustion in the escaped flag.
     """
     def ev_half(t, y):
-        return y[2] - 0.5 * a.eta_in if a.eta_in > 0.0 else 1.0
+        return y[2] - 0.5 * a.eta_in
     ev_half.direction = -1
 
     def ev_xidot(t, y):
         return y[1]
     ev_xidot.direction = -1
 
-    t_start, sol = _solve(a, cfg, [ev_half, ev_xidot], dense_output=True)
-    budget = t_start + cfg.max_time
-    t_escape = _first(sol.t_events[0])
-    t_blow = _first(sol.t_events[1])
-    t0 = _first(sol.t_events[2])
-    t_half = _first(sol.t_events[3])
-    t_m = _first(sol.t_events[4])
-    t_end = float(sol.t[-1])
+    p0, sol, blowup = _solve(a, cfg, [ev_half, ev_xidot], dense_output=True)
+    t_start = t_end = p0.t
+    t_escape = t0 = t_half = t_m = None
+    if sol is not None:
+        t_escape, t0, t_half, t_m = (_first(sol.t_events[k]) for k in (0, 1, 3, 4))
+        t_end = float(sol.t[-1])
     escaped = t_escape is not None
-    blowup = None
-
-    if t_blow is None and sol.status == -1:
-        # adaptive steps collapsed below the number spacing: the solution is
-        # diverging faster than the blow-up event level can be crossed
-        t_blow = t_end
-    if t_blow is not None:
-        y = sol.sol(t_blow)
-        blowup = BlowUpRecord(
-            last_state=PhasePoint(t_blow, float(y[0]), float(y[2]), float(y[1]), float(y[3])),
-            reason=("finite-time divergence: xi crossed the blow-up level"
-                    if sol.status == 1 else
-                    "finite-time divergence: step size collapsed at blow-up"),
-        )
-        t_end = t_blow
-        escaped = False
-    elif escaped:
+    if escaped:
+        budget = t_start + cfg.max_time
         y_e = sol.y[:, -1]
         t0, t_end = _window_end(cfg, t_start, t_escape, y_e, t0)
         if t_half is None:
@@ -285,7 +296,9 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
             ts = np.insert(ts, k, t_ev)
             mask = np.insert(mask, k, False)
 
-    if escaped:
+    if sol is None:
+        Y = np.array([[p0.xi], [p0.xi_dot], [p0.eta], [p0.eta_dot]])
+    elif escaped:
         k = int(np.searchsorted(ts, t_escape, side="right"))
         Y = np.empty((4, len(ts)))
         Y[:, :k] = sol.sol(ts[:k])
@@ -321,22 +334,10 @@ def deflection(traj: Trajectory) -> float:
     both outgoing velocities are negative.  Raises NotConvergedError when
     the run did not escape or the final sample fails the escape criterion.
     """
-    if traj.events.blowup is not None:
-        raise NotConvergedError(f"blow-up: {traj.events.blowup.reason}")
     if not traj.escaped:
-        raise NotConvergedError("no escape within the time budget")
+        raise _no_escape(traj.events.blowup)
     y = (traj.xi[-1], traj.xi_dot[-1], traj.eta[-1], traj.eta_dot[-1])
     return _outgoing_angle(y, traj.config.escape_tol)
-
-
-def _ev_certificate(t, y):
-    # eta_dot < 0 always, so once eta < 0 and xi_dot > 0, xi'' = -eta*e^{2 xi}
-    # > 0 keeps xi_dot > 0 and the escape gate xi_dot < 0 never opens
-    return min(-y[2], y[1])
-
-
-_ev_certificate.terminal = True
-_ev_certificate.direction = 1
 
 
 def deflection_of(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> float:
@@ -344,22 +345,16 @@ def deflection_of(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> floa
 
     Runs the same solver call with no dense output and no sampling, and
     applies deflection's arithmetic to the state integrate would put in its
-    final sample, so the two agree bit for bit.  One extra terminal event
-    certifies non-scattering early: eta < 0 with xi_dot > 0 can never
-    escape (integrate itself runs on to blowup_xi).  Raises
-    NotConvergedError wherever deflection(integrate(a, cfg)) would.
+    final sample, so the two agree bit for bit.  Raises the same
+    NotConvergedError as deflection(integrate(a, cfg)) wherever that raises.
     """
-    t_start, sol = _solve(a, cfg, [_ev_certificate], dense_output=False)
-    t_escape = _first(sol.t_events[0])
+    p0, sol, blowup = _solve(a, cfg, [], dense_output=False)
+    t_escape = None if sol is None else _first(sol.t_events[0])
     if t_escape is None:
-        if sol.status == 0:
-            raise NotConvergedError("no escape within the time budget")
-        why = ("eta < 0 with xi_dot > 0, so escape is impossible"
-               if len(sol.t_events[3]) else "finite-time divergence")
-        raise NotConvergedError(f"blow-up: {why}")
+        raise _no_escape(blowup)
     y_e = sol.y[:, -1]
-    _, t_end = _window_end(cfg, t_start, t_escape, y_e, _first(sol.t_events[2]))
-    _, t_last = _grid_end(t_start, t_end, cfg.dense_step)
+    _, t_end = _window_end(cfg, p0.t, t_escape, y_e, _first(sol.t_events[1]))
+    _, t_last = _grid_end(p0.t, t_end, cfg.dense_step)
     y = free_leg(y_e, np.array([t_last - t_escape]))
     return _outgoing_angle(tuple(v[0] for v in y), cfg.escape_tol)
 

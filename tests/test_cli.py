@@ -9,6 +9,7 @@ from curvscat import AsymptoticData, SolverConfig, integrate
 from curvscat.cli import (EXIT_NONSCATTERING, EXIT_OK, EXIT_PARTIAL,
                           EXIT_USAGE, EXIT_VERIFY_FAIL, _json_render, main,
                           parse_angle)
+from curvscat.integrator import _CERTIFIED
 
 from _reference import ORACLE_THETA_ETA8
 
@@ -36,7 +37,7 @@ def test_solve_emits_files_and_summary(tmp_path):
     for name in ("trajectory.csv", "radial.csv", "summary.json", "manifest.json"):
         assert (out / name).exists()
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["schema"] == "curvscat/summary/v2"
+    assert summary["schema"] == "curvscat/summary/v3"
     assert list(summary["fits"]) == ["u_slope", "u_intercept", "k_slope", "k_intercept"]
     assert abs(summary["theta"] - ORACLE_THETA_ETA8) < 1e-6
     assert 2 * math.pi < summary["kappa"] < 4 * math.pi
@@ -61,25 +62,28 @@ def test_solve_deterministic_reruns(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_solve_nonpositive_eta_preempted(tmp_path):
+def test_solve_nonpositive_eta_certified_at_start(tmp_path):
+    # eta_in <= 0 goes through integrate like any other datum: its start
+    # state is certified and is the one trajectory row
     out = tmp_path / "neg"
     assert _run("solve", "--eta-in", "-1", "--out-dir", str(out)) == EXIT_NONSCATTERING
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["blowup"]["reason"] == "eta_in nonpositive: no scattering"
-    assert not (out / "trajectory.csv").exists()
+    assert summary["blowup"]["reason"] == _CERTIFIED
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 2
 
 
 def test_solve_blowup_branch_via_flags(tmp_path):
-    # positive but below the scattering onset: integrates to blow-up
+    # positive but below the scattering onset: stops at the certificate
     out = tmp_path / "blow"
     assert _run("solve", "--eta-in", "1.0", "--out-dir", str(out)) == EXIT_NONSCATTERING
     summary = json.loads((out / "summary.json").read_text())
-    assert "divergence" in summary["blowup"]["reason"]
+    assert summary["blowup"]["reason"] == _CERTIFIED
+    assert summary["drift"] <= 1e-8
     assert (out / "trajectory.csv").exists()
 
 
 @pytest.mark.parametrize("eta_in, keys", [
-    ("-1", ["schema", "inputs", "escaped", "blowup", "config"]),
+    ("-1", ["schema", "inputs", "events", "escaped", "blowup", "drift", "config"]),
     ("1.0", ["schema", "inputs", "events", "escaped", "blowup", "drift", "config"]),
     ("8", ["schema", "inputs", "events", "theta", "escaped", "drift", "config",
            "kappa", "alpha", "k_star", "fits", "residuals"]),
@@ -91,21 +95,26 @@ def test_solve_summary_layout(tmp_path, eta_in, keys):
     text = (out / "summary.json").read_text()
     summary = json.loads(text)
     assert list(summary) == keys
-    assert summary["schema"] == "curvscat/summary/v2"
+    assert summary["schema"] == "curvscat/summary/v3"
     assert summary["inputs"] == {"eta_in": float(eta_in), "xi_in": 0.0}
     assert list(summary["config"]) == list(asdict(SolverConfig()))
-    if float(eta_in) > 0.0:
-        traj = integrate(AsymptoticData(0.0, float(eta_in)), SolverConfig())
-        assert summary["drift"] == traj.max_energy_drift
-        assert summary["events"]["t0"] == traj.events.t0
+    traj = integrate(AsymptoticData(0.0, float(eta_in)), SolverConfig())
+    assert summary["drift"] == traj.max_energy_drift
+    assert summary["events"]["t0"] == traj.events.t0
     if "blowup" in summary:
         assert summary["escaped"] is False and list(summary["blowup"]) == ["reason"]
     if eta_in == "-1":
+        p = traj.point(0)
         assert text == _json_render({
-            "schema": "curvscat/summary/v2",
+            "schema": "curvscat/summary/v3",
             "inputs": {"eta_in": -1.0, "xi_in": 0.0},
+            "events": {"t0": None, "t_half": None, "t_m": None, "blowup": {
+                "reason": _CERTIFIED,
+                "last_state": {"t": p.t, "xi": p.xi, "eta": p.eta,
+                               "xi_dot": p.xi_dot, "eta_dot": p.eta_dot}}},
             "escaped": False,
-            "blowup": {"reason": "eta_in nonpositive: no scattering"},
+            "blowup": {"reason": _CERTIFIED},
+            "drift": traj.max_energy_drift,
             "config": asdict(SolverConfig()),
         }) + "\n"
 
@@ -178,11 +187,17 @@ def test_sweep_n_below_one_is_usage_error(tmp_path, capsys, n):
       "--eta-ceiling", "-5"), "--eta-ceiling"),
     (("flow", "--mu0", "-0.999", "--delta", "1e-6", "--max-iter", "-1"),
      "--max-iter"),
+    (("flow", "--mu0", "-0.999", "--delta", "nan"), "delta"),
+    (("flow", "--mu0", "-0.999", "--delta", "inf"), "delta"),
+    (("flow", "--mu0", "-0.999", "--delta", "1e-6", "--tol", "nan"), "--tol"),
+    (("flow", "--mu0", "-0.999", "--delta", "1e-6", "--tol", "-1"), "--tol"),
+    (("verify", "--eta-in"), "--eta-in"),
 ])
 def test_bad_search_and_flow_arguments_are_usage_errors(tmp_path, capsys,
                                                         args, message):
-    # bad search arguments and a negative flow budget are usage errors,
-    # raised before any directory is made
+    # bad search arguments, flow inputs that are not finite, a negative
+    # flow budget and a verify with no data are usage errors, raised before
+    # any directory is made
     out = tmp_path / "run"
     assert _run(*args, "--out-dir", str(out)) == EXIT_USAGE
     assert message in capsys.readouterr().err
@@ -209,6 +224,14 @@ def test_bad_inputs_make_no_out_dir(tmp_path, capsys, args):
     # the quadrature (--dense-step 5) fails
     out = tmp_path / "run"
     assert _run(*args, "--out-dir", str(out)) == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_coarse_grid_error_names_dense_step(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert _run("solve", "--eta-in", "8", "--dense-step", "5",
+                "--out-dir", str(out)) == EXIT_USAGE
+    assert "--dense-step" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -7,7 +7,7 @@ from curvscat import (AsymptoticData, NotConvergedError, SolverConfig,
                       Trajectory, TrajectoryEvents, TimeTranslate,
                       apply_symmetry, deflection, detect_events,
                       explicit_bounds, integrate, t0_state_bounds)
-from curvscat.integrator import deflection_of
+from curvscat.integrator import _CERTIFIED, deflection_of
 
 from _reference import (ORACLE_T0_ETA8, ORACLE_T_HALF_ETA8, ORACLE_T_M_ETA8,
                         ORACLE_THETA_ETA8, ORACLE_THETA_ETA6, continue_tight,
@@ -93,13 +93,16 @@ def test_free_leg_samples_match_tight_continuation(eta_in, cfg, monkeypatch):
     (1.31, 600.0, True),    # escape, t0 before it
     (64.0, 600.0, True),    # escape, t0 beyond the budget
     (8.0, 19.0, False),     # budget exhausted
-    (-1.0, 600.0, False),   # blow-up
+    (1.0, 600.0, False),    # certified non-scattering
+    (-1.0, 600.0, False),   # certified at the start
+    (0.0, 600.0, False),    # certified at the start
 ])
 def test_one_solver_call_per_run(eta_in, max_time, escaped, monkeypatch):
+    # data with eta_in <= 0 start inside the certificate and make no call
     spy = _SolverSpy(monkeypatch)
     traj = integrate(AsymptoticData(0.0, eta_in), SolverConfig(max_time=max_time))
     assert traj.escaped is escaped
-    assert len(spy.calls) == 1
+    assert len(spy.calls) == (1 if eta_in > 0.0 else 0)
 
 
 EVALUATOR_ETAS = sorted(set(np.geomspace(1.2999, 70.0, 40).tolist())
@@ -118,11 +121,44 @@ def test_evaluator_matches_deflection_of_trajectory(xi_in, cfg):
 @pytest.mark.parametrize("eta_in", [-0.5, 0.0, 0.5, 1.0, 1.2, 1.2998])
 @pytest.mark.parametrize("xi_in", [0.0, -0.7, 0.9])
 def test_evaluator_nonscattering_raises_like_deflection(eta_in, xi_in, cfg):
+    # both entry points stop at the certificate and raise the same message;
+    # the samples end there, before the drift can grow
     a = AsymptoticData(xi_in, eta_in)
-    with pytest.raises(NotConvergedError):
-        deflection(integrate(a, cfg))
-    with pytest.raises(NotConvergedError, match="blow-up"):
+    traj = integrate(a, cfg)
+    assert traj.max_energy_drift <= 1e-8
+    with pytest.raises(NotConvergedError) as full:
+        deflection(traj)
+    with pytest.raises(NotConvergedError, match="blow-up") as evaluator:
         deflection_of(a, cfg)
+    assert str(full.value) == str(evaluator.value) == f"blow-up: {_CERTIFIED}"
+
+
+@pytest.mark.parametrize("eta_in", [0.5, 1.0, 1.2998])
+def test_certified_run_ends_at_certificate(eta_in, cfg):
+    # the last sample is the certificate's root, where min(-eta, xi_dot)
+    # turns positive
+    traj = integrate(AsymptoticData(0.0, eta_in), cfg)
+    assert traj.eta[-1] <= 1e-12 and traj.xi_dot[-1] >= -1e-12
+    assert abs(min(-traj.eta[-1], traj.xi_dot[-1])) <= 1e-12
+    assert traj.events.blowup.last_state == traj.point(len(traj) - 1)
+    # at 0.5 the certificate fires at the eta = 0 crossing itself
+    assert traj.events.t0 is not None
+
+
+def test_solver_failure_is_not_a_blowup(cfg, monkeypatch):
+    # a solve_ivp failure keeps solve_ivp's message in both entry points
+    import curvscat.integrator as integrator
+    solve_ivp = integrator.solve_ivp
+
+    def failing(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        sol.status, sol.message = -1, "Required step size is too small."
+        return sol
+    monkeypatch.setattr(integrator, "solve_ivp", failing)
+    for run in (integrate, deflection_of):
+        with pytest.raises(NotConvergedError,
+                           match="^solver failure: Required step size"):
+            run(AsymptoticData(0.0, 1.0), cfg)
 
 
 def test_evaluator_budget_exhaustion_raises():
@@ -130,15 +166,16 @@ def test_evaluator_budget_exhaustion_raises():
         deflection_of(A8, SolverConfig(max_time=19.0))
 
 
-def test_evaluator_certificate_stops_blowup_early(cfg, monkeypatch):
+def test_evaluator_takes_the_steps_of_integrate(cfg, monkeypatch):
+    # both entry points stop at the same certificate
     spy = _SolverSpy(monkeypatch)
-    a = AsymptoticData(0.0, 1.0)
-    traj = integrate(a, cfg)
-    assert traj.events.blowup is not None
-    with pytest.raises(NotConvergedError):
-        deflection_of(a, cfg)
-    full, evaluator = spy.calls
-    assert evaluator.nfev <= full.nfev / 3
+    for eta_in in (0.5, 1.0, 1.2998):
+        a = AsymptoticData(0.0, eta_in)
+        assert integrate(a, cfg).events.blowup is not None
+        with pytest.raises(NotConvergedError):
+            deflection_of(a, cfg)
+        full, evaluator = spy.calls[-2:]
+        assert len(evaluator.t) == len(full.t), eta_in
 
 
 def test_deflection_agrees_with_position_slopes(traj8):
@@ -226,8 +263,8 @@ def test_xi_in_translation_family(traj8, cfg):
 def test_blowup_for_negative_eta_in(cfg):
     traj = integrate(AsymptoticData(0.0, -1.0), cfg)
     assert not traj.escaped
-    assert traj.events.blowup is not None
-    assert "blow-up" in traj.events.blowup.reason or "diverg" in traj.events.blowup.reason
+    assert traj.events.blowup.reason == _CERTIFIED
+    assert len(traj) == 1  # the start state is already certified
     assert np.all(traj.xi_dot >= 1.0 - 1e-12)  # repulsive: never turns back
     with pytest.raises(NotConvergedError):
         deflection(traj)
@@ -256,10 +293,13 @@ def test_detect_events_agrees_with_integrate(traj8):
 
 
 def test_detect_events_absent_reported_absent(cfg):
-    traj = integrate(AsymptoticData(0.0, -1.0), cfg)
+    # the budget ends the run before xi turns
+    traj = integrate(A8, SolverConfig(max_time=10.0))
     ev = detect_events(traj)
-    assert ev.t0 is None and ev.t_m is None
-    assert ev.blowup is traj.events.blowup
+    assert ev.t0 is None and ev.t_half is None and ev.t_m is None
+    # a stored blow-up record is passed through
+    traj = integrate(AsymptoticData(0.0, 1.0), cfg)
+    assert detect_events(traj).blowup is traj.events.blowup is not None
 
 
 def _drift(traj):
@@ -327,9 +367,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(dense_step=0.0)
     # infinities used to crash inside the run or read as non-scattering
-    for field in ("rel_tol", "escape_tol", "max_time", "blowup_xi"):
+    for field in ("rel_tol", "escape_tol", "max_time"):
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: math.inf})
+    # the certificate stops non-scattering runs: there is no blow-up level
+    with pytest.raises(TypeError):
+        SolverConfig(blowup_xi=30.0)
 
 
 def _escaped_stub(xi_dot_f, eta_dot_f):
