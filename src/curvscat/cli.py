@@ -16,7 +16,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -159,7 +159,7 @@ def write_sweep_csv(path: Path, rows: list[shooting.SweepRow]) -> None:
 def write_manifest(out_dir: Path, command: str, argv: list[str], inputs: dict,
                    cfg: SolverConfig, outputs: list[str]) -> None:
     write_json(out_dir / "manifest.json", {
-        "schema": "curvscat/manifest/v2",
+        "schema": "curvscat/manifest/v3",
         "command": command,
         "argv": argv,
         "inputs": inputs,
@@ -174,16 +174,10 @@ def write_manifest(out_dir: Path, command: str, argv: list[str], inputs: dict,
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+    """--out-dir, then one flag per SolverConfig field, in field order."""
     p.add_argument("--out-dir", default=".", help="directory for emitted files")
-    d = SolverConfig()
-    p.add_argument("--rel-tol", type=float, default=d.rel_tol)
-    p.add_argument("--abs-tol", type=float, default=d.abs_tol)
-    p.add_argument("--escape-tol", type=float, default=d.escape_tol)
-    p.add_argument("--max-time", type=float, default=d.max_time)
-    p.add_argument("--dense-step", type=float, default=d.dense_step)
-    p.add_argument("--t-start-offset", type=float, default=d.t_start_offset)
-    p.add_argument("--min-tail", type=float, default=d.min_tail)
-    p.add_argument("--tail-pad", type=float, default=d.tail_pad)
+    for f in fields(SolverConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=float, default=f.default)
 
 
 def _out_dir(args) -> Path:
@@ -193,37 +187,25 @@ def _out_dir(args) -> Path:
 
 
 def _config_from(args) -> SolverConfig:
-    return SolverConfig(
-        rel_tol=args.rel_tol, abs_tol=args.abs_tol, escape_tol=args.escape_tol,
-        max_time=args.max_time, dense_step=args.dense_step,
-        t_start_offset=args.t_start_offset, min_tail=args.min_tail,
-        tail_pad=args.tail_pad)
+    return SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
 
 
 def _events_dict(traj: Trajectory) -> dict:
     ev = traj.events
-    out = {"t0": ev.t0, "t_half": ev.t_half, "t_m": ev.t_m}
-    if ev.blowup is not None:
-        p = ev.blowup.last_state
-        out["blowup"] = {
-            "reason": ev.blowup.reason,
-            "last_state": {"t": p.t, "xi": p.xi, "eta": p.eta,
-                           "xi_dot": p.xi_dot, "eta_dot": p.eta_dot},
-        }
-    else:
-        out["blowup"] = None
-    return out
+    return {"t0": ev.t0, "t_half": ev.t_half, "t_m": ev.t_m,
+            "blowup": None if ev.blowup is None
+            else {"last_state": asdict(ev.blowup.last_state)}}
 
 
 def _summary(inputs: dict, cfg: SolverConfig, traj: "Trajectory | None" = None,
-             **fields) -> dict:
+             **entries) -> dict:
     """summary.json body: schema and inputs, the run's events, the given
-    fields, the run's drift, then the config (the run's entries only with
+    entries, the run's drift, then the config (the run's entries only with
     traj)."""
-    summary = {"schema": "curvscat/summary/v3", "inputs": inputs}
+    summary = {"schema": "curvscat/summary/v4", "inputs": inputs}
     if traj is not None:
         summary["events"] = _events_dict(traj)
-    summary.update(fields)
+    summary.update(entries)
     if traj is not None:
         summary["drift"] = traj.max_energy_drift
     summary["config"] = asdict(cfg)
@@ -236,16 +218,12 @@ def _solution_summary(traj: Trajectory, inputs: dict, cfg: SolverConfig) -> tupl
     sol = None
     if traj.events.t0 is not None:
         sol = geometry.to_radial(traj)
-        fit = geometry.asymptotic_fit(traj)
         kap_t, al_t = geometry.theta_identities(theta)
         summary.update({
             "kappa": sol.kappa,
             "alpha": sol.alpha,
             "k_star": sol.k_star,
-            "fits": {
-                "u_slope": fit.u_slope, "u_intercept": fit.u_intercept,
-                "k_slope": fit.k_slope, "k_intercept": fit.k_intercept,
-            },
+            "fits": asdict(geometry.asymptotic_fit(traj)),
             "residuals": {
                 "pokhozaev": geometry.pokhozaev_residual(sol.kappa, sol.alpha),
                 "pokhozaev_rel": abs(geometry.pokhozaev_residual(sol.kappa, sol.alpha)) / (16 * math.pi**2),
@@ -328,10 +306,8 @@ def cmd_shoot(args, argv) -> int:
 
 
 def cmd_sweep(args, argv) -> int:
-    shooting.check_search(args.root_tol, shooting.DEFAULT_FLOOR, args.eta_ceiling)
     cfg = _config_from(args)
     lo, hi = parse_angle(args.theta_min), parse_angle(args.theta_max)
-    out = _out_dir(args)
     grid = np.linspace(lo, hi, args.n)
     inputs = {"theta_min": lo, "theta_max": hi, "n": args.n,
               "root_tol": args.root_tol}
@@ -340,11 +316,13 @@ def cmd_sweep(args, argv) -> int:
         print(f"theta {r.theta_target:+.6f}: {r.status}"
               + (f" eta_in = {r.eta_in:.9g}" if r.status == "ok" else ""))
 
+    # no directory until sweep has checked its search arguments
     rows = shooting.sweep(grid, cfg, root_tol=args.root_tol,
                           ceiling=args.eta_ceiling, on_row=report)
+    out = _out_dir(args)
     write_sweep_csv(out / "sweep.csv", rows)
     write_json(out / "sweep.json", {
-        "schema": "curvscat/sweep/v2",
+        "schema": "curvscat/sweep/v3",
         "inputs": inputs,
         "rows": [{
             "theta_target": r.theta_target, "theta": r.theta, "eta_in": r.eta_in,
@@ -369,7 +347,7 @@ def cmd_verify(args, argv) -> int:
     all_pass = all(r.passed for r in results)
     inputs = {"eta_in": list(etas)}
     write_json(out / "verify_report.json", {
-        "schema": "curvscat/verify/v2",
+        "schema": "curvscat/verify/v3",
         "inputs": inputs,
         "items": [{"name": r.name, "eta_in": r.eta_in, "passed": r.passed,
                    "detail": r.detail} for r in results],

@@ -15,11 +15,11 @@ lower bound eta_in - exp(2*xi_in + 2*t)/8 to 0 and eta_in/2 yields the
 explicit time bounds t0_lower and t_half_lower; the cosh arguments vanish at
 the envelope maxima tm0 and tm_hat.
 
-The motion is free in both limits: free_motion_expansion gives the start
-state in the far past, free_leg the motion after escape and free_asymptote
-the straight line that motion approaches.  For large eta_in the whole
-deflection has a closed form, deflection_deep, whose series inverse
-deflection_deep_inverse seeds the shooting scan.
+The motion is free in both limits: past_tails gives the integrals from -inf
+of the free past motion, free_motion_expansion the start state built from
+them at start_time, free_leg the motion after escape and free_asymptote the
+line it approaches.  For large eta_in the whole deflection has a closed
+form, deflection_deep, whose series inverse seeds the shooting scan.
 """
 
 from __future__ import annotations
@@ -127,23 +127,47 @@ def t0_state_bounds(a: AsymptoticData) -> tuple[float, float, float]:
     return xi_upper, xi_dot_upper, eta_dot_lower
 
 
+def start_time(a: AsymptoticData) -> float:
+    """Start of every run and of the past-zone grid: t0_lower - 14.
+
+    There the expansion parameter eta_in*w of free_motion_expansion is
+    5.5e-12*eta_in^2; above eta_in = 64 the start, -xi_in + ln(2^15/eta_in)/2
+    - 14, holds it at its eta_in = 64 value, 2.3e-8.  Data with eta_in <= 0
+    have no t0_lower and start at -xi_in - 14.
+    """
+    if a.eta_in <= 0.0:
+        return -a.xi_in - 14.0
+    if a.eta_in <= 64.0:
+        return explicit_bounds(a).t0_lower - 14.0
+    return -a.xi_in + 0.5 * math.log(2.0**15 / a.eta_in) - 14.0
+
+
+def past_tails(t: float, a: AsymptoticData) -> tuple[float, float]:
+    """(w/2, w/4), w = exp(2*(xi_in + t)): the integral and the double
+    integral from -inf to t of exp(2*(xi_in + s)), the free past motion's
+    exp(2*xi).  Their error against the true tails is O(eta_in*w^2)."""
+    w = math.exp(2.0 * (a.xi_in + t))
+    return 0.5 * w, 0.25 * w
+
+
 def free_motion_expansion(t_start: float, a: AsymptoticData) -> PhasePoint:
     """Leading-order start state from the free past asymptotics, any eta_in.
 
-    With w = exp(2*(xi_in + t_start)):
-        xi      = xi_in + t_start - eta_in*w/4
-        eta     = eta_in - w/8
-        xi_dot  = 1 - eta_in*w/2
-        eta_dot = -w/4
-    Residual against the exact solution is O(w^2).
+    With (P, Q) = past_tails(t_start, a) = (w/2, w/4):
+        xi      = xi_in + t_start - eta_in*Q
+        eta     = eta_in - Q/2
+        xi_dot  = 1 - eta_in*P
+        eta_dot = -P/2
+    The neglected terms are O((1 + eta_in^2)*w^2): second order in the
+    expansion parameter eta_in*w once eta_in >= 1.
     """
-    w = math.exp(2.0 * (a.xi_in + t_start))
+    P, Q = past_tails(t_start, a)
     return PhasePoint(
         t=t_start,
-        xi=a.xi_in + t_start - 0.25 * a.eta_in * w,
-        eta=a.eta_in - 0.125 * w,
-        xi_dot=1.0 - 0.5 * a.eta_in * w,
-        eta_dot=-0.25 * w,
+        xi=a.xi_in + t_start - a.eta_in * Q,
+        eta=a.eta_in - 0.5 * Q,
+        xi_dot=1.0 - a.eta_in * P,
+        eta_dot=-0.5 * P,
     )
 
 

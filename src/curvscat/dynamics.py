@@ -37,6 +37,9 @@ GAUGE_LOAD: float = 1.0
 # exp argument beyond which exp(2*xi) is not representable in float64
 _EXP_ARG_LIMIT = 709.0
 
+#: Half-width of the forbidden zone's boundary band eta*exp(2*xi) = 1.
+BOUNDARY_TOL: float = 1e-9
+
 
 @dataclass(frozen=True)
 class PhasePoint:
@@ -81,7 +84,8 @@ class Zone(Enum):
     FORBIDDEN = "forbidden"
 
 
-def in_forbidden_zone(xi: float, eta: float, boundary_tol: float = 1e-9) -> Zone:
+def in_forbidden_zone(xi: float, eta: float,
+                      boundary_tol: float = BOUNDARY_TOL) -> Zone:
     """Classify a position against the E = 1/2 forbidden zone eta > exp(-2*xi).
 
     The test is on the product eta*exp(2*xi): the energy law makes it equal

@@ -13,9 +13,9 @@ integrals over t:
     alpha = sqrt(2)*pi * I[e^{2 xi}]        (total area)
 
 with I[] over the whole line.  The sampled window is integrated by Simpson's
-rule; the past tail uses the free-motion asymptotics of the integrand
-(~ e^{2(xi_in+t)}), the future tail the impulse of the closed-form free leg
-from the last sample, at the slope of the last two samples.  Momentum
+rule; the past tail is the free past motion's (closed_forms.past_tails),
+the future tail the impulse of the closed-form free leg from the last
+sample, at the slope of the last two samples.  Momentum
 balance along the run makes kappa = 2*pi*(1 - cos Theta) and
 alpha = -2*sqrt(2)*pi*sin Theta exact identities, and both satisfy
 alpha^2 = 2*kappa*(4*pi - kappa); the quadrature values are computed
@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import simpson
 
-from .closed_forms import AsymptoticData, free_asymptote, free_leg
+from .closed_forms import AsymptoticData, free_asymptote, free_leg, past_tails
 from .integrator import Trajectory
 
 _LN2_4 = 0.25 * math.log(2.0)
@@ -96,9 +96,7 @@ def curvature_area_quadrature(traj: Trajectory) -> QuadratureResult:
     f_curv = eta * f_area
 
     # past tail: integrand ~ e^{2(xi_in+t)} (area), eta_in*e^{2(xi_in+t)} (curvature)
-    w0 = math.exp(2.0 * (a.xi_in + float(t[0])))
-    area_past = 0.5 * w0
-    curv_past = 0.5 * a.eta_in * w0
+    area_past, _ = past_tails(float(t[0]), a)
 
     # future tail: by the equations of motion the integrals are the free
     # leg's velocity changes, -(xi_dot(inf) - xi_dot_T) and -2*(eta_dot(inf) - eta_dot_T)
@@ -111,7 +109,7 @@ def curvature_area_quadrature(traj: Trajectory) -> QuadratureResult:
     curv_fut = xi_dot_T - float(xi_dot_inf)
     area_fut = 2.0 * (eta_dot_T - float(eta_dot_inf))
 
-    kappa = TWO_PI * (float(simpson(f_curv, x=t)) + curv_past + curv_fut)
+    kappa = TWO_PI * (float(simpson(f_curv, x=t)) + a.eta_in * area_past + curv_fut)
     alpha = _SQRT2 * math.pi * (float(simpson(f_area, x=t)) + area_past + area_fut)
     return QuadratureResult(kappa=kappa, alpha=alpha)
 

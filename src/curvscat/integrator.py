@@ -1,15 +1,15 @@
 """Adaptive integration of the scattering equations from asymptotic data.
 
-Runs start at t_start = t0_lower - t_start_offset, deep enough in the past
-that the free-motion expansion error O(w^2) with w = exp(2*(xi_in+t_start))
-sits below the integration tolerances.  Stepping uses an embedded adaptive
-Runge-Kutta pair with dense output (DOP853); the scheme is incidental, the
-contract is the tolerances.
+Runs start from the free-motion expansion at closed_forms.start_time, where
+its expansion parameter eta_in*w, w = exp(2*(xi_in + t_start)), is at most
+2.3e-8 at every eta_in.  Stepping uses an embedded adaptive Runge-Kutta pair
+with dense output (DOP853); the scheme is incidental, the contract is the
+tolerances.
 
 A run ends in one of three ways:
-  * escape: |eta*exp(2*xi)| and |speed^2 - 1| both below escape_tol while
-    xi_dot < 0 (the gate keeps the criterion from firing on the inbound leg,
-    where the potential term is equally small);
+  * escape: |eta*exp(2*xi)|, |speed^2 - 1| and exp(4*xi), the order of the
+    free leg's neglected terms, all below escape_tol while xi_dot < 0 (the
+    gate keeps the criterion from firing on the inbound leg);
   * certified blow-up: eta < 0 with xi_dot > 0.  eta_dot < 0 throughout, so
     from there xi'' = -eta*exp(2*xi) > 0 keeps xi_dot > 0, the escape gate
     never opens and xi diverges.  The run stops at the certificate and
@@ -44,8 +44,8 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .closed_forms import (AsymptoticData, explicit_bounds, free_leg,
-                           free_motion_expansion)
+from .closed_forms import (AsymptoticData, free_leg, free_motion_expansion,
+                           start_time)
 from .dynamics import PhasePoint, energy_array, rhs
 
 
@@ -59,15 +59,14 @@ class SolverConfig:
 
     max_time is a duration budget measured from the start time.  min_tail and
     tail_pad control how far past the eta = 0 crossing and the escape point a
-    run is extended.  Every field must be finite and positive.
+    run is extended.  Every field must be finite and positive; each is one
+    command-line flag (rel_tol is --rel-tol).
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    t_start_offset: float = 14.0
     escape_tol: float = 1e-7
     max_time: float = 600.0
-    boundary_tol: float = 1e-9
     dense_step: float = 0.01
     min_tail: float = 12.0
     tail_pad: float = 6.0
@@ -131,21 +130,13 @@ class Trajectory:
         return energy_array(self.xi, self.eta, self.xi_dot, self.eta_dot)
 
 
-def _start_time(a: AsymptoticData, cfg: SolverConfig) -> float:
-    if a.eta_in > 0.0:
-        return explicit_bounds(a).t0_lower - cfg.t_start_offset
-    # no t0_lower for non-scattering data; anchor the offset at xi_in so the
-    # truncation w = exp(-2*t_start_offset) is unchanged
-    return -a.xi_in - cfg.t_start_offset
-
-
 def _escape_residual(y, tol: float) -> float:
     """Negative when state y = (xi, xi_dot, eta, eta_dot) passes the escape test."""
     if y[1] >= 0.0:
         return 1.0
-    p = abs(y[2] * math.exp(min(2.0 * y[0], 700.0)))
-    s = abs(y[1] * y[1] + y[3] * y[3] - 1.0)
-    return max(p, s) - tol
+    e2 = math.exp(min(2.0 * y[0], 700.0))
+    speed_defect = abs(y[1] * y[1] + y[3] * y[3] - 1.0)
+    return max(abs(y[2] * e2), speed_defect, e2 * e2) - tol
 
 
 def _free_leg_crossing(y_e, level: float) -> float:
@@ -189,7 +180,7 @@ def _solve(a: AsymptoticData, cfg: SolverConfig, extra_events, dense_output: boo
     Data with eta_in <= 0 start certified and make no call (sol is None).
     A solver failure raises NotConvergedError with solve_ivp's message.
     """
-    p0 = free_motion_expansion(_start_time(a, cfg), a)
+    p0 = free_motion_expansion(start_time(a), a)
     if a.eta_in <= 0.0:
         return p0, None, BlowUpRecord(p0, _CERTIFIED)
 

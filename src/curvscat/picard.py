@@ -14,8 +14,9 @@ banded one, solved in O(n) by LAPACK, and Newton stops once the update is at
 roundoff.  Solving the discrete equation, rather than pasting in the
 continuum closed form, keeps the discrete iterates monotone up to roundoff:
 xi increases and eta decreases pointwise in the iteration index.  The
-(-inf, t_min] tails are evaluated from the free-motion asymptotics of the
-integrands (~ e^{2(xi_in+s)}), with error O(e^{4(xi_in+t_min)}).
+(-inf, t_min] tails are those of the free past motion
+(closed_forms.past_tails), with error O(e^{4(xi_in+t_min)}); t_min defaults
+to the integrator's start time, closed_forms.start_time.
 
 Future zone (t above the eta = 0 crossing): the damped maps
 
@@ -36,7 +37,8 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
-from .closed_forms import AsymptoticData, explicit_bounds, xi_subsolution
+from .closed_forms import (AsymptoticData, explicit_bounds, past_tails,
+                           start_time, xi_subsolution)
 from .dynamics import PhasePoint
 
 
@@ -141,9 +143,8 @@ def _march_xi(t: np.ndarray, eta: np.ndarray, a: AsymptoticData,
     reaches an exact fixed point.  Raises NewtonNotConvergedError if neither
     is at roundoff after _NEWTON_MAX_STEPS steps.
     """
-    w_min = math.exp(2.0 * (a.xi_in + float(t[0])))
-    P0 = 0.5 * a.eta_in * w_min   # inner integral tail at t_min
-    Q0 = 0.25 * a.eta_in * w_min  # outer integral tail at t_min
+    # inner and outer integral tails at t_min
+    P0, Q0 = (a.eta_in * v for v in past_tails(float(t[0]), a))
     c = a.xi_in + t
     roundoff = (_ROUNDOFF_ULPS * np.finfo(float).eps
                 * max(1.0, float(np.max(np.abs(c)))))
@@ -196,10 +197,9 @@ def _uniform_grid(t_lo: float, t_hi: float, step: float,
 
 def _eta_update(t: np.ndarray, xi: np.ndarray, a: AsymptoticData,
                 step: float) -> np.ndarray:
-    f = np.exp(2.0 * xi)
-    w_min = math.exp(2.0 * (a.xi_in + float(t[0])))
-    P = _cumtrapz(f, step, initial=0.5 * w_min)
-    Q = _cumtrapz(P, step, initial=0.25 * w_min)
+    P0, Q0 = past_tails(float(t[0]), a)
+    P = _cumtrapz(np.exp(2.0 * xi), step, initial=P0)
+    Q = _cumtrapz(P, step, initial=Q0)
     return a.eta_in - 0.5 * Q
 
 
@@ -222,7 +222,7 @@ def iterate_past(a: AsymptoticData, t_handoff: float, step: float,
         raise ValueError(
             f"t_handoff = {t_handoff} beyond the monotone zone bound {t0_lower}")
     if t_min is None:
-        t_min = t0_lower - 14.0
+        t_min = start_time(a)
     t = _uniform_grid(t_min, t_handoff, step, "t_min", "t_handoff")
     t_hi = float(t[-1])
 

@@ -15,6 +15,7 @@ import numpy as np
 from . import analysis, geometry, picard
 from .closed_forms import (ETA_CRIT_UPPER, AsymptoticData, explicit_bounds,
                            t0_state_bounds, xi_subsolution, xi_supersolution)
+from .dynamics import BOUNDARY_TOL
 from .integrator import SolverConfig, Trajectory, integrate
 
 POKHOZAEV_REL_TOL = 1e-3
@@ -37,9 +38,9 @@ def _t0_sample_index(traj: Trajectory) -> int:
 
 def _check_forbidden_zone(traj: Trajectory, a: AsymptoticData) -> CheckResult:
     q = float(np.max(traj.eta * np.exp(2.0 * traj.xi)))
-    tol = traj.config.boundary_tol
-    return CheckResult("forbidden-zone confinement", a.eta_in, q <= 1.0 + tol,
-                       f"max eta*e^(2xi) = {q:.12f} (allowed {1.0 + tol})")
+    return CheckResult("forbidden-zone confinement", a.eta_in,
+                       q <= 1.0 + BOUNDARY_TOL,
+                       f"max eta*e^(2xi) = {q:.12f} (allowed {1.0 + BOUNDARY_TOL})")
 
 
 def _check_inflection(traj: Trajectory, a: AsymptoticData) -> CheckResult:

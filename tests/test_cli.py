@@ -1,14 +1,14 @@
 import json
 import math
 
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import pytest
 
 from curvscat import AsymptoticData, SolverConfig, integrate
 from curvscat.cli import (EXIT_NONSCATTERING, EXIT_OK, EXIT_PARTIAL,
-                          EXIT_USAGE, EXIT_VERIFY_FAIL, _json_render, main,
-                          parse_angle)
+                          EXIT_USAGE, EXIT_VERIFY_FAIL, _json_render,
+                          build_parser, main, parse_angle)
 from curvscat.integrator import _CERTIFIED
 
 from _reference import ORACLE_THETA_ETA8
@@ -37,7 +37,7 @@ def test_solve_emits_files_and_summary(tmp_path):
     for name in ("trajectory.csv", "radial.csv", "summary.json", "manifest.json"):
         assert (out / name).exists()
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["schema"] == "curvscat/summary/v3"
+    assert summary["schema"] == "curvscat/summary/v4"
     assert list(summary["fits"]) == ["u_slope", "u_intercept", "k_slope", "k_intercept"]
     assert abs(summary["theta"] - ORACLE_THETA_ETA8) < 1e-6
     assert 2 * math.pi < summary["kappa"] < 4 * math.pi
@@ -95,7 +95,7 @@ def test_solve_summary_layout(tmp_path, eta_in, keys):
     text = (out / "summary.json").read_text()
     summary = json.loads(text)
     assert list(summary) == keys
-    assert summary["schema"] == "curvscat/summary/v3"
+    assert summary["schema"] == "curvscat/summary/v4"
     assert summary["inputs"] == {"eta_in": float(eta_in), "xi_in": 0.0}
     assert list(summary["config"]) == list(asdict(SolverConfig()))
     traj = integrate(AsymptoticData(0.0, float(eta_in)), SolverConfig())
@@ -106,10 +106,9 @@ def test_solve_summary_layout(tmp_path, eta_in, keys):
     if eta_in == "-1":
         p = traj.point(0)
         assert text == _json_render({
-            "schema": "curvscat/summary/v3",
+            "schema": "curvscat/summary/v4",
             "inputs": {"eta_in": -1.0, "xi_in": 0.0},
             "events": {"t0": None, "t_half": None, "t_m": None, "blowup": {
-                "reason": _CERTIFIED,
                 "last_state": {"t": p.t, "xi": p.xi, "eta": p.eta,
                                "xi_dot": p.xi_dot, "eta_dot": p.eta_dot}}},
             "escaped": False,
@@ -117,6 +116,43 @@ def test_solve_summary_layout(tmp_path, eta_in, keys):
             "drift": traj.max_energy_drift,
             "config": asdict(SolverConfig()),
         }) + "\n"
+
+
+@pytest.mark.parametrize("eta_in", ["-1", "1.0"])
+def test_nonscattering_reason_written_once(tmp_path, eta_in):
+    # the top-level blowup record carries the reason; the event record
+    # carries only the state at the certificate
+    out = tmp_path / "run"
+    assert _run("solve", f"--eta-in={eta_in}", "--out-dir", str(out)) == EXIT_NONSCATTERING
+    text = (out / "summary.json").read_text()
+    assert text.count(_CERTIFIED) == 1
+    assert list(json.loads(text)["events"]["blowup"]) == ["last_state"]
+
+
+def test_solve_deep_end_scatters(tmp_path):
+    # the start moves down with eta_in, so the free start state stays accurate
+    out = tmp_path / "deep"
+    assert _run("solve", "--eta-in", "1e5", "--out-dir", str(out)) == EXIT_OK
+    assert math.isfinite(json.loads((out / "summary.json").read_text())["theta"])
+
+
+def test_one_solver_flag_per_config_field(tmp_path):
+    # every subcommand ends with --out-dir and one flag per SolverConfig
+    # field, in field order, defaulting to the field's default; the config
+    # echo lists the same fields
+    config = fields(SolverConfig)
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    assert set(subparsers) == {"solve", "shoot", "sweep", "verify", "flow"}
+    for name, sub in subparsers.items():
+        flags = [a for a in sub._actions if a.option_strings]
+        k = [a.option_strings for a in flags].index(["--out-dir"])
+        assert [(a.option_strings, a.dest, a.default) for a in flags[k + 1:]] == [
+            (["--" + f.name.replace("_", "-")], f.name, f.default)
+            for f in config], name
+    out = tmp_path / "run"
+    assert _run("solve", "--eta-in", "8", "--out-dir", str(out)) == EXIT_OK
+    echo = json.loads((out / "summary.json").read_text())["config"]
+    assert list(echo) == [f.name for f in config]
 
 
 def test_usage_errors_exit_1(capsys):
@@ -192,6 +228,8 @@ def test_sweep_n_below_one_is_usage_error(tmp_path, capsys, n):
     (("flow", "--mu0", "-0.999", "--delta", "1e-6", "--tol", "nan"), "--tol"),
     (("flow", "--mu0", "-0.999", "--delta", "1e-6", "--tol", "-1"), "--tol"),
     (("verify", "--eta-in"), "--eta-in"),
+    (("sweep", "--theta-min", "-0.8pi", "--theta-max", "-0.75pi", "--n", "2",
+      "--eta-ceiling", "1e-7"), "ceiling"),
 ])
 def test_bad_search_and_flow_arguments_are_usage_errors(tmp_path, capsys,
                                                         args, message):
@@ -217,6 +255,7 @@ def test_bad_search_and_flow_arguments_are_usage_errors(tmp_path, capsys,
     ("solve", "--eta-in", "8", "--abs-tol", "inf"),
     ("solve", "--eta-in", "8", "--dense-step", "5"),
     ("shoot", "--theta=-0.75pi", "--dense-step", "5"),
+    ("solve", "--eta-in", "8", "--t-start-offset", "14"),
 ])
 def test_bad_inputs_make_no_out_dir(tmp_path, capsys, args):
     # the target margin, solver flags, data and angles are checked before

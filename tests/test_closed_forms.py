@@ -9,7 +9,8 @@ from curvscat import (ETA_CRIT_UPPER, AsymptoticData, SolverConfig,
                       eta_first_iterate, explicit_bounds, free_motion_expansion,
                       lncosh, t0_state_bounds, xi_subsolution, xi_supersolution)
 from curvscat.closed_forms import (deflection_deep_inverse_slope, free_asymptote,
-                                   free_leg)
+                                   free_leg, past_tails, start_time)
+from curvscat.dynamics import PhasePoint
 from curvscat.integrator import deflection_of
 
 A04 = AsymptoticData(0.0, 4.0)
@@ -141,6 +142,37 @@ def test_start_state_energy_at_representable_floor():
     t_start = 0.5 * math.log(1e-10)
     p = free_motion_expansion(t_start, A08)
     assert abs(2.0 * energy(p) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("t, xi_in, eta_in", [
+    (-12.0, 0.0, 8.0), (-20.3, -0.7, 1.31), (-14.0, 0.0, -1.0), (-31.5, 0.4, 1e5)])
+def test_free_motion_expansion_is_built_from_past_tails(t, xi_in, eta_in):
+    a = AsymptoticData(xi_in, eta_in)
+    w = math.exp(2.0 * (xi_in + t))
+    P, Q = past_tails(t, a)
+    assert (P, Q) == (0.5 * w, 0.25 * w)
+    p = free_motion_expansion(t, a)
+    assert p == PhasePoint(t, xi_in + t - eta_in * Q, eta_in - 0.5 * Q,
+                           1.0 - eta_in * P, -0.5 * P)
+    # the tails differ from w by powers of 2 only: the same bits as the
+    # expansion written in w
+    assert p == PhasePoint(t, xi_in + t - 0.25 * eta_in * w, eta_in - 0.125 * w,
+                           1.0 - 0.5 * eta_in * w, -0.25 * w)
+
+
+@pytest.mark.parametrize("xi_in", [0.0, -0.7])
+def test_start_time_holds_the_expansion_parameter(xi_in):
+    # eta_in*w at the start grows like eta_in^2 up to eta_in 64 and is held
+    # at its eta_in 64 value, 2^15*exp(-28), above it
+    def param(eta_in):
+        a = AsymptoticData(xi_in, eta_in)
+        return eta_in * math.exp(2.0 * (xi_in + start_time(a)))
+    cap = 2.0**15 * math.exp(-28.0)
+    assert math.isclose(param(64.0), cap, rel_tol=1e-12)
+    assert math.isclose(param(8.0), 8.0 * 64.0 * math.exp(-28.0), rel_tol=1e-12)
+    for eta_in in (64.0 * (1.0 + 1e-12), 1e3, 1e6, 1e12):
+        assert math.isclose(param(eta_in), cap, rel_tol=1e-10)
+    assert start_time(AsymptoticData(xi_in, -1.0)) == -xi_in - 14.0
 
 
 def test_free_expansion_accepts_nonpositive_eta():

@@ -7,7 +7,8 @@ from curvscat import (AsymptoticData, NotConvergedError, SolverConfig,
                       Trajectory, TrajectoryEvents, TimeTranslate,
                       apply_symmetry, deflection, detect_events,
                       explicit_bounds, integrate, t0_state_bounds)
-from curvscat.integrator import _CERTIFIED, deflection_of
+from curvscat.integrator import (_CERTIFIED, _escape_residual,
+                                 _outgoing_angle, deflection_of)
 
 from _reference import (ORACLE_T0_ETA8, ORACLE_T_HALF_ETA8, ORACLE_T_M_ETA8,
                         ORACLE_THETA_ETA8, ORACLE_THETA_ETA6, continue_tight,
@@ -16,9 +17,20 @@ from _reference import (ORACLE_T0_ETA8, ORACLE_T_HALF_ETA8, ORACLE_T_M_ETA8,
 A8 = AsymptoticData(0.0, 8.0)
 
 
-def test_start_time_and_truncation(traj8, cfg):
-    b = explicit_bounds(A8)
-    assert math.isclose(traj8.t[0], b.t0_lower - cfg.t_start_offset, abs_tol=1e-12)
+def test_start_time_and_truncation(cfg):
+    # up to eta_in 64 every run starts 14 below the eta = 0 bound, exactly
+    for eta_in in (1.31, 8.0, 63.7, 64.0):
+        a = AsymptoticData(0.0, eta_in)
+        assert integrate(a, cfg).t[0] == explicit_bounds(a).t0_lower - 14.0, eta_in
+
+
+@pytest.mark.parametrize("eta_in", [1e3, 1e4, 1e5, 1e6])
+def test_deep_start_keeps_expansion_small(eta_in, cfg):
+    # past eta_in 64 the start moves down with eta_in, so the start state's
+    # expansion error stays at its eta_in 64 size
+    traj = integrate(AsymptoticData(0.0, eta_in), cfg)
+    assert abs(deflection(traj) - theta_tight(eta_in)) <= 1e-10
+    assert traj.max_energy_drift <= 1e-9
 
 
 def test_escape_and_events_present(traj8):
@@ -159,6 +171,19 @@ def test_solver_failure_is_not_a_blowup(cfg, monkeypatch):
         with pytest.raises(NotConvergedError,
                            match="^solver failure: Required step size"):
             run(AsymptoticData(0.0, 1.0), cfg)
+
+
+@pytest.mark.parametrize("eta_in", [1.31, 1.6])
+def test_eta_crossing_is_not_an_escape(eta_in, cfg):
+    # at the eta = 0 crossing the potential term and the speed defect both
+    # vanish, but exp(2*xi) is far from 0: the free leg does not hold there
+    traj = integrate(AsymptoticData(0.0, eta_in), cfg)
+    k = int(np.argmin(np.abs(traj.t - traj.events.t0)))
+    y = (traj.xi[k], traj.xi_dot[k], 0.0, traj.eta_dot[k])
+    assert y[1] < 0.0 and math.exp(2.0 * y[0]) > 0.04
+    assert _escape_residual(y, cfg.escape_tol) > 0.0
+    with pytest.raises(NotConvergedError, match="escape criterion"):
+        _outgoing_angle(y, cfg.escape_tol)
 
 
 def test_evaluator_budget_exhaustion_raises():
@@ -370,9 +395,11 @@ def test_config_validation():
     for field in ("rel_tol", "escape_tol", "max_time"):
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: math.inf})
-    # the certificate stops non-scattering runs: there is no blow-up level
-    with pytest.raises(TypeError):
-        SolverConfig(blowup_xi=30.0)
+    # the certificate stops non-scattering runs: there is no blow-up level;
+    # the start comes from the data and the boundary band is a constant
+    for field in ("blowup_xi", "t_start_offset", "boundary_tol"):
+        with pytest.raises(TypeError):
+            SolverConfig(**{field: 1.0})
 
 
 def _escaped_stub(xi_dot_f, eta_dot_f):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from curvscat import (AsymptoticData, PhasePoint, explicit_bounds,
-                      eta_first_iterate, iterate_future, iterate_past,
-                      monotonicity_report, xi_subsolution)
+                      eta_first_iterate, integrate, iterate_future,
+                      iterate_past, monotonicity_report, xi_subsolution)
 from curvscat.cli import write_csv
 from curvscat.picard import (GridFunction, NewtonNotConvergedError, PicardRun,
                              _march_xi)
@@ -130,6 +130,15 @@ def test_verify_ladder_ordered(eta_in):
     run = iterate_past(a, explicit_bounds(a).t0_lower - 1.0, step=2e-3,
                        tol=0.0, max_iter=6)
     assert monotonicity_report(run, allowance=1e-12).ordered
+
+
+@pytest.mark.parametrize("eta_in, xi_in", [(1.31, 0.0), (8.0, -0.7), (64.0, 0.0),
+                                           (1e3, 0.0)])
+def test_past_grid_starts_where_runs_start(eta_in, xi_in):
+    a = AsymptoticData(xi_in, eta_in)
+    run = iterate_past(a, explicit_bounds(a).t0_lower - 1.0, step=1e-2,
+                       tol=0.0, max_iter=1)
+    assert run.xi_limit.t[0] == integrate(a).t[0]
 
 
 def test_march_newton_cap_raises_named_error():
