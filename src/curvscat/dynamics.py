@@ -84,13 +84,12 @@ class Zone(Enum):
     FORBIDDEN = "forbidden"
 
 
-def in_forbidden_zone(xi: float, eta: float,
-                      boundary_tol: float = BOUNDARY_TOL) -> Zone:
+def in_forbidden_zone(xi: float, eta: float) -> Zone:
     """Classify a position against the E = 1/2 forbidden zone eta > exp(-2*xi).
 
     The test is on the product eta*exp(2*xi): the energy law makes it equal
     1 - speed^2 on admitted motions, so the boundary tolerance ties directly
-    to energy drift.
+    to energy drift; the boundary band is |q - 1| <= BOUNDARY_TOL.
     """
     if not (math.isfinite(xi) and math.isfinite(eta)):
         raise ValueError("in_forbidden_zone requires finite inputs")
@@ -99,7 +98,7 @@ def in_forbidden_zone(xi: float, eta: float,
         q = math.inf if eta > 0 else -math.inf if eta < 0 else 0.0
     else:
         q = eta * math.exp(2.0 * xi)
-    if abs(q - 1.0) <= boundary_tol:
+    if abs(q - 1.0) <= BOUNDARY_TOL:
         return Zone.BOUNDARY
     return Zone.FORBIDDEN if q > 1.0 else Zone.ALLOWED
 

@@ -385,11 +385,16 @@ def detect_events(traj: Trajectory) -> TrajectoryEvents:
     Sign changes are located by scanning and refined by bisection (to 1e-12
     in t) on a local cubic Hermite model built from the sampled values and
     their sampled derivatives.  Absent events are reported absent; a stored
-    blow-up record is passed through.
+    blow-up record is passed through.  A run certified on its eta side,
+    -eta <= xi_dot at the last sample, stopped on the eta = 0 crossing, so
+    its last eta (zero to the event finder's roundoff, either sign) reads 0.
     """
     if len(traj) < 2:
         raise ValueError("need at least 2 samples to detect events")
     t, xi, eta, xi_dot, eta_dot = traj.t, traj.xi, traj.eta, traj.xi_dot, traj.eta_dot
+    if traj.events.blowup is not None and -eta[-1] <= xi_dot[-1]:
+        eta = eta.copy()
+        eta[-1] = min(eta[-1], 0.0)
     xi_ddot = -eta * np.exp(2.0 * xi)
     ein = traj.asymptotics.eta_in
 

@@ -53,6 +53,15 @@ def test_forbidden_zone_examples():
     assert in_forbidden_zone(-1.0, math.exp(2.0)) is Zone.BOUNDARY
 
 
+def test_forbidden_zone_band_is_the_constant():
+    # the band half-width is dynamics.BOUNDARY_TOL, not a per-call option
+    from curvscat.dynamics import BOUNDARY_TOL
+    assert in_forbidden_zone(0.0, 1.0 + 0.5 * BOUNDARY_TOL) is Zone.BOUNDARY
+    assert in_forbidden_zone(0.0, 1.0 + 2.0 * BOUNDARY_TOL) is Zone.FORBIDDEN
+    with pytest.raises(TypeError):
+        in_forbidden_zone(0.0, 1.0, boundary_tol=1e-3)
+
+
 @given(xi=small, eta=small)
 def test_forbidden_zone_consistency(xi, eta):
     q = eta * math.exp(2.0 * xi)

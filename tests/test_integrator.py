@@ -317,6 +317,14 @@ def test_detect_events_agrees_with_integrate(traj8):
     assert abs(ev.t_m - traj8.events.t_m) < 1e-6
 
 
+def test_detect_events_finds_t0_at_a_certified_crossing(cfg):
+    # at 0.5 the run stops on the eta = 0 crossing with eta = +4e-17 there
+    traj = integrate(AsymptoticData(0.0, 0.5), cfg)
+    assert traj.eta[-1] > 0.0
+    ev = detect_events(traj)
+    assert ev.t0 is not None and abs(ev.t0 - traj.events.t0) <= 1e-9
+
+
 def test_detect_events_absent_reported_absent(cfg):
     # the budget ends the run before xi turns
     traj = integrate(A8, SolverConfig(max_time=10.0))

@@ -135,6 +135,66 @@ def test_shoot_integrates_only_the_accepted_root(cfg, monkeypatch):
     assert res.trajectory.asymptotics.eta_in == res.eta_in_found
 
 
+def _count_solver_calls(monkeypatch):
+    """Spy on shooting's solver entry points; returns (deflection_of etas,
+    integrate etas), filled as calls are made."""
+    import curvscat.shooting as shooting
+    seen = ([], [])
+    for name, log in zip(("deflection_of", "integrate"), seen):
+        def spy(a, c, real=getattr(shooting, name), log=log):
+            log.append(a.eta_in)
+            return real(a, c)
+        monkeypatch.setattr(shooting, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("target", [-0.52 * PI, -0.6 * PI, -0.75 * PI,
+                                    -0.9 * PI, -0.98 * PI])
+def test_integrating_predicted_last_probes_changes_cost_only(target, cfg, monkeypatch):
+    import curvscat.shooting as shooting
+    res = shoot(target, cfg, root_tol=1e-8)
+    monkeypatch.setattr(shooting, "_predicts_last", lambda fs, tol: False)
+    ref = shoot(target, cfg, root_tol=1e-8)
+    assert res.scanned == ref.scanned
+    assert res.eta_in_found == ref.eta_in_found
+    assert res.theta_achieved == ref.theta_achieved
+    assert res.iterations == ref.iterations
+    assert res.bracket == ref.bracket
+
+
+# solver calls (deflection_of + integrate) per shot before the law's Newton
+# step lost its 2x overshoot and a predicted last probe was integrated once
+_CALLS_BEFORE = [3, 4, 4, 4, 4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5,
+                 5, 6, 6, 6, 6, 6, 5, 5, 5, 6, 6, 6, 6, 6, 6, 6, 6, 7, 7, 7,
+                 7, 7, 7, 7, 7, 8, 8, 9, 12]
+
+
+def test_shoot_solver_calls_over_the_range(cfg, monkeypatch):
+    targets = np.linspace(-0.99 * PI, -0.51 * PI, len(_CALLS_BEFORE))
+    calls = []
+    for target, before in zip(targets, _CALLS_BEFORE):
+        evals, integrations = _count_solver_calls(monkeypatch)
+        res = shoot(float(target), cfg, root_tol=1e-8)
+        assert abs(res.theta_achieved - target) <= 1e-9
+        n = len(evals) + len(integrations)
+        assert n <= before, target / PI
+        assert len(integrations) <= 2, target / PI
+        calls.append(n)
+    assert np.mean(calls) <= 4.5
+
+
+def test_shoot_accepts_the_law_step_directly(cfg, monkeypatch):
+    # the seed misses by about 1e-6 at -0.95pi; the law's Newton step lands
+    # within root_tol/10 and is integrated once, as predicted
+    evals, integrations = _count_solver_calls(monkeypatch)
+    res = shoot(-0.95 * PI, cfg, root_tol=1e-8)
+    assert evals == [res.scanned[0][0]]
+    assert integrations == [res.eta_in_found] == [res.scanned[1][0]]
+    assert res.iterations == 0
+    assert res.bracket == (res.eta_in_found, res.eta_in_found)
+    assert abs(res.theta_achieved + 0.95 * PI) <= 1e-9
+
+
 def test_shoot_deterministic(cfg):
     r1 = shoot(-0.6 * PI, cfg, root_tol=1e-8)
     r2 = shoot(-0.6 * PI, cfg, root_tol=1e-8)
