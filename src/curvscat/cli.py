@@ -12,6 +12,7 @@ rows is rendered by one %-operation.  Exit codes: 0 ok, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -387,7 +388,10 @@ def cmd_flow(args, argv) -> int:
     return EXIT_OK if ok else EXIT_NONSCATTERING
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process; every default is
+    immutable, so no call's arguments leak into the next."""
     p = _Parser(prog="curvscat",
                 description="Scattering solver for self-consistent Gauss "
                             "curvature surfaces")
@@ -419,7 +423,7 @@ def build_parser() -> _Parser:
     pw.set_defaults(func=cmd_sweep)
 
     pv = sub.add_parser("verify", help="run the invariant suite")
-    pv.add_argument("--eta-in", type=float, nargs="+", default=[6.0, 8.0, 12.0])
+    pv.add_argument("--eta-in", type=float, nargs="+", default=(6.0, 8.0, 12.0))
     _add_solver_flags(pv)
     pv.set_defaults(func=cmd_verify)
 

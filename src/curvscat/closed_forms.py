@@ -19,7 +19,7 @@ The motion is free in both limits: past_tails gives the integrals from -inf
 of the free past motion, free_motion_expansion the start state built from
 them at start_time, free_leg the motion after escape and free_asymptote the
 line it approaches.  For large eta_in the whole deflection has a closed
-form, deflection_deep, whose series inverse seeds the shooting scan.
+form, deflection_deep.
 """
 
 from __future__ import annotations
@@ -201,28 +201,6 @@ def deflection_deep(eta_in):
     deflection - deflection_deep is 0.351-0.357/eta_in^5 for eta_in 8-64.
     """
     return -math.pi + 1.0 / eta_in + (5.0 / 12.0) / eta_in**3
-
-
-def deflection_deep_inverse(theta):
-    """Series inverse of deflection_deep: eta_in = 1/x + 5x/12 + O(x^3),
-    x = pi + theta.
-
-    Measured against integrator.deflection_of, it undershoots the root by
-    about 0.004/eta_in^4 relative: 1.7e-5 at eta_in 4, 1.0e-6 at 8.  Its
-    minimum over x, 2*sqrt(5/12) = 1.291, lies below the scattering onset,
-    so near theta = -pi/2 it falls short of the root.
-    """
-    x = math.pi + theta
-    return 1.0 / x + (5.0 / 12.0) * x
-
-
-def deflection_deep_inverse_slope(theta):
-    """d eta_in/d theta of deflection_deep_inverse: 5/12 - 1/x^2, x = pi + theta.
-
-    It vanishes at the inverse's minimum, x = sqrt(12/5) (theta = -0.507 pi),
-    and steepens the map toward the onset as the true deflection does."""
-    x = math.pi + theta
-    return 5.0 / 12.0 - 1.0 / x**2
 
 
 def free_asymptote(y):

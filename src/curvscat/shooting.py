@@ -6,22 +6,25 @@ one-dimensional).  Empirically the map decreases from -pi/2 toward -pi as
 eta_in grows, above a scattering onset near eta_in = 1.2998; none of that is
 assumed, and only a sign change is needed.
 
-The scan for it starts at the series inverse of the deep-end law
-(closed_forms.deflection_deep_inverse), clamped to [floor, ceiling], which
-lands within 1.0e-6 relative of the root at eta_in = 8 and closer above.
-The next probe is the law's Newton step, with the slope of its series
-inverse at the angle seen; over the benchmark's targets its residual is at
-most about 20*f0^2 above roundoff, where f0 is the seed's.  Each later
-probe is the secant through the two scattering points nearest the root,
-overshot 2x so that it lands across the root; every step is at most a
-factor of 2 in eta.  Which way to step comes from the signs seen.
-Non-scattering outcomes raise the scan floor: a step that would pass it
-goes to the geometric mean of the floor and the lowest scattering point,
-and a step toward it is not overshot, as past the root lies the onset.  A
-non-scattering first probe (the law's inverse never falls below
-2*sqrt(5/12) = 1.2910, just under the onset) is followed by probes
-climbing by _ONSET_STEP, doubling.  A probe within a tenth of root_tol
-ends the search, bracketed or not.
+The scan for it starts at the tabulated inverse map
+(deflection_table.eta_in_of), clamped to [floor, ceiling].  At the default
+SolverConfig the seed lands within deflection_table.MISS = 1e-9 of the
+target, so at the default root_tol it is the root: one solver call per shot
+(over the 872 targets of benchmark shoot seeds 1-30 the worst miss is
+2.5e-11).  Other solver settings move the map, and the seed can then miss;
+a miss changes only the cost.  The next probe is a Newton step with the
+table's slope at the angle seen; its residual is about |eta''/eta'|/2 *
+f0^2, where f0 is the seed's residual: 2 f0^2 mid-range, 64 f0^2 at the
+deep end.  Each later probe is the secant through the two scattering
+points nearest the root, overshot 2x so that it lands across the root;
+every step is at most a factor of 2 in eta.  Which way to step comes from
+the signs seen.  Non-scattering outcomes raise the scan floor: a step that
+would pass it goes to the geometric mean of the floor and the lowest
+scattering point, and a step toward it is not overshot, as past the root
+lies the onset.  A non-scattering first probe (a budget shorter than the
+default raises the onset) is followed by probes climbing by _ONSET_STEP,
+doubling.  A probe within a tenth of root_tol ends the search, bracketed
+or not.
 
 Otherwise the root is refined by Brent's method (scipy.optimize.brentq) on
 the scan's bracket: inverse quadratic and secant steps, with bisection
@@ -32,8 +35,9 @@ a few ulps.  A non-scattering point inside the bracket ends the search with
 a BracketNotFoundError.
 
 Evaluations are solver-only (integrator.deflection_of: no dense output, no
-samples, and an early certificate for non-scattering data), except for an
-un-overshot probe that _predicts_last expects to end the search: it is
+samples, and an early certificate for non-scattering data), except for a
+probe expected to end the search: the seed when MISS is within a tenth of
+root_tol, and an un-overshot probe that _predicts_last picks.  It is
 integrated in full (integrator.integrate) and its trajectory kept, so the
 accepted root is not solved twice.  deflection_of equals deflection of the
 integrated trajectory bit for bit, so a guess changes cost only, never the
@@ -49,8 +53,8 @@ from typing import Callable, Optional
 
 from scipy.optimize import brentq
 
-from .closed_forms import (AsymptoticData, deflection_deep_inverse,
-                           deflection_deep_inverse_slope)
+from .closed_forms import AsymptoticData
+from .deflection_table import MISS as SEED_MISS, eta_in_of
 from .integrator import (NotConvergedError, SolverConfig, Trajectory,
                          deflection, deflection_of, integrate)
 from . import geometry
@@ -61,9 +65,9 @@ THETA_MARGIN = 0.005 * math.pi
 _SCAN_BUDGET = 80
 # least relative scan step: a tiny Newton or secant step still moves
 _EPS = 2.0**-52
-# relative step after a non-scattering probe: the least power of 2 that lifts
-# the law inverse's lowest value, 1.29099, past the scattering onset (1.29982
-# at the default budget, 1.29981 at max_time 3000), so one step clears it
+# relative step after a non-scattering probe, doubling: a shorter budget
+# raises the onset (1.29982 at the default, 1.30103 at max_time 100), and one
+# step lifts the shallowest seed, 1.29983, past the onset at max_time 100
 _ONSET_STEP = 2.0**-7
 
 
@@ -101,10 +105,11 @@ def _predicts_last(fs: list[float], tol: float) -> bool:
     """Whether the next un-overshot probe is expected to land within tol,
     from the residuals fs of the last one or two scattering evaluations.
 
-    After one residual the probe is the law's Newton step, whose residual
-    stays within about 20*f0^2; later probes are secant-like steps, whose
-    residual is about |f_n|*|f_n/f_{n-1}|.  A guess decides only whether a
-    probe is integrated in full, never where it lies."""
+    After one residual the probe is the table's Newton step, whose residual
+    is about 2*f0^2 mid-range and 64*f0^2 at the deep end (10*f0^2 is
+    taken); later probes are secant-like steps, whose residual is about
+    |f_n|*|f_n/f_{n-1}|.  A guess decides only whether a probe is
+    integrated in full, never where it lies."""
     f = abs(fs[-1])
     if len(fs) == 1:
         return 10.0 * f * f <= tol
@@ -171,20 +176,25 @@ def shoot(theta_target: float, cfg: SolverConfig = SolverConfig(),
                 return e1, e2
         return None
 
-    # --- scan for a sign change, seeded by the deep-end law ------------------
-    eta = min(max(deflection_deep_inverse(theta_target), floor), ceiling)
+    # --- scan for a sign change, seeded by the tabulated inverse map --------
+    seed = eta_in_of(theta_target)[0]
+    eta = min(max(seed, floor), ceiling)
+    # the seed misses by at most SEED_MISS at the default SolverConfig: when
+    # that is within tol, it is integrated in full, as it should be the root
+    last = eta == seed and SEED_MISS <= tol
     rel = _ONSET_STEP
-    while not evaluate(eta):
+    while not evaluate(eta, last):
         if eta >= ceiling:
             raise fail("no scattering outcome up to the ceiling")
         eta = min(eta * (1.0 + rel), ceiling)
         rel = min(2.0 * rel, 1.0)
+        last = False
 
     # each probe steps from the scattering point nearest the root, up to a
-    # factor of 2 in eta: first the law's Newton step, with the slope of its
-    # series inverse at the angle seen, then the secant through the two
-    # nearest points, overshot 2x to land across the root, except toward a
-    # non-scattering outcome, as past the root lies the onset
+    # factor of 2 in eta: first a Newton step, with the table's slope at the
+    # angle seen, then the secant through the two nearest points, overshot 2x
+    # to land across the root, except toward a non-scattering outcome, as
+    # past the root lies the onset
     def predicts_last() -> bool:
         return _predicts_last(list(good.values())[-2:], tol)
 
@@ -197,7 +207,7 @@ def shoot(theta_target: float, cfg: SolverConfig = SolverConfig(),
         near = es[0] if down else es[-1]
         f = good[near]
         if len(es) == 1:
-            step = abs(f * deflection_deep_inverse_slope(theta_target + f))
+            step = abs(f * eta_in_of(theta_target + f)[1])
             over = 1.0
         else:
             far = es[1] if down else es[-2]

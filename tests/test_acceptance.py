@@ -192,13 +192,18 @@ def test_09_non_scattering(cfg):
     _report("09 non-scattering", bool(ok), "; ".join(details))
 
 
-def test_10_shooting_round_trip(sweep9, cfg):
+def test_10_shooting_round_trip(sweep9, cfg, monkeypatch):
     worst = max(abs(r.theta - r.theta_target) for r in sweep9)
     ok = worst <= 1e-8
     res = shoot(ORACLE_THETA_ETA8, cfg, root_tol=1e-8)
     d_eta = abs(res.eta_in_found - 8.0)
     ok &= d_eta <= 1e-4
-    # non-seed round trip, forcing the scan and refinement to do real work
+    # non-seed round trip, forcing the scan and refinement to do real work:
+    # the table's seed would be the root, so it is moved 1% off
+    import curvscat.shooting as shooting
+    table = shooting.eta_in_of
+    monkeypatch.setattr(shooting, "eta_in_of", lambda theta: (
+        1.01 * table(theta)[0], table(theta)[1]))
     target = deflection_of(AsymptoticData(0.0, 3.0), cfg)
     res3 = shoot(target, cfg, root_tol=1e-8)
     d3 = abs(res3.eta_in_found - 3.0)

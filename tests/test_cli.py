@@ -1,10 +1,14 @@
 import json
 import math
-
+import os
+import subprocess
+import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import pytest
 
+import curvscat
 from curvscat import AsymptoticData, SolverConfig, integrate
 from curvscat.cli import (EXIT_NONSCATTERING, EXIT_OK, EXIT_PARTIAL,
                           EXIT_USAGE, EXIT_VERIFY_FAIL, _json_render,
@@ -312,6 +316,20 @@ def test_verify_single_eta(tmp_path):
     names = {i["name"] for i in report["items"]}
     assert "forbidden-zone confinement" in names
     assert "monotone past iteration" in names
+
+
+def test_parser_built_once_and_reused(tmp_path):
+    # after a shoot in this process, a verify with no --eta-in writes the
+    # report a fresh process writes
+    assert build_parser() is build_parser()
+    assert _run("shoot", "--theta=-0.75pi", "--out-dir", str(tmp_path / "shoot")) == EXIT_OK
+    assert _run("verify", "--out-dir", str(tmp_path / "here")) == EXIT_OK
+    src = str(Path(curvscat.__file__).resolve().parent.parent)
+    subprocess.run([sys.executable, "-m", "curvscat.cli", "verify",
+                    "--out-dir", str(tmp_path / "fresh")], check=True,
+                   capture_output=True, env=dict(os.environ, PYTHONPATH=src))
+    report = "verify_report.json"
+    assert (tmp_path / "here" / report).read_bytes() == (tmp_path / "fresh" / report).read_bytes()
 
 
 def test_flow_command(tmp_path):

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import math
 import re
@@ -6,7 +7,8 @@ from pathlib import Path
 import numpy as np
 
 from curvscat import (AsymptoticData, SolverConfig, deflection_of,
-                      explicit_bounds, iterate_past, theta_identities)
+                      deflection_table, explicit_bounds, iterate_past,
+                      theta_identities)
 
 from _reference import write_ladder_csv
 
@@ -63,3 +65,24 @@ def test_deflection_map_smoke(tmp_path, capsys):
     lo, hi = map(float, re.search(r"onset in \(([^,]+), ([^)]+)\)",
                                   capsys.readouterr().out).groups())
     assert lo < 1.2998 < hi
+
+
+def test_deflection_table_smoke(capsys):
+    # a small fit: the block it prints has the committed layout, and the
+    # miss it reports is within the bound; nothing is written
+    script = _load("deflection_table")
+    before = script.MODULE.read_text()
+    assert script.main(["--samples", "150", "--checks", "3"]) == 0
+    assert script.MODULE.read_text() == before
+    out = capsys.readouterr().out
+    block = out[out.index(script.BEGIN):out.index(script.END)]
+    names = {}
+    for node in ast.parse(block).body:
+        names[node.targets[0].id] = ast.literal_eval(node.value)
+    assert names["EDGES"] == deflection_table.EDGES
+    assert names["DEEP"] == deflection_table.DEEP
+    assert names["SHIFT"] == deflection_table.SHIFT
+    assert names["MISS"] == deflection_table.MISS
+    assert [len(c) for c in names["COEFFS"]] == [len(c) for c in deflection_table.COEFFS]
+    miss = float(re.search(r"worst seed miss (\S+)", out).group(1))
+    assert miss <= deflection_table.MISS

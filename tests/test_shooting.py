@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from curvscat import (AsymptoticData, NotConvergedError,
-                      deflection_deep_inverse, deflection_of, shoot, sweep,
-                      theta_identities)
+from curvscat import (AsymptoticData, NotConvergedError, SolverConfig,
+                      deflection_of, shoot, sweep, theta_identities)
+from curvscat.deflection_table import eta_in_of
 from curvscat.shooting import BracketNotFoundError
 
 from _reference import ORACLE_THETA_ETA8, theta_tight
@@ -63,18 +63,24 @@ def test_shoot_root_accurate_against_tight_reference(target, cfg):
     (-0.505 * PI - 1e-9 * PI, 14),
 ])
 def test_shoot_evaluations_seeded_by_the_law(target, most, cfg):
-    # the first probe is the deep-end law's inverse; a scan from eta_in = 8
-    # makes 7, 10, 12, 13 and 23 evaluations at these targets
+    # the first probe is the table's seed, and it is the root; most is what
+    # the deep-end law's seed needed (a scan from eta_in = 8 made 7, 10, 12,
+    # 13 and 23 evaluations at these targets)
     res = shoot(target, cfg, root_tol=1e-8)
-    assert res.scanned[0][0] == deflection_deep_inverse(target)
-    assert len(res.scanned) <= most
+    assert res.scanned[0][0] == eta_in_of(target)[0]
+    assert len(res.scanned) == 1 < most
     assert abs(res.theta_achieved - target) <= 1e-9
 
 
-def test_shoot_climbs_past_the_onset_from_a_nonscattering_seed(cfg):
-    # at -0.55pi the law's inverse, 1.2964, lies below the onset near 1.2998
+def test_shoot_climbs_past_the_onset_from_a_nonscattering_seed(cfg, monkeypatch):
+    # a seed of 1.2964 (the deep-end law's at -0.55pi) lies below the onset
+    # near 1.2998; the table's slope still steers the step after the climb
+    import curvscat.shooting as shooting
+    monkeypatch.setattr(shooting, "eta_in_of",
+                        lambda theta: (1.2964, eta_in_of(theta)[1]))
     res = shoot(-0.55 * PI, cfg, root_tol=1e-8)
-    assert res.scanned[0] == (deflection_deep_inverse(-0.55 * PI), None)
+    assert res.scanned[0] == (1.2964, None)
+    assert res.scanned[1][1] is not None
     assert abs(res.theta_achieved + 0.55 * PI) <= 1e-9
     assert len(res.scanned) <= 12
 
@@ -115,7 +121,10 @@ def test_shoot_bracket_interior_stopped_scattering(cfg, monkeypatch):
             raise NotConvergedError("no escape")
         return target - 0.5 * (a.eta_in - 1.62)
 
+    # the fake map stands in for both evaluators; integrate passes the datum on
     monkeypatch.setattr(shooting, "deflection_of", gap_at_root)
+    monkeypatch.setattr(shooting, "integrate", lambda a, c: a)
+    monkeypatch.setattr(shooting, "deflection", lambda a: gap_at_root(a, None))
     with pytest.raises(BracketNotFoundError, match="interior stopped scattering") as e:
         shoot(target, cfg)
     assert e.value.scanned[-1][1] is None
@@ -151,48 +160,64 @@ def _count_solver_calls(monkeypatch):
 @pytest.mark.parametrize("target", [-0.52 * PI, -0.6 * PI, -0.75 * PI,
                                     -0.9 * PI, -0.98 * PI])
 def test_integrating_predicted_last_probes_changes_cost_only(target, cfg, monkeypatch):
+    # nothing integrated in full before the end, neither the seed nor a probe
+    # predicted last: the same search, on the table's seed and on one that
+    # misses by 1e-3 relative and so needs the scan
     import curvscat.shooting as shooting
-    res = shoot(target, cfg, root_tol=1e-8)
-    monkeypatch.setattr(shooting, "_predicts_last", lambda fs, tol: False)
-    ref = shoot(target, cfg, root_tol=1e-8)
-    assert res.scanned == ref.scanned
-    assert res.eta_in_found == ref.eta_in_found
-    assert res.theta_achieved == ref.theta_achieved
-    assert res.iterations == ref.iterations
-    assert res.bracket == ref.bracket
-
-
-# solver calls (deflection_of + integrate) per shot before the law's Newton
-# step lost its 2x overshoot and a predicted last probe was integrated once
-_CALLS_BEFORE = [3, 4, 4, 4, 4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5,
-                 5, 6, 6, 6, 6, 6, 5, 5, 5, 6, 6, 6, 6, 6, 6, 6, 6, 7, 7, 7,
-                 7, 7, 7, 7, 7, 8, 8, 9, 12]
+    for scale in (1.0, 1.001):
+        monkeypatch.setattr(shooting, "eta_in_of", lambda theta, scale=scale: (
+            scale * eta_in_of(theta)[0], eta_in_of(theta)[1]))
+        res = shoot(target, cfg, root_tol=1e-8)
+        with monkeypatch.context() as m:
+            m.setattr(shooting, "SEED_MISS", math.inf)
+            m.setattr(shooting, "_predicts_last", lambda fs, tol: False)
+            ref = shoot(target, cfg, root_tol=1e-8)
+        if scale == 1.0:
+            assert len(res.scanned) == 1
+        assert res.scanned == ref.scanned
+        assert res.eta_in_found == ref.eta_in_found
+        assert res.theta_achieved == ref.theta_achieved
+        assert res.iterations == ref.iterations
+        assert res.bracket == ref.bracket
 
 
 def test_shoot_solver_calls_over_the_range(cfg, monkeypatch):
-    targets = np.linspace(-0.99 * PI, -0.51 * PI, len(_CALLS_BEFORE))
-    calls = []
-    for target, before in zip(targets, _CALLS_BEFORE):
+    # the seed is the root: one integrate per shot and no deflection_of
+    for target in np.linspace(-0.99 * PI, -0.51 * PI, 49):
         evals, integrations = _count_solver_calls(monkeypatch)
         res = shoot(float(target), cfg, root_tol=1e-8)
         assert abs(res.theta_achieved - target) <= 1e-9
-        n = len(evals) + len(integrations)
-        assert n <= before, target / PI
-        assert len(integrations) <= 2, target / PI
-        calls.append(n)
-    assert np.mean(calls) <= 4.5
+        assert (evals, integrations) == ([], [res.eta_in_found]), target / PI
+        assert res.iterations == 0
+        assert res.bracket == (res.eta_in_found, res.eta_in_found)
 
 
 def test_shoot_accepts_the_law_step_directly(cfg, monkeypatch):
-    # the seed misses by about 1e-6 at -0.95pi; the law's Newton step lands
-    # within root_tol/10 and is integrated once, as predicted
+    # at root_tol 1e-10 the table's bound, 1e-9, no longer vouches for the
+    # seed, and here it misses by 1e-7 relative; the Newton step with the
+    # table's slope lands within root_tol/10 and is integrated once, as
+    # predicted
+    import curvscat.shooting as shooting
+    monkeypatch.setattr(shooting, "eta_in_of", lambda theta: (
+        (1.0 + 1e-7) * eta_in_of(theta)[0], eta_in_of(theta)[1]))
     evals, integrations = _count_solver_calls(monkeypatch)
-    res = shoot(-0.95 * PI, cfg, root_tol=1e-8)
+    res = shoot(-0.95 * PI, cfg, root_tol=1e-10)
     assert evals == [res.scanned[0][0]]
+    assert abs(res.scanned[0][1] + 0.95 * PI) > 1e-9
     assert integrations == [res.eta_in_found] == [res.scanned[1][0]]
     assert res.iterations == 0
     assert res.bracket == (res.eta_in_found, res.eta_in_found)
-    assert abs(res.theta_achieved + 0.95 * PI) <= 1e-9
+    assert abs(res.theta_achieved + 0.95 * PI) <= 1e-11
+
+
+@pytest.mark.parametrize("cfg_kw", [{"rel_tol": 1e-7}, {"max_time": 100.0}])
+@pytest.mark.parametrize("target", [-0.55 * PI, -0.75 * PI, -0.95 * PI])
+def test_shoot_off_the_default_config_still_lands(cfg_kw, target):
+    # the table is fitted at the default SolverConfig; elsewhere the seed may
+    # miss, which costs probes, not accuracy
+    res = shoot(target, SolverConfig(**cfg_kw), root_tol=1e-8)
+    assert abs(res.theta_achieved - target) <= 1e-8
+    assert res.trajectory.config == SolverConfig(**cfg_kw)
 
 
 def test_shoot_deterministic(cfg):
@@ -252,6 +277,14 @@ def test_sweep_rows(cfg):
         kappas.append(r.kappa)
     # kappa ordering follows the grid ordering through 2*pi*(1 - cos theta)
     assert kappas[0] > kappas[1] > kappas[2]
+
+
+def test_sweep_integrates_once_per_row(cfg, monkeypatch):
+    evals, integrations = _count_solver_calls(monkeypatch)
+    rows = sweep(np.linspace(-0.95 * PI, -0.55 * PI, 9), cfg, root_tol=1e-8)
+    assert [r.status for r in rows] == ["ok"] * 9
+    assert evals == []
+    assert integrations == [r.eta_in for r in rows]
 
 
 def test_sweep_records_row_failures(cfg):
