@@ -53,6 +53,10 @@ class NotConvergedError(Exception):
     """Raised when a deflection angle is requested from a non-escaped run."""
 
 
+# the message of a run that ends at max_time without escape or certificate
+NO_ESCAPE = "no escape within the time budget"
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Tolerances and windowing for integrate().
@@ -211,7 +215,7 @@ def _no_escape(blowup: Optional[BlowUpRecord]) -> NotConvergedError:
     """The error of a run that did not escape: certified or out of budget."""
     if blowup is not None:
         return NotConvergedError(f"blow-up: {blowup.reason}")
-    return NotConvergedError("no escape within the time budget")
+    return NotConvergedError(NO_ESCAPE)
 
 
 def _first(ev_list) -> Optional[float]:

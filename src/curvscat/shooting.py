@@ -3,46 +3,45 @@
 The deflection map is evaluated with xi_in pinned to 0 (a xi_in shift is a
 pure time translation and leaves the angle unchanged, so the search space is
 one-dimensional).  Empirically the map decreases from -pi/2 toward -pi as
-eta_in grows, above a scattering onset near eta_in = 1.2998; none of that is
-assumed, and only a sign change is needed.
+eta_in grows, above a scattering onset near eta_in = 1.2998.
 
-The scan for it starts at the tabulated inverse map
-(deflection_table.eta_in_of), clamped to [floor, ceiling].  At the default
-SolverConfig the seed lands within deflection_table.MISS = 1e-9 of the
-target, so at the default root_tol it is the root: one solver call per shot
-(over the 872 targets of benchmark shoot seeds 1-30 the worst miss is
-2.5e-11).  Other solver settings move the map, and the seed can then miss;
-a miss changes only the cost.  The next probe is a Newton step with the
-table's slope at the angle seen; its residual is about |eta''/eta'|/2 *
-f0^2, where f0 is the seed's residual: 2 f0^2 mid-range, 64 f0^2 at the
-deep end.  Each later probe is the secant through the two scattering
-points nearest the root, overshot 2x so that it lands across the root;
-every step is at most a factor of 2 in eta.  Which way to step comes from
-the signs seen.  Non-scattering outcomes raise the scan floor: a step that
-would pass it goes to the geometric mean of the floor and the lowest
-scattering point, and a step toward it is not overshot, as past the root
-lies the onset.  A non-scattering first probe (a budget shorter than the
-default raises the onset) is followed by probes climbing by _ONSET_STEP,
-doubling.  A probe within a tenth of root_tol ends the search, bracketed
-or not.
+The search starts at the tabulated inverse map (deflection_table.eta_in_of),
+clamped to the ceiling.  At the default SolverConfig the seed lands within
+deflection_table.MISS = 1e-9 of the target, so at the default root_tol it is
+the root: one solver call per shot (over the 872 targets of benchmark shoot
+seeds 1-30 the worst miss is 2.5e-11).  Other solver settings move the map,
+and the seed can then miss; a miss changes only the cost.
 
-Otherwise the root is refined by Brent's method (scipy.optimize.brentq) on
-the scan's bracket: inverse quadratic and secant steps, with bisection
-whenever they would not shrink the bracket fast enough.  Refinement stops
-at a tenth of root_tol, leaving room for the solver's own error in Theta;
-an iterate within root_tol is still accepted when the bracket collapses to
-a few ulps.  A non-scattering point inside the bracket ends the search with
-a BracketNotFoundError.
+Every later probe follows one rule (Newton's method inside a bracket, as in
+Numerical Recipes' rtsafe): the Newton step eta - f * eta_in'(theta) from the
+latest scattering point, where f = theta - theta_target and eta_in'(theta)
+is the table's slope at the angle seen there.  Each evaluation narrows the
+bracket (lo, hi): f > 0 or a non-scattering outcome raises lo, f < 0 lowers
+hi.  lo starts at 0, since eta_in <= 0 is certified non-scattering
+(integrator._solve), and hi at the ceiling.  A step that leaves the bracket
+goes to its log-midpoint, or to hi/2 while lo is 0.  Before any angle is
+seen there is no slope: a non-scattering probe (a budget shorter than the
+default raises the onset) is followed by one _ONSET_STEP higher, relative,
+the step doubling each time.
+
+A probe within a tenth of root_tol ends the search, leaving room for the
+solver's own error in Theta.  When the next probe would lie within
+_COLLAPSE, relative, of a bracket end, the bracket has collapsed: the better
+scattering end is accepted if it lies within root_tol, and otherwise the
+search fails, naming why: no root up to the ceiling, the lower edge pinned
+by non-scattering outcomes (naming max_time when they are budget stops),
+or a stalled refinement.  A non-scattering outcome above a scattering point
+also ends the search with a BracketNotFoundError.
 
 Evaluations are solver-only (integrator.deflection_of: no dense output, no
 samples, and an early certificate for non-scattering data), except for a
 probe expected to end the search: the seed when MISS is within a tenth of
-root_tol, and an un-overshot probe that _predicts_last picks.  It is
-integrated in full (integrator.integrate) and its trajectory kept, so the
-accepted root is not solved twice.  deflection_of equals deflection of the
-integrated trajectory bit for bit, so a guess changes cost only, never the
-iterates; when no kept trajectory is the root, the root is integrated once
-more at the end.
+root_tol, and a Newton probe that _predicts_last picks.  It is integrated in
+full (integrator.integrate) and its trajectory kept, so the accepted root is
+not solved twice.  deflection_of equals deflection of the integrated
+trajectory bit for bit, so a guess changes cost only, never the probes; when
+the kept trajectory is not the root's, the root is integrated once more at
+the end.
 """
 
 from __future__ import annotations
@@ -51,28 +50,26 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from scipy.optimize import brentq
-
 from .closed_forms import AsymptoticData
 from .deflection_table import MISS as SEED_MISS, eta_in_of
-from .integrator import (NotConvergedError, SolverConfig, Trajectory,
+from .integrator import (NO_ESCAPE, NotConvergedError, SolverConfig, Trajectory,
                          deflection, deflection_of, integrate)
 from . import geometry
 
-DEFAULT_FLOOR = 1e-6
 DEFAULT_CEILING = 1e6
 THETA_MARGIN = 0.005 * math.pi
-_SCAN_BUDGET = 80
-# least relative scan step: a tiny Newton or secant step still moves
-_EPS = 2.0**-52
+_EVAL_BUDGET = 80
 # relative step after a non-scattering probe, doubling: a shorter budget
 # raises the onset (1.29982 at the default, 1.30103 at max_time 100), and one
 # step lifts the shallowest seed, 1.29983, past the onset at max_time 100
 _ONSET_STEP = 2.0**-7
+# a probe this close to a bracket end, relative, would barely narrow it: the
+# bracket has collapsed
+_COLLAPSE = 1e-12
 
 
 class BracketNotFoundError(RuntimeError):
-    """Scan exhausted its range without a sign change; carries the evals."""
+    """The search ended without a root; carries the evaluations."""
 
     def __init__(self, message: str, scanned: list[tuple[float, Optional[float]]]):
         super().__init__(message)
@@ -90,173 +87,127 @@ class ShootingResult:
     scanned: list[tuple[float, Optional[float]]]   # every evaluation, in order
 
 
-def check_search(root_tol: float, floor: float, ceiling: float) -> None:
-    """Raise ValueError, naming the argument, unless root_tol, floor and
-    ceiling are finite and positive with floor < ceiling."""
-    for name, value in (("root_tol", root_tol), ("floor", floor),
-                        ("ceiling", ceiling)):
+def check_search(root_tol: float, ceiling: float) -> None:
+    """Raise ValueError, naming the argument, unless root_tol and ceiling
+    are finite and positive."""
+    for name, value in (("root_tol", root_tol), ("ceiling", ceiling)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    if floor >= ceiling:
-        raise ValueError(f"floor {floor!r} must lie below ceiling {ceiling!r}")
 
 
-def _predicts_last(fs: list[float], tol: float) -> bool:
-    """Whether the next un-overshot probe is expected to land within tol,
-    from the residuals fs of the last one or two scattering evaluations.
+def _predicts_last(f: float, tol: float) -> bool:
+    """Whether the Newton probe from a scattering point with residual f is
+    expected to land within tol.
 
-    After one residual the probe is the table's Newton step, whose residual
-    is about 2*f0^2 mid-range and 64*f0^2 at the deep end (10*f0^2 is
-    taken); later probes are secant-like steps, whose residual is about
-    |f_n|*|f_n/f_{n-1}|.  A guess decides only whether a probe is
-    integrated in full, never where it lies."""
-    f = abs(fs[-1])
-    if len(fs) == 1:
-        return 10.0 * f * f <= tol
-    return f * min(1.0, f / abs(fs[-2])) <= tol
+    With the table's slope its residual is about 2*f^2 mid-range and 64*f^2
+    at the deep end (10*f^2 is taken).  A guess decides only whether a probe
+    is integrated in full, never where it lies."""
+    return 10.0 * f * f <= tol
 
 
 def shoot(theta_target: float, cfg: SolverConfig = SolverConfig(),
-          root_tol: float = 1e-8, floor: float = DEFAULT_FLOOR,
-          ceiling: float = DEFAULT_CEILING) -> ShootingResult:
+          root_tol: float = 1e-8, ceiling: float = DEFAULT_CEILING) -> ShootingResult:
     """Find eta_in whose deflection hits theta_target to within root_tol.
 
     theta_target must keep THETA_MARGIN to the interval ends (-pi, -pi/2).
-    Non-scattering evaluations (blow-up or no escape within budget) raise
-    the lower scan edge.  The search stops at |dtheta| <= root_tol/10.
-    A scan probe that lands there is accepted at once, with iterations 0
-    and bracket (eta, eta).  Otherwise iterations counts the evaluations
-    made after the scan found its bracket, and bracket is the first pair of
-    neighbouring evaluations (in eta order) whose residuals change sign once
-    refinement is done.  Deterministic: identical inputs produce identical
-    results.  Bad search arguments (check_search) and targets outside the
-    margin raise ValueError.
+    The search stops at a probe within root_tol/10, where bracket is
+    (eta, eta), or at a bracket end within root_tol once the bracket
+    collapses, where bracket holds the nearest evaluated scattering points
+    below and above the root (residual > 0 and < 0), the root standing in
+    for a side with none.  iterations counts the evaluations after the
+    seed: an accepted seed gives 0 and (eta, eta).  Deterministic: identical
+    inputs produce identical results.  Bad search arguments (check_search)
+    and targets outside the margin raise ValueError.
     """
-    check_search(root_tol, floor, ceiling)
+    check_search(root_tol, ceiling)
     if not (-math.pi + THETA_MARGIN < theta_target < -0.5 * math.pi - THETA_MARGIN):
         raise ValueError(f"theta_target {theta_target} outside (-pi + "
                          f"{THETA_MARGIN:g}, -pi/2 - {THETA_MARGIN:g})")
 
     tol = 0.1 * root_tol
     scanned: list[tuple[float, Optional[float]]] = []
-    good: dict[float, float] = {}   # eta -> theta - theta_target, in evaluation order
-    kept: dict[float, Trajectory] = {}   # probes integrated in full
-    lo_fail = floor                 # largest eta known (or assumed) non-scattering
-
-    def evaluate(eta: float, last: bool = False) -> bool:
-        # a probe predicted to be the last is integrated in full and its
-        # trajectory kept; deflection_of gives the same angle bit for bit
-        nonlocal lo_fail
-        if eta in good:
-            return True
-        a = AsymptoticData(0.0, eta)
-        try:
-            if last:
-                traj = integrate(a, cfg)
-                theta = deflection(traj)
-                kept[eta] = traj
-            else:
-                theta = deflection_of(a, cfg)
-        except NotConvergedError:
-            scanned.append((eta, None))
-            lo_fail = max(lo_fail, eta)
-            return False
-        scanned.append((eta, theta))
-        good[eta] = theta - theta_target
-        return True
+    kept: Optional[Trajectory] = None   # the latest probe integrated in full
+    # bracket ends as (eta, theta - theta_target); the residual is None at an
+    # end that was not evaluated or did not scatter
+    lo: tuple[float, Optional[float]] = (0.0, None)
+    hi: tuple[float, Optional[float]] = (ceiling, None)
+    lo_why = ""                          # why the lower end did not scatter
+    near = None                          # (eta, f) of the latest scattering probe
 
     def fail(why: str) -> BracketNotFoundError:
         return BracketNotFoundError(
             f"no bracket for theta = {theta_target}: {why}", scanned)
 
-    def sign_change_pair():
-        es = sorted(good)
-        for e1, e2 in zip(es, es[1:]):
-            if good[e1] * good[e2] <= 0.0:
-                return e1, e2
-        return None
-
-    # --- scan for a sign change, seeded by the tabulated inverse map --------
     seed = eta_in_of(theta_target)[0]
-    eta = min(max(seed, floor), ceiling)
+    eta = min(seed, ceiling)
     # the seed misses by at most SEED_MISS at the default SolverConfig: when
     # that is within tol, it is integrated in full, as it should be the root
-    last = eta == seed and SEED_MISS <= tol
+    full = eta == seed and SEED_MISS <= tol
     rel = _ONSET_STEP
-    while not evaluate(eta, last):
-        if eta >= ceiling:
-            raise fail("no scattering outcome up to the ceiling")
-        eta = min(eta * (1.0 + rel), ceiling)
-        rel = min(2.0 * rel, 1.0)
-        last = False
-
-    # each probe steps from the scattering point nearest the root, up to a
-    # factor of 2 in eta: first a Newton step, with the table's slope at the
-    # angle seen, then the secant through the two nearest points, overshot 2x
-    # to land across the root, except toward a non-scattering outcome, as
-    # past the root lies the onset
-    def predicts_last() -> bool:
-        return _predicts_last(list(good.values())[-2:], tol)
-
-    while abs(good[next(reversed(good))]) > tol and sign_change_pair() is None:
-        if len(scanned) > _SCAN_BUDGET:
-            raise fail("scan budget exhausted")
-        es = sorted(good)
-        # every achieved angle too deep: explore smaller eta
-        down = good[es[0]] < 0.0
-        near = es[0] if down else es[-1]
-        f = good[near]
-        if len(es) == 1:
-            step = abs(f * eta_in_of(theta_target + f)[1])
-            over = 1.0
-        else:
-            far = es[1] if down else es[-2]
-            df = f - good[far]
-            step = abs(f * (near - far) / df) if df != 0.0 else math.inf
-            over = 1.0 if down and lo_fail > floor else 2.0
-        step = max(over * step, _EPS * near)
-        last = over == 1.0 and predicts_last()
-        if down:
-            cand = near - min(step, 0.5 * near)
-            if cand <= lo_fail:
-                cand = math.sqrt(lo_fail * near)
-                if cand <= lo_fail * (1.0 + 1e-12) or cand >= near * (1.0 - 1e-12):
-                    raise fail("lower edge pinned by non-scattering outcomes")
-            evaluate(cand, last)
-        else:
-            if near >= ceiling:
-                raise fail("upper edge reached the ceiling")
-            if not evaluate(min(near + min(step, near), ceiling), last):
-                raise fail("non-scattering outcome above a scattering point")
-
-    best_eta = next(reversed(good))
-    if abs(good[best_eta]) <= tol:
-        # a scan probe landed within tol: no refinement
-        n_refine, bracket = 0, (best_eta, best_eta)
-    else:
-        # --- Brent's method on the bracket ----------------------------------
-        # a residual within tol reads as an exact zero, on which brentq
-        # stops; its rtol floor, 4*2^-52, stops it once the bracket collapses
-        def residual(eta: float) -> float:
-            if not evaluate(eta, predicts_last()):
+    while True:
+        a = AsymptoticData(0.0, eta)
+        try:
+            if full:
+                kept = integrate(a, cfg)
+                theta = deflection(kept)
+            else:
+                theta = deflection_of(a, cfg)
+        except NotConvergedError as exc:
+            scanned.append((eta, None))
+            if lo[1] is not None:
                 raise fail("bracket interior stopped scattering")
-            f = good[eta]
-            return 0.0 if abs(f) <= tol else f
+            lo, lo_why = (eta, None), str(exc)
+        else:
+            scanned.append((eta, theta))
+            f = theta - theta_target
+            if abs(f) <= tol:
+                root, bracket = eta, (eta, eta)
+                break
+            near = (eta, f)
+            if f > 0.0:
+                lo = near
+            else:
+                hi = near
+        if len(scanned) > _EVAL_BUDGET:
+            raise fail("evaluation budget exhausted")
 
-        n_scan = len(scanned)
-        best_eta = brentq(residual, *sign_change_pair(), xtol=math.ulp(0.0),
-                          rtol=4.0 * _EPS, disp=False)
-        best_f = good[best_eta]
-        if abs(best_f) > root_tol:
-            raise fail(f"root refinement stalled at |dtheta| = {abs(best_f):.3e}")
-        n_refine, bracket = len(scanned) - n_scan, sign_change_pair()
-    traj = kept.get(best_eta)
-    if traj is None:
-        traj = integrate(AsymptoticData(0.0, best_eta), cfg)
+        if near is None:
+            # no angle seen yet: climb past the onset
+            if eta >= ceiling:
+                raise fail("no root up to the ceiling")
+            eta, full = min(eta * (1.0 + rel), ceiling), False
+            rel = min(2.0 * rel, 1.0)
+            continue
+        e, f = near
+        eta, full = e - f * eta_in_of(theta_target + f)[1], _predicts_last(f, tol)
+        if not lo[0] < eta < hi[0]:
+            eta = math.sqrt(lo[0] * hi[0]) if lo[0] > 0.0 else 0.5 * hi[0]
+            full = False
+        if eta <= lo[0] * (1.0 + _COLLAPSE) or eta >= hi[0] * (1.0 - _COLLAPSE):
+            # a scattering end is never replaced by a non-scattering one, and
+            # near is one of them
+            root, f = min((end for end in (lo, hi) if end[1] is not None),
+                          key=lambda end: abs(end[1]))
+            if abs(f) <= root_tol:
+                bracket = (lo[0] if lo[1] is not None else root,
+                           hi[0] if hi[1] is not None else root)
+                break
+            if hi[1] is None:
+                raise fail("no root up to the ceiling")
+            if lo[1] is not None:
+                raise fail(f"root refinement stalled at |dtheta| = {abs(f):.3e}")
+            if lo_why == NO_ESCAPE:
+                raise fail(f"lower edge pinned by runs up to eta_in = {lo[0]:.9g} "
+                           f"that find no escape within max_time = {cfg.max_time:g}; "
+                           "raise --max-time")
+            raise fail("lower edge pinned by non-scattering outcomes")
+
+    if kept is None or kept.asymptotics.eta_in != root:
+        kept = integrate(AsymptoticData(0.0, root), cfg)
     return ShootingResult(
-        theta_target=theta_target, eta_in_found=best_eta,
-        theta_achieved=deflection(traj), iterations=n_refine,
-        bracket=bracket, trajectory=traj, scanned=scanned,
+        theta_target=theta_target, eta_in_found=root,
+        theta_achieved=deflection(kept), iterations=len(scanned) - 1,
+        bracket=bracket, trajectory=kept, scanned=scanned,
     )
 
 
@@ -282,8 +233,7 @@ def sweep(theta_grid, cfg: SolverConfig = SolverConfig(),
     continues; bad search arguments raise ValueError before the first row.
     on_row, when given, is called with each row as it is done.
     """
-    check_search(root_tol, shoot_kw.get("floor", DEFAULT_FLOOR),
-                 shoot_kw.get("ceiling", DEFAULT_CEILING))
+    check_search(root_tol, shoot_kw.get("ceiling", DEFAULT_CEILING))
     rows: list[SweepRow] = []
     for theta_t in theta_grid:
         theta_t = float(theta_t)

@@ -13,6 +13,7 @@ from curvscat import AsymptoticData, SolverConfig, integrate
 from curvscat.cli import (EXIT_NONSCATTERING, EXIT_OK, EXIT_PARTIAL,
                           EXIT_USAGE, EXIT_VERIFY_FAIL, _json_render,
                           build_parser, main, parse_angle)
+from curvscat.deflection_table import eta_in_of
 from curvscat.integrator import _CERTIFIED
 
 from _reference import ORACLE_THETA_ETA8
@@ -122,6 +123,26 @@ def test_solve_summary_layout(tmp_path, eta_in, keys):
         }) + "\n"
 
 
+def test_shoot_summary_layout(tmp_path):
+    # a default shot adds the shooting block to the solve layout; its seed
+    # is the root, with no evaluation after it
+    out = tmp_path / "run"
+    assert _run("shoot", "--theta=-0.75pi", "--out-dir", str(out)) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert list(summary) == ["schema", "inputs", "events", "theta", "escaped",
+                             "drift", "config", "kappa", "alpha", "k_star",
+                             "fits", "residuals", "shooting"]
+    assert summary["inputs"] == {"theta_target": -0.75 * math.pi, "root_tol": 1e-8}
+    sh = summary["shooting"]
+    assert list(sh) == ["theta_target", "theta_achieved", "eta_in",
+                        "iterations", "bracket"]
+    assert sh["theta_target"] == -0.75 * math.pi
+    assert sh["theta_achieved"] == summary["theta"]
+    assert sh["eta_in"] == eta_in_of(-0.75 * math.pi)[0]
+    assert sh["iterations"] == 0
+    assert sh["bracket"] == [sh["eta_in"], sh["eta_in"]]
+
+
 @pytest.mark.parametrize("eta_in", ["-1", "1.0"])
 def test_nonscattering_reason_written_once(tmp_path, eta_in):
     # the top-level blowup record carries the reason; the event record
@@ -205,6 +226,23 @@ def test_sweep_files_and_partial_exit(tmp_path):
     assert rows[1]["status"] == "ok"
 
 
+def test_ceiling_below_the_onset_is_an_outcome(tmp_path, capsys):
+    # a ceiling of 1e-7 lies below every root: shoot fails as a search
+    # (exit 2) and sweep records a failed row (exit 3)
+    out = tmp_path / "shoot"
+    assert _run("shoot", "--theta", "-0.75pi", "--eta-ceiling", "1e-7",
+                "--out-dir", str(out)) == EXIT_NONSCATTERING
+    summary = json.loads((out / "summary.json").read_text())
+    assert "no root up to the ceiling" in summary["error"]
+    assert [s["eta_in"] for s in summary["scanned"]] == [1e-7]
+    out = tmp_path / "sweep"
+    assert _run("sweep", "--theta-min", "-0.8pi", "--theta-max", "-0.75pi",
+                "--n", "2", "--eta-ceiling", "1e-7",
+                "--out-dir", str(out)) == EXIT_PARTIAL
+    rows = json.loads((out / "sweep.json").read_text())["rows"]
+    assert all("no root up to the ceiling" in r["status"] for r in rows)
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_sweep_n_below_one_is_usage_error(tmp_path, capsys, n):
     out = tmp_path / "sweep"
@@ -220,7 +258,7 @@ def test_sweep_n_below_one_is_usage_error(tmp_path, capsys, n):
     (("shoot", "--theta", "-0.75pi", "--root-tol", "-1"), "--root-tol"),
     (("shoot", "--theta", "-0.75pi", "--eta-ceiling", "0"), "--eta-ceiling"),
     (("shoot", "--theta", "-0.75pi", "--eta-ceiling", "nan"), "--eta-ceiling"),
-    (("shoot", "--theta", "-0.75pi", "--eta-ceiling", "1e-7"), "ceiling"),
+    (("shoot", "--theta", "-0.75pi", "--eta-ceiling", "inf"), "ceiling"),
     (("sweep", "--theta-min", "-0.8pi", "--theta-max", "-0.75pi", "--n", "2",
       "--root-tol", "inf"), "--root-tol"),
     (("sweep", "--theta-min", "-0.8pi", "--theta-max", "-0.75pi", "--n", "2",
@@ -233,7 +271,7 @@ def test_sweep_n_below_one_is_usage_error(tmp_path, capsys, n):
     (("flow", "--mu0", "-0.999", "--delta", "1e-6", "--tol", "-1"), "--tol"),
     (("verify", "--eta-in"), "--eta-in"),
     (("sweep", "--theta-min", "-0.8pi", "--theta-max", "-0.75pi", "--n", "2",
-      "--eta-ceiling", "1e-7"), "ceiling"),
+      "--eta-ceiling", "inf"), "ceiling"),
 ])
 def test_bad_search_and_flow_arguments_are_usage_errors(tmp_path, capsys,
                                                         args, message):

@@ -85,22 +85,11 @@ def test_shoot_climbs_past_the_onset_from_a_nonscattering_seed(cfg, monkeypatch)
     assert len(res.scanned) <= 12
 
 
-def test_shoot_seed_clamped_to_floor(cfg):
-    # the root near 3.314 lies below the floor: the first probe is the floor,
-    # and the scan stops there instead of crossing it
-    with pytest.raises(BracketNotFoundError, match="pinned") as e:
-        shoot(-0.9 * PI, cfg, floor=4.0)
-    assert e.value.scanned[0][0] == 4.0
-    assert min(eta for eta, _ in e.value.scanned) >= 4.0
-
-
 @pytest.mark.parametrize("kw, name", [
     ({"root_tol": math.nan}, "root_tol"), ({"root_tol": 0.0}, "root_tol"),
     ({"root_tol": -1.0}, "root_tol"), ({"root_tol": math.inf}, "root_tol"),
     ({"ceiling": 0.0}, "ceiling"), ({"ceiling": math.nan}, "ceiling"),
-    ({"ceiling": math.inf}, "ceiling"), ({"floor": -1.0}, "floor"),
-    ({"floor": math.nan}, "floor"), ({"floor": 10.0, "ceiling": 10.0}, "floor"),
-    ({"floor": 20.0, "ceiling": 10.0}, "floor"),
+    ({"ceiling": math.inf}, "ceiling"),
 ])
 def test_shoot_rejects_bad_search_arguments(cfg, monkeypatch, kw, name):
     import curvscat.shooting as shooting
@@ -128,6 +117,19 @@ def test_shoot_bracket_interior_stopped_scattering(cfg, monkeypatch):
     with pytest.raises(BracketNotFoundError, match="interior stopped scattering") as e:
         shoot(target, cfg)
     assert e.value.scanned[-1][1] is None
+
+
+def test_shoot_stops_at_the_evaluation_budget(cfg, monkeypatch):
+    # a map that falls short of the target everywhere: the Newton steps
+    # climb toward the ceiling in small steps until the budget runs out
+    import curvscat.shooting as shooting
+    target = -0.75 * PI
+    monkeypatch.setattr(shooting, "deflection_of", lambda a, c: target + 1.0)
+    with pytest.raises(BracketNotFoundError, match="budget exhausted") as e:
+        shoot(target, cfg, root_tol=1e-10)
+    assert len(e.value.scanned) == shooting._EVAL_BUDGET + 1
+    etas = [eta for eta, _ in e.value.scanned]
+    assert etas == sorted(etas)
 
 
 def test_shoot_integrates_only_the_accepted_root(cfg, monkeypatch):
@@ -160,9 +162,9 @@ def _count_solver_calls(monkeypatch):
 @pytest.mark.parametrize("target", [-0.52 * PI, -0.6 * PI, -0.75 * PI,
                                     -0.9 * PI, -0.98 * PI])
 def test_integrating_predicted_last_probes_changes_cost_only(target, cfg, monkeypatch):
-    # nothing integrated in full before the end, neither the seed nor a probe
-    # predicted last: the same search, on the table's seed and on one that
-    # misses by 1e-3 relative and so needs the scan
+    # nothing integrated in full before the end, neither the seed nor a
+    # Newton probe predicted last: the same search, on the table's seed and
+    # on one that misses by 1e-3 relative and so needs Newton steps
     import curvscat.shooting as shooting
     for scale in (1.0, 1.001):
         monkeypatch.setattr(shooting, "eta_in_of", lambda theta, scale=scale: (
@@ -170,7 +172,7 @@ def test_integrating_predicted_last_probes_changes_cost_only(target, cfg, monkey
         res = shoot(target, cfg, root_tol=1e-8)
         with monkeypatch.context() as m:
             m.setattr(shooting, "SEED_MISS", math.inf)
-            m.setattr(shooting, "_predicts_last", lambda fs, tol: False)
+            m.setattr(shooting, "_predicts_last", lambda f, tol: False)
             ref = shoot(target, cfg, root_tol=1e-8)
         if scale == 1.0:
             assert len(res.scanned) == 1
@@ -205,7 +207,7 @@ def test_shoot_accepts_the_law_step_directly(cfg, monkeypatch):
     assert evals == [res.scanned[0][0]]
     assert abs(res.scanned[0][1] + 0.95 * PI) > 1e-9
     assert integrations == [res.eta_in_found] == [res.scanned[1][0]]
-    assert res.iterations == 0
+    assert res.iterations == 1
     assert res.bracket == (res.eta_in_found, res.eta_in_found)
     assert abs(res.theta_achieved + 0.95 * PI) <= 1e-11
 
@@ -218,6 +220,37 @@ def test_shoot_off_the_default_config_still_lands(cfg_kw, target):
     res = shoot(target, SolverConfig(**cfg_kw), root_tol=1e-8)
     assert abs(res.theta_achieved - target) <= 1e-8
     assert res.trajectory.config == SolverConfig(**cfg_kw)
+
+
+@pytest.mark.parametrize("target", [-0.55 * PI, -0.75 * PI, -0.95 * PI])
+def test_shoot_at_rel_tol_1e7_takes_one_newton_step(target, monkeypatch):
+    # the seed misses the map at rel_tol 1e-7; one Newton step with the
+    # table's slope lands, integrated in full as predicted
+    evals, integrations = _count_solver_calls(monkeypatch)
+    res = shoot(target, SolverConfig(rel_tol=1e-7), root_tol=1e-8)
+    assert abs(res.theta_achieved - target) <= 1e-9
+    assert len(evals) + len(integrations) <= 2
+
+
+@pytest.mark.parametrize("target", [-0.55 * PI, -0.75 * PI])
+def test_shoot_accepts_a_collapsed_bracket_end(target, cfg):
+    # at root_tol 1e-11 the seed misses by more than root_tol/10, and the
+    # Newton step from it lies within 1e-12 relative: the bracket has
+    # collapsed onto the seed, which is accepted as it lies within root_tol
+    res = shoot(target, cfg, root_tol=1e-11)
+    assert 1e-12 < abs(res.theta_achieved - target) <= 1e-11
+    assert res.scanned == [(res.eta_in_found, res.theta_achieved)]
+
+
+def test_shoot_pinned_by_the_budget_names_it():
+    # at max_time 100 the onset rises to 1.30103, above the root of -0.52pi:
+    # the runs below it exhaust the budget, and the failure says so
+    with pytest.raises(BracketNotFoundError, match="pinned") as e:
+        shoot(-0.52 * PI, SolverConfig(max_time=100.0))
+    message = str(e.value)
+    assert "max_time = 100" in message and "--max-time" in message
+    assert "eta_in = 1.301" in message
+    assert len(e.value.scanned) <= 34
 
 
 def test_shoot_deterministic(cfg):
