@@ -34,7 +34,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .closed_forms import AsymptoticData, free_asymptote, free_leg, past_tails
 from .integrator import Trajectory
@@ -79,6 +78,44 @@ class QuadratureResult(NamedTuple):
     alpha: float
 
 
+def _simpson_pairs(y: np.ndarray, h: np.ndarray, stop: int) -> float:
+    """Simpson's rule over the interval pairs (x_2i, x_2i+2) for 2i < stop,
+    on spacings h = diff(x)."""
+    h0 = h[0:stop:2]
+    h1 = h[1:stop + 1:2]
+    hsum = h0 + h1
+    h0divh1 = h0 / h1
+    tmp = hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
+                        + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
+                        + y[2:stop + 2:2] * (2.0 - h0divh1))
+    return np.sum(tmp)
+
+
+def simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson's rule for samples y at strictly increasing x.
+
+    The irregular-grid rule of scipy.integrate.simpson (scipy 1.17) for 1-D
+    input, with the same arithmetic: Simpson's rule on interval pairs, and
+    with an even number of samples Cartwright's correction for the last
+    interval added to the rule on the pairs before it; two samples give the
+    trapezoid.
+    """
+    n = len(y)
+    if n == 2:
+        return float(0.5 * (x[-1] - x[-2]) * (y[-1] + y[-2]))
+    h = np.diff(x)
+    if n % 2 == 1:
+        return float(_simpson_pairs(y, h, n - 2))
+    # 0-d arrays, as scipy's: their powers take numpy's ufunc loops
+    h0, h1 = np.asarray(h[-2]), np.asarray(h[-1])
+    alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
+    beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
+    eta = 1 * h1 ** 3 / (6 * h0 * (h0 + h1))
+    result = _simpson_pairs(y, h, n - 3)
+    result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return float(result)
+
+
 def _tail_arrays(traj: Trajectory):
     m = traj.uniform_mask
     return traj.t[m], traj.xi[m], traj.eta[m]
@@ -109,8 +146,8 @@ def curvature_area_quadrature(traj: Trajectory) -> QuadratureResult:
     curv_fut = xi_dot_T - float(xi_dot_inf)
     area_fut = 2.0 * (eta_dot_T - float(eta_dot_inf))
 
-    kappa = TWO_PI * (float(simpson(f_curv, x=t)) + a.eta_in * area_past + curv_fut)
-    alpha = _SQRT2 * math.pi * (float(simpson(f_area, x=t)) + area_past + area_fut)
+    kappa = TWO_PI * (simpson(f_curv, t) + a.eta_in * area_past + curv_fut)
+    alpha = _SQRT2 * math.pi * (simpson(f_area, t) + area_past + area_fut)
     return QuadratureResult(kappa=kappa, alpha=alpha)
 
 

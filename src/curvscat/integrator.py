@@ -2,9 +2,9 @@
 
 Runs start from the free-motion expansion at closed_forms.start_time, where
 its expansion parameter eta_in*w, w = exp(2*(xi_in + t_start)), is at most
-2.3e-8 at every eta_in.  Stepping uses an embedded adaptive Runge-Kutta pair
-with dense output (DOP853); the scheme is incidental, the contract is the
-tolerances.
+2.3e-8 at every eta_in.  Stepping uses the embedded adaptive Runge-Kutta
+pair DOP853 with dense output (dop853.solve_ivp, which takes scipy's steps
+on plain floats); the scheme is incidental, the contract is the tolerances.
 
 A run ends in one of three ways:
   * escape: |eta*exp(2*xi)|, |speed^2 - 1| and exp(4*xi), the order of the
@@ -17,8 +17,8 @@ A run ends in one of three ways:
     exception.  Data with eta_in <= 0 start inside it and make no solver
     call;
   * budget exhausted: no escape within max_time after t_start.
-A solver failure is none of these: it raises NotConvergedError with
-solve_ivp's own message.
+A solver failure (a step below 10 ulp of t) is none of these: it raises
+NotConvergedError with the stepper's message.
 
 The solver stops at escape; after it, samples, the eta crossings and the
 deflection angle come from the closed-form free leg (closed_forms.free_leg).
@@ -42,10 +42,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .closed_forms import (AsymptoticData, free_leg, free_motion_expansion,
                            start_time)
+from .dop853 import solve_ivp
 from .dynamics import PhasePoint, energy_array, rhs
 
 
@@ -182,7 +182,7 @@ def _solve(a: AsymptoticData, cfg: SolverConfig, extra_events, dense_output: boo
     solve_ivp result and the BlowUpRecord of a certified stop (None at
     escape or budget exhaustion, which the escape event tells apart).
     Data with eta_in <= 0 start certified and make no call (sol is None).
-    A solver failure raises NotConvergedError with solve_ivp's message.
+    A solver failure raises NotConvergedError with the stepper's message.
     """
     p0 = free_motion_expansion(start_time(a), a)
     if a.eta_in <= 0.0:
@@ -198,8 +198,8 @@ def _solve(a: AsymptoticData, cfg: SolverConfig, extra_events, dense_output: boo
     ev_eta0.direction = -1
 
     sol = solve_ivp(rhs, (p0.t, p0.t + cfg.max_time),
-                    [p0.xi, p0.xi_dot, p0.eta, p0.eta_dot], method="DOP853",
-                    rtol=cfg.rel_tol, atol=cfg.abs_tol, dense_output=dense_output,
+                    [p0.xi, p0.xi_dot, p0.eta, p0.eta_dot], rtol=cfg.rel_tol,
+                    atol=cfg.abs_tol, dense_output=dense_output,
                     events=[ev_escape, ev_eta0, _ev_certificate, *extra_events])
     if sol.status == -1:
         raise NotConvergedError(f"solver failure: {sol.message}")

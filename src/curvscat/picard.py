@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
 
 from .closed_forms import (AsymptoticData, explicit_bounds, past_tails,
                            start_time, xi_subsolution)
@@ -143,6 +142,9 @@ def _march_xi(t: np.ndarray, eta: np.ndarray, a: AsymptoticData,
     reaches an exact fixed point.  Raises NewtonNotConvergedError if neither
     is at roundoff after _NEWTON_MAX_STEPS steps.
     """
+    # imported here, so that only commands that march load scipy.linalg
+    from scipy.linalg.lapack import dtbtrs
+
     # inner and outer integral tails at t_min
     P0, Q0 = (a.eta_in * v for v in past_tails(float(t[0]), a))
     c = a.xi_in + t

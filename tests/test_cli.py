@@ -370,6 +370,17 @@ def test_parser_built_once_and_reused(tmp_path):
     assert (tmp_path / "here" / report).read_bytes() == (tmp_path / "fresh" / report).read_bytes()
 
 
+def test_command_path_imports_no_scipy():
+    # scipy.integrate alone took most of a fresh command's time; picard
+    # loads scipy.linalg only when it marches
+    src = str(Path(curvscat.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, curvscat.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        check=True, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
+
+
 def test_flow_command(tmp_path):
     out = tmp_path / "flow"
     assert _run("flow", "--mu0", "-0.999", "--delta", "1e-6",
