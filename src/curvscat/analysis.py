@@ -1,15 +1,5 @@
-"""Diagnostics mirroring the uniqueness and convergence machinery.
-
-Linearizing the motion around a base point (xi1, eta2, phi) gives a first
-order system whose characteristic polynomial is
-
-    P(lambda) = lambda^4 + 2*eta2*e^{2 phi} lambda^2 - e^{2 phi + 2 xi1},
-
-a quadratic in lambda^2 with one positive and one negative root (their
-product is -e^{2 phi + 2 xi1} < 0), hence two real and two purely imaginary
-eigenvalues.  The roots are computed in e^{2 phi}-factored form: for late
-samples of long runs the unfactored product underflows while the factored
-one stays representable.
+"""Diagnostics mirroring the convergence machinery: the gradient-flow
+recurrence that `flow` runs and the convexity check that `verify` runs.
 
 The future-zone linear-bound recurrence
 
@@ -36,67 +26,6 @@ from typing import Optional
 import numpy as np
 
 from .integrator import Trajectory
-
-
-@dataclass(frozen=True)
-class SpectrumSample:
-    """Eigenvalue data of the linearization at one base point.
-
-    mu_plus/mu_minus are the lambda^2 roots; nu_plus/nu_minus the same roots
-    with the e^{2 phi} factor removed, satisfying
-    nu_plus * nu_minus = -e^{2(xi1 - phi)} exactly.  That product identity is
-    the underflow-safe form of mu_plus * mu_minus = -e^{2 phi + 2 xi1} (equal
-    to -1 on self-linearized trajectory samples, where xi1 = phi).
-    """
-
-    lambda_real: float
-    lambda_imag: float
-    mu_plus: float
-    mu_minus: float
-    nu_plus: float
-    nu_minus: float
-    xi1: float
-    eta2: float
-    phi: float
-    t: float = 0.0
-
-
-def linearization_spectrum(xi1: float, eta2: float, phi: float,
-                           t: float = 0.0) -> SpectrumSample:
-    """Roots of the linearization polynomial at a base point.
-
-    Substituting lambda^2 = e^{2 phi} nu reduces the polynomial to
-    nu^2 + 2*eta2*nu - e^{2(xi1 - phi)} = 0, solved with the
-    cancellation-free quadratic formula before restoring the factor.
-    """
-    c = math.exp(2.0 * (xi1 - phi))
-    s = math.hypot(eta2, math.sqrt(c))
-    if eta2 >= 0.0:
-        nu_minus = -(eta2 + s)
-        nu_plus = -c / nu_minus
-    else:
-        nu_plus = -eta2 + s
-        nu_minus = -c / nu_plus
-    e2p = math.exp(2.0 * phi)
-    ep = math.exp(phi)
-    return SpectrumSample(
-        lambda_real=ep * math.sqrt(nu_plus),
-        lambda_imag=ep * math.sqrt(-nu_minus),
-        mu_plus=e2p * nu_plus,
-        mu_minus=e2p * nu_minus,
-        nu_plus=nu_plus,
-        nu_minus=nu_minus,
-        xi1=xi1, eta2=eta2, phi=phi, t=t,
-    )
-
-
-def spectrum_along(traj: Trajectory) -> list[SpectrumSample]:
-    """Self-linearization spectrum at every sample: xi1 = phi = xi, eta2 = eta."""
-    return [
-        linearization_spectrum(float(traj.xi[k]), float(traj.eta[k]),
-                               float(traj.xi[k]), t=float(traj.t[k]))
-        for k in range(len(traj))
-    ]
 
 
 # --- gradient-flow recurrence ---------------------------------------------
@@ -175,40 +104,6 @@ def gradient_flow_run(s0: GradientFlowState, tol: float = 1e-10,
     gmu, gnu = potential_gradient(s0, mu, nu)
     return GradientFlowResult((mu, nu), max_iter, True, False,
                               math.hypot(gmu, gnu), history)
-
-
-def estimate_delta0(mu0: float, nu0: Optional[float] = None,
-                    epsilon: float = 0.1, tol: float = 1e-10,
-                    max_iter: int = 100000, bisections: int = 40) -> float:
-    """Empirical quadrant-exit threshold delta0 for a given anchor.
-
-    No closed form is available; the threshold is bracketed by doubling from
-    a conservative seed and then bisected.  Returns the bracket midpoint.
-    """
-    def stays(delta: float) -> bool:
-        s = GradientFlowState.from_anchor(mu0, delta, epsilon, nu0)
-        r = gradient_flow_run(s, tol=tol, max_iter=max_iter)
-        return r.stayed_in_quadrant and r.converged
-
-    lo = 1e-3 * abs(mu0) ** 3
-    if not stays(lo):
-        lo_fail = lo
-        lo = 0.0
-        hi = lo_fail
-    else:
-        hi = lo
-        while stays(hi):
-            lo = hi
-            hi *= 2.0
-            if hi > 1e6:
-                return lo  # no exit found below the cap
-    for _ in range(bisections):
-        mid = 0.5 * (lo + hi)
-        if stays(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # --- trajectory convexity diagnostics --------------------------------------

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__, analysis, geometry, shooting, verification
 from .closed_forms import AsymptoticData
-from .integrator import (NotConvergedError, SolverConfig, Trajectory,
-                         deflection, integrate)
+from .integrator import (NO_ESCAPE, NotConvergedError, SolverConfig,
+                         Trajectory, deflection, integrate)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -148,8 +148,8 @@ def write_radial_csv(path: Path, sol: geometry.RadialSolution) -> None:
     write_csv(path, ["r", "u", "K"], [sol.r_grid, sol.u_values, sol.k_values])
 
 
-_SWEEP_COLUMNS = ["theta", "eta_in", "kappa", "alpha", "k_star",
-                  "pokhozaev_residual", "energy_drift"]
+_SWEEP_COLUMNS = [f.name for f in fields(shooting.SweepRow)
+                  if f.name not in ("theta_target", "status")]
 
 
 def write_sweep_csv(path: Path, rows: list[shooting.SweepRow]) -> None:
@@ -220,14 +220,15 @@ def _solution_summary(traj: Trajectory, inputs: dict, cfg: SolverConfig) -> tupl
     if traj.events.t0 is not None:
         sol = geometry.to_radial(traj)
         kap_t, al_t = geometry.theta_identities(theta)
+        pokhozaev = geometry.pokhozaev_residual(sol.kappa, sol.alpha)
         summary.update({
             "kappa": sol.kappa,
             "alpha": sol.alpha,
             "k_star": sol.k_star,
             "fits": asdict(geometry.asymptotic_fit(traj)),
             "residuals": {
-                "pokhozaev": geometry.pokhozaev_residual(sol.kappa, sol.alpha),
-                "pokhozaev_rel": abs(geometry.pokhozaev_residual(sol.kappa, sol.alpha)) / (16 * math.pi**2),
+                "pokhozaev": pokhozaev,
+                "pokhozaev_rel": abs(pokhozaev) / (16 * math.pi**2),
                 "kappa_vs_theta_rel": abs(sol.kappa - kap_t) / kap_t,
                 "alpha_vs_theta_rel": abs(sol.alpha - al_t) / al_t,
             },
@@ -264,7 +265,7 @@ def cmd_solve(args, argv) -> int:
     traj = integrate(a, cfg)
     if not traj.escaped:
         reason = (traj.events.blowup.reason if traj.events.blowup is not None
-                  else "no escape within the time budget")
+                  else NO_ESCAPE)
         summary = _summary(inputs, cfg, traj, escaped=False,
                            blowup={"reason": reason})
         _write_run(args, argv, "solve", inputs, cfg, summary, traj)
@@ -325,12 +326,7 @@ def cmd_sweep(args, argv) -> int:
     write_json(out / "sweep.json", {
         "schema": "curvscat/sweep/v3",
         "inputs": inputs,
-        "rows": [{
-            "theta_target": r.theta_target, "theta": r.theta, "eta_in": r.eta_in,
-            "kappa": r.kappa, "alpha": r.alpha, "k_star": r.k_star,
-            "pokhozaev_residual": r.pokhozaev_residual,
-            "energy_drift": r.energy_drift, "status": r.status,
-        } for r in rows],
+        "rows": [asdict(r) for r in rows],
         "config": asdict(cfg),
     })
     write_manifest(out, "sweep", argv, inputs, cfg, ["sweep.csv", "sweep.json"])
@@ -350,8 +346,7 @@ def cmd_verify(args, argv) -> int:
     write_json(out / "verify_report.json", {
         "schema": "curvscat/verify/v3",
         "inputs": inputs,
-        "items": [{"name": r.name, "eta_in": r.eta_in, "passed": r.passed,
-                   "detail": r.detail} for r in results],
+        "items": [asdict(r) for r in results],
         "passed": all_pass,
         "config": asdict(cfg),
     })

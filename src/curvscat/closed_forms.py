@@ -9,8 +9,7 @@ which is a subsolution of xi, and the half-level supersolution is
 
     xi_sup(t) = -ln cosh(t + xi_in - ln(2 sqrt(2/eta_in))) - ln sqrt(eta_in/2),
 
-valid as an upper bound while eta > eta_in/2.  Integrating exp(2*xi_sub)
-twice gives the first eta-iterate in closed form.  Setting the n-independent
+valid as an upper bound while eta > eta_in/2.  Setting the n-independent
 lower bound eta_in - exp(2*xi_in + 2*t)/8 to 0 and eta_in/2 yields the
 explicit time bounds t0_lower and t_half_lower; the cosh arguments vanish at
 the envelope maxima tm0 and tm_hat.
@@ -77,17 +76,6 @@ def xi_subsolution(t, a: AsymptoticData):
     _require_positive_eta_in(a)
     z = np.asarray(t, dtype=float) + a.xi_in - math.log(2.0 / math.sqrt(a.eta_in))
     out = -lncosh(z) - 0.5 * math.log(a.eta_in)
-    return float(out) if np.isscalar(t) else out
-
-
-def eta_first_iterate(t, a: AsymptoticData):
-    """Closed form of the first eta-iterate; tends to eta_in as t -> -inf."""
-    _require_positive_eta_in(a)
-    e = a.eta_in
-    tv = np.asarray(t, dtype=float)
-    z = tv + a.xi_in - math.log(2.0 / math.sqrt(e))
-    out = (-lncosh(z) / (2.0 * e) - tv / (2.0 * e) - a.xi_in / (2.0 * e)
-           + e - math.log(e) / (4.0 * e))
     return float(out) if np.isscalar(t) else out
 
 

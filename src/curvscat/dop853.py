@@ -38,6 +38,7 @@ MIN_FACTOR = 0.2        # largest decrease of the step in one rejection
 MAX_FACTOR = 10.0       # largest increase of the step after one acceptance
 ERROR_EXPONENT = -1.0 / 8.0   # -1 / (error estimator order + 1)
 N_STAGES = 12
+BRENTQ_MAXITER = 100    # scipy's brentq default
 
 MESSAGES = {
     0: "The solver successfully reached the end of the integration interval.",
@@ -275,7 +276,7 @@ class OdeResult:
 
 
 def brentq(f: Callable[[float], float], xa: float, xb: float,
-           xtol: float, rtol: float, maxiter: int = 100) -> float:
+           xtol: float, rtol: float) -> float:
     """A root of f in the bracket [xa, xb] by Brent's method.
 
     Brent (1973), *Algorithms for Minimization without Derivatives*, ch. 4,
@@ -283,7 +284,7 @@ def brentq(f: Callable[[float], float], xa: float, xb: float,
     bisection when they do not shrink the bracket fast enough, converged
     when half the bracket is below (xtol + rtol*|x|)/2 or f is exactly 0.
     Raises ValueError when f(xa) and f(xb) have the same sign or f gives
-    NaN, RuntimeError after maxiter iterations.
+    NaN, RuntimeError after BRENTQ_MAXITER iterations.
     """
     def value(x):
         fx = f(x)
@@ -300,7 +301,7 @@ def brentq(f: Callable[[float], float], xa: float, xb: float,
         return xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(BRENTQ_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and \
                 math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk, fblk = xpre, fpre
@@ -336,7 +337,7 @@ def brentq(f: Callable[[float], float], xa: float, xb: float,
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
+    raise RuntimeError(f"Failed to converge after {BRENTQ_MAXITER} iterations, value is {xcur}")
 
 
 def _active_events(g, g_new, directions):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
@@ -33,9 +32,6 @@ if TYPE_CHECKING:  # only for annotations; Trajectory lives in integrator
 #: Load parameter of the plate equation, gauge-fixed.  Not a knob: general
 #: loads are represented by applying the homologous symmetry to E = 1/2 runs.
 GAUGE_LOAD: float = 1.0
-
-# exp argument beyond which exp(2*xi) is not representable in float64
-_EXP_ARG_LIMIT = 709.0
 
 #: Half-width of the forbidden zone's boundary band eta*exp(2*xi) = 1.
 BOUNDARY_TOL: float = 1e-9
@@ -68,39 +64,6 @@ def rhs(t, y):
     """
     e2 = math.exp(min(2.0 * y[0], 700.0))
     return (y[1], -y[2] * e2, y[3], -0.5 * e2)
-
-
-def energy(p: PhasePoint) -> float:
-    """Total energy E = (xi'^2 + eta'^2 + eta*exp(2*xi)) / 2.
-
-    Raises OverflowError when exp(2*xi) leaves the float64 range.
-    """
-    return 0.5 * (p.xi_dot**2 + p.eta_dot**2 + p.eta * math.exp(2.0 * p.xi))
-
-
-class Zone(Enum):
-    ALLOWED = "allowed"
-    BOUNDARY = "boundary"
-    FORBIDDEN = "forbidden"
-
-
-def in_forbidden_zone(xi: float, eta: float) -> Zone:
-    """Classify a position against the E = 1/2 forbidden zone eta > exp(-2*xi).
-
-    The test is on the product eta*exp(2*xi): the energy law makes it equal
-    1 - speed^2 on admitted motions, so the boundary tolerance ties directly
-    to energy drift; the boundary band is |q - 1| <= BOUNDARY_TOL.
-    """
-    if not (math.isfinite(xi) and math.isfinite(eta)):
-        raise ValueError("in_forbidden_zone requires finite inputs")
-    if 2.0 * xi > _EXP_ARG_LIMIT:
-        # exp(-2*xi) underflows to 0: any eta > 0 is deep inside the zone
-        q = math.inf if eta > 0 else -math.inf if eta < 0 else 0.0
-    else:
-        q = eta * math.exp(2.0 * xi)
-    if abs(q - 1.0) <= BOUNDARY_TOL:
-        return Zone.BOUNDARY
-    return Zone.FORBIDDEN if q > 1.0 else Zone.ALLOWED
 
 
 # --- symmetry transformations -------------------------------------------------

@@ -30,7 +30,7 @@ the final sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -241,23 +241,3 @@ def asymptotic_fit(traj: Trajectory) -> AsymptoticFit:
         u_slope=v_xi - 1.0, u_intercept=p_xi - v_xi * t - _LN2_4,
         k_slope=_SQRT2 * v_eta, k_intercept=_SQRT2 * (p_eta - v_eta * t),
     )
-
-
-def scale_radial(sol: RadialSolution, k: float) -> RadialSolution:
-    """Apply the scaling covariance r -> r/k, u -> u + ln k (K unchanged).
-
-    kappa and alpha are invariant; the asymptotic echo shifts to
-    xi_in + ln k because the map is a time translation of the underlying run.
-    """
-    if not k > 0.0:
-        raise ValueError("scale factor must be positive")
-    lk = math.log(k)
-    a = sol.asymptotics
-    return replace(
-        sol,
-        r_grid=sol.r_grid / k,
-        u_values=sol.u_values + lk,
-        u_center=sol.u_center + lk,
-        asymptotics=AsymptoticData(a.xi_in + lk, a.eta_in),
-    )
-

@@ -352,65 +352,3 @@ def deflection_of(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> floa
     _, t_last = _grid_end(p0.t, t_end, cfg.dense_step)
     y = free_leg(y_e, np.array([t_last - t_escape]))
     return _outgoing_angle(tuple(v[0] for v in y), cfg.escape_tol)
-
-
-def _hermite(t, t0, t1, y0, y1, d0, d1):
-    # cubic Hermite on [t0, t1] through (y0, d0), (y1, d1)
-    hh = t1 - t0
-    s = (t - t0) / hh
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
-    return h00 * y0 + h10 * hh * d0 + h01 * y1 + h11 * hh * d1
-
-
-def _refine_crossing(tl, tr, yl, yr, dl, dr, xtol=1e-12):
-    # bisection of the +/- crossing on the Hermite model of the bracket
-    lo, hi = tl, tr
-    flo = yl
-
-    def f(x):
-        return _hermite(x, tl, tr, yl, yr, dl, dr)
-
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def detect_events(traj: Trajectory) -> TrajectoryEvents:
-    """Re-derive event times from the samples alone.
-
-    Sign changes are located by scanning and refined by bisection (to 1e-12
-    in t) on a local cubic Hermite model built from the sampled values and
-    their sampled derivatives.  Absent events are reported absent; a stored
-    blow-up record is passed through.  A run certified on its eta side,
-    -eta <= xi_dot at the last sample, stopped on the eta = 0 crossing, so
-    its last eta (zero to the event finder's roundoff, either sign) reads 0.
-    """
-    if len(traj) < 2:
-        raise ValueError("need at least 2 samples to detect events")
-    t, xi, eta, xi_dot, eta_dot = traj.t, traj.xi, traj.eta, traj.xi_dot, traj.eta_dot
-    if traj.events.blowup is not None and -eta[-1] <= xi_dot[-1]:
-        eta = eta.copy()
-        eta[-1] = min(eta[-1], 0.0)
-    xi_ddot = -eta * np.exp(2.0 * xi)
-    ein = traj.asymptotics.eta_in
-
-    def first_downward(y, d):
-        ix = np.nonzero((y[:-1] > 0.0) & (y[1:] <= 0.0))[0]
-        if len(ix) == 0:
-            return None
-        k = int(ix[0])
-        return _refine_crossing(float(t[k]), float(t[k + 1]), float(y[k]), float(y[k + 1]),
-                                float(d[k]), float(d[k + 1]))
-
-    t0 = first_downward(eta, eta_dot)
-    t_half = first_downward(eta - 0.5 * ein, eta_dot) if ein > 0.0 else None
-    t_m = first_downward(xi_dot, xi_ddot)
-    return TrajectoryEvents(t0=t0, t_half=t_half, t_m=t_m, blowup=traj.events.blowup)

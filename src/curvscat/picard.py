@@ -45,6 +45,8 @@ from .dynamics import PhasePoint
 # O(h^2) (or one Picard step) of the solution, in at most four steps.
 _NEWTON_MAX_STEPS = 20
 _ROUNDOFF_ULPS = 16
+# largest |eta| at which iterate_future takes p0 for an eta = 0 crossing state
+_ETA_TOL = 1e-6
 
 
 class NewtonNotConvergedError(RuntimeError):
@@ -254,16 +256,16 @@ def iterate_past(a: AsymptoticData, t_handoff: float, step: float,
 
 def iterate_future(p0: PhasePoint, t_max: float, step: float,
                    epsilon: float = 0.1, tol: float = 1e-10,
-                   max_iter: int = 500, eta_tol: float = 1e-6) -> PicardRun:
+                   max_iter: int = 500) -> PicardRun:
     """Damped fixed-point iteration on [p0.t, t_max] from an eta = 0 state.
 
-    p0 must be (close to) the eta = 0 crossing state with xi_dot < 0 and
-    eta_dot in (-1, 0).  Raises ValueError if an iterate of the second
-    component turns positive, which signals data outside the monotone
-    regime, and unless step is finite and positive and the grid holds at
-    least 3 nodes.
+    p0 must be the eta = 0 crossing state, to |eta| <= 1e-6, with
+    xi_dot < 0 and eta_dot in (-1, 0).  Raises ValueError if an iterate of
+    the second component turns positive, which signals data outside the
+    monotone regime, and unless step is finite and positive and the grid
+    holds at least 3 nodes.
     """
-    if abs(p0.eta) > eta_tol:
+    if abs(p0.eta) > _ETA_TOL:
         raise ValueError(f"p0.eta = {p0.eta} is not an eta = 0 crossing state")
     if not p0.xi_dot < 0.0:
         raise ValueError("need xi_dot < 0 at the crossing state")

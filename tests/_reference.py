@@ -9,15 +9,32 @@ reproduce.  theta_tight and continue_tight are the tight-tolerance
 references for the deflection angle and the free leg after escape: scipy's
 DOP853 at rtol 1e-13 on the same equations, sharing no code with the package.
 final_residual checks a Picard limit against the motion equations by
-centered differences.  The row-by-row CSV writers at the end are the oracle
-for the CLI's block writer.
+centered differences.  The row-by-row CSV writers are the oracle for the
+CLI's block writer.
+
+The last section holds what only the tests call, kept out of the package,
+which carries only what a command or script runs: the energy of a phase
+point, a forbidden-zone classifier, the closed-form first eta-iterate, the
+radial scaling covariance, an event finder that works from the samples
+alone (a cross-check on the stepper's own event roots), the linearization
+spectrum and the gradient flow's empirical exit threshold.
 """
 
 import csv
 import math
+from dataclasses import dataclass, replace
+from enum import Enum
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from curvscat.analysis import GradientFlowState, gradient_flow_run
+from curvscat.closed_forms import (AsymptoticData, _require_positive_eta_in,
+                                   lncosh)
+from curvscat.dynamics import BOUNDARY_TOL
+from curvscat.geometry import RadialSolution
+from curvscat.integrator import TrajectoryEvents
 
 # eta_in = 8, xi_in = 0, h = 1e-4, t in [-15, 40]
 ORACLE_THETA_ETA8 = -3.0157679511680
@@ -241,3 +258,240 @@ def write_ladder_csv(gf, path) -> None:
         w.writerow(["t", "value"])
         for tv, v in zip(gf.t, gf.values):
             w.writerow([format(tv, ".12g"), format(v, ".12g")])
+
+
+# --- helpers only the tests use ----------------------------------------------
+
+
+def energy(p) -> float:
+    """Total energy E = (xi'^2 + eta'^2 + eta*exp(2*xi)) / 2 of a PhasePoint.
+
+    Raises OverflowError when exp(2*xi) leaves the float64 range.
+    """
+    return 0.5 * (p.xi_dot**2 + p.eta_dot**2 + p.eta * math.exp(2.0 * p.xi))
+
+
+# exp argument beyond which exp(2*xi) is not representable in float64
+_EXP_ARG_LIMIT = 709.0
+
+
+class Zone(Enum):
+    ALLOWED = "allowed"
+    BOUNDARY = "boundary"
+    FORBIDDEN = "forbidden"
+
+
+def in_forbidden_zone(xi: float, eta: float) -> Zone:
+    """Classify a position against the E = 1/2 forbidden zone eta > exp(-2*xi).
+
+    The test is on the product eta*exp(2*xi): the energy law makes it equal
+    1 - speed^2 on admitted motions, so the boundary tolerance ties directly
+    to energy drift; the boundary band is |q - 1| <= BOUNDARY_TOL.
+    """
+    if not (math.isfinite(xi) and math.isfinite(eta)):
+        raise ValueError("in_forbidden_zone requires finite inputs")
+    if 2.0 * xi > _EXP_ARG_LIMIT:
+        # exp(-2*xi) underflows to 0: any eta > 0 is deep inside the zone
+        q = math.inf if eta > 0 else -math.inf if eta < 0 else 0.0
+    else:
+        q = eta * math.exp(2.0 * xi)
+    if abs(q - 1.0) <= BOUNDARY_TOL:
+        return Zone.BOUNDARY
+    return Zone.FORBIDDEN if q > 1.0 else Zone.ALLOWED
+
+
+def eta_first_iterate(t, a: AsymptoticData):
+    """Closed form of the first eta-iterate; tends to eta_in as t -> -inf.
+
+    Integrating exp(2*xi_sub) twice, xi_sub = closed_forms.xi_subsolution.
+    """
+    _require_positive_eta_in(a)
+    e = a.eta_in
+    tv = np.asarray(t, dtype=float)
+    z = tv + a.xi_in - math.log(2.0 / math.sqrt(e))
+    out = (-lncosh(z) / (2.0 * e) - tv / (2.0 * e) - a.xi_in / (2.0 * e)
+           + e - math.log(e) / (4.0 * e))
+    return float(out) if np.isscalar(t) else out
+
+
+def scale_radial(sol: RadialSolution, k: float) -> RadialSolution:
+    """Apply the scaling covariance r -> r/k, u -> u + ln k (K unchanged).
+
+    kappa and alpha are invariant; the asymptotic echo shifts to
+    xi_in + ln k because the map is a time translation of the underlying run.
+    """
+    if not k > 0.0:
+        raise ValueError("scale factor must be positive")
+    lk = math.log(k)
+    a = sol.asymptotics
+    return replace(
+        sol,
+        r_grid=sol.r_grid / k,
+        u_values=sol.u_values + lk,
+        u_center=sol.u_center + lk,
+        asymptotics=AsymptoticData(a.xi_in + lk, a.eta_in),
+    )
+
+
+def _hermite(t, t0, t1, y0, y1, d0, d1):
+    # cubic Hermite on [t0, t1] through (y0, d0), (y1, d1)
+    hh = t1 - t0
+    s = (t - t0) / hh
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    return h00 * y0 + h10 * hh * d0 + h01 * y1 + h11 * hh * d1
+
+
+def _refine_crossing(tl, tr, yl, yr, dl, dr, xtol=1e-12):
+    # bisection of the +/- crossing on the Hermite model of the bracket
+    lo, hi = tl, tr
+    flo = yl
+
+    def f(x):
+        return _hermite(x, tl, tr, yl, yr, dl, dr)
+
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if (fm > 0.0) == (flo > 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def detect_events(traj) -> TrajectoryEvents:
+    """Re-derive event times from the samples alone.
+
+    Sign changes are located by scanning and refined by bisection (to 1e-12
+    in t) on a local cubic Hermite model built from the sampled values and
+    their sampled derivatives.  Absent events are reported absent; a stored
+    blow-up record is passed through.  A run certified on its eta side,
+    -eta <= xi_dot at the last sample, stopped on the eta = 0 crossing, so
+    its last eta (zero to the event finder's roundoff, either sign) reads 0.
+    """
+    if len(traj) < 2:
+        raise ValueError("need at least 2 samples to detect events")
+    t, xi, eta, xi_dot, eta_dot = traj.t, traj.xi, traj.eta, traj.xi_dot, traj.eta_dot
+    if traj.events.blowup is not None and -eta[-1] <= xi_dot[-1]:
+        eta = eta.copy()
+        eta[-1] = min(eta[-1], 0.0)
+    xi_ddot = -eta * np.exp(2.0 * xi)
+    ein = traj.asymptotics.eta_in
+
+    def first_downward(y, d):
+        ix = np.nonzero((y[:-1] > 0.0) & (y[1:] <= 0.0))[0]
+        if len(ix) == 0:
+            return None
+        k = int(ix[0])
+        return _refine_crossing(float(t[k]), float(t[k + 1]), float(y[k]), float(y[k + 1]),
+                                float(d[k]), float(d[k + 1]))
+
+    t0 = first_downward(eta, eta_dot)
+    t_half = first_downward(eta - 0.5 * ein, eta_dot) if ein > 0.0 else None
+    t_m = first_downward(xi_dot, xi_ddot)
+    return TrajectoryEvents(t0=t0, t_half=t_half, t_m=t_m, blowup=traj.events.blowup)
+
+
+@dataclass(frozen=True)
+class SpectrumSample:
+    """Eigenvalue data of the linearization at one base point.
+
+    mu_plus/mu_minus are the lambda^2 roots; nu_plus/nu_minus the same roots
+    with the e^{2 phi} factor removed, satisfying
+    nu_plus * nu_minus = -e^{2(xi1 - phi)} exactly.  That product identity is
+    the underflow-safe form of mu_plus * mu_minus = -e^{2 phi + 2 xi1} (equal
+    to -1 on self-linearized trajectory samples, where xi1 = phi).
+    """
+
+    lambda_real: float
+    lambda_imag: float
+    mu_plus: float
+    mu_minus: float
+    nu_plus: float
+    nu_minus: float
+    xi1: float
+    eta2: float
+    phi: float
+    t: float = 0.0
+
+
+def linearization_spectrum(xi1: float, eta2: float, phi: float,
+                           t: float = 0.0) -> SpectrumSample:
+    """Roots of the linearization polynomial at a base point.
+
+    Linearizing the motion around (xi1, eta2, phi) gives a first-order system
+    with characteristic polynomial
+    P(lambda) = lambda^4 + 2*eta2*e^{2 phi} lambda^2 - e^{2 phi + 2 xi1},
+    a quadratic in lambda^2 with one positive and one negative root, hence
+    two real and two purely imaginary eigenvalues.  Substituting
+    lambda^2 = e^{2 phi} nu reduces it to nu^2 + 2*eta2*nu - e^{2(xi1 - phi)}
+    = 0, solved with the cancellation-free quadratic formula before restoring
+    the factor: for late samples of long runs the unfactored product
+    underflows while the factored one stays representable.
+    """
+    c = math.exp(2.0 * (xi1 - phi))
+    s = math.hypot(eta2, math.sqrt(c))
+    if eta2 >= 0.0:
+        nu_minus = -(eta2 + s)
+        nu_plus = -c / nu_minus
+    else:
+        nu_plus = -eta2 + s
+        nu_minus = -c / nu_plus
+    e2p = math.exp(2.0 * phi)
+    ep = math.exp(phi)
+    return SpectrumSample(
+        lambda_real=ep * math.sqrt(nu_plus),
+        lambda_imag=ep * math.sqrt(-nu_minus),
+        mu_plus=e2p * nu_plus,
+        mu_minus=e2p * nu_minus,
+        nu_plus=nu_plus,
+        nu_minus=nu_minus,
+        xi1=xi1, eta2=eta2, phi=phi, t=t,
+    )
+
+
+def spectrum_along(traj) -> list[SpectrumSample]:
+    """Self-linearization spectrum at every sample: xi1 = phi = xi, eta2 = eta."""
+    return [
+        linearization_spectrum(float(traj.xi[k]), float(traj.eta[k]),
+                               float(traj.xi[k]), t=float(traj.t[k]))
+        for k in range(len(traj))
+    ]
+
+
+def estimate_delta0(mu0: float, nu0: Optional[float] = None,
+                    epsilon: float = 0.1, tol: float = 1e-10,
+                    max_iter: int = 100000, bisections: int = 40) -> float:
+    """Empirical quadrant-exit threshold delta0 of the gradient-flow
+    recurrence (analysis.gradient_flow_run) for a given anchor.
+
+    No closed form is available; the threshold is bracketed by doubling from
+    a conservative seed and then bisected.  Returns the bracket midpoint.
+    """
+    def stays(delta: float) -> bool:
+        s = GradientFlowState.from_anchor(mu0, delta, epsilon, nu0)
+        r = gradient_flow_run(s, tol=tol, max_iter=max_iter)
+        return r.stayed_in_quadrant and r.converged
+
+    lo = 1e-3 * abs(mu0) ** 3
+    if not stays(lo):
+        lo_fail = lo
+        lo = 0.0
+        hi = lo_fail
+    else:
+        hi = lo
+        while stays(hi):
+            lo = hi
+            hi *= 2.0
+            if hi > 1e6:
+                return lo  # no exit found below the cap
+    for _ in range(bisections):
+        mid = 0.5 * (lo + hi)
+        if stays(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

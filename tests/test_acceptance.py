@@ -9,16 +9,18 @@ from dataclasses import replace
 
 import numpy as np
 
-from curvscat import (AsymptoticData, NotConvergedError, TimeReverse,
-                      Homologous, apply_symmetry, asymptotic_fit, deflection,
-                      deflection_of, explicit_bounds, eta_first_iterate,
-                      integrate, iterate_past, monotonicity_report,
-                      pde_residual, shoot, spectrum_along, theta_identities,
-                      to_radial, xi_subsolution, xi_supersolution)
+from curvscat import (AsymptoticData, NotConvergedError, asymptotic_fit,
+                      deflection, deflection_of, explicit_bounds, integrate,
+                      iterate_past, monotonicity_report, shoot,
+                      theta_identities, to_radial, xi_subsolution,
+                      xi_supersolution)
 from curvscat.analysis import GradientFlowState, g_values, gradient_flow_run
 from curvscat.closed_forms import ETA_CRIT_UPPER
+from curvscat.dynamics import Homologous, TimeReverse, apply_symmetry
+from curvscat.geometry import pde_residual
 
-from _reference import ORACLE_THETA_ETA8, final_residual
+from _reference import (ORACLE_THETA_ETA8, eta_first_iterate, final_residual,
+                        spectrum_along)
 
 PI = math.pi
 _16PI2 = 16.0 * PI**2

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from curvscat import (GradientFlowState, TimeReverse, apply_symmetry,
-                      estimate_delta0, gradient_flow_run,
-                      inflection_diagnostics, linearization_spectrum,
-                      spectrum_along)
+from curvscat import (GradientFlowState, gradient_flow_run,
+                      inflection_diagnostics)
 from curvscat.analysis import g_values, potential_gradient
+from curvscat.dynamics import TimeReverse, apply_symmetry
+
+from _reference import estimate_delta0, linearization_spectrum, spectrum_along
 
 moderate = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from curvscat import (ETA_CRIT_UPPER, AsymptoticData, SolverConfig,
-                      deflection_deep, energy, eta_first_iterate,
                       explicit_bounds, free_motion_expansion, lncosh,
                       t0_state_bounds, xi_subsolution, xi_supersolution)
-from curvscat.closed_forms import (free_asymptote, free_leg, past_tails,
-                                   start_time)
+from curvscat.closed_forms import (deflection_deep, free_asymptote, free_leg,
+                                   past_tails, start_time)
 from curvscat.dynamics import PhasePoint
 from curvscat.integrator import deflection_of
+
+from _reference import energy, eta_first_iterate
 
 A04 = AsymptoticData(0.0, 4.0)
 A08 = AsymptoticData(0.0, 8.0)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from curvscat import (GAUGE_LOAD, Homologous, PhasePoint, TimeReverse,
-                      TimeTranslate, Zone, apply_symmetry, energy,
-                      in_forbidden_zone, rhs)
-from curvscat.dynamics import transform_point
+from curvscat import PhasePoint, rhs
+from curvscat.dynamics import (GAUGE_LOAD, Homologous, TimeReverse,
+                               TimeTranslate, apply_symmetry, transform_point)
+
+from _reference import Zone, energy, in_forbidden_zone
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 small = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)

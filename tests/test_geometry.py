@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from curvscat import (AsymptoticData, TimeTranslate, apply_symmetry,
-                      asymptotic_fit, curvature_area_quadrature, deflection,
-                      integrate, pde_residual, pokhozaev_residual, scale_radial,
-                      theta_identities, to_radial)
+from curvscat import (AsymptoticData, asymptotic_fit,
+                      curvature_area_quadrature, deflection, integrate,
+                      pokhozaev_residual, theta_identities, to_radial)
 from curvscat.closed_forms import free_asymptote
-from curvscat.geometry import ALPHA_SUP, FOUR_PI, TWO_PI
+from curvscat.dynamics import TimeTranslate, apply_symmetry
+from curvscat.geometry import ALPHA_SUP, FOUR_PI, TWO_PI, pde_residual
+
+from _reference import scale_radial
 
 LN2_4 = 0.25 * math.log(2.0)
 

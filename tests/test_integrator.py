@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from curvscat import (AsymptoticData, NotConvergedError, SolverConfig,
-                      Trajectory, TrajectoryEvents, TimeTranslate,
-                      apply_symmetry, deflection, detect_events,
+                      Trajectory, TrajectoryEvents, deflection,
                       explicit_bounds, integrate, t0_state_bounds)
+from curvscat.dynamics import TimeTranslate, apply_symmetry
 from curvscat.integrator import (_CERTIFIED, _escape_residual,
                                  _outgoing_angle, deflection_of)
 
 from _reference import (ORACLE_T0_ETA8, ORACLE_T_HALF_ETA8, ORACLE_T_M_ETA8,
                         ORACLE_THETA_ETA8, ORACLE_THETA_ETA6, continue_tight,
-                        theta_tight)
+                        detect_events, theta_tight)
 
 A8 = AsymptoticData(0.0, 8.0)
 
@@ -242,7 +242,7 @@ def test_final_speed_near_unity(traj8, cfg):
 
 
 def test_forbidden_zone_confinement(trio):
-    from curvscat import Zone, in_forbidden_zone
+    from _reference import Zone, in_forbidden_zone
     for traj in trio:
         q = traj.eta * np.exp(2.0 * traj.xi)
         assert np.max(q) <= 1.0 + 1e-9

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from curvscat import (AsymptoticData, PhasePoint, explicit_bounds,
-                      eta_first_iterate, integrate, iterate_future,
-                      iterate_past, monotonicity_report, xi_subsolution)
+from curvscat import (AsymptoticData, PhasePoint, explicit_bounds, integrate,
+                      iterate_future, iterate_past, monotonicity_report,
+                      xi_subsolution)
 from curvscat.cli import write_csv
 from curvscat.picard import (GridFunction, NewtonNotConvergedError, PicardRun,
                              _march_xi)
 
-from _reference import (final_residual, march_xi_nodewise, rk4_grid_from_state,
-                        rk4_on_grid, write_ladder_csv)
+from _reference import (eta_first_iterate, final_residual, march_xi_nodewise,
+                        rk4_grid_from_state, rk4_on_grid, write_ladder_csv)
 
 A8 = AsymptoticData(0.0, 8.0)
 HANDOFF8 = explicit_bounds(A8).t0_lower - 1.0
