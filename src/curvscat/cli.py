@@ -4,9 +4,9 @@ All data files are emitted deterministically: CSV floats carry 12
 significant digits, JSON floats 17; timestamps appear only in the run
 manifest.  A CSV is its header line, then rows of '%.12g' fields ending in
 CR LF (csv.writer's dialect, never quoted); each block of _CSV_BLOCK_ROWS
-rows is rendered by one %-operation.  Exit codes: 0 ok, 1 usage error,
-2 blow-up or non-scattering outcome, 3 partial sweep failure,
-4 verification failure.
+rows is rendered at once by csvformat.format_rows, every field byte-equal
+to Python's '%.12g'.  Exit codes: 0 ok, 1 usage error, 2 blow-up or
+non-scattering outcome, 3 partial sweep failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__, analysis, geometry, shooting, verification
 from .closed_forms import AsymptoticData
+from .csvformat import format_rows
 from .integrator import (NO_ESCAPE, NotConvergedError, SolverConfig,
                          Trajectory, deflection, integrate)
 
@@ -122,20 +123,19 @@ def write_json(path: Path, obj) -> None:
     path.write_text(_json_render(obj) + "\n")
 
 
-# rows per %-operation: big enough to amortise the call, small enough that a
-# block's stacked slice and tuple stay a few hundred kB
+# rows per rendered block: big enough to amortise numpy's per-call cost,
+# small enough that a block's records stay a few hundred kB
 _CSV_BLOCK_ROWS = 1024
 
 
 def write_csv(path: Path, header: list[str], columns) -> None:
     """Write equal-length float columns under a header as CSV rows."""
     columns = [np.asarray(c, dtype=float) for c in columns]
-    row_fmt = ",".join(["%.12g"] * len(columns)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
         for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            block = np.column_stack([c[lo:lo + _CSV_BLOCK_ROWS] for c in columns])
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(format_rows(np.column_stack(
+                [c[lo:lo + _CSV_BLOCK_ROWS] for c in columns])))
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:

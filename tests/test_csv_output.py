@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from curvscat import AsymptoticData, integrate, to_radial
 from curvscat.analysis import GradientFlowState, gradient_flow_run
 from curvscat.cli import (_CSV_BLOCK_ROWS, EXIT_OK, main, write_radial_csv,
                           write_sweep_csv, write_trajectory_csv)
+from curvscat.csvformat import _decimal, format_rows
 from curvscat.shooting import SweepRow, sweep
 
 import _reference as ref
@@ -64,3 +67,57 @@ def test_block_edges_and_special_values_match_rowwise(tmp_path, n_rows):
     rows = [SweepRow(math.nan, *map(float, row), status="synthetic")
             for row in vals.reshape(n_rows, 7)]
     _assert_same_bytes(tmp_path, write_sweep_csv, ref.write_sweep_csv, rows)
+
+
+def _rowwise(block):
+    return "".join(",".join("%.12g" % v for v in row) + "\r\n"
+                   for row in block.tolist()).encode()
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                               max_side=9),
+                  elements=st.floats()))
+def test_format_rows_matches_percent_g(block):
+    # st.floats() draws nan, both infinities, signed zeros and subnormals;
+    # every numpy warning is an error under the suite's filter
+    assert format_rows(block) == _rowwise(block)
+
+
+# exact ties at the 13th significant digit; the switch between fixed and
+# exponent form, with and without a carry into the next decade; 2- and
+# 3-digit exponents; the ends of the rendered range; every power of ten,
+# where log10 may miss the exponent; and doubles nearest to decimal ties,
+# about 1% of which two roundings in the scaling would round the wrong way
+_RNG = np.random.default_rng(18)
+EDGES = [2.0**-18, 123456789012.5, 999999999999.5,
+         9.999999999995e-05, 1e-4, 99999999999.95, 999999999999.4,
+         1e99, 1e-99, 1e100, 1e-100, 1e308, 1e-308,
+         5e-324, 1e-300, 1e300,
+         *(float(f"1e{k}") for k in range(-307, 309)),
+         *(float(f"{n}5e{k}") for n, k in zip(
+             _RNG.integers(10**11, 10**12, 2000).tolist(),
+             _RNG.integers(-300, 300, 2000).tolist()))]
+
+
+def test_format_rows_edges_and_neighbours():
+    vals = np.array(EDGES)
+    vals = np.concatenate([vals, np.nextafter(vals, 0.0),
+                           np.nextafter(vals, np.inf)])
+    vals = np.concatenate([vals, -vals])
+    for cols in (1, 3):
+        block = np.resize(vals, (len(vals) // cols + 1) * cols).reshape(-1, cols)
+        assert format_rows(block) == _rowwise(block)
+
+
+@pytest.mark.parametrize("eta_in", [1.31, 8.0, 22.0])
+def test_few_fields_leave_the_block_path(cfg, eta_in):
+    # the block renderer does the work: fields formatted one at a time (near
+    # a rounding tie, or 0, nan, inf and magnitudes outside 1e-296..1e300)
+    # stay under 1% of a trajectory's and its radial data's
+    traj = integrate(AsymptoticData(0.0, eta_in), cfg)
+    sol = to_radial(traj)
+    fields = np.concatenate([traj.t, traj.xi, traj.eta, traj.xi_dot,
+                             traj.eta_dot, traj.energies(), sol.r_grid,
+                             sol.u_values, sol.k_values])
+    _, _, fast = _decimal(fields)
+    assert np.count_nonzero(~fast) < 0.01 * len(fields)
