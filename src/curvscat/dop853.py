@@ -4,7 +4,16 @@ The Dormand-Prince pair DOP853 of Hairer, Norsett & Wanner, *Solving
 Ordinary Differential Equations I* (2nd ed.), Sec. II.10, and their
 dop853.f, stepped on plain Python floats.  The systems solved here have a
 handful of components, so per-stage array calls would cost more than the
-arithmetic; the stepper loops over the non-zeros of the tableau instead.
+arithmetic.  A loop over the non-zeros of the tableau would spend most of
+its time on the loop itself, so, as dop853.f writes each stage as one
+expression per component, three straight-line kernels do the arithmetic:
+one attempted step (stages 1-11 and y_new), the blended error norm, and the
+dense output (stages 13-15 and the interpolant's coefficients).  Their
+source is generated from the tableau literals below, the only copy of the
+coefficients, and compiled once per number of components, much as
+dataclasses builds __init__.  Every sum starts from 0.0 and adds its terms
+in the tableau's order, as the loop did, so the kernels round exactly as
+it does; tests/_reference.py keeps the loops as their oracle.
 
 It reproduces scipy.integrate.solve_ivp(method="DOP853") for forward
 integration without max_step or t_eval: the same initial step selection,
@@ -24,10 +33,11 @@ event builds its interpolant whatever dense_output says, as scipy does.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -131,17 +141,6 @@ _D = (
 )
 
 
-def _advance(K, row, y, h):
-    """y + h * sum_k a_k * K[k], componentwise: the state of a stage."""
-    out = []
-    for j, v in enumerate(y):
-        s = 0.0
-        for k, a in row:
-            s += a * K[k][j]
-        out.append(v + s * h)
-    return out
-
-
 def _rms(x):
     s = 0.0
     for v in x:
@@ -168,21 +167,107 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
     return min(100.0 * h0, h1, interval)
 
 
-def _error_norm(K, h, y, y_new, rtol, atol):
-    """DOP853's blend of the 5th- and 3rd-order error estimates, scaled by
-    atol + rtol * max(|y|, |y_new|) in the RMS norm."""
-    s5 = s3 = 0.0
-    for j, (a, b) in enumerate(zip(y, y_new)):
-        e5 = e3 = 0.0
-        for k, c5, c3 in _E:
-            e5 += c5 * K[k][j]
-            e3 += c3 * K[k][j]
-        scale = atol + max(abs(a), abs(b)) * rtol
-        s5 += (e5 / scale) ** 2
-        s3 += (e3 / scale) ** 2
-    if s5 == 0.0 and s3 == 0.0:
-        return 0.0
-    return abs(h) * s5 / math.sqrt((s5 + 0.01 * s3) * len(y))
+# --- straight-line kernels ----------------------------------------------------
+#
+# In the generated source, k<i>_<j> is component j of stage i, and y<j> and
+# z<j> are components of the state at the start and the end of the step.
+# Every sum starts from 0.0 and adds its terms in the tableau's order.
+
+
+def _names(prefix, n):
+    """'p0, p1, ...,': an unpacking target for n components."""
+    return "".join(f"{prefix}{j}, " for j in range(n)).rstrip()
+
+
+def _combination(row, j):
+    """sum_k a_k * K[k][j] over the (k, a_k) of row, as source."""
+    return " + ".join(["0.0"] + [f"{a!r} * k{k}_{j}" for k, a in row])
+
+
+def _state(row, n):
+    """The state y + h * sum_k a_k * K[k] of row, as a source list."""
+    return "[" + ", ".join(f"y{j} + ({_combination(row, j)}) * h" for j in range(n)) + "]"
+
+
+def _stage(i, c, row, t, n):
+    """Lines that call fun for stage i at t + c*h on the state of row."""
+    return [f"K{i} = fun({t} + {c!r} * h, {_state(row, n)})",
+            f"{_names(f'k{i}_', n)} = K{i}"]
+
+
+def _unpack(stages, n):
+    """Lines that unpack the given stages of K."""
+    return [f"{_names(f'k{i}_', n)} = K[{i}]" for i in stages]
+
+
+def _kernel_source(n: int) -> str:
+    """The source of step, error_norm and dense for systems of n components.
+
+    step(fun, t, y, f, h) makes stages 1-11 of the step from t to t + h,
+    f = fun(t, y) being stage 0, and returns y_new with the stages 0-11.
+    error_norm(K, h, y, y_new, rtol, atol) is DOP853's blend of the 5th- and
+    3rd-order error estimates, scaled by atol + rtol * max(|y|, |y_new|) in
+    the RMS norm.  dense(fun, K, t_old, h, y, y_new) makes stages 13-15
+    from the stages 0-12 of an accepted step and returns, per component,
+    the coefficients F_0..F_6 of its 7th-order interpolant.
+    """
+    comps = range(n)
+    step = [f"{_names('y', n)} = y", f"{_names('k0_', n)} = f"]
+    for i, (c, row) in enumerate(_STAGES, start=1):
+        step += _stage(i, c, row, "t", n)
+    stages = ", ".join(["f"] + [f"K{i}" for i in range(1, len(_STAGES) + 1)])
+    step.append(f"return {_state(_B, n)}, [{stages}]")
+
+    norm = _unpack([k for k, _, _ in _E], n)
+    norm += [f"{_names('y', n)} = y", f"{_names('z', n)} = y_new"]
+    for j in comps:
+        # max(a, b) is b if b > a else a
+        norm += [f"a = abs(y{j})", f"b = abs(z{j})",
+                 f"w{j} = atol + (b if b > a else a) * rtol"]
+    for s, col in (("s5", 1), ("s3", 2)):
+        terms = [f"(({_combination([(e[0], e[col]) for e in _E], j)}) / w{j}) ** 2"
+                 for j in comps]
+        norm.append(f"{s} = " + " + ".join(["0.0"] + terms))
+    norm += ["if s5 == 0.0 and s3 == 0.0:", "    return 0.0",
+             f"return abs(h) * s5 / sqrt((s5 + 0.01 * s3) * {n})"]
+
+    first_extra = N_STAGES + 1
+    used = sorted({k for _, row in _EXTRA_STAGES for k, _ in row}
+                  | {k for k, *_ in _D} | {0, N_STAGES})
+    dense = _unpack([k for k in used if k < first_extra], n)
+    dense += [f"{_names('y', n)} = y", f"{_names('z', n)} = y_new"]
+    for i, (c, row) in enumerate(_EXTRA_STAGES, start=first_extra):
+        dense += _stage(i, c, row, "t_old", n)
+    coeffs = []
+    for j in comps:
+        dense.append(f"dy{j} = z{j} - y{j}")
+        d = [f"h * ({_combination([(r[0], r[p]) for r in _D], j)})" for p in range(1, 5)]
+        coeffs.append(f"(dy{j}, h * k0_{j} - dy{j}, "
+                      f"2 * dy{j} - h * (k{N_STAGES}_{j} + k0_{j}), {', '.join(d)})")
+    dense.append(f"return [{', '.join(coeffs)}]")
+
+    def function(signature, lines):
+        return f"def {signature}:\n" + "".join(f"    {line}\n" for line in lines)
+
+    return "\n".join([function("step(fun, t, y, f, h)", step),
+                      function("error_norm(K, h, y, y_new, rtol, atol)", norm),
+                      function("dense(fun, K, t_old, h, y, y_new)", dense)])
+
+
+class _Kernels(NamedTuple):
+    """The functions of _kernel_source, compiled."""
+
+    step: Callable
+    error_norm: Callable
+    dense: Callable
+
+
+@functools.cache
+def _kernels(n: int) -> _Kernels:
+    """The kernels for systems of n components, compiled on first use."""
+    namespace = {"sqrt": math.sqrt}
+    exec(compile(_kernel_source(n), f"<dop853 kernels for n = {n}>", "exec"), namespace)
+    return _Kernels(namespace["step"], namespace["error_norm"], namespace["dense"])
 
 
 class _Step:
@@ -193,22 +278,7 @@ class _Step:
 
     __slots__ = ("t_old", "h", "y_old", "coeffs")
 
-    def __init__(self, fun, K, t_old, h, y_old, y_new):
-        for c, row in _EXTRA_STAGES:
-            K.append(fun(t_old + c * h, _advance(K, row, y_old, h)))
-        f_old, f_new = K[0], K[N_STAGES]
-        coeffs = []
-        for j, (a, b) in enumerate(zip(y_old, y_new)):
-            d3 = d4 = d5 = d6 = 0.0
-            for k, c3, c4, c5, c6 in _D:
-                v = K[k][j]
-                d3 += c3 * v
-                d4 += c4 * v
-                d5 += c5 * v
-                d6 += c6 * v
-            dy = b - a
-            coeffs.append((dy, h * f_old[j] - dy, 2 * dy - h * (f_new[j] + f_old[j]),
-                           h * d3, h * d4, h * d5, h * d6))
+    def __init__(self, t_old, h, y_old, coeffs):
         self.t_old, self.h, self.y_old, self.coeffs = t_old, h, y_old, coeffs
 
     def __call__(self, t):
@@ -378,6 +448,7 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float,
     t_events = [[] for _ in events]
     g = [ev(t, y) for ev in events]
 
+    step_stages, error_norm, dense_coeffs = _kernels(len(y))
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
     nfev = 2
@@ -395,13 +466,10 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float,
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
-            K = [f]
-            for c, row in _STAGES:
-                K.append(fun(t + c * h, _advance(K, row, y, h)))
-            y_new = _advance(K, _B, y, h)
+            y_new, K = step_stages(fun, t, y, f, h)
             K.append(fun(t_new, y_new))
             nfev += N_STAGES
-            err = _error_norm(K, h, y, y_new, rtol, atol)
+            err = error_norm(K, h, y, y_new, rtol, atol)
             if err < 1:
                 factor = MAX_FACTOR if err == 0 else min(MAX_FACTOR, SAFETY * err ** ERROR_EXPONENT)
                 if rejected:
@@ -418,7 +486,7 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float,
 
         step = None
         if dense_output:
-            step = _Step(fun, K, t_old, h, y_old, y)
+            step = _Step(t_old, h, y_old, dense_coeffs(fun, K, t_old, h, y_old, y))
             nfev += 3
             steps.append(step)
         t_end, y_end = t, y
@@ -427,7 +495,7 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float,
             active = _active_events(g, g_new, directions)
             if active:
                 if step is None:
-                    step = _Step(fun, K, t_old, h, y_old, y)
+                    step = _Step(t_old, h, y_old, dense_coeffs(fun, K, t_old, h, y_old, y))
                     nfev += 3
                 roots = []
                 for i in active:

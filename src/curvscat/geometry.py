@@ -40,6 +40,8 @@ from .integrator import Trajectory
 
 _LN2_4 = 0.25 * math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
+# a rise in u or K below this many ulp of its terms is round-off
+_ROUNDOFF_ULPS = 4
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 ALPHA_SUP = 2.0 ** 1.5 * math.pi
@@ -155,22 +157,31 @@ def to_radial(traj: Trajectory) -> RadialSolution:
     """Map an escaped trajectory to the radial pair (u(r), K(r)).
 
     K changes sign exactly at r = exp(t0).  K(0) extrapolates to
-    sqrt(2)*eta_in and u(0) to xi_in - ln(2)/4.
+    sqrt(2)*eta_in and u(0) to xi_in - ln(2)/4.  u and K must decrease in
+    r; near the start both are flat to round-off, so only a rise beyond a
+    few ulp of their terms raises ValueError.
     """
     if not traj.escaped:
         raise ValueError("radial reconstruction needs an escaped trajectory")
     if traj.events.t0 is None:
         raise ValueError("radial reconstruction needs the eta = 0 crossing event")
     t, xi, eta = _tail_arrays(traj)
-    u = xi - t - _LN2_4
-    K = _SQRT2 * eta
-    if not (np.all(np.diff(u) < 0.0) and np.all(np.diff(K) < 0.0)):
-        raise ValueError("u and K must be strictly decreasing in r")
-    quad = curvature_area_quadrature(traj)
     # the quadrature's error grows with the grid step; no fixed step is
     # fine enough for every eta_in
     coarse = (f" on the grid dense_step = {traj.config.dense_step:g}; "
               "a smaller --dense-step resolves it")
+    if len(t) < 2:
+        raise ValueError(f"one regular sample is too few for the quadrature{coarse}")
+    u = xi - t - _LN2_4
+    K = _SQRT2 * eta
+    u_terms = max(float(np.max(np.abs(xi))), abs(t[0]), abs(t[-1])) + _LN2_4
+    for name, v, terms in (("u", u, u_terms), ("K", K, float(np.max(np.abs(K))))):
+        rise = np.diff(v)
+        k = int(np.argmax(rise))
+        if not rise[k] <= _ROUNDOFF_ULPS * np.finfo(float).eps * terms:
+            raise ValueError(f"{name} must decrease in r, but rises by "
+                             f"{rise[k]:.3g} at ln r = {t[k + 1]:.12g}")
+    quad = curvature_area_quadrature(traj)
     if not (TWO_PI < quad.kappa < FOUR_PI):
         raise ValueError(f"integral curvature {quad.kappa} outside (2*pi, 4*pi){coarse}")
     if not (0.0 < quad.alpha < ALPHA_SUP):

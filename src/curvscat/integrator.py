@@ -247,6 +247,7 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
     end of the budget; data with eta_in <= 0 make none and give the start
     state as the only sample.  Always returns a Trajectory; a certified
     stop is encoded in events.blowup, budget exhaustion in the escaped flag.
+    Raises ValueError when the sample grid does not fit in memory.
     """
     def ev_half(t, y):
         return y[2] - 0.5 * a.eta_in
@@ -276,7 +277,11 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
     # --- sampling ---------------------------------------------------------
     h = cfg.dense_step
     n, t_last = _grid_end(t_start, t_end, h)
-    ts = t_start + h * np.arange(n + 1)
+    try:
+        ts = t_start + h * np.arange(n + 1)
+    except MemoryError:
+        raise ValueError(f"{n + 1} samples at dense_step = {h:g} do not fit in "
+                         "memory: raise --dense-step") from None
     mask = np.ones(len(ts), dtype=bool)
     if t_last != ts[-1]:
         ts = np.append(ts, t_last)

@@ -110,11 +110,15 @@ class MonotonicityReport:
     node: int
 
 
-def _cumtrapz(values: np.ndarray, step: float, initial: float) -> np.ndarray:
-    out = np.empty_like(values)
-    out[0] = initial
-    np.cumsum(0.5 * step * (values[1:] + values[:-1]), out=out[1:])
-    out[1:] += initial
+def _cumtrapz(values: np.ndarray, step: float, initial: float,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Cumulative trapezoid integrals from initial along the last axis."""
+    if out is None:
+        out = np.empty_like(values)
+    out[..., 0] = initial
+    np.cumsum(0.5 * step * (values[..., 1:] + values[..., :-1]), axis=-1,
+              out=out[..., 1:])
+    out[..., 1:] += initial
     return out
 
 
@@ -277,32 +281,39 @@ def iterate_future(p0: PhasePoint, t_max: float, step: float,
     t = _uniform_grid(T0, t_max, step, "p0.t", "t_max")
     t_hi = float(t[-1])
     dt = t - T0
-    LX = p0.xi_dot * dt + p0.xi
-    LY = p0.eta_dot * dt
+    # (X, Y) as the rows of one array: each iteration makes one pass per
+    # operation over both components
+    L = np.stack([p0.xi_dot * dt + p0.xi, p0.eta_dot * dt])
 
     def gf(values):
         return GridFunction(float(T0), t_hi, step, values)
 
-    X = LX.copy()
-    Y = LY.copy()
-    xs = [gf(X)]
-    ys = [gf(Y)]
+    Z = L.copy()
+    xs = [gf(Z[0])]
+    ys = [gf(Z[1])]
     history: list[float] = []
     converged = False
+    g, P, II = (np.empty_like(L) for _ in range(3))
     for _ in range(max_iter):
-        e2x = np.exp(2.0 * X)
-        IIy = _cumtrapz(_cumtrapz(Y * e2x, step, 0.0), step, 0.0)
-        IIh = _cumtrapz(_cumtrapz(0.5 * e2x, step, 0.0), step, 0.0)
-        X_next = X - epsilon * (X - LX + IIy)
-        Y_next = Y - epsilon * (Y - LY + IIh)
-        if np.max(Y_next) > 0.0:
+        # g = (Y e^{2X}, e^{2X}/2); II its double trapezoid integral from T0
+        np.exp(2.0 * Z[0], out=g[1])
+        np.multiply(Z[1], g[1], out=g[0])
+        g[1] *= 0.5
+        _cumtrapz(g, step, 0.0, P)
+        _cumtrapz(P, step, 0.0, II)
+        Z_next = Z - L
+        Z_next += II
+        Z_next *= epsilon
+        np.subtract(Z, Z_next, out=Z_next)
+        if np.max(Z_next[1]) > 0.0:
             raise ValueError("second component turned positive: data outside "
                              "the monotone regime")
-        d = float(np.max(np.abs(X_next - X)) + np.max(np.abs(Y_next - Y)))
+        dX, dY = np.max(np.abs(Z_next - Z), axis=1)
+        d = float(dX + dY)
         history.append(d)
-        X, Y = X_next, Y_next
-        xs.append(gf(X))
-        ys.append(gf(Y))
+        Z = Z_next
+        xs.append(gf(Z[0]))
+        ys.append(gf(Z[1]))
         if d <= tol:
             converged = True
             break

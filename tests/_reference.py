@@ -9,7 +9,9 @@ reproduce.  theta_tight and continue_tight are the tight-tolerance
 references for the deflection angle and the free leg after escape: scipy's
 DOP853 at rtol 1e-13 on the same equations, sharing no code with the package.
 final_residual checks a Picard limit against the motion equations by
-centered differences.  The row-by-row CSV writers are the oracle for the
+centered differences.  The DOP853 stage loops are the oracle for the
+stepper's compiled kernels, the future-zone iteration on separate X and Y
+arrays for picard's stacked one, and the row-by-row CSV writers for the
 CLI's block writer.
 
 The last section holds what only the tests call, kept out of the package,
@@ -29,6 +31,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from curvscat import dop853
 from curvscat.analysis import GradientFlowState, gradient_flow_run
 from curvscat.closed_forms import (AsymptoticData, _require_positive_eta_in,
                                    lncosh)
@@ -201,6 +204,105 @@ def final_residual(run) -> tuple[float, float]:
     r_xi = (xi[2:] - 2 * xi[1:-1] + xi[:-2]) / h**2 + eta[1:-1] * e2
     r_eta = (eta[2:] - 2 * eta[1:-1] + eta[:-2]) / h**2 + 0.5 * e2
     return float(np.max(np.abs(r_xi))), float(np.max(np.abs(r_eta)))
+
+
+# --- DOP853 stage loops -------------------------------------------------------
+# The stepper's stage sums, error norm and dense-output coefficients as loops
+# over the non-zeros of the tableau, as the stepper computed them before it
+# compiled straight-line kernels; the kernels must equal them bit for bit.
+
+
+def _advance(K, row, y, h):
+    """y + h * sum_k a_k * K[k], componentwise: the state of a stage."""
+    out = []
+    for j, v in enumerate(y):
+        s = 0.0
+        for k, a in row:
+            s += a * K[k][j]
+        out.append(v + s * h)
+    return out
+
+
+def dop853_step(fun, t, y, f, h):
+    """Stages 1-11 of a step from f = fun(t, y); (y_new, stages 0-11)."""
+    K = [f]
+    for c, row in dop853._STAGES:
+        K.append(fun(t + c * h, _advance(K, row, y, h)))
+    return _advance(K, dop853._B, y, h), K
+
+
+def dop853_error_norm(K, h, y, y_new, rtol, atol):
+    s5 = s3 = 0.0
+    for j, (a, b) in enumerate(zip(y, y_new)):
+        e5 = e3 = 0.0
+        for k, c5, c3 in dop853._E:
+            e5 += c5 * K[k][j]
+            e3 += c3 * K[k][j]
+        scale = atol + max(abs(a), abs(b)) * rtol
+        s5 += (e5 / scale) ** 2
+        s3 += (e3 / scale) ** 2
+    if s5 == 0.0 and s3 == 0.0:
+        return 0.0
+    return abs(h) * s5 / math.sqrt((s5 + 0.01 * s3) * len(y))
+
+
+def dop853_dense(fun, K, t_old, h, y_old, y_new):
+    """Stages 13-15 and the interpolant's coefficients F_0..F_6 per component."""
+    K = list(K)
+    for c, row in dop853._EXTRA_STAGES:
+        K.append(fun(t_old + c * h, _advance(K, row, y_old, h)))
+    f_old, f_new = K[0], K[dop853.N_STAGES]
+    coeffs = []
+    for j, (a, b) in enumerate(zip(y_old, y_new)):
+        d3 = d4 = d5 = d6 = 0.0
+        for k, c3, c4, c5, c6 in dop853._D:
+            v = K[k][j]
+            d3 += c3 * v
+            d4 += c4 * v
+            d5 += c5 * v
+            d6 += c6 * v
+        dy = b - a
+        coeffs.append((dy, h * f_old[j] - dy, 2 * dy - h * (f_new[j] + f_old[j]),
+                       h * d3, h * d4, h * d5, h * d6))
+    return coeffs
+
+
+def dop853_loops(n):
+    """Stands in for dop853._kernels: the loops, for any system size."""
+    return dop853._Kernels(dop853_step, dop853_error_norm, dop853_dense)
+
+
+def _cumtrapz(values, step, initial):
+    out = np.empty_like(values)
+    out[0] = initial
+    np.cumsum(0.5 * step * (values[1:] + values[:-1]), out=out[1:])
+    out[1:] += initial
+    return out
+
+
+def iterate_future_rowwise(p0, t_max, step, epsilon, tol, max_iter):
+    """picard.iterate_future's ladder as it was computed before X and Y
+    became the rows of one array: (X iterates, Y iterates, history)."""
+    n = int(round((t_max - p0.t) / step))
+    dt = p0.t + step * np.arange(n + 1) - p0.t
+    LX = p0.xi_dot * dt + p0.xi
+    LY = p0.eta_dot * dt
+    X, Y = LX.copy(), LY.copy()
+    xs, ys, history = [X], [Y], []
+    for _ in range(max_iter):
+        e2x = np.exp(2.0 * X)
+        IIy = _cumtrapz(_cumtrapz(Y * e2x, step, 0.0), step, 0.0)
+        IIh = _cumtrapz(_cumtrapz(0.5 * e2x, step, 0.0), step, 0.0)
+        X_next = X - epsilon * (X - LX + IIy)
+        Y_next = Y - epsilon * (Y - LY + IIh)
+        d = float(np.max(np.abs(X_next - X)) + np.max(np.abs(Y_next - Y)))
+        history.append(d)
+        X, Y = X_next, Y_next
+        xs.append(X)
+        ys.append(Y)
+        if d <= tol:
+            break
+    return xs, ys, history
 
 
 # --- row-by-row CSV writers ---------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -314,6 +315,37 @@ def test_coarse_grid_error_names_dense_step(tmp_path, capsys):
                 "--out-dir", str(out)) == EXIT_USAGE
     assert "--dense-step" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_dense_step_beyond_the_window_names_dense_step(tmp_path, capsys):
+    # one regular sample: too few for the quadrature
+    out = tmp_path / "run"
+    assert _run("solve", "--eta-in", "8", "--dense-step", "1000",
+                "--out-dir", str(out)) == EXIT_USAGE
+    assert "--dense-step" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [("solve", "--eta-in", "8"),
+                                     ("shoot", "--theta=-0.75pi")])
+def test_sample_grid_beyond_memory_names_dense_step(tmp_path, capsys, command):
+    # about 1e17 samples: beyond any address space, so the allocation fails
+    # at once and takes no memory
+    out = tmp_path / "run"
+    assert _run(*command, "--dense-step", "1e-15", "--out-dir", str(out)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert re.match(r"error: \d+ samples at dense_step = 1e-15 .*--dense-step", err)
+    assert not out.exists()
+
+
+def test_verify_sample_grid_beyond_memory_fails_an_item(tmp_path):
+    out = tmp_path / "verify"
+    assert _run("verify", "--eta-in", "8", "--dense-step", "1e-15",
+                "--out-dir", str(out)) == EXIT_VERIFY_FAIL
+    (item,) = json.loads((out / "verify_report.json").read_text())["items"]
+    assert item["name"] == "accepted scattering solution" and not item["passed"]
+    assert "--dense-step" in item["detail"]
 
 
 @pytest.mark.parametrize("args", [

@@ -83,13 +83,14 @@ def test_format_rows_matches_percent_g(block):
     assert format_rows(block) == _rowwise(block)
 
 
-# exact ties at the 13th significant digit; the switch between fixed and
-# exponent form, with and without a carry into the next decade; 2- and
-# 3-digit exponents; the ends of the rendered range; every power of ten,
-# where log10 may miss the exponent; and doubles nearest to decimal ties,
-# about 1% of which two roundings in the scaling would round the wrong way
+# the special strings (0, inf and nan, negated below); exact ties at the
+# 13th significant digit; the switch between fixed and exponent form, with
+# and without a carry into the next decade; 2- and 3-digit exponents; the
+# ends of the rendered range; every power of ten, where log10 may miss the
+# exponent; and doubles nearest to decimal ties, about 1% of which two
+# roundings in the scaling would round the wrong way
 _RNG = np.random.default_rng(18)
-EDGES = [2.0**-18, 123456789012.5, 999999999999.5,
+EDGES = [0.0, math.inf, math.nan, 2.0**-18, 123456789012.5, 999999999999.5,
          9.999999999995e-05, 1e-4, 99999999999.95, 999999999999.4,
          1e99, 1e-99, 1e100, 1e-100, 1e308, 1e-308,
          5e-324, 1e-300, 1e300,
@@ -112,12 +113,22 @@ def test_format_rows_edges_and_neighbours():
 @pytest.mark.parametrize("eta_in", [1.31, 8.0, 22.0])
 def test_few_fields_leave_the_block_path(cfg, eta_in):
     # the block renderer does the work: fields formatted one at a time (near
-    # a rounding tie, or 0, nan, inf and magnitudes outside 1e-296..1e300)
-    # stay under 1% of a trajectory's and its radial data's
+    # a rounding tie, or magnitudes outside 1e-296..1e300) stay under 1% of
+    # a trajectory's and its radial data's
     traj = integrate(AsymptoticData(0.0, eta_in), cfg)
     sol = to_radial(traj)
     fields = np.concatenate([traj.t, traj.xi, traj.eta, traj.xi_dot,
                              traj.eta_dot, traj.energies(), sol.r_grid,
                              sol.u_values, sol.k_values])
-    _, _, fast = _decimal(fields)
-    assert np.count_nonzero(~fast) < 0.01 * len(fields)
+    *_, slow = _decimal(fields)
+    assert len(slow) < 0.01 * len(fields)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan])
+def test_special_values_stay_on_the_block_path(value):
+    # a block of one special value, and one of all six, in 3 columns
+    for vals in ([value], [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]):
+        block = np.resize(vals, (B, 3))
+        *_, slow = _decimal(block.ravel())
+        assert len(slow) == 0
+        assert format_rows(block) == _rowwise(block)

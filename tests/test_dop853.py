@@ -1,8 +1,10 @@
-"""The owned DOP853 stepper against scipy's solve_ivp(method="DOP853").
+"""The owned DOP853 stepper against scipy's solve_ivp(method="DOP853"),
+and its compiled kernels against the stage loops of tests/_reference.py.
 
-scipy serves only as the oracle here.  The two take the same accepted
+scipy serves only as an oracle here.  The two take the same accepted
 steps and make the same number of right-hand-side calls; their values
-differ by round-off, because the stage sums run in another order.
+differ by round-off, because the stage sums run in another order.  The
+kernels keep the loops' order, so they equal them bit for bit.
 """
 
 import math
@@ -12,6 +14,7 @@ import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as scipy_tableau
 
+import _reference as ref
 import curvscat.integrator as integrator
 from curvscat import AsymptoticData, SolverConfig, dop853, integrate
 from curvscat.dop853 import EPS, TOO_SMALL_STEP, brentq, solve_ivp
@@ -176,3 +179,79 @@ def test_brentq_locates_roots():
     assert abs(brentq(math.cos, 1.0, 2.0, xtol=4 * EPS, rtol=4 * EPS) - 0.5 * math.pi) <= 1e-15
     with pytest.raises(ValueError, match="different signs"):
         brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12, rtol=4 * EPS)
+
+
+def _bits(x):
+    """The bit patterns of floats: equal only where the signs of zeros are."""
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class _Stages:
+    """A right-hand side that returns the given stage values in turn and
+    keeps every (t, state) it is called with."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+        self.calls = []
+
+    def __call__(self, t, y):
+        self.calls.append((t, list(y)))
+        return tuple(next(self.values))
+
+
+def _random_values(rng, shape, zeros=0.2):
+    """Mixed magnitudes 1e-100..1e100 of both signs; a share zeros of them
+    +0.0 or -0.0."""
+    x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-100, 100, shape)
+    zero = rng.random(shape) < zeros
+    x[zero] = rng.choice([-0.0, 0.0], shape)[zero]
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_kernels_equal_the_loops_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    kernels = dop853._kernels(n)
+    for _ in range(50):
+        t, h = rng.uniform(-10, 10), rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6, 1)
+        y, y_new = _random_values(rng, (2, n)).tolist()
+        rtol, atol = 10.0 ** rng.uniform(-13, -3, 2)
+        stages = _random_values(rng, (16, n), zeros=rng.choice([0.2, 0.9])).tolist()
+        f = stages[0]
+        got = _Stages(stages[1:12])
+        want = _Stages(stages[1:12])
+        (y1, K1), (y2, K2) = kernels.step(got, t, y, f, h), ref.dop853_step(want, t, y, f, h)
+        assert np.array_equal(_bits(y1), _bits(y2)) and K1 == K2
+        assert np.array_equal(_bits([c[1] for c in got.calls]), _bits([c[1] for c in want.calls]))
+        assert [c[0] for c in got.calls] == [c[0] for c in want.calls]
+
+        K = stages[:13]
+        assert _bits(kernels.error_norm(K, h, y, y_new, rtol, atol)) == \
+            _bits(ref.dop853_error_norm(K, h, y, y_new, rtol, atol))
+        got, want = _Stages(stages[13:]), _Stages(stages[13:])
+        c1 = kernels.dense(got, K, t, h, y, y_new)
+        c2 = ref.dop853_dense(want, K, t, h, y, y_new)
+        assert np.array_equal(_bits(c1), _bits(c2))
+        assert np.array_equal(_bits([c[1] for c in got.calls]), _bits([c[1] for c in want.calls]))
+    assert dop853._kernels(n) is kernels
+
+
+@pytest.mark.parametrize("xi_in", [0.0, 0.9])
+@pytest.mark.parametrize("eta_in", ORACLE_ETAS)
+def test_runs_equal_the_loops_bit_for_bit(eta_in, xi_in, cfg, monkeypatch):
+    rec = _Recorder(monkeypatch)
+    a = AsymptoticData(xi_in, eta_in)
+    integrate(a, cfg)
+    deflection_of(a, cfg)
+    monkeypatch.setattr(dop853, "_kernels", ref.dop853_loops)
+    for args, kwargs, sol in rec.calls:
+        want = solve_ivp(*args, **kwargs)
+        assert sol.nfev == want.nfev and sol.status == want.status
+        assert np.array_equal(_bits(sol.t), _bits(want.t))
+        assert np.array_equal(_bits(sol.y), _bits(want.y))
+        assert len(sol.t_events) == len(want.t_events)
+        for got, ev in zip(sol.t_events, want.t_events):
+            assert np.array_equal(_bits(got), _bits(ev))
+        if kwargs["dense_output"]:
+            ts = np.linspace(sol.t[0], sol.t[-1], 1001)
+            assert np.array_equal(_bits(sol.sol(ts)), _bits(want.sol(ts)))

@@ -238,6 +238,23 @@ def test_to_radial_requires_escape(cfg):
         to_radial(traj)
 
 
+@pytest.mark.parametrize("eta_in, dense_step", [(1.5, 1e-4), (8.0, 1e-4), (1.5, 2e-4)])
+def test_to_radial_takes_samples_flat_to_roundoff(cfg, eta_in, dense_step):
+    # near the start eta_in*e^{2t} is below the rounding of xi - t, so
+    # neighbouring samples of u and K can be equal on a fine grid
+    a = AsymptoticData(0.0, eta_in)
+    fine = to_radial(integrate(a, replace(cfg, dense_step=dense_step)))
+    assert abs(fine.kappa - to_radial(integrate(a, cfg)).kappa) <= 1e-8
+
+
+@pytest.mark.parametrize("name, field", [("u", "xi"), ("K", "eta")])
+def test_to_radial_rejects_a_rise(traj8, name, field):
+    v = getattr(traj8, field).copy()
+    v[len(v) // 2] += 0.1
+    with pytest.raises(ValueError, match=f"{name} must decrease in r, but rises"):
+        to_radial(replace(traj8, **{field: v}))
+
+
 def test_asymptotic_fit_intercepts_match_moment_integrals(traj8, sol8):
     # the tail lines extrapolate back to the center values plus the
     # log-weighted moments of the curvature and area densities:

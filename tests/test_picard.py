@@ -8,8 +8,9 @@ from curvscat.cli import write_csv
 from curvscat.picard import (GridFunction, NewtonNotConvergedError, PicardRun,
                              _march_xi)
 
-from _reference import (eta_first_iterate, final_residual, march_xi_nodewise,
-                        rk4_grid_from_state, rk4_on_grid, write_ladder_csv)
+from _reference import (eta_first_iterate, final_residual, iterate_future_rowwise,
+                        march_xi_nodewise, rk4_grid_from_state, rk4_on_grid,
+                        write_ladder_csv)
 
 A8 = AsymptoticData(0.0, 8.0)
 HANDOFF8 = explicit_bounds(A8).t0_lower - 1.0
@@ -176,6 +177,22 @@ def test_future_limit_matches_independent_rk4(fut):
                               t, substeps=4)
     assert np.max(np.abs(fut.xi_limit.values - ref[:, 0])) <= 1e-6
     assert np.max(np.abs(fut.eta_limit.values - ref[:, 2])) <= 1e-6
+
+
+@pytest.mark.parametrize("eta_in", [None, 1.5])
+def test_future_ladder_equals_the_rowwise_one_bit_for_bit(eta_in):
+    # the synthetic state, and the crossing state of a verify run at
+    # eta_in 1.5 (169 iterations)
+    p0, t_max, tol, max_iter = P0, 6.0, 1e-10, 500
+    if eta_in is not None:
+        traj = integrate(AsymptoticData(0.0, eta_in))
+        p0 = traj.point(int(np.argmin(np.abs(traj.t - traj.events.t0))))
+        t_max, tol, max_iter = p0.t + 5.0, 1e-9, 400
+    run = iterate_future(p0, t_max, 2e-3, 0.1, tol, max_iter)
+    xs, ys, history = iterate_future_rowwise(p0, t_max, 2e-3, 0.1, tol, max_iter)
+    assert run.sup_diff_history == history and len(history) > 100
+    for got, want in zip(run.iterates_xi + run.iterates_eta, xs + ys):
+        assert np.array_equal(got.values.view(np.uint64), want.view(np.uint64))
 
 
 def test_future_second_component_negative(fut):
