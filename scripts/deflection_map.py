@@ -15,18 +15,18 @@ import sys
 
 import numpy as np
 
-from curvscat import (AsymptoticData, NotConvergedError, SolverConfig,
-                      deflection, integrate, theta_identities)
+from curvscat import (AsymptoticData, Outcome, SolverConfig, deflection,
+                      integrate, theta_identities)
+
+# the outcome column's word for each way a run ends
+KINDS = {Outcome.ESCAPED: "scatter", Outcome.CERTIFIED: "blowup",
+         Outcome.OUT_OF_BUDGET: "no-escape"}
 
 
 def classify(eta_in: float, cfg: SolverConfig):
+    """(outcome, Theta or None) of the run from (xi_in, eta_in) = (0, eta_in)."""
     traj = integrate(AsymptoticData(0.0, eta_in), cfg)
-    if traj.events.blowup is not None:
-        return "blowup", None
-    try:
-        return "scatter", deflection(traj)
-    except NotConvergedError:
-        return "no-escape", None
+    return traj.outcome, deflection(traj) if traj.escaped else None
 
 
 def main(argv=None) -> int:
@@ -42,7 +42,8 @@ def main(argv=None) -> int:
     cfg = SolverConfig()
     rows = []
     for eta in np.geomspace(args.eta_min, args.eta_max, args.n):
-        kind, theta = classify(float(eta), cfg)
+        outcome, theta = classify(float(eta), cfg)
+        kind = KINDS[outcome]
         if theta is None:
             print(f"eta_in = {eta:12.6f}  {kind}")
             rows.append((eta, kind, "", "", ""))
@@ -52,13 +53,18 @@ def main(argv=None) -> int:
                   f"  kappa = {kap:.6f}  alpha = {al:.6f}")
             rows.append((eta, kind, theta, kap, al))
 
-    # empirical onset: largest non-scattering eta below the smallest
-    # scattering one (xi_in = 0); upper estimates from theory sit higher
+    # empirical onset: largest certified eta below the smallest scattering
+    # one (xi_in = 0); upper estimates from theory sit higher.  A budget stop
+    # decides neither side, so it ends the bisection
     lo, hi = 0.5, args.eta_min
     for _ in range(args.onset_bisections):
         mid = 0.5 * (lo + hi)
-        kind, _ = classify(mid, cfg)
-        if kind == "scatter":
+        outcome, _ = classify(mid, cfg)
+        if outcome is Outcome.OUT_OF_BUDGET:
+            print(f"eta_in = {mid:.8f} undecided: no escape or certificate "
+                  f"within max_time = {cfg.max_time:g}")
+            break
+        if outcome is Outcome.ESCAPED:
             hi = mid
         else:
             lo = mid

@@ -16,7 +16,7 @@ from .dynamics import PhasePoint, rhs
 from .geometry import (AsymptoticFit, RadialSolution, asymptotic_fit,
                        curvature_area_quadrature, pokhozaev_residual,
                        theta_identities, to_radial)
-from .integrator import (BlowUpRecord, NotConvergedError, SolverConfig,
+from .integrator import (NotConvergedError, Outcome, SolverConfig,
                          Trajectory, TrajectoryEvents, deflection,
                          deflection_of, integrate)
 from .picard import (GridFunction, MonotonicityReport, NewtonNotConvergedError,

@@ -5,8 +5,8 @@ significant digits, JSON floats 17; timestamps appear only in the run
 manifest.  A CSV is its header line, then rows of '%.12g' fields ending in
 CR LF (csv.writer's dialect, never quoted); each block of _CSV_BLOCK_ROWS
 rows is rendered at once by csvformat.format_rows, every field byte-equal
-to Python's '%.12g'.  Exit codes: 0 ok, 1 usage error, 2 blow-up or
-non-scattering outcome, 3 partial sweep failure, 4 verification failure.
+to Python's '%.12g'.  Exit codes: 0 ok, 1 usage error or solver failure,
+2 non-scattering outcome, 3 partial sweep failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, analysis, geometry, shooting, verification
 from .closed_forms import AsymptoticData
 from .csvformat import format_rows
-from .integrator import (NO_ESCAPE, NotConvergedError, SolverConfig,
+from .integrator import (NotConvergedError, Outcome, SolverConfig,
                          Trajectory, deflection, integrate)
 
 EXIT_OK = 0
@@ -34,6 +34,11 @@ EXIT_USAGE = 1
 EXIT_NONSCATTERING = 2
 EXIT_PARTIAL = 3
 EXIT_VERIFY_FAIL = 4
+
+# the exit code of each way a run ends; a solver failure reaches main raised
+EXIT_CODE = {Outcome.ESCAPED: EXIT_OK, Outcome.CERTIFIED: EXIT_NONSCATTERING,
+             Outcome.OUT_OF_BUDGET: EXIT_NONSCATTERING,
+             Outcome.SOLVER_FAILURE: EXIT_USAGE}
 
 
 class UsageError(Exception):
@@ -194,8 +199,7 @@ def _config_from(args) -> SolverConfig:
 def _events_dict(traj: Trajectory) -> dict:
     ev = traj.events
     return {"t0": ev.t0, "t_half": ev.t_half, "t_m": ev.t_m,
-            "blowup": None if ev.blowup is None
-            else {"last_state": asdict(ev.blowup.last_state)}}
+            "blowup": None if ev.blowup is None else {"last_state": asdict(ev.blowup)}}
 
 
 def _summary(inputs: dict, cfg: SolverConfig, traj: "Trajectory | None" = None,
@@ -264,19 +268,17 @@ def cmd_solve(args, argv) -> int:
 
     traj = integrate(a, cfg)
     if not traj.escaped:
-        reason = (traj.events.blowup.reason if traj.events.blowup is not None
-                  else NO_ESCAPE)
         summary = _summary(inputs, cfg, traj, escaped=False,
-                           blowup={"reason": reason})
+                           blowup={"reason": traj.outcome.value})
         _write_run(args, argv, "solve", inputs, cfg, summary, traj)
-        print(f"non-scattering: {reason}")
-        return EXIT_NONSCATTERING
+        print(f"non-scattering: {traj.outcome.value}")
+        return EXIT_CODE[traj.outcome]
 
     # the summary can still fail (a ValueError, exit 1): build it first
     summary, sol = _solution_summary(traj, inputs, cfg)
     _write_run(args, argv, "solve", inputs, cfg, summary, traj, sol)
     print(f"theta = {summary['theta']:.12g}")
-    return EXIT_OK
+    return EXIT_CODE[traj.outcome]
 
 
 def cmd_shoot(args, argv) -> int:
@@ -445,9 +447,13 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except (ValueError, NotConvergedError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except NotConvergedError as exc:
+        # a solver failure, or a final sample failing the escape criterion
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CODE[Outcome.SOLVER_FAILURE]
 
 
 if __name__ == "__main__":

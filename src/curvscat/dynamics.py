@@ -122,9 +122,7 @@ def apply_symmetry(traj: "Trajectory", s: Symmetry) -> "Trajectory":
             return -x
         return x * math.exp(-s.xi_h)
 
-    blow = ev.blowup
-    if blow is not None:
-        blow = replace(blow, last_state=transform_point(blow.last_state, s))
+    blow = None if ev.blowup is None else transform_point(ev.blowup, s)
     new_ev = TrajectoryEvents(map_time(ev.t0), map_time(ev.t_half), map_time(ev.t_m), blow)
 
     if isinstance(s, TimeTranslate):

@@ -6,19 +6,19 @@ its expansion parameter eta_in*w, w = exp(2*(xi_in + t_start)), is at most
 pair DOP853 with dense output (dop853.solve_ivp, which takes scipy's steps
 on plain floats); the scheme is incidental, the contract is the tolerances.
 
-A run ends in one of three ways:
-  * escape: |eta*exp(2*xi)|, |speed^2 - 1| and exp(4*xi), the order of the
+A run ends in one of four ways, its Outcome:
+  * ESCAPED: |eta*exp(2*xi)|, |speed^2 - 1| and exp(4*xi), the order of the
     free leg's neglected terms, all below escape_tol while xi_dot < 0 (the
     gate keeps the criterion from firing on the inbound leg);
-  * certified blow-up: eta < 0 with xi_dot > 0.  eta_dot < 0 throughout, so
-    from there xi'' = -eta*exp(2*xi) > 0 keeps xi_dot > 0, the escape gate
-    never opens and xi diverges.  The run stops at the certificate and
-    reports a structured record carrying the state there, never an
-    exception.  Data with eta_in <= 0 start inside it and make no solver
-    call;
-  * budget exhausted: no escape within max_time after t_start.
-A solver failure (a step below 10 ulp of t) is none of these: it raises
-NotConvergedError with the stepper's message.
+  * CERTIFIED non-scattering: eta < 0 with xi_dot > 0.  eta_dot < 0
+    throughout, so from there xi'' = -eta*exp(2*xi) > 0 keeps xi_dot > 0,
+    the escape gate never opens and xi diverges.  The run stops there and
+    keeps the state in events.blowup.  Data with eta_in <= 0 start inside
+    it and make no solver call;
+  * OUT_OF_BUDGET: no escape within max_time after t_start;
+  * SOLVER_FAILURE: a step below 10 ulp of t, which raises NotConvergedError
+    with the stepper's message in place of a trajectory.
+A run that did not escape gives no angle: NotConvergedError carries how.
 
 The solver stops at escape; after it, samples, the eta crossings and the
 deflection angle come from the closed-form free leg (closed_forms.free_leg).
@@ -37,6 +37,7 @@ leg only at the final sample time.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -49,12 +50,27 @@ from .dop853 import solve_ivp
 from .dynamics import PhasePoint, energy_array, rhs
 
 
+class Outcome(enum.Enum):
+    """How a run ended; the value is the reason a command reports."""
+
+    ESCAPED = "escaped"
+    CERTIFIED = "eta < 0 with xi_dot > 0, so escape is impossible"
+    OUT_OF_BUDGET = "no escape within the time budget"
+    SOLVER_FAILURE = "solver failure"
+
+
 class NotConvergedError(Exception):
-    """Raised when a deflection angle is requested from a non-escaped run."""
+    """No deflection angle from a run that ended in outcome; with ESCAPED,
+    its final sample fails the escape criterion.  detail is the stepper's
+    message of a solver failure."""
 
-
-# the message of a run that ends at max_time without escape or certificate
-NO_ESCAPE = "no escape within the time budget"
+    def __init__(self, outcome: Outcome, detail: str = ""):
+        super().__init__({
+            Outcome.ESCAPED: "final sample fails the escape criterion",
+            Outcome.CERTIFIED: f"blow-up: {outcome.value}",
+            Outcome.OUT_OF_BUDGET: outcome.value,
+            Outcome.SOLVER_FAILURE: f"{outcome.value}: {detail}"}[outcome])
+        self.outcome = outcome
 
 
 @dataclass(frozen=True)
@@ -82,23 +98,15 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class BlowUpRecord:
-    """The state at which a run was certified non-scattering, and why."""
-
-    last_state: PhasePoint
-    reason: str
-
-
-@dataclass(frozen=True)
 class TrajectoryEvents:
     """Detected event times: eta = 0 (t0), eta = eta_in/2 (t_half), xi_dot = 0
-    (t_m), plus the blow-up record of a run stopped at the non-scattering
-    certificate.  Absent events stay None."""
+    (t_m), plus the state at which a run stopped at the non-scattering
+    certificate (blowup).  Absent events stay None."""
 
     t0: Optional[float] = None
     t_half: Optional[float] = None
     t_m: Optional[float] = None
-    blowup: Optional[BlowUpRecord] = None
+    blowup: Optional[PhasePoint] = None
 
 
 @dataclass(frozen=True)
@@ -114,7 +122,7 @@ class Trajectory:
     events: TrajectoryEvents
     max_energy_drift: float
     asymptotics: AsymptoticData
-    escaped: bool
+    outcome: Outcome
     config: SolverConfig
 
     def __post_init__(self):
@@ -125,6 +133,10 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.t)
+
+    @property
+    def escaped(self) -> bool:
+        return self.outcome is Outcome.ESCAPED
 
     def point(self, k: int) -> PhasePoint:
         return PhasePoint(float(self.t[k]), float(self.xi[k]), float(self.eta[k]),
@@ -158,9 +170,6 @@ def _free_leg_crossing(y_e, level: float) -> float:
     return float(s)
 
 
-_CERTIFIED = "eta < 0 with xi_dot > 0, so escape is impossible"
-
-
 def _ev_certificate(t, y):
     # eta_dot < 0 always, so once eta < 0 and xi_dot > 0, xi'' = -eta*e^{2 xi}
     # > 0 keeps xi_dot > 0 and the escape gate xi_dot < 0 never opens
@@ -178,15 +187,14 @@ def _solve(a: AsymptoticData, cfg: SolverConfig, extra_events, dense_output: boo
     Events 0-2 are escape (terminal), eta = 0 and the certificate
     (terminal); extra_events follow.  eta = 0 is listed ahead of the
     certificate, which fires at that same root when xi_dot > 0 there, so
-    the crossing is kept.  Returns (p0, sol, blowup): the start state, the
-    solve_ivp result and the BlowUpRecord of a certified stop (None at
-    escape or budget exhaustion, which the escape event tells apart).
-    Data with eta_in <= 0 start certified and make no call (sol is None).
-    A solver failure raises NotConvergedError with the stepper's message.
+    the crossing is kept.  Returns (p0, sol, outcome): the start state, the
+    solve_ivp result and how the run ended.  Data with eta_in <= 0 start
+    certified and make no call (sol is None).  A solver failure raises
+    NotConvergedError with the stepper's message.
     """
     p0 = free_motion_expansion(start_time(a), a)
     if a.eta_in <= 0.0:
-        return p0, None, BlowUpRecord(p0, _CERTIFIED)
+        return p0, None, Outcome.CERTIFIED
 
     def ev_escape(t, y):
         return _escape_residual(y, cfg.escape_tol)
@@ -202,20 +210,10 @@ def _solve(a: AsymptoticData, cfg: SolverConfig, extra_events, dense_output: boo
                     atol=cfg.abs_tol, dense_output=dense_output,
                     events=[ev_escape, ev_eta0, _ev_certificate, *extra_events])
     if sol.status == -1:
-        raise NotConvergedError(f"solver failure: {sol.message}")
-    blowup = None
-    if len(sol.t_events[2]):
-        y = sol.y[:, -1]
-        blowup = BlowUpRecord(PhasePoint(float(sol.t[-1]), float(y[0]), float(y[2]),
-                                         float(y[1]), float(y[3])), _CERTIFIED)
-    return p0, sol, blowup
-
-
-def _no_escape(blowup: Optional[BlowUpRecord]) -> NotConvergedError:
-    """The error of a run that did not escape: certified or out of budget."""
-    if blowup is not None:
-        return NotConvergedError(f"blow-up: {blowup.reason}")
-    return NotConvergedError(NO_ESCAPE)
+        raise NotConvergedError(Outcome.SOLVER_FAILURE, sol.message)
+    if len(sol.t_events[0]):
+        return p0, sol, Outcome.ESCAPED
+    return p0, sol, Outcome.CERTIFIED if len(sol.t_events[2]) else Outcome.OUT_OF_BUDGET
 
 
 def _first(ev_list) -> Optional[float]:
@@ -245,8 +243,8 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
 
     One solver call runs to escape, the non-scattering certificate or the
     end of the budget; data with eta_in <= 0 make none and give the start
-    state as the only sample.  Always returns a Trajectory; a certified
-    stop is encoded in events.blowup, budget exhaustion in the escaped flag.
+    state as the only sample.  Returns a Trajectory, whose outcome says how
+    the run ended; a certified one keeps the state there in events.blowup.
     Raises ValueError when the sample grid does not fit in memory.
     """
     def ev_half(t, y):
@@ -257,14 +255,13 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
         return y[1]
     ev_xidot.direction = -1
 
-    p0, sol, blowup = _solve(a, cfg, [ev_half, ev_xidot], dense_output=True)
+    p0, sol, outcome = _solve(a, cfg, [ev_half, ev_xidot], dense_output=True)
     t_start = t_end = p0.t
     t_escape = t0 = t_half = t_m = None
     if sol is not None:
         t_escape, t0, t_half, t_m = (_first(sol.t_events[k]) for k in (0, 1, 3, 4))
         t_end = float(sol.t[-1])
-    escaped = t_escape is not None
-    if escaped:
+    if outcome is Outcome.ESCAPED:
         budget = t_start + cfg.max_time
         y_e = sol.y[:, -1]
         t0, t_end = _window_end(cfg, t_start, t_escape, y_e, t0)
@@ -298,7 +295,7 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
 
     if sol is None:
         Y = np.array([[p0.xi], [p0.xi_dot], [p0.eta], [p0.eta_dot]])
-    elif escaped:
+    elif outcome is Outcome.ESCAPED:
         k = int(np.searchsorted(ts, t_escape, side="right"))
         Y = np.empty((4, len(ts)))
         Y[:, :k] = sol.sol(ts[:k])
@@ -308,11 +305,15 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
 
     xi, xi_dot, eta, eta_dot = Y[0], Y[1], Y[2], Y[3]
     drift = float(np.max(np.abs(2.0 * energy_array(xi, eta, xi_dot, eta_dot) - 1.0)))
+    blowup = None
+    if outcome is Outcome.CERTIFIED:
+        blowup = p0 if sol is None else PhasePoint(
+            float(sol.t[-1]), *(float(sol.y[k, -1]) for k in (0, 2, 1, 3)))
 
     return Trajectory(
         t=ts, xi=xi, eta=eta, xi_dot=xi_dot, eta_dot=eta_dot, uniform_mask=mask,
         events=TrajectoryEvents(t0=t0, t_half=t_half, t_m=t_m, blowup=blowup),
-        max_energy_drift=drift, asymptotics=a, escaped=escaped, config=cfg,
+        max_energy_drift=drift, asymptotics=a, outcome=outcome, config=cfg,
     )
 
 
@@ -321,7 +322,7 @@ def _outgoing_angle(y, escape_tol: float) -> float:
     of the free leg's outgoing velocity.  Raises NotConvergedError when y
     fails the escape criterion."""
     if not _escape_residual(y, escape_tol) < 0.0:
-        raise NotConvergedError("final sample fails the escape criterion")
+        raise NotConvergedError(Outcome.ESCAPED)
     _, xi_dot, _, eta_dot = free_leg(y, math.inf)
     return math.atan2(float(eta_dot), float(xi_dot))
 
@@ -335,7 +336,7 @@ def deflection(traj: Trajectory) -> float:
     the run did not escape or the final sample fails the escape criterion.
     """
     if not traj.escaped:
-        raise _no_escape(traj.events.blowup)
+        raise NotConvergedError(traj.outcome)
     y = (traj.xi[-1], traj.xi_dot[-1], traj.eta[-1], traj.eta_dot[-1])
     return _outgoing_angle(y, traj.config.escape_tol)
 
@@ -348,11 +349,10 @@ def deflection_of(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> floa
     final sample, so the two agree bit for bit.  Raises the same
     NotConvergedError as deflection(integrate(a, cfg)) wherever that raises.
     """
-    p0, sol, blowup = _solve(a, cfg, [], dense_output=False)
-    t_escape = None if sol is None else _first(sol.t_events[0])
-    if t_escape is None:
-        raise _no_escape(blowup)
-    y_e = sol.y[:, -1]
+    p0, sol, outcome = _solve(a, cfg, [], dense_output=False)
+    if outcome is not Outcome.ESCAPED:
+        raise NotConvergedError(outcome)
+    t_escape, y_e = float(sol.t_events[0][0]), sol.y[:, -1]
     _, t_end = _window_end(cfg, p0.t, t_escape, y_e, _first(sol.t_events[1]))
     _, t_last = _grid_end(p0.t, t_end, cfg.dense_step)
     y = free_leg(y_e, np.array([t_last - t_escape]))

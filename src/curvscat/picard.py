@@ -76,9 +76,6 @@ class GridFunction:
     def t(self) -> np.ndarray:
         return self.t_min + self.step * np.arange(len(self.values))
 
-    def sup_diff(self, other: "GridFunction") -> float:
-        return float(np.max(np.abs(self.values - other.values)))
-
 
 @dataclass
 class PicardRun:
@@ -93,14 +90,6 @@ class PicardRun:
     iterates_eta: list[GridFunction]
     converged: bool
     sup_diff_history: list[float] = field(default_factory=list)
-
-    @property
-    def xi_limit(self) -> GridFunction:
-        return self.iterates_xi[-1]
-
-    @property
-    def eta_limit(self) -> GridFunction:
-        return self.iterates_eta[-1]
 
 
 @dataclass(frozen=True)
@@ -330,15 +319,11 @@ def monotonicity_report(run: PicardRun, allowance: float = 0.0) -> MonotonicityR
     """
     worst = 0.0
     node = -1
-    for prev, nxt in zip(run.iterates_xi, run.iterates_xi[1:]):
-        viol = prev.values - nxt.values
-        k = int(np.argmax(viol))
-        if viol[k] > worst:
-            worst, node = float(viol[k]), k
-    for prev, nxt in zip(run.iterates_eta, run.iterates_eta[1:]):
-        viol = nxt.values - prev.values
-        k = int(np.argmax(viol))
-        if viol[k] > worst:
-            worst, node = float(viol[k]), k
+    for ladder, sign in ((run.iterates_xi, 1.0), (run.iterates_eta, -1.0)):
+        for prev, nxt in zip(ladder, ladder[1:]):
+            viol = sign * (prev.values - nxt.values)
+            k = int(np.argmax(viol))
+            if viol[k] > worst:
+                worst, node = float(viol[k]), k
     return MonotonicityReport(ordered=worst <= allowance,
                               worst_violation=worst, node=node)

@@ -31,7 +31,7 @@ scattering end is accepted if it lies within root_tol, and otherwise the
 search fails, naming why: no root up to the ceiling, the lower edge pinned
 by non-scattering outcomes (naming max_time when they are budget stops),
 or a stalled refinement.  A non-scattering outcome above a scattering point
-also ends the search with a BracketNotFoundError.
+ends the search with a BracketNotFoundError, a solver failure at once.
 
 Evaluations are solver-only (integrator.deflection_of: no dense output, no
 samples, and an early certificate for non-scattering data), except for a
@@ -52,7 +52,7 @@ from typing import Callable, Optional
 
 from .closed_forms import AsymptoticData
 from .deflection_table import MISS as SEED_MISS, eta_in_of
-from .integrator import (NO_ESCAPE, NotConvergedError, SolverConfig, Trajectory,
+from .integrator import (NotConvergedError, Outcome, SolverConfig, Trajectory,
                          deflection, deflection_of, integrate)
 from . import geometry
 
@@ -66,6 +66,10 @@ _ONSET_STEP = 2.0**-7
 # a probe this close to a bracket end, relative, would barely narrow it: the
 # bracket has collapsed
 _COLLAPSE = 1e-12
+# whether a probe with no angle is a non-scattering lower end (True) or ends
+# the search (False); an escaped one has none if its final sample fails
+_LOWER_END = {Outcome.ESCAPED: True, Outcome.CERTIFIED: True,
+              Outcome.OUT_OF_BUDGET: True, Outcome.SOLVER_FAILURE: False}
 
 
 class BracketNotFoundError(RuntimeError):
@@ -117,7 +121,8 @@ def shoot(theta_target: float, cfg: SolverConfig = SolverConfig(),
     for a side with none.  iterations counts the evaluations after the
     seed: an accepted seed gives 0 and (eta, eta).  Deterministic: identical
     inputs produce identical results.  Bad search arguments (check_search)
-    and targets outside the margin raise ValueError.
+    and targets outside the margin raise ValueError, a solver failure
+    NotConvergedError.
     """
     check_search(root_tol, ceiling)
     if not (-math.pi + THETA_MARGIN < theta_target < -0.5 * math.pi - THETA_MARGIN):
@@ -131,7 +136,7 @@ def shoot(theta_target: float, cfg: SolverConfig = SolverConfig(),
     # end that was not evaluated or did not scatter
     lo: tuple[float, Optional[float]] = (0.0, None)
     hi: tuple[float, Optional[float]] = (ceiling, None)
-    lo_why = ""                          # why the lower end did not scatter
+    lo_why = None                        # how the lower end's run ended
     near = None                          # (eta, f) of the latest scattering probe
 
     def fail(why: str) -> BracketNotFoundError:
@@ -153,10 +158,12 @@ def shoot(theta_target: float, cfg: SolverConfig = SolverConfig(),
             else:
                 theta = deflection_of(a, cfg)
         except NotConvergedError as exc:
+            if not _LOWER_END[exc.outcome]:
+                raise
             scanned.append((eta, None))
             if lo[1] is not None:
                 raise fail("bracket interior stopped scattering")
-            lo, lo_why = (eta, None), str(exc)
+            lo, lo_why = (eta, None), exc.outcome
         else:
             scanned.append((eta, theta))
             f = theta - theta_target
@@ -196,7 +203,7 @@ def shoot(theta_target: float, cfg: SolverConfig = SolverConfig(),
                 raise fail("no root up to the ceiling")
             if lo[1] is not None:
                 raise fail(f"root refinement stalled at |dtheta| = {abs(f):.3e}")
-            if lo_why == NO_ESCAPE:
+            if lo_why is Outcome.OUT_OF_BUDGET:
                 raise fail(f"lower edge pinned by runs up to eta_in = {lo[0]:.9g} "
                            f"that find no escape within max_time = {cfg.max_time:g}; "
                            "raise --max-time")

@@ -16,7 +16,7 @@ from . import analysis, geometry, picard
 from .closed_forms import (ETA_CRIT_UPPER, AsymptoticData, explicit_bounds,
                            t0_state_bounds, xi_subsolution, xi_supersolution)
 from .dynamics import BOUNDARY_TOL
-from .integrator import SolverConfig, Trajectory, integrate
+from .integrator import NotConvergedError, SolverConfig, Trajectory, integrate
 
 POKHOZAEV_REL_TOL = 1e-3
 SLOPE_REL_TOL = 1e-3
@@ -149,16 +149,18 @@ def run_suite(eta_values=(6.0, 8.0, 12.0),
               cfg: SolverConfig = SolverConfig()) -> list[CheckResult]:
     """Run every line item on each eta_in (xi_in = 0); returns all results.
 
-    Data that fails to produce an accepted scattering solution yields a
-    single failed line item instead of aborting the suite.
+    Data that gives no accepted scattering solution, a solver failure
+    included, yields one failed line item naming why, not an exception.
     """
     results: list[CheckResult] = []
     for eta_in in eta_values:
         a = AsymptoticData(0.0, float(eta_in))
         try:
             traj = integrate(a, cfg)
+            if not traj.escaped:
+                raise NotConvergedError(traj.outcome)
             sol = geometry.to_radial(traj)
-        except ValueError as exc:
+        except (ValueError, NotConvergedError) as exc:
             results.append(CheckResult("accepted scattering solution",
                                        a.eta_in, False, str(exc)))
             continue

@@ -197,9 +197,9 @@ def final_residual(run) -> tuple[float, float]:
 
     Both are O(step^2) for a converged past-zone run; interior nodes only.
     """
-    xi = run.xi_limit.values
-    eta = run.eta_limit.values
-    h = run.xi_limit.step
+    xi = run.iterates_xi[-1].values
+    eta = run.iterates_eta[-1].values
+    h = run.iterates_xi[-1].step
     e2 = np.exp(2.0 * xi[1:-1])
     r_xi = (xi[2:] - 2 * xi[1:-1] + xi[:-2]) / h**2 + eta[1:-1] * e2
     r_eta = (eta[2:] - 2 * eta[1:-1] + eta[:-2]) / h**2 + 0.5 * e2

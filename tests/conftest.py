@@ -43,6 +43,21 @@ def sol8(traj8):
     return to_radial(traj8)
 
 
+@pytest.fixture
+def failing_solver(monkeypatch):
+    """Every solver call fails as a too-small step does; returns the calls."""
+    import curvscat.integrator as integrator
+    solve_ivp, calls = integrator.solve_ivp, []
+
+    def failing(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        calls.append(sol)
+        sol.status, sol.message = -1, "Required step size is too small."
+        return sol
+    monkeypatch.setattr(integrator, "solve_ivp", failing)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def sweep9(cfg):
     rows = sweep(SWEEP_GRID, cfg, root_tol=1e-8)

@@ -9,11 +9,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from curvscat import (AsymptoticData, NotConvergedError, asymptotic_fit,
-                      deflection, deflection_of, explicit_bounds, integrate,
-                      iterate_past, monotonicity_report, shoot,
-                      theta_identities, to_radial, xi_subsolution,
-                      xi_supersolution)
+from curvscat import (AsymptoticData, NotConvergedError, Outcome,
+                      asymptotic_fit, deflection, deflection_of,
+                      explicit_bounds, integrate, iterate_past,
+                      monotonicity_report, shoot, theta_identities, to_radial,
+                      xi_subsolution, xi_supersolution)
 from curvscat.analysis import GradientFlowState, g_values, gradient_flow_run
 from curvscat.closed_forms import ETA_CRIT_UPPER
 from curvscat.dynamics import Homologous, TimeReverse, apply_symmetry
@@ -98,11 +98,12 @@ def test_05_monotone_iteration(cfg):
     run = iterate_past(a, handoff, step=1e-3, tol=tol, max_iter=60)
     c = replace(cfg, dense_step=1e-3)
     traj = integrate(a, c)
-    n = len(run.xi_limit.values)
+    xi_lim, eta_lim = run.iterates_xi[-1], run.iterates_eta[-1]
+    n = len(xi_lim.values)
     tm = traj.t[traj.uniform_mask][:n]
-    assert abs(tm[0] - run.xi_limit.t[0]) < 1e-12
-    dx = float(np.max(np.abs(traj.xi[traj.uniform_mask][:n] - run.xi_limit.values)))
-    de = float(np.max(np.abs(traj.eta[traj.uniform_mask][:n] - run.eta_limit.values)))
+    assert abs(tm[0] - xi_lim.t[0]) < 1e-12
+    dx = float(np.max(np.abs(traj.xi[traj.uniform_mask][:n] - xi_lim.values)))
+    de = float(np.max(np.abs(traj.eta[traj.uniform_mask][:n] - eta_lim.values)))
     # future-zone ladder on a substantive crossing state
     from curvscat import PhasePoint, iterate_future
     fut = iterate_future(PhasePoint(0.0, -2.0, 0.0, -0.6, -0.8),
@@ -183,14 +184,15 @@ def test_09_non_scattering(cfg):
     details = []
     for eta_in in (-1.0, 0.0):
         traj = integrate(AsymptoticData(0.0, eta_in), cfg)
-        structured = (traj.events.blowup is not None) and not traj.escaped
+        structured = (traj.events.blowup is not None
+                      and traj.outcome is Outcome.CERTIFIED)
         ok &= structured
         try:
             deflection(traj)
             ok = False
             details.append(f"eta_in={eta_in:g}: produced an angle")
         except NotConvergedError:
-            details.append(f"eta_in={eta_in:g}: {traj.events.blowup.reason.split(':')[0]}")
+            details.append(f"eta_in={eta_in:g}: {traj.outcome.value}")
     _report("09 non-scattering", bool(ok), "; ".join(details))
 
 

@@ -10,12 +10,12 @@ from pathlib import Path
 import pytest
 
 import curvscat
-from curvscat import AsymptoticData, SolverConfig, integrate
-from curvscat.cli import (EXIT_NONSCATTERING, EXIT_OK, EXIT_PARTIAL,
+from curvscat import AsymptoticData, SolverConfig, integrate, shooting
+from curvscat.cli import (EXIT_CODE, EXIT_NONSCATTERING, EXIT_OK, EXIT_PARTIAL,
                           EXIT_USAGE, EXIT_VERIFY_FAIL, _json_render,
                           build_parser, main, parse_angle)
 from curvscat.deflection_table import eta_in_of
-from curvscat.integrator import _CERTIFIED
+from curvscat.integrator import Outcome
 
 from _reference import ORACLE_THETA_ETA8
 
@@ -74,7 +74,7 @@ def test_solve_nonpositive_eta_certified_at_start(tmp_path):
     out = tmp_path / "neg"
     assert _run("solve", "--eta-in", "-1", "--out-dir", str(out)) == EXIT_NONSCATTERING
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["blowup"]["reason"] == _CERTIFIED
+    assert summary["blowup"]["reason"] == Outcome.CERTIFIED.value
     assert len((out / "trajectory.csv").read_text().splitlines()) == 2
 
 
@@ -83,7 +83,7 @@ def test_solve_blowup_branch_via_flags(tmp_path):
     out = tmp_path / "blow"
     assert _run("solve", "--eta-in", "1.0", "--out-dir", str(out)) == EXIT_NONSCATTERING
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["blowup"]["reason"] == _CERTIFIED
+    assert summary["blowup"]["reason"] == Outcome.CERTIFIED.value
     assert summary["drift"] <= 1e-8
     assert (out / "trajectory.csv").exists()
 
@@ -118,7 +118,7 @@ def test_solve_summary_layout(tmp_path, eta_in, keys):
                 "last_state": {"t": p.t, "xi": p.xi, "eta": p.eta,
                                "xi_dot": p.xi_dot, "eta_dot": p.eta_dot}}},
             "escaped": False,
-            "blowup": {"reason": _CERTIFIED},
+            "blowup": {"reason": Outcome.CERTIFIED.value},
             "drift": traj.max_energy_drift,
             "config": asdict(SolverConfig()),
         }) + "\n"
@@ -151,7 +151,7 @@ def test_nonscattering_reason_written_once(tmp_path, eta_in):
     out = tmp_path / "run"
     assert _run("solve", f"--eta-in={eta_in}", "--out-dir", str(out)) == EXIT_NONSCATTERING
     text = (out / "summary.json").read_text()
-    assert text.count(_CERTIFIED) == 1
+    assert text.count(Outcome.CERTIFIED.value) == 1
     assert list(json.loads(text)["events"]["blowup"]) == ["last_state"]
 
 
@@ -447,3 +447,47 @@ def test_verify_failure_exit_4(tmp_path):
                 "--out-dir", str(out)) == EXIT_VERIFY_FAIL
     report = json.loads((out / "verify_report.json").read_text())
     assert report["passed"] is False
+
+
+def test_every_outcome_has_an_exit_code_and_a_search_decision():
+    # a new way for a run to end must be mapped before any command meets it
+    assert set(EXIT_CODE) == set(Outcome) == set(shooting._LOWER_END)
+
+
+@pytest.mark.parametrize("args, outcome", [
+    (("--eta-in", "1.0"), Outcome.CERTIFIED),
+    (("--eta-in", "8", "--max-time", "19"), Outcome.OUT_OF_BUDGET),
+])
+def test_non_escaped_runs_name_their_outcome(tmp_path, capsys, args, outcome):
+    # solve prints the outcome's reason and exits with its code; verify's
+    # failed item names the same reason
+    assert _run("solve", *args, "--out-dir", str(tmp_path / "s")) == EXIT_CODE[outcome]
+    assert EXIT_CODE[outcome] == EXIT_NONSCATTERING
+    assert capsys.readouterr().out == f"non-scattering: {outcome.value}\n"
+    out = tmp_path / "v"
+    assert _run("verify", *args, "--out-dir", str(out)) == EXIT_VERIFY_FAIL
+    (item,) = json.loads((out / "verify_report.json").read_text())["items"]
+    assert item["name"] == "accepted scattering solution" and not item["passed"]
+    assert outcome.value in item["detail"]
+
+
+def test_solver_failure_outcomes(tmp_path, capsys, failing_solver):
+    # solve and shoot exit with the solver failure's code and message, a
+    # sweep row records it, and verify fails its item but writes its report
+    message = "solver failure: Required step size is too small."
+    for args in (("solve", "--eta-in", "8"), ("shoot", "--theta=-0.75pi")):
+        out = tmp_path / args[0]
+        assert _run(*args, "--out-dir", str(out)) == EXIT_CODE[Outcome.SOLVER_FAILURE]
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+    assert EXIT_CODE[Outcome.SOLVER_FAILURE] == EXIT_USAGE
+    out = tmp_path / "sweep"
+    assert _run("sweep", "--theta-min=-0.75pi", "--theta-max=-0.75pi", "--n", "1",
+                "--out-dir", str(out)) == EXIT_PARTIAL
+    (row,) = json.loads((out / "sweep.json").read_text())["rows"]
+    assert row["status"] == f"failed: {message}"
+    out = tmp_path / "verify"
+    assert _run("verify", "--eta-in", "8", "--out-dir", str(out)) == EXIT_VERIFY_FAIL
+    (item,) = json.loads((out / "verify_report.json").read_text())["items"]
+    assert item == {"name": "accepted scattering solution", "eta_in": 8.0,
+                    "passed": False, "detail": message}

@@ -7,7 +7,7 @@ from curvscat import (AsymptoticData, NotConvergedError, SolverConfig,
                       Trajectory, TrajectoryEvents, deflection,
                       explicit_bounds, integrate, t0_state_bounds)
 from curvscat.dynamics import TimeTranslate, apply_symmetry
-from curvscat.integrator import (_CERTIFIED, _escape_residual,
+from curvscat.integrator import (Outcome, _escape_residual,
                                  _outgoing_angle, deflection_of)
 
 from _reference import (ORACLE_T0_ETA8, ORACLE_T_HALF_ETA8, ORACLE_T_M_ETA8,
@@ -142,7 +142,8 @@ def test_evaluator_nonscattering_raises_like_deflection(eta_in, xi_in, cfg):
         deflection(traj)
     with pytest.raises(NotConvergedError, match="blow-up") as evaluator:
         deflection_of(a, cfg)
-    assert str(full.value) == str(evaluator.value) == f"blow-up: {_CERTIFIED}"
+    assert str(full.value) == str(evaluator.value) == f"blow-up: {Outcome.CERTIFIED.value}"
+    assert full.value.outcome is evaluator.value.outcome is Outcome.CERTIFIED
 
 
 @pytest.mark.parametrize("eta_in", [0.5, 1.0, 1.2998])
@@ -152,25 +153,18 @@ def test_certified_run_ends_at_certificate(eta_in, cfg):
     traj = integrate(AsymptoticData(0.0, eta_in), cfg)
     assert traj.eta[-1] <= 1e-12 and traj.xi_dot[-1] >= -1e-12
     assert abs(min(-traj.eta[-1], traj.xi_dot[-1])) <= 1e-12
-    assert traj.events.blowup.last_state == traj.point(len(traj) - 1)
+    assert traj.events.blowup == traj.point(len(traj) - 1)
     # at 0.5 the certificate fires at the eta = 0 crossing itself
     assert traj.events.t0 is not None
 
 
-def test_solver_failure_is_not_a_blowup(cfg, monkeypatch):
+def test_solver_failure_is_not_a_blowup(cfg, failing_solver):
     # a solve_ivp failure keeps solve_ivp's message in both entry points
-    import curvscat.integrator as integrator
-    solve_ivp = integrator.solve_ivp
-
-    def failing(*args, **kwargs):
-        sol = solve_ivp(*args, **kwargs)
-        sol.status, sol.message = -1, "Required step size is too small."
-        return sol
-    monkeypatch.setattr(integrator, "solve_ivp", failing)
     for run in (integrate, deflection_of):
         with pytest.raises(NotConvergedError,
-                           match="^solver failure: Required step size"):
+                           match="^solver failure: Required step size") as exc:
             run(AsymptoticData(0.0, 1.0), cfg)
+        assert exc.value.outcome is Outcome.SOLVER_FAILURE
 
 
 @pytest.mark.parametrize("eta_in", [1.31, 1.6])
@@ -287,8 +281,8 @@ def test_xi_in_translation_family(traj8, cfg):
 
 def test_blowup_for_negative_eta_in(cfg):
     traj = integrate(AsymptoticData(0.0, -1.0), cfg)
-    assert not traj.escaped
-    assert traj.events.blowup.reason == _CERTIFIED
+    assert traj.outcome is Outcome.CERTIFIED and not traj.escaped
+    assert traj.events.blowup == traj.point(0)
     assert len(traj) == 1  # the start state is already certified
     assert np.all(traj.xi_dot >= 1.0 - 1e-12)  # repulsive: never turns back
     with pytest.raises(NotConvergedError):
@@ -297,7 +291,7 @@ def test_blowup_for_negative_eta_in(cfg):
 
 def test_blowup_for_zero_eta_in(cfg):
     traj = integrate(AsymptoticData(0.0, 0.0), cfg)
-    assert not traj.escaped
+    assert traj.outcome is Outcome.CERTIFIED and not traj.escaped
     assert traj.events.blowup is not None
     assert traj.events.t0 is None  # eta starts at 0^- and never crosses downward
 
@@ -305,9 +299,11 @@ def test_blowup_for_zero_eta_in(cfg):
 def test_no_escape_within_budget():
     cfg = SolverConfig(max_time=19.0)
     traj = integrate(A8, cfg)
-    assert not traj.escaped and traj.events.blowup is None
-    with pytest.raises(NotConvergedError, match="no escape"):
+    assert traj.outcome is Outcome.OUT_OF_BUDGET and not traj.escaped
+    assert traj.events.blowup is None
+    with pytest.raises(NotConvergedError, match="no escape") as exc:
         deflection(traj)
+    assert exc.value.outcome is Outcome.OUT_OF_BUDGET
 
 
 def test_detect_events_agrees_with_integrate(traj8):
@@ -352,7 +348,7 @@ def _free_trajectory(ts, eta_in):
         xi_dot=np.ones_like(ts), eta_dot=np.zeros_like(ts),
         uniform_mask=np.ones(len(ts), dtype=bool),
         events=TrajectoryEvents(), max_energy_drift=0.0,
-        asymptotics=AsymptoticData(0.0, eta_in), escaped=False,
+        asymptotics=AsymptoticData(0.0, eta_in), outcome=Outcome.OUT_OF_BUDGET,
         config=SolverConfig(),
     )
 
@@ -372,7 +368,7 @@ def test_energy_drift_single_boundary_sample():
         xi_dot=np.array([0.0]), eta_dot=np.array([0.0]),
         uniform_mask=np.ones(1, dtype=bool),
         events=TrajectoryEvents(), max_energy_drift=0.0,
-        asymptotics=AsymptoticData(0.0, 1.0), escaped=False,
+        asymptotics=AsymptoticData(0.0, 1.0), outcome=Outcome.OUT_OF_BUDGET,
         config=SolverConfig(),
     )
     assert _drift(traj) == 0.0
@@ -384,7 +380,7 @@ def test_samples_strictly_increasing_validated():
         Trajectory(t=ts, xi=ts, eta=ts, xi_dot=ts, eta_dot=ts,
                    uniform_mask=np.ones(2, dtype=bool),
                    events=TrajectoryEvents(), max_energy_drift=0.0,
-                   asymptotics=AsymptoticData(0.0, 1.0), escaped=False,
+                   asymptotics=AsymptoticData(0.0, 1.0), outcome=Outcome.OUT_OF_BUDGET,
                    config=SolverConfig())
 
 
@@ -423,7 +419,7 @@ def _escaped_stub(xi_dot_f, eta_dot_f):
         eta_dot=np.array([eta_dot_f, eta_dot_f]),
         uniform_mask=np.ones(2, dtype=bool),
         events=TrajectoryEvents(), max_energy_drift=0.0,
-        asymptotics=AsymptoticData(0.0, 1.0), escaped=True,
+        asymptotics=AsymptoticData(0.0, 1.0), outcome=Outcome.ESCAPED,
         config=SolverConfig(),
     )
 
@@ -439,8 +435,9 @@ def test_deflection_atan2_values():
 
 def test_deflection_rejects_unescaped_final_sample():
     bad = _escaped_stub(-0.5, -0.5)  # speed^2 = 0.5: fails the unit-speed test
-    with pytest.raises(NotConvergedError, match="escape criterion"):
+    with pytest.raises(NotConvergedError, match="escape criterion") as exc:
         deflection(bad)
+    assert exc.value.outcome is Outcome.ESCAPED
 
 
 def test_frozen_oracle_reproducible():

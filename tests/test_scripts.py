@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from curvscat import (AsymptoticData, SolverConfig, deflection_of,
+from curvscat import (AsymptoticData, Outcome, SolverConfig, deflection_of,
                       deflection_table, explicit_bounds, iterate_past,
                       theta_identities)
 
@@ -65,6 +65,35 @@ def test_deflection_map_smoke(tmp_path, capsys):
     lo, hi = map(float, re.search(r"onset in \(([^,]+), ([^)]+)\)",
                                   capsys.readouterr().out).groups())
     assert lo < 1.2998 < hi
+
+
+def test_deflection_map_onset_stops_at_a_budget_stop(tmp_path, capsys,
+                                                     monkeypatch):
+    # 30 bisections reach the band just below the onset where runs end at
+    # the default budget: the first such midpoint ends the bisection and is
+    # reported undecided, and the bracket's ends are decided outcomes
+    dmap = _load("deflection_map")
+    assert set(dmap.KINDS) == set(Outcome) - {Outcome.SOLVER_FAILURE}
+    seen = []
+    classify = dmap.classify
+
+    def spy(eta, cfg):
+        seen.append((eta, *classify(eta, cfg)))
+        return seen[-1][1:]
+    monkeypatch.setattr(dmap, "classify", spy)
+    assert dmap.main(["--n", "1", "--onset-bisections", "30",
+                      "--out", str(tmp_path / "map.csv")]) == 0
+    out = capsys.readouterr().out
+    bisection = seen[1:]
+    assert len(bisection) < 30
+    mid, last, _ = bisection[-1]
+    assert last is Outcome.OUT_OF_BUDGET
+    assert f"eta_in = {mid:.8f} undecided: no escape or certificate within " \
+           "max_time = 600" in out
+    lo = max(e for e, o, _ in bisection if o is Outcome.CERTIFIED)
+    hi = min(e for e, o, _ in bisection if o is Outcome.ESCAPED)
+    assert {o for _, o, _ in bisection[:-1]} == {Outcome.CERTIFIED, Outcome.ESCAPED}
+    assert f"onset in ({lo:.8f}, {hi:.8f})" in out and lo < mid < hi
 
 
 def test_deflection_table_smoke(capsys):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from curvscat import (AsymptoticData, NotConvergedError, SolverConfig,
-                      deflection_of, shoot, sweep, theta_identities)
+from curvscat import (AsymptoticData, NotConvergedError, Outcome,
+                      SolverConfig, deflection_of, shoot, sweep,
+                      theta_identities)
 from curvscat.deflection_table import eta_in_of
 from curvscat.shooting import BracketNotFoundError
 
@@ -107,7 +108,7 @@ def test_shoot_bracket_interior_stopped_scattering(cfg, monkeypatch):
 
     def gap_at_root(a, c):
         if abs(a.eta_in - 1.62) < 0.002:
-            raise NotConvergedError("no escape")
+            raise NotConvergedError(Outcome.OUT_OF_BUDGET)
         return target - 0.5 * (a.eta_in - 1.62)
 
     # the fake map stands in for both evaluators; integrate passes the datum on
@@ -117,6 +118,16 @@ def test_shoot_bracket_interior_stopped_scattering(cfg, monkeypatch):
     with pytest.raises(BracketNotFoundError, match="interior stopped scattering") as e:
         shoot(target, cfg)
     assert e.value.scanned[-1][1] is None
+
+
+def test_shoot_solver_failure_ends_the_search(cfg, failing_solver):
+    # a solver failure is not a non-scattering outcome: it ends the search
+    # at the first solver call, with the stepper's message
+    with pytest.raises(NotConvergedError,
+                       match="^solver failure: Required step size") as e:
+        shoot(-0.75 * PI, cfg)
+    assert e.value.outcome is Outcome.SOLVER_FAILURE
+    assert len(failing_solver) == 1
 
 
 def test_shoot_stops_at_the_evaluation_budget(cfg, monkeypatch):
