@@ -22,11 +22,29 @@ from curvscat import (AsymptoticData, Outcome, SolverConfig, deflection,
 KINDS = {Outcome.ESCAPED: "scatter", Outcome.CERTIFIED: "blowup",
          Outcome.OUT_OF_BUDGET: "no-escape"}
 
+# the onset bracket's lower end when no grid point below the onset is
+# certified; it is checked before it is used
+FLOOR = 0.5
+
 
 def classify(eta_in: float, cfg: SolverConfig):
     """(outcome, Theta or None) of the run from (xi_in, eta_in) = (0, eta_in)."""
     traj = integrate(AsymptoticData(0.0, eta_in), cfg)
     return traj.outcome, deflection(traj) if traj.escaped else None
+
+
+def onset_bracket(rows, cfg: SolverConfig):
+    """(lo, hi) from the tabulated rows: hi the smallest scattering eta_in,
+    lo the largest certified one below it, else FLOOR if its run is
+    certified; None when there is no such pair."""
+    hi = min((eta for eta, kind, *_ in rows if kind == "scatter"), default=None)
+    if hi is None:
+        return None
+    lo = max((eta for eta, kind, *_ in rows if kind == "blowup" and eta < hi),
+             default=None)
+    if lo is None and FLOOR < hi and classify(FLOOR, cfg)[0] is Outcome.CERTIFIED:
+        lo = FLOOR
+    return None if lo is None else (float(lo), float(hi))
 
 
 def main(argv=None) -> int:
@@ -54,21 +72,29 @@ def main(argv=None) -> int:
             rows.append((eta, kind, theta, kap, al))
 
     # empirical onset: largest certified eta below the smallest scattering
-    # one (xi_in = 0); upper estimates from theory sit higher.  A budget stop
-    # decides neither side, so it ends the bisection
-    lo, hi = 0.5, args.eta_min
-    for _ in range(args.onset_bisections):
-        mid = 0.5 * (lo + hi)
-        outcome, _ = classify(mid, cfg)
-        if outcome is Outcome.OUT_OF_BUDGET:
-            print(f"eta_in = {mid:.8f} undecided: no escape or certificate "
-                  f"within max_time = {cfg.max_time:g}")
-            break
-        if outcome is Outcome.ESCAPED:
-            hi = mid
-        else:
-            lo = mid
-    print(f"empirical scattering onset in ({lo:.8f}, {hi:.8f})")
+    # one (xi_in = 0); upper estimates from theory sit higher.  The bracket
+    # is the smallest scattering grid point and the largest certified one
+    # below it, or FLOOR when no grid point below it is certified and FLOOR
+    # itself is.  A budget stop decides neither side, so it ends the
+    # bisection
+    bracket = onset_bracket(rows, cfg)
+    if bracket is None:
+        print("no onset bracket: the grid has no scattering point with a "
+              "certified point below it")
+    else:
+        lo, hi = bracket
+        for _ in range(args.onset_bisections):
+            mid = 0.5 * (lo + hi)
+            outcome, _ = classify(mid, cfg)
+            if outcome is Outcome.OUT_OF_BUDGET:
+                print(f"eta_in = {mid:.8f} undecided: no escape or certificate "
+                      f"within max_time = {cfg.max_time:g}")
+                break
+            if outcome is Outcome.ESCAPED:
+                hi = mid
+            else:
+                lo = mid
+        print(f"empirical scattering onset in ({lo:.8f}, {hi:.8f})")
 
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -17,7 +17,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -162,6 +162,12 @@ def write_sweep_csv(path: Path, rows: list[shooting.SweepRow]) -> None:
               [[getattr(r, name) for r in rows] for name in _SWEEP_COLUMNS])
 
 
+def _field_dict(obj) -> dict:
+    """A dataclass's fields by name: dataclasses.asdict without its deep
+    copy, for the dataclasses written here, whose fields are all scalars."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def write_manifest(out_dir: Path, command: str, argv: list[str], inputs: dict,
                    cfg: SolverConfig, outputs: list[str]) -> None:
     write_json(out_dir / "manifest.json", {
@@ -169,7 +175,7 @@ def write_manifest(out_dir: Path, command: str, argv: list[str], inputs: dict,
         "command": command,
         "argv": argv,
         "inputs": inputs,
-        "config": asdict(cfg),
+        "config": _field_dict(cfg),
         "outputs": sorted(outputs + ["manifest.json"]),
         "version": f"curvscat {__version__}",
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -199,7 +205,7 @@ def _config_from(args) -> SolverConfig:
 def _events_dict(traj: Trajectory) -> dict:
     ev = traj.events
     return {"t0": ev.t0, "t_half": ev.t_half, "t_m": ev.t_m,
-            "blowup": None if ev.blowup is None else {"last_state": asdict(ev.blowup)}}
+            "blowup": None if ev.blowup is None else {"last_state": _field_dict(ev.blowup)}}
 
 
 def _summary(inputs: dict, cfg: SolverConfig, traj: "Trajectory | None" = None,
@@ -213,7 +219,7 @@ def _summary(inputs: dict, cfg: SolverConfig, traj: "Trajectory | None" = None,
     summary.update(entries)
     if traj is not None:
         summary["drift"] = traj.max_energy_drift
-    summary["config"] = asdict(cfg)
+    summary["config"] = _field_dict(cfg)
     return summary
 
 
@@ -229,7 +235,7 @@ def _solution_summary(traj: Trajectory, inputs: dict, cfg: SolverConfig) -> tupl
             "kappa": sol.kappa,
             "alpha": sol.alpha,
             "k_star": sol.k_star,
-            "fits": asdict(geometry.asymptotic_fit(traj)),
+            "fits": _field_dict(geometry.asymptotic_fit(traj)),
             "residuals": {
                 "pokhozaev": pokhozaev,
                 "pokhozaev_rel": abs(pokhozaev) / (16 * math.pi**2),
@@ -328,8 +334,8 @@ def cmd_sweep(args, argv) -> int:
     write_json(out / "sweep.json", {
         "schema": "curvscat/sweep/v3",
         "inputs": inputs,
-        "rows": [asdict(r) for r in rows],
-        "config": asdict(cfg),
+        "rows": [_field_dict(r) for r in rows],
+        "config": _field_dict(cfg),
     })
     write_manifest(out, "sweep", argv, inputs, cfg, ["sweep.csv", "sweep.json"])
     failures = sum(1 for r in rows if r.status != "ok")
@@ -348,9 +354,9 @@ def cmd_verify(args, argv) -> int:
     write_json(out / "verify_report.json", {
         "schema": "curvscat/verify/v3",
         "inputs": inputs,
-        "items": [asdict(r) for r in results],
+        "items": [_field_dict(r) for r in results],
         "passed": all_pass,
-        "config": asdict(cfg),
+        "config": _field_dict(cfg),
     })
     write_manifest(out, "verify", argv, inputs, cfg, ["verify_report.json"])
     print("verification " + ("PASSED" if all_pass else "FAILED"))

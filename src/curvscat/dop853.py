@@ -4,16 +4,23 @@ The Dormand-Prince pair DOP853 of Hairer, Norsett & Wanner, *Solving
 Ordinary Differential Equations I* (2nd ed.), Sec. II.10, and their
 dop853.f, stepped on plain Python floats.  The systems solved here have a
 handful of components, so per-stage array calls would cost more than the
-arithmetic.  A loop over the non-zeros of the tableau would spend most of
-its time on the loop itself, so, as dop853.f writes each stage as one
-expression per component, three straight-line kernels do the arithmetic:
-one attempted step (stages 1-11 and y_new), the blended error norm, and the
-dense output (stages 13-15 and the interpolant's coefficients).  Their
-source is generated from the tableau literals below, the only copy of the
-coefficients, and compiled once per number of components, much as
-dataclasses builds __init__.  Every sum starts from 0.0 and adds its terms
-in the tableau's order, as the loop did, so the kernels round exactly as
-it does; tests/_reference.py keeps the loops as their oracle.
+arithmetic, and a loop over the non-zeros of the tableau would spend most
+of its time on the loop itself.  So a system is given as source (System:
+one expression per component over y0..y{n-1}, shared names assigned before
+them, and its events), and, as dop853.f writes each stage as one
+expression per component, one straight-line attempt kernel per system
+does a step's arithmetic with the right-hand side written into the stage
+lines: stages 1-12, y_new and the blended error norm, and on acceptance
+the events at y_new and, when the dense output or an active event needs
+them, stages 13-15 and the interpolant's coefficients.  Everything stays in
+local variables.  A one-component event's root is located on that
+component's interpolant alone.  The source is generated from the tableau
+literals below, the only copy of the coefficients, and compiled once per
+System on first use, much as dataclasses builds __init__.  Every sum
+starts from 0.0 and adds its terms in the tableau's order, as a loop over
+the tableau does, so the kernel rounds exactly as it does;
+tests/_reference.py keeps the loops and the generic step loop as its
+oracle.
 
 It reproduces scipy.integrate.solve_ivp(method="DOP853") for forward
 integration without max_step or t_eval: the same initial step selection,
@@ -35,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -167,11 +175,73 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
     return min(100.0 * h0, h1, interval)
 
 
-# --- straight-line kernels ----------------------------------------------------
+# --- the generated attempt kernel -------------------------------------------
 #
-# In the generated source, k<i>_<j> is component j of stage i, and y<j> and
-# z<j> are components of the state at the start and the end of the step.
+# In the generated source, _u<j> and _z<j> are component j of the state at
+# the start and the end of the step, _k<i>_<j> is component j of stage i,
+# and y<j> is component j of the state the system's own source is read at.
 # Every sum starts from 0.0 and adds its terms in the tableau's order.
+
+
+class Event(NamedTuple):
+    """An event of a System, as source.
+
+    value is an expression over y0..y{n-1}, the system's shared names and
+    its params.  A terminal event stops the run at its first root;
+    direction > 0 counts only rising roots, < 0 only falling ones, 0 both.
+    """
+
+    value: str
+    direction: int = 0
+    terminal: bool = False
+
+
+class _Kernels(NamedTuple):
+    """A System's stepping functions, compiled from _kernel_source."""
+
+    attempt: Callable
+    roots: tuple         # per event, root(t_old, t_new, h, y_old, coeffs, *params)
+
+
+@dataclass(frozen=True)
+class System:
+    """An autonomous system y' = f(y) with its events, as Python source.
+
+    rhs holds one expression per component over y0..y{n-1}; shared holds
+    (name, expression) pairs assigned first, in order, which rhs and the
+    events may read.  params name the run-time values that the events read;
+    solve_ivp takes them by name.  Source may call exp, sqrt, abs, min and
+    max; names that start with an underscore are the generated code's own.
+    fun(t, y) is the same right-hand side as a function, which makes the
+    two calls that start a run; it must compute rhs's values bit for bit.
+    values and kernels are compiled on first use, once per System.
+    """
+
+    rhs: tuple[str, ...]
+    fun: Callable
+    shared: tuple[tuple[str, str], ...] = ()
+    events: tuple[Event, ...] = ()
+    params: tuple[str, ...] = ()
+
+    @functools.cached_property
+    def values(self) -> tuple:
+        """Per event, value(y, *params): its value at the state y."""
+        namespace = _compiled(_values_source(self), "<dop853 event values>")
+        return tuple(namespace[f"value_{i}"] for i in range(len(self.events)))
+
+    @functools.cached_property
+    def kernels(self) -> _Kernels:
+        namespace = _compiled(_kernel_source(self), f"<dop853 kernels for a system of "
+                                                    f"{len(self.rhs)}>")
+        return _Kernels(namespace["attempt"],
+                        tuple(namespace[f"root_{i}"] for i in range(len(self.events))))
+
+
+def _compiled(source, label):
+    """The namespace that running source, generated for a System, leaves."""
+    namespace = {"exp": math.exp, "sqrt": math.sqrt, "brentq": brentq, "EPS": EPS}
+    exec(compile(source, label, "exec"), namespace)
+    return namespace
 
 
 def _names(prefix, n):
@@ -181,93 +251,122 @@ def _names(prefix, n):
 
 def _combination(row, j):
     """sum_k a_k * K[k][j] over the (k, a_k) of row, as source."""
-    return " + ".join(["0.0"] + [f"{a!r} * k{k}_{j}" for k, a in row])
+    return " + ".join(["0.0"] + [f"{a!r} * _k{k}_{j}" for k, a in row])
 
 
-def _state(row, n):
-    """The state y + h * sum_k a_k * K[k] of row, as a source list."""
-    return "[" + ", ".join(f"y{j} + ({_combination(row, j)}) * h" for j in range(n)) + "]"
+def _state(row, n, target="y"):
+    """Lines that set target<j> to the state _u + _h * sum_k a_k * K[k] of row."""
+    return [f"{target}{j} = _u{j} + ({_combination(row, j)}) * _h" for j in range(n)]
 
 
-def _stage(i, c, row, t, n):
-    """Lines that call fun for stage i at t + c*h on the state of row."""
-    return [f"K{i} = fun({t} + {c!r} * h, {_state(row, n)})",
-            f"{_names(f'k{i}_', n)} = K{i}"]
+def _derivative(system, i):
+    """Lines that make stage i, the right-hand side at the state y."""
+    return ([f"{name} = {expr}" for name, expr in system.shared]
+            + [f"_k{i}_{j} = {expr}" for j, expr in enumerate(system.rhs)])
 
 
-def _unpack(stages, n):
-    """Lines that unpack the given stages of K."""
-    return [f"{_names(f'k{i}_', n)} = K[{i}]" for i in stages]
+def _reads(system, expr):
+    """(shared lines, components) that evaluating expr needs: every shared
+    line if it reads a shared name, and the components y<j> read."""
+    names = set(compile(expr, "<event>", "eval").co_names)
+    shared = system.shared if names & {name for name, _ in system.shared} else ()
+    for _, source in shared:
+        names |= set(compile(source, "<shared>", "eval").co_names)
+    return shared, sorted(int(m[1:]) for m in names if re.fullmatch(r"y\d+", m))
 
 
-def _kernel_source(n: int) -> str:
-    """The source of step, error_norm and dense for systems of n components.
+def _function(signature, lines):
+    return f"def {signature}:\n" + "".join(f"    {line}\n" for line in lines)
 
-    step(fun, t, y, f, h) makes stages 1-11 of the step from t to t + h,
-    f = fun(t, y) being stage 0, and returns y_new with the stages 0-11.
-    error_norm(K, h, y, y_new, rtol, atol) is DOP853's blend of the 5th- and
-    3rd-order error estimates, scaled by atol + rtol * max(|y|, |y_new|) in
-    the RMS norm.  dense(fun, K, t_old, h, y, y_new) makes stages 13-15
-    from the stages 0-12 of an accepted step and returns, per component,
-    the coefficients F_0..F_6 of its 7th-order interpolant.
+
+def _values_source(system) -> str:
+    """The source of value_<i>(y, *params), event i's value at the state y."""
+    params = "".join(f", {p}" for p in system.params)
+    return "\n".join(
+        _function(f"value_{i}(_y{params})",
+                  [f"{_names('y', len(system.rhs))} = _y"]
+                  + [f"{name} = {expr}" for name, expr in _reads(system, ev.value)[0]]
+                  + [f"return {ev.value}"])
+        for i, ev in enumerate(system.events))
+
+
+def _kernel_source(system) -> str:
+    """The source of a System's stepping functions.
+
+    attempt(h, y, f, g, rtol, atol, dense, *params) makes one attempted
+    step from y, whose stage 0 is f: stages 1-12, y_new and DOP853's blend
+    of the 5th- and 3rd-order error estimates, scaled by
+    atol + rtol * max(|y|, |y_new|) in the RMS norm.
+    It returns (err, y_new, stage 12, event values, active events, coeffs);
+    a rejected step (not err < 1) returns only err, the rest None.  An
+    accepted step evaluates the events at y_new and lists those whose sign
+    changes from the values g in their direction (a zero counts both
+    ways).  When dense is true or an event is active it makes stages 13-15
+    and, per component, the coefficients F_0..F_6 of the step's 7th-order
+    interpolant; otherwise coeffs is None.  root_<i>(t_old, t_new, h,
+    y_old, coeffs, *params) locates event i's root on the step's
+    interpolant by Brent's method, evaluating only the components that the
+    event reads.
     """
-    comps = range(n)
-    step = [f"{_names('y', n)} = y", f"{_names('k0_', n)} = f"]
-    for i, (c, row) in enumerate(_STAGES, start=1):
-        step += _stage(i, c, row, "t", n)
-    stages = ", ".join(["f"] + [f"K{i}" for i in range(1, len(_STAGES) + 1)])
-    step.append(f"return {_state(_B, n)}, [{stages}]")
-
-    norm = _unpack([k for k, _, _ in _E], n)
-    norm += [f"{_names('y', n)} = y", f"{_names('z', n)} = y_new"]
-    for j in comps:
+    n = len(system.rhs)
+    params = "".join(f", {p}" for p in system.params)
+    attempt = [f"{_names('_u', n)} = _y", f"{_names('_k0_', n)} = _f"]
+    for i, (_, row) in enumerate(_STAGES, start=1):
+        attempt += _state(row, n) + _derivative(system, i)
+    attempt += _state(_B, n, "_z") + [f"y{j} = _z{j}" for j in range(n)]
+    attempt += _derivative(system, N_STAGES)
+    for j in range(n):
         # max(a, b) is b if b > a else a
-        norm += [f"a = abs(y{j})", f"b = abs(z{j})",
-                 f"w{j} = atol + (b if b > a else a) * rtol"]
-    for s, col in (("s5", 1), ("s3", 2)):
-        terms = [f"(({_combination([(e[0], e[col]) for e in _E], j)}) / w{j}) ** 2"
-                 for j in comps]
-        norm.append(f"{s} = " + " + ".join(["0.0"] + terms))
-    norm += ["if s5 == 0.0 and s3 == 0.0:", "    return 0.0",
-             f"return abs(h) * s5 / sqrt((s5 + 0.01 * s3) * {n})"]
+        attempt += [f"_a = abs(_u{j})", f"_b = abs(_z{j})",
+                    f"_w{j} = _atol + (_b if _b > _a else _a) * _rtol"]
+    for s, col in (("_s5", 1), ("_s3", 2)):
+        terms = [f"(({_combination([(e[0], e[col]) for e in _E], j)}) / _w{j}) ** 2"
+                 for j in range(n)]
+        attempt.append(f"{s} = " + " + ".join(["0.0"] + terms))
+    attempt += [f"_err = 0.0 if _s5 == 0.0 and _s3 == 0.0 else "
+                f"abs(_h) * _s5 / sqrt((_s5 + 0.01 * _s3) * {n})",
+                "if not _err < 1.0:",
+                "    return _err, None, None, None, None, None"]
 
-    first_extra = N_STAGES + 1
-    used = sorted({k for _, row in _EXTRA_STAGES for k, _ in row}
-                  | {k for k, *_ in _D} | {0, N_STAGES})
-    dense = _unpack([k for k in used if k < first_extra], n)
-    dense += [f"{_names('y', n)} = y", f"{_names('z', n)} = y_new"]
-    for i, (c, row) in enumerate(_EXTRA_STAGES, start=first_extra):
-        dense += _stage(i, c, row, "t_old", n)
+    # accepted: the events at y_new, whose shared names stage 12 has set
+    m = len(system.events)
+    attempt += [f"{_names('_p', m)} = _g"] if m else []
+    attempt += [f"_v{i} = {ev.value}" for i, ev in enumerate(system.events)]
+    attempt.append("_active = []")
+    for i, ev in enumerate(system.events):
+        up, down = f"_p{i} <= 0.0 <= _v{i}", f"_p{i} >= 0.0 >= _v{i}"
+        test = up if ev.direction > 0 else down if ev.direction < 0 else f"{up} or {down}"
+        attempt += [f"if {test}:", f"    _active.append({i})"]
+    dense = []
+    for i, (_, row) in enumerate(_EXTRA_STAGES, start=N_STAGES + 1):
+        dense += _state(row, n) + _derivative(system, i)
     coeffs = []
-    for j in comps:
-        dense.append(f"dy{j} = z{j} - y{j}")
-        d = [f"h * ({_combination([(r[0], r[p]) for r in _D], j)})" for p in range(1, 5)]
-        coeffs.append(f"(dy{j}, h * k0_{j} - dy{j}, "
-                      f"2 * dy{j} - h * (k{N_STAGES}_{j} + k0_{j}), {', '.join(d)})")
-    dense.append(f"return [{', '.join(coeffs)}]")
+    for j in range(n):
+        dense.append(f"_d{j} = _z{j} - _u{j}")
+        d = [f"_h * ({_combination([(r[0], r[p]) for r in _D], j)})" for p in range(1, 5)]
+        coeffs.append(f"(_d{j}, _h * _k0_{j} - _d{j}, "
+                      f"2 * _d{j} - _h * (_k{N_STAGES}_{j} + _k0_{j}), {', '.join(d)})")
+    dense.append(f"_coeffs = [{', '.join(coeffs)}]")
+    attempt += ["_coeffs = None", "if _dense or _active:"]
+    attempt += [f"    {line}" for line in dense]
+    attempt.append(f"return (_err, [{_names('_z', n)}], ({_names(f'_k{N_STAGES}_', n)}), "
+                   f"({_names('_v', m)}), _active, _coeffs)")
 
-    def function(signature, lines):
-        return f"def {signature}:\n" + "".join(f"    {line}\n" for line in lines)
-
-    return "\n".join([function("step(fun, t, y, f, h)", step),
-                      function("error_norm(K, h, y, y_new, rtol, atol)", norm),
-                      function("dense(fun, K, t_old, h, y, y_new)", dense)])
-
-
-class _Kernels(NamedTuple):
-    """The functions of _kernel_source, compiled."""
-
-    step: Callable
-    error_norm: Callable
-    dense: Callable
-
-
-@functools.cache
-def _kernels(n: int) -> _Kernels:
-    """The kernels for systems of n components, compiled on first use."""
-    namespace = {"sqrt": math.sqrt}
-    exec(compile(_kernel_source(n), f"<dop853 kernels for n = {n}>", "exec"), namespace)
-    return _Kernels(namespace["step"], namespace["error_norm"], namespace["dense"])
+    functions = [_function(f"attempt(_h, _y, _f, _g, _rtol, _atol, _dense{params})", attempt)]
+    for i, ev in enumerate(system.events):
+        shared, comps = _reads(system, ev.value)
+        body = [f"{name} = {expr}" for name, expr in shared] + [f"return {ev.value}"]
+        root = [f"_a{j} = _y_old[{j}]" for j in comps]
+        root += [f"{_names(f'_c{j}_', 7)} = _coeffs[{j}]" for j in comps]
+        # the nested form of _Step.__call__, for the components read
+        root += ["def _value(_s):", "    _x = (_s - _t_old) / _h", "    _x1 = 1 - _x"]
+        root += [f"    y{j} = ((((((_c{j}_6 * _x + _c{j}_5) * _x1 + _c{j}_4) * _x + _c{j}_3)"
+                 f" * _x1 + _c{j}_2) * _x + _c{j}_1) * _x1 + _c{j}_0) * _x + _a{j}"
+                 for j in comps]
+        root += [f"    {line}" for line in body]
+        root.append("return brentq(_value, _t_old, _t_new, 4 * EPS, 4 * EPS)")
+        functions.append(_function(f"root_{i}(_t_old, _t_new, _h, _y_old, _coeffs{params})", root))
+    return "\n".join(functions)
 
 
 class _Step:
@@ -410,29 +509,17 @@ def brentq(f: Callable[[float], float], xa: float, xb: float,
     raise RuntimeError(f"Failed to converge after {BRENTQ_MAXITER} iterations, value is {xcur}")
 
 
-def _active_events(g, g_new, directions):
-    """Indices of the events whose sign change over the step matches their
-    direction (> 0 rising, < 0 falling, 0 either); a zero counts both ways."""
-    active = []
-    for i, (a, b, d) in enumerate(zip(g, g_new, directions)):
-        up = a <= 0.0 <= b
-        down = a >= 0.0 >= b
-        if (up and d > 0) or (down and d < 0) or ((up or down) and d == 0):
-            active.append(i)
-    return active
+def solve_ivp(system: System, t_span, y0, *, rtol: float, atol: float,
+              dense_output: bool = False, params=None) -> OdeResult:
+    """Integrate y' = f(y) of a System forward from y0 at t_span[0] to t_span[1].
 
-
-def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float,
-              dense_output: bool = False, events=()) -> OdeResult:
-    """Integrate y' = fun(t, y) forward from y0 at t_span[0] to t_span[1].
-
-    fun returns a sequence of floats the length of y0.  Each event is a
-    function event(t, y) with optional attributes terminal (stop at its
-    first root) and direction (> 0 rising, < 0 falling, 0 either).  Roots
-    are located on the dense output of the step where an event changes
-    sign; the run stops at the earliest terminal root of the step.  An rtol
-    below 100 eps is raised to it with a warning, as scipy does.  Returns an OdeResult; a
-    step that falls below 10 ulp of t ends the run with status -1.
+    params maps the names in system.params to their values for this run.
+    Each step is one call to the system's attempt kernel, which also checks
+    the events on an accepted step.  Roots are located on the dense output
+    of the step where an event changes sign; the run stops at the earliest
+    terminal root of the step.  An rtol below 100 eps is raised to it with
+    a warning, as scipy does.  Returns an OdeResult; a step that falls below
+    10 ulp of t ends the run with status -1.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t_bound > t:
@@ -442,13 +529,13 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float,
         warnings.warn(f"rtol {rtol:g} is too small; using {100 * EPS:.3g}", stacklevel=2)
         rtol = 100 * EPS
 
-    events = list(events or ())
-    directions = [getattr(ev, "direction", 0) for ev in events]
-    terminal = [bool(getattr(ev, "terminal", False)) for ev in events]
-    t_events = [[] for _ in events]
-    g = [ev(t, y) for ev in events]
+    args = tuple(params[name] for name in system.params)
+    fun = system.fun
+    attempt, roots = system.kernels
+    terminal = [ev.terminal for ev in system.events]
+    t_events = [[] for _ in terminal]
+    g = tuple(value(y, *args) for value in system.values)
 
-    step_stages, error_norm, dense_coeffs = _kernels(len(y))
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
     nfev = 2
@@ -466,10 +553,9 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float,
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
-            y_new, K = step_stages(fun, t, y, f, h)
-            K.append(fun(t_new, y_new))
+            err, y_new, f_new, g_new, active, coeffs = attempt(
+                h, y, f, g, rtol, atol, dense_output, *args)
             nfev += N_STAGES
-            err = error_norm(K, h, y, y_new, rtol, atol)
             if err < 1:
                 factor = MAX_FACTOR if err == 0 else min(MAX_FACTOR, SAFETY * err ** ERROR_EXPONENT)
                 if rejected:
@@ -482,37 +568,26 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float,
             break
         if t_new >= t_bound:
             status = 0
-        t_old, y_old, t, y, f = t, y, t_new, y_new, K[N_STAGES]
+        t_old, y_old, t, y, f, g = t, y, t_new, y_new, f_new, g_new
 
-        step = None
-        if dense_output:
-            step = _Step(t_old, h, y_old, dense_coeffs(fun, K, t_old, h, y_old, y))
-            nfev += 3
-            steps.append(step)
         t_end, y_end = t, y
-        if events:
-            g_new = [ev(t, y) for ev in events]
-            active = _active_events(g, g_new, directions)
-            if active:
-                if step is None:
-                    step = _Step(t_old, h, y_old, dense_coeffs(fun, K, t_old, h, y_old, y))
-                    nfev += 3
-                roots = []
-                for i in active:
-                    ev = events[i]
-                    roots.append((brentq(lambda s: ev(s, step(s)), t_old, t,
-                                         xtol=4 * EPS, rtol=4 * EPS), i))
-                if any(terminal[i] for i in active):
-                    # stop at the earliest terminal root; ties keep event order
-                    roots.sort(key=lambda r: r[0])
-                    cut = next(k for k, (_, i) in enumerate(roots) if terminal[i])
-                    roots = roots[:cut + 1]
-                    status = 1
-                    t_end = roots[-1][0]
-                    y_end = step(t_end)
-                for root, i in roots:
-                    t_events[i].append(root)
-            g = g_new
+        if coeffs is not None:
+            step = _Step(t_old, h, y_old, coeffs)
+            nfev += 3
+            if dense_output:
+                steps.append(step)
+        if active:
+            found = [(roots[i](t_old, t, h, y_old, coeffs, *args), i) for i in active]
+            if any(terminal[i] for i in active):
+                # stop at the earliest terminal root; ties keep event order
+                found.sort(key=lambda r: r[0])
+                cut = next(k for k, (_, i) in enumerate(found) if terminal[i])
+                found = found[:cut + 1]
+                status = 1
+                t_end = found[-1][0]
+                y_end = step(t_end)
+            for root, i in found:
+                t_events[i].append(root)
         if dense_output and len(ts) > 1 and ts[-1] == t_end:
             # a terminal root at the step's start: the step adds no point
             steps.pop()

@@ -66,6 +66,14 @@ def rhs(t, y):
     return (y[1], -y[2] * e2, y[3], -0.5 * e2)
 
 
+#: rhs as expression source over y0..y3 for the stepper's generated code
+#: (dop853.System): the shared e2 = exp(2*xi) with rhs's clamp, min(a, b)
+#: being b if b < a else a, then one expression per component.  A test
+#: binds them to rhs bit for bit.
+RHS_SHARED = (("e2", "exp(700.0 if 700.0 < 2.0 * y0 else 2.0 * y0)"),)
+RHS_SOURCE = ("y1", "-y2 * e2", "y3", "-0.5 * e2")
+
+
 # --- symmetry transformations -------------------------------------------------
 
 

@@ -5,6 +5,12 @@ its expansion parameter eta_in*w, w = exp(2*(xi_in + t_start)), is at most
 2.3e-8 at every eta_in.  Stepping uses the embedded adaptive Runge-Kutta
 pair DOP853 with dense output (dop853.solve_ivp, which takes scipy's steps
 on plain floats); the scheme is incidental, the contract is the tolerances.
+The stepper runs the equations as source (dynamics.RHS_SHARED and
+RHS_SOURCE, bound to dynamics.rhs by a test) with the events below, all
+inside one generated kernel per attempted step: escape, eta = 0 and the
+certificate, and for integrate also eta = eta_in/2 and xi_dot = 0.  The
+escape test is written once, as the escape event's source, which
+_outgoing_angle evaluates too.
 
 A run ends in one of four ways, its Outcome:
   * ESCAPED: |eta*exp(2*xi)|, |speed^2 - 1| and exp(4*xi), the order of the
@@ -46,8 +52,8 @@ import numpy as np
 
 from .closed_forms import (AsymptoticData, free_leg, free_motion_expansion,
                            start_time)
-from .dop853 import solve_ivp
-from .dynamics import PhasePoint, energy_array, rhs
+from .dop853 import Event, System, solve_ivp
+from .dynamics import RHS_SHARED, RHS_SOURCE, PhasePoint, energy_array, rhs
 
 
 class Outcome(enum.Enum):
@@ -146,13 +152,31 @@ class Trajectory:
         return energy_array(self.xi, self.eta, self.xi_dot, self.eta_dot)
 
 
+# The events, as source over the state y0..y3 = (xi, xi_dot, eta, eta_dot)
+# and the shared e2 = exp(2*xi) of dynamics.RHS_SHARED.  Escape is negative
+# when the state passes the escape test.  The certificate turns positive
+# once eta < 0 and xi_dot > 0: eta_dot < 0 always, so from there
+# xi'' = -eta*e^{2 xi} > 0 keeps xi_dot > 0 and the escape gate xi_dot < 0
+# never opens.
+_ESCAPE = Event("1.0 if y1 >= 0.0 else "
+                "max(abs(y2 * e2), abs(y1 * y1 + y3 * y3 - 1.0), e2 * e2) - escape_tol",
+                direction=-1, terminal=True)
+_STOPS = (_ESCAPE, Event("y2", direction=-1),
+          Event("min(-y2, y1)", direction=1, terminal=True))
+
+# Events 0-2 are escape (terminal), eta = 0 and the certificate (terminal).
+# eta = 0 is listed ahead of the certificate, which fires at that same root
+# when xi_dot > 0 there, so the crossing is kept.  A sampled run also
+# watches eta = eta_in/2 and xi_dot = 0 (events 3 and 4).
+_SOLVER = System(RHS_SOURCE, rhs, RHS_SHARED, _STOPS, ("escape_tol",))
+_SAMPLED = System(RHS_SOURCE, rhs, RHS_SHARED,
+                  _STOPS + (Event("y2 - half", direction=-1), Event("y1", direction=-1)),
+                  ("escape_tol", "half"))
+
+
 def _escape_residual(y, tol: float) -> float:
     """Negative when state y = (xi, xi_dot, eta, eta_dot) passes the escape test."""
-    if y[1] >= 0.0:
-        return 1.0
-    e2 = math.exp(min(2.0 * y[0], 700.0))
-    speed_defect = abs(y[1] * y[1] + y[3] * y[3] - 1.0)
-    return max(abs(y[2] * e2), speed_defect, e2 * e2) - tol
+    return _SOLVER.values[0](y, tol)
 
 
 def _free_leg_crossing(y_e, level: float) -> float:
@@ -170,45 +194,23 @@ def _free_leg_crossing(y_e, level: float) -> float:
     return float(s)
 
 
-def _ev_certificate(t, y):
-    # eta_dot < 0 always, so once eta < 0 and xi_dot > 0, xi'' = -eta*e^{2 xi}
-    # > 0 keeps xi_dot > 0 and the escape gate xi_dot < 0 never opens
-    return min(-y[2], y[1])
-
-
-_ev_certificate.terminal = True
-_ev_certificate.direction = 1
-
-
-def _solve(a: AsymptoticData, cfg: SolverConfig, extra_events, dense_output: bool):
+def _solve(a: AsymptoticData, cfg: SolverConfig, sampled: bool):
     """One solver call from the free start state to escape, the
     non-scattering certificate or the end of the budget, and its stop.
 
-    Events 0-2 are escape (terminal), eta = 0 and the certificate
-    (terminal); extra_events follow.  eta = 0 is listed ahead of the
-    certificate, which fires at that same root when xi_dot > 0 there, so
-    the crossing is kept.  Returns (p0, sol, outcome): the start state, the
-    solve_ivp result and how the run ended.  Data with eta_in <= 0 start
-    certified and make no call (sol is None).  A solver failure raises
-    NotConvergedError with the stepper's message.
+    A sampled run keeps the dense output and watches all five events
+    (_SAMPLED), otherwise only the three stops.  Returns (p0, sol, outcome):
+    the start state, the solve_ivp result and how the run ended.  Data with
+    eta_in <= 0 start certified and make no call (sol is None).  A solver
+    failure raises NotConvergedError with the stepper's message.
     """
     p0 = free_motion_expansion(start_time(a), a)
     if a.eta_in <= 0.0:
         return p0, None, Outcome.CERTIFIED
-
-    def ev_escape(t, y):
-        return _escape_residual(y, cfg.escape_tol)
-    ev_escape.terminal = True
-    ev_escape.direction = -1
-
-    def ev_eta0(t, y):
-        return y[2]
-    ev_eta0.direction = -1
-
-    sol = solve_ivp(rhs, (p0.t, p0.t + cfg.max_time),
+    sol = solve_ivp(_SAMPLED if sampled else _SOLVER, (p0.t, p0.t + cfg.max_time),
                     [p0.xi, p0.xi_dot, p0.eta, p0.eta_dot], rtol=cfg.rel_tol,
-                    atol=cfg.abs_tol, dense_output=dense_output,
-                    events=[ev_escape, ev_eta0, _ev_certificate, *extra_events])
+                    atol=cfg.abs_tol, dense_output=sampled,
+                    params={"escape_tol": cfg.escape_tol, "half": 0.5 * a.eta_in})
     if sol.status == -1:
         raise NotConvergedError(Outcome.SOLVER_FAILURE, sol.message)
     if len(sol.t_events[0]):
@@ -247,15 +249,7 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
     the run ended; a certified one keeps the state there in events.blowup.
     Raises ValueError when the sample grid does not fit in memory.
     """
-    def ev_half(t, y):
-        return y[2] - 0.5 * a.eta_in
-    ev_half.direction = -1
-
-    def ev_xidot(t, y):
-        return y[1]
-    ev_xidot.direction = -1
-
-    p0, sol, outcome = _solve(a, cfg, [ev_half, ev_xidot], dense_output=True)
+    p0, sol, outcome = _solve(a, cfg, sampled=True)
     t_start = t_end = p0.t
     t_escape = t0 = t_half = t_m = None
     if sol is not None:
@@ -349,7 +343,7 @@ def deflection_of(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> floa
     final sample, so the two agree bit for bit.  Raises the same
     NotConvergedError as deflection(integrate(a, cfg)) wherever that raises.
     """
-    p0, sol, outcome = _solve(a, cfg, [], dense_output=False)
+    p0, sol, outcome = _solve(a, cfg, sampled=False)
     if outcome is not Outcome.ESCAPED:
         raise NotConvergedError(outcome)
     t_escape, y_e = float(sol.t_events[0][0]), sol.y[:, -1]

@@ -100,26 +100,28 @@ class MonotonicityReport:
 
 
 def _cumtrapz(values: np.ndarray, step: float, initial: float,
-              out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Cumulative trapezoid integrals from initial along the last axis."""
-    if out is None:
-        out = np.empty_like(values)
+              out: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoid integrals from initial along the last axis, into
+    out; pairs, one shorter along that axis, takes the trapezoids."""
     out[..., 0] = initial
-    np.cumsum(0.5 * step * (values[..., 1:] + values[..., :-1]), axis=-1,
-              out=out[..., 1:])
+    np.add(values[..., 1:], values[..., :-1], out=pairs)
+    np.multiply(pairs, 0.5 * step, out=pairs)
+    np.cumsum(pairs, axis=-1, out=out[..., 1:])
     out[..., 1:] += initial
     return out
 
 
-def _march_xi(t: np.ndarray, eta: np.ndarray, a: AsymptoticData,
-              step: float, seed: np.ndarray) -> np.ndarray:
-    """Solve the discrete implicit xi equation for a fixed eta grid function.
+class _PastGrid:
+    """The past-zone equations on one grid, with the work arrays that every
+    march and eta update of an iterate_past run reuses.
 
-    The discrete equation is x = xi_in + t - Q[eta*e^{2x}], with Q the
-    trapezoid double integral from the free-motion tails at t_min.  It is
-    solved on the whole grid by Newton's method started from seed.  Second
-    differences of the Newton system J*delta = F (then x -= delta) leave a
-    lower-triangular matrix with two subdiagonals (d = 2*eta*e^{2x}):
+    march(eta, seed) solves the discrete implicit xi equation for a fixed
+    eta grid function; the discrete equation is x = xi_in + t - Q[eta*e^{2x}],
+    with Q the trapezoid double integral from the free-motion tails at
+    t_min.  It is solved on the whole grid by Newton's method started from
+    seed.  Second differences of the Newton system J*delta = F (then
+    x -= delta) leave a lower-triangular matrix with two subdiagonals
+    (d = 2*eta*e^{2x}):
 
         row 0:   delta_0 = 0   (x_0 is explicit)
         row 1:   (h^2/4) d_0 delta_0 + (1 + (h^2/4) d_1) delta_1 = F_1
@@ -134,46 +136,86 @@ def _march_xi(t: np.ndarray, eta: np.ndarray, a: AsymptoticData,
     the equation, so the result is the discrete solution to roundoff and the
     ladder built from it is monotone to roundoff.  Checking F first returns
     a seed that already solves the equation unchanged, so a converged ladder
-    reaches an exact fixed point.  Raises NewtonNotConvergedError if neither
-    is at roundoff after _NEWTON_MAX_STEPS steps.
-    """
-    # imported here, so that only commands that march load scipy.linalg
-    from scipy.linalg.lapack import dtbtrs
+    reaches an exact fixed point; a NaN residual is never at roundoff.
+    Raises NewtonNotConvergedError if neither is at roundoff after
+    _NEWTON_MAX_STEPS steps.
 
-    # inner and outer integral tails at t_min
-    P0, Q0 = (a.eta_in * v for v in past_tails(float(t[0]), a))
-    c = a.xi_in + t
-    roundoff = (_ROUNDOFF_ULPS * np.finfo(float).eps
-                * max(1.0, float(np.max(np.abs(c)))))
-    xi = np.array(seed, dtype=float)
-    xi[0] = c[0] - Q0
-    n = len(t)
-    ab = np.zeros((3, n), order="F")  # LAPACK lower band storage
-    ab[0, 0] = 1.0
-    rhs = np.empty(n)
-    for _ in range(_NEWTON_MAX_STEPS):
-        g = eta * np.exp(2.0 * xi)
-        F = xi - c + _cumtrapz(_cumtrapz(g, step, P0), step, Q0)
-        F[0] = 0.0  # x_0 is exact; its rounding residual must not propagate
-        if float(np.max(np.abs(F))) <= roundoff:
-            return xi
-        rhs[:2] = F[:2]
-        rhs[2:] = F[2:] - 2.0 * F[1:-1] + F[:-2]
-        hd = 0.5 * step * step * g  # (h^2/4) * d
-        ab[0, 1:] = 1.0 + hd[1:]
-        ab[1, 0] = hd[0]
-        ab[1, 1:-1] = 2.0 * hd[1:-1] - 2.0
-        ab[2, :-2] = 1.0 + hd[:-2]
-        delta, info = dtbtrs(ab, rhs, uplo="L")
-        if info != 0:
-            raise NewtonNotConvergedError(
-                f"singular Newton matrix at node {info - 1}")
-        xi -= delta
-        if float(np.max(np.abs(delta))) <= roundoff:
-            return xi
-    raise NewtonNotConvergedError(
-        f"grid Newton residual and update still above roundoff "
-        f"({roundoff:.1e}) after {_NEWTON_MAX_STEPS} steps")
+    The arithmetic runs in the work arrays with out=, in the order of the
+    plain expressions it replaces, so every iterate is the same to the bit.
+    Only march's result and eta_update's are new arrays.
+    """
+
+    def __init__(self, t: np.ndarray, a: AsymptoticData, step: float):
+        self.a, self.step = a, step
+        # inner and outer integral tails at t_min, of e^{2 xi} and of eta*e^{2 xi}
+        self.tails = past_tails(float(t[0]), a)
+        self.P0, self.Q0 = (a.eta_in * v for v in self.tails)
+        self.c = a.xi_in + t
+        self.roundoff = (_ROUNDOFF_ULPS * np.finfo(float).eps
+                         * max(1.0, float(np.max(np.abs(self.c)))))
+        n = len(t)
+        self.g, self.P, self.Q, self.F, self.rhs, self.hd = (np.empty(n) for _ in range(6))
+        self.pairs = np.empty(n - 1)  # the trapezoids of one cumulative integral
+        self.ab = np.zeros((3, n), order="F")  # LAPACK lower band storage
+        self.ab[0, 0] = 1.0
+
+    def _double_integral(self, values: np.ndarray, P0: float, Q0: float) -> np.ndarray:
+        """Q: the trapezoid integral from Q0 of the one from P0 of values."""
+        P = _cumtrapz(values, self.step, P0, self.P, self.pairs)
+        return _cumtrapz(P, self.step, Q0, self.Q, self.pairs)
+
+    def march(self, eta: np.ndarray, seed: np.ndarray) -> np.ndarray:
+        # imported here, so that only commands that march load scipy.linalg
+        from scipy.linalg.lapack import dtbtrs
+
+        g, F, rhs, hd, ab = self.g, self.F, self.rhs, self.hd, self.ab
+        xi = np.array(seed, dtype=float)
+        xi[0] = self.c[0] - self.Q0
+        for _ in range(_NEWTON_MAX_STEPS):
+            # g = eta * e^{2 xi};  F = xi - c + Q[g]
+            np.multiply(xi, 2.0, out=g)
+            np.exp(g, out=g)
+            np.multiply(eta, g, out=g)
+            np.subtract(xi, self.c, out=F)
+            F += self._double_integral(g, self.P0, self.Q0)
+            F[0] = 0.0  # x_0 is exact; its rounding residual must not propagate
+            if not _above_roundoff(F, hd, self.roundoff):
+                return xi
+            # rhs = F - 2 F_{-1} + F_{-2}
+            rhs[:2] = F[:2]
+            np.multiply(F[1:-1], 2.0, out=rhs[2:])
+            np.subtract(F[2:], rhs[2:], out=rhs[2:])
+            rhs[2:] += F[:-2]
+            # hd = (h^2/4) * d
+            np.multiply(g, 0.5 * self.step * self.step, out=hd)
+            np.add(hd[1:], 1.0, out=ab[0, 1:])
+            ab[1, 0] = hd[0]
+            np.multiply(hd[1:-1], 2.0, out=ab[1, 1:-1])
+            ab[1, 1:-1] -= 2.0
+            np.add(hd[:-2], 1.0, out=ab[2, :-2])
+            delta, info = dtbtrs(ab, rhs, uplo="L")
+            if info != 0:
+                raise NewtonNotConvergedError(
+                    f"singular Newton matrix at node {info - 1}")
+            xi -= delta
+            if not _above_roundoff(delta, hd, self.roundoff):
+                return xi
+        raise NewtonNotConvergedError(
+            f"grid Newton residual and update still above roundoff "
+            f"({self.roundoff:.1e}) after {_NEWTON_MAX_STEPS} steps")
+
+    def eta_update(self, xi: np.ndarray) -> np.ndarray:
+        """eta_in - Q[e^{2 xi}]/2, from the free tails at t_min."""
+        np.multiply(xi, 2.0, out=self.g)
+        np.exp(self.g, out=self.g)
+        Q = self._double_integral(self.g, *self.tails)
+        return self.a.eta_in - 0.5 * Q
+
+
+def _above_roundoff(x: np.ndarray, work: np.ndarray, roundoff: float) -> bool:
+    """Whether max |x| exceeds roundoff or is NaN; work takes |x|."""
+    np.abs(x, out=work)
+    return not float(np.max(work)) <= roundoff
 
 
 def _uniform_grid(t_lo: float, t_hi: float, step: float,
@@ -190,14 +232,6 @@ def _uniform_grid(t_lo: float, t_hi: float, step: float,
             f"{hi_name} = {t_hi} leaves fewer than 3 grid nodes from "
             f"{lo_name} = {t_lo} at step {step}")
     return t_lo + step * np.arange(n + 1)
-
-
-def _eta_update(t: np.ndarray, xi: np.ndarray, a: AsymptoticData,
-                step: float) -> np.ndarray:
-    P0, Q0 = past_tails(float(t[0]), a)
-    P = _cumtrapz(np.exp(2.0 * xi), step, initial=P0)
-    Q = _cumtrapz(P, step, initial=Q0)
-    return a.eta_in - 0.5 * Q
 
 
 def iterate_past(a: AsymptoticData, t_handoff: float, step: float,
@@ -226,15 +260,16 @@ def iterate_past(a: AsymptoticData, t_handoff: float, step: float,
     def gf(values):
         return GridFunction(float(t_min), t_hi, step, values)
 
+    grid = _PastGrid(t, a, step)
     eta = np.full(len(t), a.eta_in, dtype=float)
-    xi = _march_xi(t, eta, a, step, seed=xi_subsolution(t, a))
+    xi = grid.march(eta, seed=xi_subsolution(t, a))
     xis = [gf(xi)]
     etas = [gf(eta)]
     history: list[float] = []
     converged = False
     for _ in range(max_iter):
-        eta_next = _eta_update(t, xi, a, step)
-        xi_next = _march_xi(t, eta_next, a, step, seed=xi)
+        eta_next = grid.eta_update(xi)
+        xi_next = grid.march(eta_next, seed=xi)
         d = float(np.max(np.abs(xi_next - xi)) + np.max(np.abs(eta_next - eta)))
         history.append(d)
         xi, eta = xi_next, eta_next
@@ -283,13 +318,14 @@ def iterate_future(p0: PhasePoint, t_max: float, step: float,
     history: list[float] = []
     converged = False
     g, P, II = (np.empty_like(L) for _ in range(3))
+    pairs = np.empty((2, len(t) - 1))
     for _ in range(max_iter):
         # g = (Y e^{2X}, e^{2X}/2); II its double trapezoid integral from T0
         np.exp(2.0 * Z[0], out=g[1])
         np.multiply(Z[1], g[1], out=g[0])
         g[1] *= 0.5
-        _cumtrapz(g, step, 0.0, P)
-        _cumtrapz(P, step, 0.0, II)
+        _cumtrapz(g, step, 0.0, P, pairs)
+        _cumtrapz(P, step, 0.0, II, pairs)
         Z_next = Z - L
         Z_next += II
         Z_next *= epsilon

@@ -23,6 +23,7 @@ spectrum and the gradient flow's empirical exit threshold.
 """
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -34,7 +35,7 @@ from scipy.integrate import solve_ivp
 from curvscat import dop853
 from curvscat.analysis import GradientFlowState, gradient_flow_run
 from curvscat.closed_forms import (AsymptoticData, _require_positive_eta_in,
-                                   lncosh)
+                                   lncosh, past_tails, start_time, xi_subsolution)
 from curvscat.dynamics import BOUNDARY_TOL
 from curvscat.geometry import RadialSolution
 from curvscat.integrator import TrajectoryEvents
@@ -121,7 +122,7 @@ def rk4_grid_from_state(y0, t_grid, substeps=2):
 def march_xi_nodewise(t, eta, a, step):
     """Node-by-node solve of the discrete past-zone xi equation.
 
-    The sequential form of the trapezoid march that `picard._march_xi`
+    The sequential form of the trapezoid march that `picard._PastGrid.march`
     solves on the whole grid at once: the node unknown satisfies
     x + (h^2/4)*eta_j*e^{2x} = c_j, solved by three Newton steps seeded
     from the previous node (the correction is O(h^2), so this is ample).
@@ -208,8 +209,9 @@ def final_residual(run) -> tuple[float, float]:
 
 # --- DOP853 stage loops -------------------------------------------------------
 # The stepper's stage sums, error norm and dense-output coefficients as loops
-# over the non-zeros of the tableau, as the stepper computed them before it
-# compiled straight-line kernels; the kernels must equal them bit for bit.
+# over the non-zeros of the tableau, and its step loop with generic event
+# callables, as the stepper computed them before it compiled one attempt
+# kernel per system; the kernel must equal them bit for bit.
 
 
 def _advance(K, row, y, h):
@@ -267,9 +269,140 @@ def dop853_dense(fun, K, t_old, h, y_old, y_new):
     return coeffs
 
 
-def dop853_loops(n):
-    """Stands in for dop853._kernels: the loops, for any system size."""
-    return dop853._Kernels(dop853_step, dop853_error_norm, dop853_dense)
+def _active_events(g, g_new, directions):
+    """Indices of the events whose sign change over the step matches their
+    direction (> 0 rising, < 0 falling, 0 either); a zero counts both ways."""
+    active = []
+    for i, (a, b, d) in enumerate(zip(g, g_new, directions)):
+        up = a <= 0.0 <= b
+        down = a >= 0.0 >= b
+        if (up and d > 0) or (down and d < 0) or ((up or down) and d == 0):
+            active.append(i)
+    return active
+
+
+def dop853_solve_loops(fun, t_span, y0, *, rtol, atol, dense_output=False, events=()):
+    """dop853.solve_ivp as it stepped before the attempt kernel: any fun(t, y)
+    and event callables ev(t, y) with terminal and direction attributes,
+    the stages by the loops above, every event evaluated on the full state
+    of the interpolant.  The attempt kernel must equal it bit for bit."""
+    t, t_bound = float(t_span[0]), float(t_span[1])
+    y = [float(v) for v in y0]
+    rtol = max(rtol, 100 * dop853.EPS)
+    directions = [getattr(ev, "direction", 0) for ev in events]
+    terminal = [bool(getattr(ev, "terminal", False)) for ev in events]
+    t_events = [[] for _ in events]
+    g = [ev(t, y) for ev in events]
+    f = fun(t, y)
+    h_abs = dop853._initial_step(fun, t, y, f, t_bound, rtol, atol)
+    nfev = 2
+    ts, ys, steps = [t], [y], []
+    status, message = None, None
+    while status is None:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                status, message = -1, dop853.TOO_SMALL_STEP
+                break
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = abs(h)
+            y_new, K = dop853_step(fun, t, y, f, h)
+            K.append(fun(t_new, y_new))
+            nfev += dop853.N_STAGES
+            err = dop853_error_norm(K, h, y, y_new, rtol, atol)
+            if err < 1:
+                factor = (dop853.MAX_FACTOR if err == 0 else
+                          min(dop853.MAX_FACTOR, dop853.SAFETY * err ** dop853.ERROR_EXPONENT))
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(dop853.MIN_FACTOR, dop853.SAFETY * err ** dop853.ERROR_EXPONENT)
+            rejected = True
+        if status == -1:
+            break
+        if t_new >= t_bound:
+            status = 0
+        t_old, y_old, t, y, f = t, y, t_new, y_new, K[dop853.N_STAGES]
+
+        step = None
+        if dense_output:
+            step = dop853._Step(t_old, h, y_old, dop853_dense(fun, K, t_old, h, y_old, y))
+            nfev += 3
+            steps.append(step)
+        t_end, y_end = t, y
+        if events:
+            g_new = [ev(t, y) for ev in events]
+            active = _active_events(g, g_new, directions)
+            if active:
+                if step is None:
+                    step = dop853._Step(t_old, h, y_old, dop853_dense(fun, K, t_old, h, y_old, y))
+                    nfev += 3
+                roots = []
+                for i in active:
+                    ev = events[i]
+                    roots.append((dop853.brentq(lambda s: ev(s, step(s)), t_old, t,
+                                                xtol=4 * dop853.EPS, rtol=4 * dop853.EPS), i))
+                if any(terminal[i] for i in active):
+                    roots.sort(key=lambda r: r[0])
+                    cut = next(k for k, (_, i) in enumerate(roots) if terminal[i])
+                    roots = roots[:cut + 1]
+                    status = 1
+                    t_end = roots[-1][0]
+                    y_end = step(t_end)
+                for root, i in roots:
+                    t_events[i].append(root)
+            g = g_new
+        if dense_output and len(ts) > 1 and ts[-1] == t_end:
+            steps.pop()
+        else:
+            ts.append(t_end)
+            ys.append(y_end)
+
+    return dop853.OdeResult(
+        t=np.array(ts), y=np.array(ys, dtype=float).T,
+        t_events=[np.array(te, dtype=float) for te in t_events], nfev=nfev,
+        status=status, message=dop853.MESSAGES.get(status, message),
+        sol=dop853.DenseSolution(ts, steps) if dense_output else None)
+
+
+def escape_residual(y, tol):
+    """integrator's escape test as it was written before it became event
+    source: negative when y = (xi, xi_dot, eta, eta_dot) passes it."""
+    if y[1] >= 0.0:
+        return 1.0
+    e2 = math.exp(min(2.0 * y[0], 700.0))
+    speed_defect = abs(y[1] * y[1] + y[3] * y[3] - 1.0)
+    return max(abs(y[2] * e2), speed_defect, e2 * e2) - tol
+
+
+@functools.cache
+def fun_from_source(system):
+    """fun(t, y) of a dop853.System compiled from its rhs source, in place of
+    the function the system carries."""
+    lines = [f"y{j} = _y[{j}]" for j in range(len(system.rhs))]
+    lines += [f"{name} = {expr}" for name, expr in system.shared]
+    lines.append(f"return ({', '.join(system.rhs)},)")
+    namespace = {"exp": math.exp, "sqrt": math.sqrt}
+    exec("def fun(_t, _y):\n" + "".join(f"    {line}\n" for line in lines), namespace)
+    return namespace["fun"]
+
+
+def scipy_callables(system, params):
+    """(fun, events) of a dop853.System for scipy's solve_ivp and for
+    dop853_solve_loops, built from the system's source: fun(t, y) and one
+    ev(t, y) per event with its terminal and direction attributes."""
+    args = tuple(params[name] for name in system.params)
+    events = []
+    for ev, value in zip(system.events, system.values):
+        def event(t, y, value=value):
+            return value(y, *args)
+        event.terminal, event.direction = ev.terminal, ev.direction
+        events.append(event)
+    return fun_from_source(system), events
 
 
 def _cumtrapz(values, step, initial):
@@ -278,6 +411,66 @@ def _cumtrapz(values, step, initial):
     np.cumsum(0.5 * step * (values[1:] + values[:-1]), out=out[1:])
     out[1:] += initial
     return out
+
+
+def iterate_past_allocating(a, t_handoff, step, tol, max_iter):
+    """picard.iterate_past's ladder as it was computed before its marches
+    reused one set of work arrays, each Newton step in fresh temporaries:
+    (xi iterates, eta iterates, history)."""
+    from scipy.linalg.lapack import dtbtrs
+
+    t_min = start_time(a)
+    n = int(round((t_handoff - t_min) / step))
+    t = t_min + step * np.arange(n + 1)
+
+    def march(eta, seed):
+        P0, Q0 = (a.eta_in * v for v in past_tails(float(t[0]), a))
+        c = a.xi_in + t
+        roundoff = 16 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(c))))
+        xi = np.array(seed, dtype=float)
+        xi[0] = c[0] - Q0
+        ab = np.zeros((3, len(t)), order="F")
+        ab[0, 0] = 1.0
+        rhs = np.empty(len(t))
+        for _ in range(20):
+            g = eta * np.exp(2.0 * xi)
+            F = xi - c + _cumtrapz(_cumtrapz(g, step, P0), step, Q0)
+            F[0] = 0.0
+            if float(np.max(np.abs(F))) <= roundoff:
+                return xi
+            rhs[:2] = F[:2]
+            rhs[2:] = F[2:] - 2.0 * F[1:-1] + F[:-2]
+            hd = 0.5 * step * step * g
+            ab[0, 1:] = 1.0 + hd[1:]
+            ab[1, 0] = hd[0]
+            ab[1, 1:-1] = 2.0 * hd[1:-1] - 2.0
+            ab[2, :-2] = 1.0 + hd[:-2]
+            delta, info = dtbtrs(ab, rhs, uplo="L")
+            assert info == 0
+            xi -= delta
+            if float(np.max(np.abs(delta))) <= roundoff:
+                return xi
+        raise AssertionError("Newton did not converge")
+
+    def eta_update(xi):
+        P0, Q0 = past_tails(float(t[0]), a)
+        P = _cumtrapz(np.exp(2.0 * xi), step, initial=P0)
+        return a.eta_in - 0.5 * _cumtrapz(P, step, initial=Q0)
+
+    eta = np.full(len(t), a.eta_in)
+    xi = march(eta, xi_subsolution(t, a))
+    xis, etas, history = [xi], [eta], []
+    for _ in range(max_iter):
+        eta_next = eta_update(xi)
+        xi_next = march(eta_next, xi)
+        d = float(np.max(np.abs(xi_next - xi)) + np.max(np.abs(eta_next - eta)))
+        history.append(d)
+        xi, eta = xi_next, eta_next
+        xis.append(xi)
+        etas.append(eta)
+        if d <= tol:
+            break
+    return xis, etas, history
 
 
 def iterate_future_rowwise(p0, t_max, step, epsilon, tol, max_iter):

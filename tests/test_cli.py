@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import curvscat
+import curvscat.cli as cli
 from curvscat import AsymptoticData, SolverConfig, integrate, shooting
 from curvscat.cli import (EXIT_CODE, EXIT_NONSCATTERING, EXIT_OK, EXIT_PARTIAL,
                           EXIT_USAGE, EXIT_VERIFY_FAIL, _json_render,
@@ -439,6 +440,31 @@ def test_json_float_17_digits(tmp_path):
     line = next(l for l in text.splitlines() if '"theta"' in l)
     digits = line.split(":")[1].strip().rstrip(",").replace("-", "").replace(".", "")
     assert len(digits) == 17
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "--eta-in", "8"),
+    ("solve", "--eta-in", "8"),
+    ("solve", "--eta-in", "1.0"),
+    ("sweep", "--theta-min=-0.9pi", "--theta-max=-0.6pi", "--n", "2"),
+])
+def test_shallow_field_dicts_write_the_json_of_asdict(tmp_path, monkeypatch, args):
+    # every field written is a scalar, so skipping asdict's deep copy
+    # changes no byte of any JSON file (manifest.json differs only in its
+    # timestamp and out-dir)
+    for name in ("shallow", "deep"):
+        if name == "deep":
+            monkeypatch.setattr(cli, "_field_dict", asdict)
+        _run(*args, "--out-dir", str(tmp_path / name))
+    files = sorted(p.name for p in (tmp_path / "shallow").glob("*.json"))
+    assert len(files) >= 2
+    for f in files:
+        shallow = (tmp_path / "shallow" / f).read_text()
+        deep = (tmp_path / "deep" / f).read_text()
+        if f == "manifest.json":
+            shallow, deep = (re.sub(r'"(timestamp|argv)": .*', "", s)
+                             for s in (shallow, deep))
+        assert shallow == deep, f
 
 
 def test_verify_failure_exit_4(tmp_path):

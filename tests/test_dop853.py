@@ -1,10 +1,12 @@
 """The owned DOP853 stepper against scipy's solve_ivp(method="DOP853"),
-and its compiled kernels against the stage loops of tests/_reference.py.
+and its generated attempt kernel against the stage loops and the step loop
+of tests/_reference.py.
 
-scipy serves only as an oracle here.  The two take the same accepted
-steps and make the same number of right-hand-side calls; their values
-differ by round-off, because the stage sums run in another order.  The
-kernels keep the loops' order, so they equal them bit for bit.
+scipy serves only as an oracle here, with callables built from each
+system's source.  The two take the same accepted steps and make the same
+number of right-hand-side calls; their values differ by round-off, because
+the stage sums run in another order.  The kernel keeps the loops' order, so
+it equals them bit for bit.
 """
 
 import math
@@ -17,8 +19,9 @@ from scipy.integrate._ivp import dop853_coefficients as scipy_tableau
 import _reference as ref
 import curvscat.integrator as integrator
 from curvscat import AsymptoticData, SolverConfig, dop853, integrate
-from curvscat.dop853 import EPS, TOO_SMALL_STEP, brentq, solve_ivp
-from curvscat.integrator import deflection_of
+from curvscat.dop853 import EPS, TOO_SMALL_STEP, Event, System, brentq, solve_ivp
+from curvscat.dynamics import rhs
+from curvscat.integrator import _SAMPLED, _SOLVER, deflection_of
 
 ORACLE_ETAS = [1.31, 1.6, 2.3252, 8.0, 64.0, 1000.0]
 
@@ -42,8 +45,16 @@ def test_tableau_is_scipys():
     assert np.array_equal(D, scipy_tableau.D)
 
 
+def _callables(args, kwargs):
+    """(fun, events) for scipy and the loops, from a call's system source."""
+    return ref.scipy_callables(args[0], kwargs.get("params") or {})
+
+
 def _oracle(args, kwargs):
-    return scipy_solve_ivp(*args, method="DOP853", **kwargs)
+    fun, events = _callables(args, kwargs)
+    return scipy_solve_ivp(fun, *args[1:], method="DOP853", rtol=kwargs["rtol"],
+                           atol=kwargs["atol"], dense_output=kwargs.get("dense_output", False),
+                           events=events)
 
 
 class _Recorder:
@@ -80,7 +91,7 @@ def test_integrator_calls_match_scipy(eta_in, xi_in, cfg, monkeypatch):
         assert sol.status == ref.status == 1
         assert len(sol.t) == len(ref.t) and sol.nfev == ref.nfev
         assert len(sol.t_events) == len(ref.t_events)
-        escape = kwargs["events"][0]
+        escape = _callables(args, kwargs)[1][0]
         for k, (got, want) in enumerate(zip(sol.t_events, ref.t_events)):
             assert len(got) == len(want), k
             if k > 0:
@@ -133,13 +144,12 @@ def test_rejected_steps_match_scipy(cfg, monkeypatch):
 
 def test_finite_time_blowup_fails_with_a_message():
     # y' = y^2 from y(0) = 1 is 1/(1 - t): the step falls below 10 ulp at t = 1
-    def fun(t, y):
-        return [y[0] * y[0]]
+    system = System(("y0 * y0",), lambda t, y: (y[0] * y[0],))
     for dense_output in (False, True):
-        sol = solve_ivp(fun, (0.0, 2.0), [1.0], rtol=1e-10, atol=1e-12,
+        sol = solve_ivp(system, (0.0, 2.0), [1.0], rtol=1e-10, atol=1e-12,
                         dense_output=dense_output)
-        ref = scipy_solve_ivp(fun, (0.0, 2.0), [1.0], method="DOP853", rtol=1e-10,
-                              atol=1e-12, dense_output=dense_output)
+        ref = _oracle((system, (0.0, 2.0), [1.0]),
+                      dict(rtol=1e-10, atol=1e-12, dense_output=dense_output))
         assert sol.status == ref.status == -1
         assert sol.message == ref.message == TOO_SMALL_STEP
         assert len(sol.t) == len(ref.t) and sol.nfev == ref.nfev
@@ -147,11 +157,10 @@ def test_finite_time_blowup_fails_with_a_message():
 
 
 def test_too_small_rtol_is_raised_with_a_warning():
-    def fun(t, y):
-        return [-y[0]]
+    system = System(("-y0",), lambda t, y: (-y[0],))
     with pytest.warns(UserWarning, match="rtol 1e-20 is too small"):
-        sol = solve_ivp(fun, (0.0, 1.0), [1.0], rtol=1e-20, atol=1e-30)
-    ref = solve_ivp(fun, (0.0, 1.0), [1.0], rtol=100 * EPS, atol=1e-30)
+        sol = solve_ivp(system, (0.0, 1.0), [1.0], rtol=1e-20, atol=1e-30)
+    ref = solve_ivp(system, (0.0, 1.0), [1.0], rtol=100 * EPS, atol=1e-30)
     assert np.array_equal(sol.y, ref.y) and sol.status == 0
 
 
@@ -186,19 +195,6 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.uint64)
 
 
-class _Stages:
-    """A right-hand side that returns the given stage values in turn and
-    keeps every (t, state) it is called with."""
-
-    def __init__(self, values):
-        self.values = iter(values)
-        self.calls = []
-
-    def __call__(self, t, y):
-        self.calls.append((t, list(y)))
-        return tuple(next(self.values))
-
-
 def _random_values(rng, shape, zeros=0.2):
     """Mixed magnitudes 1e-100..1e100 of both signs; a share zeros of them
     +0.0 or -0.0."""
@@ -208,32 +204,99 @@ def _random_values(rng, shape, zeros=0.2):
     return x
 
 
+def _signed_zeros(rng, x, share):
+    """x with a share of its entries replaced by +0.0 or -0.0."""
+    x = np.array(x, dtype=float)
+    zero = rng.random(x.shape) < share
+    x[zero] = rng.choice([-0.0, 0.0], x.shape)[zero]
+    return x
+
+
+# a system of each size with events of every direction; 4 is the scattering
+# system with all five of integrate's events
+SYSTEMS = {
+    1: (System(("y0 * y0 - 0.3",), lambda t, y: (y[0] * y[0] - 0.3,),
+               events=(Event("y0 - c", -1, True), Event("y0", 0), Event("c - y0", 1)),
+               params=("c",)), {"c": 0.3}),
+    2: (System(("y1", "-y0 * e"), lambda t, y: (y[1], -y[0] * math.exp(-abs(y[1]))),
+               shared=(("e", "exp(-abs(y1))"),),
+               events=(Event("min(y0, e - 0.5)", 1, True), Event("y1 * e", -1))), {}),
+    4: (_SAMPLED, {"escape_tol": 1e-7, "half": 4.0}),
+}
+
+
+def _attempt_by_the_loops(system, params, t, h, y, f, g, rtol, atol, dense):
+    """What the attempt kernel returns, by the stage loops and the events'
+    callables."""
+    fun, events = ref.scipy_callables(system, params)
+    y_new, K = ref.dop853_step(fun, t, y, f, h)
+    K.append(fun(t + h, y_new))
+    err = ref.dop853_error_norm(K, h, y, y_new, rtol, atol)
+    if not err < 1.0:
+        return err, None, None, None, None, None
+    values = tuple(ev(t + h, y_new) for ev in events)
+    active = ref._active_events(g, values, [ev.direction for ev in system.events])
+    coeffs = ref.dop853_dense(fun, K, t, h, y, y_new) if dense or active else None
+    return err, y_new, K[dop853.N_STAGES], values, active, coeffs
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and text of what it raises."""
+    try:
+        return f(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_kernels_equal_the_loops_bit_for_bit(n):
+    # wild draws span 1e-100..1e100 and mostly fail the error test; tame
+    # ones are accepted and reach the events and the interpolant
     rng = np.random.default_rng(n)
-    kernels = dop853._kernels(n)
-    for _ in range(50):
-        t, h = rng.uniform(-10, 10), rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6, 1)
-        y, y_new = _random_values(rng, (2, n)).tolist()
-        rtol, atol = 10.0 ** rng.uniform(-13, -3, 2)
-        stages = _random_values(rng, (16, n), zeros=rng.choice([0.2, 0.9])).tolist()
-        f = stages[0]
-        got = _Stages(stages[1:12])
-        want = _Stages(stages[1:12])
-        (y1, K1), (y2, K2) = kernels.step(got, t, y, f, h), ref.dop853_step(want, t, y, f, h)
-        assert np.array_equal(_bits(y1), _bits(y2)) and K1 == K2
-        assert np.array_equal(_bits([c[1] for c in got.calls]), _bits([c[1] for c in want.calls]))
-        assert [c[0] for c in got.calls] == [c[0] for c in want.calls]
-
-        K = stages[:13]
-        assert _bits(kernels.error_norm(K, h, y, y_new, rtol, atol)) == \
-            _bits(ref.dop853_error_norm(K, h, y, y_new, rtol, atol))
-        got, want = _Stages(stages[13:]), _Stages(stages[13:])
-        c1 = kernels.dense(got, K, t, h, y, y_new)
-        c2 = ref.dop853_dense(want, K, t, h, y, y_new)
-        assert np.array_equal(_bits(c1), _bits(c2))
-        assert np.array_equal(_bits([c[1] for c in got.calls]), _bits([c[1] for c in want.calls]))
-    assert dop853._kernels(n) is kernels
+    system, params = SYSTEMS[n]
+    args = tuple(params[name] for name in system.params)
+    attempt = system.kernels.attempt
+    m = len(system.events)
+    accepted = 0
+    for k in range(400):
+        # plain floats, as the stepper passes: numpy scalars would warn
+        t = float(rng.uniform(-10, 10))
+        g = _random_values(rng, m, zeros=0.3).tolist()
+        dense = bool(rng.integers(2))
+        if k % 2:
+            h = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6, 1))
+            y, f = _random_values(rng, (2, n), zeros=rng.choice([0.2, 0.9])).tolist()
+            rtol, atol = (10.0 ** rng.uniform(-13, -3, 2)).tolist()
+        else:
+            h = float(10.0 ** rng.uniform(-4, -1))
+            y = _signed_zeros(rng, rng.normal(0.0, 1.0, n), 0.3).tolist()
+            f = _signed_zeros(rng, rng.normal(0.0, 1.0, n), 0.3).tolist()
+            rtol, atol = (10.0 ** rng.uniform(-6, -2, 2)).tolist()
+        got = attempt(h, y, f, g, rtol, atol, dense, *args)
+        want = _attempt_by_the_loops(system, params, t, h, y, f, g, rtol, atol, dense)
+        assert _bits(got[0]) == _bits(want[0])
+        assert (got[1] is None) is (want[1] is None)
+        if got[1] is None:
+            assert got[1:] == want[1:]
+            continue
+        accepted += 1
+        for a, b in zip(got[1:4], want[1:4]):
+            assert np.array_equal(_bits(a), _bits(b))
+        assert got[4] == want[4]
+        assert (got[5] is None) is (want[5] is None)
+        if got[5] is None:
+            continue
+        assert np.array_equal(_bits(got[5]), _bits(want[5]))
+        # each active event's root on its components of the interpolant, as
+        # Brent's method on the whole interpolated state
+        step = dop853._Step(t, h, y, got[5])
+        for i in got[4]:
+            value = system.values[i]
+            root = _outcome(system.kernels.roots[i], t, t + h, h, y, got[5], *args)
+            assert root == _outcome(brentq, lambda s: value(step(s), *args), t, t + h,
+                                    4 * EPS, 4 * EPS)
+    assert accepted > 100
+    assert system.kernels is system.kernels
 
 
 @pytest.mark.parametrize("xi_in", [0.0, 0.9])
@@ -243,9 +306,10 @@ def test_runs_equal_the_loops_bit_for_bit(eta_in, xi_in, cfg, monkeypatch):
     a = AsymptoticData(xi_in, eta_in)
     integrate(a, cfg)
     deflection_of(a, cfg)
-    monkeypatch.setattr(dop853, "_kernels", ref.dop853_loops)
     for args, kwargs, sol in rec.calls:
-        want = solve_ivp(*args, **kwargs)
+        fun, events = _callables(args, kwargs)
+        want = ref.dop853_solve_loops(fun, *args[1:], rtol=kwargs["rtol"], atol=kwargs["atol"],
+                                      dense_output=kwargs["dense_output"], events=events)
         assert sol.nfev == want.nfev and sol.status == want.status
         assert np.array_equal(_bits(sol.t), _bits(want.t))
         assert np.array_equal(_bits(sol.y), _bits(want.y))
@@ -255,3 +319,43 @@ def test_runs_equal_the_loops_bit_for_bit(eta_in, xi_in, cfg, monkeypatch):
         if kwargs["dense_output"]:
             ts = np.linspace(sol.t[0], sol.t[-1], 1001)
             assert np.array_equal(_bits(sol.sol(ts)), _bits(want.sol(ts)))
+
+
+def _states(rng, count):
+    """States (xi, xi_dot, eta, eta_dot) of every sign, with +-0.0 entries,
+    negative eta and 2*xi beyond the clamp at 700."""
+    y = rng.normal(0.0, 3.0, (count, 4)) * 10.0 ** rng.integers(-3, 3, (count, 4))
+    y[::7, 0] = rng.uniform(350.0, 1e4, len(y[::7]))      # 2*xi > 700
+    y[1::7, 0] = -rng.uniform(350.0, 1e4, len(y[1::7]))
+    y[::5, 2] = -np.abs(y[::5, 2])                          # eta < 0
+    return _signed_zeros(rng, y, 0.15)
+
+
+def test_rhs_source_equals_rhs_bit_for_bit():
+    # the source compiled alone and in the attempt kernel's stages
+    rng = np.random.default_rng(7)
+    fun = ref.fun_from_source(_SOLVER)
+    for y in _states(rng, 2000).tolist():
+        assert np.array_equal(_bits(fun(0.0, y)), _bits(rhs(0.0, y))), y
+    assert _SOLVER.fun is rhs and _SAMPLED.fun is rhs
+    # stage 12 is the right-hand side at y_new
+    for y in _states(rng, 200).tolist():
+        got = _SOLVER.kernels.attempt(1e-3, y, rhs(0.0, y), (1.0, 1.0, 1.0), 1e3, 1e3,
+                                      False, 1e-7)
+        if got[1] is not None:
+            assert np.array_equal(_bits(got[2]), _bits(rhs(0.0, got[1])))
+
+
+def test_event_values_equal_their_definitions():
+    rng = np.random.default_rng(8)
+    tol, eta_in = 1e-7, 8.0
+    values = _SAMPLED.values
+    for y in _states(rng, 2000).tolist():
+        want = [ref.escape_residual(y, tol), y[2], min(-y[2], y[1]),
+                y[2] - 0.5 * eta_in, y[1]]
+        got = [value(y, tol, 0.5 * eta_in) for value in values]
+        assert np.array_equal(_bits(got), _bits(want)), y
+        assert _bits(integrator._escape_residual(y, tol)) == _bits(want[0])
+    assert _SOLVER.events == _SAMPLED.events[:3]
+    assert [(ev.direction, ev.terminal) for ev in _SAMPLED.events] == [
+        (-1, True), (-1, False), (1, True), (-1, False), (-1, False)]

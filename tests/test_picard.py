@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,11 @@ from curvscat import (AsymptoticData, PhasePoint, explicit_bounds, integrate,
                       xi_subsolution)
 from curvscat.cli import write_csv
 from curvscat.picard import (GridFunction, NewtonNotConvergedError, PicardRun,
-                             _march_xi)
+                             _PastGrid)
 
 from _reference import (eta_first_iterate, final_residual, iterate_future_rowwise,
-                        march_xi_nodewise, rk4_grid_from_state, rk4_on_grid,
-                        write_ladder_csv)
+                        iterate_past_allocating, march_xi_nodewise,
+                        rk4_grid_from_state, rk4_on_grid, write_ladder_csv)
 
 A8 = AsymptoticData(0.0, 8.0)
 HANDOFF8 = explicit_bounds(A8).t0_lower - 1.0
@@ -149,7 +151,37 @@ def test_march_newton_cap_raises_named_error():
     t = HANDOFF8 - 2.0 + step * np.arange(251)
     eta = np.full(len(t), A8.eta_in)
     with pytest.raises(NewtonNotConvergedError, match="roundoff"):
-        _march_xi(t, eta, A8, step, seed=xi_subsolution(t, A8) + 50.0)
+        _PastGrid(t, A8, step).march(eta, seed=xi_subsolution(t, A8) + 50.0)
+
+
+def _ladder_hash(arrays):
+    digest = hashlib.sha256()
+    for x in arrays:
+        digest.update(np.ascontiguousarray(x, dtype=float).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("eta_in", [1.31, 2.0, 8.0, 20.0])
+def test_past_ladder_equals_the_allocating_one_bit_for_bit(eta_in):
+    # verify's past-zone check: 6 iterations on a 2e-3 grid, each march in
+    # the reused work arrays against one in fresh temporaries
+    a = AsymptoticData(0.0, eta_in)
+    t_handoff = explicit_bounds(a).t0_lower - 1.0
+    run = iterate_past(a, t_handoff, step=2e-3, tol=0.0, max_iter=6)
+    xs, ys, history = iterate_past_allocating(a, t_handoff, 2e-3, 0.0, 6)
+    assert run.sup_diff_history == history and len(xs) == len(run.iterates_xi) > 4
+    assert _ladder_hash([g.values for g in run.iterates_xi + run.iterates_eta]) == \
+        _ladder_hash(xs + ys)
+
+
+def test_march_fails_on_a_nan_residual():
+    # a NaN in eta makes F NaN from there on: never at roundoff
+    step = 8e-3
+    t = HANDOFF8 - 2.0 + step * np.arange(251)
+    eta = np.full(len(t), A8.eta_in)
+    eta[100] = np.nan
+    with pytest.raises(NewtonNotConvergedError, match="roundoff"):
+        _PastGrid(t, A8, step).march(eta, seed=xi_subsolution(t, A8))
 
 
 # --- future zone ------------------------------------------------------------

@@ -96,6 +96,24 @@ def test_deflection_map_onset_stops_at_a_budget_stop(tmp_path, capsys,
     assert f"onset in ({lo:.8f}, {hi:.8f})" in out and lo < mid < hi
 
 
+def test_deflection_map_brackets_the_onset_by_tabulated_outcomes(tmp_path, capsys):
+    # the grid's certified 1.0 and scattering 2.0 bracket the onset; the
+    # bisection stays inside them
+    dmap = _load("deflection_map")
+    assert dmap.main(["--eta-min", "1.0", "--eta-max", "2", "--n", "2",
+                      "--onset-bisections", "10", "--out", str(tmp_path / "map.csv")]) == 0
+    out = capsys.readouterr().out
+    assert "eta_in =     1.000000  blowup" in out
+    lo, hi = map(float, re.search(r"onset in \(([^,]+), ([^)]+)\)", out).groups())
+    assert 1.0 <= lo < 1.29981 < hi <= 2.0 and hi - lo < 1.0 / 2**9
+    # no grid point scatters: no bracket and no bisection
+    assert dmap.main(["--eta-min", "0.3", "--eta-max", "0.4", "--n", "2",
+                      "--onset-bisections", "10", "--out", str(tmp_path / "low.csv")]) == 0
+    out = capsys.readouterr().out
+    assert "no onset bracket" in out and "onset in" not in out
+    assert out.count("eta_in =") == 2
+
+
 def test_deflection_table_smoke(capsys):
     # a small fit: the block it prints has the committed layout, and the
     # miss it reports is within the bound; nothing is written
