@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .closed_forms import (AsymptoticData, BoundsReport, ETA_CRIT_UPPER,
                            explicit_bounds, free_motion_expansion, lncosh,
                            t0_state_bounds, xi_subsolution, xi_supersolution)
-from .dynamics import PhasePoint, rhs
+from .dynamics import PhasePoint
 from .geometry import (AsymptoticFit, RadialSolution, asymptotic_fit,
                        curvature_area_quadrature, pokhozaev_residual,
                        theta_identities, to_radial)

@@ -76,14 +76,14 @@ class GradientFlowResult:
 
 
 def gradient_flow_run(s0: GradientFlowState, tol: float = 1e-10,
-                      max_iter: int = 100000,
-                      keep_history: bool = False) -> GradientFlowResult:
+                      max_iter: int = 100000) -> GradientFlowResult:
     """Run the damped recurrence until ||Grad W|| <= tol.
 
     Requires the start point in the open quadrant mu < 0, nu < 0.  If an
     iterate leaves the quadrant (coupling too large for the anchor), the run
     stops with stayed_in_quadrant False; callers probing the exit threshold
-    treat that as a normal outcome.
+    treat that as a normal outcome.  history holds (mu, nu, ||Grad W||) of
+    each iterate tested against tol.
     """
     if not (s0.mu < 0.0 and s0.nu < 0.0):
         raise ValueError("start point must lie in the open quadrant mu < 0, nu < 0")
@@ -92,8 +92,7 @@ def gradient_flow_run(s0: GradientFlowState, tol: float = 1e-10,
     for n in range(max_iter + 1):
         gmu, gnu = potential_gradient(s0, mu, nu)
         gn = math.hypot(gmu, gnu)
-        if keep_history:
-            history.append((mu, nu, gn))
+        history.append((mu, nu, gn))
         if gn <= tol:
             return GradientFlowResult((mu, nu), n, True, True, gn, history)
         mu_next = mu - s0.epsilon * gmu

@@ -367,8 +367,7 @@ def cmd_flow(args, argv) -> int:
     cfg = _config_from(args)
     state = analysis.GradientFlowState.from_anchor(
         args.mu0, args.delta, args.epsilon, nu0=args.nu0)
-    res = analysis.gradient_flow_run(state, tol=args.tol,
-                                     max_iter=args.max_iter, keep_history=True)
+    res = analysis.gradient_flow_run(state, tol=args.tol, max_iter=args.max_iter)
     out = _out_dir(args)
     history = np.asarray(res.history, dtype=float).reshape(-1, 3)
     write_csv(out / "flow.csv", ["n", "mu", "nu", "grad_norm"],

@@ -7,20 +7,21 @@ handful of components, so per-stage array calls would cost more than the
 arithmetic, and a loop over the non-zeros of the tableau would spend most
 of its time on the loop itself.  So a system is given as source (System:
 one expression per component over y0..y{n-1}, shared names assigned before
-them, and its events), and, as dop853.f writes each stage as one
-expression per component, one straight-line attempt kernel per system
-does a step's arithmetic with the right-hand side written into the stage
-lines: stages 1-12, y_new and the blended error norm, and on acceptance
-the events at y_new and, when the dense output or an active event needs
-them, stages 13-15 and the interpolant's coefficients.  Everything stays in
-local variables.  A one-component event's root is located on that
-component's interpolant alone.  The source is generated from the tableau
-literals below, the only copy of the coefficients, and compiled once per
-System on first use, much as dataclasses builds __init__.  Every sum
-starts from 0.0 and adds its terms in the tableau's order, as a loop over
-the tableau does, so the kernel rounds exactly as it does;
-tests/_reference.py keeps the loops and the generic step loop as its
-oracle.
+them, and its events), and one module generated from it, compiled once per
+System on first use much as dataclasses builds __init__, holds every
+function the stepper calls: the right-hand side, which makes the two calls
+that start a run, each event's value, the interpolant of an accepted step,
+and the attempt kernel.  As dop853.f writes each stage as one expression
+per component, the kernel does a step's arithmetic in straight lines with
+the right-hand side written into the stage lines: stages 1-12, y_new and
+the blended error norm, and on acceptance the events at y_new and, when
+the dense output or an active event needs them, stages 13-15 and the
+interpolant's coefficients.  Everything stays in local variables.  The
+source is generated from the tableau literals below, the only copy of the
+coefficients.  Every sum starts from 0.0 and adds its terms in the
+tableau's order, as a loop over the tableau does, so the kernel rounds
+exactly as it does; tests/_reference.py keeps the loops, the interpolant
+and the generic step loop as its oracle.
 
 It reproduces scipy.integrate.solve_ivp(method="DOP853") for forward
 integration without max_step or t_eval: the same initial step selection,
@@ -42,10 +43,9 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -175,7 +175,7 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
     return min(100.0 * h0, h1, interval)
 
 
-# --- the generated attempt kernel -------------------------------------------
+# --- the generated code -----------------------------------------------------
 #
 # In the generated source, _u<j> and _z<j> are component j of the state at
 # the start and the end of the step, _k<i>_<j> is component j of stage i,
@@ -196,11 +196,19 @@ class Event(NamedTuple):
     terminal: bool = False
 
 
-class _Kernels(NamedTuple):
-    """A System's stepping functions, compiled from _kernel_source."""
+class Functions(NamedTuple):
+    """A System's functions, generated from its source as one module.
 
+    fun(t, y) is the right-hand side, a tuple; values holds, per event,
+    value(y, *params), its value at the state y; attempt makes one
+    attempted step (see _source); state(s, t_old, h, y_old, coeffs) is an
+    accepted step's 7th-order interpolant at s, a list.
+    """
+
+    fun: Callable
+    values: tuple
     attempt: Callable
-    roots: tuple         # per event, root(t_old, t_new, h, y_old, coeffs, *params)
+    state: Callable
 
 
 @dataclass(frozen=True)
@@ -212,34 +220,25 @@ class System:
     events may read.  params name the run-time values that the events read;
     solve_ivp takes them by name.  Source may call exp, sqrt, abs, min and
     max; names that start with an underscore are the generated code's own.
-    fun(t, y) is the same right-hand side as a function, which makes the
-    two calls that start a run; it must compute rhs's values bit for bit.
-    values and kernels are compiled on first use, once per System.
+    functions is compiled from the source on first use, once per System.
     """
 
     rhs: tuple[str, ...]
-    fun: Callable
     shared: tuple[tuple[str, str], ...] = ()
     events: tuple[Event, ...] = ()
     params: tuple[str, ...] = ()
 
     @functools.cached_property
-    def values(self) -> tuple:
-        """Per event, value(y, *params): its value at the state y."""
-        namespace = _compiled(_values_source(self), "<dop853 event values>")
-        return tuple(namespace[f"value_{i}"] for i in range(len(self.events)))
-
-    @functools.cached_property
-    def kernels(self) -> _Kernels:
-        namespace = _compiled(_kernel_source(self), f"<dop853 kernels for a system of "
-                                                    f"{len(self.rhs)}>")
-        return _Kernels(namespace["attempt"],
-                        tuple(namespace[f"root_{i}"] for i in range(len(self.events))))
+    def functions(self) -> Functions:
+        namespace = _compile(_source(self), f"<dop853 system of {len(self.rhs)}>")
+        return Functions(namespace["fun"],
+                         tuple(namespace[f"value_{i}"] for i in range(len(self.events))),
+                         namespace["attempt"], namespace["state"])
 
 
-def _compiled(source, label):
+def _compile(source, label):
     """The namespace that running source, generated for a System, leaves."""
-    namespace = {"exp": math.exp, "sqrt": math.sqrt, "brentq": brentq, "EPS": EPS}
+    namespace = {"exp": math.exp, "sqrt": math.sqrt}
     exec(compile(source, label, "exec"), namespace)
     return namespace
 
@@ -265,33 +264,12 @@ def _derivative(system, i):
             + [f"_k{i}_{j} = {expr}" for j, expr in enumerate(system.rhs)])
 
 
-def _reads(system, expr):
-    """(shared lines, components) that evaluating expr needs: every shared
-    line if it reads a shared name, and the components y<j> read."""
-    names = set(compile(expr, "<event>", "eval").co_names)
-    shared = system.shared if names & {name for name, _ in system.shared} else ()
-    for _, source in shared:
-        names |= set(compile(source, "<shared>", "eval").co_names)
-    return shared, sorted(int(m[1:]) for m in names if re.fullmatch(r"y\d+", m))
-
-
 def _function(signature, lines):
     return f"def {signature}:\n" + "".join(f"    {line}\n" for line in lines)
 
 
-def _values_source(system) -> str:
-    """The source of value_<i>(y, *params), event i's value at the state y."""
-    params = "".join(f", {p}" for p in system.params)
-    return "\n".join(
-        _function(f"value_{i}(_y{params})",
-                  [f"{_names('y', len(system.rhs))} = _y"]
-                  + [f"{name} = {expr}" for name, expr in _reads(system, ev.value)[0]]
-                  + [f"return {ev.value}"])
-        for i, ev in enumerate(system.events))
-
-
-def _kernel_source(system) -> str:
-    """The source of a System's stepping functions.
+def _source(system) -> str:
+    """The source of a System's functions (see Functions).
 
     attempt(h, y, f, g, rtol, atol, dense, *params) makes one attempted
     step from y, whose stage 0 is f: stages 1-12, y_new and DOP853's blend
@@ -303,13 +281,16 @@ def _kernel_source(system) -> str:
     changes from the values g in their direction (a zero counts both
     ways).  When dense is true or an event is active it makes stages 13-15
     and, per component, the coefficients F_0..F_6 of the step's 7th-order
-    interpolant; otherwise coeffs is None.  root_<i>(t_old, t_new, h,
-    y_old, coeffs, *params) locates event i's root on the step's
-    interpolant by Brent's method, evaluating only the components that the
-    event reads.
+    interpolant; otherwise coeffs is None.  state evaluates that
+    interpolant in the nested form of dop853.f's CONTD8.
     """
     n = len(system.rhs)
     params = "".join(f", {p}" for p in system.params)
+    at_y = [f"{_names('y', n)} = _y"] + [f"{name} = {expr}" for name, expr in system.shared]
+    functions = [_function("fun(_t, _y)", at_y + [f"return ({', '.join(system.rhs)},)"])]
+    functions += [_function(f"value_{i}(_y{params})", at_y + [f"return {ev.value}"])
+                  for i, ev in enumerate(system.events)]
+
     attempt = [f"{_names('_u', n)} = _y", f"{_names('_k0_', n)} = _f"]
     for i, (_, row) in enumerate(_STAGES, start=1):
         attempt += _state(row, n) + _derivative(system, i)
@@ -351,76 +332,47 @@ def _kernel_source(system) -> str:
     attempt += [f"    {line}" for line in dense]
     attempt.append(f"return (_err, [{_names('_z', n)}], ({_names(f'_k{N_STAGES}_', n)}), "
                    f"({_names('_v', m)}), _active, _coeffs)")
+    functions.append(_function(f"attempt(_h, _y, _f, _g, _rtol, _atol, _dense{params})",
+                               attempt))
 
-    functions = [_function(f"attempt(_h, _y, _f, _g, _rtol, _atol, _dense{params})", attempt)]
-    for i, ev in enumerate(system.events):
-        shared, comps = _reads(system, ev.value)
-        body = [f"{name} = {expr}" for name, expr in shared] + [f"return {ev.value}"]
-        root = [f"_a{j} = _y_old[{j}]" for j in comps]
-        root += [f"{_names(f'_c{j}_', 7)} = _coeffs[{j}]" for j in comps]
-        # the nested form of _Step.__call__, for the components read
-        root += ["def _value(_s):", "    _x = (_s - _t_old) / _h", "    _x1 = 1 - _x"]
-        root += [f"    y{j} = ((((((_c{j}_6 * _x + _c{j}_5) * _x1 + _c{j}_4) * _x + _c{j}_3)"
-                 f" * _x1 + _c{j}_2) * _x + _c{j}_1) * _x1 + _c{j}_0) * _x + _a{j}"
-                 for j in comps]
-        root += [f"    {line}" for line in body]
-        root.append("return brentq(_value, _t_old, _t_new, 4 * EPS, 4 * EPS)")
-        functions.append(_function(f"root_{i}(_t_old, _t_new, _h, _y_old, _coeffs{params})", root))
+    state = ["_x = (_s - _t_old) / _h", "_x1 = 1 - _x", f"{_names('_u', n)} = _y_old"]
+    state += [f"{_names(f'_c{j}_', 7)} = _coeffs[{j}]" for j in range(n)]
+    nested = [f"((((((_c{j}_6 * _x + _c{j}_5) * _x1 + _c{j}_4) * _x + _c{j}_3) * _x1"
+              f" + _c{j}_2) * _x + _c{j}_1) * _x1 + _c{j}_0) * _x + _u{j}" for j in range(n)]
+    state.append(f"return [{', '.join(nested)}]")
+    functions.append(_function("state(_s, _t_old, _h, _y_old, _coeffs)", state))
     return "\n".join(functions)
-
-
-class _Step:
-    """The 7th-order interpolant of one accepted step from t_old to t_old + h.
-
-    coeffs[j] holds the polynomial coefficients F_0..F_6 of component j,
-    evaluated in the nested form of dop853.f's CONTD8."""
-
-    __slots__ = ("t_old", "h", "y_old", "coeffs")
-
-    def __init__(self, t_old, h, y_old, coeffs):
-        self.t_old, self.h, self.y_old, self.coeffs = t_old, h, y_old, coeffs
-
-    def __call__(self, t):
-        x = (t - self.t_old) / self.h
-        x1 = 1 - x
-        return [((((((c6 * x + c5) * x1 + c4) * x + c3) * x1 + c2) * x + c1) * x1 + c0)
-                * x + a
-                for a, (c0, c1, c2, c3, c4, c5, c6) in zip(self.y_old, self.coeffs)]
 
 
 class DenseSolution:
     """Piecewise dense output over the accepted steps, as scipy's OdeSolution.
 
     ts are the step ends (the last one the terminal event's root where an
-    event stopped the run).  sol(t) for a scalar t is the step's own
-    interpolant, shape (n,); for a 1-D array of times it is one vectorised
-    pass with the same arithmetic, shape (n, len(t)).  A point on a step end
-    belongs to the step before it, and points outside [ts[0], ts[-1]]
-    extrapolate the first or last step.
+    event stopped the run); steps are the accepted steps' (t_old, h, y_old,
+    coeffs), coeffs[j] holding the coefficients F_0..F_6 of component j's
+    interpolant.  sol(t) evaluates it in the nested form of
+    System.functions.state, vectorised: shape (n,) for a scalar t and
+    (n, len(t)) for a 1-D array of times.  A point on a step end belongs to
+    the step before it, and points outside [ts[0], ts[-1]] extrapolate the
+    first or last step.
     """
 
-    def __init__(self, ts, steps: Sequence[_Step]):
+    def __init__(self, ts, steps):
         self.ts = np.asarray(ts, dtype=float)
-        self._steps = steps
-        self._t_old = np.array([s.t_old for s in steps])
-        self._h = np.array([s.h for s in steps])
+        t_old, h, y_old, coeffs = zip(*steps)
+        self._t_old = np.array(t_old)
+        self._h = np.array(h)
         # (component, step) and (power, component, step): a gather over
         # steps then gives rows of samples, as scipy's OdeSolution returns
-        self._y_old = np.array([s.y_old for s in steps], dtype=float).T.copy()
-        self._coeffs = np.array([s.coeffs for s in steps], dtype=float).transpose(2, 1, 0).copy()
-
-    def _step_of(self, t):
-        k = np.searchsorted(self.ts, t, side="left") - 1
-        return np.clip(k, 0, len(self._steps) - 1)
+        self._y_old = np.array(y_old, dtype=float).T.copy()
+        self._coeffs = np.array(coeffs, dtype=float).transpose(2, 1, 0).copy()
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            return np.array(self._steps[int(self._step_of(t))](float(t)))
-        k = self._step_of(t)
+        k = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self._h) - 1)
         x = (t - self._t_old[k]) / self._h[k]
         x1 = 1 - x
-        y = np.zeros((len(self._y_old), len(t)))
+        y = np.zeros((len(self._y_old),) + t.shape)
         for p in range(6, -1, -1):
             y += self._coeffs[p][:, k]
             y *= x if p % 2 == 0 else x1
@@ -530,11 +482,10 @@ def solve_ivp(system: System, t_span, y0, *, rtol: float, atol: float,
         rtol = 100 * EPS
 
     args = tuple(params[name] for name in system.params)
-    fun = system.fun
-    attempt, roots = system.kernels
+    fun, values, attempt, state = system.functions
     terminal = [ev.terminal for ev in system.events]
     t_events = [[] for _ in terminal]
-    g = tuple(value(y, *args) for value in system.values)
+    g = tuple(value(y, *args) for value in values)
 
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
@@ -572,12 +523,13 @@ def solve_ivp(system: System, t_span, y0, *, rtol: float, atol: float,
 
         t_end, y_end = t, y
         if coeffs is not None:
-            step = _Step(t_old, h, y_old, coeffs)
+            step = (t_old, h, y_old, coeffs)
             nfev += 3
             if dense_output:
                 steps.append(step)
         if active:
-            found = [(roots[i](t_old, t, h, y_old, coeffs, *args), i) for i in active]
+            found = [(brentq(lambda s, value=values[i]: value(state(s, *step), *args),
+                             t_old, t, 4 * EPS, 4 * EPS), i) for i in active]
             if any(terminal[i] for i in active):
                 # stop at the earliest terminal root; ties keep event order
                 found.sort(key=lambda r: r[0])
@@ -585,7 +537,7 @@ def solve_ivp(system: System, t_span, y0, *, rtol: float, atol: float,
                 found = found[:cut + 1]
                 status = 1
                 t_end = found[-1][0]
-                y_end = step(t_end)
+                y_end = state(t_end, *step)
             for root, i in found:
                 t_events[i].append(root)
         if dense_output and len(ts) > 1 and ts[-1] == t_end:

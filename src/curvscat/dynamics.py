@@ -11,6 +11,8 @@ with conserved total energy 2E = xi'^2 + eta'^2 + eta*exp(2*xi).  Every
 admitted scattering motion has E = 1/2 exactly, which confines it to the
 region eta < exp(-2*xi); the complement is the forbidden zone and its
 boundary eta = exp(-2*xi) is the locus of zero-velocity (singular) points.
+The equations are written once, as the source RHS_SHARED and RHS_SOURCE,
+from which the stepper generates every evaluation of the right-hand side.
 
 The load parameter of the underlying plate problem is gauge-fixed to 1
 (``GAUGE_LOAD``).  Other load values are reachable only through the
@@ -54,22 +56,13 @@ class PhasePoint:
                 raise ValueError(f"PhasePoint field {name} must be finite, got {v!r}")
 
 
-def rhs(t, y):
-    """Right-hand side of the equations of motion in solver form.
-
-    y = (xi, xi_dot, eta, eta_dot); returns (xi', xi'', eta', eta'').
-    Autonomous: t is unused.  The exponent is clamped so that embedded-stage
-    evaluations of a trial step stay finite; the integrator stops
-    non-scattering runs at the certificate, long before xi nears the clamp.
-    """
-    e2 = math.exp(min(2.0 * y[0], 700.0))
-    return (y[1], -y[2] * e2, y[3], -0.5 * e2)
-
-
-#: rhs as expression source over y0..y3 for the stepper's generated code
-#: (dop853.System): the shared e2 = exp(2*xi) with rhs's clamp, min(a, b)
-#: being b if b < a else a, then one expression per component.  A test
-#: binds them to rhs bit for bit.
+#: The right-hand side of the equations of motion in solver form, as
+#: expression source over y = (xi, xi_dot, eta, eta_dot) for the stepper's
+#: generated code (dop853.System): the shared e2 = exp(2*xi), then
+#: (xi', xi'', eta', eta'').  The exponent is clamped at 700 (min(a, b)
+#: being b if b < a else a) so that embedded-stage evaluations of a trial
+#: step stay finite; the integrator stops non-scattering runs at the
+#: certificate, long before xi nears the clamp.
 RHS_SHARED = (("e2", "exp(700.0 if 700.0 < 2.0 * y0 else 2.0 * y0)"),)
 RHS_SOURCE = ("y1", "-y2 * e2", "y3", "-0.5 * e2")
 

@@ -5,12 +5,12 @@ its expansion parameter eta_in*w, w = exp(2*(xi_in + t_start)), is at most
 2.3e-8 at every eta_in.  Stepping uses the embedded adaptive Runge-Kutta
 pair DOP853 with dense output (dop853.solve_ivp, which takes scipy's steps
 on plain floats); the scheme is incidental, the contract is the tolerances.
-The stepper runs the equations as source (dynamics.RHS_SHARED and
-RHS_SOURCE, bound to dynamics.rhs by a test) with the events below, all
-inside one generated kernel per attempted step: escape, eta = 0 and the
+The equations are written once, as source (dynamics.RHS_SHARED and
+RHS_SOURCE), and so are the events below: escape, eta = 0 and the
 certificate, and for integrate also eta = eta_in/2 and xi_dot = 0.  The
-escape test is written once, as the escape event's source, which
-_outgoing_angle evaluates too.
+stepper compiles each of the two systems into one module and checks the
+events inside its kernel on every accepted step.  The escape test is the
+escape event's source, which _outgoing_angle evaluates too.
 
 A run ends in one of four ways, its Outcome:
   * ESCAPED: |eta*exp(2*xi)|, |speed^2 - 1| and exp(4*xi), the order of the
@@ -21,7 +21,8 @@ A run ends in one of four ways, its Outcome:
     the escape gate never opens and xi diverges.  The run stops there and
     keeps the state in events.blowup.  Data with eta_in <= 0 start inside
     it and make no solver call;
-  * OUT_OF_BUDGET: no escape within max_time after t_start;
+  * OUT_OF_BUDGET: no escape within max_time after t_start.  A budget
+    below the spacing of floats at t_start makes no solver call;
   * SOLVER_FAILURE: a step below 10 ulp of t, which raises NotConvergedError
     with the stepper's message in place of a trajectory.
 A run that did not escape gives no angle: NotConvergedError carries how.
@@ -53,7 +54,7 @@ import numpy as np
 from .closed_forms import (AsymptoticData, free_leg, free_motion_expansion,
                            start_time)
 from .dop853 import Event, System, solve_ivp
-from .dynamics import RHS_SHARED, RHS_SOURCE, PhasePoint, energy_array, rhs
+from .dynamics import RHS_SHARED, RHS_SOURCE, PhasePoint, energy_array
 
 
 class Outcome(enum.Enum):
@@ -168,15 +169,15 @@ _STOPS = (_ESCAPE, Event("y2", direction=-1),
 # eta = 0 is listed ahead of the certificate, which fires at that same root
 # when xi_dot > 0 there, so the crossing is kept.  A sampled run also
 # watches eta = eta_in/2 and xi_dot = 0 (events 3 and 4).
-_SOLVER = System(RHS_SOURCE, rhs, RHS_SHARED, _STOPS, ("escape_tol",))
-_SAMPLED = System(RHS_SOURCE, rhs, RHS_SHARED,
+_SOLVER = System(RHS_SOURCE, RHS_SHARED, _STOPS, ("escape_tol",))
+_SAMPLED = System(RHS_SOURCE, RHS_SHARED,
                   _STOPS + (Event("y2 - half", direction=-1), Event("y1", direction=-1)),
                   ("escape_tol", "half"))
 
 
 def _escape_residual(y, tol: float) -> float:
     """Negative when state y = (xi, xi_dot, eta, eta_dot) passes the escape test."""
-    return _SOLVER.values[0](y, tol)
+    return _SOLVER.functions.values[0](y, tol)
 
 
 def _free_leg_crossing(y_e, level: float) -> float:
@@ -201,12 +202,15 @@ def _solve(a: AsymptoticData, cfg: SolverConfig, sampled: bool):
     A sampled run keeps the dense output and watches all five events
     (_SAMPLED), otherwise only the three stops.  Returns (p0, sol, outcome):
     the start state, the solve_ivp result and how the run ended.  Data with
-    eta_in <= 0 start certified and make no call (sol is None).  A solver
-    failure raises NotConvergedError with the stepper's message.
+    eta_in <= 0 start certified and make no call (sol is None), and so does
+    a budget too small to move t off the start time, out of budget.  A
+    solver failure raises NotConvergedError with the stepper's message.
     """
     p0 = free_motion_expansion(start_time(a), a)
     if a.eta_in <= 0.0:
         return p0, None, Outcome.CERTIFIED
+    if p0.t + cfg.max_time == p0.t:
+        return p0, None, Outcome.OUT_OF_BUDGET
     sol = solve_ivp(_SAMPLED if sampled else _SOLVER, (p0.t, p0.t + cfg.max_time),
                     [p0.xi, p0.xi_dot, p0.eta, p0.eta_dot], rtol=cfg.rel_tol,
                     atol=cfg.abs_tol, dense_output=sampled,
@@ -244,8 +248,9 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
     """Integrate the scattering equations for the given asymptotic data.
 
     One solver call runs to escape, the non-scattering certificate or the
-    end of the budget; data with eta_in <= 0 make none and give the start
-    state as the only sample.  Returns a Trajectory, whose outcome says how
+    end of the budget; data with eta_in <= 0, or a budget below the spacing
+    of floats at the start time, make none and give the start state as the
+    only sample.  Returns a Trajectory, whose outcome says how
     the run ended; a certified one keeps the state there in events.blowup.
     Raises ValueError when the sample grid does not fit in memory.
     """

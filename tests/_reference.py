@@ -9,10 +9,11 @@ reproduce.  theta_tight and continue_tight are the tight-tolerance
 references for the deflection angle and the free leg after escape: scipy's
 DOP853 at rtol 1e-13 on the same equations, sharing no code with the package.
 final_residual checks a Picard limit against the motion equations by
-centered differences.  The DOP853 stage loops are the oracle for the
-stepper's compiled kernels, the future-zone iteration on separate X and Y
-arrays for picard's stacked one, and the row-by-row CSV writers for the
-CLI's block writer.
+centered differences.  The documented right-hand side, the DOP853 stage
+loops and the interpolant are the oracle for the stepper's generated
+functions, the future-zone iteration on separate X and Y arrays for
+picard's stacked one, and the row-by-row CSV writers for the CLI's block
+writer.
 
 The last section holds what only the tests call, kept out of the package,
 which carries only what a command or script runs: the energy of a phase
@@ -23,11 +24,10 @@ spectrum and the gradient flow's empirical exit threshold.
 """
 
 import csv
-import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -209,9 +209,10 @@ def final_residual(run) -> tuple[float, float]:
 
 # --- DOP853 stage loops -------------------------------------------------------
 # The stepper's stage sums, error norm and dense-output coefficients as loops
-# over the non-zeros of the tableau, and its step loop with generic event
-# callables, as the stepper computed them before it compiled one attempt
-# kernel per system; the kernel must equal them bit for bit.
+# over the non-zeros of the tableau, its interpolant one component at a
+# time, and its step loop with generic event callables, as the stepper
+# computed them before it generated its functions from each system's
+# source; those must equal them bit for bit.
 
 
 def _advance(K, row, y, h):
@@ -267,6 +268,25 @@ def dop853_dense(fun, K, t_old, h, y_old, y_new):
         coeffs.append((dy, h * f_old[j] - dy, 2 * dy - h * (f_new[j] + f_old[j]),
                        h * d3, h * d4, h * d5, h * d6))
     return coeffs
+
+
+class Step(NamedTuple):
+    """An accepted step (t_old, h, y_old, coeffs) and its 7th-order
+    interpolant, step(t): coeffs[j] holds the polynomial coefficients
+    F_0..F_6 of component j, evaluated in the nested form of dop853.f's
+    CONTD8, one component at a time."""
+
+    t_old: float
+    h: float
+    y_old: list
+    coeffs: list
+
+    def __call__(self, t):
+        x = (t - self.t_old) / self.h
+        x1 = 1 - x
+        return [((((((c6 * x + c5) * x1 + c4) * x + c3) * x1 + c2) * x + c1) * x1 + c0)
+                * x + a
+                for a, (c0, c1, c2, c3, c4, c5, c6) in zip(self.y_old, self.coeffs)]
 
 
 def _active_events(g, g_new, directions):
@@ -330,7 +350,7 @@ def dop853_solve_loops(fun, t_span, y0, *, rtol, atol, dense_output=False, event
 
         step = None
         if dense_output:
-            step = dop853._Step(t_old, h, y_old, dop853_dense(fun, K, t_old, h, y_old, y))
+            step = Step(t_old, h, y_old, dop853_dense(fun, K, t_old, h, y_old, y))
             nfev += 3
             steps.append(step)
         t_end, y_end = t, y
@@ -339,7 +359,7 @@ def dop853_solve_loops(fun, t_span, y0, *, rtol, atol, dense_output=False, event
             active = _active_events(g, g_new, directions)
             if active:
                 if step is None:
-                    step = dop853._Step(t_old, h, y_old, dop853_dense(fun, K, t_old, h, y_old, y))
+                    step = Step(t_old, h, y_old, dop853_dense(fun, K, t_old, h, y_old, y))
                     nfev += 3
                 roots = []
                 for i in active:
@@ -379,30 +399,29 @@ def escape_residual(y, tol):
     return max(abs(y[2] * e2), speed_defect, e2 * e2) - tol
 
 
-@functools.cache
-def fun_from_source(system):
-    """fun(t, y) of a dop853.System compiled from its rhs source, in place of
-    the function the system carries."""
-    lines = [f"y{j} = _y[{j}]" for j in range(len(system.rhs))]
-    lines += [f"{name} = {expr}" for name, expr in system.shared]
-    lines.append(f"return ({', '.join(system.rhs)},)")
-    namespace = {"exp": math.exp, "sqrt": math.sqrt}
-    exec("def fun(_t, _y):\n" + "".join(f"    {line}\n" for line in lines), namespace)
-    return namespace["fun"]
+def rhs(t, y):
+    """Right-hand side of the equations of motion in solver form, as
+    documented: y = (xi, xi_dot, eta, eta_dot); returns (xi', xi'', eta',
+    eta'').  Autonomous: t is unused.  The exponent is clamped at 700, as
+    dynamics.RHS_SHARED clamps it."""
+    e2 = math.exp(min(2.0 * y[0], 700.0))
+    return (y[1], -y[2] * e2, y[3], -0.5 * e2)
 
 
 def scipy_callables(system, params):
     """(fun, events) of a dop853.System for scipy's solve_ivp and for
-    dop853_solve_loops, built from the system's source: fun(t, y) and one
-    ev(t, y) per event with its terminal and direction attributes."""
+    dop853_solve_loops, from the functions compiled from the system's
+    source: fun(t, y) and one ev(t, y) per event with its terminal and
+    direction attributes."""
     args = tuple(params[name] for name in system.params)
+    functions = system.functions
     events = []
-    for ev, value in zip(system.events, system.values):
+    for ev, value in zip(system.events, functions.values):
         def event(t, y, value=value):
             return value(y, *args)
         event.terminal, event.direction = ev.terminal, ev.direction
         events.append(event)
-    return fun_from_source(system), events
+    return functions.fun, events
 
 
 def _cumtrapz(values, step, initial):

@@ -517,3 +517,29 @@ def test_solver_failure_outcomes(tmp_path, capsys, failing_solver):
     (item,) = json.loads((out / "verify_report.json").read_text())["items"]
     assert item == {"name": "accepted scattering solution", "eta_in": 8.0,
                     "passed": False, "detail": message}
+
+
+def test_a_budget_below_the_start_times_spacing_runs_out_of_budget(tmp_path, capsys,
+                                                                     failing_solver):
+    # t_start + 1e-300 == t_start, so no run can leave the start time: each
+    # command reports it as out of budget, as at --max-time 1e-14, and no
+    # solver is called
+    budget = ("--max-time", "1e-300")
+    reason = Outcome.OUT_OF_BUDGET.value
+    assert _run("solve", "--eta-in", "8", *budget,
+                "--out-dir", str(tmp_path / "solve")) == EXIT_NONSCATTERING
+    assert capsys.readouterr().out == f"non-scattering: {reason}\n"
+    assert _run("shoot", "--theta=-0.75pi", *budget,
+                "--out-dir", str(tmp_path / "shoot")) == EXIT_NONSCATTERING
+    assert capsys.readouterr().out.startswith("bracket not found: no bracket for theta")
+    out = tmp_path / "sweep"
+    assert _run("sweep", "--theta-min=-0.75pi", "--theta-max=-0.75pi", "--n", "1", *budget,
+                "--out-dir", str(out)) == EXIT_PARTIAL
+    (row,) = json.loads((out / "sweep.json").read_text())["rows"]
+    assert row["status"].startswith("failed: no bracket for theta")
+    out = tmp_path / "verify"
+    assert _run("verify", "--eta-in", "8", *budget, "--out-dir", str(out)) == EXIT_VERIFY_FAIL
+    (item,) = json.loads((out / "verify_report.json").read_text())["items"]
+    assert item["name"] == "accepted scattering solution" and not item["passed"]
+    assert reason in item["detail"]
+    assert failing_solver == []

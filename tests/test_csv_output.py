@@ -50,8 +50,7 @@ def test_flow_csv_matches_rowwise(tmp_path):
     out = tmp_path / "flow"
     assert main(["flow", "--mu0", "-0.999", "--delta", "1e-6",
                  "--out-dir", str(out)]) == EXIT_OK
-    res = gradient_flow_run(GradientFlowState.from_anchor(-0.999, 1e-6),
-                            keep_history=True)
+    res = gradient_flow_run(GradientFlowState.from_anchor(-0.999, 1e-6))
     ref.write_flow_csv(tmp_path / "rowwise.csv", res.history)
     assert (out / "flow.csv").read_bytes() == (tmp_path / "rowwise.csv").read_bytes()
 

@@ -9,6 +9,7 @@ the stage sums run in another order.  The kernel keeps the loops' order, so
 it equals them bit for bit.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,6 @@ import _reference as ref
 import curvscat.integrator as integrator
 from curvscat import AsymptoticData, SolverConfig, dop853, integrate
 from curvscat.dop853 import EPS, TOO_SMALL_STEP, Event, System, brentq, solve_ivp
-from curvscat.dynamics import rhs
 from curvscat.integrator import _SAMPLED, _SOLVER, deflection_of
 
 ORACLE_ETAS = [1.31, 1.6, 2.3252, 8.0, 64.0, 1000.0]
@@ -144,7 +144,7 @@ def test_rejected_steps_match_scipy(cfg, monkeypatch):
 
 def test_finite_time_blowup_fails_with_a_message():
     # y' = y^2 from y(0) = 1 is 1/(1 - t): the step falls below 10 ulp at t = 1
-    system = System(("y0 * y0",), lambda t, y: (y[0] * y[0],))
+    system = System(("y0 * y0",))
     for dense_output in (False, True):
         sol = solve_ivp(system, (0.0, 2.0), [1.0], rtol=1e-10, atol=1e-12,
                         dense_output=dense_output)
@@ -157,7 +157,7 @@ def test_finite_time_blowup_fails_with_a_message():
 
 
 def test_too_small_rtol_is_raised_with_a_warning():
-    system = System(("-y0",), lambda t, y: (-y[0],))
+    system = System(("-y0",))
     with pytest.warns(UserWarning, match="rtol 1e-20 is too small"):
         sol = solve_ivp(system, (0.0, 1.0), [1.0], rtol=1e-20, atol=1e-30)
     ref = solve_ivp(system, (0.0, 1.0), [1.0], rtol=100 * EPS, atol=1e-30)
@@ -172,12 +172,18 @@ def test_vectorised_samples_equal_scalar_dense_output(cfg, monkeypatch):
     ts = np.sort(np.concatenate([sol.t, np.linspace(sol.t[0], sol.t[-1], 997)]))
     ys = sol.sol(ts)
     assert ys.shape == (4, len(ts))
+    dense = sol.sol
     for k, t in enumerate(ts):
-        assert np.array_equal(ys[:, k], sol.sol(float(t))), t
+        assert np.array_equal(ys[:, k], dense(float(t))), t
+        # the nested form one component at a time, on the step t belongs to
+        i = min(max(int(np.searchsorted(sol.t, t)) - 1, 0), len(sol.t) - 2)
+        step = ref.Step(float(dense._t_old[i]), float(dense._h[i]),
+                        dense._y_old[:, i].tolist(), dense._coeffs[:, :, i].T.tolist())
+        assert np.array_equal(_bits(ys[:, k]), _bits(step(float(t)))), t
     # the samples agree with scipy's to round-off, at the step ends exactly
     # where both solutions start a step
-    ref = _oracle(args, kwargs).sol
-    assert np.max(np.abs(ys - ref(ts))) <= 1e-13
+    oracle = _oracle(args, kwargs).sol
+    assert np.max(np.abs(ys - oracle(ts))) <= 1e-13
     assert np.array_equal(sol.sol(sol.t[:1]), sol.y[:, :1])
 
 
@@ -215,11 +221,10 @@ def _signed_zeros(rng, x, share):
 # a system of each size with events of every direction; 4 is the scattering
 # system with all five of integrate's events
 SYSTEMS = {
-    1: (System(("y0 * y0 - 0.3",), lambda t, y: (y[0] * y[0] - 0.3,),
+    1: (System(("y0 * y0 - 0.3",),
                events=(Event("y0 - c", -1, True), Event("y0", 0), Event("c - y0", 1)),
                params=("c",)), {"c": 0.3}),
-    2: (System(("y1", "-y0 * e"), lambda t, y: (y[1], -y[0] * math.exp(-abs(y[1]))),
-               shared=(("e", "exp(-abs(y1))"),),
+    2: (System(("y1", "-y0 * e"), shared=(("e", "exp(-abs(y1))"),),
                events=(Event("min(y0, e - 0.5)", 1, True), Event("y1 * e", -1))), {}),
     4: (_SAMPLED, {"escape_tol": 1e-7, "half": 4.0}),
 }
@@ -240,14 +245,6 @@ def _attempt_by_the_loops(system, params, t, h, y, f, g, rtol, atol, dense):
     return err, y_new, K[dop853.N_STAGES], values, active, coeffs
 
 
-def _outcome(f, *args):
-    """f(*args), or the type and text of what it raises."""
-    try:
-        return f(*args)
-    except (ValueError, RuntimeError) as exc:
-        return type(exc), str(exc)
-
-
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_kernels_equal_the_loops_bit_for_bit(n):
     # wild draws span 1e-100..1e100 and mostly fail the error test; tame
@@ -255,7 +252,7 @@ def test_kernels_equal_the_loops_bit_for_bit(n):
     rng = np.random.default_rng(n)
     system, params = SYSTEMS[n]
     args = tuple(params[name] for name in system.params)
-    attempt = system.kernels.attempt
+    attempt, state = system.functions.attempt, system.functions.state
     m = len(system.events)
     accepted = 0
     for k in range(400):
@@ -287,16 +284,13 @@ def test_kernels_equal_the_loops_bit_for_bit(n):
         if got[5] is None:
             continue
         assert np.array_equal(_bits(got[5]), _bits(want[5]))
-        # each active event's root on its components of the interpolant, as
-        # Brent's method on the whole interpolated state
-        step = dop853._Step(t, h, y, got[5])
-        for i in got[4]:
-            value = system.values[i]
-            root = _outcome(system.kernels.roots[i], t, t + h, h, y, got[5], *args)
-            assert root == _outcome(brentq, lambda s: value(step(s), *args), t, t + h,
-                                    4 * EPS, 4 * EPS)
+        # the interpolant at both ends of the step, inside it and beyond
+        step = ref.Step(t, h, y, got[5])
+        for s in (t, t + h, t + h * float(rng.uniform(0.0, 1.0)),
+                  t + h * float(rng.uniform(-0.5, 1.5))):
+            assert np.array_equal(_bits(state(s, t, h, y, got[5])), _bits(step(s))), s
     assert accepted > 100
-    assert system.kernels is system.kernels
+    assert system.functions is system.functions
 
 
 @pytest.mark.parametrize("xi_in", [0.0, 0.9])
@@ -332,24 +326,51 @@ def _states(rng, count):
 
 
 def test_rhs_source_equals_rhs_bit_for_bit():
-    # the source compiled alone and in the attempt kernel's stages
+    # the source compiled as fun and in the attempt kernel's stages, in both
+    # systems, against the documented equations
     rng = np.random.default_rng(7)
-    fun = ref.fun_from_source(_SOLVER)
-    for y in _states(rng, 2000).tolist():
-        assert np.array_equal(_bits(fun(0.0, y)), _bits(rhs(0.0, y))), y
-    assert _SOLVER.fun is rhs and _SAMPLED.fun is rhs
-    # stage 12 is the right-hand side at y_new
-    for y in _states(rng, 200).tolist():
-        got = _SOLVER.kernels.attempt(1e-3, y, rhs(0.0, y), (1.0, 1.0, 1.0), 1e3, 1e3,
-                                      False, 1e-7)
-        if got[1] is not None:
-            assert np.array_equal(_bits(got[2]), _bits(rhs(0.0, got[1])))
+    for system, args in ((_SOLVER, (1e-7,)), (_SAMPLED, (1e-7, 4.0))):
+        fun, attempt = system.functions.fun, system.functions.attempt
+        for y in _states(rng, 2000).tolist():
+            assert np.array_equal(_bits(fun(0.0, y)), _bits(ref.rhs(0.0, y))), y
+        # stage 12 is the right-hand side at y_new
+        accepted = 0
+        for y in _states(rng, 200).tolist():
+            got = attempt(1e-3, y, ref.rhs(0.0, y), (1.0,) * len(system.events), 1e3, 1e3,
+                          False, *args)
+            if got[1] is not None:
+                accepted += 1
+                assert np.array_equal(_bits(got[2]), _bits(ref.rhs(0.0, got[1])))
+        assert accepted > 100
+
+
+def test_each_system_compiles_once(monkeypatch):
+    # fresh copies carry no compiled functions; a dense and a solver-only
+    # run of each generate and compile one module per system
+    labels = []
+    compile_module = dop853._compile
+
+    def counted(source, label):
+        labels.append(label)
+        return compile_module(source, label)
+
+    monkeypatch.setattr(dop853, "_compile", counted)
+    params = {"escape_tol": 1e-7, "half": 4.0}
+    y0 = [-20.0, 1.0, 8.0, 0.0]
+    for system in (_SOLVER, _SAMPLED):
+        fresh = dataclasses.replace(system)
+        assert fresh == system and "functions" not in vars(fresh)
+        for dense_output in (True, False):
+            sol = solve_ivp(fresh, (-20.0, 580.0), y0, rtol=1e-10, atol=1e-12,
+                            dense_output=dense_output, params=params)
+            assert sol.status == 1 and len(sol.t_events[0]) == 1
+    assert labels == ["<dop853 system of 4>"] * 2
 
 
 def test_event_values_equal_their_definitions():
     rng = np.random.default_rng(8)
     tol, eta_in = 1e-7, 8.0
-    values = _SAMPLED.values
+    values = _SAMPLED.functions.values
     for y in _states(rng, 2000).tolist():
         want = [ref.escape_residual(y, tol), y[2], min(-y[2], y[1]),
                 y[2] - 0.5 * eta_in, y[1]]

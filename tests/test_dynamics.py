@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from curvscat import PhasePoint, rhs
+from curvscat import PhasePoint
 from curvscat.dynamics import (GAUGE_LOAD, Homologous, TimeReverse,
                                TimeTranslate, apply_symmetry, transform_point)
+from curvscat.integrator import _SOLVER
 
 from _reference import Zone, energy, in_forbidden_zone
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 small = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
+
+# the right-hand side as the stepper compiles it from dynamics.RHS_SOURCE
+rhs = _SOLVER.functions.fun
 
 
 def test_gauge_load_fixed():
