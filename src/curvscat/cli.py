@@ -456,7 +456,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NotConvergedError as exc:
-        # a solver failure, or a final sample failing the escape criterion
+        # a solver failure: the commands handle every other outcome
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CODE[Outcome.SOLVER_FAILURE]
 

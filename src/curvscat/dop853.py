@@ -385,7 +385,8 @@ class OdeResult:
     """What solve_ivp returns: the step ends t and states y (n, len(t)),
     the event roots per event, the count of fun calls, the status (0 end
     of the interval, 1 terminal event, -1 failure) with its message, and
-    the dense solution (None unless dense_output)."""
+    the dense solution (None unless dense_output, and when no step was
+    accepted)."""
 
     t: np.ndarray
     y: np.ndarray
@@ -551,4 +552,4 @@ def solve_ivp(system: System, t_span, y0, *, rtol: float, atol: float,
         t=np.array(ts), y=np.array(ys, dtype=float).T,
         t_events=[np.array(te, dtype=float) for te in t_events], nfev=nfev,
         status=status, message=MESSAGES.get(status, message),
-        sol=DenseSolution(ts, steps) if dense_output else None)
+        sol=DenseSolution(ts, steps) if dense_output and steps else None)

@@ -123,8 +123,11 @@ def apply_symmetry(traj: "Trajectory", s: Symmetry) -> "Trajectory":
             return -x
         return x * math.exp(-s.xi_h)
 
-    blow = None if ev.blowup is None else transform_point(ev.blowup, s)
-    new_ev = TrajectoryEvents(map_time(ev.t0), map_time(ev.t_half), map_time(ev.t_m), blow)
+    def map_point(p):
+        return None if p is None else transform_point(p, s)
+
+    new_ev = TrajectoryEvents(map_time(ev.t0), map_time(ev.t_half), map_time(ev.t_m),
+                              map_point(ev.blowup), map_point(ev.escape))
 
     if isinstance(s, TimeTranslate):
         return replace(traj, t=traj.t + s.t0, events=new_ev)

@@ -13,12 +13,15 @@ integrals over t:
     alpha = sqrt(2)*pi * I[e^{2 xi}]        (total area)
 
 with I[] over the whole line.  The sampled window is integrated by Simpson's
-rule; the past tail is the free past motion's (closed_forms.past_tails),
-the future tail the impulse of the closed-form free leg from the last
-sample, at the slope of the last two samples.  Momentum
-balance along the run makes kappa = 2*pi*(1 - cos Theta) and
+rule; the past tail is the free past motion's (closed_forms.past_tails).
+The future tail is momentum balance: by the equations of motion the
+potential's impulse after the last regular sample T is the velocity change
+from T to infinity, xi_dot(T) - xi_dot(inf) and 2*(eta_dot(T) - eta_dot(inf)),
+with the run's own velocities at T and the limits from the escape state, as
+the deflection angle reads them.  The balance holds for any T, also one
+before escape.  It makes kappa = 2*pi*(1 - cos Theta) and
 alpha = -2*sqrt(2)*pi*sin Theta exact identities, and both satisfy
-alpha^2 = 2*kappa*(4*pi - kappa); the quadrature values are computed
+alpha^2 = 2*kappa*(4*pi - kappa); the window's quadrature is computed
 independently precisely so those identities can be checked.
 
 The logarithmic tails u ~ -(kappa/2pi) ln r and K ~ -(alpha/2pi) ln r are
@@ -35,8 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .closed_forms import AsymptoticData, free_asymptote, free_leg, past_tails
-from .integrator import Trajectory
+from .closed_forms import AsymptoticData, free_asymptote, past_tails
+from .integrator import Trajectory, outgoing_velocity
 
 _LN2_4 = 0.25 * math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
@@ -124,11 +127,11 @@ def _tail_arrays(traj: Trajectory):
 
 
 def curvature_area_quadrature(traj: Trajectory) -> QuadratureResult:
-    """Integral curvature and area by windowed quadrature plus closed-form tails.
-
-    Works on the trajectory's uniform samples.  Raises ValueError when the last two samples do not head
-    outward (xi decreasing), since the future tail then does not decay.
-    """
+    """Integral curvature and area of an escaped trajectory, by Simpson's
+    rule on its regular samples plus the closed-form past tail and the
+    momentum balance after the last regular sample."""
+    if not traj.escaped:
+        raise ValueError("the quadrature needs an escaped trajectory")
     t, xi, eta = _tail_arrays(traj)
     a = traj.asymptotics
     f_area = np.exp(2.0 * xi)
@@ -137,16 +140,12 @@ def curvature_area_quadrature(traj: Trajectory) -> QuadratureResult:
     # past tail: integrand ~ e^{2(xi_in+t)} (area), eta_in*e^{2(xi_in+t)} (curvature)
     area_past, _ = past_tails(float(t[0]), a)
 
-    # future tail: by the equations of motion the integrals are the free
-    # leg's velocity changes, -(xi_dot(inf) - xi_dot_T) and -2*(eta_dot(inf) - eta_dot_T)
-    h = float(t[-1] - t[-2])
-    xi_dot_T = float(xi[-1] - xi[-2]) / h
-    eta_dot_T = float(eta[-1] - eta[-2]) / h
-    if not xi_dot_T < 0.0:
-        raise ValueError(f"final xi slope {xi_dot_T} is not outgoing: no decaying future tail")
-    _, xi_dot_inf, _, eta_dot_inf = free_leg((xi[-1], xi_dot_T, eta[-1], eta_dot_T), math.inf)
-    curv_fut = xi_dot_T - float(xi_dot_inf)
-    area_fut = 2.0 * (eta_dot_T - float(eta_dot_inf))
+    # future tail: xi'' = -eta*e^{2 xi} and eta'' = -e^{2 xi}/2, so the
+    # integrals after T are the velocity changes from T to infinity
+    k = int(np.flatnonzero(traj.uniform_mask)[-1])
+    xi_dot_inf, eta_dot_inf = outgoing_velocity(traj.events.escape)
+    curv_fut = float(traj.xi_dot[k]) - xi_dot_inf
+    area_fut = 2.0 * (float(traj.eta_dot[k]) - eta_dot_inf)
 
     kappa = TWO_PI * (simpson(f_curv, t) + a.eta_in * area_past + curv_fut)
     alpha = _SQRT2 * math.pi * (simpson(f_area, t) + area_past + area_fut)

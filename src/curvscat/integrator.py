@@ -9,8 +9,8 @@ The equations are written once, as source (dynamics.RHS_SHARED and
 RHS_SOURCE), and so are the events below: escape, eta = 0 and the
 certificate, and for integrate also eta = eta_in/2 and xi_dot = 0.  The
 stepper compiles each of the two systems into one module and checks the
-events inside its kernel on every accepted step.  The escape test is the
-escape event's source, which _outgoing_angle evaluates too.
+events inside its kernel on every accepted step; the escape event is the
+one escape test.
 
 A run ends in one of four ways, its Outcome:
   * ESCAPED: |eta*exp(2*xi)|, |speed^2 - 1| and exp(4*xi), the order of the
@@ -27,19 +27,20 @@ A run ends in one of four ways, its Outcome:
     with the stepper's message in place of a trajectory.
 A run that did not escape gives no angle: NotConvergedError carries how.
 
-The solver stops at escape; after it, samples, the eta crossings and the
-deflection angle come from the closed-form free leg (closed_forms.free_leg).
-Escaped runs are sampled up to max(t0 + min_tail, t_escape + tail_pad),
-capped by the budget, so the eta = 0 crossing (which scales like
-eta_in/|sin Theta|) and the asymptotic tail are inside the window.
+The solver stops at escape and keeps the state there in events.escape.
+After it, samples and the eta crossings come from the closed-form free leg
+(closed_forms.free_leg), and so does the deflection angle, read from the
+escape state alone: no sampling flag moves it.  Escaped runs are sampled up
+to max(t0 + min_tail, t_escape + tail_pad), capped by the budget, so the
+eta = 0 crossing (which scales like eta_in/|sin Theta|) and the asymptotic
+tail are inside the window.
 
 Samples are taken on a uniform grid at dense_step spacing, with the refined
 event times inserted as extra sample points (uniform_mask marks the regular
 subgrid, which downstream radial reconstruction uses).
 
 deflection_of(a, cfg) gives deflection(integrate(a, cfg)) bit for bit from
-the same solver call without dense output or samples: it evaluates the free
-leg only at the final sample time.
+the same solver call without dense output or samples.
 """
 
 from __future__ import annotations
@@ -67,13 +68,11 @@ class Outcome(enum.Enum):
 
 
 class NotConvergedError(Exception):
-    """No deflection angle from a run that ended in outcome; with ESCAPED,
-    its final sample fails the escape criterion.  detail is the stepper's
-    message of a solver failure."""
+    """No deflection angle from a run that ended in outcome, which is not
+    ESCAPED.  detail is the stepper's message of a solver failure."""
 
     def __init__(self, outcome: Outcome, detail: str = ""):
         super().__init__({
-            Outcome.ESCAPED: "final sample fails the escape criterion",
             Outcome.CERTIFIED: f"blow-up: {outcome.value}",
             Outcome.OUT_OF_BUDGET: outcome.value,
             Outcome.SOLVER_FAILURE: f"{outcome.value}: {detail}"}[outcome])
@@ -107,13 +106,14 @@ class SolverConfig:
 @dataclass(frozen=True)
 class TrajectoryEvents:
     """Detected event times: eta = 0 (t0), eta = eta_in/2 (t_half), xi_dot = 0
-    (t_m), plus the state at which a run stopped at the non-scattering
-    certificate (blowup).  Absent events stay None."""
+    (t_m), plus the state at which a run stopped: at the non-scattering
+    certificate (blowup) or at escape (escape).  Absent events stay None."""
 
     t0: Optional[float] = None
     t_half: Optional[float] = None
     t_m: Optional[float] = None
     blowup: Optional[PhasePoint] = None
+    escape: Optional[PhasePoint] = None
 
 
 @dataclass(frozen=True)
@@ -175,11 +175,6 @@ _SAMPLED = System(RHS_SOURCE, RHS_SHARED,
                   ("escape_tol", "half"))
 
 
-def _escape_residual(y, tol: float) -> float:
-    """Negative when state y = (xi, xi_dot, eta, eta_dot) passes the escape test."""
-    return _SOLVER.functions.values[0](y, tol)
-
-
 def _free_leg_crossing(y_e, level: float) -> float:
     """Time after escape state y_e at which the free leg's eta falls to level.
 
@@ -226,22 +221,9 @@ def _first(ev_list) -> Optional[float]:
     return float(ev_list[0]) if len(ev_list) else None
 
 
-def _window_end(cfg: SolverConfig, t_start: float, t_escape: float, y_e,
-                t0: Optional[float]) -> tuple[float, float]:
-    """(t0, t_end) of an escaped run: the eta = 0 crossing, from the free leg
-    when the solver stopped before it, and the end of the sampling window."""
-    if t0 is None:
-        t0 = t_escape + _free_leg_crossing(y_e, 0.0)
-    return t0, min(max(t_escape + cfg.tail_pad, t0 + cfg.min_tail),
-                   t_start + cfg.max_time)
-
-
-def _grid_end(t_start: float, t_end: float, h: float) -> tuple[int, float]:
-    """(n, t_last): the regular grid is t_start + h*k for k <= n; t_last is
-    the final sample time, t_end itself unless the grid already ends there."""
-    n = int(math.floor((t_end - t_start) / h * (1.0 + 1e-12)))
-    t_n = t_start + h * n
-    return n, (t_end if t_end - t_n > 1e-9 * h else t_n)
+def _stop_state(sol) -> PhasePoint:
+    """The state at which the solver call ended."""
+    return PhasePoint(float(sol.t[-1]), *(float(sol.y[k, -1]) for k in (0, 2, 1, 3)))
 
 
 def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajectory:
@@ -250,8 +232,9 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
     One solver call runs to escape, the non-scattering certificate or the
     end of the budget; data with eta_in <= 0, or a budget below the spacing
     of floats at the start time, make none and give the start state as the
-    only sample.  Returns a Trajectory, whose outcome says how
-    the run ended; a certified one keeps the state there in events.blowup.
+    only sample.  Returns a Trajectory, whose outcome says how the run
+    ended; a certified one keeps the state there in events.blowup, an
+    escaped one in events.escape.
     Raises ValueError when the sample grid does not fit in memory.
     """
     p0, sol, outcome = _solve(a, cfg, sampled=True)
@@ -263,16 +246,21 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
     if outcome is Outcome.ESCAPED:
         budget = t_start + cfg.max_time
         y_e = sol.y[:, -1]
-        t0, t_end = _window_end(cfg, t_start, t_escape, y_e, t0)
+        if t0 is None:
+            t0 = t_escape + _free_leg_crossing(y_e, 0.0)
         if t_half is None:
             t_half = t_escape + _free_leg_crossing(y_e, 0.5 * a.eta_in)
+        t_end = min(max(t_escape + cfg.tail_pad, t0 + cfg.min_tail), budget)
         # crossings are reported only inside the budget
         t0 = t0 if t0 <= budget else None
         t_half = t_half if t_half <= budget else None
 
-    # --- sampling ---------------------------------------------------------
+    # --- sampling: the regular grid t_start + h*k for k <= n, then t_end
+    # itself unless the grid already ends there ----------------------------
     h = cfg.dense_step
-    n, t_last = _grid_end(t_start, t_end, h)
+    n = int(math.floor((t_end - t_start) / h * (1.0 + 1e-12)))
+    t_n = t_start + h * n
+    t_last = t_end if t_end - t_n > 1e-9 * h else t_n
     try:
         ts = t_start + h * np.arange(n + 1)
     except MemoryError:
@@ -304,55 +292,53 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
 
     xi, xi_dot, eta, eta_dot = Y[0], Y[1], Y[2], Y[3]
     drift = float(np.max(np.abs(2.0 * energy_array(xi, eta, xi_dot, eta_dot) - 1.0)))
-    blowup = None
+    blowup = escape = None
     if outcome is Outcome.CERTIFIED:
-        blowup = p0 if sol is None else PhasePoint(
-            float(sol.t[-1]), *(float(sol.y[k, -1]) for k in (0, 2, 1, 3)))
+        blowup = p0 if sol is None else _stop_state(sol)
+    elif outcome is Outcome.ESCAPED:
+        escape = _stop_state(sol)
 
     return Trajectory(
         t=ts, xi=xi, eta=eta, xi_dot=xi_dot, eta_dot=eta_dot, uniform_mask=mask,
-        events=TrajectoryEvents(t0=t0, t_half=t_half, t_m=t_m, blowup=blowup),
+        events=TrajectoryEvents(t0=t0, t_half=t_half, t_m=t_m, blowup=blowup,
+                                escape=escape),
         max_energy_drift=drift, asymptotics=a, outcome=outcome, config=cfg,
     )
 
 
-def _outgoing_angle(y, escape_tol: float) -> float:
-    """Theta from an escaped state y = (xi, xi_dot, eta, eta_dot): the atan2
-    of the free leg's outgoing velocity.  Raises NotConvergedError when y
-    fails the escape criterion."""
-    if not _escape_residual(y, escape_tol) < 0.0:
-        raise NotConvergedError(Outcome.ESCAPED)
-    _, xi_dot, _, eta_dot = free_leg(y, math.inf)
-    return math.atan2(float(eta_dot), float(xi_dot))
+def outgoing_velocity(escape: PhasePoint) -> tuple[float, float]:
+    """(xi_dot, eta_dot) at t = inf on the free leg from the escape state."""
+    _, xi_dot, _, eta_dot = free_leg(
+        (escape.xi, escape.xi_dot, escape.eta, escape.eta_dot), math.inf)
+    return float(xi_dot), float(eta_dot)
+
+
+def _outgoing_angle(escape: PhasePoint) -> float:
+    xi_dot, eta_dot = outgoing_velocity(escape)
+    return math.atan2(eta_dot, xi_dot)
 
 
 def deflection(traj: Trajectory) -> float:
     """Deflection angle Theta, the direction in which the particle leaves.
 
     Theta = atan2 of the outgoing velocity that closed_forms.free_leg gives
-    from the final sample.  Accepted scattering runs land in (-pi, -pi/2):
-    both outgoing velocities are negative.  Raises NotConvergedError when
-    the run did not escape or the final sample fails the escape criterion.
+    from the escape state, events.escape.  Accepted scattering runs land in
+    (-pi, -pi/2): both outgoing velocities are negative.  Raises
+    NotConvergedError when the run did not escape.
     """
     if not traj.escaped:
         raise NotConvergedError(traj.outcome)
-    y = (traj.xi[-1], traj.xi_dot[-1], traj.eta[-1], traj.eta_dot[-1])
-    return _outgoing_angle(y, traj.config.escape_tol)
+    return _outgoing_angle(traj.events.escape)
 
 
 def deflection_of(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> float:
     """deflection(integrate(a, cfg)) without building the trajectory.
 
-    Runs the same solver call with no dense output and no sampling, and
-    applies deflection's arithmetic to the state integrate would put in its
-    final sample, so the two agree bit for bit.  Raises the same
+    Runs the same solver call with no dense output and no sampling and reads
+    the same escape state, so the two agree bit for bit.  Raises the same
     NotConvergedError as deflection(integrate(a, cfg)) wherever that raises.
     """
-    p0, sol, outcome = _solve(a, cfg, sampled=False)
+    _, sol, outcome = _solve(a, cfg, sampled=False)
     if outcome is not Outcome.ESCAPED:
         raise NotConvergedError(outcome)
-    t_escape, y_e = float(sol.t_events[0][0]), sol.y[:, -1]
-    _, t_end = _window_end(cfg, p0.t, t_escape, y_e, _first(sol.t_events[1]))
-    _, t_last = _grid_end(p0.t, t_end, cfg.dense_step)
-    y = free_leg(y_e, np.array([t_last - t_escape]))
-    return _outgoing_angle(tuple(v[0] for v in y), cfg.escape_tol)
+    return _outgoing_angle(_stop_state(sol))

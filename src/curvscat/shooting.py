@@ -67,7 +67,8 @@ _ONSET_STEP = 2.0**-7
 # bracket has collapsed
 _COLLAPSE = 1e-12
 # whether a probe with no angle is a non-scattering lower end (True) or ends
-# the search (False); an escaped one has none if its final sample fails
+# the search (False); an escaped probe always has an angle, so its entry
+# only keeps the map total
 _LOWER_END = {Outcome.ESCAPED: True, Outcome.CERTIFIED: True,
               Outcome.OUT_OF_BUDGET: True, Outcome.SOLVER_FAILURE: False}
 

@@ -682,9 +682,10 @@ def detect_events(traj) -> TrajectoryEvents:
     Sign changes are located by scanning and refined by bisection (to 1e-12
     in t) on a local cubic Hermite model built from the sampled values and
     their sampled derivatives.  Absent events are reported absent; a stored
-    blow-up record is passed through.  A run certified on its eta side,
-    -eta <= xi_dot at the last sample, stopped on the eta = 0 crossing, so
-    its last eta (zero to the event finder's roundoff, either sign) reads 0.
+    blow-up or escape record is passed through.  A run certified on its eta
+    side, -eta <= xi_dot at the last sample, stopped on the eta = 0
+    crossing, so its last eta (zero to the event finder's roundoff, either
+    sign) reads 0.
     """
     if len(traj) < 2:
         raise ValueError("need at least 2 samples to detect events")
@@ -706,7 +707,8 @@ def detect_events(traj) -> TrajectoryEvents:
     t0 = first_downward(eta, eta_dot)
     t_half = first_downward(eta - 0.5 * ein, eta_dot) if ein > 0.0 else None
     t_m = first_downward(xi_dot, xi_ddot)
-    return TrajectoryEvents(t0=t0, t_half=t_half, t_m=t_m, blowup=traj.events.blowup)
+    return TrajectoryEvents(t0=t0, t_half=t_half, t_m=t_m, blowup=traj.events.blowup,
+                            escape=traj.events.escape)
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,17 @@ def test_finite_time_blowup_fails_with_a_message():
         assert abs(sol.t[-1] - 1.0) <= 1e-10 and sol.y[0, -1] > 1e12
 
 
+def test_failure_before_the_first_step_has_no_dense_output():
+    # y' = y^2 from y(1) = 1e20 blows up 1e-20 after the start, below 10 ulp
+    # of t: no step is accepted, so there is no interpolant to build
+    system = System(("y0 * y0",))
+    for dense_output in (False, True):
+        sol = solve_ivp(system, (1.0, 2.0), [1e20], rtol=1e-10, atol=1e-12,
+                        dense_output=dense_output)
+        assert sol.status == -1 and sol.message == TOO_SMALL_STEP
+        assert sol.t.tolist() == [1.0] and sol.sol is None
+
+
 def test_too_small_rtol_is_raised_with_a_warning():
     system = System(("-y0",))
     with pytest.warns(UserWarning, match="rtol 1e-20 is too small"):
@@ -376,7 +387,7 @@ def test_event_values_equal_their_definitions():
                 y[2] - 0.5 * eta_in, y[1]]
         got = [value(y, tol, 0.5 * eta_in) for value in values]
         assert np.array_equal(_bits(got), _bits(want)), y
-        assert _bits(integrator._escape_residual(y, tol)) == _bits(want[0])
+        assert _bits(_SOLVER.functions.values[0](y, tol)) == _bits(want[0])
     assert _SOLVER.events == _SAMPLED.events[:3]
     assert [(ev.direction, ev.terminal) for ev in _SAMPLED.events] == [
         (-1, True), (-1, False), (1, True), (-1, False), (-1, False)]

@@ -224,12 +224,24 @@ def test_scaling_covariance(traj8, sol8):
         assert abs(quad.alpha - sol8.alpha) / sol8.alpha <= 1e-9
 
 
-def test_quadrature_rejects_window_not_heading_out(traj8):
-    # cut before the xi maximum: xi still rises, so no decaying future tail
-    cut = replace(traj8, uniform_mask=traj8.uniform_mask
-                  & (traj8.t < traj8.events.t_m - 1.0))
-    with pytest.raises(ValueError, match="not outgoing"):
-        curvature_area_quadrature(cut)
+@pytest.mark.parametrize("eta_in", [1.31, 8.0, 20.0])
+def test_quadrature_future_tail_is_momentum_balance(eta_in, cfg):
+    # after any last sample T the tail is the velocity change from T to the
+    # escape state's limit, so cutting the window, even before the xi
+    # maximum where xi still rises, leaves kappa and alpha in place
+    traj = integrate(AsymptoticData(0.0, eta_in), cfg)
+    full = curvature_area_quadrature(traj)
+    for t_cut in (traj.events.t_m - 1.0, traj.events.t0):
+        cut = replace(traj, uniform_mask=traj.uniform_mask & (traj.t < t_cut))
+        quad = curvature_area_quadrature(cut)
+        assert abs(quad.kappa - full.kappa) <= 1e-8 * full.kappa, t_cut
+        assert abs(quad.alpha - full.alpha) <= 1e-8 * full.alpha, t_cut
+
+
+def test_quadrature_requires_escape(cfg):
+    traj = integrate(AsymptoticData(0.0, 1.0), cfg)
+    with pytest.raises(ValueError, match="escaped"):
+        curvature_area_quadrature(traj)
 
 
 def test_to_radial_requires_escape(cfg):
