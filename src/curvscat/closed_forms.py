@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhasePoint
+from .dynamics import EXP_FLOOR, PhasePoint, exp_floored
 
 #: Upper estimate sqrt(2)*exp(arcosh 2) for the scattering-onset level of
 #: eta_in; above it the position coordinate xi is guaranteed to attain an
@@ -225,14 +225,19 @@ def free_leg(y, s):
     free_asymptote plus bounded offsets, so s = inf gives that velocity
     (I0 -> 1/lam, I1 -> 1/lam^2).  The neglected terms are second order in
     the potential eta*E.
+
+    q is dynamics.exp_floored's, so the far tail makes no subnormal
+    exponentials.  Wherever lam*s >= 700, 1 - q is 1 either way, and s*q,
+    below half an ulp of I0, is taken as 0, as it is at s = inf.
     """
     xi0, a, eta0, b = (float(v) for v in y)
     lam = -2.0 * a
     E = math.exp(2.0 * xi0)
     v_xi, _, v_eta, _ = free_asymptote(y)
     s = np.asarray(s, dtype=float)
-    q = np.exp(-lam * s)
-    sq = np.where(q > 0.0, s, 0.0) * q   # s*q, which tends to 0 as s -> inf
+    x = -lam * s
+    q = exp_floored(x)
+    sq = np.where(x > EXP_FLOOR, s, 0.0) * q   # s*q, which tends to 0 as s -> inf
     I0 = (1.0 - q) / lam
     I1 = (I0 - sq) / lam
     return (xi0 + v_xi * s + E * (eta0 * I0 + b * (2.0 * I0 - sq) / lam) / lam,

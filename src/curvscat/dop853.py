@@ -370,13 +370,18 @@ class DenseSolution:
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         k = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self._h) - 1)
-        x = (t - self._t_old[k]) / self._h[k]
+        x = (t - self._t_old.take(k)) / self._h.take(k)
         x1 = 1 - x
         y = np.zeros((len(self._y_old),) + t.shape)
+        # each step's coefficients, gathered with take into one buffer
+        # (k is in range, so no bounds check is needed)
+        term = np.empty_like(y)
         for p in range(6, -1, -1):
-            y += self._coeffs[p][:, k]
+            np.take(self._coeffs[p], k, axis=1, out=term, mode="clip")
+            y += term
             y *= x if p % 2 == 0 else x1
-        y += self._y_old[:, k]
+        np.take(self._y_old, k, axis=1, out=term, mode="clip")
+        y += term
         return y
 
 

@@ -66,6 +66,21 @@ class PhasePoint:
 RHS_SHARED = (("e2", "exp(700.0 if 700.0 < 2.0 * y0 else 2.0 * y0)"),)
 RHS_SOURCE = ("y1", "-y2 * e2", "y3", "-0.5 * e2")
 
+#: Floor on the exponent of the exponentials taken over sampled windows
+#: (exp_floored).  Below about -708 np.exp returns subnormal results, which
+#: cost some hundred times a normal one per element, and an escaped run's
+#: window reaches 2*xi < -708 from eta_in ~ 19 on.  e^-700 ~ 1e-304 is
+#: still a normal double, and at every site a floored value is absorbed:
+#: added to terms of order 1, it is far below half an ulp of them.
+EXP_FLOOR = -700.0
+
+
+def exp_floored(x) -> np.ndarray:
+    """e^x with the exponent x floored at EXP_FLOOR, in one new array."""
+    x = np.asarray(x, dtype=float)
+    out = np.maximum(x, EXP_FLOOR, out=np.empty_like(x))
+    return np.exp(out, out=out)
+
 
 # --- symmetry transformations -------------------------------------------------
 
@@ -159,5 +174,10 @@ def apply_symmetry(traj: "Trajectory", s: Symmetry) -> "Trajectory":
 
 def energy_array(xi: np.ndarray, eta: np.ndarray,
                  xi_dot: np.ndarray, eta_dot: np.ndarray) -> np.ndarray:
-    """Vectorized energy along sampled arrays."""
-    return 0.5 * (xi_dot**2 + eta_dot**2 + eta * np.exp(2.0 * xi))
+    """Vectorized energy along sampled arrays.
+
+    e^{2 xi} is floored at e^EXP_FLOOR (exp_floored).  Where the floor
+    acts, |eta*e^{2 xi}| <= |eta|*1e-304, far below an ulp of
+    xi_dot^2 + eta_dot^2 ~ 1, so the energy is the unfloored one to the bit.
+    """
+    return 0.5 * (xi_dot**2 + eta_dot**2 + eta * exp_floored(2.0 * xi))

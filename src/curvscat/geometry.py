@@ -39,6 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .closed_forms import AsymptoticData, free_asymptote, past_tails
+from .dynamics import exp_floored
 from .integrator import Trajectory, outgoing_velocity
 
 _LN2_4 = 0.25 * math.log(2.0)
@@ -129,12 +130,16 @@ def _tail_arrays(traj: Trajectory):
 def curvature_area_quadrature(traj: Trajectory) -> QuadratureResult:
     """Integral curvature and area of an escaped trajectory, by Simpson's
     rule on its regular samples plus the closed-form past tail and the
-    momentum balance after the last regular sample."""
+    momentum balance after the last regular sample.
+
+    e^{2 xi} is dynamics.exp_floored's: the samples where the floor acts
+    contribute terms far below an ulp of the sums, as the unfloored ones do.
+    """
     if not traj.escaped:
         raise ValueError("the quadrature needs an escaped trajectory")
     t, xi, eta = _tail_arrays(traj)
     a = traj.asymptotics
-    f_area = np.exp(2.0 * xi)
+    f_area = exp_floored(2.0 * xi)
     f_curv = eta * f_area
 
     # past tail: integrand ~ e^{2(xi_in+t)} (area), eta_in*e^{2(xi_in+t)} (curvature)

@@ -35,9 +35,15 @@ to max(t0 + min_tail, t_escape + tail_pad), capped by the budget, so the
 eta = 0 crossing (which scales like eta_in/|sin Theta|) and the asymptotic
 tail are inside the window.
 
-Samples are taken on a uniform grid at dense_step spacing, with the refined
-event times inserted as extra sample points (uniform_mask marks the regular
-subgrid, which downstream radial reconstruction uses).
+Samples are taken on a uniform grid at dense_step spacing, with t_end and
+the refined event times placed among them by one insert, each unless within
+1e-12 of a time already placed (uniform_mask marks the regular subgrid,
+which downstream radial reconstruction uses).  The dense output gives the
+samples up to escape, and the free leg the ones after it.  From eta_in ~ 19
+on, the window's far tail reaches
+2*xi < -708, where np.exp makes subnormal results at some hundred times the
+cost of normal ones; the free leg and the energy floor their exponents at
+dynamics.EXP_FLOOR, which changes no sample and no energy.
 
 deflection_of(a, cfg) gives deflection(integrate(a, cfg)) bit for bit from
 the same solver call without dense output or samples.
@@ -226,6 +232,36 @@ def _stop_state(sol) -> PhasePoint:
     return PhasePoint(float(sol.t[-1]), *(float(sol.y[k, -1]) for k in (0, 2, 1, 3)))
 
 
+def _sample_times(t_start: float, t_end: float, h: float, events):
+    """A run's sample times on [t_start, t_end] and their uniform_mask.
+
+    The regular grid t_start + h*k for k <= n, then t_end itself unless the
+    grid already ends there, then each event time inside [t_start, t_end],
+    in the order given, unless within 1e-12 of a time already placed.  One
+    insert places the extra times.  Raises ValueError when the grid does not
+    fit in memory.
+    """
+    n = int(math.floor((t_end - t_start) / h * (1.0 + 1e-12)))
+    t_n = t_start + h * n
+    t_last = t_end if t_end - t_n > 1e-9 * h else t_n
+    try:
+        grid = t_start + h * np.arange(n + 1)
+    except MemoryError:
+        raise ValueError(f"{n + 1} samples at dense_step = {h:g} do not fit in "
+                         "memory: raise --dense-step") from None
+    extra = [t_last] if t_last != grid[-1] else []
+    for t_ev in events:
+        if t_ev is None or not (t_start <= t_ev <= t_end):
+            continue
+        # the nearest placed times are the grid's neighbours and the extras
+        k = int(np.searchsorted(grid, t_ev))
+        if not any(abs(x - t_ev) < 1e-12 for x in [*grid[max(k - 1, 0):k + 1], *extra]):
+            extra.append(t_ev)
+    extra.sort()
+    at = np.searchsorted(grid, extra)
+    return np.insert(grid, at, extra), np.insert(np.ones(len(grid), dtype=bool), at, False)
+
+
 def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajectory:
     """Integrate the scattering equations for the given asymptotic data.
 
@@ -255,31 +291,7 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
         t0 = t0 if t0 <= budget else None
         t_half = t_half if t_half <= budget else None
 
-    # --- sampling: the regular grid t_start + h*k for k <= n, then t_end
-    # itself unless the grid already ends there ----------------------------
-    h = cfg.dense_step
-    n = int(math.floor((t_end - t_start) / h * (1.0 + 1e-12)))
-    t_n = t_start + h * n
-    t_last = t_end if t_end - t_n > 1e-9 * h else t_n
-    try:
-        ts = t_start + h * np.arange(n + 1)
-    except MemoryError:
-        raise ValueError(f"{n + 1} samples at dense_step = {h:g} do not fit in "
-                         "memory: raise --dense-step") from None
-    mask = np.ones(len(ts), dtype=bool)
-    if t_last != ts[-1]:
-        ts = np.append(ts, t_last)
-        mask = np.append(mask, False)
-    for t_ev in (t0, t_half, t_m):
-        if t_ev is None or not (t_start <= t_ev <= t_end):
-            continue
-        k = int(np.searchsorted(ts, t_ev))
-        near = (k < len(ts) and abs(ts[k] - t_ev) < 1e-12) or \
-               (k > 0 and abs(ts[k - 1] - t_ev) < 1e-12)
-        if not near:
-            ts = np.insert(ts, k, t_ev)
-            mask = np.insert(mask, k, False)
-
+    ts, mask = _sample_times(t_start, t_end, cfg.dense_step, (t0, t_half, t_m))
     if sol is None:
         Y = np.array([[p0.xi], [p0.xi_dot], [p0.eta], [p0.eta_dot]])
     elif outcome is Outcome.ESCAPED:

@@ -15,7 +15,7 @@ import numpy as np
 from . import analysis, geometry, picard
 from .closed_forms import (ETA_CRIT_UPPER, AsymptoticData, explicit_bounds,
                            t0_state_bounds, xi_subsolution, xi_supersolution)
-from .dynamics import BOUNDARY_TOL
+from .dynamics import BOUNDARY_TOL, exp_floored
 from .integrator import NotConvergedError, SolverConfig, Trajectory, integrate
 
 POKHOZAEV_REL_TOL = 1e-3
@@ -36,8 +36,14 @@ def _t0_sample_index(traj: Trajectory) -> int:
     return int(np.argmin(np.abs(traj.t - traj.events.t0)))
 
 
+def _potential_max(traj: Trajectory) -> float:
+    """max eta*e^{2 xi} over the samples.  It is of order 1, and the
+    samples where dynamics.exp_floored acts sit far below it."""
+    return float(np.max(traj.eta * exp_floored(2.0 * traj.xi)))
+
+
 def _check_forbidden_zone(traj: Trajectory, a: AsymptoticData) -> CheckResult:
-    q = float(np.max(traj.eta * np.exp(2.0 * traj.xi)))
+    q = _potential_max(traj)
     return CheckResult("forbidden-zone confinement", a.eta_in,
                        q <= 1.0 + BOUNDARY_TOL,
                        f"max eta*e^(2xi) = {q:.12f} (allowed {1.0 + BOUNDARY_TOL})")

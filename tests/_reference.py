@@ -12,8 +12,11 @@ final_residual checks a Picard limit against the motion equations by
 centered differences.  The documented right-hand side, the DOP853 stage
 loops and the interpolant are the oracle for the stepper's generated
 functions, the future-zone iteration on separate X and Y arrays for
-picard's stacked one, and the row-by-row CSV writers for the CLI's block
-writer.
+picard's stacked one, the two-temporary ordering scan for
+monotonicity_report, the unfloored exponentials for the floored ones
+(free_leg, the energy, the quadrature and the forbidden-zone maximum), the
+append-and-insert sample assembly for integrate's one insert, and the
+row-by-row CSV writers for the CLI's block writer.
 
 The last section holds what only the tests call, kept out of the package,
 which carries only what a command or script runs: the energy of a phase
@@ -32,13 +35,14 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from curvscat import dop853
+from curvscat import dop853, integrator
 from curvscat.analysis import GradientFlowState, gradient_flow_run
 from curvscat.closed_forms import (AsymptoticData, _require_positive_eta_in,
-                                   lncosh, past_tails, start_time, xi_subsolution)
+                                   free_asymptote, lncosh, past_tails, start_time,
+                                   xi_subsolution)
 from curvscat.dynamics import BOUNDARY_TOL
-from curvscat.geometry import RadialSolution
-from curvscat.integrator import TrajectoryEvents
+from curvscat.geometry import RadialSolution, simpson
+from curvscat.integrator import TrajectoryEvents, outgoing_velocity
 
 # eta_in = 8, xi_in = 0, h = 1e-4, t in [-15, 40]
 ORACLE_THETA_ETA8 = -3.0157679511680
@@ -515,6 +519,147 @@ def iterate_future_rowwise(p0, t_max, step, epsilon, tol, max_iter):
         if d <= tol:
             break
     return xs, ys, history
+
+
+def monotonicity_two_temporaries(run, allowance):
+    """picard.monotonicity_report as it scanned before one subtraction per
+    pair: sign * (prev - next) in two fresh temporaries.  Returns
+    (ordered, worst_violation, node)."""
+    worst, node = 0.0, -1
+    for ladder, sign in ((run.iterates_xi, 1.0), (run.iterates_eta, -1.0)):
+        for prev, nxt in zip(ladder, ladder[1:]):
+            viol = sign * (prev.values - nxt.values)
+            k = int(np.argmax(viol))
+            if viol[k] > worst:
+                worst, node = float(viol[k]), k
+    return worst <= allowance, worst, node
+
+
+# --- unfloored exponentials ---------------------------------------------------
+# The sampled windows' exponentials as they were before their exponents were
+# floored at dynamics.EXP_FLOOR: np.exp over the whole window, subnormal and
+# underflowing results included.
+
+
+def free_leg_unfloored(y, s):
+    """closed_forms.free_leg with q = exp(-lam*s) unfloored."""
+    xi0, a, eta0, b = (float(v) for v in y)
+    lam = -2.0 * a
+    E = math.exp(2.0 * xi0)
+    v_xi, _, v_eta, _ = free_asymptote(y)
+    s = np.asarray(s, dtype=float)
+    q = np.exp(-lam * s)
+    sq = np.where(q > 0.0, s, 0.0) * q
+    I0 = (1.0 - q) / lam
+    I1 = (I0 - sq) / lam
+    return (xi0 + v_xi * s + E * (eta0 * I0 + b * (2.0 * I0 - sq) / lam) / lam,
+            a - E * (eta0 * I0 + b * I1),
+            eta0 + v_eta * s + 0.5 * E * I0 / lam,
+            b - 0.5 * E * I0)
+
+
+def energy_unfloored(xi, eta, xi_dot, eta_dot):
+    """dynamics.energy_array with e^{2 xi} unfloored."""
+    return 0.5 * (xi_dot**2 + eta_dot**2 + eta * np.exp(2.0 * xi))
+
+
+def potential_max_unfloored(traj) -> float:
+    """The forbidden-zone check's max eta*e^{2 xi}, unfloored."""
+    return float(np.max(traj.eta * np.exp(2.0 * traj.xi)))
+
+
+def quadrature_unfloored(traj) -> tuple[float, float]:
+    """geometry.curvature_area_quadrature's (kappa, alpha) with e^{2 xi}
+    unfloored."""
+    m = traj.uniform_mask
+    t, xi, eta = traj.t[m], traj.xi[m], traj.eta[m]
+    a = traj.asymptotics
+    f_area = np.exp(2.0 * xi)
+    f_curv = eta * f_area
+    area_past, _ = past_tails(float(t[0]), a)
+    k = int(np.flatnonzero(m)[-1])
+    xi_dot_inf, eta_dot_inf = outgoing_velocity(traj.events.escape)
+    curv_fut = float(traj.xi_dot[k]) - xi_dot_inf
+    area_fut = 2.0 * (float(traj.eta_dot[k]) - eta_dot_inf)
+    kappa = 2.0 * math.pi * (simpson(f_curv, t) + a.eta_in * area_past + curv_fut)
+    alpha = math.sqrt(2.0) * math.pi * (simpson(f_area, t) + area_past + area_fut)
+    return kappa, alpha
+
+
+# --- sample assembly by appends and inserts -----------------------------------
+# integrate's samples as they were assembled before one insert placed the
+# extra times: an append and an insert per extra time, each copying the
+# arrays, and the dense output gathered by fancy indexing.
+
+
+def sample_times_loop(t_start, t_end, h, events):
+    """(ts, uniform_mask) by appending t_last and inserting each event."""
+    n = int(math.floor((t_end - t_start) / h * (1.0 + 1e-12)))
+    t_n = t_start + h * n
+    t_last = t_end if t_end - t_n > 1e-9 * h else t_n
+    ts = t_start + h * np.arange(n + 1)
+    mask = np.ones(len(ts), dtype=bool)
+    if t_last != ts[-1]:
+        ts = np.append(ts, t_last)
+        mask = np.append(mask, False)
+    for t_ev in events:
+        if t_ev is None or not (t_start <= t_ev <= t_end):
+            continue
+        k = int(np.searchsorted(ts, t_ev))
+        near = (k < len(ts) and abs(ts[k] - t_ev) < 1e-12) or \
+               (k > 0 and abs(ts[k - 1] - t_ev) < 1e-12)
+        if not near:
+            ts = np.insert(ts, k, t_ev)
+            mask = np.insert(mask, k, False)
+    return ts, mask
+
+
+def dense_fancy(dense, t):
+    """dop853.DenseSolution(t) with each step's coefficients gathered by
+    fancy indexing."""
+    t = np.asarray(t, dtype=float)
+    k = np.clip(np.searchsorted(dense.ts, t, side="left") - 1, 0, len(dense._h) - 1)
+    x = (t - dense._t_old[k]) / dense._h[k]
+    x1 = 1 - x
+    y = np.zeros((len(dense._y_old),) + t.shape)
+    for p in range(6, -1, -1):
+        y += dense._coeffs[p][:, k]
+        y *= x if p % 2 == 0 else x1
+    y += dense._y_old[:, k]
+    return y
+
+
+def integrate_samples_loop(a, cfg):
+    """(t, uniform_mask, Y) of integrate(a, cfg), Y holding the rows xi,
+    xi_dot, eta, eta_dot, assembled the old way from the same solver call."""
+    p0, sol, outcome = integrator._solve(a, cfg, sampled=True)
+    t_start = t_end = p0.t
+    t_escape = t0 = t_half = t_m = None
+    if sol is not None:
+        t_escape, t0, t_half, t_m = (integrator._first(sol.t_events[k])
+                                     for k in (0, 1, 3, 4))
+        t_end = float(sol.t[-1])
+    if outcome is integrator.Outcome.ESCAPED:
+        budget = t_start + cfg.max_time
+        y_e = sol.y[:, -1]
+        if t0 is None:
+            t0 = t_escape + integrator._free_leg_crossing(y_e, 0.0)
+        if t_half is None:
+            t_half = t_escape + integrator._free_leg_crossing(y_e, 0.5 * a.eta_in)
+        t_end = min(max(t_escape + cfg.tail_pad, t0 + cfg.min_tail), budget)
+        t0 = t0 if t0 <= budget else None
+        t_half = t_half if t_half <= budget else None
+    ts, mask = sample_times_loop(t_start, t_end, cfg.dense_step, (t0, t_half, t_m))
+    if sol is None:
+        Y = np.array([[p0.xi], [p0.xi_dot], [p0.eta], [p0.eta_dot]])
+    elif outcome is integrator.Outcome.ESCAPED:
+        k = int(np.searchsorted(ts, t_escape, side="right"))
+        Y = np.empty((4, len(ts)))
+        Y[:, :k] = dense_fancy(sol.sol, ts[:k])
+        Y[:, k:] = free_leg_unfloored(y_e, ts[k:] - t_escape)
+    else:
+        Y = dense_fancy(sol.sol, ts)
+    return ts, mask, Y
 
 
 # --- row-by-row CSV writers ---------------------------------------------------

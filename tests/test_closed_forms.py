@@ -12,7 +12,7 @@ from curvscat.closed_forms import (deflection_deep, free_asymptote, free_leg,
 from curvscat.dynamics import PhasePoint
 from curvscat.integrator import deflection_of
 
-from _reference import energy, eta_first_iterate
+from _reference import energy, eta_first_iterate, free_leg_unfloored
 
 A04 = AsymptoticData(0.0, 4.0)
 A08 = AsymptoticData(0.0, 8.0)
@@ -212,3 +212,26 @@ def test_free_asymptote_is_the_limit_of_free_leg():
     # and the velocities are free_leg's s = inf limit
     _, xi_dot, _, eta_dot = free_leg(y, math.inf)
     assert abs(float(xi_dot) - v_xi) <= 1e-15 and abs(float(eta_dot) - v_eta) <= 1e-15
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def test_free_leg_floor_changes_no_bit():
+    # random escape states, s across lam*s = 680..780, where e^{-lam s}
+    # turns subnormal (from 708) and then 0 (from 745), more coarsely from
+    # 0, and s = 0 and inf, as arrays and as scalars
+    rng = np.random.default_rng(25)
+    for _ in range(40):
+        y = (rng.uniform(-8.0, -3.0), rng.uniform(-1.0, -0.05),
+             rng.uniform(-40.0, 5.0), rng.uniform(-1.0, -0.01))
+        lam = -2.0 * y[1]
+        s = np.concatenate([[0.0], np.linspace(0.0, 680.0, 341) / lam,
+                            np.linspace(680.0, 780.0, 1001) / lam,
+                            np.sort(rng.uniform(680.0, 780.0, 200)) / lam, [math.inf]])
+        for got, want in zip(free_leg(y, s), free_leg_unfloored(y, s)):
+            assert np.array_equal(_bits(got), _bits(want))
+        for s0 in (0.0, math.inf):
+            for got, want in zip(free_leg(y, s0), free_leg_unfloored(y, s0)):
+                assert _bits(got) == _bits(want)

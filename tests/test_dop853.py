@@ -198,6 +198,17 @@ def test_vectorised_samples_equal_scalar_dense_output(cfg, monkeypatch):
     assert np.array_equal(sol.sol(sol.t[:1]), sol.y[:, :1])
 
 
+def test_dense_output_equals_the_fancy_gather(cfg, monkeypatch):
+    # step ends, interior points, and points beyond both ends of the run
+    rec = _Recorder(monkeypatch)
+    integrate(AsymptoticData(0.0, 21.0), cfg)
+    (_, _, sol), = rec.calls
+    ts = np.sort(np.concatenate([sol.t, np.linspace(sol.t[0] - 1.0, sol.t[-1] + 1.0, 1999)]))
+    assert np.array_equal(_bits(sol.sol(ts)), _bits(ref.dense_fancy(sol.sol, ts)))
+    for t in (ts[0], ts[len(ts) // 2], ts[-1]):
+        assert np.array_equal(_bits(sol.sol(t)), _bits(ref.dense_fancy(sol.sol, t)))
+
+
 def test_brentq_locates_roots():
     assert brentq(lambda x: x * x - 2.0, 0.0, 2.0, xtol=4 * EPS,
                   rtol=4 * EPS) == pytest.approx(math.sqrt(2.0), abs=1e-15)

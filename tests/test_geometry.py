@@ -9,10 +9,12 @@ from curvscat import (AsymptoticData, asymptotic_fit,
                       curvature_area_quadrature, deflection, integrate,
                       pokhozaev_residual, theta_identities, to_radial)
 from curvscat.closed_forms import free_asymptote
-from curvscat.dynamics import TimeTranslate, apply_symmetry
+from curvscat.dynamics import EXP_FLOOR, TimeTranslate, apply_symmetry
 from curvscat.geometry import ALPHA_SUP, FOUR_PI, TWO_PI, pde_residual
+from curvscat.verification import _potential_max
 
-from _reference import scale_radial
+from _reference import (energy_unfloored, potential_max_unfloored,
+                        quadrature_unfloored, scale_radial)
 
 LN2_4 = 0.25 * math.log(2.0)
 
@@ -281,3 +283,20 @@ def test_asymptotic_fit_intercepts_match_moment_integrals(traj8, sol8):
     k_pred = sol8.k_star + simpson(t * w, x=t) / math.sqrt(2.0)
     assert abs(fit.u_intercept - u_pred) <= 1e-3 * abs(u_pred)
     assert abs(fit.k_intercept - k_pred) <= 1e-3 * abs(k_pred)
+
+
+@pytest.mark.parametrize("xi_in", [-1.0, 0.0, 1.0])
+@pytest.mark.parametrize("eta_in", [19.0, 21.0, 23.5, 30.0])
+def test_floored_exponentials_change_no_bit(eta_in, xi_in, cfg):
+    # escaped windows whose regular samples reach 2*xi < EXP_FLOOR: the
+    # energy, the quadrature and the forbidden-zone maximum equal their
+    # unfloored forms to the bit
+    traj = integrate(AsymptoticData(xi_in, eta_in), cfg)
+    assert traj.escaped and np.any(2.0 * traj.xi[traj.uniform_mask] < EXP_FLOOR)
+    got = traj.energies()
+    want = energy_unfloored(traj.xi, traj.eta, traj.xi_dot, traj.eta_dot)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    quad = curvature_area_quadrature(traj)
+    kappa, alpha = quadrature_unfloored(traj)
+    assert (quad.kappa, quad.alpha) == (kappa, alpha)
+    assert _potential_max(traj) == potential_max_unfloored(traj)

@@ -8,11 +8,12 @@ from curvscat import (AsymptoticData, NotConvergedError, SolverConfig,
                       Trajectory, TrajectoryEvents, deflection,
                       explicit_bounds, integrate, t0_state_bounds)
 from curvscat.dynamics import PhasePoint, TimeTranslate, apply_symmetry
-from curvscat.integrator import _SOLVER, Outcome, deflection_of
+from curvscat.integrator import _SOLVER, Outcome, _sample_times, deflection_of
 
 from _reference import (ORACLE_T0_ETA8, ORACLE_T_HALF_ETA8, ORACLE_T_M_ETA8,
                         ORACLE_THETA_ETA8, ORACLE_THETA_ETA6, continue_tight,
-                        detect_events, theta_tight)
+                        detect_events, integrate_samples_loop, sample_times_loop,
+                        theta_tight)
 
 A8 = AsymptoticData(0.0, 8.0)
 
@@ -412,6 +413,58 @@ def test_event_samples_inserted(traj8):
     h = traj8.config.dense_step
     tu = traj8.t[traj8.uniform_mask]
     assert np.allclose(np.diff(tu), h, rtol=0, atol=1e-9)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def test_sample_times_equal_the_append_insert_loop():
+    h, t0 = 0.01, -3.0
+    on_grid = t0 + h * 250
+    t_end = 5.0055                       # off the grid: t_last is placed
+    ev = 1.2345678
+    cases = [
+        (t_end, (None, None, None)),
+        (t0 + h * 800, (None, 2.0, None)),                 # t_end on the grid
+        # within 1e-12 of a grid point, above and below, and not
+        (t_end, (on_grid + 4e-13, on_grid - 4e-13, on_grid + 2e-12)),
+        # within 1e-12 of t_last, and between the grid's end and t_last
+        (t_end, (t_end - 3e-13, 5.0051, 5.0052)),
+        (t_end, (5.0051, 5.0051 + 5e-13, t_end)),
+        # within 1e-12 of each other: a chain A, A + 0.8e-12, A + 1.6e-12
+        # keeps A and the third, which is 1.6e-12 from A
+        (t_end, (ev, ev + 6e-13, ev - 6e-13)),
+        (t_end, (ev, ev + 8e-13, ev + 1.6e-12)),
+        # outside the window and on its ends
+        (t_end, (t0 - 1.0, 6.0, t0)),
+        (t_end, (t_end, None, t0 + 1e-13)),
+        (t0, (t0, None, None)),                            # one sample
+    ]
+    for step in (h, 0.0137):
+        for end, events in cases:
+            ts, mask = _sample_times(t0, end, step, events)
+            want_ts, want_mask = sample_times_loop(t0, end, step, events)
+            assert np.array_equal(_bits(ts), _bits(want_ts)), (step, end, events)
+            assert np.array_equal(mask, want_mask), (step, end, events)
+
+
+@pytest.mark.parametrize("eta_in, xi_in, overrides", [
+    (1.31, 0.0, {}), (8.0, 0.4, {}), (21.0, 0.0, {}),
+    (8.0, 0.0, {"dense_step": 0.0137}), (1.5, -1.0, {"dense_step": 0.0137}),
+    (8.0, 0.0, {"max_time": 60.0}),      # the budget cuts the window before t0
+    (8.0, 0.0, {"max_time": 19.0}),      # out of budget
+    (1.0, 0.0, {}),                      # certified
+    (-1.0, 0.0, {}),                     # no solver call
+])
+def test_samples_equal_the_append_insert_assembly(eta_in, xi_in, overrides):
+    a, cfg = AsymptoticData(xi_in, eta_in), SolverConfig(**overrides)
+    traj = integrate(a, cfg)
+    ts, mask, Y = integrate_samples_loop(a, cfg)
+    assert np.array_equal(_bits(traj.t), _bits(ts))
+    assert np.array_equal(traj.uniform_mask, mask)
+    for got, want in zip((traj.xi, traj.xi_dot, traj.eta, traj.eta_dot), Y):
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_config_validation():

@@ -12,7 +12,8 @@ from curvscat.picard import (GridFunction, NewtonNotConvergedError, PicardRun,
 
 from _reference import (eta_first_iterate, final_residual, iterate_future_rowwise,
                         iterate_past_allocating, march_xi_nodewise,
-                        rk4_grid_from_state, rk4_on_grid, write_ladder_csv)
+                        monotonicity_two_temporaries, rk4_grid_from_state,
+                        rk4_on_grid, write_ladder_csv)
 
 A8 = AsymptoticData(0.0, 8.0)
 HANDOFF8 = explicit_bounds(A8).t0_lower - 1.0
@@ -211,10 +212,11 @@ def test_future_limit_matches_independent_rk4(fut):
     assert np.max(np.abs(fut.iterates_eta[-1].values - ref[:, 2])) <= 1e-6
 
 
-@pytest.mark.parametrize("eta_in", [None, 1.5])
+@pytest.mark.parametrize("eta_in", [None, 1.31, 1.5, 2.0, 2.6])
 def test_future_ladder_equals_the_rowwise_one_bit_for_bit(eta_in):
-    # the synthetic state, and the crossing state of a verify run at
-    # eta_in 1.5 (169 iterations)
+    # the synthetic state, and the crossing states of verify runs at
+    # eta_in 1.31-2.6 (202, 169, 126 and 71 iterations)
+    min_iters = 60 if eta_in == 2.6 else 100
     p0, t_max, tol, max_iter = P0, 6.0, 1e-10, 500
     if eta_in is not None:
         traj = integrate(AsymptoticData(0.0, eta_in))
@@ -222,7 +224,7 @@ def test_future_ladder_equals_the_rowwise_one_bit_for_bit(eta_in):
         t_max, tol, max_iter = p0.t + 5.0, 1e-9, 400
     run = iterate_future(p0, t_max, 2e-3, 0.1, tol, max_iter)
     xs, ys, history = iterate_future_rowwise(p0, t_max, 2e-3, 0.1, tol, max_iter)
-    assert run.sup_diff_history == history and len(history) > 100
+    assert run.sup_diff_history == history and len(history) > min_iters
     for got, want in zip(run.iterates_xi + run.iterates_eta, xs + ys):
         assert np.array_equal(got.values.view(np.uint64), want.view(np.uint64))
 
@@ -277,6 +279,55 @@ def test_monotonicity_report_counterexample():
     assert not rep.ordered
     assert rep.worst_violation == 0.5
     assert rep.node == 1
+
+
+def _report_bits(rep):
+    return rep.ordered, np.float64(rep.worst_violation).view(np.uint64), rep.node
+
+
+def _scan_bits(ordered, worst, node):
+    return ordered, np.float64(worst).view(np.uint64), node
+
+
+@pytest.mark.parametrize("eta_in", [1.31, 2.0, 8.0])
+def test_monotonicity_report_equals_the_two_temporary_scan(eta_in):
+    # verify's past and future runs
+    a = AsymptoticData(0.0, eta_in)
+    past = iterate_past(a, explicit_bounds(a).t0_lower - 1.0, step=2e-3,
+                        tol=0.0, max_iter=6)
+    traj = integrate(a)
+    p0 = traj.point(int(np.argmin(np.abs(traj.t - traj.events.t0))))
+    fut = iterate_future(p0, p0.t + 5.0, 2e-3, 0.1, 1e-9, 400)
+    for run in (past, fut):
+        for allowance in (0.0, 1e-12, 1e-8):
+            assert _report_bits(monotonicity_report(run, allowance)) == \
+                _scan_bits(*monotonicity_two_temporaries(run, allowance))
+
+
+def test_monotonicity_report_on_hand_built_ladders_equals_the_old_scan():
+    up, flat = [0.0, 1.0, 2.0], [1.0, 1.0, 1.0]
+    ladders = [
+        # ties: the first node and the first pair among equals
+        ([[0.0, 0.0, 0.0], [-0.5, 0.0, -0.5], [-0.5, -1.0, -0.5]], [flat, flat, flat]),
+        # signed zeros in both ladders: no violation
+        ([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]], [[-0.0, 0.0, 0.0], [0.0, -0.0, -0.0]]),
+        # a single iterate
+        ([up], [flat]),
+        # a violation only in the second ladder
+        ([up, up], [flat, [1.0, 1.25, 1.0]]),
+        # violations in both: the second's larger, and equal at other nodes
+        ([[0.0, 0.0, 0.0], [-0.25, 0.0, 0.0]], [flat, [1.0, 1.0, 1.5]]),
+        ([[0.0, 0.0, 0.0], [-0.25, 0.0, 0.0]], [flat, [1.0, 1.0, 1.25]]),
+        # a NaN
+        ([[0.0, 0.0, 0.0], [0.0, np.nan, -0.25]], [flat, flat]),
+    ]
+    for xs, ys in ladders:
+        run = PicardRun(iterates_xi=[_gf(v) for v in xs],
+                        iterates_eta=[_gf(v) for v in ys],
+                        converged=True, sup_diff_history=[])
+        for allowance in (0.0, 0.3):
+            assert _report_bits(monotonicity_report(run, allowance)) == \
+                _scan_bits(*monotonicity_two_temporaries(run, allowance)), (xs, ys)
 
 
 def test_monotonicity_report_single_iterate_vacuous():
