@@ -146,7 +146,7 @@ def write_csv(path: Path, header: list[str], columns) -> None:
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     write_csv(path, ["t", "xi", "eta", "xi_dot", "eta_dot", "energy"],
               [traj.t, traj.xi, traj.eta, traj.xi_dot, traj.eta_dot,
-               traj.energies()])
+               traj.energy])
 
 
 def write_radial_csv(path: Path, sol: geometry.RadialSolution) -> None:

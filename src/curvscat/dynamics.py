@@ -120,8 +120,9 @@ def apply_symmetry(traj: "Trajectory", s: Symmetry) -> "Trajectory":
     """Transform a whole trajectory under a symmetry of the equations of motion.
 
     Sample energies are unchanged by time translation and time reversal and
-    scaled by exp(2*xi_h) under the homologous map; max_energy_drift is
-    rescaled accordingly.  Event times are remapped.  The asymptotics field
+    scaled by exp(2*xi_h) under the homologous map; a mapped trajectory's
+    drift is measured from E = 1/2.  Event times are remapped, and time
+    reversal maps off-grid sample k of n to n-1-k.  The asymptotics field
     keeps echoing the data that generated the original samples (a reversed or
     homologously scaled trajectory is not in E = 1/2 scattering normal form).
     """
@@ -155,8 +156,8 @@ def apply_symmetry(traj: "Trajectory", s: Symmetry) -> "Trajectory":
             eta=traj.eta[sl].copy(),
             xi_dot=-traj.xi_dot[sl],
             eta_dot=-traj.eta_dot[sl],
-            uniform_mask=traj.uniform_mask[sl].copy(),
             events=new_ev,
+            off_grid=tuple(len(traj) - 1 - k for k in reversed(traj.off_grid)),
         )
     if isinstance(s, Homologous):
         scale = math.exp(s.xi_h)
@@ -166,7 +167,6 @@ def apply_symmetry(traj: "Trajectory", s: Symmetry) -> "Trajectory":
             xi=traj.xi + s.xi_h,
             xi_dot=traj.xi_dot * scale,
             eta_dot=traj.eta_dot * scale,
-            max_energy_drift=traj.max_energy_drift * scale**2,
             events=new_ev,
         )
     raise TypeError(f"unknown symmetry {s!r}")

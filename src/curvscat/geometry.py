@@ -12,8 +12,9 @@ integrals over t:
     kappa = 2*pi   * I[eta * e^{2 xi}]      (integral curvature)
     alpha = sqrt(2)*pi * I[e^{2 xi}]        (total area)
 
-with I[] over the whole line.  The sampled window is integrated by Simpson's
-rule; the past tail is the free past motion's (closed_forms.past_tails).
+with I[] over the whole line.  The run's regular window (Trajectory.window)
+is integrated by the composite Simpson rule for uniform spacing; the past
+tail is the free past motion's (closed_forms.past_tails).
 The future tail is momentum balance: by the equations of motion the
 potential's impulse after the last regular sample T is the velocity change
 from T to infinity, xi_dot(T) - xi_dot(inf) and 2*(eta_dot(T) - eta_dot(inf)),
@@ -26,8 +27,8 @@ independently precisely so those identities can be checked.
 
 The logarithmic tails u ~ -(kappa/2pi) ln r and K ~ -(alpha/2pi) ln r are
 not fitted: after escape the motion is the closed-form free leg, and
-asymptotic_fit reads its outgoing line (closed_forms.free_asymptote) from
-the final sample.
+asymptotic_fit reads its outgoing line (closed_forms.free_asymptote) at the
+escape state, as the deflection angle and the future tail are read.
 """
 
 from __future__ import annotations
@@ -84,60 +85,38 @@ class QuadratureResult(NamedTuple):
     alpha: float
 
 
-def _simpson_pairs(y: np.ndarray, h: np.ndarray, stop: int) -> float:
-    """Simpson's rule over the interval pairs (x_2i, x_2i+2) for 2i < stop,
-    on spacings h = diff(x)."""
-    h0 = h[0:stop:2]
-    h1 = h[1:stop + 1:2]
-    hsum = h0 + h1
-    h0divh1 = h0 / h1
-    tmp = hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
-                        + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
-                        + y[2:stop + 2:2] * (2.0 - h0divh1))
-    return np.sum(tmp)
+def simpson(y: np.ndarray, h: float) -> float:
+    """Composite Simpson's rule for samples y at uniform spacing h.
 
-
-def simpson(y: np.ndarray, x: np.ndarray) -> float:
-    """Composite Simpson's rule for samples y at strictly increasing x.
-
-    The irregular-grid rule of scipy.integrate.simpson (scipy 1.17) for 1-D
-    input, with the same arithmetic: Simpson's rule on interval pairs, and
-    with an even number of samples Cartwright's correction for the last
-    interval added to the rule on the pairs before it; two samples give the
-    trapezoid.
+    h/3*(y0 + 4*(y1 + y3 + ...) + 2*(y2 + y4 + ...) + yN) over an odd number
+    of samples.  With an even number, the rule runs over all but the last
+    sample, and Cartwright's end term h*(5*y[-1] + 8*y[-2] - y[-3])/12, the
+    parabola through the last three samples, adds the last interval, as
+    scipy.integrate.simpson does; two samples give the trapezoid.
     """
-    n = len(y)
-    if n == 2:
-        return float(0.5 * (x[-1] - x[-2]) * (y[-1] + y[-2]))
-    h = np.diff(x)
-    if n % 2 == 1:
-        return float(_simpson_pairs(y, h, n - 2))
-    # 0-d arrays, as scipy's: their powers take numpy's ufunc loops
-    h0, h1 = np.asarray(h[-2]), np.asarray(h[-1])
-    alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
-    beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
-    eta = 1 * h1 ** 3 / (6 * h0 * (h0 + h1))
-    result = _simpson_pairs(y, h, n - 3)
-    result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
-    return float(result)
-
-
-def _tail_arrays(traj: Trajectory):
-    m = traj.uniform_mask
-    return traj.t[m], traj.xi[m], traj.eta[m]
+    if len(y) == 2:
+        return float(0.5 * h * (y[0] + y[1]))
+    end = 0.0
+    if len(y) % 2 == 0:
+        end = h * (5.0 * y[-1] + 8.0 * y[-2] - y[-3]) / 12.0
+        y = y[:-1]
+    inner = 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2])
+    return float(h / 3.0 * (y[0] + inner + y[-1]) + end)
 
 
 def curvature_area_quadrature(traj: Trajectory) -> QuadratureResult:
     """Integral curvature and area of an escaped trajectory, by Simpson's
-    rule on its regular samples plus the closed-form past tail and the
-    momentum balance after the last regular sample.
+    rule on its regular window plus the closed-form past tail and the
+    momentum balance after the window's last sample.
 
-    e^{2 xi} is dynamics.exp_floored's: the samples where the floor acts
-    contribute terms far below an ulp of the sums, as the unfloored ones do.
+    The spacing comes from the window's end points, so apply_symmetry images
+    integrate too.  e^{2 xi} is dynamics.exp_floored's: the samples where
+    the floor acts add terms far below an ulp of the sums, as unfloored.
     """
     if not traj.escaped:
         raise ValueError("the quadrature needs an escaped trajectory")
-    t, xi, eta = _tail_arrays(traj)
+    t, xi, eta, xi_dot, eta_dot = traj.window
+    h = float(t[-1] - t[0]) / max(len(t) - 1, 1)    # one sample: h = 0, no area
     a = traj.asymptotics
     f_area = exp_floored(2.0 * xi)
     f_curv = eta * f_area
@@ -147,13 +126,12 @@ def curvature_area_quadrature(traj: Trajectory) -> QuadratureResult:
 
     # future tail: xi'' = -eta*e^{2 xi} and eta'' = -e^{2 xi}/2, so the
     # integrals after T are the velocity changes from T to infinity
-    k = int(np.flatnonzero(traj.uniform_mask)[-1])
     xi_dot_inf, eta_dot_inf = outgoing_velocity(traj.events.escape)
-    curv_fut = float(traj.xi_dot[k]) - xi_dot_inf
-    area_fut = 2.0 * (float(traj.eta_dot[k]) - eta_dot_inf)
+    curv_fut = float(xi_dot[-1]) - xi_dot_inf
+    area_fut = 2.0 * (float(eta_dot[-1]) - eta_dot_inf)
 
-    kappa = TWO_PI * (simpson(f_curv, t) + a.eta_in * area_past + curv_fut)
-    alpha = _SQRT2 * math.pi * (simpson(f_area, t) + area_past + area_fut)
+    kappa = TWO_PI * (simpson(f_curv, h) + a.eta_in * area_past + curv_fut)
+    alpha = _SQRT2 * math.pi * (simpson(f_area, h) + area_past + area_fut)
     return QuadratureResult(kappa=kappa, alpha=alpha)
 
 
@@ -169,7 +147,7 @@ def to_radial(traj: Trajectory) -> RadialSolution:
         raise ValueError("radial reconstruction needs an escaped trajectory")
     if traj.events.t0 is None:
         raise ValueError("radial reconstruction needs the eta = 0 crossing event")
-    t, xi, eta = _tail_arrays(traj)
+    t, xi, eta, _, _ = traj.window
     # the quadrature's error grows with the grid step; no fixed step is
     # fine enough for every eta_in
     coarse = (f" on the grid dense_step = {traj.config.dense_step:g}; "
@@ -243,15 +221,16 @@ def pde_residual(sol: RadialSolution) -> tuple[float, float]:
 def asymptotic_fit(traj: Trajectory) -> AsymptoticFit:
     """The logarithmic tails of u and K: the lines the free leg approaches.
 
-    The final sample of an escaped run lies on the free leg, whose outgoing
-    line closed_forms.free_asymptote gives in closed form.  In ln r = t the
-    slopes are v_xi - 1 = -kappa/(2*pi) and sqrt(2)*v_eta = -alpha/(2*pi).
+    The free leg from the escape state, events.escape, approaches the
+    outgoing line that closed_forms.free_asymptote gives in closed form, so
+    the sampling window cannot move it.  In ln r = t the slopes are
+    v_xi - 1 = -kappa/(2*pi) and sqrt(2)*v_eta = -alpha/(2*pi).
     """
     if not traj.escaped:
         raise ValueError("tail lines need an escaped trajectory")
-    t = float(traj.t[-1])
-    v_xi, p_xi, v_eta, p_eta = free_asymptote(
-        (traj.xi[-1], traj.xi_dot[-1], traj.eta[-1], traj.eta_dot[-1]))
+    e = traj.events.escape
+    t = e.t
+    v_xi, p_xi, v_eta, p_eta = free_asymptote((e.xi, e.xi_dot, e.eta, e.eta_dot))
     return AsymptoticFit(
         u_slope=v_xi - 1.0, u_intercept=p_xi - v_xi * t - _LN2_4,
         k_slope=_SQRT2 * v_eta, k_intercept=_SQRT2 * (p_eta - v_eta * t),

@@ -37,8 +37,9 @@ tail are inside the window.
 
 Samples are taken on a uniform grid at dense_step spacing, with t_end and
 the refined event times placed among them by one insert, each unless within
-1e-12 of a time already placed (uniform_mask marks the regular subgrid,
-which downstream radial reconstruction uses).  The dense output gives the
+1e-12 of a time already placed.  Trajectory.off_grid names the at most four
+placed samples, and Trajectory.window gives the regular ones, which radial
+reconstruction and the quadrature read.  The dense output gives the
 samples up to escape, and the free leg the ones after it.  From eta_in ~ 19
 on, the window's far tail reaches
 2*xi < -708, where np.exp makes subnormal results at some hundred times the
@@ -54,6 +55,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -124,24 +126,23 @@ class TrajectoryEvents:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Dense time-ordered samples of one run, with events and drift metrics."""
+    """Dense time-ordered samples of one run, with its events."""
 
     t: np.ndarray
     xi: np.ndarray
     eta: np.ndarray
     xi_dot: np.ndarray
     eta_dot: np.ndarray
-    uniform_mask: np.ndarray          # True on the dense_step subgrid
     events: TrajectoryEvents
-    max_energy_drift: float
     asymptotics: AsymptoticData
     outcome: Outcome
     config: SolverConfig
+    off_grid: tuple[int, ...] = ()    # sorted indices of the samples off the grid
 
     def __post_init__(self):
         if len(self.t) and np.any(np.diff(self.t) <= 0.0):
             raise ValueError("trajectory samples must be strictly increasing in t")
-        for arr in (self.t, self.xi, self.eta, self.xi_dot, self.eta_dot, self.uniform_mask):
+        for arr in (self.t, self.xi, self.eta, self.xi_dot, self.eta_dot):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
@@ -155,8 +156,28 @@ class Trajectory:
         return PhasePoint(float(self.t[k]), float(self.xi[k]), float(self.eta[k]),
                           float(self.xi_dot[k]), float(self.eta_dot[k]))
 
-    def energies(self) -> np.ndarray:
-        return energy_array(self.xi, self.eta, self.xi_dot, self.eta_dot)
+    @cached_property
+    def window(self) -> tuple[np.ndarray, ...]:
+        """The regular samples (t, xi, eta, xi_dot, eta_dot), read-only: the
+        runs between the off_grid samples, joined."""
+        ends = (-1, *self.off_grid, len(self.t))
+        window = tuple(np.concatenate([c[lo + 1:hi] for lo, hi in zip(ends, ends[1:])])
+                       for c in (self.t, self.xi, self.eta, self.xi_dot, self.eta_dot))
+        for arr in window:
+            arr.setflags(write=False)
+        return window
+
+    @cached_property
+    def energy(self) -> np.ndarray:
+        """The energy at each sample, read-only."""
+        e = energy_array(self.xi, self.eta, self.xi_dot, self.eta_dot)
+        e.setflags(write=False)
+        return e
+
+    @cached_property
+    def max_energy_drift(self) -> float:
+        """max over the samples of |2E - 1|, the drift from E = 1/2."""
+        return float(np.max(np.abs(2.0 * self.energy - 1.0)))
 
 
 # The events, as source over the state y0..y3 = (xi, xi_dot, eta, eta_dot)
@@ -233,7 +254,7 @@ def _stop_state(sol) -> PhasePoint:
 
 
 def _sample_times(t_start: float, t_end: float, h: float, events):
-    """A run's sample times on [t_start, t_end] and their uniform_mask.
+    """A run's sample times on [t_start, t_end] and its off_grid indices.
 
     The regular grid t_start + h*k for k <= n, then t_end itself unless the
     grid already ends there, then each event time inside [t_start, t_end],
@@ -259,7 +280,7 @@ def _sample_times(t_start: float, t_end: float, h: float, events):
             extra.append(t_ev)
     extra.sort()
     at = np.searchsorted(grid, extra)
-    return np.insert(grid, at, extra), np.insert(np.ones(len(grid), dtype=bool), at, False)
+    return np.insert(grid, at, extra), tuple(int(k) + i for i, k in enumerate(at))
 
 
 def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajectory:
@@ -291,7 +312,7 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
         t0 = t0 if t0 <= budget else None
         t_half = t_half if t_half <= budget else None
 
-    ts, mask = _sample_times(t_start, t_end, cfg.dense_step, (t0, t_half, t_m))
+    ts, off_grid = _sample_times(t_start, t_end, cfg.dense_step, (t0, t_half, t_m))
     if sol is None:
         Y = np.array([[p0.xi], [p0.xi_dot], [p0.eta], [p0.eta_dot]])
     elif outcome is Outcome.ESCAPED:
@@ -302,8 +323,6 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
     else:
         Y = sol.sol(ts)
 
-    xi, xi_dot, eta, eta_dot = Y[0], Y[1], Y[2], Y[3]
-    drift = float(np.max(np.abs(2.0 * energy_array(xi, eta, xi_dot, eta_dot) - 1.0)))
     blowup = escape = None
     if outcome is Outcome.CERTIFIED:
         blowup = p0 if sol is None else _stop_state(sol)
@@ -311,10 +330,10 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
         escape = _stop_state(sol)
 
     return Trajectory(
-        t=ts, xi=xi, eta=eta, xi_dot=xi_dot, eta_dot=eta_dot, uniform_mask=mask,
+        t=ts, xi=Y[0], eta=Y[2], xi_dot=Y[1], eta_dot=Y[3],
         events=TrajectoryEvents(t0=t0, t_half=t_half, t_m=t_m, blowup=blowup,
                                 escape=escape),
-        max_energy_drift=drift, asymptotics=a, outcome=outcome, config=cfg,
+        asymptotics=a, outcome=outcome, config=cfg, off_grid=off_grid,
     )
 
 

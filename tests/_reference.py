@@ -33,6 +33,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy.integrate import simpson as scipy_simpson
 from scipy.integrate import solve_ivp
 
 from curvscat import dop853, integrator
@@ -568,21 +569,24 @@ def potential_max_unfloored(traj) -> float:
     return float(np.max(traj.eta * np.exp(2.0 * traj.xi)))
 
 
-def quadrature_unfloored(traj) -> tuple[float, float]:
+def quadrature_unfloored(traj, irregular=False) -> tuple[float, float]:
     """geometry.curvature_area_quadrature's (kappa, alpha) with e^{2 xi}
-    unfloored."""
-    m = traj.uniform_mask
-    t, xi, eta = traj.t[m], traj.xi[m], traj.eta[m]
+    unfloored; irregular integrates the window by scipy's irregular-grid
+    Simpson rule on the window's own t."""
+    t, xi, eta, xi_dot, eta_dot = traj.window
+    h = float(t[-1] - t[0]) / (len(t) - 1)
+
+    def rule(y):
+        return float(scipy_simpson(y, x=t)) if irregular else simpson(y, h)
     a = traj.asymptotics
     f_area = np.exp(2.0 * xi)
     f_curv = eta * f_area
     area_past, _ = past_tails(float(t[0]), a)
-    k = int(np.flatnonzero(m)[-1])
     xi_dot_inf, eta_dot_inf = outgoing_velocity(traj.events.escape)
-    curv_fut = float(traj.xi_dot[k]) - xi_dot_inf
-    area_fut = 2.0 * (float(traj.eta_dot[k]) - eta_dot_inf)
-    kappa = 2.0 * math.pi * (simpson(f_curv, t) + a.eta_in * area_past + curv_fut)
-    alpha = math.sqrt(2.0) * math.pi * (simpson(f_area, t) + area_past + area_fut)
+    curv_fut = float(xi_dot[-1]) - xi_dot_inf
+    area_fut = 2.0 * (float(eta_dot[-1]) - eta_dot_inf)
+    kappa = 2.0 * math.pi * (rule(f_curv) + a.eta_in * area_past + curv_fut)
+    alpha = math.sqrt(2.0) * math.pi * (rule(f_area) + area_past + area_fut)
     return kappa, alpha
 
 
@@ -593,7 +597,8 @@ def quadrature_unfloored(traj) -> tuple[float, float]:
 
 
 def sample_times_loop(t_start, t_end, h, events):
-    """(ts, uniform_mask) by appending t_last and inserting each event."""
+    """(ts, mask) by appending t_last and inserting each event; mask is
+    True on the regular grid."""
     n = int(math.floor((t_end - t_start) / h * (1.0 + 1e-12)))
     t_n = t_start + h * n
     t_last = t_end if t_end - t_n > 1e-9 * h else t_n
@@ -630,7 +635,7 @@ def dense_fancy(dense, t):
 
 
 def integrate_samples_loop(a, cfg):
-    """(t, uniform_mask, Y) of integrate(a, cfg), Y holding the rows xi,
+    """(t, mask, Y) of integrate(a, cfg), Y holding the rows xi,
     xi_dot, eta, eta_dot, assembled the old way from the same solver call."""
     p0, sol, outcome = integrator._solve(a, cfg, sampled=True)
     t_start = t_end = p0.t
@@ -672,7 +677,7 @@ def _csv_num(x) -> str:
 
 
 def write_trajectory_csv(path, traj) -> None:
-    en = traj.energies()
+    en = traj.energy
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "xi", "eta", "xi_dot", "eta_dot", "energy"])

@@ -100,10 +100,11 @@ def test_05_monotone_iteration(cfg):
     traj = integrate(a, c)
     xi_lim, eta_lim = run.iterates_xi[-1], run.iterates_eta[-1]
     n = len(xi_lim.values)
-    tm = traj.t[traj.uniform_mask][:n]
+    t_w, xi_w, eta_w, _, _ = traj.window
+    tm = t_w[:n]
     assert abs(tm[0] - xi_lim.t[0]) < 1e-12
-    dx = float(np.max(np.abs(traj.xi[traj.uniform_mask][:n] - xi_lim.values)))
-    de = float(np.max(np.abs(traj.eta[traj.uniform_mask][:n] - eta_lim.values)))
+    dx = float(np.max(np.abs(xi_w[:n] - xi_lim.values)))
+    de = float(np.max(np.abs(eta_w[:n] - eta_lim.values)))
     # future-zone ladder on a substantive crossing state
     from curvscat import PhasePoint, iterate_future
     fut = iterate_future(PhasePoint(0.0, -2.0, 0.0, -0.6, -0.8),
@@ -172,7 +173,7 @@ def test_08_symmetry(traj8, cfg):
     xi_h = 0.35
     tr = apply_symmetry(traj8, Homologous(xi_h))
     scale = math.exp(2.0 * xi_h)
-    rel = float(np.max(np.abs(tr.energies() / (scale * traj8.energies()) - 1.0)))
+    rel = float(np.max(np.abs(tr.energy / (scale * traj8.energy) - 1.0)))
     ok &= rel <= 1e-10
     _report("08 symmetry", bool(ok),
             f"theta shift {d_theta:.2e}, reverse bit-exact {bit_exact}, "

@@ -200,6 +200,6 @@ def test_inflection_requires_crossing(trio):
     short = dataclasses.replace(
         traj, t=traj.t[keep], xi=traj.xi[keep], eta=traj.eta[keep],
         xi_dot=traj.xi_dot[keep], eta_dot=traj.eta_dot[keep],
-        uniform_mask=traj.uniform_mask[keep])
+        off_grid=tuple(k for k in traj.off_grid if keep[k]))
     with pytest.raises(ValueError, match="no sign change"):
         inflection_diagnostics(short)

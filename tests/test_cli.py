@@ -543,3 +543,20 @@ def test_a_budget_below_the_start_times_spacing_runs_out_of_budget(tmp_path, cap
     assert item["name"] == "accepted scattering solution" and not item["passed"]
     assert reason in item["detail"]
     assert failing_solver == []
+
+
+def test_energy_is_computed_once(tmp_path, monkeypatch):
+    # a solve's drift and its CSV energy column share one evaluation;
+    # verify reports neither and makes none
+    import curvscat.integrator as integrator
+    energy_array, calls = integrator.energy_array, []
+
+    def counting(*args):
+        calls.append(args)
+        return energy_array(*args)
+    monkeypatch.setattr(integrator, "energy_array", counting)
+    assert _run("solve", "--eta-in", "8", "--out-dir", str(tmp_path / "solve")) == EXIT_OK
+    assert len(calls) == 1
+    calls.clear()
+    assert _run("verify", "--eta-in", "8", "--out-dir", str(tmp_path / "verify")) == EXIT_OK
+    assert calls == []

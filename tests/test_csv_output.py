@@ -117,7 +117,7 @@ def test_few_fields_leave_the_block_path(cfg, eta_in):
     traj = integrate(AsymptoticData(0.0, eta_in), cfg)
     sol = to_radial(traj)
     fields = np.concatenate([traj.t, traj.xi, traj.eta, traj.xi_dot,
-                             traj.eta_dot, traj.energies(), sol.r_grid,
+                             traj.eta_dot, traj.energy, sol.r_grid,
                              sol.u_values, sol.k_values])
     *_, slow = _decimal(fields)
     assert len(slow) < 0.01 * len(fields)

@@ -116,19 +116,28 @@ def test_trajectory_reverse_flips_velocities(traj8):
     assert np.array_equal(rev.xi_dot, -traj8.xi_dot[::-1])
     assert np.array_equal(rev.eta, traj8.eta[::-1])
     # energies of every sample unchanged
-    assert np.array_equal(np.sort(rev.energies()), np.sort(traj8.energies()))
+    assert np.array_equal(np.sort(rev.energy), np.sort(traj8.energy))
+
+
+def test_trajectory_reverse_reverses_the_window(traj8):
+    rev = apply_symmetry(traj8, TimeReverse())
+    assert rev.off_grid == tuple(sorted(len(traj8) - 1 - k for k in traj8.off_grid))
+    for got, want, sign in zip(rev.window, traj8.window, (-1.0, 1.0, 1.0, -1.0, -1.0)):
+        assert np.array_equal(got, sign * want[::-1])
 
 
 def test_trajectory_homologous_energy_rescaling(traj8):
     xi_h = -0.1
     tr = apply_symmetry(traj8, Homologous(xi_h))
     scale = math.exp(2.0 * xi_h)
-    ratio = tr.energies() / (scale * traj8.energies())
+    ratio = tr.energy / (scale * traj8.energy)
     assert np.max(np.abs(ratio - 1.0)) <= 1e-10
+    # the mapped drift is measured from E = 1/2, not rescaled
+    assert math.isclose(tr.max_energy_drift, abs(scale - 1.0), rel_tol=1e-6)
     assert np.max(np.abs(tr.t * math.exp(xi_h) - traj8.t)) < 1e-9
 
 
 def test_trajectory_translate_preserves_energy(traj8):
     tr = apply_symmetry(traj8, TimeTranslate(2.5))
-    assert np.array_equal(tr.energies(), traj8.energies())
+    assert np.array_equal(tr.energy, traj8.energy)
     assert math.isclose(tr.events.t0, traj8.events.t0 + 2.5, rel_tol=0, abs_tol=1e-12)

@@ -8,9 +8,10 @@ from hypothesis import given, strategies as st
 from curvscat import (AsymptoticData, asymptotic_fit,
                       curvature_area_quadrature, deflection, integrate,
                       pokhozaev_residual, theta_identities, to_radial)
-from curvscat.closed_forms import free_asymptote
+from curvscat.closed_forms import free_asymptote, past_tails
 from curvscat.dynamics import EXP_FLOOR, TimeTranslate, apply_symmetry
-from curvscat.geometry import ALPHA_SUP, FOUR_PI, TWO_PI, pde_residual
+from curvscat.geometry import ALPHA_SUP, FOUR_PI, TWO_PI, pde_residual, simpson
+from curvscat.integrator import SolverConfig, outgoing_velocity
 from curvscat.verification import _potential_max
 
 from _reference import (energy_unfloored, potential_max_unfloored,
@@ -20,14 +21,13 @@ LN2_4 = 0.25 * math.log(2.0)
 
 
 def test_radial_map_values(traj8, sol8):
-    m = traj8.uniform_mask
-    t = traj8.t[m]
+    t, xi, eta, _, _ = traj8.window
     assert np.allclose(sol8.r_grid, np.exp(t), rtol=1e-15)
-    assert np.allclose(sol8.u_values, traj8.xi[m] - t - LN2_4, rtol=0, atol=1e-15)
-    assert np.allclose(sol8.k_values, math.sqrt(2.0) * traj8.eta[m], rtol=1e-15)
+    assert np.allclose(sol8.u_values, xi - t - LN2_4, rtol=0, atol=1e-15)
+    assert np.allclose(sol8.k_values, math.sqrt(2.0) * eta, rtol=1e-15)
     # spot value: the sample mapping at one node
     k = np.argmin(np.abs(t))
-    assert math.isclose(sol8.u_values[k], traj8.xi[m][k] - t[k] - LN2_4,
+    assert math.isclose(sol8.u_values[k], xi[k] - t[k] - LN2_4,
                         rel_tol=1e-15)
 
 
@@ -186,10 +186,11 @@ def test_tail_lines_through_samples_past_t0(cfg, eta_in):
     # the data past the eta = 0 crossing lie on the closed-form lines
     traj = integrate(AsymptoticData(0.0, eta_in), cfg)
     fit = asymptotic_fit(traj)
-    m = traj.uniform_mask & (traj.t >= traj.events.t0)
-    t = traj.t[m]
-    u = traj.xi[m] - t - LN2_4
-    K = math.sqrt(2.0) * traj.eta[m]
+    t, xi, eta, _, _ = traj.window
+    m = t >= traj.events.t0
+    t = t[m]
+    u = xi[m] - t - LN2_4
+    K = math.sqrt(2.0) * eta[m]
     assert np.max(np.abs(u - (fit.u_slope * t + fit.u_intercept))) <= 1e-12
     assert np.max(np.abs(K - (fit.k_slope * t + fit.k_intercept))) <= 1e-12
 
@@ -234,10 +235,27 @@ def test_quadrature_future_tail_is_momentum_balance(eta_in, cfg):
     traj = integrate(AsymptoticData(0.0, eta_in), cfg)
     full = curvature_area_quadrature(traj)
     for t_cut in (traj.events.t_m - 1.0, traj.events.t0):
-        cut = replace(traj, uniform_mask=traj.uniform_mask & (traj.t < t_cut))
+        n = int(np.searchsorted(traj.t, t_cut))
+        cut = replace(traj, t=traj.t[:n], xi=traj.xi[:n], eta=traj.eta[:n],
+                      xi_dot=traj.xi_dot[:n], eta_dot=traj.eta_dot[:n],
+                      off_grid=tuple(k for k in traj.off_grid if k < n))
         quad = curvature_area_quadrature(cut)
         assert abs(quad.kappa - full.kappa) <= 1e-8 * full.kappa, t_cut
         assert abs(quad.alpha - full.alpha) <= 1e-8 * full.alpha, t_cut
+
+
+def test_quadrature_of_a_one_sample_window(cfg):
+    # a window of one regular sample adds nothing to the two tails
+    traj = integrate(AsymptoticData(0.0, 8.0), replace(cfg, dense_step=1000.0))
+    t, _, _, xi_dot, eta_dot = traj.window
+    assert traj.escaped and len(t) == 1
+    area_past, _ = past_tails(float(t[0]), traj.asymptotics)
+    xi_dot_inf, eta_dot_inf = outgoing_velocity(traj.events.escape)
+    quad = curvature_area_quadrature(traj)
+    assert math.isclose(quad.kappa, TWO_PI * (8.0 * area_past + float(xi_dot[0]) - xi_dot_inf),
+                        rel_tol=1e-15)
+    assert math.isclose(quad.alpha, math.sqrt(2.0) * math.pi
+                        * (area_past + 2.0 * (float(eta_dot[0]) - eta_dot_inf)), rel_tol=1e-15)
 
 
 def test_quadrature_requires_escape(cfg):
@@ -275,8 +293,7 @@ def test_asymptotic_fit_intercepts_match_moment_integrals(traj8, sol8):
     #   u-intercept = u(0) + I[t * eta * e^{2 xi}]
     #   K-intercept = K(0) + I[t * e^{2 xi}] / sqrt(2)
     from scipy.integrate import simpson
-    m = traj8.uniform_mask
-    t, xi, eta = traj8.t[m], traj8.xi[m], traj8.eta[m]
+    t, xi, eta, _, _ = traj8.window
     w = np.exp(2.0 * xi)
     fit = asymptotic_fit(traj8)
     u_pred = sol8.u_center + simpson(t * eta * w, x=t)
@@ -292,11 +309,66 @@ def test_floored_exponentials_change_no_bit(eta_in, xi_in, cfg):
     # energy, the quadrature and the forbidden-zone maximum equal their
     # unfloored forms to the bit
     traj = integrate(AsymptoticData(xi_in, eta_in), cfg)
-    assert traj.escaped and np.any(2.0 * traj.xi[traj.uniform_mask] < EXP_FLOOR)
-    got = traj.energies()
+    assert traj.escaped and np.any(2.0 * traj.window[1] < EXP_FLOOR)
+    got = traj.energy
     want = energy_unfloored(traj.xi, traj.eta, traj.xi_dot, traj.eta_dot)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     quad = curvature_area_quadrature(traj)
     kappa, alpha = quadrature_unfloored(traj)
     assert (quad.kappa, quad.alpha) == (kappa, alpha)
     assert _potential_max(traj) == potential_max_unfloored(traj)
+
+
+# (degree, p, its integral from 0): 2x^3 - x^2 + 3x - 1 and its truncations
+_POLYS = [
+    (3, lambda x: 2 * x**3 - x**2 + 3 * x - 1, lambda x: x**4 / 2 - x**3 / 3 + 1.5 * x**2 - x),
+    (2, lambda x: -x**2 + 3 * x - 1, lambda x: -x**3 / 3 + 1.5 * x**2 - x),
+    (1, lambda x: 3 * x - 1, lambda x: 1.5 * x**2 - x),
+]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 100, 101])
+def test_simpson_exact_for_polynomials(n):
+    # Simpson's rule is exact for cubics; with an even count Cartwright's
+    # end term, the parabola through the last three samples, is exact for
+    # quadratics, and two samples (the trapezoid) for lines
+    h = 0.37
+    x = h * np.arange(n)
+    exact_to = 1 if n == 2 else 3 if n % 2 else 2
+    for degree, p, integral in _POLYS:
+        got, want = simpson(p(x), h), integral(x[-1])
+        if degree <= exact_to:
+            assert abs(got - want) <= 1e-14 * abs(want), (n, degree)
+        else:
+            assert abs(got - want) > 1e-10 * abs(want), (n, degree)
+
+
+@pytest.mark.parametrize("n", [*range(2, 12), 100, 101, 1000, 1001])
+def test_simpson_matches_scipy_on_uniform_grids(n):
+    from scipy.integrate import simpson as scipy_simpson
+    rng = np.random.default_rng(n)
+    for h in (0.01, 0.013, 1.0):
+        y = rng.standard_normal(n) * np.exp(rng.uniform(-5.0, 5.0, n))
+        ulp = np.finfo(float).eps * h * float(np.sum(np.abs(y)))
+        assert abs(simpson(y, h) - float(scipy_simpson(y, dx=h))) <= 4.0 * ulp, h
+
+
+@pytest.mark.parametrize("dense_step", [0.01, 0.013])
+@pytest.mark.parametrize("eta_in", [1.31, 8.0, 21.0])
+def test_quadrature_matches_the_irregular_rule(eta_in, dense_step):
+    # the fixed weights against scipy's irregular-grid rule on the window's
+    # own t, whose spacings differ from h by round-off
+    traj = integrate(AsymptoticData(0.0, eta_in), SolverConfig(dense_step=dense_step))
+    quad = curvature_area_quadrature(traj)
+    kappa, alpha = quadrature_unfloored(traj, irregular=True)
+    assert abs(quad.kappa - kappa) <= 1e-15 * kappa
+    assert abs(quad.alpha - alpha) <= 1e-15 * alpha
+
+
+@pytest.mark.parametrize("eta_in", [1.2999, 1.31, 8.0])
+def test_fit_does_not_depend_on_the_window(eta_in):
+    # the tail lines are read at the escape state, which no window flag moves
+    a = AsymptoticData(0.0, eta_in)
+    fit = asymptotic_fit(integrate(a, SolverConfig()))
+    for flags in ({"tail_pad": 30.0}, {"min_tail": 40.0}):
+        assert asymptotic_fit(integrate(a, SolverConfig(**flags))) == fit, flags

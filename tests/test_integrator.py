@@ -358,7 +358,7 @@ def test_detect_events_absent_reported_absent(cfg):
 
 def _drift(traj):
     # max over samples of |2 E - 1|
-    return float(np.max(np.abs(2.0 * traj.energies() - 1.0)))
+    return float(np.max(np.abs(2.0 * traj.energy - 1.0)))
 
 
 def _free_trajectory(ts, eta_in):
@@ -366,8 +366,7 @@ def _free_trajectory(ts, eta_in):
     return Trajectory(
         t=ts, xi=xi, eta=np.full_like(ts, eta_in),
         xi_dot=np.ones_like(ts), eta_dot=np.zeros_like(ts),
-        uniform_mask=np.ones(len(ts), dtype=bool),
-        events=TrajectoryEvents(), max_energy_drift=0.0,
+        events=TrajectoryEvents(),
         asymptotics=AsymptoticData(0.0, eta_in), outcome=Outcome.OUT_OF_BUDGET,
         config=SolverConfig(),
     )
@@ -386,8 +385,7 @@ def test_energy_drift_single_boundary_sample():
     traj = Trajectory(
         t=ts, xi=np.array([0.0]), eta=np.array([1.0]),
         xi_dot=np.array([0.0]), eta_dot=np.array([0.0]),
-        uniform_mask=np.ones(1, dtype=bool),
-        events=TrajectoryEvents(), max_energy_drift=0.0,
+        events=TrajectoryEvents(),
         asymptotics=AsymptoticData(0.0, 1.0), outcome=Outcome.OUT_OF_BUDGET,
         config=SolverConfig(),
     )
@@ -398,8 +396,7 @@ def test_samples_strictly_increasing_validated():
     ts = np.array([0.0, 0.0])
     with pytest.raises(ValueError, match="strictly increasing"):
         Trajectory(t=ts, xi=ts, eta=ts, xi_dot=ts, eta_dot=ts,
-                   uniform_mask=np.ones(2, dtype=bool),
-                   events=TrajectoryEvents(), max_energy_drift=0.0,
+                   events=TrajectoryEvents(),
                    asymptotics=AsymptoticData(0.0, 1.0), outcome=Outcome.OUT_OF_BUDGET,
                    config=SolverConfig())
 
@@ -409,9 +406,9 @@ def test_event_samples_inserted(traj8):
     for t_ev in (traj8.events.t0, traj8.events.t_half, traj8.events.t_m):
         k = int(np.argmin(np.abs(traj8.t - t_ev)))
         assert abs(traj8.t[k] - t_ev) < 1e-11
-    assert not traj8.uniform_mask.all()
+    assert traj8.off_grid
     h = traj8.config.dense_step
-    tu = traj8.t[traj8.uniform_mask]
+    tu = traj8.window[0]
     assert np.allclose(np.diff(tu), h, rtol=0, atol=1e-9)
 
 
@@ -443,28 +440,65 @@ def test_sample_times_equal_the_append_insert_loop():
     ]
     for step in (h, 0.0137):
         for end, events in cases:
-            ts, mask = _sample_times(t0, end, step, events)
+            ts, off_grid = _sample_times(t0, end, step, events)
             want_ts, want_mask = sample_times_loop(t0, end, step, events)
             assert np.array_equal(_bits(ts), _bits(want_ts)), (step, end, events)
-            assert np.array_equal(mask, want_mask), (step, end, events)
+            assert off_grid == tuple(np.flatnonzero(~want_mask)), (step, end, events)
 
 
-@pytest.mark.parametrize("eta_in, xi_in, overrides", [
+_ASSEMBLY_CASES = [
     (1.31, 0.0, {}), (8.0, 0.4, {}), (21.0, 0.0, {}),
     (8.0, 0.0, {"dense_step": 0.0137}), (1.5, -1.0, {"dense_step": 0.0137}),
     (8.0, 0.0, {"max_time": 60.0}),      # the budget cuts the window before t0
     (8.0, 0.0, {"max_time": 19.0}),      # out of budget
     (1.0, 0.0, {}),                      # certified
     (-1.0, 0.0, {}),                     # no solver call
-])
+]
+
+
+@pytest.mark.parametrize("eta_in, xi_in, overrides", _ASSEMBLY_CASES)
 def test_samples_equal_the_append_insert_assembly(eta_in, xi_in, overrides):
     a, cfg = AsymptoticData(xi_in, eta_in), SolverConfig(**overrides)
     traj = integrate(a, cfg)
     ts, mask, Y = integrate_samples_loop(a, cfg)
     assert np.array_equal(_bits(traj.t), _bits(ts))
-    assert np.array_equal(traj.uniform_mask, mask)
+    assert traj.off_grid == tuple(np.flatnonzero(~mask))
     for got, want in zip((traj.xi, traj.xi_dot, traj.eta, traj.eta_dot), Y):
         assert np.array_equal(_bits(got), _bits(want))
+    # the window is the regular samples the mask picks
+    for got, want in zip(traj.window, (ts, Y[0], Y[2], Y[1], Y[3])):
+        assert np.array_equal(_bits(got), _bits(want[mask]))
+
+
+@pytest.mark.parametrize("eta_in, xi_in, overrides", _ASSEMBLY_CASES)
+def test_off_grid_names_the_end_and_event_samples(eta_in, xi_in, overrides):
+    traj = integrate(AsymptoticData(xi_in, eta_in), SolverConfig(**overrides))
+    ev = traj.events
+    placed = {float(traj.t[k]) for k in traj.off_grid}
+    assert len(placed) == len(traj.off_grid) <= 4
+    assert list(traj.off_grid) == sorted(traj.off_grid)
+    # the window is the grid itself, and the end is on it or placed
+    t_w = traj.window[0]
+    grid = traj.t[0] + traj.config.dense_step * np.arange(len(t_w))
+    assert np.array_equal(_bits(t_w), _bits(grid))
+    assert placed <= {float(traj.t[-1]), ev.t0, ev.t_half, ev.t_m}
+    assert float(traj.t[-1]) in placed or traj.t[-1] == t_w[-1]
+    # an event inside the run is placed, or within 1e-12 of a grid sample
+    for t_ev in (ev.t0, ev.t_half, ev.t_m):
+        if t_ev is not None and t_ev <= traj.t[-1]:
+            assert t_ev in placed or np.min(np.abs(t_w - t_ev)) < 1e-12
+
+
+def test_window_and_energy_are_read_only(traj8):
+    for arr in (*traj8.window, traj8.energy):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+def test_run_without_solver_call_has_a_one_sample_window(cfg):
+    traj = integrate(AsymptoticData(0.0, -1.0), cfg)
+    assert traj.off_grid == ()
+    assert [len(c) for c in traj.window] == [1] * 5
 
 
 def test_config_validation():
@@ -489,9 +523,7 @@ def _escaped_stub(xi_dot_f, eta_dot_f):
         t=ts, xi=np.array([-20.0, -21.0]), eta=np.array([-0.5, -1.0]),
         xi_dot=np.array([xi_dot_f, xi_dot_f]),
         eta_dot=np.array([eta_dot_f, eta_dot_f]),
-        uniform_mask=np.ones(2, dtype=bool),
         events=TrajectoryEvents(escape=PhasePoint(1.0, -21.0, -1.0, xi_dot_f, eta_dot_f)),
-        max_energy_drift=0.0,
         asymptotics=AsymptoticData(0.0, 1.0), outcome=Outcome.ESCAPED,
         config=SolverConfig(),
     )
