@@ -29,9 +29,9 @@ def main(argv=None) -> int:
                        max_iter=args.iterates)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for k, (gx, ge) in enumerate(zip(run.iterates_xi, run.iterates_eta)):
-        write_csv(out / f"xi_{k:02d}.csv", ["t", "value"], [gx.t, gx.values])
-        write_csv(out / f"eta_{k:02d}.csv", ["t", "value"], [ge.t, ge.values])
+    for k, (xi, eta) in enumerate(zip(run.iterates_xi, run.iterates_eta)):
+        write_csv(out / f"xi_{k:02d}.csv", ["t", "value"], [run.t, xi])
+        write_csv(out / f"eta_{k:02d}.csv", ["t", "value"], [run.t, eta])
     print(f"wrote {2 * len(run.iterates_xi)} ladder files to {out}/")
     print("sup-norm steps:", ["%.3e" % d for d in run.sup_diff_history])
     return 0

@@ -15,13 +15,13 @@ from .closed_forms import (AsymptoticData, BoundsReport, ETA_CRIT_UPPER,
 from .dynamics import PhasePoint
 from .geometry import (AsymptoticFit, RadialSolution, asymptotic_fit,
                        curvature_area_quadrature, pokhozaev_residual,
-                       theta_identities, to_radial)
+                       relative_pokhozaev_residual, theta_identities,
+                       to_radial)
 from .integrator import (NotConvergedError, Outcome, SolverConfig,
                          Trajectory, TrajectoryEvents, deflection,
                          deflection_of, integrate)
-from .picard import (GridFunction, MonotonicityReport, NewtonNotConvergedError,
-                     PicardRun, iterate_future, iterate_past,
-                     monotonicity_report)
+from .picard import (NewtonNotConvergedError, PicardRun, iterate_future,
+                     iterate_past, monotonicity_report)
 from .shooting import (BracketNotFoundError, ShootingResult, SweepRow, shoot,
                        sweep)
 from .analysis import (GradientFlowResult, GradientFlowState, InflectionReport,

@@ -238,7 +238,7 @@ def _solution_summary(traj: Trajectory, inputs: dict, cfg: SolverConfig) -> tupl
             "fits": _field_dict(geometry.asymptotic_fit(traj)),
             "residuals": {
                 "pokhozaev": pokhozaev,
-                "pokhozaev_rel": abs(pokhozaev) / (16 * math.pi**2),
+                "pokhozaev_rel": geometry.relative_pokhozaev_residual(sol.kappa, sol.alpha),
                 "kappa_vs_theta_rel": abs(sol.kappa - kap_t) / kap_t,
                 "alpha_vs_theta_rel": abs(sol.alpha - al_t) / al_t,
             },

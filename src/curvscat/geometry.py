@@ -193,6 +193,11 @@ def pokhozaev_residual(kappa: float, alpha: float) -> float:
     return alpha**2 - 2.0 * kappa * (FOUR_PI - kappa)
 
 
+def relative_pokhozaev_residual(kappa: float, alpha: float) -> float:
+    """|pokhozaev_residual| over 16*pi^2."""
+    return abs(pokhozaev_residual(kappa, alpha)) / (16.0 * math.pi**2)
+
+
 def pde_residual(sol: RadialSolution) -> tuple[float, float]:
     """Max-norm residuals of the radial system by centered differences.
 

@@ -13,10 +13,10 @@ method.  Second differences turn each Newton system into a lower-triangular
 banded one, solved in O(n) by LAPACK, and Newton stops once the update is at
 roundoff.  Solving the discrete equation, rather than pasting in the
 continuum closed form, keeps the discrete iterates monotone up to roundoff:
-xi increases and eta decreases pointwise in the iteration index.  The
+xi increases and eta decreases pointwise in the iteration index.  The grid
+starts at the integrator's start time t_min (closed_forms.start_time); the
 (-inf, t_min] tails are those of the free past motion
-(closed_forms.past_tails), with error O(e^{4(xi_in+t_min)}); t_min defaults
-to the integrator's start time, closed_forms.start_time.
+(closed_forms.past_tails), with error O(e^{4(xi_in+t_min)}).
 
 Future zone (t above the eta = 0 crossing): the damped maps
 
@@ -26,14 +26,17 @@ Future zone (t above the eta = 0 crossing): the damped maps
 are iterated from the linear starting functions built from the crossing
 state; X increases and Y decreases pointwise, and the limit solves the
 equations of motion on [T0, t_max] with asymptotically linear behavior.
+
+One loop builds both zones' ladders: each step forms the difference of the
+new iterate pair and the last one once, and reads from it both the step's
+ordering violations and its convergence step, so no second pass scans the
+ladder.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import chain
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,50 +57,97 @@ class NewtonNotConvergedError(RuntimeError):
     """Raised when the grid Newton solve of the past-zone xi equation stalls."""
 
 
-@dataclass(frozen=True, eq=False)
-class GridFunction:
-    """Values of one scalar function on a uniform time grid."""
+class _Iterate(np.ndarray):
+    """One iterate of a ladder: a read-only float array on the run's grid.
 
-    t_min: float
-    t_max: float
-    step: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        if not self.step > 0.0:
-            raise ValueError("step must be positive")
-        n = int(round((self.t_max - self.t_min) / self.step))
-        if len(self.values) != n + 1:
-            raise ValueError(
-                f"expected {n + 1} values on [{self.t_min}, {self.t_max}] "
-                f"at step {self.step}, got {len(self.values)}")
-        self.values.setflags(write=False)
+    .values is the same array as a plain ndarray, for readers written
+    against iterates that carried their grid (perfbench/tracing.py counts
+    a run's nodes with it).
+    """
 
     @property
-    def t(self) -> np.ndarray:
-        return self.t_min + self.step * np.arange(len(self.values))
+    def values(self) -> np.ndarray:
+        return self.view(np.ndarray)
 
 
 @dataclass
 class PicardRun:
-    """Iterate ladder of one fixed-point run.
+    """Iterate ladders of one fixed-point run on the grid t.
 
     For the past zone, iterates_xi/iterates_eta hold the xi and eta ladders;
     for the future zone they hold the X and Y ladders (same orientation:
-    the first component increases, the second decreases).
+    the first component increases, the second decreases).  t and every
+    iterate are read-only.  worst_violation is the largest ordering
+    violation over all consecutive pairs, 0.0 if there is none, and node
+    its grid index, -1 if there is none; among equals the first node and
+    pair win, and the first ladder before the second.
     """
 
-    iterates_xi: list[GridFunction]
-    iterates_eta: list[GridFunction]
+    t: np.ndarray
+    iterates_xi: list[np.ndarray]
+    iterates_eta: list[np.ndarray]
     converged: bool
-    sup_diff_history: list[float] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    ordered: bool
+    sup_diff_history: list[float]
     worst_violation: float
     node: int
+
+
+def monotonicity_report(run: PicardRun, allowance: float = 0.0) -> bool:
+    """Whether run's ladders are ordered to within allowance: the first must
+    not decrease, the second must not increase.  A single-iterate run is
+    vacuously ordered."""
+    return run.worst_violation <= allowance
+
+
+def _ladder(t: np.ndarray, first: np.ndarray, advance, tol: float,
+            max_iter: int) -> PicardRun:
+    """The ladder of iterate pairs advance makes from first, on the grid t.
+
+    Iterates are (2, n) arrays, the first and second component as rows;
+    advance(pair) returns the next pair as a new array.  Stops when the
+    step max|dx| + max|dy| drops to tol, or after max_iter new pairs
+    (converged False, the last step in the history).
+
+    Each step forms next - prev once, in one reused (2, n) buffer.  -min of
+    row 0 and max of row 1 are the step's ordering violations; IEEE
+    subtraction is antisymmetric, so -(next - prev) is exactly prev - next.
+    argmin and argmax return the first node among equals and the first NaN,
+    and a NaN never beats the worst violation so far.  |diff| then gives the
+    step's row maxima.
+    """
+    t.setflags(write=False)
+    pair = first
+    pair.setflags(write=False)
+    ladder = [pair]
+    diff = np.empty_like(pair)
+    worst, node = [0.0, 0.0], [-1, -1]
+    history: list[float] = []
+    converged = False
+    for _ in range(max_iter):
+        nxt = advance(pair)
+        nxt.setflags(write=False)
+        np.subtract(nxt, pair, out=diff)
+        k = int(np.argmin(diff[0]))
+        if -diff[0, k] > worst[0]:
+            worst[0], node[0] = float(-diff[0, k]), k
+        k = int(np.argmax(diff[1]))
+        if diff[1, k] > worst[1]:
+            worst[1], node[1] = float(diff[1, k]), k
+        np.abs(diff, out=diff)
+        dx, dy = np.max(diff, axis=1)
+        d = float(dx + dy)
+        history.append(d)
+        pair = nxt
+        ladder.append(pair)
+        if d <= tol:
+            converged = True
+            break
+    row = int(worst[1] > worst[0])
+    return PicardRun(t=t,
+                     iterates_xi=[p[0].view(_Iterate) for p in ladder],
+                     iterates_eta=[p[1].view(_Iterate) for p in ladder],
+                     converged=converged, sup_diff_history=history,
+                     worst_violation=worst[row], node=node[row])
 
 
 def _trapezoid_sums(values: np.ndarray, step: float, out: np.ndarray,
@@ -126,7 +176,7 @@ class _PastGrid:
     """The past-zone equations on one grid, with the work arrays that every
     march and eta update of an iterate_past run reuses.
 
-    march(eta, seed) solves the discrete implicit xi equation for a fixed
+    march(eta, seed, out) solves the discrete implicit xi equation for a fixed
     eta grid function; the discrete equation is x = xi_in + t - Q[eta*e^{2x}],
     with Q the trapezoid double integral from the free-motion tails at
     t_min.  It is solved on the whole grid by Newton's method started from
@@ -153,7 +203,8 @@ class _PastGrid:
 
     The arithmetic runs in the work arrays with out=, in the order of the
     plain expressions it replaces, so every iterate is the same to the bit.
-    Only march's result and eta_update's are new arrays.
+    march and eta_update write their results into out, a row of the
+    ladder's next iterate pair.
     """
 
     def __init__(self, t: np.ndarray, a: AsymptoticData, step: float):
@@ -175,12 +226,14 @@ class _PastGrid:
         P = _cumtrapz(values, self.step, P0, self.P, self.pairs)
         return _cumtrapz(P, self.step, Q0, self.Q, self.pairs)
 
-    def march(self, eta: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    def march(self, eta: np.ndarray, seed: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
         # imported here, so that only commands that march load scipy.linalg
         from scipy.linalg.lapack import dtbtrs
 
         g, F, rhs, hd, ab = self.g, self.F, self.rhs, self.hd, self.ab
-        xi = np.array(seed, dtype=float)
+        xi = out
+        xi[:] = seed
         xi[0] = self.c[0] - self.Q0
         for _ in range(_NEWTON_MAX_STEPS):
             # g = eta * e^{2 xi};  F = xi - c + Q[g]
@@ -215,12 +268,13 @@ class _PastGrid:
             f"grid Newton residual and update still above roundoff "
             f"({self.roundoff:.1e}) after {_NEWTON_MAX_STEPS} steps")
 
-    def eta_update(self, xi: np.ndarray) -> np.ndarray:
+    def eta_update(self, xi: np.ndarray, out: np.ndarray) -> np.ndarray:
         """eta_in - Q[e^{2 xi}]/2, from the free tails at t_min."""
         np.multiply(xi, 2.0, out=self.g)
         np.exp(self.g, out=self.g)
         Q = self._double_integral(self.g, *self.tails)
-        return self.a.eta_in - 0.5 * Q
+        np.multiply(Q, 0.5, out=out)
+        return np.subtract(self.a.eta_in, out, out=out)
 
 
 def _above_roundoff(x: np.ndarray, work: np.ndarray, roundoff: float) -> bool:
@@ -231,13 +285,14 @@ def _above_roundoff(x: np.ndarray, work: np.ndarray, roundoff: float) -> bool:
 
 def _uniform_grid(t_lo: float, t_hi: float, step: float,
                   lo_name: str, hi_name: str) -> np.ndarray:
-    """Nodes t_lo + k*step up to t_hi; at least 3, as the schemes need."""
+    """Nodes t_lo + k*step up to t_hi, to a relative slack of 1e-12 in the
+    node count; at least 3, as the schemes need."""
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be finite and positive, got {step}")
     if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
         raise ValueError(f"{lo_name} = {t_lo} and {hi_name} = {t_hi} "
                          "must be finite")
-    n = int(round((t_hi - t_lo) / step))
+    n = math.floor((t_hi - t_lo) / step * (1.0 + 1e-12))
     if n < 2:
         raise ValueError(
             f"{hi_name} = {t_hi} leaves fewer than 3 grid nodes from "
@@ -246,9 +301,9 @@ def _uniform_grid(t_lo: float, t_hi: float, step: float,
 
 
 def iterate_past(a: AsymptoticData, t_handoff: float, step: float,
-                 tol: float = 1e-10, max_iter: int = 50,
-                 t_min: Optional[float] = None) -> PicardRun:
-    """Monotone fixed-point iteration on the past zone grid [t_min, t_handoff].
+                 tol: float = 1e-10, max_iter: int = 50) -> PicardRun:
+    """Monotone fixed-point iteration on the past zone grid from the
+    integrator's start time up to t_handoff.
 
     t_handoff must not exceed the explicit eta = 0 lower bound (the zone
     where the monotone sandwich holds).  Stops when the summed sup-norm of
@@ -263,34 +318,19 @@ def iterate_past(a: AsymptoticData, t_handoff: float, step: float,
     if t_handoff > t0_lower + 1e-12:
         raise ValueError(
             f"t_handoff = {t_handoff} beyond the monotone zone bound {t0_lower}")
-    if t_min is None:
-        t_min = start_time(a)
-    t = _uniform_grid(t_min, t_handoff, step, "t_min", "t_handoff")
-    t_hi = float(t[-1])
-
-    def gf(values):
-        return GridFunction(float(t_min), t_hi, step, values)
-
+    t = _uniform_grid(start_time(a), t_handoff, step, "start_time", "t_handoff")
     grid = _PastGrid(t, a, step)
-    eta = np.full(len(t), a.eta_in, dtype=float)
-    xi = grid.march(eta, seed=xi_subsolution(t, a))
-    xis = [gf(xi)]
-    etas = [gf(eta)]
-    history: list[float] = []
-    converged = False
-    for _ in range(max_iter):
-        eta_next = grid.eta_update(xi)
-        xi_next = grid.march(eta_next, seed=xi)
-        d = float(np.max(np.abs(xi_next - xi)) + np.max(np.abs(eta_next - eta)))
-        history.append(d)
-        xi, eta = xi_next, eta_next
-        xis.append(gf(xi))
-        etas.append(gf(eta))
-        if d <= tol:
-            converged = True
-            break
-    return PicardRun(iterates_xi=xis, iterates_eta=etas,
-                     converged=converged, sup_diff_history=history)
+    first = np.empty((2, len(t)))
+    first[1] = a.eta_in
+    grid.march(first[1], seed=xi_subsolution(t, a), out=first[0])
+
+    def advance(pair):
+        nxt = np.empty_like(pair)
+        grid.eta_update(pair[0], out=nxt[1])
+        grid.march(nxt[1], seed=pair[0], out=nxt[0])
+        return nxt
+
+    return _ladder(t, first, advance, tol, max_iter)
 
 
 def iterate_future(p0: PhasePoint, t_max: float, step: float,
@@ -318,24 +358,15 @@ def iterate_future(p0: PhasePoint, t_max: float, step: float,
         raise ValueError("epsilon must lie in (0, 1)")
     T0 = p0.t
     t = _uniform_grid(T0, t_max, step, "p0.t", "t_max")
-    t_hi = float(t[-1])
     dt = t - T0
     # (X, Y) as the rows of one array: each iteration makes one pass per
     # operation over both components
     L = np.stack([p0.xi_dot * dt + p0.xi, p0.eta_dot * dt])
-
-    def gf(values):
-        return GridFunction(float(T0), t_hi, step, values)
-
-    Z = L.copy()
-    xs = [gf(Z[0])]
-    ys = [gf(Z[1])]
-    history: list[float] = []
-    converged = False
-    g, P, II, diff = (np.empty_like(L) for _ in range(4))
+    g, P, II = (np.empty_like(L) for _ in range(3))
     pairs = np.empty((2, len(t) - 1))
     P[:, 0] = II[:, 0] = 0.0
-    for _ in range(max_iter):
+
+    def advance(Z):
         # g = (Y e^{2X}, e^{2X}/2); II its double trapezoid integral from T0
         np.multiply(Z[0], 2.0, out=g[1])
         np.exp(g[1], out=g[1])
@@ -350,44 +381,6 @@ def iterate_future(p0: PhasePoint, t_max: float, step: float,
         if np.max(Z_next[1]) > 0.0:
             raise ValueError("second component turned positive: data outside "
                              "the monotone regime")
-        np.subtract(Z_next, Z, out=diff)
-        np.abs(diff, out=diff)
-        dX, dY = np.max(diff, axis=1)
-        d = float(dX + dY)
-        history.append(d)
-        Z = Z_next
-        xs.append(gf(Z[0]))
-        ys.append(gf(Z[1]))
-        if d <= tol:
-            converged = True
-            break
-    return PicardRun(iterates_xi=xs, iterates_eta=ys,
-                     converged=converged, sup_diff_history=history)
+        return Z_next
 
-
-def monotonicity_report(run: PicardRun, allowance: float = 0.0) -> MonotonicityReport:
-    """Scan consecutive iterates for ordering violations.
-
-    The first ladder must not decrease, the second must not increase; the
-    worst signed violation and its node index are reported, the first one
-    scanned among equals.  A single-iterate run is vacuously ordered.
-
-    Each pair costs one subtraction into one reused buffer and one argmax:
-    the operand order gives the violation its sign, prev - next on the first
-    ladder and next - prev on the second.  IEEE subtraction is
-    antisymmetric, so the worst violation and its node are the same doubles
-    as those of -(prev - next).
-    """
-    xi, eta = run.iterates_xi, run.iterates_eta
-    worst = 0.0
-    node = -1
-    viol = None
-    for lhs, rhs in chain(zip(xi, xi[1:]), zip(eta[1:], eta)):
-        if viol is None:
-            viol = np.empty_like(lhs.values)
-        np.subtract(lhs.values, rhs.values, out=viol)
-        k = int(np.argmax(viol))
-        if viol[k] > worst:
-            worst, node = float(viol[k]), k
-    return MonotonicityReport(ordered=worst <= allowance,
-                              worst_violation=worst, node=node)
+    return _ladder(t, L, advance, tol, max_iter)

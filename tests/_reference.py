@@ -12,8 +12,9 @@ final_residual checks a Picard limit against the motion equations by
 centered differences.  The documented right-hand side, the DOP853 stage
 loops and the interpolant are the oracle for the stepper's generated
 functions, the future-zone iteration on separate X and Y arrays for
-picard's stacked one, the two-temporary ordering scan for
-monotonicity_report, the unfloored exponentials for the floored ones
+picard's stacked one, the two-temporary scan of every iterate pair for the
+ordering picard's ladder loop reads from each step's difference, the
+unfloored exponentials for the floored ones
 (free_leg, the energy, the quadrature and the forbidden-zone maximum), the
 append-and-insert sample assembly for integrate's one insert, and the
 row-by-row CSV writers for the CLI's block writer.
@@ -198,14 +199,12 @@ def continue_tight(y0, t_grid):
     return sol.y.T
 
 
-def final_residual(run) -> tuple[float, float]:
-    """Centered-difference residuals of the limit against the motion equations.
+def final_residual(xi, eta, h) -> tuple[float, float]:
+    """Centered-difference residuals of a limit (xi, eta) on a grid of step h
+    against the motion equations.
 
     Both are O(step^2) for a converged past-zone run; interior nodes only.
     """
-    xi = run.iterates_xi[-1].values
-    eta = run.iterates_eta[-1].values
-    h = run.iterates_xi[-1].step
     e2 = np.exp(2.0 * xi[1:-1])
     r_xi = (xi[2:] - 2 * xi[1:-1] + xi[:-2]) / h**2 + eta[1:-1] * e2
     r_eta = (eta[2:] - 2 * eta[1:-1] + eta[:-2]) / h**2 + 0.5 * e2
@@ -444,7 +443,7 @@ def iterate_past_allocating(a, t_handoff, step, tol, max_iter):
     from scipy.linalg.lapack import dtbtrs
 
     t_min = start_time(a)
-    n = int(round((t_handoff - t_min) / step))
+    n = math.floor((t_handoff - t_min) / step * (1.0 + 1e-12))
     t = t_min + step * np.arange(n + 1)
 
     def march(eta, seed):
@@ -500,7 +499,7 @@ def iterate_past_allocating(a, t_handoff, step, tol, max_iter):
 def iterate_future_rowwise(p0, t_max, step, epsilon, tol, max_iter):
     """picard.iterate_future's ladder as it was computed before X and Y
     became the rows of one array: (X iterates, Y iterates, history)."""
-    n = int(round((t_max - p0.t) / step))
+    n = math.floor((t_max - p0.t) / step * (1.0 + 1e-12))
     dt = p0.t + step * np.arange(n + 1) - p0.t
     LX = p0.xi_dot * dt + p0.xi
     LY = p0.eta_dot * dt
@@ -522,14 +521,15 @@ def iterate_future_rowwise(p0, t_max, step, epsilon, tol, max_iter):
     return xs, ys, history
 
 
-def monotonicity_two_temporaries(run, allowance):
-    """picard.monotonicity_report as it scanned before one subtraction per
-    pair: sign * (prev - next) in two fresh temporaries.  Returns
-    (ordered, worst_violation, node)."""
+def monotonicity_two_temporaries(xs, ys, allowance):
+    """The ordering of the ladders xs (must not decrease) and ys (must not
+    increase) as it was scanned, ladder by ladder, before the ladder loop
+    read it from each step's difference: sign * (prev - next) in two fresh
+    temporaries per iterate pair.  Returns (ordered, worst_violation, node)."""
     worst, node = 0.0, -1
-    for ladder, sign in ((run.iterates_xi, 1.0), (run.iterates_eta, -1.0)):
+    for ladder, sign in ((xs, 1.0), (ys, -1.0)):
         for prev, nxt in zip(ladder, ladder[1:]):
-            viol = sign * (prev.values - nxt.values)
+            viol = sign * (np.asarray(prev) - np.asarray(nxt))
             k = int(np.argmax(viol))
             if viol[k] > worst:
                 worst, node = float(viol[k]), k
@@ -715,12 +715,13 @@ def write_flow_csv(path, history) -> None:
             w.writerow([n, _csv_num(mu), _csv_num(nu), _csv_num(gn)])
 
 
-def write_ladder_csv(gf, path) -> None:
-    """One Picard iterate as t, value rows (scripts/monotone_ladder.py)."""
+def write_ladder_csv(t, values, path) -> None:
+    """One Picard iterate on the grid t as t, value rows
+    (scripts/monotone_ladder.py)."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "value"])
-        for tv, v in zip(gf.t, gf.values):
+        for tv, v in zip(t, values):
             w.writerow([format(tv, ".12g"), format(v, ".12g")])
 
 

@@ -92,31 +92,31 @@ def test_05_monotone_iteration(cfg):
     # bit-identical fixed point after ~5 iterations)
     ladder = iterate_past(a, handoff, step=1e-3, tol=-1.0, max_iter=20)
     assert len(ladder.iterates_xi) == 21
-    rep = monotonicity_report(ladder, allowance=10.0 * tol)
-    gf = ladder.iterates_eta[1]
-    eta1_err = float(np.max(np.abs(gf.values - eta_first_iterate(gf.t, a))))
+    ordered = monotonicity_report(ladder, allowance=10.0 * tol)
+    eta1_err = float(np.max(np.abs(ladder.iterates_eta[1]
+                                   - eta_first_iterate(ladder.t, a))))
     run = iterate_past(a, handoff, step=1e-3, tol=tol, max_iter=60)
     c = replace(cfg, dense_step=1e-3)
     traj = integrate(a, c)
     xi_lim, eta_lim = run.iterates_xi[-1], run.iterates_eta[-1]
-    n = len(xi_lim.values)
+    n = len(xi_lim)
     t_w, xi_w, eta_w, _, _ = traj.window
     tm = t_w[:n]
-    assert abs(tm[0] - xi_lim.t[0]) < 1e-12
-    dx = float(np.max(np.abs(xi_w[:n] - xi_lim.values)))
-    de = float(np.max(np.abs(eta_w[:n] - eta_lim.values)))
+    assert abs(tm[0] - run.t[0]) < 1e-12
+    dx = float(np.max(np.abs(xi_w[:n] - xi_lim)))
+    de = float(np.max(np.abs(eta_w[:n] - eta_lim)))
     # future-zone ladder on a substantive crossing state
     from curvscat import PhasePoint, iterate_future
     fut = iterate_future(PhasePoint(0.0, -2.0, 0.0, -0.6, -0.8),
                          t_max=6.0, step=1e-3, tol=tol, max_iter=500)
-    rep_f = monotonicity_report(fut, allowance=10.0 * tol)
-    ok = (rep.ordered and eta1_err <= 1.0 * 1e-3**2 and run.converged
-          and dx <= 1e-6 and de <= 1e-6 and fut.converged and rep_f.ordered)
+    ordered_f = monotonicity_report(fut, allowance=10.0 * tol)
+    ok = (ordered and eta1_err <= 1.0 * 1e-3**2 and run.converged
+          and dx <= 1e-6 and de <= 1e-6 and fut.converged and ordered_f)
     _report("05 monotone-iteration", ok,
-            f"20 past iterates ordered (worst {rep.worst_violation:.2e}), "
+            f"20 past iterates ordered (worst {ladder.worst_violation:.2e}), "
             f"eta1 defect {eta1_err:.2e}, limit vs integrator "
             f"({dx:.2e}, {de:.2e}), future ladder ordered "
-            f"(worst {rep_f.worst_violation:.2e})")
+            f"(worst {fut.worst_violation:.2e})")
 
 
 def test_06_bound_suite(trio):
@@ -256,7 +256,8 @@ def test_12_discretization_order(cfg):
     res_p = []
     for step in (8e-3, 4e-3, 2e-3, 1e-3):
         run = iterate_past(a, handoff, step=step, tol=1e-11, max_iter=60)
-        res_p.append(final_residual(run)[0])
+        res_p.append(final_residual(run.iterates_xi[-1], run.iterates_eta[-1],
+                                    step)[0])
     pic_ratios = [res_p[i] / res_p[i + 1] for i in range(3)]
 
     def order_ok(ratios):

@@ -7,8 +7,8 @@ from curvscat import (AsymptoticData, PhasePoint, explicit_bounds, integrate,
                       iterate_future, iterate_past, monotonicity_report,
                       xi_subsolution)
 from curvscat.cli import write_csv
-from curvscat.picard import (GridFunction, NewtonNotConvergedError, PicardRun,
-                             _PastGrid)
+from curvscat.closed_forms import start_time
+from curvscat.picard import NewtonNotConvergedError, _ladder, _PastGrid
 
 from _reference import (eta_first_iterate, final_residual, iterate_future_rowwise,
                         iterate_past_allocating, march_xi_nodewise,
@@ -17,11 +17,12 @@ from _reference import (eta_first_iterate, final_residual, iterate_future_rowwis
 
 A8 = AsymptoticData(0.0, 8.0)
 HANDOFF8 = explicit_bounds(A8).t0_lower - 1.0
+STEP8 = 1e-3
 
 
 @pytest.fixture(scope="module")
 def run8():
-    return iterate_past(A8, HANDOFF8, step=1e-3, tol=1e-10, max_iter=50)
+    return iterate_past(A8, HANDOFF8, step=STEP8, tol=1e-10, max_iter=50)
 
 
 def test_converges(run8):
@@ -33,44 +34,40 @@ def test_converges(run8):
 
 
 def test_zeroth_iterate_matches_closed_form(run8):
-    gf = run8.iterates_xi[0]
-    err = np.max(np.abs(gf.values - xi_subsolution(gf.t, A8)))
-    assert err <= 1.0 * gf.step**2
+    err = np.max(np.abs(run8.iterates_xi[0] - xi_subsolution(run8.t, A8)))
+    assert err <= 1.0 * STEP8**2
 
 
 def test_first_eta_iterate_matches_closed_form(run8):
-    gf = run8.iterates_eta[1]
-    err = np.max(np.abs(gf.values - eta_first_iterate(gf.t, A8)))
-    assert err <= 1.0 * gf.step**2
+    err = np.max(np.abs(run8.iterates_eta[1] - eta_first_iterate(run8.t, A8)))
+    assert err <= 1.0 * STEP8**2
 
 
 def test_ladder_is_monotone(run8):
-    rep = monotonicity_report(run8, allowance=1e-12)
-    assert rep.ordered
-    assert rep.worst_violation <= 1e-12
+    assert monotonicity_report(run8, allowance=1e-12)
+    assert run8.worst_violation <= 1e-12
 
 
 def test_iterate_bounds(run8):
     # every iterate stays positive, below the free line, and above the
     # explicit eta lower envelope
-    t = run8.iterates_xi[0].t
-    for gf in run8.iterates_eta:
-        assert np.all(gf.values > 0.0)
-        assert np.all(gf.values > 8.0 - np.exp(2.0 * t) / 8.0 - 1e-12)
-    for gf in run8.iterates_xi:
-        assert np.all(gf.values < 0.0 + t)
+    t = run8.t
+    for eta in run8.iterates_eta:
+        assert np.all(eta > 0.0)
+        assert np.all(eta > 8.0 - np.exp(2.0 * t) / 8.0 - 1e-12)
+    for xi in run8.iterates_xi:
+        assert np.all(xi < 0.0 + t)
 
 
 def test_limit_matches_independent_rk4(run8):
-    t = run8.iterates_xi[-1].t
-    ref = rk4_on_grid(0.0, 8.0, t, substeps=2)
-    assert np.max(np.abs(run8.iterates_xi[-1].values - ref[:, 0])) <= 1e-6
-    assert np.max(np.abs(run8.iterates_eta[-1].values - ref[:, 2])) <= 1e-6
+    ref = rk4_on_grid(0.0, 8.0, run8.t, substeps=2)
+    assert np.max(np.abs(run8.iterates_xi[-1] - ref[:, 0])) <= 1e-6
+    assert np.max(np.abs(run8.iterates_eta[-1] - ref[:, 2])) <= 1e-6
 
 
 def test_limit_residual_second_order(run8):
-    r_xi, r_eta = final_residual(run8)
-    h = run8.iterates_xi[-1].step
+    h = STEP8
+    r_xi, r_eta = final_residual(run8.iterates_xi[-1], run8.iterates_eta[-1], h)
     assert r_xi <= 10.0 * h**2 and r_eta <= 10.0 * h**2
 
 
@@ -78,9 +75,8 @@ def test_defect_quarters_under_step_halving():
     defects = []
     for step in (8e-3, 4e-3, 2e-3):
         run = iterate_past(A8, HANDOFF8, step=step, tol=1e-11, max_iter=60)
-        t = run.iterates_xi[-1].t
-        ref = rk4_on_grid(0.0, 8.0, t, substeps=4)
-        defects.append(np.max(np.abs(run.iterates_xi[-1].values - ref[:, 0])))
+        ref = rk4_on_grid(0.0, 8.0, run.t, substeps=4)
+        defects.append(np.max(np.abs(run.iterates_xi[-1] - ref[:, 0])))
     r1 = defects[0] / defects[1]
     r2 = defects[1] / defects[2]
     assert 3.0 < r1 < 5.2 and 3.0 < r2 < 5.2
@@ -101,14 +97,15 @@ def test_preconditions():
     for step in (0.0, -1e-2, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="step"):
             iterate_past(A8, HANDOFF8, step=step)
-    # t_min above, at, or one step below t_handoff: fewer than 3 nodes
-    for t_min in (HANDOFF8 + 1.0, HANDOFF8, HANDOFF8 - 1e-2):
+    # t_handoff below, at, or one step above the start time: fewer than 3 nodes
+    t_min = start_time(A8)
+    for t_handoff in (t_min - 1.0, t_min, t_min + 1e-2):
         with pytest.raises(ValueError, match="t_handoff"):
-            iterate_past(A8, HANDOFF8, step=1e-2, t_min=t_min)
+            iterate_past(A8, t_handoff, step=1e-2)
     with pytest.raises(ValueError, match="t_handoff"):
         iterate_past(A8, float("nan"), step=1e-2)
-    assert len(iterate_past(A8, HANDOFF8, step=1e-2, t_min=HANDOFF8 - 2e-2,
-                            max_iter=1).iterates_xi[-1].values) == 3
+    assert len(iterate_past(A8, t_min + 2e-2, step=1e-2,
+                            max_iter=1).iterates_xi[-1]) == 3
 
 
 ORACLE_CASES = [(step, eta_in, xi_in) for step in (1e-3, 2e-3, 8e-3)
@@ -122,10 +119,9 @@ def test_march_matches_nodewise_oracle(step, eta_in, xi_in):
     a = AsymptoticData(xi_in, eta_in)
     run = iterate_past(a, explicit_bounds(a).t0_lower - 1.0, step=step,
                        tol=0.0, max_iter=2)
-    t = run.iterates_xi[-1].t
-    for gx, ge in zip(run.iterates_xi, run.iterates_eta):
-        ref = march_xi_nodewise(t, ge.values, a, step)
-        assert np.max(np.abs(gx.values - ref)) <= 1e-13
+    for xi, eta in zip(run.iterates_xi, run.iterates_eta):
+        ref = march_xi_nodewise(run.t, eta, a, step)
+        assert np.max(np.abs(xi - ref)) <= 1e-13
 
 
 @pytest.mark.parametrize("eta_in", [1.31, 8.0, 64.0])
@@ -133,7 +129,7 @@ def test_verify_ladder_ordered(eta_in):
     a = AsymptoticData(0.0, eta_in)
     run = iterate_past(a, explicit_bounds(a).t0_lower - 1.0, step=2e-3,
                        tol=0.0, max_iter=6)
-    assert monotonicity_report(run, allowance=1e-12).ordered
+    assert monotonicity_report(run, allowance=1e-12)
 
 
 @pytest.mark.parametrize("eta_in, xi_in", [(1.31, 0.0), (8.0, -0.7), (64.0, 0.0),
@@ -142,7 +138,7 @@ def test_past_grid_starts_where_runs_start(eta_in, xi_in):
     a = AsymptoticData(xi_in, eta_in)
     run = iterate_past(a, explicit_bounds(a).t0_lower - 1.0, step=1e-2,
                        tol=0.0, max_iter=1)
-    assert run.iterates_xi[-1].t[0] == integrate(a).t[0]
+    assert run.t[0] == integrate(a).t[0]
 
 
 def test_march_newton_cap_raises_named_error():
@@ -152,7 +148,8 @@ def test_march_newton_cap_raises_named_error():
     t = HANDOFF8 - 2.0 + step * np.arange(251)
     eta = np.full(len(t), A8.eta_in)
     with pytest.raises(NewtonNotConvergedError, match="roundoff"):
-        _PastGrid(t, A8, step).march(eta, seed=xi_subsolution(t, A8) + 50.0)
+        _PastGrid(t, A8, step).march(eta, seed=xi_subsolution(t, A8) + 50.0,
+                                     out=np.empty(len(t)))
 
 
 def _ladder_hash(arrays):
@@ -171,7 +168,7 @@ def test_past_ladder_equals_the_allocating_one_bit_for_bit(eta_in):
     run = iterate_past(a, t_handoff, step=2e-3, tol=0.0, max_iter=6)
     xs, ys, history = iterate_past_allocating(a, t_handoff, 2e-3, 0.0, 6)
     assert run.sup_diff_history == history and len(xs) == len(run.iterates_xi) > 4
-    assert _ladder_hash([g.values for g in run.iterates_xi + run.iterates_eta]) == \
+    assert _ladder_hash(run.iterates_xi + run.iterates_eta) == \
         _ladder_hash(xs + ys)
 
 
@@ -182,7 +179,8 @@ def test_march_fails_on_a_nan_residual():
     eta = np.full(len(t), A8.eta_in)
     eta[100] = np.nan
     with pytest.raises(NewtonNotConvergedError, match="roundoff"):
-        _PastGrid(t, A8, step).march(eta, seed=xi_subsolution(t, A8))
+        _PastGrid(t, A8, step).march(eta, seed=xi_subsolution(t, A8),
+                                     out=np.empty(len(t)))
 
 
 # --- future zone ------------------------------------------------------------
@@ -199,17 +197,15 @@ def fut():
 
 def test_future_converges_and_monotone(fut):
     assert fut.converged
-    rep = monotonicity_report(fut, allowance=1e-12)
-    assert rep.ordered
+    assert monotonicity_report(fut, allowance=1e-12)
     assert len(fut.iterates_xi) > 3  # substantive data: not a one-step fixup
 
 
 def test_future_limit_matches_independent_rk4(fut):
-    t = fut.iterates_xi[-1].t
     ref = rk4_grid_from_state([P0.xi, P0.xi_dot, P0.eta, P0.eta_dot],
-                              t, substeps=4)
-    assert np.max(np.abs(fut.iterates_xi[-1].values - ref[:, 0])) <= 1e-6
-    assert np.max(np.abs(fut.iterates_eta[-1].values - ref[:, 2])) <= 1e-6
+                              fut.t, substeps=4)
+    assert np.max(np.abs(fut.iterates_xi[-1] - ref[:, 0])) <= 1e-6
+    assert np.max(np.abs(fut.iterates_eta[-1] - ref[:, 2])) <= 1e-6
 
 
 @pytest.mark.parametrize("eta_in", [None, 1.31, 1.5, 2.0, 2.6])
@@ -226,19 +222,19 @@ def test_future_ladder_equals_the_rowwise_one_bit_for_bit(eta_in):
     xs, ys, history = iterate_future_rowwise(p0, t_max, 2e-3, 0.1, tol, max_iter)
     assert run.sup_diff_history == history and len(history) > min_iters
     for got, want in zip(run.iterates_xi + run.iterates_eta, xs + ys):
-        assert np.array_equal(got.values.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_future_second_component_negative(fut):
-    for gf in fut.iterates_eta:
-        assert np.all(gf.values[1:] < 0.0)
+    for y in fut.iterates_eta:
+        assert np.all(y[1:] < 0.0)
 
 
 def test_future_trivial_data_first_correction_negligible():
     p0 = PhasePoint(t=0.0, xi=-30.0, eta=0.0, xi_dot=-1.0, eta_dot=-1e-3)
     run = iterate_future(p0, t_max=4.0, step=1e-2, tol=1e-14, max_iter=5)
-    dx = np.max(np.abs(run.iterates_xi[1].values - run.iterates_xi[0].values))
-    dy = np.max(np.abs(run.iterates_eta[1].values - run.iterates_eta[0].values))
+    dx = np.max(np.abs(run.iterates_xi[1] - run.iterates_xi[0]))
+    dy = np.max(np.abs(run.iterates_eta[1] - run.iterates_eta[0]))
     assert dx <= 1e-15 and dy <= 1e-15
 
 
@@ -263,26 +259,50 @@ def test_future_grid_preconditions():
             iterate_future(P0, t_max, 1e-2)
 
 
-# --- report machinery --------------------------------------------------------
+# --- ladder machinery --------------------------------------------------------
 
 
-def _gf(vals):
-    return GridFunction(0.0, 1.0, 0.5, np.asarray(vals, dtype=float))
+@pytest.mark.parametrize("step", [0.3, 0.27])
+def test_grids_end_at_or_before_their_last_time(step):
+    # a rounded node count put the last node up to step/2 beyond it: 0.1
+    # past t0_lower at step 0.3, 0.04 at 0.27, and 0.1/0.13 past t_max = 5
+    t0_lower = explicit_bounds(A8).t0_lower
+    past = iterate_past(A8, t0_lower, step=step, tol=0.0, max_iter=1)
+    fut = iterate_future(P0, 5.0, step, tol=0.0, max_iter=1)
+    assert t0_lower - step < past.t[-1] <= t0_lower
+    assert 5.0 - step < fut.t[-1] <= 5.0
+
+
+def test_ladder_grid_and_iterates_are_read_only(run8, fut):
+    assert np.array_equal(run8.t, start_time(A8) + STEP8 * np.arange(len(run8.t)))
+    for run in (run8, fut):
+        for x in [run.t] + run.iterates_xi + run.iterates_eta:
+            assert not x.flags.writeable
+            assert len(x) == len(run.t)
+        with pytest.raises(ValueError, match="read-only"):
+            run.iterates_xi[-1][0] = 0.0
+
+
+def _scripted(xs, ys):
+    """_ladder over hand-built iterates: advance returns them in turn."""
+    pairs = iter([np.array(p, dtype=float) for p in zip(xs[1:], ys[1:])])
+    t = np.linspace(0.0, 1.0, len(xs[0]))
+    return _ladder(t, np.array([xs[0], ys[0]], dtype=float),
+                   lambda pair: next(pairs), tol=-1.0, max_iter=len(xs) - 1)
 
 
 def test_monotonicity_report_counterexample():
-    run = PicardRun(
-        iterates_xi=[_gf([0.0, 0.0, 0.0]), _gf([0.0, -0.5, 0.0])],
-        iterates_eta=[_gf([1.0, 1.0, 1.0]), _gf([1.0, 1.0, 1.0])],
-        converged=True, sup_diff_history=[0.5])
-    rep = monotonicity_report(run)
-    assert not rep.ordered
-    assert rep.worst_violation == 0.5
-    assert rep.node == 1
+    run = _scripted([[0.0, 0.0, 0.0], [0.0, -0.5, 0.0]],
+                    [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+    assert run.sup_diff_history == [0.5]
+    assert not monotonicity_report(run)
+    assert run.worst_violation == 0.5
+    assert run.node == 1
 
 
-def _report_bits(rep):
-    return rep.ordered, np.float64(rep.worst_violation).view(np.uint64), rep.node
+def _report_bits(run, allowance):
+    return (monotonicity_report(run, allowance),
+            np.float64(run.worst_violation).view(np.uint64), run.node)
 
 
 def _scan_bits(ordered, worst, node):
@@ -300,8 +320,9 @@ def test_monotonicity_report_equals_the_two_temporary_scan(eta_in):
     fut = iterate_future(p0, p0.t + 5.0, 2e-3, 0.1, 1e-9, 400)
     for run in (past, fut):
         for allowance in (0.0, 1e-12, 1e-8):
-            assert _report_bits(monotonicity_report(run, allowance)) == \
-                _scan_bits(*monotonicity_two_temporaries(run, allowance))
+            assert _report_bits(run, allowance) == _scan_bits(
+                *monotonicity_two_temporaries(run.iterates_xi, run.iterates_eta,
+                                              allowance))
 
 
 def test_monotonicity_report_on_hand_built_ladders_equals_the_old_scan():
@@ -320,49 +341,48 @@ def test_monotonicity_report_on_hand_built_ladders_equals_the_old_scan():
         ([[0.0, 0.0, 0.0], [-0.25, 0.0, 0.0]], [flat, [1.0, 1.0, 1.25]]),
         # a NaN
         ([[0.0, 0.0, 0.0], [0.0, np.nan, -0.25]], [flat, flat]),
+        # violations in several pairs of both ladders, the worst a tie
+        # between the second ladder's first pair (node 2) and the first
+        # ladder's second pair (node 0): the first ladder wins, where a
+        # scan pair by pair would report node 2
+        ([[0.0, 0.0, 0.0], [0.0, -0.25, 0.0], [-0.5, -0.25, 0.0],
+          [-0.5, -0.25, -0.5]],
+         [flat, [1.0, 1.0, 1.5], [1.0, 1.25, 1.5], [1.0, 1.25, 1.5]]),
     ]
     for xs, ys in ladders:
-        run = PicardRun(iterates_xi=[_gf(v) for v in xs],
-                        iterates_eta=[_gf(v) for v in ys],
-                        converged=True, sup_diff_history=[])
+        run = _scripted(xs, ys)
+        assert len(run.iterates_xi) == len(xs)
         for allowance in (0.0, 0.3):
-            assert _report_bits(monotonicity_report(run, allowance)) == \
-                _scan_bits(*monotonicity_two_temporaries(run, allowance)), (xs, ys)
+            assert _report_bits(run, allowance) == \
+                _scan_bits(*monotonicity_two_temporaries(xs, ys, allowance)), (xs, ys)
+    assert (run.worst_violation, run.node) == (0.5, 0)
 
 
 def test_monotonicity_report_single_iterate_vacuous():
-    run = PicardRun(iterates_xi=[_gf([0.0, 0.0, 0.0])],
-                    iterates_eta=[_gf([1.0, 1.0, 1.0])],
-                    converged=True, sup_diff_history=[])
-    assert monotonicity_report(run).ordered
-
-
-def test_gridfunction_validation():
-    with pytest.raises(ValueError):
-        GridFunction(0.0, 1.0, 0.5, np.zeros(4))
-    gf = _gf([1.0, 2.0, 3.0])
-    assert np.allclose(gf.t, [0.0, 0.5, 1.0])
+    run = _scripted([[0.0, 0.0, 0.0]], [[1.0, 1.0, 1.0]])
+    assert run.sup_diff_history == [] and not run.converged
+    assert monotonicity_report(run)
+    assert (run.worst_violation, run.node) == (0.0, -1)
 
 
 def test_write_csv(tmp_path):
     # an iterate through the CLI's block writer, as scripts/monotone_ladder.py
     # writes it, byte for byte against the row-by-row ladder writer
-    gf = _gf([1.0, 2.0, 3.0])
+    t, values = np.array([0.0, 0.5, 1.0]), np.array([1.0, 2.0, 3.0])
     path = tmp_path / "ladder.csv"
-    write_csv(path, ["t", "value"], [gf.t, gf.values])
+    write_csv(path, ["t", "value"], [t, values])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,value"
     assert len(lines) == 4
     assert lines[1].split(",") == ["0", "1"]
-    write_ladder_csv(gf, tmp_path / "rowwise.csv")
+    write_ladder_csv(t, values, tmp_path / "rowwise.csv")
     assert path.read_bytes() == (tmp_path / "rowwise.csv").read_bytes()
 
 
 def test_eta_first_iterate_between_limit_and_level(run8):
     # closed-form first iterate sits between the converged limit and the
     # past level, up to quadrature error
-    t = run8.iterates_eta[-1].t
-    e1 = eta_first_iterate(t, A8)
-    h2 = run8.iterates_eta[-1].step**2
+    e1 = eta_first_iterate(run8.t, A8)
+    h2 = STEP8**2
     assert np.all(e1 <= 8.0 + 1e-12)
-    assert np.all(run8.iterates_eta[-1].values <= e1 + h2)
+    assert np.all(run8.iterates_eta[-1] <= e1 + h2)

@@ -41,9 +41,9 @@ def test_monotone_ladder_csv_matches_rowwise(tmp_path):
     a = AsymptoticData(0.0, 8.0)
     run = iterate_past(a, explicit_bounds(a).t0_lower - 1.0, step=8e-3,
                        tol=-1.0, max_iter=2)
-    for k, (gx, ge) in enumerate(zip(run.iterates_xi, run.iterates_eta)):
-        for name, gf in ((f"xi_{k:02d}.csv", gx), (f"eta_{k:02d}.csv", ge)):
-            write_ladder_csv(gf, tmp_path / "rowwise.csv")
+    for k, (xi, eta) in enumerate(zip(run.iterates_xi, run.iterates_eta)):
+        for name, values in ((f"xi_{k:02d}.csv", xi), (f"eta_{k:02d}.csv", eta)):
+            write_ladder_csv(run.t, values, tmp_path / "rowwise.csv")
             assert ((tmp_path / name).read_bytes()
                     == (tmp_path / "rowwise.csv").read_bytes())
 
