@@ -7,6 +7,11 @@ CR LF (csv.writer's dialect, never quoted); each block of _CSV_BLOCK_ROWS
 rows is rendered at once by csvformat.format_rows, every field byte-equal
 to Python's '%.12g'.  Exit codes: 0 ok, 1 usage error or solver failure,
 2 non-scattering outcome, 3 partial sweep failure, 4 verification failure.
+
+Every command computes the content of all its files before --out-dir
+exists; one function, _emit, then makes the directory, writes the files and
+writes manifest.json listing exactly them.  An input that fails, at any
+stage, leaves no directory behind.
 """
 
 from __future__ import annotations
@@ -182,6 +187,19 @@ def write_manifest(out_dir: Path, command: str, argv: list[str], inputs: dict,
     })
 
 
+def _emit(args, argv, command: str, inputs: dict, cfg: SolverConfig,
+          files: dict) -> None:
+    """Make --out-dir, call each name's writer with its path in order, then
+    write the manifest listing exactly those names: every command builds
+    its whole output first and calls this once, last, so an input that
+    fails leaves no directory behind."""
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, write in files.items():
+        write(out / name)
+    write_manifest(out, command, argv, inputs, cfg, list(files))
+
+
 # --- shared pieces -----------------------------------------------------------
 
 
@@ -192,76 +210,51 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--" + f.name.replace("_", "-"), type=float, default=f.default)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _config_from(args) -> SolverConfig:
     return SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
 
 
-def _events_dict(traj: Trajectory) -> dict:
+def _summary(inputs: dict, cfg: SolverConfig, **entries) -> dict:
+    """summary.json's body: schema and inputs, the entries, then the config."""
+    return {"schema": "curvscat/summary/v4", "inputs": inputs, **entries,
+            "config": _field_dict(cfg)}
+
+
+def _run_files(traj: Trajectory, inputs: dict, cfg: SolverConfig,
+               **entries) -> dict:
+    """A run's files: its trajectory, its radial data when it escaped past
+    eta's zero crossing, and its summary, which ends with the entries."""
     ev = traj.events
-    return {"t0": ev.t0, "t_half": ev.t_half, "t_m": ev.t_m,
-            "blowup": None if ev.blowup is None else {"last_state": _field_dict(ev.blowup)}}
-
-
-def _summary(inputs: dict, cfg: SolverConfig, traj: "Trajectory | None" = None,
-             **entries) -> dict:
-    """summary.json body: schema and inputs, the run's events, the given
-    entries, the run's drift, then the config (the run's entries only with
-    traj)."""
-    summary = {"schema": "curvscat/summary/v4", "inputs": inputs}
-    if traj is not None:
-        summary["events"] = _events_dict(traj)
-    summary.update(entries)
-    if traj is not None:
-        summary["drift"] = traj.max_energy_drift
-    summary["config"] = _field_dict(cfg)
-    return summary
-
-
-def _solution_summary(traj: Trajectory, inputs: dict, cfg: SolverConfig) -> tuple[dict, "geometry.RadialSolution | None"]:
-    theta = deflection(traj)
-    summary = _summary(inputs, cfg, traj, theta=theta, escaped=True)
-    sol = None
-    if traj.events.t0 is not None:
+    events = {"t0": ev.t0, "t_half": ev.t_half, "t_m": ev.t_m,
+              "blowup": None if ev.blowup is None else {"last_state": _field_dict(ev.blowup)}}
+    if traj.escaped:
+        ending = {"theta": deflection(traj), "escaped": True}
+    else:
+        ending = {"escaped": False, "blowup": {"reason": traj.outcome.value}}
+    summary = _summary(inputs, cfg, events=events, **ending,
+                       drift=traj.max_energy_drift)
+    files = {"trajectory.csv": lambda path: write_trajectory_csv(path, traj)}
+    if traj.escaped and ev.t0 is not None:
         sol = geometry.to_radial(traj)
-        kap_t, al_t = geometry.theta_identities(theta)
-        pokhozaev = geometry.pokhozaev_residual(sol.kappa, sol.alpha)
+        kap_t, al_t = geometry.theta_identities(summary["theta"])
         summary.update({
             "kappa": sol.kappa,
             "alpha": sol.alpha,
             "k_star": sol.k_star,
             "fits": _field_dict(geometry.asymptotic_fit(traj)),
             "residuals": {
-                "pokhozaev": pokhozaev,
+                "pokhozaev": geometry.pokhozaev_residual(sol.kappa, sol.alpha),
                 "pokhozaev_rel": geometry.relative_pokhozaev_residual(sol.kappa, sol.alpha),
                 "kappa_vs_theta_rel": abs(sol.kappa - kap_t) / kap_t,
                 "alpha_vs_theta_rel": abs(sol.alpha - al_t) / al_t,
             },
         })
-    else:
+        files["radial.csv"] = lambda path: write_radial_csv(path, sol)
+    elif traj.escaped:
         summary["note"] = "eta zero crossing beyond the time budget: no radial data"
-    return summary, sol
-
-
-def _write_run(args, argv, command: str, inputs: dict, cfg: SolverConfig,
-               summary: dict, traj: "Trajectory | None" = None,
-               sol: "geometry.RadialSolution | None" = None) -> None:
-    """Make the output directory and write a finished run's files into it."""
-    out = _out_dir(args)
-    outputs = ["summary.json"]
-    if traj is not None:
-        write_trajectory_csv(out / "trajectory.csv", traj)
-        outputs.append("trajectory.csv")
-    if sol is not None:
-        write_radial_csv(out / "radial.csv", sol)
-        outputs.append("radial.csv")
-    write_json(out / "summary.json", summary)
-    write_manifest(out, command, argv, inputs, cfg, outputs)
+    summary.update(entries)
+    files["summary.json"] = lambda path: write_json(path, summary)
+    return files
 
 
 # --- commands ----------------------------------------------------------------
@@ -271,19 +264,12 @@ def cmd_solve(args, argv) -> int:
     cfg = _config_from(args)
     a = AsymptoticData(args.xi_in, args.eta_in)
     inputs = {"eta_in": args.eta_in, "xi_in": args.xi_in}
-
     traj = integrate(a, cfg)
-    if not traj.escaped:
-        summary = _summary(inputs, cfg, traj, escaped=False,
-                           blowup={"reason": traj.outcome.value})
-        _write_run(args, argv, "solve", inputs, cfg, summary, traj)
+    _emit(args, argv, "solve", inputs, cfg, _run_files(traj, inputs, cfg))
+    if traj.escaped:
+        print(f"theta = {deflection(traj):.12g}")
+    else:
         print(f"non-scattering: {traj.outcome.value}")
-        return EXIT_CODE[traj.outcome]
-
-    # the summary can still fail (a ValueError, exit 1): build it first
-    summary, sol = _solution_summary(traj, inputs, cfg)
-    _write_run(args, argv, "solve", inputs, cfg, summary, traj, sol)
-    print(f"theta = {summary['theta']:.12g}")
     return EXIT_CODE[traj.outcome]
 
 
@@ -291,26 +277,25 @@ def cmd_shoot(args, argv) -> int:
     cfg = _config_from(args)
     theta_t = parse_angle(args.theta)
     inputs = {"theta_target": theta_t, "root_tol": args.root_tol}
-    # no directory until shoot has checked its arguments
     try:
         res = shooting.shoot(theta_t, cfg, root_tol=args.root_tol,
                              ceiling=args.eta_ceiling)
     except shooting.BracketNotFoundError as exc:
-        _write_run(args, argv, "shoot", inputs, cfg, _summary(
-            inputs, cfg, error=str(exc),
-            scanned=[{"eta_in": e, "theta": th} for e, th in exc.scanned]))
+        summary = _summary(inputs, cfg, error=str(exc), scanned=[
+            {"eta_in": e, "theta": th} for e, th in exc.scanned])
+        _emit(args, argv, "shoot", inputs, cfg,
+              {"summary.json": lambda path: write_json(path, summary)})
         print(f"bracket not found: {exc}")
         return EXIT_NONSCATTERING
 
-    summary, sol = _solution_summary(res.trajectory, inputs, cfg)
-    summary["shooting"] = {
-        "theta_target": res.theta_target,
-        "theta_achieved": res.theta_achieved,
-        "eta_in": res.eta_in_found,
-        "iterations": res.iterations,
-        "bracket": list(res.bracket),
-    }
-    _write_run(args, argv, "shoot", inputs, cfg, summary, res.trajectory, sol)
+    _emit(args, argv, "shoot", inputs, cfg, _run_files(
+        res.trajectory, inputs, cfg, shooting={
+            "theta_target": res.theta_target,
+            "theta_achieved": res.theta_achieved,
+            "eta_in": res.eta_in_found,
+            "iterations": res.iterations,
+            "bracket": list(res.bracket),
+        }))
     print(f"eta_in = {res.eta_in_found:.12g}  theta = {res.theta_achieved:.12g}")
     return EXIT_OK
 
@@ -326,18 +311,13 @@ def cmd_sweep(args, argv) -> int:
         print(f"theta {r.theta_target:+.6f}: {r.status}"
               + (f" eta_in = {r.eta_in:.9g}" if r.status == "ok" else ""))
 
-    # no directory until sweep has checked its search arguments
     rows = shooting.sweep(grid, cfg, root_tol=args.root_tol,
                           ceiling=args.eta_ceiling, on_row=report)
-    out = _out_dir(args)
-    write_sweep_csv(out / "sweep.csv", rows)
-    write_json(out / "sweep.json", {
-        "schema": "curvscat/sweep/v3",
-        "inputs": inputs,
-        "rows": [_field_dict(r) for r in rows],
-        "config": _field_dict(cfg),
-    })
-    write_manifest(out, "sweep", argv, inputs, cfg, ["sweep.csv", "sweep.json"])
+    body = {"schema": "curvscat/sweep/v3", "inputs": inputs,
+            "rows": [_field_dict(r) for r in rows], "config": _field_dict(cfg)}
+    _emit(args, argv, "sweep", inputs, cfg, {
+        "sweep.csv": lambda path: write_sweep_csv(path, rows),
+        "sweep.json": lambda path: write_json(path, body)})
     failures = sum(1 for r in rows if r.status != "ok")
     return EXIT_PARTIAL if failures else EXIT_OK
 
@@ -346,19 +326,15 @@ def cmd_verify(args, argv) -> int:
     cfg = _config_from(args)
     etas = args.eta_in
     results = verification.run_suite(etas, cfg)
-    out = _out_dir(args)
-    for r in results:
-        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name} (eta_in = {r.eta_in:g}): {r.detail}")
     all_pass = all(r.passed for r in results)
     inputs = {"eta_in": list(etas)}
-    write_json(out / "verify_report.json", {
-        "schema": "curvscat/verify/v3",
-        "inputs": inputs,
-        "items": [_field_dict(r) for r in results],
-        "passed": all_pass,
-        "config": _field_dict(cfg),
-    })
-    write_manifest(out, "verify", argv, inputs, cfg, ["verify_report.json"])
+    report = {"schema": "curvscat/verify/v3", "inputs": inputs,
+              "items": [_field_dict(r) for r in results], "passed": all_pass,
+              "config": _field_dict(cfg)}
+    _emit(args, argv, "verify", inputs, cfg,
+          {"verify_report.json": lambda path: write_json(path, report)})
+    for r in results:
+        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name} (eta_in = {r.eta_in:g}): {r.detail}")
     print("verification " + ("PASSED" if all_pass else "FAILED"))
     return EXIT_OK if all_pass else EXIT_VERIFY_FAIL
 
@@ -368,22 +344,18 @@ def cmd_flow(args, argv) -> int:
     state = analysis.GradientFlowState.from_anchor(
         args.mu0, args.delta, args.epsilon, nu0=args.nu0)
     res = analysis.gradient_flow_run(state, tol=args.tol, max_iter=args.max_iter)
-    out = _out_dir(args)
     history = np.asarray(res.history, dtype=float).reshape(-1, 3)
-    write_csv(out / "flow.csv", ["n", "mu", "nu", "grad_norm"],
-              [np.arange(len(history)), *history.T])
+    columns = [np.arange(len(history)), *history.T]
     inputs = {"mu0": state.mu0, "nu0": state.nu0, "delta": state.delta,
               "epsilon": state.epsilon, "tol": args.tol}
-    write_json(out / "flow_summary.json", {
-        "schema": "curvscat/flow/v1",
-        "inputs": inputs,
-        "fixed_point": {"mu": res.fixed_point[0], "nu": res.fixed_point[1]},
-        "iterations": res.iterations,
-        "stayed_in_quadrant": res.stayed_in_quadrant,
-        "converged": res.converged,
-        "grad_norm": res.grad_norm,
-    })
-    write_manifest(out, "flow", argv, inputs, cfg, ["flow.csv", "flow_summary.json"])
+    body = {"schema": "curvscat/flow/v1", "inputs": inputs,
+            "fixed_point": {"mu": res.fixed_point[0], "nu": res.fixed_point[1]},
+            "iterations": res.iterations,
+            "stayed_in_quadrant": res.stayed_in_quadrant,
+            "converged": res.converged, "grad_norm": res.grad_norm}
+    _emit(args, argv, "flow", inputs, cfg, {
+        "flow.csv": lambda path: write_csv(path, ["n", "mu", "nu", "grad_norm"], columns),
+        "flow_summary.json": lambda path: write_json(path, body)})
     ok = res.converged and res.stayed_in_quadrant
     print(f"fixed point = ({res.fixed_point[0]:.12g}, {res.fixed_point[1]:.12g})"
           f"  converged = {res.converged}  in_quadrant = {res.stayed_in_quadrant}")

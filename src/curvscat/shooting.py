@@ -233,20 +233,20 @@ class SweepRow:
 
 
 def sweep(theta_grid, cfg: SolverConfig = SolverConfig(),
-          root_tol: float = 1e-8, *, on_row: Optional[Callable[[SweepRow], None]] = None,
-          **shoot_kw) -> list[SweepRow]:
+          root_tol: float = 1e-8, ceiling: float = DEFAULT_CEILING, *,
+          on_row: Optional[Callable[[SweepRow], None]] = None) -> list[SweepRow]:
     """One shoot plus geometry evaluation per grid angle, in grid order.
 
     Row failures are recorded in the status field (values NaN) and the sweep
     continues; bad search arguments raise ValueError before the first row.
     on_row, when given, is called with each row as it is done.
     """
-    check_search(root_tol, shoot_kw.get("ceiling", DEFAULT_CEILING))
+    check_search(root_tol, ceiling)
     rows: list[SweepRow] = []
     for theta_t in theta_grid:
         theta_t = float(theta_t)
         try:
-            res = shoot(theta_t, cfg, root_tol=root_tol, **shoot_kw)
+            res = shoot(theta_t, cfg, root_tol=root_tol, ceiling=ceiling)
             sol = geometry.to_radial(res.trajectory)
             rows.append(SweepRow(
                 theta_target=theta_t,

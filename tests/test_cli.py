@@ -300,11 +300,13 @@ def test_bad_search_and_flow_arguments_are_usage_errors(tmp_path, capsys,
     ("solve", "--eta-in", "8", "--dense-step", "5"),
     ("shoot", "--theta=-0.75pi", "--dense-step", "5"),
     ("solve", "--eta-in", "8", "--t-start-offset", "14"),
+    ("verify", "--eta-in", "8", "nan"),
 ])
 def test_bad_inputs_make_no_out_dir(tmp_path, capsys, args):
     # the target margin, solver flags, data and angles are checked before
     # any directory is made; so is the summary, which a grid too coarse for
-    # the quadrature (--dense-step 5) fails
+    # the quadrature (--dense-step 5) fails, and so is a verify whose last
+    # datum fails after the suite has run on the first
     out = tmp_path / "run"
     assert _run(*args, "--out-dir", str(out)) == EXIT_USAGE
     assert not out.exists()
@@ -440,6 +442,53 @@ def test_json_float_17_digits(tmp_path):
     line = next(l for l in text.splitlines() if '"theta"' in l)
     digits = line.split(":")[1].strip().rstrip(",").replace("-", "").replace(".", "")
     assert len(digits) == 17
+
+
+@pytest.mark.parametrize("args, code, written", [
+    (("solve", "--eta-in", "8"), EXIT_OK,
+     {"trajectory.csv", "radial.csv", "summary.json"}),
+    (("solve", "--eta-in", "30"), EXIT_OK, {"trajectory.csv", "summary.json"}),
+    (("solve", "--eta-in", "1.0"), EXIT_NONSCATTERING,
+     {"trajectory.csv", "summary.json"}),
+    (("solve", "--eta-in", "8", "--max-time", "19"), EXIT_NONSCATTERING,
+     {"trajectory.csv", "summary.json"}),
+    (("shoot", "--theta=-0.75pi"), EXIT_OK,
+     {"trajectory.csv", "radial.csv", "summary.json"}),
+    (("shoot", "--theta=-0.99pi", "--eta-ceiling", "10"), EXIT_NONSCATTERING,
+     {"summary.json"}),
+    (("sweep", "--theta-min=-0.99pi", "--theta-max=-0.6pi", "--n", "2",
+      "--eta-ceiling", "10"), EXIT_PARTIAL, {"sweep.csv", "sweep.json"}),
+    (("verify", "--eta-in", "8"), EXIT_OK, {"verify_report.json"}),
+    (("verify", "--eta-in", "30"), EXIT_VERIFY_FAIL, {"verify_report.json"}),
+    (("flow", "--mu0", "-0.7", "--delta", "1e-4"), EXIT_OK,
+     {"flow.csv", "flow_summary.json"}),
+    (("flow", "--mu0", "-0.1", "--delta", "1.0"), EXIT_NONSCATTERING,
+     {"flow.csv", "flow_summary.json"}),
+])
+def test_manifest_lists_exactly_the_files_written(tmp_path, args, code, written):
+    # every command and every way it ends: the directory holds the files
+    # the manifest names, no more and no fewer
+    out = tmp_path / "run"
+    assert _run(*args, "--out-dir", str(out)) == code
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert outputs == sorted(written | {"manifest.json"})
+    assert sorted(os.listdir(out)) == outputs
+
+
+def test_writers_are_looked_up_when_called(tmp_path, monkeypatch):
+    # the benchmark's tracer wraps these module attributes after import, so
+    # a command must reach its writers through them; write_manifest writes
+    # its JSON through write_json too
+    seen = []
+    for name in ("write_trajectory_csv", "write_radial_csv", "write_json",
+                 "write_manifest"):
+        def recording(*a, _name=name, _fn=getattr(cli, name)):
+            seen.append(_name)
+            return _fn(*a)
+        monkeypatch.setattr(cli, name, recording)
+    assert _run("shoot", "--theta=-0.75pi", "--out-dir", str(tmp_path)) == EXIT_OK
+    assert seen == ["write_trajectory_csv", "write_radial_csv", "write_json",
+                    "write_manifest", "write_json"]
 
 
 @pytest.mark.parametrize("args", [
