@@ -30,6 +30,10 @@ from .integrator import Trajectory
 
 # --- gradient-flow recurrence ---------------------------------------------
 
+DEFAULT_EPSILON = 0.1
+DEFAULT_TOL = 1e-10
+DEFAULT_MAX_ITER = 100000
+
 
 @dataclass(frozen=True)
 class GradientFlowState:
@@ -51,7 +55,7 @@ class GradientFlowState:
             raise ValueError("epsilon must lie in (0, 1)")
 
     @classmethod
-    def from_anchor(cls, mu0: float, delta: float, epsilon: float = 0.1,
+    def from_anchor(cls, mu0: float, delta: float, epsilon: float = DEFAULT_EPSILON,
                     nu0: Optional[float] = None) -> "GradientFlowState":
         """Start at the anchor; nu0 defaults to the circle point -sqrt(1-mu0^2)."""
         if nu0 is None:
@@ -75,8 +79,8 @@ class GradientFlowResult:
     history: list[tuple[float, float, float]] = field(default_factory=list)
 
 
-def gradient_flow_run(s0: GradientFlowState, tol: float = 1e-10,
-                      max_iter: int = 100000) -> GradientFlowResult:
+def gradient_flow_run(s0: GradientFlowState, tol: float = DEFAULT_TOL,
+                      max_iter: int = DEFAULT_MAX_ITER) -> GradientFlowResult:
     """Run the damped recurrence until ||Grad W|| <= tol.
 
     Requires the start point in the open quadrant mu < 0, nu < 0.  If an
@@ -100,9 +104,8 @@ def gradient_flow_run(s0: GradientFlowState, tol: float = 1e-10,
         if mu_next >= 0.0 or nu_next >= 0.0:
             return GradientFlowResult((mu, nu), n, False, False, gn, history)
         mu, nu = mu_next, nu_next
-    gmu, gnu = potential_gradient(s0, mu, nu)
     return GradientFlowResult((mu, nu), max_iter, True, False,
-                              math.hypot(gmu, gnu), history)
+                              math.hypot(*potential_gradient(s0, mu, nu)), history)
 
 
 # --- trajectory convexity diagnostics --------------------------------------
@@ -114,6 +117,8 @@ class InflectionReport:
     eta_sim: float
     sign_pattern_ok: bool
     g_start: float
+    crossings: int      # sign changes of g between samples, either way
+    max_rise: float     # the largest increase of g between samples
 
 
 def g_values(traj: Trajectory) -> np.ndarray:
@@ -126,14 +131,15 @@ def g_values(traj: Trajectory) -> np.ndarray:
 
 
 def inflection_diagnostics(traj: Trajectory) -> InflectionReport:
-    """Locate the single sign change of g and check the convexity pattern.
+    """Count the sign changes of g, locate the first and check the convexity.
 
-    eta_sim is the eta level at the crossing; below it the path xi = f(eta)
-    is strictly convex, above it strictly concave.  Raises ValueError when no
-    crossing is found (not expected on accepted runs).
+    eta_sim is the eta level at the first crossing; below it the path
+    xi = f(eta) is strictly convex, above it strictly concave.  Raises
+    ValueError when no crossing is found (not expected on accepted runs).
     """
     g = g_values(traj)
     down = np.nonzero((g[:-1] > 0.0) & (g[1:] <= 0.0))[0]
+    up = int(np.count_nonzero((g[:-1] < 0.0) & (g[1:] >= 0.0)))
     if len(down) == 0:
         raise ValueError("no sign change of xi_dot - 2*eta*eta_dot found")
     k = int(down[0])
@@ -150,5 +156,6 @@ def inflection_diagnostics(traj: Trajectory) -> InflectionReport:
     above = traj.eta > eta_sim + band
     below = traj.eta < eta_sim - band
     ok = bool(np.all(f2_sign[above] < 0.0) and np.all(f2_sign[below] > 0.0))
-    return InflectionReport(t_inflection=t_inf, eta_sim=eta_sim,
-                            sign_pattern_ok=ok, g_start=float(g[0]))
+    return InflectionReport(t_inflection=t_inf, eta_sim=eta_sim, sign_pattern_ok=ok,
+                            g_start=float(g[0]), crossings=len(down) + up,
+                            max_rise=float(np.diff(g).max()))

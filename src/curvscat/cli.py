@@ -11,7 +11,9 @@ to Python's '%.12g'.  Exit codes: 0 ok, 1 usage error or solver failure,
 Every command computes the content of all its files before --out-dir
 exists; one function, _emit, then makes the directory, writes the files and
 writes manifest.json listing exactly them.  An input that fails, at any
-stage, leaves no directory behind.
+stage, leaves no directory behind.  The solver settings are recorded once,
+in the config echo of summary.json, sweep.json or verify_report.json, not in
+the manifest; flow integrates nothing and takes no solver flag.
 """
 
 from __future__ import annotations
@@ -174,40 +176,44 @@ def _field_dict(obj) -> dict:
 
 
 def write_manifest(out_dir: Path, command: str, argv: list[str], inputs: dict,
-                   cfg: SolverConfig, outputs: list[str]) -> None:
+                   outputs: list[str]) -> None:
     write_json(out_dir / "manifest.json", {
-        "schema": "curvscat/manifest/v3",
+        "schema": "curvscat/manifest/v4",
         "command": command,
         "argv": argv,
         "inputs": inputs,
-        "config": _field_dict(cfg),
         "outputs": sorted(outputs + ["manifest.json"]),
         "version": f"curvscat {__version__}",
         "timestamp": datetime.now(timezone.utc).isoformat(),
     })
 
 
-def _emit(args, argv, command: str, inputs: dict, cfg: SolverConfig,
-          files: dict) -> None:
+def _emit(args, argv, inputs: dict, files: dict) -> None:
     """Make --out-dir, call each name's writer with its path in order, then
-    write the manifest listing exactly those names: every command builds
-    its whole output first and calls this once, last, so an input that
-    fails leaves no directory behind."""
+    write the manifest of args.command listing exactly those names: every
+    command builds its whole output first and calls this once, last, so an
+    input that fails leaves no directory behind."""
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, write in files.items():
         write(out / name)
-    write_manifest(out, command, argv, inputs, cfg, list(files))
+    write_manifest(out, args.command, argv, inputs, list(files))
 
 
 # --- shared pieces -----------------------------------------------------------
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    """--out-dir, then one flag per SolverConfig field, in field order."""
+def _add_common_flags(p: argparse.ArgumentParser, solver: bool = True) -> None:
+    """--out-dir, then, if solver, one flag per SolverConfig field in order."""
     p.add_argument("--out-dir", default=".", help="directory for emitted files")
-    for f in fields(SolverConfig):
+    for f in fields(SolverConfig) if solver else ():
         p.add_argument("--" + f.name.replace("_", "-"), type=float, default=f.default)
+
+
+def _add_search_flags(p: argparse.ArgumentParser) -> None:
+    """shoot's and sweep's --root-tol and --eta-ceiling."""
+    p.add_argument("--root-tol", type=_positive_float, default=shooting.DEFAULT_ROOT_TOL)
+    p.add_argument("--eta-ceiling", type=_positive_float, default=shooting.DEFAULT_CEILING)
 
 
 def _config_from(args) -> SolverConfig:
@@ -220,8 +226,7 @@ def _summary(inputs: dict, cfg: SolverConfig, **entries) -> dict:
             "config": _field_dict(cfg)}
 
 
-def _run_files(traj: Trajectory, inputs: dict, cfg: SolverConfig,
-               **entries) -> dict:
+def _run_files(traj: Trajectory, inputs: dict, **entries) -> dict:
     """A run's files: its trajectory, its radial data when it escaped past
     eta's zero crossing, and its summary, which ends with the entries."""
     ev = traj.events
@@ -231,7 +236,7 @@ def _run_files(traj: Trajectory, inputs: dict, cfg: SolverConfig,
         ending = {"theta": deflection(traj), "escaped": True}
     else:
         ending = {"escaped": False, "blowup": {"reason": traj.outcome.value}}
-    summary = _summary(inputs, cfg, events=events, **ending,
+    summary = _summary(inputs, traj.config, events=events, **ending,
                        drift=traj.max_energy_drift)
     files = {"trajectory.csv": lambda path: write_trajectory_csv(path, traj)}
     if traj.escaped and ev.t0 is not None:
@@ -261,11 +266,9 @@ def _run_files(traj: Trajectory, inputs: dict, cfg: SolverConfig,
 
 
 def cmd_solve(args, argv) -> int:
-    cfg = _config_from(args)
-    a = AsymptoticData(args.xi_in, args.eta_in)
     inputs = {"eta_in": args.eta_in, "xi_in": args.xi_in}
-    traj = integrate(a, cfg)
-    _emit(args, argv, "solve", inputs, cfg, _run_files(traj, inputs, cfg))
+    traj = integrate(AsymptoticData(args.xi_in, args.eta_in), _config_from(args))
+    _emit(args, argv, inputs, _run_files(traj, inputs))
     if traj.escaped:
         print(f"theta = {deflection(traj):.12g}")
     else:
@@ -283,13 +286,12 @@ def cmd_shoot(args, argv) -> int:
     except shooting.BracketNotFoundError as exc:
         summary = _summary(inputs, cfg, error=str(exc), scanned=[
             {"eta_in": e, "theta": th} for e, th in exc.scanned])
-        _emit(args, argv, "shoot", inputs, cfg,
-              {"summary.json": lambda path: write_json(path, summary)})
+        _emit(args, argv, inputs, {"summary.json": lambda path: write_json(path, summary)})
         print(f"bracket not found: {exc}")
         return EXIT_NONSCATTERING
 
-    _emit(args, argv, "shoot", inputs, cfg, _run_files(
-        res.trajectory, inputs, cfg, shooting={
+    _emit(args, argv, inputs, _run_files(
+        res.trajectory, inputs, shooting={
             "theta_target": res.theta_target,
             "theta_achieved": res.theta_achieved,
             "eta_in": res.eta_in_found,
@@ -315,23 +317,21 @@ def cmd_sweep(args, argv) -> int:
                           ceiling=args.eta_ceiling, on_row=report)
     body = {"schema": "curvscat/sweep/v3", "inputs": inputs,
             "rows": [_field_dict(r) for r in rows], "config": _field_dict(cfg)}
-    _emit(args, argv, "sweep", inputs, cfg, {
+    _emit(args, argv, inputs, {
         "sweep.csv": lambda path: write_sweep_csv(path, rows),
         "sweep.json": lambda path: write_json(path, body)})
-    failures = sum(1 for r in rows if r.status != "ok")
-    return EXIT_PARTIAL if failures else EXIT_OK
+    return EXIT_PARTIAL if any(r.status != "ok" for r in rows) else EXIT_OK
 
 
 def cmd_verify(args, argv) -> int:
     cfg = _config_from(args)
-    etas = args.eta_in
-    results = verification.run_suite(etas, cfg)
+    results = verification.run_suite(args.eta_in, cfg)
     all_pass = all(r.passed for r in results)
-    inputs = {"eta_in": list(etas)}
+    inputs = {"eta_in": list(args.eta_in)}
     report = {"schema": "curvscat/verify/v3", "inputs": inputs,
               "items": [_field_dict(r) for r in results], "passed": all_pass,
               "config": _field_dict(cfg)}
-    _emit(args, argv, "verify", inputs, cfg,
+    _emit(args, argv, inputs,
           {"verify_report.json": lambda path: write_json(path, report)})
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name} (eta_in = {r.eta_in:g}): {r.detail}")
@@ -340,7 +340,6 @@ def cmd_verify(args, argv) -> int:
 
 
 def cmd_flow(args, argv) -> int:
-    cfg = _config_from(args)
     state = analysis.GradientFlowState.from_anchor(
         args.mu0, args.delta, args.epsilon, nu0=args.nu0)
     res = analysis.gradient_flow_run(state, tol=args.tol, max_iter=args.max_iter)
@@ -353,7 +352,7 @@ def cmd_flow(args, argv) -> int:
             "iterations": res.iterations,
             "stayed_in_quadrant": res.stayed_in_quadrant,
             "converged": res.converged, "grad_norm": res.grad_norm}
-    _emit(args, argv, "flow", inputs, cfg, {
+    _emit(args, argv, inputs, {
         "flow.csv": lambda path: write_csv(path, ["n", "mu", "nu", "grad_norm"], columns),
         "flow_summary.json": lambda path: write_json(path, body)})
     ok = res.converged and res.stayed_in_quadrant
@@ -374,41 +373,39 @@ def build_parser() -> _Parser:
     ps = sub.add_parser("solve", help="integrate one (eta_in, xi_in) datum")
     ps.add_argument("--eta-in", type=float, required=True)
     ps.add_argument("--xi-in", type=float, default=0.0)
-    _add_solver_flags(ps)
+    _add_common_flags(ps)
     ps.set_defaults(func=cmd_solve)
 
     ph = sub.add_parser("shoot", help="find eta_in for a target deflection")
     ph.add_argument("--theta", required=True,
                     help="target angle in radians or '<x>pi' (e.g. -0.75pi)")
-    ph.add_argument("--root-tol", type=_positive_float, default=1e-8)
-    ph.add_argument("--eta-ceiling", type=_positive_float,
-                    default=shooting.DEFAULT_CEILING)
-    _add_solver_flags(ph)
+    _add_search_flags(ph)
+    _add_common_flags(ph)
     ph.set_defaults(func=cmd_shoot)
 
     pw = sub.add_parser("sweep", help="tabulate the deflection map on a theta grid")
     pw.add_argument("--theta-min", required=True)
     pw.add_argument("--theta-max", required=True)
     pw.add_argument("--n", type=_positive_int, required=True)
-    pw.add_argument("--root-tol", type=_positive_float, default=1e-8)
-    pw.add_argument("--eta-ceiling", type=_positive_float,
-                    default=shooting.DEFAULT_CEILING)
-    _add_solver_flags(pw)
+    _add_search_flags(pw)
+    _add_common_flags(pw)
     pw.set_defaults(func=cmd_sweep)
 
     pv = sub.add_parser("verify", help="run the invariant suite")
-    pv.add_argument("--eta-in", type=float, nargs="+", default=(6.0, 8.0, 12.0))
-    _add_solver_flags(pv)
+    pv.add_argument("--eta-in", type=float, nargs="+",
+                    default=verification.DEFAULT_ETA_VALUES)
+    _add_common_flags(pv)
     pv.set_defaults(func=cmd_verify)
 
     pf = sub.add_parser("flow", help="run the anchored gradient-flow recurrence")
     pf.add_argument("--mu0", type=float, required=True)
     pf.add_argument("--nu0", type=float, default=None)
     pf.add_argument("--delta", type=float, required=True)
-    pf.add_argument("--epsilon", type=float, default=0.1)
-    pf.add_argument("--tol", type=_positive_float, default=1e-10)
-    pf.add_argument("--max-iter", type=_nonnegative_int, default=100000)
-    _add_solver_flags(pf)
+    pf.add_argument("--epsilon", type=float, default=analysis.DEFAULT_EPSILON)
+    pf.add_argument("--tol", type=_positive_float, default=analysis.DEFAULT_TOL)
+    pf.add_argument("--max-iter", type=_nonnegative_int,
+                    default=analysis.DEFAULT_MAX_ITER)
+    _add_common_flags(pf, solver=False)
     pf.set_defaults(func=cmd_flow)
     return p
 

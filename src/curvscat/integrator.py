@@ -253,6 +253,12 @@ def _stop_state(sol) -> PhasePoint:
     return PhasePoint(float(sol.t[-1]), *(float(sol.y[k, -1]) for k in (0, 2, 1, 3)))
 
 
+def grid_steps(t_lo: float, t_hi: float, step: float) -> int:
+    """The last k with t_lo + k*step in [t_lo, t_hi], to a relative slack of
+    1e-12 in k: the node count of the sample grid and both Picard grids."""
+    return math.floor((t_hi - t_lo) / step * (1.0 + 1e-12))
+
+
 def _sample_times(t_start: float, t_end: float, h: float, events):
     """A run's sample times on [t_start, t_end] and its off_grid indices.
 
@@ -262,7 +268,7 @@ def _sample_times(t_start: float, t_end: float, h: float, events):
     insert places the extra times.  Raises ValueError when the grid does not
     fit in memory.
     """
-    n = int(math.floor((t_end - t_start) / h * (1.0 + 1e-12)))
+    n = grid_steps(t_start, t_end, h)
     t_n = t_start + h * n
     t_last = t_end if t_end - t_n > 1e-9 * h else t_n
     try:

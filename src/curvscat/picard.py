@@ -43,6 +43,7 @@ import numpy as np
 from .closed_forms import (AsymptoticData, explicit_bounds, past_tails,
                            start_time, xi_subsolution)
 from .dynamics import PhasePoint
+from .integrator import grid_steps
 
 
 # Newton on the past-zone grid converges quadratically from a seed within
@@ -116,59 +117,46 @@ def _ladder(t: np.ndarray, first: np.ndarray, advance, tol: float,
     step's row maxima.
     """
     t.setflags(write=False)
-    pair = first
-    pair.setflags(write=False)
-    ladder = [pair]
-    diff = np.empty_like(pair)
+    first.setflags(write=False)
+    ladder = [first]
+    diff = np.empty_like(first)
     worst, node = [0.0, 0.0], [-1, -1]
     history: list[float] = []
-    converged = False
     for _ in range(max_iter):
-        nxt = advance(pair)
-        nxt.setflags(write=False)
-        np.subtract(nxt, pair, out=diff)
-        k = int(np.argmin(diff[0]))
+        pair = advance(ladder[-1])
+        pair.setflags(write=False)
+        np.subtract(pair, ladder[-1], out=diff)
+        k = int(diff[0].argmin())
         if -diff[0, k] > worst[0]:
             worst[0], node[0] = float(-diff[0, k]), k
-        k = int(np.argmax(diff[1]))
+        k = int(diff[1].argmax())
         if diff[1, k] > worst[1]:
             worst[1], node[1] = float(diff[1, k]), k
         np.abs(diff, out=diff)
-        dx, dy = np.max(diff, axis=1)
-        d = float(dx + dy)
-        history.append(d)
-        pair = nxt
+        dx, dy = diff.max(axis=1)
+        history.append(float(dx + dy))
         ladder.append(pair)
-        if d <= tol:
-            converged = True
+        if history[-1] <= tol:
             break
     row = int(worst[1] > worst[0])
     return PicardRun(t=t,
                      iterates_xi=[p[0].view(_Iterate) for p in ladder],
                      iterates_eta=[p[1].view(_Iterate) for p in ladder],
-                     converged=converged, sup_diff_history=history,
+                     converged=bool(history) and history[-1] <= tol,
+                     sup_diff_history=history,
                      worst_violation=worst[row], node=node[row])
-
-
-def _trapezoid_sums(values: np.ndarray, step: float, out: np.ndarray,
-                    pairs: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid integrals from 0 along the last axis, into
-    out[..., 1:]; out[..., 0] is left as it is.  pairs, one shorter along
-    that axis, takes the trapezoids.  np.add.accumulate adds in np.cumsum's
-    order, at less cost per call."""
-    np.add(values[..., 1:], values[..., :-1], out=pairs)
-    np.multiply(pairs, 0.5 * step, out=pairs)
-    np.add.accumulate(pairs, axis=-1, out=out[..., 1:])
-    return out
 
 
 def _cumtrapz(values: np.ndarray, step: float, initial: float,
               out: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid integrals from initial along the last axis, into
-    out; pairs, one shorter along that axis, takes the trapezoids."""
-    out[..., 0] = initial
-    _trapezoid_sums(values, step, out, pairs)
-    out[..., 1:] += initial
+    """Cumulative trapezoid integral of values from initial, into out;
+    pairs, one shorter, takes the trapezoids.  np.add.accumulate adds in
+    np.cumsum's order, at less cost per call."""
+    out[0] = initial
+    np.add(values[1:], values[:-1], out=pairs)
+    np.multiply(pairs, 0.5 * step, out=pairs)
+    np.add.accumulate(pairs, out=out[1:])
+    out[1:] += initial
     return out
 
 
@@ -285,14 +273,14 @@ def _above_roundoff(x: np.ndarray, work: np.ndarray, roundoff: float) -> bool:
 
 def _uniform_grid(t_lo: float, t_hi: float, step: float,
                   lo_name: str, hi_name: str) -> np.ndarray:
-    """Nodes t_lo + k*step up to t_hi, to a relative slack of 1e-12 in the
-    node count; at least 3, as the schemes need."""
+    """Nodes t_lo + k*step up to t_hi (integrator.grid_steps); at least 3,
+    as the schemes need."""
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be finite and positive, got {step}")
     if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
         raise ValueError(f"{lo_name} = {t_lo} and {hi_name} = {t_hi} "
                          "must be finite")
-    n = math.floor((t_hi - t_lo) / step * (1.0 + 1e-12))
+    n = grid_steps(t_lo, t_hi, step)
     if n < 2:
         raise ValueError(
             f"{hi_name} = {t_hi} leaves fewer than 3 grid nodes from "
@@ -344,9 +332,11 @@ def iterate_future(p0: PhasePoint, t_max: float, step: float,
     monotone regime, and unless step is finite and positive and the grid
     holds at least 3 nodes.
 
-    Each iteration makes one pass per operation over both components, in
-    work arrays allocated once; only the new iterate is a new array.  The
-    integrals start from 0 at T0, so their first column is set once.
+    (X, Y) are the rows of one array, and each iteration makes one pass per
+    operation over both, in work arrays allocated once; only the new iterate
+    is a new array.  The integrals start from 0 at T0, so their first column
+    is set once.  The 1/2 of e^{2X}/2 is folded into its trapezoid weight,
+    step/4: halving is exact away from subnormals.
     """
     if abs(p0.eta) > _ETA_TOL:
         raise ValueError(f"p0.eta = {p0.eta} is not an eta = 0 crossing state")
@@ -359,26 +349,28 @@ def iterate_future(p0: PhasePoint, t_max: float, step: float,
     T0 = p0.t
     t = _uniform_grid(T0, t_max, step, "p0.t", "t_max")
     dt = t - T0
-    # (X, Y) as the rows of one array: each iteration makes one pass per
-    # operation over both components
     L = np.stack([p0.xi_dot * dt + p0.xi, p0.eta_dot * dt])
     g, P, II = (np.empty_like(L) for _ in range(3))
     pairs = np.empty((2, len(t) - 1))
     P[:, 0] = II[:, 0] = 0.0
+    inner = np.array([[0.5 * step], [0.25 * step]])
 
     def advance(Z):
-        # g = (Y e^{2X}, e^{2X}/2); II its double trapezoid integral from T0
+        # g = (Y e^{2X}, e^{2X}); II the double integral of (Y e^{2X}, e^{2X}/2)
         np.multiply(Z[0], 2.0, out=g[1])
         np.exp(g[1], out=g[1])
         np.multiply(Z[1], g[1], out=g[0])
-        g[1] *= 0.5
-        _trapezoid_sums(g, step, P, pairs)
-        _trapezoid_sums(P, step, II, pairs)
+        np.add(g[:, 1:], g[:, :-1], out=pairs)
+        np.multiply(pairs, inner, out=pairs)
+        np.add.accumulate(pairs, axis=1, out=P[:, 1:])
+        np.add(P[:, 1:], P[:, :-1], out=pairs)
+        np.multiply(pairs, 0.5 * step, out=pairs)
+        np.add.accumulate(pairs, axis=1, out=II[:, 1:])
         Z_next = Z - L
         Z_next += II
         Z_next *= epsilon
         np.subtract(Z, Z_next, out=Z_next)
-        if np.max(Z_next[1]) > 0.0:
+        if Z_next[1].max() > 0.0:
             raise ValueError("second component turned positive: data outside "
                              "the monotone regime")
         return Z_next

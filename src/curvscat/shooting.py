@@ -57,6 +57,7 @@ from .integrator import (NotConvergedError, Outcome, SolverConfig, Trajectory,
 from . import geometry
 
 DEFAULT_CEILING = 1e6
+DEFAULT_ROOT_TOL = 1e-8
 THETA_MARGIN = 0.005 * math.pi
 _EVAL_BUDGET = 80
 # relative step after a non-scattering probe, doubling: a shorter budget
@@ -111,7 +112,8 @@ def _predicts_last(f: float, tol: float) -> bool:
 
 
 def shoot(theta_target: float, cfg: SolverConfig = SolverConfig(),
-          root_tol: float = 1e-8, ceiling: float = DEFAULT_CEILING) -> ShootingResult:
+          root_tol: float = DEFAULT_ROOT_TOL,
+          ceiling: float = DEFAULT_CEILING) -> ShootingResult:
     """Find eta_in whose deflection hits theta_target to within root_tol.
 
     theta_target must keep THETA_MARGIN to the interval ends (-pi, -pi/2).
@@ -233,7 +235,7 @@ class SweepRow:
 
 
 def sweep(theta_grid, cfg: SolverConfig = SolverConfig(),
-          root_tol: float = 1e-8, ceiling: float = DEFAULT_CEILING, *,
+          root_tol: float = DEFAULT_ROOT_TOL, ceiling: float = DEFAULT_CEILING, *,
           on_row: Optional[Callable[[SweepRow], None]] = None) -> list[SweepRow]:
     """One shoot plus geometry evaluation per grid angle, in grid order.
 
@@ -259,11 +261,7 @@ def sweep(theta_grid, cfg: SolverConfig = SolverConfig(),
                 energy_drift=res.trajectory.max_energy_drift,
             ))
         except (BracketNotFoundError, NotConvergedError, ValueError) as exc:
-            nan = float("nan")
-            rows.append(SweepRow(theta_target=theta_t, theta=nan, eta_in=nan,
-                                 kappa=nan, alpha=nan, k_star=nan,
-                                 pokhozaev_residual=nan, energy_drift=nan,
-                                 status=f"failed: {exc}"))
+            rows.append(SweepRow(theta_t, *[math.nan] * 7, status=f"failed: {exc}"))
         if on_row is not None:
             on_row(rows[-1])
     return rows

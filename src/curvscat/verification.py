@@ -21,6 +21,7 @@ from .integrator import NotConvergedError, SolverConfig, Trajectory, integrate
 POKHOZAEV_REL_TOL = 1e-3
 SLOPE_REL_TOL = 1e-3
 SANDWICH_SLACK = -1e-8
+DEFAULT_ETA_VALUES = (6.0, 8.0, 12.0)
 
 
 @dataclass(frozen=True)
@@ -49,18 +50,15 @@ def _check_forbidden_zone(traj: Trajectory, a: AsymptoticData) -> CheckResult:
 
 
 def _check_inflection(traj: Trajectory, a: AsymptoticData) -> CheckResult:
-    g = analysis.g_values(traj)
-    crossings = int(np.sum((g[:-1] > 0.0) & (g[1:] <= 0.0))
-                    + np.sum((g[:-1] < 0.0) & (g[1:] >= 0.0)))
     rep = analysis.inflection_diagnostics(traj)
     ok = (abs(rep.g_start - 1.0) <= 1e-6
-          and float(np.max(np.diff(g))) <= 1e-9
-          and crossings == 1
+          and rep.max_rise <= 1e-9
+          and rep.crossings == 1
           and rep.eta_sim < a.eta_in
           and rep.sign_pattern_ok)
     return CheckResult(
         "single-inflection convexity", a.eta_in, ok,
-        f"g(start) = {rep.g_start:.9f}, crossings = {crossings}, "
+        f"g(start) = {rep.g_start:.9f}, crossings = {rep.crossings}, "
         f"eta_sim = {rep.eta_sim:.6f}, pattern_ok = {rep.sign_pattern_ok}")
 
 
@@ -149,7 +147,7 @@ def _check_slopes(traj: Trajectory, sol: geometry.RadialSolution,
                        f"u_slope rel err = {ru:.3e}, K_slope rel err = {rk:.3e}")
 
 
-def run_suite(eta_values=(6.0, 8.0, 12.0),
+def run_suite(eta_values=DEFAULT_ETA_VALUES,
               cfg: SolverConfig = SolverConfig()) -> list[CheckResult]:
     """Run every line item on each eta_in (xi_in = 0); returns all results.
 

@@ -183,6 +183,18 @@ def test_inflection_unique_crossing(traj8):
     assert traj8.t[0] < rep.t_inflection < traj8.t[-1]
 
 
+def test_inflection_report_counts_crossings_and_rise(trio):
+    # crossings counts sign changes of g either way, max_rise is the
+    # largest increase of g between samples
+    for traj in trio:
+        rep = inflection_diagnostics(traj)
+        g = g_values(traj)
+        assert rep.crossings == int(np.sum((g[:-1] > 0.0) & (g[1:] <= 0.0))
+                                    + np.sum((g[:-1] < 0.0) & (g[1:] >= 0.0))) == 1
+        assert type(rep.crossings) is int
+        assert rep.max_rise == float(np.max(np.diff(g))) <= 1e-9
+
+
 def test_inflection_pattern_where_exp_underflows(cfg):
     # long run: e^{2 xi} underflows to 0 on late samples, which must not
     # hide the sign of f'' = e^{2 xi} g / (2 eta_dot^3)

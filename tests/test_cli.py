@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -11,7 +12,8 @@ import pytest
 
 import curvscat
 import curvscat.cli as cli
-from curvscat import AsymptoticData, SolverConfig, integrate, shooting
+from curvscat import (AsymptoticData, SolverConfig, analysis, integrate,
+                      shooting, verification)
 from curvscat.cli import (EXIT_CODE, EXIT_NONSCATTERING, EXIT_OK, EXIT_PARTIAL,
                           EXIT_USAGE, EXIT_VERIFY_FAIL, _json_render,
                           build_parser, main, parse_angle)
@@ -163,23 +165,72 @@ def test_solve_deep_end_scatters(tmp_path):
     assert math.isfinite(json.loads((out / "summary.json").read_text())["theta"])
 
 
+def _subparsers():
+    return build_parser()._subparsers._group_actions[0].choices
+
+
 def test_one_solver_flag_per_config_field(tmp_path):
-    # every subcommand ends with --out-dir and one flag per SolverConfig
-    # field, in field order, defaulting to the field's default; the config
-    # echo lists the same fields
+    # every subcommand that integrates ends with --out-dir and one flag per
+    # SolverConfig field, in field order, defaulting to the field's default;
+    # flow, which integrates nothing, ends with --out-dir.  The config echo
+    # lists the same fields
     config = fields(SolverConfig)
-    subparsers = build_parser()._subparsers._group_actions[0].choices
+    subparsers = _subparsers()
     assert set(subparsers) == {"solve", "shoot", "sweep", "verify", "flow"}
     for name, sub in subparsers.items():
         flags = [a for a in sub._actions if a.option_strings]
         k = [a.option_strings for a in flags].index(["--out-dir"])
         assert [(a.option_strings, a.dest, a.default) for a in flags[k + 1:]] == [
             (["--" + f.name.replace("_", "-")], f.name, f.default)
-            for f in config], name
+            for f in config if name != "flow"], name
     out = tmp_path / "run"
     assert _run("solve", "--eta-in", "8", "--out-dir", str(out)) == EXIT_OK
     echo = json.loads((out / "summary.json").read_text())["config"]
     assert list(echo) == [f.name for f in config]
+
+
+def test_flow_has_only_its_own_settings():
+    # --out-dir and flow's six settings, nothing else
+    flow = _subparsers()["flow"]
+    assert [a.dest for a in flow._actions if a.option_strings][1:] == [
+        "mu0", "nu0", "delta", "epsilon", "tol", "max_iter", "out_dir"]
+
+
+@pytest.mark.parametrize("flag", [f.name.replace("_", "-")
+                                  for f in fields(SolverConfig)])
+def test_flow_rejects_solver_flags(tmp_path, capsys, flag):
+    # flow integrates nothing: a solver flag would be recorded without
+    # acting, so it is a usage error and no directory is made
+    out = tmp_path / "flow"
+    assert _run("flow", "--mu0", "-0.7", "--delta", "1e-4", f"--{flag}", "1",
+                "--out-dir", str(out)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: unrecognized arguments: ")
+    assert f"--{flag}" in err
+    assert not out.exists()
+
+
+def test_parser_defaults_are_the_library_constants():
+    # each default that a command and the library share is defined once
+    sub = _subparsers()
+    defaults = {(name, a.dest): a.default for name, p in sub.items()
+                for a in p._actions}
+    assert defaults["shoot", "root_tol"] is shooting.DEFAULT_ROOT_TOL
+    assert defaults["sweep", "root_tol"] is shooting.DEFAULT_ROOT_TOL
+    assert defaults["verify", "eta_in"] is verification.DEFAULT_ETA_VALUES
+    assert defaults["flow", "epsilon"] is analysis.DEFAULT_EPSILON
+    assert defaults["flow", "tol"] is analysis.DEFAULT_TOL
+    assert defaults["flow", "max_iter"] is analysis.DEFAULT_MAX_ITER
+    assert defaults["shoot", "eta_ceiling"] is shooting.DEFAULT_CEILING
+    # the library's functions take the same defaults
+    for fn, name, value in [
+            (shooting.shoot, "root_tol", shooting.DEFAULT_ROOT_TOL),
+            (shooting.sweep, "root_tol", shooting.DEFAULT_ROOT_TOL),
+            (verification.run_suite, "eta_values", verification.DEFAULT_ETA_VALUES),
+            (analysis.GradientFlowState.from_anchor, "epsilon", analysis.DEFAULT_EPSILON),
+            (analysis.gradient_flow_run, "tol", analysis.DEFAULT_TOL),
+            (analysis.gradient_flow_run, "max_iter", analysis.DEFAULT_MAX_ITER)]:
+        assert inspect.signature(fn).parameters[name].default is value, fn
 
 
 def test_usage_errors_exit_1(capsys):
@@ -470,9 +521,14 @@ def test_manifest_lists_exactly_the_files_written(tmp_path, args, code, written)
     # the manifest names, no more and no fewer
     out = tmp_path / "run"
     assert _run(*args, "--out-dir", str(out)) == code
-    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    outputs = manifest["outputs"]
     assert outputs == sorted(written | {"manifest.json"})
     assert sorted(os.listdir(out)) == outputs
+    # the config is recorded in the data files alone
+    assert manifest["schema"] == "curvscat/manifest/v4"
+    assert list(manifest) == ["schema", "command", "argv", "inputs", "outputs",
+                              "version", "timestamp"]
 
 
 def test_writers_are_looked_up_when_called(tmp_path, monkeypatch):

@@ -1,4 +1,4 @@
-from curvscat import SolverConfig
+from curvscat import SolverConfig, analysis
 from curvscat.verification import run_suite
 
 
@@ -28,3 +28,18 @@ def test_suite_skips_regime_bound_below_threshold():
     assert item.passed and "skipped" in item.detail
     for r in results:
         assert r.passed, f"{r.name}: {r.detail}"
+
+
+def test_inflection_check_forms_g_once(monkeypatch):
+    # the check reads the crossing count and the largest rise of g from the
+    # report, which forms g once per datum
+    calls = []
+    g_values = analysis.g_values
+
+    def counting(traj):
+        calls.append(traj.asymptotics.eta_in)
+        return g_values(traj)
+    monkeypatch.setattr(analysis, "g_values", counting)
+    results = run_suite((6.0, 8.0), SolverConfig())
+    assert all(r.passed for r in results)
+    assert calls == [6.0, 8.0]
