@@ -15,8 +15,8 @@ import sys
 
 import numpy as np
 
-from curvscat import (AsymptoticData, Outcome, SolverConfig, deflection,
-                      integrate, theta_identities)
+from curvscat import (AsymptoticData, NotConvergedError, Outcome,
+                      SolverConfig, deflection_of, theta_identities)
 
 # the outcome column's word for each way a run ends
 KINDS = {Outcome.ESCAPED: "scatter", Outcome.CERTIFIED: "blowup",
@@ -28,9 +28,15 @@ FLOOR = 0.5
 
 
 def classify(eta_in: float, cfg: SolverConfig):
-    """(outcome, Theta or None) of the run from (xi_in, eta_in) = (0, eta_in)."""
-    traj = integrate(AsymptoticData(0.0, eta_in), cfg)
-    return traj.outcome, deflection(traj) if traj.escaped else None
+    """(outcome, Theta or None) of the run from (xi_in, eta_in) = (0, eta_in),
+    from the solver call alone, which samples nothing; a solver failure
+    raises."""
+    try:
+        return Outcome.ESCAPED, deflection_of(AsymptoticData(0.0, eta_in), cfg)
+    except NotConvergedError as exc:
+        if exc.outcome is Outcome.SOLVER_FAILURE:
+            raise
+        return exc.outcome, None
 
 
 def onset_bracket(rows, cfg: SolverConfig):

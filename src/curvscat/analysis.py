@@ -87,10 +87,13 @@ def gradient_flow_run(s0: GradientFlowState, tol: float = DEFAULT_TOL,
     iterate leaves the quadrant (coupling too large for the anchor), the run
     stops with stayed_in_quadrant False; callers probing the exit threshold
     treat that as a normal outcome.  history holds (mu, nu, ||Grad W||) of
-    each iterate tested against tol.
+    each iterate tested against tol, and the run ends on the last of them:
+    after max_iter steps it stops there, unconverged.
     """
     if not (s0.mu < 0.0 and s0.nu < 0.0):
         raise ValueError("start point must lie in the open quadrant mu < 0, nu < 0")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be at least 0, got {max_iter}")
     mu, nu = s0.mu, s0.nu
     history: list[tuple[float, float, float]] = []
     for n in range(max_iter + 1):
@@ -104,8 +107,8 @@ def gradient_flow_run(s0: GradientFlowState, tol: float = DEFAULT_TOL,
         if mu_next >= 0.0 or nu_next >= 0.0:
             return GradientFlowResult((mu, nu), n, False, False, gn, history)
         mu, nu = mu_next, nu_next
-    return GradientFlowResult((mu, nu), max_iter, True, False,
-                              math.hypot(*potential_gradient(s0, mu, nu)), history)
+    mu, nu, gn = history[-1]
+    return GradientFlowResult((mu, nu), max_iter, True, False, gn, history)
 
 
 # --- trajectory convexity diagnostics --------------------------------------

@@ -222,7 +222,7 @@ def _config_from(args) -> SolverConfig:
 
 def _summary(inputs: dict, cfg: SolverConfig, **entries) -> dict:
     """summary.json's body: schema and inputs, the entries, then the config."""
-    return {"schema": "curvscat/summary/v4", "inputs": inputs, **entries,
+    return {"schema": "curvscat/summary/v5", "inputs": inputs, **entries,
             "config": _field_dict(cfg)}
 
 
@@ -232,11 +232,9 @@ def _run_files(traj: Trajectory, inputs: dict, **entries) -> dict:
     ev = traj.events
     events = {"t0": ev.t0, "t_half": ev.t_half, "t_m": ev.t_m,
               "blowup": None if ev.blowup is None else {"last_state": _field_dict(ev.blowup)}}
-    if traj.escaped:
-        ending = {"theta": deflection(traj), "escaped": True}
-    else:
-        ending = {"escaped": False, "blowup": {"reason": traj.outcome.value}}
-    summary = _summary(inputs, traj.config, events=events, **ending,
+    theta = {"theta": deflection(traj)} if traj.escaped else {}
+    summary = _summary(inputs, traj.config, events=events, **theta,
+                       outcome=traj.outcome.name.lower(),
                        drift=traj.max_energy_drift)
     files = {"trajectory.csv": lambda path: write_trajectory_csv(path, traj)}
     if traj.escaped and ev.t0 is not None:
@@ -346,8 +344,8 @@ def cmd_flow(args, argv) -> int:
     history = np.asarray(res.history, dtype=float).reshape(-1, 3)
     columns = [np.arange(len(history)), *history.T]
     inputs = {"mu0": state.mu0, "nu0": state.nu0, "delta": state.delta,
-              "epsilon": state.epsilon, "tol": args.tol}
-    body = {"schema": "curvscat/flow/v1", "inputs": inputs,
+              "epsilon": state.epsilon, "tol": args.tol, "max_iter": args.max_iter}
+    body = {"schema": "curvscat/flow/v2", "inputs": inputs,
             "fixed_point": {"mu": res.fixed_point[0], "nu": res.fixed_point[1]},
             "iterations": res.iterations,
             "stayed_in_quadrant": res.stayed_in_quadrant,

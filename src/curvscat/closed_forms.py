@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import EXP_FLOOR, PhasePoint, exp_floored
+from .dynamics import PhasePoint, exp_floored
 
 #: Upper estimate sqrt(2)*exp(arcosh 2) for the scattering-onset level of
 #: eta_in; above it the position coordinate xi is guaranteed to attain an
@@ -211,7 +211,8 @@ def free_asymptote(y):
 
 
 def free_leg(y, s):
-    """State (xi, xi_dot, eta, eta_dot) a time s >= 0 after escape state y.
+    """State (xi, xi_dot, eta, eta_dot) a finite time s >= 0 after escape
+    state y.
 
     First order about the straight line from y = (xi0, a, eta0, b), a < 0:
     one undamped step of the future-zone map.  With lam = -2a,
@@ -222,22 +223,21 @@ def free_leg(y, s):
         eta = eta0 + b*s - E*J0/2,             eta_dot = b - E*I0/2
 
     Positions are computed as lines at the outgoing velocity of
-    free_asymptote plus bounded offsets, so s = inf gives that velocity
-    (I0 -> 1/lam, I1 -> 1/lam^2).  The neglected terms are second order in
-    the potential eta*E.
+    free_asymptote plus bounded offsets; the limit s -> inf (I0 -> 1/lam,
+    I1 -> 1/lam^2) is free_asymptote's line.  The neglected terms are second
+    order in the potential eta*E.
 
     q is dynamics.exp_floored's, so the far tail makes no subnormal
-    exponentials.  Wherever lam*s >= 700, 1 - q is 1 either way, and s*q,
-    below half an ulp of I0, is taken as 0, as it is at s = inf.
+    exponentials.  Wherever lam*s >= 700, 1 - q is 1 either way, and s*q
+    stays below half an ulp of I0, so every sample keeps its bits.
     """
     xi0, a, eta0, b = (float(v) for v in y)
     lam = -2.0 * a
     E = math.exp(2.0 * xi0)
     v_xi, _, v_eta, _ = free_asymptote(y)
     s = np.asarray(s, dtype=float)
-    x = -lam * s
-    q = exp_floored(x)
-    sq = np.where(x > EXP_FLOOR, s, 0.0) * q   # s*q, which tends to 0 as s -> inf
+    q = exp_floored(-lam * s)
+    sq = s * q
     I0 = (1.0 - q) / lam
     I1 = (I0 - sq) / lam
     return (xi0 + v_xi * s + E * (eta0 * I0 + b * (2.0 * I0 - sq) / lam) / lam,

@@ -6,10 +6,9 @@ exact for 0 <= k <= 22 and correctly rounded otherwise, so the scaled value
 carries at most two roundings, under 2.3e-4 absolute below 1e12.  Where
 it lies in [1e11, 1e12) and not within _TIE_MARGIN of a half, so that the
 error cannot cross the tie, rounding it to the nearest integer gives
-Python's digits.  0, -0, the infinities and nan print fixed strings, which
-their own classes hold.  The other fields (near a tie, next to a power of
-ten whose exponent log10 missed, and the magnitudes outside the range) are
-formatted one at a time by '%.12g' itself.
+Python's digits.  The other fields (near a tie, next to a power of ten
+whose exponent log10 missed, the magnitudes outside the range, 0, -0, the
+infinities and nan) are formatted one at a time by '%.12g' itself.
 
 A field is first rendered as a 40-byte record of five 8-byte words:
 
@@ -17,11 +16,9 @@ A field is first rendered as a 40-byte record of five 8-byte words:
     words 1-3   the 12 digits, each followed by a candidate '.'
     word 4      'e', exponent sign, three exponent digits, ',', CR, LF
 
-Its class (fixed form with exponent -4..11, exponent form or one of the
-special strings, significant digits, sign, last column of the row) selects
-a mask that keeps the bytes that field prints and zeroes the rest; one
-bytes.translate drops the NULs.  A special string's mask holds the string
-itself in word 0 and keeps nothing of words 1-3.
+Its class (fixed form with exponent -4..11 or exponent form, significant
+digits, sign, last column of the row) selects a mask that keeps the bytes
+that field prints and zeroes the rest; one bytes.translate drops the NULs.
 """
 
 from __future__ import annotations
@@ -33,10 +30,6 @@ _LOW, _HIGH = 1e-296, 1e300
 _TIE_MARGIN = 1e-3
 _FIXED_MIN, _FIXED_MAX = -4, _SIGNIFICANT - 1   # %g's fixed-form exponents
 _N_FORMS = _FIXED_MAX - _FIXED_MIN + 2          # the last form is exponent
-# forms _N_FORMS.. print 0, inf and nan, with a '-' for -0 and -inf, as
-# '%.12g' does; it prints no sign on nan
-_SPECIAL_TEXT = (b"0", b"inf", b"nan")
-_ZERO_FORM, _INF_FORM, _NAN_FORM = range(_N_FORMS, _N_FORMS + len(_SPECIAL_TEXT))
 
 # 10**k correctly rounded (float() parses correctly), exact for 0 <= k <= 22;
 # k = 11 - floor(log10|x|) stays in [-289, 308] over [_LOW, _HIGH), where
@@ -77,8 +70,7 @@ def _class_masks() -> np.ndarray:
     """(class, 5) words: word 0 holds its literal bytes, words 1-4 0xff
     where the field's data byte is kept.  The class index is
     ((form·12 + significant - 1)·2 + negative)·2 + last."""
-    n_forms = _N_FORMS + len(_SPECIAL_TEXT)
-    form = np.arange(n_forms)[:, None, None, None, None]
+    form = np.arange(_N_FORMS)[:, None, None, None, None]
     sig = np.arange(1, _SIGNIFICANT + 1)[None, :, None, None, None]
     neg = np.arange(2)[None, None, :, None, None]
     last = np.arange(2)[None, None, None, :, None]
@@ -94,16 +86,9 @@ def _class_masks() -> np.ndarray:
               | (p >= 8) & (p < 32) & ~is_dot & (digit < n_digits)
               | is_dot & (digit == dot_after) & (sig > dot_after + 1)
               | (p >= 32) & (p < 37) & expo)
-    text_len = np.array([0] * _N_FORMS + [len(t) for t in _SPECIAL_TEXT])[form]
-    text = ((p == 0) & (neg == 1) & (form != _NAN_FORM)
-            | (p >= 1) & (p <= text_len))
-    keep = (np.where(form < _N_FORMS, number, text)
-            | (p == 37) & (last == 0)
-            | (p >= 38) & (last == 1))
-    literal = np.full((n_forms, 1, 1, 1, 40), 0xFF, np.uint8)
-    literal[..., :8] = np.frombuffer(b"-0.000\0\0", np.uint8)
-    for f, t in enumerate(_SPECIAL_TEXT, start=_N_FORMS):
-        literal[f, ..., :8] = np.frombuffer(b"-" + t.ljust(7, b"\0"), np.uint8)
+    keep = number | (p == 37) & (last == 0) | (p >= 38) & (last == 1)
+    literal = np.full(40, 0xFF, np.uint8)
+    literal[:8] = np.frombuffer(b"-0.000\0\0", np.uint8)
     return _words((keep * literal).reshape(-1, 8)).reshape(-1, 5)
 
 
@@ -112,12 +97,12 @@ _MASK = _class_masks()
 
 def _decimal(x: np.ndarray):
     """(digits, exponent, form, slow): |x| = digits·10**(exponent - 11) to
-    12 significant digits, 10**11 <= digits < 10**12, where x is finite,
-    nonzero and on the fast path; form is the field's fixed or exponent
-    form there, and its special form at 0, the infinities and nan (digits
-    then 10**11, one significant digit).  slow indexes the fields '%.12g'
-    formats one at a time; on those, digits and exponent are placeholders."""
-    a = np.abs(np.where(np.isfinite(x), x, 0.0))
+    12 significant digits, 10**11 <= digits < 10**12, and form is the
+    field's fixed or exponent form, where x is on the fast path.  slow
+    indexes the fields '%.12g' formats one at a time, 0 and the non-finite
+    ones among them (NaN fails every comparison); on those, digits,
+    exponent and form are placeholders."""
+    a = np.abs(x)
     fast = (a >= _LOW) & (a < _HIGH)
     a = np.where(fast, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.int64)
@@ -130,13 +115,7 @@ def _decimal(x: np.ndarray):
     e += carry
     form = np.where((e >= _FIXED_MIN) & (e <= _FIXED_MAX),
                     e - _FIXED_MIN, _N_FORMS - 1)
-    slow = np.flatnonzero(~fast)
-    if len(slow):
-        v = x[slow]
-        form[slow] = np.where(v == 0.0, _ZERO_FORM, np.where(
-            np.isinf(v), _INF_FORM, np.where(np.isnan(v), _NAN_FORM, form[slow])))
-        slow = slow[form[slow] < _N_FORMS]
-    return np.where(carry | ~fast, 10**11, digits), e, form, slow
+    return np.where(carry | ~fast, 10**11, digits), e, form, np.flatnonzero(~fast)
 
 
 def format_rows(block: np.ndarray) -> bytes:

@@ -17,13 +17,14 @@ is integrated by the composite Simpson rule for uniform spacing; the past
 tail is the free past motion's (closed_forms.past_tails).
 The future tail is momentum balance: by the equations of motion the
 potential's impulse after the last regular sample T is the velocity change
-from T to infinity, xi_dot(T) - xi_dot(inf) and 2*(eta_dot(T) - eta_dot(inf)),
-with the run's own velocities at T and the limits from the escape state, as
-the deflection angle reads them.  The balance holds for any T, also one
-before escape.  It makes kappa = 2*pi*(1 - cos Theta) and
-alpha = -2*sqrt(2)*pi*sin Theta exact identities, and both satisfy
-alpha^2 = 2*kappa*(4*pi - kappa); the window's quadrature is computed
-independently precisely so those identities can be checked.
+from T to the outgoing line, xi_dot(T) - v_xi and 2*(eta_dot(T) - v_eta),
+with the run's own velocities at T and the line's (v_xi, v_eta), which
+closed_forms.free_asymptote gives at the escape state, where the deflection
+angle is read.  The balance holds for any T, also one before escape.  It
+makes kappa = 2*pi*(1 - cos Theta) and alpha = -2*sqrt(2)*pi*sin Theta
+exact identities, and both satisfy alpha^2 = 2*kappa*(4*pi - kappa); the
+window's quadrature is computed independently precisely so those
+identities can be checked.
 
 The logarithmic tails u ~ -(kappa/2pi) ln r and K ~ -(alpha/2pi) ln r are
 not fitted: after escape the motion is the closed-form free leg, and
@@ -41,7 +42,7 @@ import numpy as np
 
 from .closed_forms import AsymptoticData, free_asymptote, past_tails
 from .dynamics import exp_floored
-from .integrator import Trajectory, outgoing_velocity
+from .integrator import Trajectory
 
 _LN2_4 = 0.25 * math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
@@ -125,10 +126,11 @@ def curvature_area_quadrature(traj: Trajectory) -> QuadratureResult:
     area_past, _ = past_tails(float(t[0]), a)
 
     # future tail: xi'' = -eta*e^{2 xi} and eta'' = -e^{2 xi}/2, so the
-    # integrals after T are the velocity changes from T to infinity
-    xi_dot_inf, eta_dot_inf = outgoing_velocity(traj.events.escape)
-    curv_fut = float(xi_dot[-1]) - xi_dot_inf
-    area_fut = 2.0 * (float(eta_dot[-1]) - eta_dot_inf)
+    # integrals after T are the velocity changes from T to the outgoing line
+    e = traj.events.escape
+    v_xi, _, v_eta, _ = free_asymptote((e.xi, e.xi_dot, e.eta, e.eta_dot))
+    curv_fut = float(xi_dot[-1]) - v_xi
+    area_fut = 2.0 * (float(eta_dot[-1]) - v_eta)
 
     kappa = TWO_PI * (simpson(f_curv, h) + a.eta_in * area_past + curv_fut)
     alpha = _SQRT2 * math.pi * (simpson(f_area, h) + area_past + area_fut)

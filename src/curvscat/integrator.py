@@ -29,8 +29,9 @@ A run that did not escape gives no angle: NotConvergedError carries how.
 
 The solver stops at escape and keeps the state there in events.escape.
 After it, samples and the eta crossings come from the closed-form free leg
-(closed_forms.free_leg), and so does the deflection angle, read from the
-escape state alone: no sampling flag moves it.  Escaped runs are sampled up
+(closed_forms.free_leg), and the deflection angle is the direction of the
+line it approaches (closed_forms.free_asymptote), read from the escape
+state alone: no sampling flag moves it.  Escaped runs are sampled up
 to max(t0 + min_tail, t_escape + tail_pad), capped by the budget, so the
 eta = 0 crossing (which scales like eta_in/|sin Theta|) and the asymptotic
 tail are inside the window.
@@ -60,8 +61,8 @@ from typing import Optional
 
 import numpy as np
 
-from .closed_forms import (AsymptoticData, free_leg, free_motion_expansion,
-                           start_time)
+from .closed_forms import (AsymptoticData, free_asymptote, free_leg,
+                           free_motion_expansion, start_time)
 from .dop853 import Event, System, solve_ivp
 from .dynamics import RHS_SHARED, RHS_SOURCE, PhasePoint, energy_array
 
@@ -343,39 +344,31 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
     )
 
 
-def outgoing_velocity(escape: PhasePoint) -> tuple[float, float]:
-    """(xi_dot, eta_dot) at t = inf on the free leg from the escape state."""
-    _, xi_dot, _, eta_dot = free_leg(
-        (escape.xi, escape.xi_dot, escape.eta, escape.eta_dot), math.inf)
-    return float(xi_dot), float(eta_dot)
-
-
-def _outgoing_angle(escape: PhasePoint) -> float:
-    xi_dot, eta_dot = outgoing_velocity(escape)
-    return math.atan2(eta_dot, xi_dot)
-
-
 def deflection(traj: Trajectory) -> float:
     """Deflection angle Theta, the direction in which the particle leaves.
 
-    Theta = atan2 of the outgoing velocity that closed_forms.free_leg gives
-    from the escape state, events.escape.  Accepted scattering runs land in
-    (-pi, -pi/2): both outgoing velocities are negative.  Raises
-    NotConvergedError when the run did not escape.
+    Theta = atan2(v_eta, v_xi) of the outgoing line that
+    closed_forms.free_asymptote gives at the escape state, events.escape.
+    Accepted scattering runs land in (-pi, -pi/2): both outgoing velocities
+    are negative.  Raises NotConvergedError when the run did not escape.
     """
     if not traj.escaped:
         raise NotConvergedError(traj.outcome)
-    return _outgoing_angle(traj.events.escape)
+    e = traj.events.escape
+    v_xi, _, v_eta, _ = free_asymptote((e.xi, e.xi_dot, e.eta, e.eta_dot))
+    return math.atan2(v_eta, v_xi)
 
 
 def deflection_of(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> float:
     """deflection(integrate(a, cfg)) without building the trajectory.
 
     Runs the same solver call with no dense output and no sampling and reads
-    the same escape state, so the two agree bit for bit.  Raises the same
-    NotConvergedError as deflection(integrate(a, cfg)) wherever that raises.
+    the same escape state, its last, so the two agree bit for bit.  Raises
+    the same NotConvergedError as deflection(integrate(a, cfg)) wherever
+    that raises.
     """
     _, sol, outcome = _solve(a, cfg, sampled=False)
     if outcome is not Outcome.ESCAPED:
         raise NotConvergedError(outcome)
-    return _outgoing_angle(_stop_state(sol))
+    v_xi, _, v_eta, _ = free_asymptote(sol.y[:, -1])
+    return math.atan2(v_eta, v_xi)

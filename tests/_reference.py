@@ -44,7 +44,7 @@ from curvscat.closed_forms import (AsymptoticData, _require_positive_eta_in,
                                    xi_subsolution)
 from curvscat.dynamics import BOUNDARY_TOL
 from curvscat.geometry import RadialSolution, simpson
-from curvscat.integrator import TrajectoryEvents, outgoing_velocity
+from curvscat.integrator import TrajectoryEvents
 
 # eta_in = 8, xi_in = 0, h = 1e-4, t in [-15, 40]
 ORACLE_THETA_ETA8 = -3.0157679511680
@@ -550,7 +550,7 @@ def free_leg_unfloored(y, s):
     v_xi, _, v_eta, _ = free_asymptote(y)
     s = np.asarray(s, dtype=float)
     q = np.exp(-lam * s)
-    sq = np.where(q > 0.0, s, 0.0) * q
+    sq = s * q
     I0 = (1.0 - q) / lam
     I1 = (I0 - sq) / lam
     return (xi0 + v_xi * s + E * (eta0 * I0 + b * (2.0 * I0 - sq) / lam) / lam,
@@ -582,9 +582,10 @@ def quadrature_unfloored(traj, irregular=False) -> tuple[float, float]:
     f_area = np.exp(2.0 * xi)
     f_curv = eta * f_area
     area_past, _ = past_tails(float(t[0]), a)
-    xi_dot_inf, eta_dot_inf = outgoing_velocity(traj.events.escape)
-    curv_fut = float(xi_dot[-1]) - xi_dot_inf
-    area_fut = 2.0 * (float(eta_dot[-1]) - eta_dot_inf)
+    e = traj.events.escape
+    v_xi, _, v_eta, _ = free_asymptote((e.xi, e.xi_dot, e.eta, e.eta_dot))
+    curv_fut = float(xi_dot[-1]) - v_xi
+    area_fut = 2.0 * (float(eta_dot[-1]) - v_eta)
     kappa = 2.0 * math.pi * (rule(f_curv) + a.eta_in * area_past + curv_fut)
     alpha = math.sqrt(2.0) * math.pi * (rule(f_area) + area_past + area_fut)
     return kappa, alpha

@@ -121,6 +121,19 @@ def test_flow_large_coupling_exits_quadrant():
     assert not res.converged
 
 
+def test_flow_budget_ends_on_the_last_tested_iterate():
+    # a run that reaches max_iter reports the last iterate it tested, the
+    # last history row, not the untested step after it
+    s = GradientFlowState.from_anchor(-0.7, delta=1e-4)
+    res = gradient_flow_run(s, max_iter=2)
+    assert not res.converged and res.stayed_in_quadrant
+    assert res.iterations == 2 and len(res.history) == 3
+    assert (*res.fixed_point, res.grad_norm) == res.history[-1]
+    assert math.hypot(*potential_gradient(s, *res.fixed_point)) == res.grad_norm
+    with pytest.raises(ValueError, match="max_iter"):
+        gradient_flow_run(s, max_iter=-1)
+
+
 @given(mu0=st.floats(min_value=-0.999, max_value=-0.2))
 def test_flow_small_coupling_heuristic_converges(mu0):
     delta = 1e-3 * abs(mu0)**3

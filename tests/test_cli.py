@@ -46,7 +46,7 @@ def test_solve_emits_files_and_summary(tmp_path):
     for name in ("trajectory.csv", "radial.csv", "summary.json", "manifest.json"):
         assert (out / name).exists()
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["schema"] == "curvscat/summary/v4"
+    assert summary["schema"] == "curvscat/summary/v5"
     assert list(summary["fits"]) == ["u_slope", "u_intercept", "k_slope", "k_intercept"]
     assert abs(summary["theta"] - ORACLE_THETA_ETA8) < 1e-6
     assert 2 * math.pi < summary["kappa"] < 4 * math.pi
@@ -77,7 +77,7 @@ def test_solve_nonpositive_eta_certified_at_start(tmp_path):
     out = tmp_path / "neg"
     assert _run("solve", "--eta-in", "-1", "--out-dir", str(out)) == EXIT_NONSCATTERING
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["blowup"]["reason"] == Outcome.CERTIFIED.value
+    assert summary["outcome"] == "certified"
     assert len((out / "trajectory.csv").read_text().splitlines()) == 2
 
 
@@ -86,15 +86,15 @@ def test_solve_blowup_branch_via_flags(tmp_path):
     out = tmp_path / "blow"
     assert _run("solve", "--eta-in", "1.0", "--out-dir", str(out)) == EXIT_NONSCATTERING
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["blowup"]["reason"] == Outcome.CERTIFIED.value
+    assert summary["outcome"] == "certified"
     assert summary["drift"] <= 1e-8
     assert (out / "trajectory.csv").exists()
 
 
 @pytest.mark.parametrize("eta_in, keys", [
-    ("-1", ["schema", "inputs", "events", "escaped", "blowup", "drift", "config"]),
-    ("1.0", ["schema", "inputs", "events", "escaped", "blowup", "drift", "config"]),
-    ("8", ["schema", "inputs", "events", "theta", "escaped", "drift", "config",
+    ("-1", ["schema", "inputs", "events", "outcome", "drift", "config"]),
+    ("1.0", ["schema", "inputs", "events", "outcome", "drift", "config"]),
+    ("8", ["schema", "inputs", "events", "theta", "outcome", "drift", "config",
            "kappa", "alpha", "k_star", "fits", "residuals"]),
 ])
 def test_solve_summary_layout(tmp_path, eta_in, keys):
@@ -104,24 +104,22 @@ def test_solve_summary_layout(tmp_path, eta_in, keys):
     text = (out / "summary.json").read_text()
     summary = json.loads(text)
     assert list(summary) == keys
-    assert summary["schema"] == "curvscat/summary/v4"
+    assert summary["schema"] == "curvscat/summary/v5"
     assert summary["inputs"] == {"eta_in": float(eta_in), "xi_in": 0.0}
     assert list(summary["config"]) == list(asdict(SolverConfig()))
     traj = integrate(AsymptoticData(0.0, float(eta_in)), SolverConfig())
     assert summary["drift"] == traj.max_energy_drift
     assert summary["events"]["t0"] == traj.events.t0
-    if "blowup" in summary:
-        assert summary["escaped"] is False and list(summary["blowup"]) == ["reason"]
+    assert summary["outcome"] == traj.outcome.name.lower()
     if eta_in == "-1":
         p = traj.point(0)
         assert text == _json_render({
-            "schema": "curvscat/summary/v4",
+            "schema": "curvscat/summary/v5",
             "inputs": {"eta_in": -1.0, "xi_in": 0.0},
             "events": {"t0": None, "t_half": None, "t_m": None, "blowup": {
                 "last_state": {"t": p.t, "xi": p.xi, "eta": p.eta,
                                "xi_dot": p.xi_dot, "eta_dot": p.eta_dot}}},
-            "escaped": False,
-            "blowup": {"reason": Outcome.CERTIFIED.value},
+            "outcome": "certified",
             "drift": traj.max_energy_drift,
             "config": asdict(SolverConfig()),
         }) + "\n"
@@ -133,7 +131,7 @@ def test_shoot_summary_layout(tmp_path):
     out = tmp_path / "run"
     assert _run("shoot", "--theta=-0.75pi", "--out-dir", str(out)) == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
-    assert list(summary) == ["schema", "inputs", "events", "theta", "escaped",
+    assert list(summary) == ["schema", "inputs", "events", "theta", "outcome",
                              "drift", "config", "kappa", "alpha", "k_star",
                              "fits", "residuals", "shooting"]
     assert summary["inputs"] == {"theta_target": -0.75 * math.pi, "root_tol": 1e-8}
@@ -149,13 +147,36 @@ def test_shoot_summary_layout(tmp_path):
 
 @pytest.mark.parametrize("eta_in", ["-1", "1.0"])
 def test_nonscattering_reason_written_once(tmp_path, eta_in):
-    # the top-level blowup record carries the reason; the event record
-    # carries only the state at the certificate
+    # the outcome names how the run ended, once; the event record carries
+    # only the state at the certificate
     out = tmp_path / "run"
     assert _run("solve", f"--eta-in={eta_in}", "--out-dir", str(out)) == EXIT_NONSCATTERING
     text = (out / "summary.json").read_text()
-    assert text.count(Outcome.CERTIFIED.value) == 1
-    assert list(json.loads(text)["events"]["blowup"]) == ["last_state"]
+    assert text.count("certified") == 1 and Outcome.CERTIFIED.value not in text
+    summary = json.loads(text)
+    assert summary["outcome"] == "certified" and "blowup" not in summary
+    assert list(summary["events"]["blowup"]) == ["last_state"]
+
+
+@pytest.mark.parametrize("args, outcome", [
+    (("--eta-in", "8"), Outcome.ESCAPED),
+    (("--eta-in", "1.0"), Outcome.CERTIFIED),
+    (("--eta-in", "8", "--max-time", "19"), Outcome.OUT_OF_BUDGET),
+    (("--eta-in", "8", "--max-time", "1e-300"), Outcome.OUT_OF_BUDGET),
+])
+def test_summary_names_the_outcome(tmp_path, capsys, args, outcome):
+    # one field records how a run ended, the Outcome's name in lower case: a
+    # budget stop is out_of_budget, not a blow-up, and no escaped flag or
+    # top-level blowup key is written beside it
+    out = tmp_path / "run"
+    assert _run("solve", *args, "--out-dir", str(out)) == EXIT_CODE[outcome]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["outcome"] == outcome.name.lower()
+    assert "escaped" not in summary and "blowup" not in summary
+    assert ("theta" in summary) is (outcome is Outcome.ESCAPED)
+    assert (summary["events"]["blowup"] is None) is (outcome is not Outcome.CERTIFIED)
+    if outcome is not Outcome.ESCAPED:
+        assert capsys.readouterr().out == f"non-scattering: {outcome.value}\n"
 
 
 def test_solve_deep_end_scatters(tmp_path):
@@ -429,6 +450,27 @@ def test_flow_zero_iterations_evaluates_once(tmp_path):
     summary = json.loads((out / "flow_summary.json").read_text())
     assert summary["iterations"] == 0
     assert len((out / "flow.csv").read_text().splitlines()) == 2
+
+
+def test_flow_records_what_it_ran(tmp_path, capsys):
+    # a flow that stops at max_iter reports the last flow.csv row, and its
+    # inputs record that budget, in flow_summary.json and in the manifest
+    out = tmp_path / "flow2"
+    assert _run("flow", "--mu0", "-0.7", "--delta", "1e-4", "--max-iter", "2",
+                "--out-dir", str(out)) == EXIT_NONSCATTERING
+    summary = json.loads((out / "flow_summary.json").read_text())
+    assert summary["schema"] == "curvscat/flow/v2"
+    assert summary["inputs"]["max_iter"] == 2
+    assert json.loads((out / "manifest.json").read_text())["inputs"] == summary["inputs"]
+    assert summary["iterations"] == 2 and not summary["converged"]
+    last = (out / "flow.csv").read_text().splitlines()[-1].split(",")
+    fp = summary["fixed_point"]
+    assert last == ["2"] + [format(v, ".12g") for v in
+                            (fp["mu"], fp["nu"], summary["grad_norm"])]
+    assert last[1:] == ["-0.699972307848", "-0.714169986009", "0.000165321420677"]
+    assert capsys.readouterr().out == (
+        f"fixed point = ({fp['mu']:.12g}, {fp['nu']:.12g})"
+        "  converged = False  in_quadrant = True\n")
 
 
 def test_verify_single_eta(tmp_path):

@@ -209,9 +209,13 @@ def test_free_asymptote_is_the_limit_of_free_leg():
     assert abs(float(eta[0]) - (p_eta + 150.0 * v_eta)) <= 1e-12
     assert float(xi_dot[0]) == pytest.approx(v_xi, rel=0, abs=1e-15)
     assert float(eta_dot[0]) == pytest.approx(v_eta, rel=0, abs=1e-15)
-    # and the velocities are free_leg's s = inf limit
-    _, xi_dot, _, eta_dot = free_leg(y, math.inf)
+    # and the velocities are free_leg's limit: past the exponent floor
+    # (lam*s >= 700) they no longer move
+    s_far = 800.0 / (-2.0 * y[1])
+    _, xi_dot, _, eta_dot = free_leg(y, s_far)
     assert abs(float(xi_dot) - v_xi) <= 1e-15 and abs(float(eta_dot) - v_eta) <= 1e-15
+    far = free_leg(y, np.array([s_far, 10.0 * s_far]))
+    assert far[1][0] == far[1][1] and far[3][0] == far[3][1]
 
 
 def _bits(x):
@@ -221,7 +225,7 @@ def _bits(x):
 def test_free_leg_floor_changes_no_bit():
     # random escape states, s across lam*s = 680..780, where e^{-lam s}
     # turns subnormal (from 708) and then 0 (from 745), more coarsely from
-    # 0, and s = 0 and inf, as arrays and as scalars
+    # 0, and far past the floor (lam*s = 1e6), as arrays and as scalars
     rng = np.random.default_rng(25)
     for _ in range(40):
         y = (rng.uniform(-8.0, -3.0), rng.uniform(-1.0, -0.05),
@@ -229,9 +233,9 @@ def test_free_leg_floor_changes_no_bit():
         lam = -2.0 * y[1]
         s = np.concatenate([[0.0], np.linspace(0.0, 680.0, 341) / lam,
                             np.linspace(680.0, 780.0, 1001) / lam,
-                            np.sort(rng.uniform(680.0, 780.0, 200)) / lam, [math.inf]])
+                            np.sort(rng.uniform(680.0, 780.0, 200)) / lam, [1e6 / lam]])
         for got, want in zip(free_leg(y, s), free_leg_unfloored(y, s)):
             assert np.array_equal(_bits(got), _bits(want))
-        for s0 in (0.0, math.inf):
+        for s0 in (0.0, 1e6 / lam):
             for got, want in zip(free_leg(y, s0), free_leg_unfloored(y, s0)):
                 assert _bits(got) == _bits(want)

@@ -124,10 +124,14 @@ def test_few_fields_leave_the_block_path(cfg, eta_in):
 
 
 @pytest.mark.parametrize("value", [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan])
-def test_special_values_stay_on_the_block_path(value):
-    # a block of one special value, and one of all six, in 3 columns
-    for vals in ([value], [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]):
+def test_special_values_take_the_percent_g_path(value):
+    # a block of one special value, one of all six, and one of all six
+    # among ordinary values, in 3 columns: '%.12g' formats exactly the
+    # special fields, which trajectories and radial data never hold
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]
+    for vals in ([value], specials, [1.5, *specials, -2.25e-7]):
         block = np.resize(vals, (B, 3))
         *_, slow = _decimal(block.ravel())
-        assert len(slow) == 0
+        special = ~np.isfinite(block.ravel()) | (block.ravel() == 0.0)
+        assert np.array_equal(slow, np.flatnonzero(special))
         assert format_rows(block) == _rowwise(block)

@@ -11,7 +11,7 @@ from curvscat import (AsymptoticData, asymptotic_fit,
 from curvscat.closed_forms import free_asymptote, past_tails
 from curvscat.dynamics import EXP_FLOOR, TimeTranslate, apply_symmetry
 from curvscat.geometry import ALPHA_SUP, FOUR_PI, TWO_PI, pde_residual, simpson
-from curvscat.integrator import SolverConfig, outgoing_velocity
+from curvscat.integrator import SolverConfig
 from curvscat.verification import _potential_max
 
 from _reference import (energy_unfloored, potential_max_unfloored,
@@ -250,12 +250,13 @@ def test_quadrature_of_a_one_sample_window(cfg):
     t, _, _, xi_dot, eta_dot = traj.window
     assert traj.escaped and len(t) == 1
     area_past, _ = past_tails(float(t[0]), traj.asymptotics)
-    xi_dot_inf, eta_dot_inf = outgoing_velocity(traj.events.escape)
+    e = traj.events.escape
+    v_xi, _, v_eta, _ = free_asymptote((e.xi, e.xi_dot, e.eta, e.eta_dot))
     quad = curvature_area_quadrature(traj)
-    assert math.isclose(quad.kappa, TWO_PI * (8.0 * area_past + float(xi_dot[0]) - xi_dot_inf),
+    assert math.isclose(quad.kappa, TWO_PI * (8.0 * area_past + float(xi_dot[0]) - v_xi),
                         rel_tol=1e-15)
     assert math.isclose(quad.alpha, math.sqrt(2.0) * math.pi
-                        * (area_past + 2.0 * (float(eta_dot[0]) - eta_dot_inf)), rel_tol=1e-15)
+                        * (area_past + 2.0 * (float(eta_dot[0]) - v_eta)), rel_tol=1e-15)
 
 
 def test_quadrature_requires_escape(cfg):

@@ -67,6 +67,24 @@ def test_deflection_map_smoke(tmp_path, capsys):
     assert lo < 1.2998 < hi
 
 
+def test_deflection_map_makes_no_dense_output(tmp_path, monkeypatch):
+    # every classification is one solver-only call: no integrate, no dense
+    # output, no samples
+    from curvscat import integrator
+
+    calls = []
+    solve = integrator._solve
+
+    def spy(a, cfg, sampled):
+        calls.append(sampled)
+        return solve(a, cfg, sampled=sampled)
+    monkeypatch.setattr(integrator, "_solve", spy)
+    dmap = _load("deflection_map")
+    assert dmap.main(["--eta-min", "1.0", "--eta-max", "8", "--n", "3",
+                      "--onset-bisections", "4", "--out", str(tmp_path / "map.csv")]) == 0
+    assert len(calls) == 3 + 4 and not any(calls)
+
+
 def test_deflection_map_onset_stops_at_a_budget_stop(tmp_path, capsys,
                                                      monkeypatch):
     # 30 bisections reach the band just below the onset where runs end at
