@@ -17,6 +17,7 @@ import numpy as np
 
 from curvscat import (AsymptoticData, NotConvergedError, Outcome,
                       SolverConfig, deflection_of, theta_identities)
+from curvscat.cli import _nonnegative_int, _positive_int
 
 # the outcome column's word for each way a run ends
 KINDS = {Outcome.ESCAPED: "scatter", Outcome.CERTIFIED: "blowup",
@@ -57,11 +58,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--eta-min", type=float, default=1.31)
     ap.add_argument("--eta-max", type=float, default=64.0)
-    ap.add_argument("--n", type=int, default=25)
+    ap.add_argument("--n", type=_positive_int, default=25)
     ap.add_argument("--out", default="deflection_map.csv")
-    ap.add_argument("--onset-bisections", type=int, default=30,
+    ap.add_argument("--onset-bisections", type=_nonnegative_int, default=30,
                     help="bisection steps locating the empirical onset")
     args = ap.parse_args(argv)
+    if args.n == 1 and args.eta_min != args.eta_max:
+        ap.error("--n 1 runs --eta-min alone: give equal ends")
 
     cfg = SolverConfig()
     rows = []

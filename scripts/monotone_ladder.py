@@ -11,15 +11,15 @@ import sys
 from pathlib import Path
 
 from curvscat import AsymptoticData, explicit_bounds, iterate_past
-from curvscat.cli import write_csv
+from curvscat.cli import _nonnegative_int, _positive_float, write_csv
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--eta-in", type=float, default=8.0)
     ap.add_argument("--xi-in", type=float, default=0.0)
-    ap.add_argument("--iterates", type=int, default=6)
-    ap.add_argument("--step", type=float, default=2e-3)
+    ap.add_argument("--iterates", type=_nonnegative_int, default=6)
+    ap.add_argument("--step", type=_positive_float, default=2e-3)
     ap.add_argument("--out-dir", default="ladder")
     args = ap.parse_args(argv)
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -55,11 +54,10 @@ class GradientFlowState:
             raise ValueError("epsilon must lie in (0, 1)")
 
     @classmethod
-    def from_anchor(cls, mu0: float, delta: float, epsilon: float = DEFAULT_EPSILON,
-                    nu0: Optional[float] = None) -> "GradientFlowState":
-        """Start at the anchor; nu0 defaults to the circle point -sqrt(1-mu0^2)."""
-        if nu0 is None:
-            nu0 = -math.sqrt(max(0.0, 1.0 - mu0 * mu0))
+    def from_anchor(cls, mu0: float, delta: float,
+                    epsilon: float = DEFAULT_EPSILON) -> "GradientFlowState":
+        """Start at the anchor (mu0, nu0), nu0 = -sqrt(1-mu0^2) on the circle."""
+        nu0 = -math.sqrt(max(0.0, 1.0 - mu0 * mu0))
         return cls(mu=mu0, nu=nu0, mu0=mu0, nu0=nu0, delta=delta, epsilon=epsilon)
 
 

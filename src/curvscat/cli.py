@@ -222,7 +222,7 @@ def _config_from(args) -> SolverConfig:
 
 def _summary(inputs: dict, cfg: SolverConfig, **entries) -> dict:
     """summary.json's body: schema and inputs, the entries, then the config."""
-    return {"schema": "curvscat/summary/v5", "inputs": inputs, **entries,
+    return {"schema": "curvscat/summary/v6", "inputs": inputs, **entries,
             "config": _field_dict(cfg)}
 
 
@@ -303,6 +303,8 @@ def cmd_shoot(args, argv) -> int:
 def cmd_sweep(args, argv) -> int:
     cfg = _config_from(args)
     lo, hi = parse_angle(args.theta_min), parse_angle(args.theta_max)
+    if args.n == 1 and lo != hi:
+        raise UsageError("--n 1 runs --theta-min alone: give equal ends")
     grid = np.linspace(lo, hi, args.n)
     inputs = {"theta_min": lo, "theta_max": hi, "n": args.n,
               "root_tol": args.root_tol}
@@ -313,7 +315,7 @@ def cmd_sweep(args, argv) -> int:
 
     rows = shooting.sweep(grid, cfg, root_tol=args.root_tol,
                           ceiling=args.eta_ceiling, on_row=report)
-    body = {"schema": "curvscat/sweep/v3", "inputs": inputs,
+    body = {"schema": "curvscat/sweep/v4", "inputs": inputs,
             "rows": [_field_dict(r) for r in rows], "config": _field_dict(cfg)}
     _emit(args, argv, inputs, {
         "sweep.csv": lambda path: write_sweep_csv(path, rows),
@@ -326,7 +328,7 @@ def cmd_verify(args, argv) -> int:
     results = verification.run_suite(args.eta_in, cfg)
     all_pass = all(r.passed for r in results)
     inputs = {"eta_in": list(args.eta_in)}
-    report = {"schema": "curvscat/verify/v3", "inputs": inputs,
+    report = {"schema": "curvscat/verify/v4", "inputs": inputs,
               "items": [_field_dict(r) for r in results], "passed": all_pass,
               "config": _field_dict(cfg)}
     _emit(args, argv, inputs,
@@ -338,8 +340,7 @@ def cmd_verify(args, argv) -> int:
 
 
 def cmd_flow(args, argv) -> int:
-    state = analysis.GradientFlowState.from_anchor(
-        args.mu0, args.delta, args.epsilon, nu0=args.nu0)
+    state = analysis.GradientFlowState.from_anchor(args.mu0, args.delta, args.epsilon)
     res = analysis.gradient_flow_run(state, tol=args.tol, max_iter=args.max_iter)
     history = np.asarray(res.history, dtype=float).reshape(-1, 3)
     columns = [np.arange(len(history)), *history.T]
@@ -397,7 +398,6 @@ def build_parser() -> _Parser:
 
     pf = sub.add_parser("flow", help="run the anchored gradient-flow recurrence")
     pf.add_argument("--mu0", type=float, required=True)
-    pf.add_argument("--nu0", type=float, default=None)
     pf.add_argument("--delta", type=float, required=True)
     pf.add_argument("--epsilon", type=float, default=analysis.DEFAULT_EPSILON)
     pf.add_argument("--tol", type=_positive_float, default=analysis.DEFAULT_TOL)

@@ -50,6 +50,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 EPS = float(np.finfo(float).eps)
+MIN_RTOL = 100 * EPS    # the rtol floor, scipy's: a smaller rtol is raised to it
 
 SAFETY = 0.9            # applied to the asymptotic step-size factor
 MIN_FACTOR = 0.2        # largest decrease of the step in one rejection
@@ -475,7 +476,7 @@ def solve_ivp(system: System, t_span, y0, *, rtol: float, atol: float,
     Each step is one call to the system's attempt kernel, which also checks
     the events on an accepted step.  Roots are located on the dense output
     of the step where an event changes sign; the run stops at the earliest
-    terminal root of the step.  An rtol below 100 eps is raised to it with
+    terminal root of the step.  An rtol below MIN_RTOL is raised to it with
     a warning, as scipy does.  Returns an OdeResult; a step that falls below
     10 ulp of t ends the run with status -1.
     """
@@ -483,9 +484,9 @@ def solve_ivp(system: System, t_span, y0, *, rtol: float, atol: float,
     if not t_bound > t:
         raise ValueError("t_span must run forward")
     y = [float(v) for v in y0]
-    if rtol < 100 * EPS:
-        warnings.warn(f"rtol {rtol:g} is too small; using {100 * EPS:.3g}", stacklevel=2)
-        rtol = 100 * EPS
+    if rtol < MIN_RTOL:
+        warnings.warn(f"rtol {rtol:g} is too small; using {MIN_RTOL:.3g}", stacklevel=2)
+        rtol = MIN_RTOL
 
     args = tuple(params[name] for name in system.params)
     fun, values, attempt, state = system.functions

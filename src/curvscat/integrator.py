@@ -32,7 +32,7 @@ After it, samples and the eta crossings come from the closed-form free leg
 (closed_forms.free_leg), and the deflection angle is the direction of the
 line it approaches (closed_forms.free_asymptote), read from the escape
 state alone: no sampling flag moves it.  Escaped runs are sampled up
-to max(t0 + min_tail, t_escape + tail_pad), capped by the budget, so the
+to max(t0 + MIN_TAIL, t_escape + TAIL_PAD), capped by the budget, so the
 eta = 0 crossing (which scales like eta_in/|sin Theta|) and the asymptotic
 tail are inside the window.
 
@@ -63,8 +63,10 @@ import numpy as np
 
 from .closed_forms import (AsymptoticData, free_asymptote, free_leg,
                            free_motion_expansion, start_time)
-from .dop853 import Event, System, solve_ivp
+from .dop853 import MIN_RTOL, Event, System, solve_ivp
 from .dynamics import RHS_SHARED, RHS_SOURCE, PhasePoint, energy_array
+
+MIN_TAIL, TAIL_PAD = 12.0, 6.0     # the window past t0 and past escape
 
 
 class Outcome(enum.Enum):
@@ -90,12 +92,11 @@ class NotConvergedError(Exception):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and windowing for integrate().
+    """Tolerances, budget and sample spacing for integrate().
 
-    max_time is a duration budget measured from the start time.  min_tail and
-    tail_pad control how far past the eta = 0 crossing and the escape point a
-    run is extended.  Every field must be finite and positive; each is one
-    command-line flag (rel_tol is --rel-tol).
+    max_time is a duration budget measured from the start time.  Every field
+    must be finite and positive, and rel_tol at least the stepper's floor
+    MIN_RTOL; each field is one command-line flag (rel_tol is --rel-tol).
     """
 
     rel_tol: float = 1e-10
@@ -103,13 +104,13 @@ class SolverConfig:
     escape_tol: float = 1e-7
     max_time: float = 600.0
     dense_step: float = 0.01
-    min_tail: float = 12.0
-    tail_pad: float = 6.0
 
     def __post_init__(self):
         for name, value in vars(self).items():
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"SolverConfig.{name} must be finite and positive")
+        if self.rel_tol < MIN_RTOL:
+            raise ValueError(f"SolverConfig.rel_tol must be at least 100 eps = {MIN_RTOL!r}")
 
 
 @dataclass(frozen=True)
@@ -314,7 +315,7 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
             t0 = t_escape + _free_leg_crossing(y_e, 0.0)
         if t_half is None:
             t_half = t_escape + _free_leg_crossing(y_e, 0.5 * a.eta_in)
-        t_end = min(max(t_escape + cfg.tail_pad, t0 + cfg.min_tail), budget)
+        t_end = min(max(t_escape + TAIL_PAD, t0 + MIN_TAIL), budget)
         # crossings are reported only inside the budget
         t0 = t0 if t0 <= budget else None
         t_half = t_half if t_half <= budget else None

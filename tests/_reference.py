@@ -31,7 +31,7 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import simpson as scipy_simpson
@@ -652,7 +652,7 @@ def integrate_samples_loop(a, cfg):
             t0 = t_escape + integrator._free_leg_crossing(y_e, 0.0)
         if t_half is None:
             t_half = t_escape + integrator._free_leg_crossing(y_e, 0.5 * a.eta_in)
-        t_end = min(max(t_escape + cfg.tail_pad, t0 + cfg.min_tail), budget)
+        t_end = min(max(t_escape + integrator.TAIL_PAD, t0 + integrator.MIN_TAIL), budget)
         t0 = t0 if t0 <= budget else None
         t_half = t_half if t_half <= budget else None
     ts, mask = sample_times_loop(t_start, t_end, cfg.dense_step, (t0, t_half, t_m))
@@ -930,8 +930,7 @@ def spectrum_along(traj) -> list[SpectrumSample]:
     ]
 
 
-def estimate_delta0(mu0: float, nu0: Optional[float] = None,
-                    epsilon: float = 0.1, tol: float = 1e-10,
+def estimate_delta0(mu0: float, epsilon: float = 0.1, tol: float = 1e-10,
                     max_iter: int = 100000, bisections: int = 40) -> float:
     """Empirical quadrant-exit threshold delta0 of the gradient-flow
     recurrence (analysis.gradient_flow_run) for a given anchor.
@@ -940,7 +939,7 @@ def estimate_delta0(mu0: float, nu0: Optional[float] = None,
     a conservative seed and then bisected.  Returns the bracket midpoint.
     """
     def stays(delta: float) -> bool:
-        s = GradientFlowState.from_anchor(mu0, delta, epsilon, nu0)
+        s = GradientFlowState.from_anchor(mu0, delta, epsilon)
         r = gradient_flow_run(s, tol=tol, max_iter=max_iter)
         return r.stayed_in_quadrant and r.converged
 

@@ -82,7 +82,7 @@ def test_spectrum_time_reverse_invariant(traj8):
 
 
 def test_flow_zero_coupling_fixed_at_anchor():
-    s = GradientFlowState.from_anchor(-0.6, delta=0.0, nu0=-0.8)
+    s = GradientFlowState.from_anchor(-0.6, delta=0.0)
     res = gradient_flow_run(s)
     assert res.converged and res.stayed_in_quadrant
     assert res.iterations == 0
@@ -171,7 +171,7 @@ def test_potential_value_matches_definition():
         """W(mu, nu) for the state's anchor and coupling."""
         return 0.5 * ((mu - s.mu0) ** 2 + (nu - s.nu0) ** 2) - s.delta * nu / mu
 
-    s = GradientFlowState.from_anchor(-0.6, delta=2e-3, nu0=-0.8)
+    s = GradientFlowState.from_anchor(-0.6, delta=2e-3)
     w = potential_value(s, -1.0, -2.0)
     assert math.isclose(w, 0.5 * ((-1 + 0.6)**2 + (-2 + 0.8)**2) - 2e-3 * 2.0,
                         rel_tol=1e-15)

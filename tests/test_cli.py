@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -46,7 +47,7 @@ def test_solve_emits_files_and_summary(tmp_path):
     for name in ("trajectory.csv", "radial.csv", "summary.json", "manifest.json"):
         assert (out / name).exists()
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["schema"] == "curvscat/summary/v5"
+    assert summary["schema"] == "curvscat/summary/v6"
     assert list(summary["fits"]) == ["u_slope", "u_intercept", "k_slope", "k_intercept"]
     assert abs(summary["theta"] - ORACLE_THETA_ETA8) < 1e-6
     assert 2 * math.pi < summary["kappa"] < 4 * math.pi
@@ -104,7 +105,7 @@ def test_solve_summary_layout(tmp_path, eta_in, keys):
     text = (out / "summary.json").read_text()
     summary = json.loads(text)
     assert list(summary) == keys
-    assert summary["schema"] == "curvscat/summary/v5"
+    assert summary["schema"] == "curvscat/summary/v6"
     assert summary["inputs"] == {"eta_in": float(eta_in), "xi_in": 0.0}
     assert list(summary["config"]) == list(asdict(SolverConfig()))
     traj = integrate(AsymptoticData(0.0, float(eta_in)), SolverConfig())
@@ -114,7 +115,7 @@ def test_solve_summary_layout(tmp_path, eta_in, keys):
     if eta_in == "-1":
         p = traj.point(0)
         assert text == _json_render({
-            "schema": "curvscat/summary/v5",
+            "schema": "curvscat/summary/v6",
             "inputs": {"eta_in": -1.0, "xi_in": 0.0},
             "events": {"t0": None, "t_half": None, "t_m": None, "blowup": {
                 "last_state": {"t": p.t, "xi": p.xi, "eta": p.eta,
@@ -211,10 +212,21 @@ def test_one_solver_flag_per_config_field(tmp_path):
 
 
 def test_flow_has_only_its_own_settings():
-    # --out-dir and flow's six settings, nothing else
+    # --out-dir and flow's five settings, nothing else: the anchor's nu0 is
+    # -sqrt(1 - mu0^2), the one value the anchor check admits
     flow = _subparsers()["flow"]
     assert [a.dest for a in flow._actions if a.option_strings][1:] == [
-        "mu0", "nu0", "delta", "epsilon", "tol", "max_iter", "out_dir"]
+        "mu0", "delta", "epsilon", "tol", "max_iter", "out_dir"]
+
+
+def test_every_settable_value_acts():
+    # the window past escape is two constants and flow's nu0 is derived, so
+    # each command offers only values that change what it reports
+    counts = {name: sum(1 for a in sub._actions if a.option_strings and a.dest != "help")
+              for name, sub in _subparsers().items()}
+    assert counts == {"solve": 8, "shoot": 9, "sweep": 11, "verify": 7, "flow": 6}
+    assert [f.name for f in fields(SolverConfig)] == [
+        "rel_tol", "abs_tol", "escape_tol", "max_time", "dense_step"]
 
 
 @pytest.mark.parametrize("flag", [f.name.replace("_", "-")
@@ -346,14 +358,27 @@ def test_sweep_n_below_one_is_usage_error(tmp_path, capsys, n):
     (("verify", "--eta-in"), "--eta-in"),
     (("sweep", "--theta-min", "-0.8pi", "--theta-max", "-0.75pi", "--n", "2",
       "--eta-ceiling", "inf"), "ceiling"),
+    (("solve", "--eta-in", "8", "--rel-tol", "1e-14"),
+     "error: SolverConfig.rel_tol must be at least 100 eps = 2.220446049250313e-14\n"),
+    (("solve", "--eta-in", "8", "--tail-pad", "30"), "unrecognized arguments: --tail-pad"),
+    (("verify", "--eta-in", "8", "--min-tail", "5"), "unrecognized arguments: --min-tail"),
+    (("flow", "--mu0", "-0.6", "--nu0", "-0.8", "--delta", "1e-4"),
+     "unrecognized arguments: --nu0"),
+    (("sweep", "--theta-min=-0.9pi", "--theta-max=-0.6pi", "--n", "1"),
+     "usage error: --n 1 runs --theta-min alone: give equal ends"),
 ])
 def test_bad_search_and_flow_arguments_are_usage_errors(tmp_path, capsys,
                                                         args, message):
     # bad search arguments, flow inputs that are not finite, a negative
     # flow budget and a verify with no data are usage errors, raised before
-    # any directory is made
+    # any directory is made.  So is every setting that would not act as
+    # recorded: a rel_tol below the stepper's floor, the window flags and
+    # flow's --nu0, which are gone, and a one-row sweep between two angles.
+    # Each is refused with one message even when warnings are errors
     out = tmp_path / "run"
-    assert _run(*args, "--out-dir", str(out)) == EXIT_USAGE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(*args, "--out-dir", str(out)) == EXIT_USAGE
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -366,7 +391,7 @@ def test_bad_search_and_flow_arguments_are_usage_errors(tmp_path, capsys,
     ("verify", "--eta-in", "8", "--dense-step", "0"),
     ("solve", "--eta-in", "8", "--escape-tol", "inf"),
     ("shoot", "--theta=-0.75pi", "--escape-tol", "inf"),
-    ("solve", "--eta-in", "8", "--max-time", "inf", "--min-tail", "inf"),
+    ("solve", "--eta-in", "8", "--max-time", "inf"),
     ("solve", "--eta-in", "8", "--rel-tol", "inf"),
     ("solve", "--eta-in", "8", "--abs-tol", "inf"),
     ("solve", "--eta-in", "8", "--dense-step", "5"),
@@ -425,7 +450,7 @@ def test_verify_sample_grid_beyond_memory_fails_an_item(tmp_path):
 
 @pytest.mark.parametrize("args", [
     ("solve", "--eta-in", "12", "--max-time", "160"),
-    ("solve", "--eta-in", "8", "--min-tail", "5"),
+    ("solve", "--eta-in", "8", "--max-time", "80.3"),
     ("solve", "--eta-in", "24.2"),
 ])
 def test_short_tail_past_t0_still_solves(tmp_path, args):

@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from curvscat import (AsymptoticData, asymptotic_fit,
                       curvature_area_quadrature, deflection, integrate,
-                      pokhozaev_residual, theta_identities, to_radial)
+                      integrator, pokhozaev_residual, theta_identities,
+                      to_radial)
 from curvscat.closed_forms import free_asymptote, past_tails
 from curvscat.dynamics import EXP_FLOOR, TimeTranslate, apply_symmetry
 from curvscat.geometry import ALPHA_SUP, FOUR_PI, TWO_PI, pde_residual, simpson
@@ -367,9 +368,12 @@ def test_quadrature_matches_the_irregular_rule(eta_in, dense_step):
 
 
 @pytest.mark.parametrize("eta_in", [1.2999, 1.31, 8.0])
-def test_fit_does_not_depend_on_the_window(eta_in):
-    # the tail lines are read at the escape state, which no window flag moves
+def test_fit_does_not_depend_on_the_window(eta_in, monkeypatch):
+    # the tail lines are read at the escape state, which no window constant
+    # moves
     a = AsymptoticData(0.0, eta_in)
     fit = asymptotic_fit(integrate(a, SolverConfig()))
-    for flags in ({"tail_pad": 30.0}, {"min_tail": 40.0}):
-        assert asymptotic_fit(integrate(a, SolverConfig(**flags))) == fit, flags
+    for name, value in (("TAIL_PAD", 30.0), ("MIN_TAIL", 40.0)):
+        with monkeypatch.context() as m:
+            m.setattr(integrator, name, value)
+            assert asymptotic_fit(integrate(a, SolverConfig())) == fit, name

@@ -6,7 +6,8 @@ import pytest
 
 from curvscat import (AsymptoticData, NotConvergedError, SolverConfig,
                       Trajectory, TrajectoryEvents, deflection,
-                      explicit_bounds, integrate, t0_state_bounds)
+                      explicit_bounds, integrate, integrator, t0_state_bounds)
+from curvscat.dop853 import MIN_RTOL
 from curvscat.dynamics import PhasePoint, TimeTranslate, apply_symmetry
 from curvscat.integrator import _SOLVER, Outcome, _sample_times, deflection_of
 
@@ -131,17 +132,29 @@ def test_evaluator_matches_deflection_of_trajectory(xi_in, cfg):
         assert deflection_of(a, cfg) == deflection(integrate(a, cfg)), eta_in
 
 
-def test_deflection_does_not_depend_on_the_window(cfg):
-    # Theta is read at the escape state, which no sampling flag moves
-    changes = ({"tail_pad": 30.0}, {"min_tail": 40.0}, {"dense_step": 0.005})
+def test_deflection_does_not_depend_on_the_window(cfg, monkeypatch):
+    # Theta is read at the escape state, which neither the sample spacing
+    # nor the window constants move
+    windows = (("TAIL_PAD", 30.0), ("MIN_TAIL", 40.0))
+    lengthened = set()
     for eta_in in (1.2999, 1.31, 2.3252, 8.0):
         a = AsymptoticData(0.0, eta_in)
         theta = deflection_of(a, cfg)
+        t_end = integrate(a, cfg).t[-1]
         assert theta == deflection(integrate(a, cfg)), eta_in
-        for change in changes:
-            moved = dataclasses.replace(cfg, **change)
-            assert deflection_of(a, moved) == theta, (eta_in, change)
-            assert deflection(integrate(a, moved)) == theta, (eta_in, change)
+        moved = dataclasses.replace(cfg, dense_step=0.005)
+        assert deflection_of(a, moved) == theta, eta_in
+        assert deflection(integrate(a, moved)) == theta, eta_in
+        for name, value in windows:
+            with monkeypatch.context() as m:
+                m.setattr(integrator, name, value)
+                traj = integrate(a, cfg)
+                assert deflection_of(a, cfg) == theta, (eta_in, name)
+                assert deflection(traj) == theta, (eta_in, name)
+                if traj.t[-1] > t_end:
+                    lengthened.add(name)
+    # each constant sets the window's end somewhere: the patches act
+    assert lengthened == {"TAIL_PAD", "MIN_TAIL"}
 
 
 def test_escape_state_is_where_the_solver_stopped(traj8):
@@ -280,8 +293,7 @@ def test_tolerance_self_consistency():
     # escape detection)
     thetas = {}
     for rtol in (1e-6, 1e-8, 1e-10):
-        cfg = SolverConfig(rel_tol=rtol, abs_tol=rtol * 1e-2, min_tail=2.0,
-                           escape_tol=1e-5)
+        cfg = SolverConfig(rel_tol=rtol, abs_tol=rtol * 1e-2, escape_tol=1e-5)
         thetas[rtol] = deflection(integrate(A8, cfg))
     d_coarse = abs(thetas[1e-6] - thetas[1e-8])
     d_fine = abs(thetas[1e-8] - thetas[1e-10])
@@ -511,10 +523,18 @@ def test_config_validation():
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: math.inf})
     # the certificate stops non-scattering runs: there is no blow-up level;
-    # the start comes from the data and the boundary band is a constant
-    for field in ("blowup_xi", "t_start_offset", "boundary_tol"):
+    # the start comes from the data, and the boundary band and the window
+    # past escape are constants
+    for field in ("blowup_xi", "t_start_offset", "boundary_tol", "min_tail", "tail_pad"):
         with pytest.raises(TypeError):
             SolverConfig(**{field: 1.0})
+
+
+def test_rel_tol_below_the_stepper_floor_is_refused():
+    # the stepper would run at its floor in place of the value recorded
+    assert SolverConfig(rel_tol=MIN_RTOL).rel_tol == MIN_RTOL == 2.220446049250313e-14
+    with pytest.raises(ValueError, match="rel_tol must be at least"):
+        SolverConfig(rel_tol=math.nextafter(MIN_RTOL, 0.0))
 
 
 def _escaped_stub(xi_dot_f, eta_dot_f):

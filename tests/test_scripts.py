@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from curvscat import (AsymptoticData, Outcome, SolverConfig, deflection_of,
                       deflection_table, explicit_bounds, iterate_past,
@@ -99,7 +100,7 @@ def test_deflection_map_onset_stops_at_a_budget_stop(tmp_path, capsys,
         seen.append((eta, *classify(eta, cfg)))
         return seen[-1][1:]
     monkeypatch.setattr(dmap, "classify", spy)
-    assert dmap.main(["--n", "1", "--onset-bisections", "30",
+    assert dmap.main(["--eta-max", "1.31", "--n", "1", "--onset-bisections", "30",
                       "--out", str(tmp_path / "map.csv")]) == 0
     out = capsys.readouterr().out
     bisection = seen[1:]
@@ -130,6 +131,30 @@ def test_deflection_map_brackets_the_onset_by_tabulated_outcomes(tmp_path, capsy
     out = capsys.readouterr().out
     assert "no onset bracket" in out and "onset in" not in out
     assert out.count("eta_in =") == 2
+
+
+@pytest.mark.parametrize("script, args, message", [
+    ("deflection_map", ["--n", "-1"], "--n: must be at least 1, got -1"),
+    ("deflection_map", ["--n", "0"], "--n: must be at least 1, got 0"),
+    ("deflection_map", ["--n", "1"], "--n 1 runs --eta-min alone: give equal ends"),
+    ("deflection_map", ["--onset-bisections", "-1"],
+     "--onset-bisections: must be at least 0, got -1"),
+    ("monotone_ladder", ["--iterates", "-1"], "--iterates: must be at least 0, got -1"),
+    ("monotone_ladder", ["--step", "0"], "--step: must be finite and positive, got 0"),
+], ids=["map-n-1", "map-n0", "map-n1", "map-bisections-1", "ladder-iterates-1",
+        "ladder-step0"])
+def test_scripts_refuse_counts_they_cannot_honour(tmp_path, capsys, script, args,
+                                                  message):
+    # each used to end in a traceback, write an empty map, or run other
+    # than as given (--n 1 ignored --eta-max, --iterates -1 ran as 0): now
+    # argparse refuses it and nothing is written
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        _load(script).main([*args, "--out" if script == "deflection_map" else "--out-dir",
+                            str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_deflection_table_smoke(capsys):
