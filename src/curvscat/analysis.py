@@ -8,7 +8,7 @@ The future-zone linear-bound recurrence
 
 is forward Euler for the gradient flow of
 W(mu, nu) = ((mu-mu0)^2 + (nu-nu0)^2)/2 - delta*nu/mu, run in the open
-quadrant mu < 0, nu < 0 from an anchor on the unit circle.
+quadrant mu < 0, nu < 0 from its anchor (mu0, nu0) on the unit circle.
 
 Trajectory convexity: g(t) = xi_dot - 2*eta*eta_dot equals
 1 - 2*int eta_dot^2 and decreases strictly, so it changes sign exactly once;
@@ -36,29 +36,26 @@ DEFAULT_MAX_ITER = 100000
 
 @dataclass(frozen=True)
 class GradientFlowState:
-    """Recurrence state with anchor (mu0, nu0) on the unit circle."""
+    """The recurrence's inputs: the anchor's mu0, the coupling delta and the
+    damping epsilon.  The anchor (mu0, nu0) sits on the unit circle in the
+    open quadrant, so mu0 lies in (-1, 0)."""
 
-    mu: float
-    nu: float
     mu0: float
-    nu0: float
     delta: float
-    epsilon: float
+    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        if abs(self.mu0**2 + self.nu0**2 - 1.0) > 1e-12:
-            raise ValueError("anchor (mu0, nu0) must sit on the unit circle")
+        if not (-1.0 < self.mu0 < 0.0):
+            raise ValueError(f"mu0 must lie in (-1, 0), got {self.mu0!r}")
         if not (math.isfinite(self.delta) and self.delta >= 0.0):
             raise ValueError(f"delta must be finite and nonnegative, got {self.delta!r}")
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
 
-    @classmethod
-    def from_anchor(cls, mu0: float, delta: float,
-                    epsilon: float = DEFAULT_EPSILON) -> "GradientFlowState":
-        """Start at the anchor (mu0, nu0), nu0 = -sqrt(1-mu0^2) on the circle."""
-        nu0 = -math.sqrt(max(0.0, 1.0 - mu0 * mu0))
-        return cls(mu=mu0, nu=nu0, mu0=mu0, nu0=nu0, delta=delta, epsilon=epsilon)
+    @property
+    def nu0(self) -> float:
+        """The anchor's nu0 = -sqrt(1 - mu0^2), on the unit circle."""
+        return -math.sqrt(1.0 - self.mu0 * self.mu0)
 
 
 def potential_gradient(s: GradientFlowState, mu: float, nu: float) -> tuple[float, float]:
@@ -79,20 +76,18 @@ class GradientFlowResult:
 
 def gradient_flow_run(s0: GradientFlowState, tol: float = DEFAULT_TOL,
                       max_iter: int = DEFAULT_MAX_ITER) -> GradientFlowResult:
-    """Run the damped recurrence until ||Grad W|| <= tol.
+    """Run the damped recurrence from the anchor until ||Grad W|| <= tol.
 
-    Requires the start point in the open quadrant mu < 0, nu < 0.  If an
-    iterate leaves the quadrant (coupling too large for the anchor), the run
-    stops with stayed_in_quadrant False; callers probing the exit threshold
-    treat that as a normal outcome.  history holds (mu, nu, ||Grad W||) of
-    each iterate tested against tol, and the run ends on the last of them:
-    after max_iter steps it stops there, unconverged.
+    If an iterate leaves the open quadrant mu < 0, nu < 0 (coupling too
+    large for the anchor), the run stops with stayed_in_quadrant False;
+    callers probing the exit threshold treat that as a normal outcome.
+    history holds (mu, nu, ||Grad W||) of each iterate tested against tol,
+    and the run ends on the last of them: after max_iter steps it stops
+    there, unconverged.
     """
-    if not (s0.mu < 0.0 and s0.nu < 0.0):
-        raise ValueError("start point must lie in the open quadrant mu < 0, nu < 0")
     if max_iter < 0:
         raise ValueError(f"max_iter must be at least 0, got {max_iter}")
-    mu, nu = s0.mu, s0.nu
+    mu, nu = s0.mu0, s0.nu0
     history: list[tuple[float, float, float]] = []
     for n in range(max_iter + 1):
         gmu, gnu = potential_gradient(s0, mu, nu)

@@ -210,12 +210,6 @@ def _add_common_flags(p: argparse.ArgumentParser, solver: bool = True) -> None:
         p.add_argument("--" + f.name.replace("_", "-"), type=float, default=f.default)
 
 
-def _add_search_flags(p: argparse.ArgumentParser) -> None:
-    """shoot's and sweep's --root-tol and --eta-ceiling."""
-    p.add_argument("--root-tol", type=_positive_float, default=shooting.DEFAULT_ROOT_TOL)
-    p.add_argument("--eta-ceiling", type=_positive_float, default=shooting.DEFAULT_CEILING)
-
-
 def _config_from(args) -> SolverConfig:
     return SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
 
@@ -279,8 +273,7 @@ def cmd_shoot(args, argv) -> int:
     theta_t = parse_angle(args.theta)
     inputs = {"theta_target": theta_t, "root_tol": args.root_tol}
     try:
-        res = shooting.shoot(theta_t, cfg, root_tol=args.root_tol,
-                             ceiling=args.eta_ceiling)
+        res = shooting.shoot(theta_t, cfg, root_tol=args.root_tol)
     except shooting.BracketNotFoundError as exc:
         summary = _summary(inputs, cfg, error=str(exc), scanned=[
             {"eta_in": e, "theta": th} for e, th in exc.scanned])
@@ -313,8 +306,7 @@ def cmd_sweep(args, argv) -> int:
         print(f"theta {r.theta_target:+.6f}: {r.status}"
               + (f" eta_in = {r.eta_in:.9g}" if r.status == "ok" else ""))
 
-    rows = shooting.sweep(grid, cfg, root_tol=args.root_tol,
-                          ceiling=args.eta_ceiling, on_row=report)
+    rows = shooting.sweep(grid, cfg, root_tol=args.root_tol, on_row=report)
     body = {"schema": "curvscat/sweep/v4", "inputs": inputs,
             "rows": [_field_dict(r) for r in rows], "config": _field_dict(cfg)}
     _emit(args, argv, inputs, {
@@ -340,7 +332,7 @@ def cmd_verify(args, argv) -> int:
 
 
 def cmd_flow(args, argv) -> int:
-    state = analysis.GradientFlowState.from_anchor(args.mu0, args.delta, args.epsilon)
+    state = analysis.GradientFlowState(args.mu0, args.delta, args.epsilon)
     res = analysis.gradient_flow_run(state, tol=args.tol, max_iter=args.max_iter)
     history = np.asarray(res.history, dtype=float).reshape(-1, 3)
     columns = [np.arange(len(history)), *history.T]
@@ -378,7 +370,7 @@ def build_parser() -> _Parser:
     ph = sub.add_parser("shoot", help="find eta_in for a target deflection")
     ph.add_argument("--theta", required=True,
                     help="target angle in radians or '<x>pi' (e.g. -0.75pi)")
-    _add_search_flags(ph)
+    ph.add_argument("--root-tol", type=_positive_float, default=shooting.DEFAULT_ROOT_TOL)
     _add_common_flags(ph)
     ph.set_defaults(func=cmd_shoot)
 
@@ -386,7 +378,7 @@ def build_parser() -> _Parser:
     pw.add_argument("--theta-min", required=True)
     pw.add_argument("--theta-max", required=True)
     pw.add_argument("--n", type=_positive_int, required=True)
-    _add_search_flags(pw)
+    pw.add_argument("--root-tol", type=_positive_float, default=shooting.DEFAULT_ROOT_TOL)
     _add_common_flags(pw)
     pw.set_defaults(func=cmd_sweep)
 

@@ -11,8 +11,7 @@ which is a subsolution of xi, and the half-level supersolution is
 
 valid as an upper bound while eta > eta_in/2.  Setting the n-independent
 lower bound eta_in - exp(2*xi_in + 2*t)/8 to 0 and eta_in/2 yields the
-explicit time bounds t0_lower and t_half_lower; the cosh arguments vanish at
-the envelope maxima tm0 and tm_hat.
+explicit time bounds t0_lower and t_half_lower.
 
 The motion is free in both limits: past_tails gives the integrals from -inf
 of the free past motion, free_motion_expansion the start state built from
@@ -52,12 +51,10 @@ class AsymptoticData:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Explicit lower bounds for event times and envelope maxima locations."""
+    """Explicit lower bounds for event times."""
 
     t0_lower: float        # below the eta = 0 crossing time
     t_half_lower: float    # below the eta = eta_in/2 crossing time
-    tm0: float             # maximum location of the subsolution envelope
-    tm_hat: float          # maximum location of the supersolution envelope
 
 
 def lncosh(z):
@@ -88,14 +85,12 @@ def xi_supersolution(t, a: AsymptoticData):
 
 
 def explicit_bounds(a: AsymptoticData) -> BoundsReport:
-    """Explicit time bounds and envelope maxima for the given data."""
+    """Explicit time bounds for the given data."""
     _require_positive_eta_in(a)
     e = a.eta_in
     return BoundsReport(
         t0_lower=math.log(2.0 * math.sqrt(2.0 * e)) - a.xi_in,
         t_half_lower=math.log(2.0 * math.sqrt(e)) - a.xi_in,
-        tm0=math.log(2.0 / math.sqrt(e)) - a.xi_in,
-        tm_hat=math.log(2.0 * math.sqrt(2.0 / e)) - a.xi_in,
     )
 
 

@@ -24,7 +24,9 @@ exactly as it does; tests/_reference.py keeps the loops, the interpolant
 and the generic step loop as its oracle.
 
 It reproduces scipy.integrate.solve_ivp(method="DOP853") for forward
-integration without max_step or t_eval: the same initial step selection,
+integration without max_step or t_eval and with rtol at least MIN_RTOL
+(scipy raises a smaller rtol to the floor with a warning; here it is
+refused): the same initial step selection,
 step-size control (safety 0.9, factor limits 0.2 and 10, exponent -1/8 on
 the blended 5th/3rd-order error norm), minimum step of 10 ulp, event
 location (scipy's find_active_events directions, Brent's method at
@@ -43,14 +45,13 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 EPS = float(np.finfo(float).eps)
-MIN_RTOL = 100 * EPS    # the rtol floor, scipy's: a smaller rtol is raised to it
+MIN_RTOL = 100 * EPS    # the rtol floor, scipy's: a smaller rtol is refused
 
 SAFETY = 0.9            # applied to the asymptotic step-size factor
 MIN_FACTOR = 0.2        # largest decrease of the step in one rejection
@@ -476,8 +477,8 @@ def solve_ivp(system: System, t_span, y0, *, rtol: float, atol: float,
     Each step is one call to the system's attempt kernel, which also checks
     the events on an accepted step.  Roots are located on the dense output
     of the step where an event changes sign; the run stops at the earliest
-    terminal root of the step.  An rtol below MIN_RTOL is raised to it with
-    a warning, as scipy does.  Returns an OdeResult; a step that falls below
+    terminal root of the step.  An rtol below MIN_RTOL raises ValueError,
+    where scipy raises it to MIN_RTOL with a warning.  Returns an OdeResult; a step that falls below
     10 ulp of t ends the run with status -1.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
@@ -485,8 +486,7 @@ def solve_ivp(system: System, t_span, y0, *, rtol: float, atol: float,
         raise ValueError("t_span must run forward")
     y = [float(v) for v in y0]
     if rtol < MIN_RTOL:
-        warnings.warn(f"rtol {rtol:g} is too small; using {MIN_RTOL:.3g}", stacklevel=2)
-        rtol = MIN_RTOL
+        raise ValueError(f"rtol {rtol:g} is below the floor MIN_RTOL = {MIN_RTOL:.3g}")
 
     args = tuple(params[name] for name in system.params)
     fun, values, attempt, state = system.functions

@@ -14,26 +14,18 @@ boundary eta = exp(-2*xi) is the locus of zero-velocity (singular) points.
 The equations are written once, as the source RHS_SHARED and RHS_SOURCE,
 from which the stepper generates every evaluation of the right-hand side.
 
-The load parameter of the underlying plate problem is gauge-fixed to 1
-(``GAUGE_LOAD``).  Other load values are reachable only through the
-homologous symmetry xi -> xi + xi_h, t -> exp(-xi_h) t, which rescales the
-energy by exp(2*xi_h).
+The load parameter of the underlying plate problem is gauge-fixed to 1.
+Other load values are reachable only through the homologous symmetry
+xi -> xi + xi_h, t -> exp(-xi_h) t, which rescales the energy by
+exp(2*xi_h); every run here stays in the gauge E = 1/2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Union
+from dataclasses import dataclass
 
 import numpy as np
-
-if TYPE_CHECKING:  # only for annotations; Trajectory lives in integrator
-    from .integrator import Trajectory
-
-#: Load parameter of the plate equation, gauge-fixed.  Not a knob: general
-#: loads are represented by applying the homologous symmetry to E = 1/2 runs.
-GAUGE_LOAD: float = 1.0
 
 #: Half-width of the forbidden zone's boundary band eta*exp(2*xi) = 1.
 BOUNDARY_TOL: float = 1e-9
@@ -80,96 +72,6 @@ def exp_floored(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     out = np.maximum(x, EXP_FLOOR, out=np.empty_like(x))
     return np.exp(out, out=out)
-
-
-# --- symmetry transformations -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TimeTranslate:
-    t0: float
-
-
-@dataclass(frozen=True)
-class TimeReverse:
-    pass
-
-
-@dataclass(frozen=True)
-class Homologous:
-    xi_h: float
-
-
-Symmetry = Union[TimeTranslate, TimeReverse, Homologous]
-
-
-def transform_point(p: PhasePoint, s: Symmetry) -> PhasePoint:
-    """Apply a symmetry to a single phase point."""
-    if isinstance(s, TimeTranslate):
-        return replace(p, t=p.t + s.t0)
-    if isinstance(s, TimeReverse):
-        return PhasePoint(-p.t, p.xi, p.eta, -p.xi_dot, -p.eta_dot)
-    if isinstance(s, Homologous):
-        scale = math.exp(s.xi_h)
-        return PhasePoint(p.t / scale, p.xi + s.xi_h, p.eta,
-                          p.xi_dot * scale, p.eta_dot * scale)
-    raise TypeError(f"unknown symmetry {s!r}")
-
-
-def apply_symmetry(traj: "Trajectory", s: Symmetry) -> "Trajectory":
-    """Transform a whole trajectory under a symmetry of the equations of motion.
-
-    Sample energies are unchanged by time translation and time reversal and
-    scaled by exp(2*xi_h) under the homologous map; a mapped trajectory's
-    drift is measured from E = 1/2.  Event times are remapped, and time
-    reversal maps off-grid sample k of n to n-1-k.  The asymptotics field
-    keeps echoing the data that generated the original samples (a reversed or
-    homologously scaled trajectory is not in E = 1/2 scattering normal form).
-    """
-    from .integrator import Trajectory, TrajectoryEvents  # local: avoid cycle
-
-    ev = traj.events
-
-    def map_time(x):
-        if x is None:
-            return None
-        if isinstance(s, TimeTranslate):
-            return x + s.t0
-        if isinstance(s, TimeReverse):
-            return -x
-        return x * math.exp(-s.xi_h)
-
-    def map_point(p):
-        return None if p is None else transform_point(p, s)
-
-    new_ev = TrajectoryEvents(map_time(ev.t0), map_time(ev.t_half), map_time(ev.t_m),
-                              map_point(ev.blowup), map_point(ev.escape))
-
-    if isinstance(s, TimeTranslate):
-        return replace(traj, t=traj.t + s.t0, events=new_ev)
-    if isinstance(s, TimeReverse):
-        sl = slice(None, None, -1)
-        return replace(
-            traj,
-            t=-traj.t[sl],
-            xi=traj.xi[sl].copy(),
-            eta=traj.eta[sl].copy(),
-            xi_dot=-traj.xi_dot[sl],
-            eta_dot=-traj.eta_dot[sl],
-            events=new_ev,
-            off_grid=tuple(len(traj) - 1 - k for k in reversed(traj.off_grid)),
-        )
-    if isinstance(s, Homologous):
-        scale = math.exp(s.xi_h)
-        return replace(
-            traj,
-            t=traj.t / scale,
-            xi=traj.xi + s.xi_h,
-            xi_dot=traj.xi_dot * scale,
-            eta_dot=traj.eta_dot * scale,
-            events=new_ev,
-        )
-    raise TypeError(f"unknown symmetry {s!r}")
 
 
 def energy_array(xi: np.ndarray, eta: np.ndarray,

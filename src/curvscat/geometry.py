@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .closed_forms import AsymptoticData, free_asymptote, past_tails
+from .closed_forms import free_asymptote, past_tails
 from .dynamics import exp_floored
 from .integrator import Trajectory
 
@@ -51,6 +51,8 @@ _ROUNDOFF_ULPS = 4
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 ALPHA_SUP = 2.0 ** 1.5 * math.pi
+# the ln r range on which r = exp(t) is a normal finite double, ends included
+_LN_R_RANGE = (math.log(np.finfo(float).tiny), math.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,6 @@ class RadialSolution:
     kappa: float
     alpha: float
     k_star: float
-    u_center: float
-    asymptotics: AsymptoticData
 
     def __post_init__(self):
         for arr in (self.r_grid, self.u_values, self.k_values):
@@ -110,9 +110,8 @@ def curvature_area_quadrature(traj: Trajectory) -> QuadratureResult:
     rule on its regular window plus the closed-form past tail and the
     momentum balance after the window's last sample.
 
-    The spacing comes from the window's end points, so apply_symmetry images
-    integrate too.  e^{2 xi} is dynamics.exp_floored's: the samples where
-    the floor acts add terms far below an ulp of the sums, as unfloored.
+    e^{2 xi} is dynamics.exp_floored's: the samples where the floor acts
+    add terms far below an ulp of the sums, as unfloored.
     """
     if not traj.escaped:
         raise ValueError("the quadrature needs an escaped trajectory")
@@ -141,8 +140,9 @@ def to_radial(traj: Trajectory) -> RadialSolution:
     """Map an escaped trajectory to the radial pair (u(r), K(r)).
 
     K changes sign exactly at r = exp(t0).  K(0) extrapolates to
-    sqrt(2)*eta_in and u(0) to xi_in - ln(2)/4.  u and K must decrease in
-    r; near the start both are flat to round-off, so only a rise beyond a
+    sqrt(2)*eta_in and u(0) to xi_in - ln(2)/4.  A window whose r = exp(t)
+    is not a normal finite double raises ValueError.  u and K must decrease
+    in r; near the start both are flat to round-off, so only a rise beyond a
     few ulp of their terms raises ValueError.
     """
     if not traj.escaped:
@@ -150,6 +150,11 @@ def to_radial(traj: Trajectory) -> RadialSolution:
     if traj.events.t0 is None:
         raise ValueError("radial reconstruction needs the eta = 0 crossing event")
     t, xi, eta, _, _ = traj.window
+    if not _LN_R_RANGE[0] <= t[0] <= t[-1] <= _LN_R_RANGE[1]:
+        raise ValueError(f"the window ln r in [{t[0]:.6g}, {t[-1]:.6g}] leaves "
+                         f"[{_LN_R_RANGE[0]:.6g}, {_LN_R_RANGE[1]:.6g}], where "
+                         "r = exp(ln r) is a normal double: radial data there "
+                         "needs r stored as ln r (ROADMAP item 5)")
     # the quadrature's error grows with the grid step; no fixed step is
     # fine enough for every eta_in
     coarse = (f" on the grid dense_step = {traj.config.dense_step:g}; "
@@ -174,8 +179,7 @@ def to_radial(traj: Trajectory) -> RadialSolution:
     return RadialSolution(
         r_grid=np.exp(t), u_values=u, k_values=K,
         kappa=quad.kappa, alpha=quad.alpha,
-        k_star=_SQRT2 * a.eta_in, u_center=a.xi_in - _LN2_4,
-        asymptotics=a,
+        k_star=_SQRT2 * a.eta_in,
     )
 
 

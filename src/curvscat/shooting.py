@@ -6,7 +6,7 @@ one-dimensional).  Empirically the map decreases from -pi/2 toward -pi as
 eta_in grows, above a scattering onset near eta_in = 1.2998.
 
 The search starts at the tabulated inverse map (deflection_table.eta_in_of),
-clamped to the ceiling.  At the default SolverConfig the seed lands within
+clamped to CEILING.  At the default SolverConfig the seed lands within
 deflection_table.MISS = 1e-9 of the target, so at the default root_tol it is
 the root: one solver call per shot (over the 872 targets of benchmark shoot
 seeds 1-30 the worst miss is 2.5e-11).  Other solver settings move the map,
@@ -18,7 +18,7 @@ latest scattering point, where f = theta - theta_target and eta_in'(theta)
 is the table's slope at the angle seen there.  Each evaluation narrows the
 bracket (lo, hi): f > 0 or a non-scattering outcome raises lo, f < 0 lowers
 hi.  lo starts at 0, since eta_in <= 0 is certified non-scattering
-(integrator._solve), and hi at the ceiling.  A step that leaves the bracket
+(integrator._solve), and hi at CEILING.  A step that leaves the bracket
 goes to its log-midpoint, or to hi/2 while lo is 0.  Before any angle is
 seen there is no slope: a non-scattering probe (a budget shorter than the
 default raises the onset) is followed by one _ONSET_STEP higher, relative,
@@ -29,9 +29,10 @@ solver's own error in Theta.  When the next probe would lie within
 _COLLAPSE, relative, of a bracket end, the bracket has collapsed: the better
 scattering end is accepted if it lies within root_tol, and otherwise the
 search fails, naming why: no root up to the ceiling, the lower edge pinned
-by non-scattering outcomes (naming max_time when they are budget stops),
-or a stalled refinement.  A non-scattering outcome above a scattering point
-ends the search with a BracketNotFoundError, a solver failure at once.
+by non-scattering outcomes, or a stalled refinement.  When the lower end's
+runs were budget stops, either of the first two names max_time instead.  A
+non-scattering outcome above a scattering point ends the search with a
+BracketNotFoundError, a solver failure at once.
 
 Evaluations are solver-only (integrator.deflection_of: no dense output, no
 samples, and an early certificate for non-scattering data), except for a
@@ -56,7 +57,9 @@ from .integrator import (NotConvergedError, Outcome, SolverConfig, Trajectory,
                          deflection, deflection_of, integrate)
 from . import geometry
 
-DEFAULT_CEILING = 1e6
+# the bracket's upper end: the deepest target, -pi + THETA_MARGIN, has its
+# root near eta_in 63.7, so every target's root lies far below it
+CEILING = 1e6
 DEFAULT_ROOT_TOL = 1e-8
 THETA_MARGIN = 0.005 * math.pi
 _EVAL_BUDGET = 80
@@ -93,12 +96,10 @@ class ShootingResult:
     scanned: list[tuple[float, Optional[float]]]   # every evaluation, in order
 
 
-def check_search(root_tol: float, ceiling: float) -> None:
-    """Raise ValueError, naming the argument, unless root_tol and ceiling
-    are finite and positive."""
-    for name, value in (("root_tol", root_tol), ("ceiling", ceiling)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+def check_search(root_tol: float) -> None:
+    """Raise ValueError unless root_tol is finite and positive."""
+    if not (math.isfinite(root_tol) and root_tol > 0.0):
+        raise ValueError(f"root_tol must be finite and positive, got {root_tol!r}")
 
 
 def _predicts_last(f: float, tol: float) -> bool:
@@ -112,8 +113,7 @@ def _predicts_last(f: float, tol: float) -> bool:
 
 
 def shoot(theta_target: float, cfg: SolverConfig = SolverConfig(),
-          root_tol: float = DEFAULT_ROOT_TOL,
-          ceiling: float = DEFAULT_CEILING) -> ShootingResult:
+          root_tol: float = DEFAULT_ROOT_TOL) -> ShootingResult:
     """Find eta_in whose deflection hits theta_target to within root_tol.
 
     theta_target must keep THETA_MARGIN to the interval ends (-pi, -pi/2).
@@ -127,7 +127,7 @@ def shoot(theta_target: float, cfg: SolverConfig = SolverConfig(),
     and targets outside the margin raise ValueError, a solver failure
     NotConvergedError.
     """
-    check_search(root_tol, ceiling)
+    check_search(root_tol)
     if not (-math.pi + THETA_MARGIN < theta_target < -0.5 * math.pi - THETA_MARGIN):
         raise ValueError(f"theta_target {theta_target} outside (-pi + "
                          f"{THETA_MARGIN:g}, -pi/2 - {THETA_MARGIN:g})")
@@ -138,7 +138,7 @@ def shoot(theta_target: float, cfg: SolverConfig = SolverConfig(),
     # bracket ends as (eta, theta - theta_target); the residual is None at an
     # end that was not evaluated or did not scatter
     lo: tuple[float, Optional[float]] = (0.0, None)
-    hi: tuple[float, Optional[float]] = (ceiling, None)
+    hi: tuple[float, Optional[float]] = (CEILING, None)
     lo_why = None                        # how the lower end's run ended
     near = None                          # (eta, f) of the latest scattering probe
 
@@ -146,8 +146,16 @@ def shoot(theta_target: float, cfg: SolverConfig = SolverConfig(),
         return BracketNotFoundError(
             f"no bracket for theta = {theta_target}: {why}", scanned)
 
+    def pinned(why: str) -> BracketNotFoundError:
+        # the lower end found no angle: name the budget when its runs hit it
+        if lo_why is Outcome.OUT_OF_BUDGET:
+            why = (f"lower edge pinned by runs up to eta_in = {lo[0]:.9g} that "
+                   f"find no escape within max_time = {cfg.max_time:g}; "
+                   "raise --max-time")
+        return fail(why)
+
     seed = eta_in_of(theta_target)[0]
-    eta = min(seed, ceiling)
+    eta = min(seed, CEILING)
     # the seed misses by at most SEED_MISS at the default SolverConfig: when
     # that is within tol, it is integrated in full, as it should be the root
     full = eta == seed and SEED_MISS <= tol
@@ -183,9 +191,9 @@ def shoot(theta_target: float, cfg: SolverConfig = SolverConfig(),
 
         if near is None:
             # no angle seen yet: climb past the onset
-            if eta >= ceiling:
-                raise fail("no root up to the ceiling")
-            eta, full = min(eta * (1.0 + rel), ceiling), False
+            if eta >= CEILING:
+                raise pinned("no root up to the ceiling")
+            eta, full = min(eta * (1.0 + rel), CEILING), False
             rel = min(2.0 * rel, 1.0)
             continue
         e, f = near
@@ -206,11 +214,7 @@ def shoot(theta_target: float, cfg: SolverConfig = SolverConfig(),
                 raise fail("no root up to the ceiling")
             if lo[1] is not None:
                 raise fail(f"root refinement stalled at |dtheta| = {abs(f):.3e}")
-            if lo_why is Outcome.OUT_OF_BUDGET:
-                raise fail(f"lower edge pinned by runs up to eta_in = {lo[0]:.9g} "
-                           f"that find no escape within max_time = {cfg.max_time:g}; "
-                           "raise --max-time")
-            raise fail("lower edge pinned by non-scattering outcomes")
+            raise pinned("lower edge pinned by non-scattering outcomes")
 
     if kept is None or kept.asymptotics.eta_in != root:
         kept = integrate(AsymptoticData(0.0, root), cfg)
@@ -235,7 +239,7 @@ class SweepRow:
 
 
 def sweep(theta_grid, cfg: SolverConfig = SolverConfig(),
-          root_tol: float = DEFAULT_ROOT_TOL, ceiling: float = DEFAULT_CEILING, *,
+          root_tol: float = DEFAULT_ROOT_TOL, *,
           on_row: Optional[Callable[[SweepRow], None]] = None) -> list[SweepRow]:
     """One shoot plus geometry evaluation per grid angle, in grid order.
 
@@ -243,12 +247,12 @@ def sweep(theta_grid, cfg: SolverConfig = SolverConfig(),
     continues; bad search arguments raise ValueError before the first row.
     on_row, when given, is called with each row as it is done.
     """
-    check_search(root_tol, ceiling)
+    check_search(root_tol)
     rows: list[SweepRow] = []
     for theta_t in theta_grid:
         theta_t = float(theta_t)
         try:
-            res = shoot(theta_t, cfg, root_tol=root_tol, ceiling=ceiling)
+            res = shoot(theta_t, cfg, root_tol=root_tol)
             sol = geometry.to_radial(res.trajectory)
             rows.append(SweepRow(
                 theta_target=theta_t,

@@ -783,20 +783,12 @@ def eta_first_iterate(t, a: AsymptoticData):
 def scale_radial(sol: RadialSolution, k: float) -> RadialSolution:
     """Apply the scaling covariance r -> r/k, u -> u + ln k (K unchanged).
 
-    kappa and alpha are invariant; the asymptotic echo shifts to
-    xi_in + ln k because the map is a time translation of the underlying run.
+    kappa and alpha are invariant: the map is the time translation
+    t -> t - ln k of the underlying run, whose data become xi_in + ln k.
     """
     if not k > 0.0:
         raise ValueError("scale factor must be positive")
-    lk = math.log(k)
-    a = sol.asymptotics
-    return replace(
-        sol,
-        r_grid=sol.r_grid / k,
-        u_values=sol.u_values + lk,
-        u_center=sol.u_center + lk,
-        asymptotics=AsymptoticData(a.xi_in + lk, a.eta_in),
-    )
+    return replace(sol, r_grid=sol.r_grid / k, u_values=sol.u_values + math.log(k))
 
 
 def _hermite(t, t0, t1, y0, y1, d0, d1):
@@ -939,7 +931,7 @@ def estimate_delta0(mu0: float, epsilon: float = 0.1, tol: float = 1e-10,
     a conservative seed and then bisected.  Returns the bracket midpoint.
     """
     def stays(delta: float) -> bool:
-        s = GradientFlowState.from_anchor(mu0, delta, epsilon)
+        s = GradientFlowState(mu0, delta, epsilon)
         r = gradient_flow_run(s, tol=tol, max_iter=max_iter)
         return r.stayed_in_quadrant and r.converged
 

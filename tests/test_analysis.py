@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given, strategies as st
 from curvscat import (GradientFlowState, gradient_flow_run,
                       inflection_diagnostics)
 from curvscat.analysis import g_values, potential_gradient
-from curvscat.dynamics import TimeReverse, apply_symmetry
 
 from _reference import estimate_delta0, linearization_spectrum, spectrum_along
 
@@ -71,7 +71,8 @@ def test_spectrum_past_decay(traj8):
 
 
 def test_spectrum_time_reverse_invariant(traj8):
-    rev = apply_symmetry(traj8, TimeReverse())
+    rev = replace(traj8, t=-traj8.t[::-1], xi=traj8.xi[::-1], eta=traj8.eta[::-1],
+                  xi_dot=-traj8.xi_dot[::-1], eta_dot=-traj8.eta_dot[::-1])
     s_fwd = spectrum_along(traj8)
     s_rev = spectrum_along(rev)
     assert math.isclose(s_fwd[0].lambda_real, s_rev[-1].lambda_real, rel_tol=1e-15)
@@ -82,7 +83,7 @@ def test_spectrum_time_reverse_invariant(traj8):
 
 
 def test_flow_zero_coupling_fixed_at_anchor():
-    s = GradientFlowState.from_anchor(-0.6, delta=0.0)
+    s = GradientFlowState(-0.6, delta=0.0)
     res = gradient_flow_run(s)
     assert res.converged and res.stayed_in_quadrant
     assert res.iterations == 0
@@ -91,7 +92,7 @@ def test_flow_zero_coupling_fixed_at_anchor():
 
 def test_flow_near_tangent_anchor_first_order_prediction():
     mu0 = -(1.0 - 1e-6)
-    s = GradientFlowState.from_anchor(mu0, delta=1e-4, epsilon=0.1)
+    s = GradientFlowState(mu0, delta=1e-4, epsilon=0.1)
     res = gradient_flow_run(s, tol=1e-12)
     assert res.converged and res.stayed_in_quadrant
     mu_m, nu_m = res.fixed_point
@@ -106,7 +107,7 @@ def test_flow_near_tangent_anchor_first_order_prediction():
 
 
 def test_flow_gradient_on_nu0_edge():
-    s = GradientFlowState.from_anchor(-0.7, delta=1e-3)
+    s = GradientFlowState(-0.7, delta=1e-3)
     for mu in (-0.2, -0.7, -3.0):
         _, gnu = potential_gradient(s, mu, s.nu0)
         # the descent direction's nu component on the edge is delta/mu < 0
@@ -115,7 +116,7 @@ def test_flow_gradient_on_nu0_edge():
 
 
 def test_flow_large_coupling_exits_quadrant():
-    s = GradientFlowState.from_anchor(-0.1, delta=1.0)
+    s = GradientFlowState(-0.1, delta=1.0)
     res = gradient_flow_run(s, max_iter=10000)
     assert not res.stayed_in_quadrant
     assert not res.converged
@@ -124,7 +125,7 @@ def test_flow_large_coupling_exits_quadrant():
 def test_flow_budget_ends_on_the_last_tested_iterate():
     # a run that reaches max_iter reports the last iterate it tested, the
     # last history row, not the untested step after it
-    s = GradientFlowState.from_anchor(-0.7, delta=1e-4)
+    s = GradientFlowState(-0.7, delta=1e-4)
     res = gradient_flow_run(s, max_iter=2)
     assert not res.converged and res.stayed_in_quadrant
     assert res.iterations == 2 and len(res.history) == 3
@@ -137,7 +138,7 @@ def test_flow_budget_ends_on_the_last_tested_iterate():
 @given(mu0=st.floats(min_value=-0.999, max_value=-0.2))
 def test_flow_small_coupling_heuristic_converges(mu0):
     delta = 1e-3 * abs(mu0)**3
-    s = GradientFlowState.from_anchor(mu0, delta=delta)
+    s = GradientFlowState(mu0, delta=delta)
     res = gradient_flow_run(s, tol=1e-10)
     assert res.converged and res.stayed_in_quadrant
     assert res.fixed_point[0] < 0.0 and res.fixed_point[1] < 0.0
@@ -146,24 +147,32 @@ def test_flow_small_coupling_heuristic_converges(mu0):
 def test_estimate_delta0_brackets_the_exit():
     d0 = estimate_delta0(-0.5)
     assert d0 > 0.0
-    s_ok = GradientFlowState.from_anchor(-0.5, delta=0.5 * d0)
+    s_ok = GradientFlowState(-0.5, delta=0.5 * d0)
     assert gradient_flow_run(s_ok).stayed_in_quadrant
-    s_bad = GradientFlowState.from_anchor(-0.5, delta=2.0 * d0)
+    s_bad = GradientFlowState(-0.5, delta=2.0 * d0)
     r = gradient_flow_run(s_bad)
     assert not (r.stayed_in_quadrant and r.converged)
 
 
 def test_flow_state_validation():
-    with pytest.raises(ValueError, match="circle"):
-        GradientFlowState(mu=-0.5, nu=-0.5, mu0=-0.5, nu0=-0.5,
-                          delta=0.0, epsilon=0.1)
+    # the anchor lies on the unit circle in the open quadrant: one check of
+    # mu0 covers both, and names the flag given
+    for mu0 in (-1.5, -1.0, 0.0, 0.5, math.nan):
+        with pytest.raises(ValueError, match=r"mu0 must lie in \(-1, 0\)"):
+            GradientFlowState(mu0, delta=1e-4)
     with pytest.raises(ValueError, match="delta"):
-        GradientFlowState.from_anchor(-0.6, delta=-1.0)
+        GradientFlowState(-0.6, delta=-1.0)
     with pytest.raises(ValueError, match="epsilon"):
-        GradientFlowState.from_anchor(-0.6, delta=0.0, epsilon=1.0)
-    with pytest.raises(ValueError, match="quadrant"):
-        gradient_flow_run(GradientFlowState(mu=0.5, nu=-0.5, mu0=-0.6,
-                                            nu0=-0.8, delta=0.0, epsilon=0.1))
+        GradientFlowState(-0.6, delta=0.0, epsilon=1.0)
+
+
+def test_flow_state_holds_only_its_inputs():
+    assert [f.name for f in fields(GradientFlowState)] == ["mu0", "delta", "epsilon"]
+    for mu0 in (-0.6, -0.7, -0.999, -(1.0 - 1e-6)):
+        s = GradientFlowState(mu0, delta=1e-4)
+        assert s.nu0 == -math.sqrt(1.0 - mu0 * mu0)
+        # the run starts at the anchor
+        assert gradient_flow_run(s, max_iter=0).history[0][:2] == (mu0, s.nu0)
 
 
 def test_potential_value_matches_definition():
@@ -171,7 +180,7 @@ def test_potential_value_matches_definition():
         """W(mu, nu) for the state's anchor and coupling."""
         return 0.5 * ((mu - s.mu0) ** 2 + (nu - s.nu0) ** 2) - s.delta * nu / mu
 
-    s = GradientFlowState.from_anchor(-0.6, delta=2e-3)
+    s = GradientFlowState(-0.6, delta=2e-3)
     w = potential_value(s, -1.0, -2.0)
     assert math.isclose(w, 0.5 * ((-1 + 0.6)**2 + (-2 + 0.8)**2) - 2e-3 * 2.0,
                         rel_tol=1e-15)

@@ -220,11 +220,12 @@ def test_flow_has_only_its_own_settings():
 
 
 def test_every_settable_value_acts():
-    # the window past escape is two constants and flow's nu0 is derived, so
-    # each command offers only values that change what it reports
+    # the window past escape is two constants, the search's upper end one
+    # (shooting.CEILING) and flow's nu0 is derived, so each command offers
+    # only values that change what it reports
     counts = {name: sum(1 for a in sub._actions if a.option_strings and a.dest != "help")
               for name, sub in _subparsers().items()}
-    assert counts == {"solve": 8, "shoot": 9, "sweep": 11, "verify": 7, "flow": 6}
+    assert counts == {"solve": 8, "shoot": 8, "sweep": 10, "verify": 7, "flow": 6}
     assert [f.name for f in fields(SolverConfig)] == [
         "rel_tol", "abs_tol", "escape_tol", "max_time", "dense_step"]
 
@@ -254,13 +255,12 @@ def test_parser_defaults_are_the_library_constants():
     assert defaults["flow", "epsilon"] is analysis.DEFAULT_EPSILON
     assert defaults["flow", "tol"] is analysis.DEFAULT_TOL
     assert defaults["flow", "max_iter"] is analysis.DEFAULT_MAX_ITER
-    assert defaults["shoot", "eta_ceiling"] is shooting.DEFAULT_CEILING
     # the library's functions take the same defaults
     for fn, name, value in [
             (shooting.shoot, "root_tol", shooting.DEFAULT_ROOT_TOL),
             (shooting.sweep, "root_tol", shooting.DEFAULT_ROOT_TOL),
             (verification.run_suite, "eta_values", verification.DEFAULT_ETA_VALUES),
-            (analysis.GradientFlowState.from_anchor, "epsilon", analysis.DEFAULT_EPSILON),
+            (analysis.GradientFlowState, "epsilon", analysis.DEFAULT_EPSILON),
             (analysis.gradient_flow_run, "tol", analysis.DEFAULT_TOL),
             (analysis.gradient_flow_run, "max_iter", analysis.DEFAULT_MAX_ITER)]:
         assert inspect.signature(fn).parameters[name].default is value, fn
@@ -283,15 +283,16 @@ def test_shoot_with_pi_literal(tmp_path):
     assert (out / "radial.csv").exists()
 
 
-def test_shoot_bracket_failure_exit_2(tmp_path):
+def test_shoot_bracket_failure_exit_2(tmp_path, monkeypatch):
+    monkeypatch.setattr(shooting, "CEILING", 10.0)
     out = tmp_path / "fail"
-    assert _run("shoot", "--theta", "-0.99pi", "--eta-ceiling", "10",
+    assert _run("shoot", "--theta", "-0.99pi",
                 "--out-dir", str(out)) == EXIT_NONSCATTERING
     summary = json.loads((out / "summary.json").read_text())
     assert "error" in summary and summary["scanned"]
 
 
-def test_sweep_files_and_partial_exit(tmp_path):
+def test_sweep_files_and_partial_exit(tmp_path, monkeypatch):
     out = tmp_path / "sweep"
     code = _run("sweep", "--theta-min", "-0.8pi", "--theta-max", "-0.75pi",
                 "--n", "2", "--root-tol", "1e-6", "--out-dir", str(out))
@@ -302,29 +303,29 @@ def test_sweep_files_and_partial_exit(tmp_path):
     rows = json.loads((out / "sweep.json").read_text())["rows"]
     assert all(r["status"] == "ok" for r in rows)
 
+    monkeypatch.setattr(shooting, "CEILING", 10.0)
     out2 = tmp_path / "sweep_fail"
     code = _run("sweep", "--theta-min", "-0.99pi", "--theta-max", "-0.75pi",
-                "--n", "2", "--root-tol", "1e-6", "--eta-ceiling", "10",
-                "--out-dir", str(out2))
+                "--n", "2", "--root-tol", "1e-6", "--out-dir", str(out2))
     assert code == EXIT_PARTIAL
     rows = json.loads((out2 / "sweep.json").read_text())["rows"]
     assert rows[0]["status"].startswith("failed")
     assert rows[1]["status"] == "ok"
 
 
-def test_ceiling_below_the_onset_is_an_outcome(tmp_path, capsys):
+def test_ceiling_below_the_onset_is_an_outcome(tmp_path, capsys, monkeypatch):
     # a ceiling of 1e-7 lies below every root: shoot fails as a search
     # (exit 2) and sweep records a failed row (exit 3)
+    monkeypatch.setattr(shooting, "CEILING", 1e-7)
     out = tmp_path / "shoot"
-    assert _run("shoot", "--theta", "-0.75pi", "--eta-ceiling", "1e-7",
+    assert _run("shoot", "--theta", "-0.75pi",
                 "--out-dir", str(out)) == EXIT_NONSCATTERING
     summary = json.loads((out / "summary.json").read_text())
     assert "no root up to the ceiling" in summary["error"]
     assert [s["eta_in"] for s in summary["scanned"]] == [1e-7]
     out = tmp_path / "sweep"
     assert _run("sweep", "--theta-min", "-0.8pi", "--theta-max", "-0.75pi",
-                "--n", "2", "--eta-ceiling", "1e-7",
-                "--out-dir", str(out)) == EXIT_PARTIAL
+                "--n", "2", "--out-dir", str(out)) == EXIT_PARTIAL
     rows = json.loads((out / "sweep.json").read_text())["rows"]
     assert all("no root up to the ceiling" in r["status"] for r in rows)
 
@@ -342,7 +343,7 @@ def test_sweep_n_below_one_is_usage_error(tmp_path, capsys, n):
     (("shoot", "--theta", "-0.75pi", "--root-tol", "nan"), "--root-tol"),
     (("shoot", "--theta", "-0.75pi", "--root-tol", "0"), "--root-tol"),
     (("shoot", "--theta", "-0.75pi", "--root-tol", "-1"), "--root-tol"),
-    (("shoot", "--theta", "-0.75pi", "--eta-ceiling", "0"), "--eta-ceiling"),
+    (("shoot", "--theta", "-0.75pi", "--eta-ceiling", "10"), "--eta-ceiling"),
     (("shoot", "--theta", "-0.75pi", "--eta-ceiling", "nan"), "--eta-ceiling"),
     (("shoot", "--theta", "-0.75pi", "--eta-ceiling", "inf"), "ceiling"),
     (("sweep", "--theta-min", "-0.8pi", "--theta-max", "-0.75pi", "--n", "2",
@@ -366,14 +367,18 @@ def test_sweep_n_below_one_is_usage_error(tmp_path, capsys, n):
      "unrecognized arguments: --nu0"),
     (("sweep", "--theta-min=-0.9pi", "--theta-max=-0.6pi", "--n", "1"),
      "usage error: --n 1 runs --theta-min alone: give equal ends"),
+    (("flow", "--mu0", "-1.5", "--delta", "1e-4"), "error: mu0 must lie in (-1, 0), got -1.5\n"),
+    (("flow", "--mu0", "0.5", "--delta", "1e-4"), "error: mu0 must lie in (-1, 0), got 0.5\n"),
+    (("flow", "--mu0", "-1", "--delta", "1e-4"), "error: mu0 must lie in (-1, 0), got -1.0\n"),
 ])
 def test_bad_search_and_flow_arguments_are_usage_errors(tmp_path, capsys,
                                                         args, message):
     # bad search arguments, flow inputs that are not finite, a negative
     # flow budget and a verify with no data are usage errors, raised before
     # any directory is made.  So is every setting that would not act as
-    # recorded: a rel_tol below the stepper's floor, the window flags and
-    # flow's --nu0, which are gone, and a one-row sweep between two angles.
+    # recorded: a rel_tol below the stepper's floor, the window flags,
+    # flow's --nu0 and --eta-ceiling (now shooting.CEILING), which are gone,
+    # whatever their value, and a one-row sweep between two angles.
     # Each is refused with one message even when warnings are errors
     out = tmp_path / "run"
     with warnings.catch_warnings():
@@ -398,15 +403,37 @@ def test_bad_search_and_flow_arguments_are_usage_errors(tmp_path, capsys,
     ("shoot", "--theta=-0.75pi", "--dense-step", "5"),
     ("solve", "--eta-in", "8", "--t-start-offset", "14"),
     ("verify", "--eta-in", "8", "nan"),
+    ("solve", "--eta-in", "8", "--xi-in", "800"),
+    ("shoot", "--theta=-0.9942859980795938pi", "--max-time=3704.941172621771"),
 ])
 def test_bad_inputs_make_no_out_dir(tmp_path, capsys, args):
     # the target margin, solver flags, data and angles are checked before
     # any directory is made; so is the summary, which a grid too coarse for
-    # the quadrature (--dense-step 5) fails, and so is a verify whose last
-    # datum fails after the suite has run on the first
+    # the quadrature (--dense-step 5) fails, or a window whose r = exp(t)
+    # is no normal double (xi_in 800, or a deep shot past t = 709), and so
+    # is a verify whose last datum fails after the suite has run on the first
     out = tmp_path / "run"
     assert _run(*args, "--out-dir", str(out)) == EXIT_USAGE
     assert not out.exists()
+
+
+def test_window_past_709_is_a_named_failure(tmp_path, capsys):
+    # a window that passes t = 709, where r = exp(t) is no longer a double,
+    # fails the sweep's row and verify's "accepted scattering solution"
+    # item by name, pointing to ln r storage; the other rows and data run
+    item5 = "needs r stored as ln r (ROADMAP item 5)"
+    out = tmp_path / "sweep"
+    assert _run("sweep", "--theta-min=-0.99pi", "--theta-max=-0.75pi", "--n", "2",
+                "--max-time", "3000", "--out-dir", str(out)) == EXIT_PARTIAL
+    rows = json.loads((out / "sweep.json").read_text())["rows"]
+    assert rows[0]["status"].endswith(item5) and rows[1]["status"] == "ok"
+    out = tmp_path / "verify"
+    assert _run("verify", "--eta-in", "8", "34.9", "--max-time", "3000",
+                "--out-dir", str(out)) == EXIT_VERIFY_FAIL
+    items = json.loads((out / "verify_report.json").read_text())["items"]
+    failed, = [r for r in items if not r["passed"]]
+    assert failed["name"] == "accepted scattering solution"
+    assert failed["eta_in"] == 34.9 and failed["detail"].endswith(item5)
 
 
 def test_coarse_grid_error_names_dense_step(tmp_path, capsys):
@@ -572,10 +599,10 @@ def test_json_float_17_digits(tmp_path):
      {"trajectory.csv", "summary.json"}),
     (("shoot", "--theta=-0.75pi"), EXIT_OK,
      {"trajectory.csv", "radial.csv", "summary.json"}),
-    (("shoot", "--theta=-0.99pi", "--eta-ceiling", "10"), EXIT_NONSCATTERING,
+    (("shoot", "--theta=-0.75pi", "--max-time", "5"), EXIT_NONSCATTERING,
      {"summary.json"}),
-    (("sweep", "--theta-min=-0.99pi", "--theta-max=-0.6pi", "--n", "2",
-      "--eta-ceiling", "10"), EXIT_PARTIAL, {"sweep.csv", "sweep.json"}),
+    (("sweep", "--theta-min=-0.9pi", "--theta-max=-0.51pi", "--n", "2",
+      "--max-time", "30"), EXIT_PARTIAL, {"sweep.csv", "sweep.json"}),
     (("verify", "--eta-in", "8"), EXIT_OK, {"verify_report.json"}),
     (("verify", "--eta-in", "30"), EXIT_VERIFY_FAIL, {"verify_report.json"}),
     (("flow", "--mu0", "-0.7", "--delta", "1e-4"), EXIT_OK,

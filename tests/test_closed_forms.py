@@ -36,15 +36,12 @@ def test_lncosh_no_overflow_and_even(z):
 
 
 def test_xi_subsolution_values():
+    # the maximum -ln sqrt(eta_in), where the cosh argument vanishes (t = 0)
     assert math.isclose(xi_subsolution(0.0, A04), -math.log(2.0), rel_tol=1e-15)
     # -ln cosh(-5) - ln 2 evaluated exactly
     expected = -math.log(math.cosh(-5.0)) - math.log(2.0)
     assert math.isclose(xi_subsolution(-5.0, A04), expected, rel_tol=1e-14)
     assert abs(expected - (-5.0)) < 1e-4  # asymptotically the line xi_in + t shifted
-    # maximum value -ln sqrt(eta_in) attained at the envelope peak
-    b = explicit_bounds(A04)
-    assert math.isclose(xi_subsolution(b.tm0, A04), -0.5 * math.log(4.0),
-                        rel_tol=1e-15)
 
 
 def test_eta_first_iterate_values():
@@ -64,8 +61,9 @@ def test_xi_supersolution_values():
     assert math.isclose(got, expected, rel_tol=1e-14)
     assert math.isclose(got, -0.405465, rel_tol=0, abs_tol=1e-6)
     assert got > xi_subsolution(0.0, A04)
-    b = explicit_bounds(A04)
-    assert math.isclose(xi_supersolution(b.tm_hat, A04),
+    # maximum value -ln sqrt(eta_in/2) where the cosh argument vanishes
+    peak = math.log(2.0 * math.sqrt(2.0 / 4.0))
+    assert math.isclose(xi_supersolution(peak, A04),
                         -0.5 * math.log(4.0 / 2.0), rel_tol=1e-15)
 
 
@@ -74,7 +72,7 @@ def test_envelope_ordering(eta_in, xi_in):
     # the gap closes like e^{2t} toward the past, so strictness is asserted
     # only where it is representable
     a = AsymptoticData(xi_in, eta_in)
-    peak = explicit_bounds(a).tm0
+    peak = math.log(2.0 / math.sqrt(eta_in)) - xi_in   # the subsolution's maximum
     ts = np.linspace(peak - 25.0, peak + 8.0, 151)
     gap = xi_supersolution(ts, a) - xi_subsolution(ts, a)
     assert np.all(gap >= -1e-12)
@@ -87,7 +85,6 @@ def test_explicit_bounds_values():
     assert math.isclose(b.t0_lower, math.log(2.0 * math.sqrt(8.0)), rel_tol=1e-15)
     assert math.isclose(b.t0_lower, 1.732868, abs_tol=1e-6)
     assert math.isclose(b.t_half_lower, math.log(4.0), rel_tol=1e-15)
-    assert b.tm0 == 0.0
     assert math.isclose(ETA_CRIT_UPPER, math.sqrt(2.0) * (2.0 + math.sqrt(3.0)),
                         rel_tol=1e-15)
     assert math.isclose(ETA_CRIT_UPPER, 5.2779168675, abs_tol=1e-9)
@@ -95,9 +92,7 @@ def test_explicit_bounds_values():
 
 def test_explicit_bounds_ordering_eta8():
     b = explicit_bounds(A08)
-    assert math.isclose(b.tm0, math.log(2.0 / math.sqrt(8.0)), rel_tol=1e-15)
-    assert b.tm0 < b.tm_hat < b.t_half_lower
-    assert math.isclose(b.tm_hat, 0.0, abs_tol=1e-15)
+    assert b.t_half_lower < b.t0_lower
     assert math.isclose(b.t_half_lower, 1.732868, abs_tol=1e-6)
 
 
@@ -105,7 +100,7 @@ def test_explicit_bounds_ordering_eta8():
        xi_in=xi_any)
 def test_bounds_ordering_above_sqrt2(eta_in, xi_in):
     b = explicit_bounds(AsymptoticData(xi_in, eta_in))
-    assert b.tm0 < b.tm_hat < b.t_half_lower < b.t0_lower
+    assert b.t_half_lower < b.t0_lower
 
 
 @given(eta_in=st.floats(min_value=-10.0, max_value=0.0), xi_in=xi_any)

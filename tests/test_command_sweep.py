@@ -13,8 +13,9 @@ keep the command-line contract:
   * the directory is absent or holds exactly the files its manifest lists,
     each written before the manifest;
   * no CSV field is inf or nan, except in a failed sweep row;
-  * the config echo (flow: its inputs) holds the flags given, or the
-    defaults.
+  * every flag the parser offers but --out-dir appears in the command's
+    record, its config echo or its inputs, with the value given (angles
+    after parsing) or its default: a setting that acts is recorded.
 The seed is fixed, so the commands are the same on every run.
 """
 
@@ -23,13 +24,11 @@ import math
 import os
 import random
 import warnings
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import curvscat.cli as cli
-from curvscat import SolverConfig, analysis, shooting
 from curvscat.dop853 import MIN_RTOL
 
 SEED = 11
@@ -46,7 +45,6 @@ SOLVER_FLAGS = {
 }
 SEARCH_FLAGS = {
     "root_tol": (1e-14, 1e-2, "0", "-1", "inf", "nan"),
-    "eta_ceiling": (1e-8, 1e6, "0", "-5", "inf", "nan"),
 }
 FLOW_FLAGS = {
     "epsilon": (1e-3, 1.0, "0", "1", "-0.1", "nan"),
@@ -57,14 +55,15 @@ ANGLE_EDGES = ("-0.4pi", "-0.5pi", "-pi", "-1.1pi", "nan")
 P_FLAG = 0.4        # each optional flag is given with this probability
 P_EDGE = 0.1        # and a drawn value is an edge with this one
 
-# Drawn commands whose window passes t = 709, where r = exp(t) in
-# geometry.to_radial overflows: ROADMAP item 5.  Its fix turns them into
-# passes, which a strict xfail reports.
-OVERFLOW = {
-    51: "shoot --theta=-0.9942859980795938pi --max-time=3704.941172621771",
-    88: "verify --eta-in 5.311917999705203 34.90967361516051 "
-        "--max-time=3302.944242045442 --dense-step=0.0014208324048192674",
-}
+# Commands whose window passes t = 709, where r = exp(t) is no longer a
+# normal double: geometry.to_radial refuses their radial data, so shoot
+# exits 1 and verify fails its "accepted scattering solution" item, until
+# ROADMAP item 5 stores ln r.  They run beside the draw.
+PAST_709 = [
+    "shoot --theta=-0.9942859980795938pi --max-time=3704.941172621771",
+    "verify --eta-in 5.311917999705203 34.90967361516051 "
+    "--max-time=3302.944242045442 --dense-step=0.0014208324048192674",
+]
 
 
 def _pick(rng, low, high, *edges) -> str:
@@ -130,9 +129,17 @@ COMMANDS = [_draw(_rng) for _ in range(N_COMMANDS)]
 
 
 def _given(argv) -> dict:
-    """The value text of each --flag=value in argv, by destination."""
-    return {a[2:a.index("=")].replace("-", "_"): a[a.index("=") + 1:]
-            for a in argv if a.startswith("--") and "=" in a}
+    """The value texts of each flag in argv, by destination: one for
+    --flag=value, the tokens up to the next flag for --flag v1 v2."""
+    given, name = {}, None
+    for a in argv[1:]:
+        if a.startswith("--"):
+            name, eq, value = a[2:].partition("=")
+            name = name.replace("-", "_")
+            given[name] = [value] if eq else []
+        else:
+            given[name].append(a)
+    return given
 
 
 def _expected_code(command: str, out: Path) -> int:
@@ -167,35 +174,59 @@ def _check_csv(out: Path) -> None:
                 assert b"inf" not in line and b"nan" not in line, (path.name, k)
 
 
-def _check_echo(command: str, argv, out: Path) -> None:
-    """The config echo holds the flags given, or the defaults."""
-    given = _given(argv)
-    if command == "flow":
-        inputs = json.loads((out / "flow_summary.json").read_text())["inputs"]
-        defaults = {"epsilon": analysis.DEFAULT_EPSILON, "tol": analysis.DEFAULT_TOL,
-                    "max_iter": analysis.DEFAULT_MAX_ITER}
-        for name in ("mu0", "delta", "epsilon", "tol", "max_iter"):
-            want = float(given[name]) if name in given else defaults[name]
-            assert inputs[name] == want, name
-        return
-    name = {"solve": "summary.json", "shoot": "summary.json", "sweep": "sweep.json",
-            "verify": "verify_report.json"}[command]
-    echo = json.loads((out / name).read_text())["config"]
-    assert echo == {f.name: float(given.get(f.name, f.default))
-                    for f in fields(SolverConfig)}
-    if command in ("shoot", "sweep"):
-        inputs = json.loads((out / name).read_text())["inputs"]
-        assert inputs["root_tol"] == float(given.get("root_tol",
-                                                     shooting.DEFAULT_ROOT_TOL))
+# the file holding each command's record, and the record's name for a
+# flag's destination where the two differ
+RECORD = {"solve": "summary.json", "shoot": "summary.json", "sweep": "sweep.json",
+          "verify": "verify_report.json", "flow": "flow_summary.json"}
+RECORD_NAME = {"theta": "theta_target"}
+ANGLES = ("theta", "theta_min", "theta_max")
 
 
-def test_listed_overflows_are_the_drawn_commands():
-    for k, text in OVERFLOW.items():
-        assert " ".join(COMMANDS[k]) == text, k
+def _subparsers() -> dict:
+    return cli.build_parser()._subparsers._group_actions[0].choices
+
+
+def _check_recorded(argv, out: Path) -> None:
+    """Every flag the parser offers but --out-dir is in the record, the
+    config echo or the inputs, with the value given or its default."""
+    command, given = argv[0], _given(argv)
+    body = json.loads((out / RECORD[command]).read_text())
+    record = {**body["inputs"], **body.get("config", {})}
+    for action in _subparsers()[command]._actions:
+        if not action.option_strings or action.dest in ("help", "out_dir"):
+            continue
+        name = action.dest
+        if name not in given:
+            want = action.default
+        else:
+            parse = (cli.parse_angle if name in ANGLES
+                     else int if name in ("n", "max_iter") else float)
+            want = [parse(text) for text in given[name]]
+            if action.nargs != "+":
+                want, = want
+        if isinstance(want, tuple):
+            want = list(want)
+        key = RECORD_NAME.get(name, name)
+        assert key in record and record[key] == want, name
+
+
+def test_listed_commands_pass_t_709(tmp_path, capsys):
+    # each PAST_709 command ends in the named refusal of its radial data
+    item5 = "needs r stored as ln r (ROADMAP item 5)"
+    for k, text in enumerate(PAST_709):
+        out = tmp_path / str(k)
+        code = cli.main([*text.split(), "--out-dir", str(out)])
+        if text.startswith("shoot"):
+            assert code == cli.EXIT_USAGE and not out.exists()
+            assert capsys.readouterr().err.strip().endswith(item5)
+        else:
+            assert code == cli.EXIT_VERIFY_FAIL
+            items = json.loads((out / "verify_report.json").read_text())["items"]
+            assert [r["detail"].endswith(item5) for r in items if not r["passed"]] == [True]
 
 
 def test_the_draw_covers_every_flag():
-    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    subparsers = _subparsers()
     offered = {(name, flag) for name, sub in subparsers.items() for a in sub._actions
                for flag in a.option_strings if flag not in ("-h", "--help", "--out-dir")}
     drawn = {(argv[0], a.split("=")[0]) for argv in COMMANDS for a in argv[1:]
@@ -204,11 +235,8 @@ def test_the_draw_covers_every_flag():
 
 
 @pytest.mark.parametrize("argv", [
-    pytest.param(argv, id=str(k), marks=[pytest.mark.xfail(
-        strict=True, raises=RuntimeWarning,
-        reason="r = exp(t) overflows past t = 709: ROADMAP item 5")]
-        if k in OVERFLOW else [])
-    for k, argv in enumerate(COMMANDS)])
+    *(pytest.param(argv, id=str(k)) for k, argv in enumerate(COMMANDS)),
+    *(pytest.param(text.split(), id=f"past-709-{text.split()[0]}") for text in PAST_709)])
 def test_drawn_command_keeps_the_contract(tmp_path, monkeypatch, argv):
     out = tmp_path / "run"
     manifests = []
@@ -236,4 +264,4 @@ def test_drawn_command_keeps_the_contract(tmp_path, monkeypatch, argv):
     command = argv[0]
     assert _expected_code(command, out) == code
     _check_csv(out)
-    _check_echo(command, argv, out)
+    _check_recorded(argv, out)

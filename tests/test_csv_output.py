@@ -12,6 +12,7 @@ from curvscat.analysis import GradientFlowState, gradient_flow_run
 from curvscat.cli import (_CSV_BLOCK_ROWS, EXIT_OK, main, write_radial_csv,
                           write_sweep_csv, write_trajectory_csv)
 from curvscat.csvformat import _decimal, format_rows
+from curvscat import shooting
 from curvscat.shooting import SweepRow, sweep
 
 import _reference as ref
@@ -38,9 +39,9 @@ def test_trajectory_and_radial_csv_match_rowwise(tmp_path, cfg, eta_in, xi_in):
                        to_radial(traj))
 
 
-def test_sweep_csv_with_failed_row_matches_rowwise(tmp_path, cfg):
-    rows = sweep(np.array([-0.99, -0.75]) * math.pi, cfg, root_tol=1e-6,
-                 ceiling=10.0)
+def test_sweep_csv_with_failed_row_matches_rowwise(tmp_path, cfg, monkeypatch):
+    monkeypatch.setattr(shooting, "CEILING", 10.0)
+    rows = sweep(np.array([-0.99, -0.75]) * math.pi, cfg, root_tol=1e-6)
     assert rows[0].status.startswith("failed") and math.isnan(rows[0].theta)
     assert rows[1].status == "ok"
     _assert_same_bytes(tmp_path, write_sweep_csv, ref.write_sweep_csv, rows)
@@ -50,7 +51,7 @@ def test_flow_csv_matches_rowwise(tmp_path):
     out = tmp_path / "flow"
     assert main(["flow", "--mu0", "-0.999", "--delta", "1e-6",
                  "--out-dir", str(out)]) == EXIT_OK
-    res = gradient_flow_run(GradientFlowState.from_anchor(-0.999, 1e-6))
+    res = gradient_flow_run(GradientFlowState(-0.999, 1e-6))
     ref.write_flow_csv(tmp_path / "rowwise.csv", res.history)
     assert (out / "flow.csv").read_bytes() == (tmp_path / "rowwise.csv").read_bytes()
 

@@ -11,6 +11,7 @@ it equals them bit for bit.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from scipy.integrate._ivp import dop853_coefficients as scipy_tableau
 import _reference as ref
 import curvscat.integrator as integrator
 from curvscat import AsymptoticData, SolverConfig, dop853, integrate
-from curvscat.dop853 import EPS, TOO_SMALL_STEP, Event, System, brentq, solve_ivp
+from curvscat.dop853 import (EPS, MIN_RTOL, TOO_SMALL_STEP, Event, System, brentq,
+                             solve_ivp)
 from curvscat.integrator import _SAMPLED, _SOLVER, deflection_of
 
 ORACLE_ETAS = [1.31, 1.6, 2.3252, 8.0, 64.0, 1000.0]
@@ -167,12 +169,19 @@ def test_failure_before_the_first_step_has_no_dense_output():
         assert sol.t.tolist() == [1.0] and sol.sol is None
 
 
-def test_too_small_rtol_is_raised_with_a_warning():
+def test_too_small_rtol_is_refused():
+    # scipy raises such an rtol to its floor with a warning; the stepper
+    # refuses it, so no run is made at a tolerance other than the one given
     system = System(("-y0",))
-    with pytest.warns(UserWarning, match="rtol 1e-20 is too small"):
-        sol = solve_ivp(system, (0.0, 1.0), [1.0], rtol=1e-20, atol=1e-30)
-    ref = solve_ivp(system, (0.0, 1.0), [1.0], rtol=100 * EPS, atol=1e-30)
-    assert np.array_equal(sol.y, ref.y) and sol.status == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="rtol 1e-20 is below the floor MIN_RTOL"):
+            solve_ivp(system, (0.0, 1.0), [1.0], rtol=1e-20, atol=1e-30)
+        with pytest.raises(ValueError, match="MIN_RTOL"):
+            solve_ivp(system, (0.0, 1.0), [1.0], rtol=np.nextafter(MIN_RTOL, 0.0),
+                      atol=1e-30)
+        sol = solve_ivp(system, (0.0, 1.0), [1.0], rtol=MIN_RTOL, atol=1e-30)
+    assert MIN_RTOL == 100 * EPS and sol.status == 0
 
 
 def test_vectorised_samples_equal_scalar_dense_output(cfg, monkeypatch):

@@ -10,7 +10,7 @@ from curvscat import (AsymptoticData, asymptotic_fit,
                       integrator, pokhozaev_residual, theta_identities,
                       to_radial)
 from curvscat.closed_forms import free_asymptote, past_tails
-from curvscat.dynamics import EXP_FLOOR, TimeTranslate, apply_symmetry
+from curvscat.dynamics import EXP_FLOOR
 from curvscat.geometry import ALPHA_SUP, FOUR_PI, TWO_PI, pde_residual, simpson
 from curvscat.integrator import SolverConfig
 from curvscat.verification import _potential_max
@@ -35,7 +35,6 @@ def test_radial_map_values(traj8, sol8):
 def test_center_values(sol8):
     assert math.isclose(sol8.k_star, 8.0 * math.sqrt(2.0), rel_tol=1e-15)
     assert math.isclose(sol8.k_star, 11.313708, abs_tol=1e-6)
-    assert math.isclose(sol8.u_center, -LN2_4, rel_tol=1e-15)
 
 
 def test_k_sign_change_at_t0(traj8, sol8):
@@ -220,9 +219,11 @@ def test_scaling_covariance(traj8, sol8):
     for k in (3.7, 0.2):
         scaled = scale_radial(sol8, k)
         assert np.all(np.diff(scaled.u_values) < 0.0)
-        moved = replace(apply_symmetry(traj8, TimeTranslate(-math.log(k))),
+        moved = replace(traj8, t=traj8.t - math.log(k),
                         asymptotics=AsymptoticData(a.xi_in + math.log(k), a.eta_in))
-        assert moved.asymptotics == scaled.asymptotics
+        t, xi, _, _, _ = moved.window
+        assert np.allclose(scaled.r_grid, np.exp(t), rtol=1e-14)
+        assert np.allclose(scaled.u_values, xi - t - LN2_4, rtol=0, atol=1e-12)
         quad = curvature_area_quadrature(moved)
         assert abs(quad.kappa - sol8.kappa) / sol8.kappa <= 1e-9
         assert abs(quad.alpha - sol8.alpha) / sol8.alpha <= 1e-9
@@ -266,6 +267,19 @@ def test_quadrature_requires_escape(cfg):
         curvature_area_quadrature(traj)
 
 
+@pytest.mark.parametrize("xi_in, end", [(800.0, -708.396), (-800.0, 709.783)])
+def test_to_radial_refuses_r_that_is_no_normal_double(cfg, xi_in, end):
+    # a run at xi_in samples t near -xi_in, where r = exp(t) underflows
+    # (800) or overflows (-800): refused, pointing to ln r storage
+    traj = integrate(AsymptoticData(xi_in, 8.0), cfg)
+    assert traj.escaped
+    with pytest.raises(ValueError, match=rf"leaves \[-708.396, 709.783\].*"
+                                         r"\(ROADMAP item 5\)$") as e:
+        to_radial(traj)
+    assert (traj.t[0] < end) if xi_in > 0 else (traj.t[-1] > end)
+    assert f"{end}" in str(e.value)
+
+
 def test_to_radial_requires_escape(cfg):
     traj = integrate(AsymptoticData(0.0, -1.0), cfg)
     with pytest.raises(ValueError, match="escaped"):
@@ -298,7 +312,7 @@ def test_asymptotic_fit_intercepts_match_moment_integrals(traj8, sol8):
     t, xi, eta, _, _ = traj8.window
     w = np.exp(2.0 * xi)
     fit = asymptotic_fit(traj8)
-    u_pred = sol8.u_center + simpson(t * eta * w, x=t)
+    u_pred = traj8.asymptotics.xi_in - LN2_4 + simpson(t * eta * w, x=t)
     k_pred = sol8.k_star + simpson(t * w, x=t) / math.sqrt(2.0)
     assert abs(fit.u_intercept - u_pred) <= 1e-3 * abs(u_pred)
     assert abs(fit.k_intercept - k_pred) <= 1e-3 * abs(k_pred)

@@ -14,10 +14,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "curvscat"
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
-# no command runs these yet: the symmetry group, pde_residual and
-# deflection_deep are kept as the makings of future verify line items
-RESERVED = {"pde_residual", "deflection_deep", "apply_symmetry",
-            "transform_point", "TimeTranslate", "TimeReverse", "Homologous"}
+# no command runs these yet: pde_residual and deflection_deep are kept as
+# the makings of future verify line items
+RESERVED = {"pde_residual", "deflection_deep"}
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -89,8 +90,6 @@ def test_shoot_climbs_past_the_onset_from_a_nonscattering_seed(cfg, monkeypatch)
 @pytest.mark.parametrize("kw, name", [
     ({"root_tol": math.nan}, "root_tol"), ({"root_tol": 0.0}, "root_tol"),
     ({"root_tol": -1.0}, "root_tol"), ({"root_tol": math.inf}, "root_tol"),
-    ({"ceiling": 0.0}, "ceiling"), ({"ceiling": math.nan}, "ceiling"),
-    ({"ceiling": math.inf}, "ceiling"),
 ])
 def test_shoot_rejects_bad_search_arguments(cfg, monkeypatch, kw, name):
     import curvscat.shooting as shooting
@@ -99,6 +98,19 @@ def test_shoot_rejects_bad_search_arguments(cfg, monkeypatch, kw, name):
         shoot(-0.75 * PI, cfg, **kw)
     with pytest.raises(ValueError, match=name):
         sweep([-0.75 * PI], cfg, **kw)
+
+
+def test_climb_out_of_budget_names_max_time(cfg):
+    # every probe of the climb past the onset is a budget stop up to the
+    # ceiling: the failure names max_time, as the collapsed bracket's does
+    short = dataclasses.replace(cfg, max_time=5.0)
+    budget = ("lower edge pinned by runs up to eta_in = 1000000 that find no "
+              "escape within max_time = 5; raise --max-time")
+    with pytest.raises(BracketNotFoundError, match=budget) as e:
+        shoot(-0.75 * PI, short)
+    assert all(theta is None for _, theta in e.value.scanned)
+    rows = sweep([-0.75 * PI, -0.55 * PI], short)
+    assert all(r.status.endswith(budget) for r in rows)
 
 
 def test_shoot_bracket_interior_stopped_scattering(cfg, monkeypatch):
@@ -297,9 +309,11 @@ def test_shoot_rejects_margin_violations(cfg):
         shoot(-0.996 * PI, cfg)
 
 
-def test_shoot_bracket_not_found_reports_scan(cfg):
+def test_shoot_bracket_not_found_reports_scan(cfg, monkeypatch):
+    import curvscat.shooting as shooting
+    monkeypatch.setattr(shooting, "CEILING", 10.0)
     with pytest.raises(BracketNotFoundError) as e:
-        shoot(-0.99 * PI, cfg, ceiling=10.0)
+        shoot(-0.99 * PI, cfg)
     assert len(e.value.scanned) >= 1
     etas = [s[0] for s in e.value.scanned]
     assert max(etas) <= 20.0
@@ -331,10 +345,11 @@ def test_sweep_integrates_once_per_row(cfg, monkeypatch):
     assert integrations == [r.eta_in for r in rows]
 
 
-def test_sweep_records_row_failures(cfg):
+def test_sweep_records_row_failures(cfg, monkeypatch):
+    import curvscat.shooting as shooting
+    monkeypatch.setattr(shooting, "CEILING", 10.0)
     seen = []
-    rows = sweep([-0.99 * PI, -0.75 * PI], cfg, root_tol=1e-8, ceiling=10.0,
-                 on_row=seen.append)
+    rows = sweep([-0.99 * PI, -0.75 * PI], cfg, root_tol=1e-8, on_row=seen.append)
     assert seen == rows
     assert rows[0].status.startswith("failed")
     assert math.isnan(rows[0].eta_in)
