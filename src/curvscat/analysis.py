@@ -109,7 +109,6 @@ def gradient_flow_run(s0: GradientFlowState, tol: float = DEFAULT_TOL,
 
 @dataclass(frozen=True)
 class InflectionReport:
-    t_inflection: float
     eta_sim: float
     sign_pattern_ok: bool
     g_start: float
@@ -141,7 +140,6 @@ def inflection_diagnostics(traj: Trajectory) -> InflectionReport:
     k = int(down[0])
     # linear interpolation of the crossing
     frac = g[k] / (g[k] - g[k + 1])
-    t_inf = float(traj.t[k] + frac * (traj.t[k + 1] - traj.t[k]))
     eta_sim = float(traj.eta[k] + frac * (traj.eta[k + 1] - traj.eta[k]))
 
     # sign of f'' = e^{2 xi} g / (2 eta_dot^3); e^{2 xi} > 0 is left out
@@ -152,6 +150,6 @@ def inflection_diagnostics(traj: Trajectory) -> InflectionReport:
     above = traj.eta > eta_sim + band
     below = traj.eta < eta_sim - band
     ok = bool(np.all(f2_sign[above] < 0.0) and np.all(f2_sign[below] > 0.0))
-    return InflectionReport(t_inflection=t_inf, eta_sim=eta_sim, sign_pattern_ok=ok,
+    return InflectionReport(eta_sim=eta_sim, sign_pattern_ok=ok,
                             g_start=float(g[0]), crossings=len(down) + up,
                             max_rise=float(np.diff(g).max()))

@@ -216,7 +216,7 @@ def _config_from(args) -> SolverConfig:
 
 def _summary(inputs: dict, cfg: SolverConfig, **entries) -> dict:
     """summary.json's body: schema and inputs, the entries, then the config."""
-    return {"schema": "curvscat/summary/v6", "inputs": inputs, **entries,
+    return {"schema": "curvscat/summary/v7", "inputs": inputs, **entries,
             "config": _field_dict(cfg)}
 
 
@@ -248,7 +248,7 @@ def _run_files(traj: Trajectory, inputs: dict, **entries) -> dict:
         })
         files["radial.csv"] = lambda path: write_radial_csv(path, sol)
     elif traj.escaped:
-        summary["note"] = "eta zero crossing beyond the time budget: no radial data"
+        summary["note"] = geometry.NO_RADIAL_DATA
     summary.update(entries)
     files["summary.json"] = lambda path: write_json(path, summary)
     return files
@@ -307,7 +307,7 @@ def cmd_sweep(args, argv) -> int:
               + (f" eta_in = {r.eta_in:.9g}" if r.status == "ok" else ""))
 
     rows = shooting.sweep(grid, cfg, root_tol=args.root_tol, on_row=report)
-    body = {"schema": "curvscat/sweep/v4", "inputs": inputs,
+    body = {"schema": "curvscat/sweep/v5", "inputs": inputs,
             "rows": [_field_dict(r) for r in rows], "config": _field_dict(cfg)}
     _emit(args, argv, inputs, {
         "sweep.csv": lambda path: write_sweep_csv(path, rows),
@@ -320,7 +320,7 @@ def cmd_verify(args, argv) -> int:
     results = verification.run_suite(args.eta_in, cfg)
     all_pass = all(r.passed for r in results)
     inputs = {"eta_in": list(args.eta_in)}
-    report = {"schema": "curvscat/verify/v4", "inputs": inputs,
+    report = {"schema": "curvscat/verify/v5", "inputs": inputs,
               "items": [_field_dict(r) for r in results], "passed": all_pass,
               "config": _field_dict(cfg)}
     _emit(args, argv, inputs,

@@ -53,6 +53,8 @@ FOUR_PI = 4.0 * math.pi
 ALPHA_SUP = 2.0 ** 1.5 * math.pi
 # the ln r range on which r = exp(t) is a normal finite double, ends included
 _LN_R_RANGE = (math.log(np.finfo(float).tiny), math.log(np.finfo(float).max))
+# why an escaped run has no radial data when eta = 0 is not crossed in time
+NO_RADIAL_DATA = "eta zero crossing beyond the time budget: no radial data"
 
 
 @dataclass(frozen=True)
@@ -140,15 +142,17 @@ def to_radial(traj: Trajectory) -> RadialSolution:
     """Map an escaped trajectory to the radial pair (u(r), K(r)).
 
     K changes sign exactly at r = exp(t0).  K(0) extrapolates to
-    sqrt(2)*eta_in and u(0) to xi_in - ln(2)/4.  A window whose r = exp(t)
-    is not a normal finite double raises ValueError.  u and K must decrease
-    in r; near the start both are flat to round-off, so only a rise beyond a
-    few ulp of their terms raises ValueError.
+    sqrt(2)*eta_in and u(0) to xi_in - ln(2)/4.  A run whose eta = 0
+    crossing lies beyond the budget raises ValueError(NO_RADIAL_DATA), and a
+    window whose r = exp(t) is not a normal finite double a ValueError
+    naming that.  u and K must decrease in r; near the start both are flat
+    to round-off, so only a rise beyond a few ulp of their terms raises
+    ValueError.
     """
     if not traj.escaped:
         raise ValueError("radial reconstruction needs an escaped trajectory")
     if traj.events.t0 is None:
-        raise ValueError("radial reconstruction needs the eta = 0 crossing event")
+        raise ValueError(NO_RADIAL_DATA)
     t, xi, eta, _, _ = traj.window
     if not _LN_R_RANGE[0] <= t[0] <= t[-1] <= _LN_R_RANGE[1]:
         raise ValueError(f"the window ln r in [{t[0]:.6g}, {t[-1]:.6g}] leaves "

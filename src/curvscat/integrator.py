@@ -97,10 +97,11 @@ class SolverConfig:
     max_time is a duration budget measured from the start time.  Every field
     must be finite and positive, and rel_tol at least the stepper's floor
     MIN_RTOL; each field is one command-line flag (rel_tol is --rel-tol).
+    The absolute tolerance is no field: abs_tol follows rel_tol, so one
+    setting scales both (Hairer, Norsett & Wanner, Solving ODEs I, II.4).
     """
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
     escape_tol: float = 1e-7
     max_time: float = 600.0
     dense_step: float = 0.01
@@ -111,6 +112,11 @@ class SolverConfig:
                 raise ValueError(f"SolverConfig.{name} must be finite and positive")
         if self.rel_tol < MIN_RTOL:
             raise ValueError(f"SolverConfig.rel_tol must be at least 100 eps = {MIN_RTOL!r}")
+
+    @property
+    def abs_tol(self) -> float:
+        """The stepper's absolute tolerance, rel_tol/100 (1e-12 at the default)."""
+        return self.rel_tol / 100.0
 
 
 @dataclass(frozen=True)

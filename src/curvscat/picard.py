@@ -79,9 +79,7 @@ class PicardRun:
     for the future zone they hold the X and Y ladders (same orientation:
     the first component increases, the second decreases).  t and every
     iterate are read-only.  worst_violation is the largest ordering
-    violation over all consecutive pairs, 0.0 if there is none, and node
-    its grid index, -1 if there is none; among equals the first node and
-    pair win, and the first ladder before the second.
+    violation over all consecutive pairs, 0.0 if there is none.
     """
 
     t: np.ndarray
@@ -90,7 +88,6 @@ class PicardRun:
     converged: bool
     sup_diff_history: list[float]
     worst_violation: float
-    node: int
 
 
 def monotonicity_report(run: PicardRun, allowance: float = 0.0) -> bool:
@@ -112,39 +109,33 @@ def _ladder(t: np.ndarray, first: np.ndarray, advance, tol: float,
     Each step forms next - prev once, in one reused (2, n) buffer.  -min of
     row 0 and max of row 1 are the step's ordering violations; IEEE
     subtraction is antisymmetric, so -(next - prev) is exactly prev - next.
-    argmin and argmax return the first node among equals and the first NaN,
-    and a NaN never beats the worst violation so far.  |diff| then gives the
-    step's row maxima.
+    A row holding a NaN has a NaN extreme, which never beats the worst
+    violation so far.  |diff| then gives the step's row maxima.
     """
     t.setflags(write=False)
     first.setflags(write=False)
     ladder = [first]
     diff = np.empty_like(first)
-    worst, node = [0.0, 0.0], [-1, -1]
+    worst = 0.0
     history: list[float] = []
     for _ in range(max_iter):
         pair = advance(ladder[-1])
         pair.setflags(write=False)
         np.subtract(pair, ladder[-1], out=diff)
-        k = int(diff[0].argmin())
-        if -diff[0, k] > worst[0]:
-            worst[0], node[0] = float(-diff[0, k]), k
-        k = int(diff[1].argmax())
-        if diff[1, k] > worst[1]:
-            worst[1], node[1] = float(diff[1, k]), k
+        for violation in (-diff[0].min(), diff[1].max()):
+            if violation > worst:
+                worst = float(violation)
         np.abs(diff, out=diff)
         dx, dy = diff.max(axis=1)
         history.append(float(dx + dy))
         ladder.append(pair)
         if history[-1] <= tol:
             break
-    row = int(worst[1] > worst[0])
     return PicardRun(t=t,
                      iterates_xi=[p[0].view(_Iterate) for p in ladder],
                      iterates_eta=[p[1].view(_Iterate) for p in ladder],
                      converged=bool(history) and history[-1] <= tol,
-                     sup_diff_history=history,
-                     worst_violation=worst[row], node=node[row])
+                     sup_diff_history=history, worst_violation=worst)
 
 
 def _cumtrapz(values: np.ndarray, step: float, initial: float,

@@ -58,8 +58,11 @@ from .integrator import (NotConvergedError, Outcome, SolverConfig, Trajectory,
 from . import geometry
 
 # the bracket's upper end: the deepest target, -pi + THETA_MARGIN, has its
-# root near eta_in 63.7, so every target's root lies far below it
-CEILING = 1e6
+# root near eta_in 63.7.  Above eta_in 64 closed_forms.start_time holds
+# eta_in*w fixed, and a run escapes 18.247 after its start at every eta_in
+# (measured at 64, 128, 1e3, 1e5 and 1e6), so a budget stop at the ceiling
+# stands for every larger eta_in
+CEILING = 128.0
 DEFAULT_ROOT_TOL = 1e-8
 THETA_MARGIN = 0.005 * math.pi
 _EVAL_BUDGET = 80

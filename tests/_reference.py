@@ -525,15 +525,15 @@ def monotonicity_two_temporaries(xs, ys, allowance):
     """The ordering of the ladders xs (must not decrease) and ys (must not
     increase) as it was scanned, ladder by ladder, before the ladder loop
     read it from each step's difference: sign * (prev - next) in two fresh
-    temporaries per iterate pair.  Returns (ordered, worst_violation, node)."""
-    worst, node = 0.0, -1
+    temporaries per iterate pair.  Returns (ordered, worst_violation)."""
+    worst = 0.0
     for ladder, sign in ((xs, 1.0), (ys, -1.0)):
         for prev, nxt in zip(ladder, ladder[1:]):
             viol = sign * (np.asarray(prev) - np.asarray(nxt))
             k = int(np.argmax(viol))
             if viol[k] > worst:
-                worst, node = float(viol[k]), k
-    return worst <= allowance, worst, node
+                worst = float(viol[k])
+    return worst <= allowance, worst
 
 
 # --- unfloored exponentials ---------------------------------------------------

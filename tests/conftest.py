@@ -7,7 +7,7 @@ from hypothesis import settings
 from curvscat import AsymptoticData, SolverConfig, integrate, to_radial
 from curvscat.shooting import sweep
 
-settings.register_profile("suite", deadline=None, max_examples=80)
+settings.register_profile("suite", deadline=None, max_examples=80, derandomize=True)
 settings.load_profile("suite")
 
 SWEEP_GRID = np.linspace(-0.55 * math.pi, -0.95 * math.pi, 9)

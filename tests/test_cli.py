@@ -13,8 +13,8 @@ import pytest
 
 import curvscat
 import curvscat.cli as cli
-from curvscat import (AsymptoticData, SolverConfig, analysis, integrate,
-                      shooting, verification)
+from curvscat import (AsymptoticData, SolverConfig, analysis, geometry,
+                      integrate, shooting, verification)
 from curvscat.cli import (EXIT_CODE, EXIT_NONSCATTERING, EXIT_OK, EXIT_PARTIAL,
                           EXIT_USAGE, EXIT_VERIFY_FAIL, _json_render,
                           build_parser, main, parse_angle)
@@ -47,7 +47,7 @@ def test_solve_emits_files_and_summary(tmp_path):
     for name in ("trajectory.csv", "radial.csv", "summary.json", "manifest.json"):
         assert (out / name).exists()
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["schema"] == "curvscat/summary/v6"
+    assert summary["schema"] == "curvscat/summary/v7"
     assert list(summary["fits"]) == ["u_slope", "u_intercept", "k_slope", "k_intercept"]
     assert abs(summary["theta"] - ORACLE_THETA_ETA8) < 1e-6
     assert 2 * math.pi < summary["kappa"] < 4 * math.pi
@@ -105,7 +105,7 @@ def test_solve_summary_layout(tmp_path, eta_in, keys):
     text = (out / "summary.json").read_text()
     summary = json.loads(text)
     assert list(summary) == keys
-    assert summary["schema"] == "curvscat/summary/v6"
+    assert summary["schema"] == "curvscat/summary/v7"
     assert summary["inputs"] == {"eta_in": float(eta_in), "xi_in": 0.0}
     assert list(summary["config"]) == list(asdict(SolverConfig()))
     traj = integrate(AsymptoticData(0.0, float(eta_in)), SolverConfig())
@@ -115,7 +115,7 @@ def test_solve_summary_layout(tmp_path, eta_in, keys):
     if eta_in == "-1":
         p = traj.point(0)
         assert text == _json_render({
-            "schema": "curvscat/summary/v6",
+            "schema": "curvscat/summary/v7",
             "inputs": {"eta_in": -1.0, "xi_in": 0.0},
             "events": {"t0": None, "t_half": None, "t_m": None, "blowup": {
                 "last_state": {"t": p.t, "xi": p.xi, "eta": p.eta,
@@ -221,13 +221,30 @@ def test_flow_has_only_its_own_settings():
 
 def test_every_settable_value_acts():
     # the window past escape is two constants, the search's upper end one
-    # (shooting.CEILING) and flow's nu0 is derived, so each command offers
-    # only values that change what it reports
+    # (shooting.CEILING), abs_tol follows rel_tol and flow's nu0 is
+    # derived, so each command offers only values that change what it reports
     counts = {name: sum(1 for a in sub._actions if a.option_strings and a.dest != "help")
               for name, sub in _subparsers().items()}
-    assert counts == {"solve": 8, "shoot": 8, "sweep": 10, "verify": 7, "flow": 6}
+    assert counts == {"solve": 7, "shoot": 7, "sweep": 9, "verify": 6, "flow": 6}
     assert [f.name for f in fields(SolverConfig)] == [
-        "rel_tol", "abs_tol", "escape_tol", "max_time", "dense_step"]
+        "rel_tol", "escape_tol", "max_time", "dense_step"]
+
+
+def test_no_radial_data_has_one_text(tmp_path, capsys):
+    # eta_in 30 and the root of -0.99pi escape with their eta = 0 crossing
+    # past max_time: solve notes it, and sweep and verify, which need the
+    # radial data, fail naming the same budget
+    note = geometry.NO_RADIAL_DATA
+    assert _run("solve", "--eta-in", "30", "--out-dir", str(tmp_path / "solve")) == EXIT_OK
+    assert json.loads((tmp_path / "solve" / "summary.json").read_text())["note"] == note
+    assert _run("sweep", "--theta-min=-0.99pi", "--theta-max=-0.99pi", "--n", "1",
+                "--out-dir", str(tmp_path / "sweep")) == EXIT_PARTIAL
+    row, = json.loads((tmp_path / "sweep" / "sweep.json").read_text())["rows"]
+    assert row["status"] == f"failed: {note}"
+    assert _run("verify", "--eta-in", "30",
+                "--out-dir", str(tmp_path / "verify")) == EXIT_VERIFY_FAIL
+    item, = json.loads((tmp_path / "verify" / "verify_report.json").read_text())["items"]
+    assert (item["name"], item["detail"]) == ("accepted scattering solution", note)
 
 
 @pytest.mark.parametrize("flag", [f.name.replace("_", "-")
@@ -370,6 +387,12 @@ def test_sweep_n_below_one_is_usage_error(tmp_path, capsys, n):
     (("flow", "--mu0", "-1.5", "--delta", "1e-4"), "error: mu0 must lie in (-1, 0), got -1.5\n"),
     (("flow", "--mu0", "0.5", "--delta", "1e-4"), "error: mu0 must lie in (-1, 0), got 0.5\n"),
     (("flow", "--mu0", "-1", "--delta", "1e-4"), "error: mu0 must lie in (-1, 0), got -1.0\n"),
+    *(pytest.param(args + ("--abs-tol", "1e-12"),
+                   "usage error: unrecognized arguments: --abs-tol 1e-12\n",
+                   id=f"abs-tol-{args[0]}")
+      for args in [("solve", "--eta-in", "8"), ("shoot", "--theta=-0.75pi"),
+                   ("sweep", "--theta-min=-0.9pi", "--theta-max=-0.6pi", "--n", "2"),
+                   ("verify", "--eta-in", "8"), ("flow", "--mu0", "-0.7", "--delta", "1e-4")]),
 ])
 def test_bad_search_and_flow_arguments_are_usage_errors(tmp_path, capsys,
                                                         args, message):
@@ -377,8 +400,9 @@ def test_bad_search_and_flow_arguments_are_usage_errors(tmp_path, capsys,
     # flow budget and a verify with no data are usage errors, raised before
     # any directory is made.  So is every setting that would not act as
     # recorded: a rel_tol below the stepper's floor, the window flags,
-    # flow's --nu0 and --eta-ceiling (now shooting.CEILING), which are gone,
-    # whatever their value, and a one-row sweep between two angles.
+    # flow's --nu0, --eta-ceiling (now shooting.CEILING) and --abs-tol (now
+    # rel_tol/100, at any value, even the 1e-12 it takes at the default),
+    # which are gone, and a one-row sweep between two angles.
     # Each is refused with one message even when warnings are errors
     out = tmp_path / "run"
     with warnings.catch_warnings():

@@ -38,7 +38,6 @@ N_COMMANDS = 150
 # log-uniform range, then the edges.
 SOLVER_FLAGS = {
     "rel_tol": (1e-15, 1e-3, "0", "-1e-10", "inf", "nan", repr(MIN_RTOL)),
-    "abs_tol": (1e-16, 1e-4, "0", "-1", "inf", "nan"),
     "escape_tol": (1e-14, 1e-2, "0", "inf", "nan"),
     "max_time": (1.0, 1e4, "0", "-1", "1e-300", "inf", "nan"),
     "dense_step": (1e-3, 10.0, "0", "1e-15", "inf", "nan"),

@@ -293,7 +293,7 @@ def test_tolerance_self_consistency():
     # escape detection)
     thetas = {}
     for rtol in (1e-6, 1e-8, 1e-10):
-        cfg = SolverConfig(rel_tol=rtol, abs_tol=rtol * 1e-2, escape_tol=1e-5)
+        cfg = SolverConfig(rel_tol=rtol, escape_tol=1e-5)
         thetas[rtol] = deflection(integrate(A8, cfg))
     d_coarse = abs(thetas[1e-6] - thetas[1e-8])
     d_fine = abs(thetas[1e-8] - thetas[1e-10])
@@ -523,11 +523,40 @@ def test_config_validation():
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: math.inf})
     # the certificate stops non-scattering runs: there is no blow-up level;
-    # the start comes from the data, and the boundary band and the window
-    # past escape are constants
-    for field in ("blowup_xi", "t_start_offset", "boundary_tol", "min_tail", "tail_pad"):
+    # the start comes from the data, the boundary band and the window past
+    # escape are constants, and abs_tol follows rel_tol
+    for field in ("blowup_xi", "t_start_offset", "boundary_tol", "min_tail", "tail_pad",
+                  "abs_tol"):
         with pytest.raises(TypeError):
             SolverConfig(**{field: 1.0})
+    with pytest.raises(TypeError):
+        dataclasses.replace(SolverConfig(), abs_tol=1e-14)
+
+
+def test_abs_tol_follows_rel_tol(monkeypatch):
+    # one accuracy setting: abs_tol is rel_tol/100, which at the default is
+    # the 1e-12 it used to be set to, bit for bit
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "rel_tol", "escape_tol", "max_time", "dense_step"]
+    assert SolverConfig().abs_tol == 1e-12
+    assert SolverConfig(rel_tol=1e-12).abs_tol == 1e-14
+    seen = []
+    solve_ivp = integrator.solve_ivp
+
+    def spy(*args, **kwargs):
+        seen.append((kwargs["rtol"], kwargs["atol"]))
+        return solve_ivp(*args, **kwargs)
+    monkeypatch.setattr(integrator, "solve_ivp", spy)
+    for rtol in (1e-10, 1e-8, MIN_RTOL):
+        deflection_of(A8, SolverConfig(rel_tol=rtol))
+    assert seen == [(rtol, rtol / 100.0) for rtol in (1e-10, 1e-8, MIN_RTOL)]
+
+
+def test_rel_tol_alone_tightens_theta():
+    # with abs_tol held at 1e-12, rel_tol 1e-12 left Theta 3.7e-12 off at
+    # the onset end; with both scaled together it is 7.0e-13 off
+    theta = deflection_of(AsymptoticData(0.0, 1.31), SolverConfig(rel_tol=1e-12))
+    assert abs(theta - theta_tight(1.31)) <= 1.5e-12
 
 
 def test_rel_tol_below_the_stepper_floor_is_refused():

@@ -297,16 +297,15 @@ def test_monotonicity_report_counterexample():
     assert run.sup_diff_history == [0.5]
     assert not monotonicity_report(run)
     assert run.worst_violation == 0.5
-    assert run.node == 1
 
 
 def _report_bits(run, allowance):
     return (monotonicity_report(run, allowance),
-            np.float64(run.worst_violation).view(np.uint64), run.node)
+            np.float64(run.worst_violation).view(np.uint64))
 
 
-def _scan_bits(ordered, worst, node):
-    return ordered, np.float64(worst).view(np.uint64), node
+def _scan_bits(ordered, worst):
+    return ordered, np.float64(worst).view(np.uint64)
 
 
 @pytest.mark.parametrize("eta_in", [1.31, 2.0, 8.0])
@@ -328,7 +327,7 @@ def test_monotonicity_report_equals_the_two_temporary_scan(eta_in):
 def test_monotonicity_report_on_hand_built_ladders_equals_the_old_scan():
     up, flat = [0.0, 1.0, 2.0], [1.0, 1.0, 1.0]
     ladders = [
-        # ties: the first node and the first pair among equals
+        # ties between nodes and between pairs
         ([[0.0, 0.0, 0.0], [-0.5, 0.0, -0.5], [-0.5, -1.0, -0.5]], [flat, flat, flat]),
         # signed zeros in both ladders: no violation
         ([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]], [[-0.0, 0.0, 0.0], [0.0, -0.0, -0.0]]),
@@ -339,12 +338,13 @@ def test_monotonicity_report_on_hand_built_ladders_equals_the_old_scan():
         # violations in both: the second's larger, and equal at other nodes
         ([[0.0, 0.0, 0.0], [-0.25, 0.0, 0.0]], [flat, [1.0, 1.0, 1.5]]),
         ([[0.0, 0.0, 0.0], [-0.25, 0.0, 0.0]], [flat, [1.0, 1.0, 1.25]]),
-        # a NaN
+        # a NaN, which hides its own ladder's violations in that pair but
+        # not the other ladder's
         ([[0.0, 0.0, 0.0], [0.0, np.nan, -0.25]], [flat, flat]),
+        ([[0.0, 0.0, 0.0], [0.0, np.nan, -0.25]], [flat, [1.0, 1.0, 1.5]]),
         # violations in several pairs of both ladders, the worst a tie
-        # between the second ladder's first pair (node 2) and the first
-        # ladder's second pair (node 0): the first ladder wins, where a
-        # scan pair by pair would report node 2
+        # between the second ladder's first pair and the first ladder's
+        # second pair
         ([[0.0, 0.0, 0.0], [0.0, -0.25, 0.0], [-0.5, -0.25, 0.0],
           [-0.5, -0.25, -0.5]],
          [flat, [1.0, 1.0, 1.5], [1.0, 1.25, 1.5], [1.0, 1.25, 1.5]]),
@@ -355,14 +355,14 @@ def test_monotonicity_report_on_hand_built_ladders_equals_the_old_scan():
         for allowance in (0.0, 0.3):
             assert _report_bits(run, allowance) == \
                 _scan_bits(*monotonicity_two_temporaries(xs, ys, allowance)), (xs, ys)
-    assert (run.worst_violation, run.node) == (0.5, 0)
+    assert run.worst_violation == 0.5
 
 
 def test_monotonicity_report_single_iterate_vacuous():
     run = _scripted([[0.0, 0.0, 0.0]], [[1.0, 1.0, 1.0]])
     assert run.sup_diff_history == [] and not run.converged
     assert monotonicity_report(run)
-    assert (run.worst_violation, run.node) == (0.0, -1)
+    assert run.worst_violation == 0.0
 
 
 def test_write_csv(tmp_path):

@@ -8,7 +8,7 @@ from curvscat import (AsymptoticData, NotConvergedError, Outcome,
                       SolverConfig, deflection_of, shoot, sweep,
                       theta_identities)
 from curvscat.deflection_table import eta_in_of
-from curvscat.shooting import BracketNotFoundError
+from curvscat.shooting import CEILING, BracketNotFoundError
 
 from _reference import ORACLE_THETA_ETA8, theta_tight
 
@@ -102,13 +102,17 @@ def test_shoot_rejects_bad_search_arguments(cfg, monkeypatch, kw, name):
 
 def test_climb_out_of_budget_names_max_time(cfg):
     # every probe of the climb past the onset is a budget stop up to the
-    # ceiling: the failure names max_time, as the collapsed bracket's does
+    # ceiling: the failure names max_time, as the collapsed bracket's does.
+    # Above eta_in 64 the escape comes as long after the start at every
+    # eta_in, so the climb stops at 128
     short = dataclasses.replace(cfg, max_time=5.0)
-    budget = ("lower edge pinned by runs up to eta_in = 1000000 that find no "
+    budget = ("lower edge pinned by runs up to eta_in = 128 that find no "
               "escape within max_time = 5; raise --max-time")
     with pytest.raises(BracketNotFoundError, match=budget) as e:
         shoot(-0.75 * PI, short)
     assert all(theta is None for _, theta in e.value.scanned)
+    assert e.value.scanned[-1][0] == CEILING == 128.0
+    assert len(e.value.scanned) <= 14
     rows = sweep([-0.75 * PI, -0.55 * PI], short)
     assert all(r.status.endswith(budget) for r in rows)
 
