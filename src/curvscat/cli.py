@@ -214,10 +214,13 @@ def _config_from(args) -> SolverConfig:
     return SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
 
 
-def _summary(inputs: dict, cfg: SolverConfig, **entries) -> dict:
-    """summary.json's body: schema and inputs, the entries, then the config."""
-    return {"schema": "curvscat/summary/v7", "inputs": inputs, **entries,
-            "config": _field_dict(cfg)}
+_SUMMARY = "curvscat/summary/v7"
+
+
+def _body(schema: str, inputs: dict, cfg: SolverConfig, **entries) -> dict:
+    """The body of a file that echoes the config (summary.json, sweep.json,
+    verify_report.json): schema and inputs, the entries, then the config."""
+    return {"schema": schema, "inputs": inputs, **entries, "config": _field_dict(cfg)}
 
 
 def _run_files(traj: Trajectory, inputs: dict, **entries) -> dict:
@@ -227,9 +230,8 @@ def _run_files(traj: Trajectory, inputs: dict, **entries) -> dict:
     events = {"t0": ev.t0, "t_half": ev.t_half, "t_m": ev.t_m,
               "blowup": None if ev.blowup is None else {"last_state": _field_dict(ev.blowup)}}
     theta = {"theta": deflection(traj)} if traj.escaped else {}
-    summary = _summary(inputs, traj.config, events=events, **theta,
-                       outcome=traj.outcome.name.lower(),
-                       drift=traj.max_energy_drift)
+    summary = _body(_SUMMARY, inputs, traj.config, events=events, **theta,
+                    outcome=traj.outcome.name.lower(), drift=traj.max_energy_drift)
     files = {"trajectory.csv": lambda path: write_trajectory_csv(path, traj)}
     if traj.escaped and ev.t0 is not None:
         sol = geometry.to_radial(traj)
@@ -275,7 +277,7 @@ def cmd_shoot(args, argv) -> int:
     try:
         res = shooting.shoot(theta_t, cfg, root_tol=args.root_tol)
     except shooting.BracketNotFoundError as exc:
-        summary = _summary(inputs, cfg, error=str(exc), scanned=[
+        summary = _body(_SUMMARY, inputs, cfg, error=str(exc), scanned=[
             {"eta_in": e, "theta": th} for e, th in exc.scanned])
         _emit(args, argv, inputs, {"summary.json": lambda path: write_json(path, summary)})
         print(f"bracket not found: {exc}")
@@ -307,8 +309,7 @@ def cmd_sweep(args, argv) -> int:
               + (f" eta_in = {r.eta_in:.9g}" if r.status == "ok" else ""))
 
     rows = shooting.sweep(grid, cfg, root_tol=args.root_tol, on_row=report)
-    body = {"schema": "curvscat/sweep/v5", "inputs": inputs,
-            "rows": [_field_dict(r) for r in rows], "config": _field_dict(cfg)}
+    body = _body("curvscat/sweep/v5", inputs, cfg, rows=[_field_dict(r) for r in rows])
     _emit(args, argv, inputs, {
         "sweep.csv": lambda path: write_sweep_csv(path, rows),
         "sweep.json": lambda path: write_json(path, body)})
@@ -320,9 +321,8 @@ def cmd_verify(args, argv) -> int:
     results = verification.run_suite(args.eta_in, cfg)
     all_pass = all(r.passed for r in results)
     inputs = {"eta_in": list(args.eta_in)}
-    report = {"schema": "curvscat/verify/v5", "inputs": inputs,
-              "items": [_field_dict(r) for r in results], "passed": all_pass,
-              "config": _field_dict(cfg)}
+    report = _body("curvscat/verify/v5", inputs, cfg,
+                   items=[_field_dict(r) for r in results], passed=all_pass)
     _emit(args, argv, inputs,
           {"verify_report.json": lambda path: write_json(path, report)})
     for r in results:

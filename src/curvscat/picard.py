@@ -23,9 +23,10 @@ Future zone (t above the eta = 0 crossing): the damped maps
     F_eps(X, Y) = X - eps*(X - linear_X + II_T0[Y e^{2X}])
     G_eps(X, Y) = Y - eps*(Y - linear_Y + II_T0[e^{2X}/2])
 
-are iterated from the linear starting functions built from the crossing
-state; X increases and Y decreases pointwise, and the limit solves the
-equations of motion on [T0, t_max] with asymptotically linear behavior.
+with eps = EPSILON = 0.1 are iterated from the linear starting functions
+built from the crossing state; X increases and Y decreases pointwise, and
+the limit solves the equations of motion on [T0, t_max] with asymptotically
+linear behavior.
 
 One loop builds both zones' ladders: each step forms the difference of the
 new iterate pair and the last one once, and reads from it both the step's
@@ -52,6 +53,8 @@ _NEWTON_MAX_STEPS = 20
 _ROUNDOFF_ULPS = 16
 # largest |eta| at which iterate_future takes p0 for an eta = 0 crossing state
 _ETA_TOL = 1e-6
+# the future zone's damping eps
+EPSILON = 0.1
 
 
 class NewtonNotConvergedError(RuntimeError):
@@ -313,9 +316,9 @@ def iterate_past(a: AsymptoticData, t_handoff: float, step: float,
 
 
 def iterate_future(p0: PhasePoint, t_max: float, step: float,
-                   epsilon: float = 0.1, tol: float = 1e-10,
-                   max_iter: int = 500) -> PicardRun:
-    """Damped fixed-point iteration on [p0.t, t_max] from an eta = 0 state.
+                   tol: float = 1e-10, max_iter: int = 500) -> PicardRun:
+    """Damped fixed-point iteration on [p0.t, t_max] from an eta = 0 state,
+    at damping EPSILON.
 
     p0 must be the eta = 0 crossing state, to |eta| <= 1e-6, with
     xi_dot < 0 and eta_dot in (-1, 0).  Raises ValueError if an iterate of
@@ -335,8 +338,6 @@ def iterate_future(p0: PhasePoint, t_max: float, step: float,
         raise ValueError("need xi_dot < 0 at the crossing state")
     if not (-1.0 - 1e-9 < p0.eta_dot < 0.0):
         raise ValueError("need eta_dot in (-1, 0) at the crossing state")
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must lie in (0, 1)")
     T0 = p0.t
     t = _uniform_grid(T0, t_max, step, "p0.t", "t_max")
     dt = t - T0
@@ -359,7 +360,7 @@ def iterate_future(p0: PhasePoint, t_max: float, step: float,
         np.add.accumulate(pairs, axis=1, out=II[:, 1:])
         Z_next = Z - L
         Z_next += II
-        Z_next *= epsilon
+        Z_next *= EPSILON
         np.subtract(Z, Z_next, out=Z_next)
         if Z_next[1].max() > 0.0:
             raise ValueError("second component turned positive: data outside "

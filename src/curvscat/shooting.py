@@ -73,11 +73,6 @@ _ONSET_STEP = 2.0**-7
 # a probe this close to a bracket end, relative, would barely narrow it: the
 # bracket has collapsed
 _COLLAPSE = 1e-12
-# whether a probe with no angle is a non-scattering lower end (True) or ends
-# the search (False); an escaped probe always has an angle, so its entry
-# only keeps the map total
-_LOWER_END = {Outcome.ESCAPED: True, Outcome.CERTIFIED: True,
-              Outcome.OUT_OF_BUDGET: True, Outcome.SOLVER_FAILURE: False}
 
 
 class BracketNotFoundError(RuntimeError):
@@ -172,7 +167,9 @@ def shoot(theta_target: float, cfg: SolverConfig = SolverConfig(),
             else:
                 theta = deflection_of(a, cfg)
         except NotConvergedError as exc:
-            if not _LOWER_END[exc.outcome]:
+            # a solver failure ends the search; any other run with no
+            # angle is a non-scattering lower end
+            if exc.outcome is Outcome.SOLVER_FAILURE:
                 raise
             scanned.append((eta, None))
             if lo[1] is not None:

@@ -122,8 +122,8 @@ def _check_interior_max(traj: Trajectory, a: AsymptoticData) -> CheckResult:
 def _check_future_iteration(traj: Trajectory, a: AsymptoticData) -> CheckResult:
     k = _t0_sample_index(traj)
     p0 = traj.point(k)
-    run = picard.iterate_future(p0, t_max=p0.t + 5.0, step=2e-3,
-                                epsilon=0.1, tol=1e-9, max_iter=400)
+    run = picard.iterate_future(p0, t_max=p0.t + 5.0, step=2e-3, tol=1e-9,
+                                max_iter=400)
     ok = picard.monotonicity_report(run, allowance=1e-8) and run.converged
     return CheckResult("monotone future iteration", a.eta_in, ok,
                        f"converged = {run.converged} in {len(run.sup_diff_history)} "

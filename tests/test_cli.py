@@ -699,8 +699,10 @@ def test_verify_failure_exit_4(tmp_path):
 
 
 def test_every_outcome_has_an_exit_code_and_a_search_decision():
-    # a new way for a run to end must be mapped before any command meets it
-    assert set(EXIT_CODE) == set(Outcome) == set(shooting._LOWER_END)
+    # a new way for a run to end must be mapped before any command meets it;
+    # the search raises on a solver failure and takes any other run with no
+    # angle for a lower end, so it decides every outcome
+    assert set(EXIT_CODE) == set(Outcome)
 
 
 @pytest.mark.parametrize("args, outcome", [

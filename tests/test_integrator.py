@@ -204,13 +204,28 @@ def test_solver_failure_is_not_a_blowup(cfg, failing_solver):
 
 @pytest.mark.parametrize("eta_in", [1.31, 1.6])
 def test_eta_crossing_is_not_an_escape(eta_in, cfg):
-    # at the eta = 0 crossing the potential term and the speed defect both
-    # vanish, but exp(2*xi) is far from 0: the free leg does not hold there
+    # at the eta = 0 crossing the potential term vanishes, but exp(4*xi)
+    # keeps the test from passing: the free leg does not hold there
     traj = integrate(AsymptoticData(0.0, eta_in), cfg)
     k = int(np.argmin(np.abs(traj.t - traj.events.t0)))
     y = (traj.xi[k], traj.xi_dot[k], 0.0, traj.eta_dot[k])
     assert y[1] < 0.0 and math.exp(2.0 * y[0]) > 0.04
     assert _SOLVER.functions.values[0](y, cfg.escape_tol) > 0.0
+
+
+@pytest.mark.parametrize("eta_in, rel_tol, escape_tol",
+                         [(1.6, 1e-10, 1e-13), (8.0, 1e-8, 1e-10)])
+def test_escape_tol_below_the_drift_escapes(eta_in, rel_tol, escape_tol):
+    # the escape test reads only the potential, so the energy drift, here
+    # above escape_tol, cannot block escape
+    cfg = SolverConfig(rel_tol=rel_tol, escape_tol=escape_tol)
+    traj = integrate(AsymptoticData(0.0, eta_in), cfg)
+    assert traj.escaped and traj.max_energy_drift > escape_tol
+    e = traj.events.escape    # at the root, so to its location's accuracy
+    q = math.exp(2.0 * e.xi)
+    assert max(abs(e.eta * q), q * q) == pytest.approx(escape_tol, rel=1e-9)
+    assert -math.pi < deflection(traj) < -0.5 * math.pi
+    assert deflection_of(AsymptoticData(0.0, eta_in), cfg) == deflection(traj)
 
 
 def test_evaluator_budget_exhaustion_raises():
@@ -289,11 +304,9 @@ def test_t0_state_bounds_hold(traj8):
 
 def test_tolerance_self_consistency():
     # tightening the tolerance moves theta by less than the previous change
-    # (escape_tol widened so the drift at the coarse setting cannot block
-    # escape detection)
     thetas = {}
     for rtol in (1e-6, 1e-8, 1e-10):
-        cfg = SolverConfig(rel_tol=rtol, escape_tol=1e-5)
+        cfg = SolverConfig(rel_tol=rtol)
         thetas[rtol] = deflection(integrate(A8, cfg))
     d_coarse = abs(thetas[1e-6] - thetas[1e-8])
     d_fine = abs(thetas[1e-8] - thetas[1e-10])

@@ -218,7 +218,7 @@ def test_future_ladder_equals_the_rowwise_one_bit_for_bit(eta_in):
         traj = integrate(AsymptoticData(0.0, eta_in))
         p0 = traj.point(int(np.argmin(np.abs(traj.t - traj.events.t0))))
         t_max, tol, max_iter = p0.t + 5.0, 1e-9, 400
-    run = iterate_future(p0, t_max, 2e-3, 0.1, tol, max_iter)
+    run = iterate_future(p0, t_max, 2e-3, tol, max_iter)
     xs, ys, history = iterate_future_rowwise(p0, t_max, 2e-3, 0.1, tol, max_iter)
     assert run.sup_diff_history == history and len(history) > min_iters
     for got, want in zip(run.iterates_xi + run.iterates_eta, xs + ys):
@@ -245,8 +245,6 @@ def test_future_preconditions():
         iterate_future(PhasePoint(0.0, -2.0, 0.0, 0.6, -0.8), 4.0, 1e-2)
     with pytest.raises(ValueError, match="eta_dot"):
         iterate_future(PhasePoint(0.0, -2.0, 0.0, -0.6, 0.8), 4.0, 1e-2)
-    with pytest.raises(ValueError, match="epsilon"):
-        iterate_future(P0, 4.0, 1e-2, epsilon=1.5)
 
 
 def test_future_grid_preconditions():
@@ -316,7 +314,7 @@ def test_monotonicity_report_equals_the_two_temporary_scan(eta_in):
                         tol=0.0, max_iter=6)
     traj = integrate(a)
     p0 = traj.point(int(np.argmin(np.abs(traj.t - traj.events.t0))))
-    fut = iterate_future(p0, p0.t + 5.0, 2e-3, 0.1, 1e-9, 400)
+    fut = iterate_future(p0, p0.t + 5.0, 2e-3, 1e-9, 400)
     for run in (past, fut):
         for allowance in (0.0, 1e-12, 1e-8):
             assert _report_bits(run, allowance) == _scan_bits(

@@ -249,6 +249,16 @@ def test_shoot_off_the_default_config_still_lands(cfg_kw, target):
     assert res.trajectory.config == SolverConfig(**cfg_kw)
 
 
+def test_shoot_at_rel_tol_1e6_lands_over_the_range():
+    # the energy drift here (2.7e-6 at eta_in 1.4165) exceeds escape_tol;
+    # the escape test reads only the potential, so the drift cannot block
+    # escape and pin the lower edge
+    cfg = SolverConfig(rel_tol=1e-6)
+    for target in np.linspace(-0.99, -0.51, 49) * PI:
+        res = shoot(float(target), cfg)
+        assert abs(res.theta_achieved - target) <= 1e-8, target
+
+
 @pytest.mark.parametrize("target", [-0.55 * PI, -0.75 * PI, -0.95 * PI])
 def test_shoot_at_rel_tol_1e7_takes_one_newton_step(target, monkeypatch):
     # the seed misses the map at rel_tol 1e-7; one Newton step with the
