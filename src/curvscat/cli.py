@@ -214,7 +214,7 @@ def _config_from(args) -> SolverConfig:
     return SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
 
 
-_SUMMARY = "curvscat/summary/v7"
+_SUMMARY = "curvscat/summary/v8"
 
 
 def _body(schema: str, inputs: dict, cfg: SolverConfig, **entries) -> dict:
@@ -225,12 +225,18 @@ def _body(schema: str, inputs: dict, cfg: SolverConfig, **entries) -> dict:
 
 def _run_files(traj: Trajectory, inputs: dict, **entries) -> dict:
     """A run's files: its trajectory, its radial data when it escaped past
-    eta's zero crossing, and its summary, which ends with the entries."""
+    eta's zero crossing, and its summary, which ends with the entries.
+    The summary keeps the states at the certificate and at escape, and the
+    gap's ends: closed_forms.free_leg from the escape state rebuilds any
+    row the gap leaves out."""
+    def state(p):
+        return None if p is None else _field_dict(p)
+
     ev = traj.events
     events = {"t0": ev.t0, "t_half": ev.t_half, "t_m": ev.t_m,
-              "blowup": None if ev.blowup is None else {"last_state": _field_dict(ev.blowup)}}
+              "certified": state(ev.blowup), "escape": state(ev.escape)}
     theta = {"theta": deflection(traj)} if traj.escaped else {}
-    summary = _body(_SUMMARY, inputs, traj.config, events=events, **theta,
+    summary = _body(_SUMMARY, inputs, traj.config, events=events, gap=traj.gap, **theta,
                     outcome=traj.outcome.name.lower(), drift=traj.max_energy_drift)
     files = {"trajectory.csv": lambda path: write_trajectory_csv(path, traj)}
     if traj.escaped and ev.t0 is not None:

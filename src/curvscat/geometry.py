@@ -12,17 +12,19 @@ integrals over t:
     kappa = 2*pi   * I[eta * e^{2 xi}]      (integral curvature)
     alpha = sqrt(2)*pi * I[e^{2 xi}]        (total area)
 
-with I[] over the whole line.  The run's regular window (Trajectory.window)
-is integrated by the composite Simpson rule for uniform spacing; the past
-tail is the free past motion's (closed_forms.past_tails).
+with I[] over the whole line.  The first run of the regular window
+(Trajectory.window, up to the gap after escape, or all of it when there is
+none) is integrated by the composite Simpson rule for uniform spacing; the
+past tail is the free past motion's (closed_forms.past_tails).
 The future tail is momentum balance: by the equations of motion the
-potential's impulse after the last regular sample T is the velocity change
-from T to the outgoing line, xi_dot(T) - v_xi and 2*(eta_dot(T) - v_eta),
-with the run's own velocities at T and the line's (v_xi, v_eta), which
-closed_forms.free_asymptote gives at the escape state, where the deflection
-angle is read.  The balance holds for any T, also one before escape.  It
-makes kappa = 2*pi*(1 - cos Theta) and alpha = -2*sqrt(2)*pi*sin Theta
-exact identities, and both satisfy alpha^2 = 2*kappa*(4*pi - kappa); the
+potential's impulse after the first run's last sample T is the velocity
+change from T to the outgoing line, xi_dot(T) - v_xi and
+2*(eta_dot(T) - v_eta), with the run's own velocities at T and the line's
+(v_xi, v_eta), which closed_forms.free_asymptote gives at the escape state,
+where the deflection angle is read.  The balance holds for any T, also one
+before escape, so the gap and the run after it add nothing.  It makes
+kappa = 2*pi*(1 - cos Theta) and alpha = -2*sqrt(2)*pi*sin Theta exact
+identities, and both satisfy alpha^2 = 2*kappa*(4*pi - kappa); the
 window's quadrature is computed independently precisely so those
 identities can be checked.
 
@@ -59,7 +61,8 @@ NO_RADIAL_DATA = "eta zero crossing beyond the time budget: no radial data"
 
 @dataclass(frozen=True)
 class RadialSolution:
-    """Log-uniform radial samples of (u, K) with derived scalars."""
+    """Radial samples of (u, K), log-uniform within each run of the
+    window, with derived scalars."""
 
     r_grid: np.ndarray
     u_values: np.ndarray
@@ -109,8 +112,8 @@ def simpson(y: np.ndarray, h: float) -> float:
 
 def curvature_area_quadrature(traj: Trajectory) -> QuadratureResult:
     """Integral curvature and area of an escaped trajectory, by Simpson's
-    rule on its regular window plus the closed-form past tail and the
-    momentum balance after the window's last sample.
+    rule on its regular window's first run plus the closed-form past tail
+    and the momentum balance after that run's last sample.
 
     e^{2 xi} is dynamics.exp_floored's: the samples where the floor acts
     add terms far below an ulp of the sums, as unfloored.
@@ -118,6 +121,9 @@ def curvature_area_quadrature(traj: Trajectory) -> QuadratureResult:
     if not traj.escaped:
         raise ValueError("the quadrature needs an escaped trajectory")
     t, xi, eta, xi_dot, eta_dot = traj.window
+    if traj.gap is not None:
+        n = int(np.searchsorted(t, traj.gap[0], side="right"))
+        t, xi, eta, xi_dot, eta_dot = (c[:n] for c in traj.window)
     h = float(t[-1] - t[0]) / max(len(t) - 1, 1)    # one sample: h = 0, no area
     a = traj.asymptotics
     f_area = exp_floored(2.0 * xi)
@@ -139,7 +145,8 @@ def curvature_area_quadrature(traj: Trajectory) -> QuadratureResult:
 
 
 def to_radial(traj: Trajectory) -> RadialSolution:
-    """Map an escaped trajectory to the radial pair (u(r), K(r)).
+    """Map an escaped trajectory to the radial pair (u(r), K(r)) on its
+    regular window: log-uniform within each run, without the gap's nodes.
 
     K changes sign exactly at r = exp(t0).  K(0) extrapolates to
     sqrt(2)*eta_in and u(0) to xi_in - ln(2)/4.  A run whose eta = 0
@@ -213,23 +220,32 @@ def pde_residual(sol: RadialSolution) -> tuple[float, float]:
 
     Worked in t = ln r, where the system is exactly
     xi'' + eta*e^{2 xi} = 0 and eta'' + e^{2 xi}/2 = 0 for
-    xi = u + t + ln(2)/4, eta = K/sqrt(2).  Second order: halving the grid
-    step divides the residuals by about 4.
+    xi = u + t + ln(2)/4, eta = K/sqrt(2).  The grid is log-uniform within
+    each run: a step above 1.5 times the first starts the next run (the one
+    after a window's gap), and the differences are taken within each run,
+    which needs at least 3 points.  Second order: halving the grid step
+    divides the residuals by about 4.
     """
     if len(sol.r_grid) < 5:
         raise ValueError("grid too coarse: need at least 5 points")
     t = np.log(sol.r_grid)
-    h = np.diff(t)
-    if not np.allclose(h, h[0], rtol=1e-8, atol=1e-12):
+    dt = np.diff(t)
+    h = float(dt[0])
+    starts = np.flatnonzero(dt > 1.5 * h) + 1
+    if not np.allclose(np.delete(dt, starts - 1), h, rtol=1e-8, atol=1e-12):
         raise ValueError("grid must be log-uniform")
-    h = float(h[0])
     xi = sol.u_values + t + _LN2_4
     eta = sol.k_values / _SQRT2
-    e2 = np.exp(2.0 * xi[1:-1])
-    d2xi = (xi[2:] - 2.0 * xi[1:-1] + xi[:-2]) / h**2
-    d2eta = (eta[2:] - 2.0 * eta[1:-1] + eta[:-2]) / h**2
-    res_u = float(np.max(np.abs(d2xi + eta[1:-1] * e2)))
-    res_k = float(np.max(np.abs(d2eta + 0.5 * e2)))
+    res_u = res_k = 0.0
+    for lo, hi in zip((0, *starts), (*starts, len(t))):
+        if hi - lo < 3:
+            raise ValueError("grid too coarse: each log-uniform run needs at least 3 points")
+        x, y = xi[lo:hi], eta[lo:hi]
+        e2 = np.exp(2.0 * x[1:-1])
+        d2xi = (x[2:] - 2.0 * x[1:-1] + x[:-2]) / h**2
+        d2eta = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / h**2
+        res_u = max(res_u, float(np.max(np.abs(d2xi + y[1:-1] * e2))))
+        res_k = max(res_k, float(np.max(np.abs(d2eta + 0.5 * e2))))
     return res_u, res_k
 
 

@@ -38,13 +38,22 @@ to max(t0 + MIN_TAIL, t_escape + TAIL_PAD), capped by the budget, so the
 eta = 0 crossing (which scales like eta_in/|sin Theta|) and the asymptotic
 tail are inside the window.
 
-Samples are taken on a uniform grid at dense_step spacing, with t_end and
-the refined event times placed among them by one insert, each unless within
-1e-12 of a time already placed.  Trajectory.off_grid names the at most four
-placed samples, and Trajectory.window gives the regular ones, which radial
-reconstruction and the quadrature read.  The dense output gives the
-samples up to escape, and the free leg the ones after it.  From eta_in ~ 19
-on, the window's far tail reaches
+Samples are taken on a uniform grid t_start + k*dense_step, on two runs:
+[t_start, t_escape + TAIL_PAD] and [t0 - TAIL_PAD, t_end], with t0 the free
+leg's crossing wherever it lies, also past the budget.  The grid nodes
+strictly inside the open interval between the runs, Trajectory.gap, are
+not sampled: there the motion is the straight free leg, whose rows grow
+like eta_in^2 and carry nothing the free leg does not give in closed form.
+Where the runs overlap the window is one run, and a run whose crossing
+lies past the budget ends its samples at t_escape + TAIL_PAD.  t_end and
+the refined event times are placed among the grid nodes by one insert,
+each unless it lies inside the gap or within 1e-12 of a time already
+placed.  Trajectory.off_grid names the at most four placed samples, and
+Trajectory.window gives the regular ones, which radial reconstruction and
+the quadrature read.  fill_gap gives a gapped run's samples with the gap's
+filled in from the free leg, bit for bit those a window without a gap
+has.  The dense output gives the samples up to escape, and the free leg
+the ones after it.  From eta_in ~ 19 on, the window's far tail reaches
 2*xi < -708, where np.exp makes subnormal results at some hundred times the
 cost of normal ones; the free leg and the energy floor their exponents at
 dynamics.EXP_FLOOR, which changes no sample and no energy.
@@ -57,7 +66,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -136,7 +145,9 @@ class TrajectoryEvents:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Dense time-ordered samples of one run, with its events."""
+    """Dense time-ordered samples of one run, with its events.  gap is the
+    open interval (t_escape + TAIL_PAD, t0 - TAIL_PAD) of an escaped run
+    whose grid nodes are not sampled, or None when the window has none."""
 
     t: np.ndarray
     xi: np.ndarray
@@ -148,6 +159,7 @@ class Trajectory:
     outcome: Outcome
     config: SolverConfig
     off_grid: tuple[int, ...] = ()    # sorted indices of the samples off the grid
+    gap: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
         if len(self.t) and np.any(np.diff(self.t) <= 0.0):
@@ -169,7 +181,8 @@ class Trajectory:
     @cached_property
     def window(self) -> tuple[np.ndarray, ...]:
         """The regular samples (t, xi, eta, xi_dot, eta_dot), read-only: the
-        runs between the off_grid samples, joined."""
+        stretches between the off_grid samples, joined.  The grid nodes
+        inside the gap are not among them."""
         ends = (-1, *self.off_grid, len(self.t))
         window = tuple(np.concatenate([c[lo + 1:hi] for lo, hi in zip(ends, ends[1:])])
                        for c in (self.t, self.xi, self.eta, self.xi_dot, self.eta_dot))
@@ -268,26 +281,41 @@ def grid_steps(t_lo: float, t_hi: float, step: float) -> int:
     return math.floor((t_hi - t_lo) / step * (1.0 + 1e-12))
 
 
-def _sample_times(t_start: float, t_end: float, h: float, events):
+def _node_count(t_start: float, h: float, x: float, side: str) -> int:
+    """How many grid nodes t_start + h*k, k >= 0, lie below x (side "left")
+    or at or below it ("right"): np.searchsorted on the grid, from the five
+    nodes around the quotient's floor, which is within one of the count."""
+    k = max(math.floor((x - t_start) / h) - 2, 0)
+    return k + int(np.searchsorted(t_start + h * np.arange(k, k + 5), x, side))
+
+
+def _sample_times(t_start: float, t_end: float, h: float, events, gap=None):
     """A run's sample times on [t_start, t_end] and its off_grid indices.
 
-    The regular grid t_start + h*k for k <= n, then t_end itself unless the
+    The regular grid t_start + h*k for k <= n, less the nodes strictly
+    inside gap (an open interval, or None), then t_end itself unless the
     grid already ends there, then each event time inside [t_start, t_end],
-    in the order given, unless within 1e-12 of a time already placed.  One
-    insert places the extra times.  Raises ValueError when the grid does not
-    fit in memory.
+    in the order given, unless within 1e-12 of a time already placed.  No
+    extra time inside the gap is placed.  One insert places the extra
+    times.  Raises ValueError when the grid does not fit in memory.
     """
     n = grid_steps(t_start, t_end, h)
     t_n = t_start + h * n
     t_last = t_end if t_end - t_n > 1e-9 * h else t_n
+    lo = hi = math.inf
+    n_lo = n_hi = n + 1             # the nodes k < n_lo and n_hi <= k <= n are kept
+    if gap is not None:
+        lo, hi = gap
+        n_lo = min(_node_count(t_start, h, lo, "right"), n + 1)
+        n_hi = _node_count(t_start, h, hi, "left")
     try:
-        grid = t_start + h * np.arange(n + 1)
+        grid = t_start + h * np.concatenate((np.arange(n_lo), np.arange(n_hi, n + 1)))
     except MemoryError:
         raise ValueError(f"{n + 1} samples at dense_step = {h:g} do not fit in "
                          "memory: raise --dense-step") from None
-    extra = [t_last] if t_last != grid[-1] else []
+    extra = [t_last] if t_last != grid[-1] and not lo < t_last < hi else []
     for t_ev in events:
-        if t_ev is None or not (t_start <= t_ev <= t_end):
+        if t_ev is None or not (t_start <= t_ev <= t_end) or lo < t_ev < hi:
             continue
         # the nearest placed times are the grid's neighbours and the extras
         k = int(np.searchsorted(grid, t_ev))
@@ -298,6 +326,12 @@ def _sample_times(t_start: float, t_end: float, h: float, events):
     return np.insert(grid, at, extra), tuple(int(k) + i for i, k in enumerate(at))
 
 
+def _window_end(t_escape: float, t0: float, budget: float) -> float:
+    """The end of an escaped run's window: past both the escape and the
+    eta = 0 crossing t0 by their margins, capped by the budget."""
+    return min(max(t_escape + TAIL_PAD, t0 + MIN_TAIL), budget)
+
+
 def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajectory:
     """Integrate the scattering equations for the given asymptotic data.
 
@@ -306,12 +340,13 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
     of floats at the start time, make none and give the start state as the
     only sample.  Returns a Trajectory, whose outcome says how the run
     ended; a certified one keeps the state there in events.blowup, an
-    escaped one in events.escape.
+    escaped one in events.escape.  An escaped run leaves the grid nodes of
+    its gap unsampled.
     Raises ValueError when the sample grid does not fit in memory.
     """
     p0, sol, outcome = _solve(a, cfg, sampled=True)
     t_start = t_end = p0.t
-    t_escape = t0 = t_half = t_m = None
+    t_escape = t0 = t_half = t_m = gap = None
     if sol is not None:
         t_escape, t0, t_half, t_m = (_first(sol.t_events[k]) for k in (0, 1, 3, 4))
         t_end = float(sol.t[-1])
@@ -322,12 +357,14 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
             t0 = t_escape + _free_leg_crossing(y_e, 0.0)
         if t_half is None:
             t_half = t_escape + _free_leg_crossing(y_e, 0.5 * a.eta_in)
-        t_end = min(max(t_escape + TAIL_PAD, t0 + MIN_TAIL), budget)
+        t_end = _window_end(t_escape, t0, budget)
+        if t_escape + TAIL_PAD < min(t0 - TAIL_PAD, t_end):
+            gap = (t_escape + TAIL_PAD, t0 - TAIL_PAD)
         # crossings are reported only inside the budget
         t0 = t0 if t0 <= budget else None
         t_half = t_half if t_half <= budget else None
 
-    ts, off_grid = _sample_times(t_start, t_end, cfg.dense_step, (t0, t_half, t_m))
+    ts, off_grid = _sample_times(t_start, t_end, cfg.dense_step, (t0, t_half, t_m), gap)
     if sol is None:
         Y = np.array([[p0.xi], [p0.xi_dot], [p0.eta], [p0.eta_dot]])
     elif outcome is Outcome.ESCAPED:
@@ -348,8 +385,34 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
         t=ts, xi=Y[0], eta=Y[2], xi_dot=Y[1], eta_dot=Y[3],
         events=TrajectoryEvents(t0=t0, t_half=t_half, t_m=t_m, blowup=blowup,
                                 escape=escape),
-        asymptotics=a, outcome=outcome, config=cfg, off_grid=off_grid,
+        asymptotics=a, outcome=outcome, config=cfg, off_grid=off_grid, gap=gap,
     )
+
+
+def fill_gap(traj: Trajectory) -> Trajectory:
+    """traj with its gap's samples filled in from the free leg: the grid
+    nodes inside it, and an event time there (t_half, say), placed as
+    integrate places them.  Every sample is bit for bit the one a window
+    without the gap would hold, since the free leg and the dense output are
+    evaluated point by point.  A run without a gap is returned as it is.
+    """
+    if traj.gap is None:
+        return traj
+    lo, hi = traj.gap
+    ev, e, cfg = traj.events, traj.events.escape, traj.config
+    t_start = float(traj.t[0])
+    budget = t_start + cfg.max_time
+    # a crossing past the budget is not reported; the window then ends there
+    t_end = budget if ev.t0 is None else _window_end(e.t, ev.t0, budget)
+    ts, off_grid = _sample_times(t_start, t_end, cfg.dense_step, (ev.t0, ev.t_half, ev.t_m))
+    # the samples inside the gap are ts[i:j], between the kept ones
+    i, j = int(np.searchsorted(ts, lo, "right")), int(np.searchsorted(ts, hi, "left"))
+    xi, xi_dot, eta, eta_dot = (
+        np.concatenate((kept[:i], inside, kept[i:])) for kept, inside in zip(
+            (traj.xi, traj.xi_dot, traj.eta, traj.eta_dot),
+            free_leg((e.xi, e.xi_dot, e.eta, e.eta_dot), ts[i:j] - e.t)))
+    return replace(traj, t=ts, xi=xi, eta=eta, xi_dot=xi_dot, eta_dot=eta_dot,
+                   off_grid=off_grid, gap=None)
 
 
 def deflection(traj: Trajectory) -> float:

@@ -2,7 +2,11 @@
 
 Each line item is one inequality or structure statement evaluated on a trio
 (configurable) of eta_in values.  Items are named by what they check; the
-suite returns structured results for the CLI to render and exit on.
+suite returns structured results for the CLI to render and exit on.  The
+items that read samples read them with the gap after escape filled in
+from the free leg (integrator.fill_gap): g = xi_dot - 2*eta*eta_dot crosses
+zero inside the gap from eta_in ~ 6 on, and its crossing level is
+interpolated between neighbouring samples.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from . import analysis, geometry, picard
 from .closed_forms import (ETA_CRIT_UPPER, AsymptoticData, explicit_bounds,
                            t0_state_bounds, xi_subsolution, xi_supersolution)
 from .dynamics import BOUNDARY_TOL, exp_floored
-from .integrator import NotConvergedError, SolverConfig, Trajectory, integrate
+from .integrator import (NotConvergedError, SolverConfig, Trajectory, fill_gap,
+                         integrate)
 
 POKHOZAEV_REL_TOL = 1e-3
 SLOPE_REL_TOL = 1e-3
@@ -166,6 +171,7 @@ def run_suite(eta_values=DEFAULT_ETA_VALUES,
             results.append(CheckResult("accepted scattering solution",
                                        a.eta_in, False, str(exc)))
             continue
+        traj = fill_gap(traj)
         results += [
             _check_forbidden_zone(traj, a),
             _check_inflection(traj, a),

@@ -573,9 +573,13 @@ def potential_max_unfloored(traj) -> float:
 
 def quadrature_unfloored(traj, irregular=False) -> tuple[float, float]:
     """geometry.curvature_area_quadrature's (kappa, alpha) with e^{2 xi}
-    unfloored; irregular integrates the window by scipy's irregular-grid
-    Simpson rule on the window's own t."""
+    unfloored, over the window's first run (all of it when there is no
+    gap); irregular integrates that run by scipy's irregular-grid Simpson
+    rule on its own t."""
     t, xi, eta, xi_dot, eta_dot = traj.window
+    if traj.gap is not None:
+        keep = t <= traj.gap[0]
+        t, xi, eta, xi_dot, eta_dot = (c[keep] for c in traj.window)
     h = float(t[-1] - t[0]) / (len(t) - 1)
 
     def rule(y):

@@ -9,6 +9,7 @@ import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import curvscat
@@ -18,8 +19,9 @@ from curvscat import (AsymptoticData, SolverConfig, analysis, geometry,
 from curvscat.cli import (EXIT_CODE, EXIT_NONSCATTERING, EXIT_OK, EXIT_PARTIAL,
                           EXIT_USAGE, EXIT_VERIFY_FAIL, _json_render,
                           build_parser, main, parse_angle)
+from curvscat.closed_forms import free_leg
 from curvscat.deflection_table import eta_in_of
-from curvscat.integrator import Outcome
+from curvscat.integrator import TAIL_PAD, Outcome, fill_gap
 
 from _reference import ORACLE_THETA_ETA8
 
@@ -47,7 +49,7 @@ def test_solve_emits_files_and_summary(tmp_path):
     for name in ("trajectory.csv", "radial.csv", "summary.json", "manifest.json"):
         assert (out / name).exists()
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["schema"] == "curvscat/summary/v7"
+    assert summary["schema"] == "curvscat/summary/v8"
     assert list(summary["fits"]) == ["u_slope", "u_intercept", "k_slope", "k_intercept"]
     assert abs(summary["theta"] - ORACLE_THETA_ETA8) < 1e-6
     assert 2 * math.pi < summary["kappa"] < 4 * math.pi
@@ -93,9 +95,9 @@ def test_solve_blowup_branch_via_flags(tmp_path):
 
 
 @pytest.mark.parametrize("eta_in, keys", [
-    ("-1", ["schema", "inputs", "events", "outcome", "drift", "config"]),
-    ("1.0", ["schema", "inputs", "events", "outcome", "drift", "config"]),
-    ("8", ["schema", "inputs", "events", "theta", "outcome", "drift", "config",
+    ("-1", ["schema", "inputs", "events", "gap", "outcome", "drift", "config"]),
+    ("1.0", ["schema", "inputs", "events", "gap", "outcome", "drift", "config"]),
+    ("8", ["schema", "inputs", "events", "gap", "theta", "outcome", "drift", "config",
            "kappa", "alpha", "k_star", "fits", "residuals"]),
 ])
 def test_solve_summary_layout(tmp_path, eta_in, keys):
@@ -105,21 +107,24 @@ def test_solve_summary_layout(tmp_path, eta_in, keys):
     text = (out / "summary.json").read_text()
     summary = json.loads(text)
     assert list(summary) == keys
-    assert summary["schema"] == "curvscat/summary/v7"
+    assert summary["schema"] == "curvscat/summary/v8"
     assert summary["inputs"] == {"eta_in": float(eta_in), "xi_in": 0.0}
     assert list(summary["config"]) == list(asdict(SolverConfig()))
     traj = integrate(AsymptoticData(0.0, float(eta_in)), SolverConfig())
     assert summary["drift"] == traj.max_energy_drift
     assert summary["events"]["t0"] == traj.events.t0
     assert summary["outcome"] == traj.outcome.name.lower()
+    assert list(summary["events"]) == ["t0", "t_half", "t_m", "certified", "escape"]
+    assert summary["gap"] == (None if traj.gap is None else list(traj.gap))
     if eta_in == "-1":
         p = traj.point(0)
         assert text == _json_render({
-            "schema": "curvscat/summary/v7",
+            "schema": "curvscat/summary/v8",
             "inputs": {"eta_in": -1.0, "xi_in": 0.0},
-            "events": {"t0": None, "t_half": None, "t_m": None, "blowup": {
-                "last_state": {"t": p.t, "xi": p.xi, "eta": p.eta,
-                               "xi_dot": p.xi_dot, "eta_dot": p.eta_dot}}},
+            "events": {"t0": None, "t_half": None, "t_m": None, "certified": {
+                "t": p.t, "xi": p.xi, "eta": p.eta, "xi_dot": p.xi_dot,
+                "eta_dot": p.eta_dot}, "escape": None},
+            "gap": None,
             "outcome": "certified",
             "drift": traj.max_energy_drift,
             "config": asdict(SolverConfig()),
@@ -132,7 +137,7 @@ def test_shoot_summary_layout(tmp_path):
     out = tmp_path / "run"
     assert _run("shoot", "--theta=-0.75pi", "--out-dir", str(out)) == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
-    assert list(summary) == ["schema", "inputs", "events", "theta", "outcome",
+    assert list(summary) == ["schema", "inputs", "events", "gap", "theta", "outcome",
                              "drift", "config", "kappa", "alpha", "k_star",
                              "fits", "residuals", "shooting"]
     assert summary["inputs"] == {"theta_target": -0.75 * math.pi, "root_tol": 1e-8}
@@ -149,14 +154,15 @@ def test_shoot_summary_layout(tmp_path):
 @pytest.mark.parametrize("eta_in", ["-1", "1.0"])
 def test_nonscattering_reason_written_once(tmp_path, eta_in):
     # the outcome names how the run ended, once; the event record carries
-    # only the state at the certificate
+    # only the state at the certificate, under the outcome's name
     out = tmp_path / "run"
     assert _run("solve", f"--eta-in={eta_in}", "--out-dir", str(out)) == EXIT_NONSCATTERING
     text = (out / "summary.json").read_text()
-    assert text.count("certified") == 1 and Outcome.CERTIFIED.value not in text
+    assert text.count(': "certified"') == 1 and Outcome.CERTIFIED.value not in text
     summary = json.loads(text)
-    assert summary["outcome"] == "certified" and "blowup" not in summary
-    assert list(summary["events"]["blowup"]) == ["last_state"]
+    assert summary["outcome"] == "certified" and "blowup" not in text
+    assert list(summary["events"]["certified"]) == ["t", "xi", "eta", "xi_dot", "eta_dot"]
+    assert summary["events"]["escape"] is None
 
 
 @pytest.mark.parametrize("args, outcome", [
@@ -168,14 +174,17 @@ def test_nonscattering_reason_written_once(tmp_path, eta_in):
 def test_summary_names_the_outcome(tmp_path, capsys, args, outcome):
     # one field records how a run ended, the Outcome's name in lower case: a
     # budget stop is out_of_budget, not a blow-up, and no escaped flag or
-    # top-level blowup key is written beside it
+    # blowup key is written beside it; the events keep the state at the
+    # certificate or at escape
     out = tmp_path / "run"
     assert _run("solve", *args, "--out-dir", str(out)) == EXIT_CODE[outcome]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["outcome"] == outcome.name.lower()
     assert "escaped" not in summary and "blowup" not in summary
+    assert "blowup" not in summary["events"]
     assert ("theta" in summary) is (outcome is Outcome.ESCAPED)
-    assert (summary["events"]["blowup"] is None) is (outcome is not Outcome.CERTIFIED)
+    assert (summary["events"]["certified"] is None) is (outcome is not Outcome.CERTIFIED)
+    assert (summary["events"]["escape"] is None) is (outcome is not Outcome.ESCAPED)
     if outcome is not Outcome.ESCAPED:
         assert capsys.readouterr().out == f"non-scattering: {outcome.value}\n"
 
@@ -185,6 +194,27 @@ def test_solve_deep_end_scatters(tmp_path):
     out = tmp_path / "deep"
     assert _run("solve", "--eta-in", "1e5", "--out-dir", str(out)) == EXIT_OK
     assert math.isfinite(json.loads((out / "summary.json").read_text())["theta"])
+
+
+def test_solve_leaves_the_gap_out_and_records_it(tmp_path):
+    # after escape the motion is the straight free leg: no row strictly
+    # inside the gap is written, and the escape state in summary.json
+    # rebuilds any of them as the filled run holds it
+    out = tmp_path / "run"
+    assert _run("solve", "--eta-in", "21", "--out-dir", str(out)) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    ev, (lo, hi) = summary["events"], summary["gap"]
+    e = ev["escape"]
+    assert lo == e["t"] + TAIL_PAD and hi == ev["t0"] - TAIL_PAD
+    for name in ("trajectory.csv", "radial.csv"):
+        rows = np.loadtxt(out / name, delimiter=",", skiprows=1)
+        t = rows[:, 0] if name == "trajectory.csv" else np.log(rows[:, 0])
+        assert len(rows) < 5000 and not np.any((t > lo + 1e-9) & (t < hi - 1e-9))
+    full = fill_gap(integrate(AsymptoticData(0.0, 21.0)))
+    k = len(full) // 2
+    assert lo < full.t[k] < hi
+    y = free_leg((e["xi"], e["xi_dot"], e["eta"], e["eta_dot"]), full.t[k] - e["t"])
+    assert tuple(map(float, y)) == (full.xi[k], full.xi_dot[k], full.eta[k], full.eta_dot[k])
 
 
 def _subparsers():

@@ -148,6 +148,27 @@ def test_pde_residual_grid_checks(sol8):
         pde_residual(replace(sol8, r_grid=r))
 
 
+def test_pde_residual_takes_each_run_of_a_gapped_grid(traj8, sol8):
+    # at eta_in 8 the window has a gap: radial data is log-uniform within
+    # each of its two runs, and the residual is the larger of theirs
+    assert traj8.gap is not None
+    n = int(np.searchsorted(sol8.r_grid, math.exp(traj8.gap[0]), side="right"))
+    runs = [replace(sol8, r_grid=sol8.r_grid[part], u_values=sol8.u_values[part],
+                    k_values=sol8.k_values[part])
+            for part in (slice(None, n), slice(n, None))]
+    assert all(len(run.r_grid) >= 5 for run in runs)
+    res = [pde_residual(run) for run in runs]
+    assert pde_residual(sol8) == (max(r[0] for r in res), max(r[1] for r in res))
+    # a corruption just after the gap is seen; a run of two points is refused
+    u = sol8.u_values.copy()
+    u[n + 1] += 1e-3
+    assert pde_residual(replace(sol8, u_values=u))[0] >= 1.0
+    short = replace(sol8, r_grid=sol8.r_grid[:n + 2], u_values=sol8.u_values[:n + 2],
+                    k_values=sol8.k_values[:n + 2])
+    with pytest.raises(ValueError, match="at least 3 points"):
+        pde_residual(short)
+
+
 def test_subsolution_solves_modified_equation():
     # the closed-form envelope solves xi'' = -eta_in e^{2 xi}; second
     # differences converge at O(h^2)
@@ -321,18 +342,20 @@ def test_asymptotic_fit_intercepts_match_moment_integrals(traj8, sol8):
 @pytest.mark.parametrize("xi_in", [-1.0, 0.0, 1.0])
 @pytest.mark.parametrize("eta_in", [19.0, 21.0, 23.5, 30.0])
 def test_floored_exponentials_change_no_bit(eta_in, xi_in, cfg):
-    # escaped windows whose regular samples reach 2*xi < EXP_FLOOR: the
-    # energy, the quadrature and the forbidden-zone maximum equal their
-    # unfloored forms to the bit
+    # escaped windows whose regular samples, the gap's filled in as verify
+    # reads them, reach 2*xi < EXP_FLOOR: the energy, the quadrature and the
+    # forbidden-zone maximum equal their unfloored forms to the bit
     traj = integrate(AsymptoticData(xi_in, eta_in), cfg)
-    assert traj.escaped and np.any(2.0 * traj.window[1] < EXP_FLOOR)
-    got = traj.energy
-    want = energy_unfloored(traj.xi, traj.eta, traj.xi_dot, traj.eta_dot)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    full = integrator.fill_gap(traj)
+    assert traj.escaped and np.any(2.0 * full.window[1] < EXP_FLOOR)
+    for run in (traj, full):
+        got = run.energy
+        want = energy_unfloored(run.xi, run.eta, run.xi_dot, run.eta_dot)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert _potential_max(run) == potential_max_unfloored(run)
     quad = curvature_area_quadrature(traj)
     kappa, alpha = quadrature_unfloored(traj)
     assert (quad.kappa, quad.alpha) == (kappa, alpha)
-    assert _potential_max(traj) == potential_max_unfloored(traj)
 
 
 # (degree, p, its integral from 0): 2x^3 - x^2 + 3x - 1 and its truncations

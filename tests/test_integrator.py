@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvscat import (AsymptoticData, NotConvergedError, SolverConfig,
                       Trajectory, TrajectoryEvents, deflection,
                       explicit_bounds, integrate, integrator, t0_state_bounds)
 from curvscat.dop853 import MIN_RTOL
 from curvscat.dynamics import PhasePoint
-from curvscat.integrator import _SOLVER, Outcome, _sample_times, deflection_of
+from curvscat.integrator import (_SOLVER, TAIL_PAD, Outcome, _sample_times,
+                                 deflection_of, fill_gap)
 
 from _reference import (ORACLE_T0_ETA8, ORACLE_T_HALF_ETA8, ORACLE_T_M_ETA8,
                         ORACLE_THETA_ETA8, ORACLE_THETA_ETA6, continue_tight,
@@ -427,14 +429,22 @@ def test_samples_strictly_increasing_validated():
 
 
 def test_event_samples_inserted(traj8):
-    # refined event times are sample points, flagged off the uniform grid
+    # refined event times are sample points, flagged off the uniform grid;
+    # at eta_in 8 t_half lies in the gap, where only the filled run places it
+    lo, hi = traj8.gap
+    assert lo < traj8.events.t_half < hi
+    assert np.min(np.abs(traj8.t - traj8.events.t_half)) > 1e-3
+    full = fill_gap(traj8)
     for t_ev in (traj8.events.t0, traj8.events.t_half, traj8.events.t_m):
-        k = int(np.argmin(np.abs(traj8.t - t_ev)))
-        assert abs(traj8.t[k] - t_ev) < 1e-11
+        run = full if lo < t_ev < hi else traj8
+        k = int(np.argmin(np.abs(run.t - t_ev)))
+        assert abs(run.t[k] - t_ev) < 1e-11
     assert traj8.off_grid
     h = traj8.config.dense_step
-    tu = traj8.window[0]
-    assert np.allclose(np.diff(tu), h, rtol=0, atol=1e-9)
+    step = np.diff(traj8.window[0])
+    jump = step > 1.5 * h                 # the one step over the gap's nodes
+    assert np.count_nonzero(jump) == 1
+    assert np.allclose(step[~jump], h, rtol=0, atol=1e-9)
 
 
 def _bits(x):
@@ -481,18 +491,58 @@ _ASSEMBLY_CASES = [
 ]
 
 
+def _assert_gap_left_out(traj, ts, mask, Y):
+    """traj against the oracle's (ts, mask, Y) of a window without a gap:
+    traj keeps the oracle's samples outside the gap bit for bit, and
+    fill_gap gives the oracle whole."""
+    ev, e = traj.events, traj.events.escape
+    if traj.gap is not None:
+        assert traj.gap[0] == e.t + TAIL_PAD
+        assert ev.t0 is None or traj.gap[1] == ev.t0 - TAIL_PAD
+    elif traj.escaped and ev.t0 is not None:      # the runs overlap: one run
+        assert ev.t0 - TAIL_PAD <= e.t + TAIL_PAD
+    lo, hi = traj.gap if traj.gap is not None else (math.inf, math.inf)
+    kept = ~((ts > lo) & (ts < hi))
+    assert np.array_equal(_bits(traj.t), _bits(ts[kept]))
+    for got, want in zip((traj.xi, traj.xi_dot, traj.eta, traj.eta_dot), Y):
+        assert np.array_equal(_bits(got), _bits(want[kept]))
+    # the window is the regular samples the mask picks, less the gap's
+    assert traj.off_grid == tuple(np.flatnonzero(~mask[kept]))
+    for got, want in zip(traj.window, (ts, Y[0], Y[2], Y[1], Y[3])):
+        assert np.array_equal(_bits(got), _bits(want[mask & kept]))
+    full = fill_gap(traj)
+    assert full.gap is None and full.off_grid == tuple(np.flatnonzero(~mask))
+    assert np.array_equal(_bits(full.t), _bits(ts))
+    for got, want in zip((full.xi, full.xi_dot, full.eta, full.eta_dot), Y):
+        assert np.array_equal(_bits(got), _bits(want))
+
+
 @pytest.mark.parametrize("eta_in, xi_in, overrides", _ASSEMBLY_CASES)
 def test_samples_equal_the_append_insert_assembly(eta_in, xi_in, overrides):
     a, cfg = AsymptoticData(xi_in, eta_in), SolverConfig(**overrides)
-    traj = integrate(a, cfg)
-    ts, mask, Y = integrate_samples_loop(a, cfg)
-    assert np.array_equal(_bits(traj.t), _bits(ts))
-    assert traj.off_grid == tuple(np.flatnonzero(~mask))
-    for got, want in zip((traj.xi, traj.xi_dot, traj.eta, traj.eta_dot), Y):
-        assert np.array_equal(_bits(got), _bits(want))
-    # the window is the regular samples the mask picks
-    for got, want in zip(traj.window, (ts, Y[0], Y[2], Y[1], Y[3])):
-        assert np.array_equal(_bits(got), _bits(want[mask]))
+    _assert_gap_left_out(integrate(a, cfg), *integrate_samples_loop(a, cfg))
+
+
+@settings(max_examples=40)
+@given(eta_in=st.floats(min_value=1.31, max_value=40.0),
+       xi_in=st.floats(min_value=-1.0, max_value=1.0),
+       dense_step=st.sampled_from([0.005, 0.01, 0.02]))
+def test_gapped_samples_equal_the_full_assembly(eta_in, xi_in, dense_step):
+    # the gap holds exactly the grid nodes strictly inside
+    # (t_escape + TAIL_PAD, t0 - TAIL_PAD), and t_half when it lies there
+    a, cfg = AsymptoticData(xi_in, eta_in), SolverConfig(dense_step=dense_step)
+    _assert_gap_left_out(integrate(a, cfg), *integrate_samples_loop(a, cfg))
+
+
+def test_capped_escape_ends_its_samples_after_escape(cfg):
+    # at eta_in 30 the crossing lies past the budget: the second run would
+    # start after the budget's end, so the samples end at t_escape + TAIL_PAD
+    traj = integrate(AsymptoticData(0.0, 30.0), cfg)
+    e, (lo, hi) = traj.events.escape, traj.gap
+    assert traj.escaped and traj.events.t0 is None
+    assert lo == e.t + TAIL_PAD and hi > traj.t[0] + cfg.max_time
+    assert lo - cfg.dense_step < traj.t[-1] <= lo
+    assert len(traj) < 3000
 
 
 @pytest.mark.parametrize("eta_in, xi_in, overrides", _ASSEMBLY_CASES)
@@ -502,15 +552,19 @@ def test_off_grid_names_the_end_and_event_samples(eta_in, xi_in, overrides):
     placed = {float(traj.t[k]) for k in traj.off_grid}
     assert len(placed) == len(traj.off_grid) <= 4
     assert list(traj.off_grid) == sorted(traj.off_grid)
-    # the window is the grid itself, and the end is on it or placed
-    t_w = traj.window[0]
-    grid = traj.t[0] + traj.config.dense_step * np.arange(len(t_w))
-    assert np.array_equal(_bits(t_w), _bits(grid))
+    # the window is the grid itself, its nodes consecutive but for one jump
+    # over the gap's, and the end is on it or placed
+    t_w, h = traj.window[0], traj.config.dense_step
+    k = np.rint((t_w - traj.t[0]) / h).astype(np.int64)
+    assert np.array_equal(_bits(t_w), _bits(traj.t[0] + h * k))
+    jumps = np.flatnonzero(np.diff(k) != 1)
+    lo, hi = traj.gap if traj.gap is not None else (math.inf, math.inf)
+    assert all(t_w[j] <= lo and hi <= t_w[j + 1] for j in jumps) and len(jumps) <= 1
     assert placed <= {float(traj.t[-1]), ev.t0, ev.t_half, ev.t_m}
     assert float(traj.t[-1]) in placed or traj.t[-1] == t_w[-1]
-    # an event inside the run is placed, or within 1e-12 of a grid sample
+    # an event inside a run is placed, or within 1e-12 of a grid sample
     for t_ev in (ev.t0, ev.t_half, ev.t_m):
-        if t_ev is not None and t_ev <= traj.t[-1]:
+        if t_ev is not None and t_ev <= traj.t[-1] and not lo < t_ev < hi:
             assert t_ev in placed or np.min(np.abs(t_w - t_ev)) < 1e-12
 
 
