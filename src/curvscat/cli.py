@@ -6,7 +6,8 @@ manifest.  A CSV is its header line, then rows of '%.12g' fields ending in
 CR LF (csv.writer's dialect, never quoted); each block of _CSV_BLOCK_ROWS
 rows is rendered at once by csvformat.format_rows, every field byte-equal
 to Python's '%.12g'.  Exit codes: 0 ok, 1 usage error or solver failure,
-2 non-scattering outcome, 3 partial sweep failure, 4 verification failure.
+2 non-scattering outcome, 3 partial sweep failure, 4 verification failure,
+5 no escape within the time budget.
 
 Every command computes the content of all its files before --out-dir
 exists; one function, _emit, then makes the directory, writes the files and
@@ -41,10 +42,11 @@ EXIT_USAGE = 1
 EXIT_NONSCATTERING = 2
 EXIT_PARTIAL = 3
 EXIT_VERIFY_FAIL = 4
+EXIT_OUT_OF_BUDGET = 5
 
 # the exit code of each way a run ends; a solver failure reaches main raised
 EXIT_CODE = {Outcome.ESCAPED: EXIT_OK, Outcome.CERTIFIED: EXIT_NONSCATTERING,
-             Outcome.OUT_OF_BUDGET: EXIT_NONSCATTERING,
+             Outcome.OUT_OF_BUDGET: EXIT_OUT_OF_BUDGET,
              Outcome.SOLVER_FAILURE: EXIT_USAGE}
 
 

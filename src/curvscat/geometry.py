@@ -206,7 +206,11 @@ def theta_identities(theta: float) -> tuple[float, float]:
 
 
 def pokhozaev_residual(kappa: float, alpha: float) -> float:
-    """Residual alpha^2 - 2*kappa*(4*pi - kappa) of the area/curvature identity."""
+    """Residual alpha^2 - 2*kappa*(4*pi - kappa) of the area/curvature identity.
+
+    Its largest term, 2*kappa*4*pi <= 32*pi^2, puts a round-off floor of a
+    few ulp of it, about 1e-13 absolute, under the residual: digits below
+    it are round-off and cannot be compared across commits."""
     return alpha**2 - 2.0 * kappa * (FOUR_PI - kappa)
 
 

@@ -50,12 +50,11 @@ the refined event times are placed among the grid nodes by one insert,
 each unless it lies inside the gap or within 1e-12 of a time already
 placed.  Trajectory.off_grid names the at most four placed samples, and
 Trajectory.window gives the regular ones, which radial reconstruction and
-the quadrature read.  fill_gap gives a gapped run's samples with the gap's
-filled in from the free leg, bit for bit those a window without a gap
-has.  The dense output gives the samples up to escape, and the free leg
-the ones after it.  From eta_in ~ 19 on, the window's far tail reaches
-2*xi < -708, where np.exp makes subnormal results at some hundred times the
-cost of normal ones; the free leg and the energy floor their exponents at
+the quadrature read; every reader, verify included, reads the gapped
+samples as they are.  The dense output gives the samples up to escape,
+and the free leg the ones after it.  From eta_in ~ 19 on, the window's far
+tail reaches 2*xi < -708, where np.exp makes subnormal results at some
+hundred times the cost of normal ones; the free leg and the energy floor their exponents at
 dynamics.EXP_FLOOR, which changes no sample and no energy.
 
 deflection_of(a, cfg) gives deflection(integrate(a, cfg)) bit for bit from
@@ -66,7 +65,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -326,12 +325,6 @@ def _sample_times(t_start: float, t_end: float, h: float, events, gap=None):
     return np.insert(grid, at, extra), tuple(int(k) + i for i, k in enumerate(at))
 
 
-def _window_end(t_escape: float, t0: float, budget: float) -> float:
-    """The end of an escaped run's window: past both the escape and the
-    eta = 0 crossing t0 by their margins, capped by the budget."""
-    return min(max(t_escape + TAIL_PAD, t0 + MIN_TAIL), budget)
-
-
 def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajectory:
     """Integrate the scattering equations for the given asymptotic data.
 
@@ -357,7 +350,8 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
             t0 = t_escape + _free_leg_crossing(y_e, 0.0)
         if t_half is None:
             t_half = t_escape + _free_leg_crossing(y_e, 0.5 * a.eta_in)
-        t_end = _window_end(t_escape, t0, budget)
+        # past both the escape and the crossing by their margins, in the budget
+        t_end = min(max(t_escape + TAIL_PAD, t0 + MIN_TAIL), budget)
         if t_escape + TAIL_PAD < min(t0 - TAIL_PAD, t_end):
             gap = (t_escape + TAIL_PAD, t0 - TAIL_PAD)
         # crossings are reported only inside the budget
@@ -387,32 +381,6 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
                                 escape=escape),
         asymptotics=a, outcome=outcome, config=cfg, off_grid=off_grid, gap=gap,
     )
-
-
-def fill_gap(traj: Trajectory) -> Trajectory:
-    """traj with its gap's samples filled in from the free leg: the grid
-    nodes inside it, and an event time there (t_half, say), placed as
-    integrate places them.  Every sample is bit for bit the one a window
-    without the gap would hold, since the free leg and the dense output are
-    evaluated point by point.  A run without a gap is returned as it is.
-    """
-    if traj.gap is None:
-        return traj
-    lo, hi = traj.gap
-    ev, e, cfg = traj.events, traj.events.escape, traj.config
-    t_start = float(traj.t[0])
-    budget = t_start + cfg.max_time
-    # a crossing past the budget is not reported; the window then ends there
-    t_end = budget if ev.t0 is None else _window_end(e.t, ev.t0, budget)
-    ts, off_grid = _sample_times(t_start, t_end, cfg.dense_step, (ev.t0, ev.t_half, ev.t_m))
-    # the samples inside the gap are ts[i:j], between the kept ones
-    i, j = int(np.searchsorted(ts, lo, "right")), int(np.searchsorted(ts, hi, "left"))
-    xi, xi_dot, eta, eta_dot = (
-        np.concatenate((kept[:i], inside, kept[i:])) for kept, inside in zip(
-            (traj.xi, traj.xi_dot, traj.eta, traj.eta_dot),
-            free_leg((e.xi, e.xi_dot, e.eta, e.eta_dot), ts[i:j] - e.t)))
-    return replace(traj, t=ts, xi=xi, eta=eta, xi_dot=xi_dot, eta_dot=eta_dot,
-                   off_grid=off_grid, gap=None)
 
 
 def deflection(traj: Trajectory) -> float:

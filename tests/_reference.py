@@ -674,6 +674,15 @@ def integrate_samples_loop(a, cfg):
     return ts, mask, Y
 
 
+def full_window(traj):
+    """traj with the samples of integrate_samples_loop in place of its own:
+    a window without a gap, whose gap nodes and event times there are
+    evaluated as integrate evaluates the rest."""
+    ts, mask, Y = integrate_samples_loop(traj.asymptotics, traj.config)
+    return replace(traj, t=ts, xi=Y[0], xi_dot=Y[1], eta=Y[2], eta_dot=Y[3],
+                   off_grid=tuple(int(k) for k in np.flatnonzero(~mask)), gap=None)
+
+
 # --- row-by-row CSV writers ---------------------------------------------------
 # The CLI's CSV emission before it rendered blocks of rows at once: one
 # csv.writer row per record, each field format(x, ".12g").

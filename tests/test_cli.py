@@ -16,14 +16,15 @@ import curvscat
 import curvscat.cli as cli
 from curvscat import (AsymptoticData, SolverConfig, analysis, geometry,
                       integrate, shooting, verification)
-from curvscat.cli import (EXIT_CODE, EXIT_NONSCATTERING, EXIT_OK, EXIT_PARTIAL,
-                          EXIT_USAGE, EXIT_VERIFY_FAIL, _json_render,
+from curvscat.cli import (EXIT_CODE, EXIT_NONSCATTERING, EXIT_OK,
+                          EXIT_OUT_OF_BUDGET, EXIT_PARTIAL, EXIT_USAGE,
+                          EXIT_VERIFY_FAIL, _json_render,
                           build_parser, main, parse_angle)
 from curvscat.closed_forms import free_leg
 from curvscat.deflection_table import eta_in_of
-from curvscat.integrator import TAIL_PAD, Outcome, fill_gap
+from curvscat.integrator import TAIL_PAD, Outcome
 
-from _reference import ORACLE_THETA_ETA8
+from _reference import ORACLE_THETA_ETA8, integrate_samples_loop
 
 
 @pytest.mark.parametrize("text, value", [
@@ -199,7 +200,7 @@ def test_solve_deep_end_scatters(tmp_path):
 def test_solve_leaves_the_gap_out_and_records_it(tmp_path):
     # after escape the motion is the straight free leg: no row strictly
     # inside the gap is written, and the escape state in summary.json
-    # rebuilds any of them as the filled run holds it
+    # rebuilds any of them as a window without the gap holds it
     out = tmp_path / "run"
     assert _run("solve", "--eta-in", "21", "--out-dir", str(out)) == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
@@ -210,11 +211,11 @@ def test_solve_leaves_the_gap_out_and_records_it(tmp_path):
         rows = np.loadtxt(out / name, delimiter=",", skiprows=1)
         t = rows[:, 0] if name == "trajectory.csv" else np.log(rows[:, 0])
         assert len(rows) < 5000 and not np.any((t > lo + 1e-9) & (t < hi - 1e-9))
-    full = fill_gap(integrate(AsymptoticData(0.0, 21.0)))
-    k = len(full) // 2
-    assert lo < full.t[k] < hi
-    y = free_leg((e["xi"], e["xi_dot"], e["eta"], e["eta_dot"]), full.t[k] - e["t"])
-    assert tuple(map(float, y)) == (full.xi[k], full.xi_dot[k], full.eta[k], full.eta_dot[k])
+    ts, _, Y = integrate_samples_loop(AsymptoticData(0.0, 21.0), SolverConfig())
+    k = len(ts) // 2
+    assert lo < ts[k] < hi
+    y = free_leg((e["xi"], e["xi_dot"], e["eta"], e["eta_dot"]), ts[k] - e["t"])
+    assert tuple(map(float, y)) == tuple(Y[:, k])
 
 
 def _subparsers():
@@ -649,7 +650,7 @@ def test_json_float_17_digits(tmp_path):
     (("solve", "--eta-in", "30"), EXIT_OK, {"trajectory.csv", "summary.json"}),
     (("solve", "--eta-in", "1.0"), EXIT_NONSCATTERING,
      {"trajectory.csv", "summary.json"}),
-    (("solve", "--eta-in", "8", "--max-time", "19"), EXIT_NONSCATTERING,
+    (("solve", "--eta-in", "8", "--max-time", "19"), EXIT_OUT_OF_BUDGET,
      {"trajectory.csv", "summary.json"}),
     (("shoot", "--theta=-0.75pi"), EXIT_OK,
      {"trajectory.csv", "radial.csv", "summary.json"}),
@@ -740,10 +741,12 @@ def test_every_outcome_has_an_exit_code_and_a_search_decision():
     (("--eta-in", "8", "--max-time", "19"), Outcome.OUT_OF_BUDGET),
 ])
 def test_non_escaped_runs_name_their_outcome(tmp_path, capsys, args, outcome):
-    # solve prints the outcome's reason and exits with its code; verify's
-    # failed item names the same reason
+    # solve prints the outcome's reason and exits with its code, which tells
+    # a certified run from a budget stop; verify's failed item names the
+    # same reason
     assert _run("solve", *args, "--out-dir", str(tmp_path / "s")) == EXIT_CODE[outcome]
-    assert EXIT_CODE[outcome] == EXIT_NONSCATTERING
+    assert EXIT_CODE[outcome] == {Outcome.CERTIFIED: EXIT_NONSCATTERING,
+                                  Outcome.OUT_OF_BUDGET: EXIT_OUT_OF_BUDGET}[outcome]
     assert capsys.readouterr().out == f"non-scattering: {outcome.value}\n"
     out = tmp_path / "v"
     assert _run("verify", *args, "--out-dir", str(out)) == EXIT_VERIFY_FAIL
@@ -782,7 +785,7 @@ def test_a_budget_below_the_start_times_spacing_runs_out_of_budget(tmp_path, cap
     budget = ("--max-time", "1e-300")
     reason = Outcome.OUT_OF_BUDGET.value
     assert _run("solve", "--eta-in", "8", *budget,
-                "--out-dir", str(tmp_path / "solve")) == EXIT_NONSCATTERING
+                "--out-dir", str(tmp_path / "solve")) == EXIT_OUT_OF_BUDGET
     assert capsys.readouterr().out == f"non-scattering: {reason}\n"
     assert _run("shoot", "--theta=-0.75pi", *budget,
                 "--out-dir", str(tmp_path / "shoot")) == EXIT_NONSCATTERING

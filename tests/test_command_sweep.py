@@ -148,7 +148,7 @@ def _expected_code(command: str, out: Path) -> int:
         if "error" in summary:          # shoot found no bracket
             return cli.EXIT_NONSCATTERING
         return {"escaped": cli.EXIT_OK, "certified": cli.EXIT_NONSCATTERING,
-                "out_of_budget": cli.EXIT_NONSCATTERING}[summary["outcome"]]
+                "out_of_budget": cli.EXIT_OUT_OF_BUDGET}[summary["outcome"]]
     if command == "sweep":
         rows = json.loads((out / "sweep.json").read_text())["rows"]
         return cli.EXIT_PARTIAL if any(r["status"] != "ok" for r in rows) else cli.EXIT_OK
@@ -252,7 +252,7 @@ def test_drawn_command_keeps_the_contract(tmp_path, monkeypatch, argv):
         code = cli.main([*argv, "--out-dir", str(out)])
 
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NONSCATTERING,
-                    cli.EXIT_PARTIAL, cli.EXIT_VERIFY_FAIL)
+                    cli.EXIT_PARTIAL, cli.EXIT_VERIFY_FAIL, cli.EXIT_OUT_OF_BUDGET)
     if code == cli.EXIT_USAGE:
         assert not out.exists() and manifests == []
         return

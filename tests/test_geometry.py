@@ -15,7 +15,7 @@ from curvscat.geometry import ALPHA_SUP, FOUR_PI, TWO_PI, pde_residual, simpson
 from curvscat.integrator import SolverConfig
 from curvscat.verification import _potential_max
 
-from _reference import (energy_unfloored, potential_max_unfloored,
+from _reference import (energy_unfloored, full_window, potential_max_unfloored,
                         quadrature_unfloored, scale_radial)
 
 LN2_4 = 0.25 * math.log(2.0)
@@ -342,11 +342,12 @@ def test_asymptotic_fit_intercepts_match_moment_integrals(traj8, sol8):
 @pytest.mark.parametrize("xi_in", [-1.0, 0.0, 1.0])
 @pytest.mark.parametrize("eta_in", [19.0, 21.0, 23.5, 30.0])
 def test_floored_exponentials_change_no_bit(eta_in, xi_in, cfg):
-    # escaped windows whose regular samples, the gap's filled in as verify
-    # reads them, reach 2*xi < EXP_FLOOR: the energy, the quadrature and the
-    # forbidden-zone maximum equal their unfloored forms to the bit
+    # escaped windows whose regular samples, the gap's included, reach
+    # 2*xi < EXP_FLOOR: on them and on the gapped window integrate returns,
+    # the energy, the quadrature and the forbidden-zone maximum equal their
+    # unfloored forms to the bit
     traj = integrate(AsymptoticData(xi_in, eta_in), cfg)
-    full = integrator.fill_gap(traj)
+    full = full_window(traj)
     assert traj.escaped and np.any(2.0 * full.window[1] < EXP_FLOOR)
     for run in (traj, full):
         got = run.energy

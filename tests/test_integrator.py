@@ -11,7 +11,7 @@ from curvscat import (AsymptoticData, NotConvergedError, SolverConfig,
 from curvscat.dop853 import MIN_RTOL
 from curvscat.dynamics import PhasePoint
 from curvscat.integrator import (_SOLVER, TAIL_PAD, Outcome, _sample_times,
-                                 deflection_of, fill_gap)
+                                 deflection_of)
 
 from _reference import (ORACLE_T0_ETA8, ORACLE_T_HALF_ETA8, ORACLE_T_M_ETA8,
                         ORACLE_THETA_ETA8, ORACLE_THETA_ETA6, continue_tight,
@@ -430,15 +430,15 @@ def test_samples_strictly_increasing_validated():
 
 def test_event_samples_inserted(traj8):
     # refined event times are sample points, flagged off the uniform grid;
-    # at eta_in 8 t_half lies in the gap, where only the filled run places it
+    # at eta_in 8 t_half lies in the gap, where only the window without a
+    # gap places it
     lo, hi = traj8.gap
     assert lo < traj8.events.t_half < hi
     assert np.min(np.abs(traj8.t - traj8.events.t_half)) > 1e-3
-    full = fill_gap(traj8)
+    full_t, _, _ = integrate_samples_loop(traj8.asymptotics, traj8.config)
     for t_ev in (traj8.events.t0, traj8.events.t_half, traj8.events.t_m):
-        run = full if lo < t_ev < hi else traj8
-        k = int(np.argmin(np.abs(run.t - t_ev)))
-        assert abs(run.t[k] - t_ev) < 1e-11
+        t = full_t if lo < t_ev < hi else traj8.t
+        assert np.min(np.abs(t - t_ev)) < 1e-11
     assert traj8.off_grid
     h = traj8.config.dense_step
     step = np.diff(traj8.window[0])
@@ -493,8 +493,7 @@ _ASSEMBLY_CASES = [
 
 def _assert_gap_left_out(traj, ts, mask, Y):
     """traj against the oracle's (ts, mask, Y) of a window without a gap:
-    traj keeps the oracle's samples outside the gap bit for bit, and
-    fill_gap gives the oracle whole."""
+    traj keeps the oracle's samples outside the gap bit for bit."""
     ev, e = traj.events, traj.events.escape
     if traj.gap is not None:
         assert traj.gap[0] == e.t + TAIL_PAD
@@ -510,11 +509,6 @@ def _assert_gap_left_out(traj, ts, mask, Y):
     assert traj.off_grid == tuple(np.flatnonzero(~mask[kept]))
     for got, want in zip(traj.window, (ts, Y[0], Y[2], Y[1], Y[3])):
         assert np.array_equal(_bits(got), _bits(want[mask & kept]))
-    full = fill_gap(traj)
-    assert full.gap is None and full.off_grid == tuple(np.flatnonzero(~mask))
-    assert np.array_equal(_bits(full.t), _bits(ts))
-    for got, want in zip((full.xi, full.xi_dot, full.eta, full.eta_dot), Y):
-        assert np.array_equal(_bits(got), _bits(want))
 
 
 @pytest.mark.parametrize("eta_in, xi_in, overrides", _ASSEMBLY_CASES)

@@ -1,7 +1,9 @@
 import ast
 import importlib.util
+import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -176,3 +178,82 @@ def test_deflection_table_smoke(capsys):
     assert [len(c) for c in names["COEFFS"]] == [len(c) for c in deflection_table.COEFFS]
     miss = float(re.search(r"worst seed miss (\S+)", out).group(1))
     assert miss <= deflection_table.MISS
+
+
+def _pair_runs(parent, change, name="op_s_p50"):
+    return [run for k, (p, c) in enumerate(zip(parent, change))
+            for run in ({"pair": k, "side": "parent", "metrics": {name: p}},
+                        {"pair": k, "side": "change", "metrics": {name: c}})]
+
+
+def test_bench_pairs_statistics_on_synthetic_runs():
+    bench = _load("bench_pairs")
+    lower = [{"name": "op_s_p50", "better": "lower"}]
+    # pair 2 is a tie, which counts for neither side
+    runs = _pair_runs([6.0, 6.4, 6.2, 6.5, 6.1], [5.6, 5.5, 6.2, 5.7, 6.3])
+    s = bench.compare(runs, lower)["op_s_p50"]
+    assert s["parent"] == {"median": 6.2, "q1": 6.1, "q3": 6.4}
+    assert s["change"] == {"median": 5.7, "q1": 5.6, "q3": 6.2}
+    assert (s["pairs"], s["change_won"], s["parent_won"]) == (5, 3, 1)
+    assert s["gain_beyond_parent_iqr"]           # 0.5 beyond the IQR 0.3
+    # read against "higher", the same runs are the parent's wins
+    s = bench.compare(runs, [{"name": "op_s_p50", "better": "higher"}])["op_s_p50"]
+    assert (s["change_won"], s["parent_won"]) == (1, 3)
+    assert not s["gain_beyond_parent_iqr"]
+    # a gain inside the parent's spread does not clear it
+    s = bench.compare(_pair_runs([5.0, 7.0, 6.0], [5.5, 5.4, 5.3]), lower)["op_s_p50"]
+    assert s["change_won"] == 2 and not s["gain_beyond_parent_iqr"]
+    # one pair: each quartile is the value
+    s = bench.compare(_pair_runs([2.0], [1.0]), lower)["op_s_p50"]
+    assert s["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
+    assert s["gain_beyond_parent_iqr"]
+    assert [bench.order(k) for k in range(3)] == [
+        ("parent", "change"), ("change", "parent"), ("parent", "change")]
+
+
+_FAKE_BENCH = '''import json, pathlib, sys
+args = sys.argv[1:]
+here = pathlib.Path.cwd()
+with open(here.parent / "calls.log", "a") as fh:
+    fh.write(here.name + " " + " ".join(args) + "\\n")
+value = float((here / "value").read_text())
+print("timing lines first")
+print(json.dumps({"correct": True, "attempted": 4, "failed": 1, "metrics": {
+    "op_s_p50": {"value": value, "unit": "s"},
+    "ok_frac": {"value": 0.75, "unit": "ratio"}}}))
+'''
+
+
+def test_bench_pairs_alternates_and_writes_one_file(tmp_path, monkeypatch):
+    bench = _load("bench_pairs")
+    monkeypatch.chdir(tmp_path)
+    spec = {"command": [sys.executable, "fake.py"], "run_seconds": 2,
+            "workloads": [{"name": "verify"}],
+            "end_to_end": [{"name": "op_s_p50", "better": "lower"},
+                           {"name": "ok_frac", "better": "higher"}]}
+    for side, value in (("parent", "6.0"), ("change", "5.0")):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "fake.py").write_text(_FAKE_BENCH)
+        (tmp_path / side / "value").write_text(value)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+    common = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+              "--workload", "verify", "--label", "t"]
+    assert bench.main([*common, "--pairs", "3", "--seed", "1"]) == 0
+    calls = (tmp_path / "calls.log").read_text().splitlines()
+    assert [c.split()[0] for c in calls] == ["parent", "change", "change", "parent",
+                                             "parent", "change"]
+    assert calls[0].split()[1:] == ["--workload", "verify", "--seed", "1", "--seconds", "2"]
+    assert bench.main([*common, "--pairs", "1", "--seed", "2"]) == 0
+    assert bench.main([*common, "--pairs", "2", "--seed", "1"]) == 0   # replaces seed 1
+    body = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert body["label"] == "t"
+    assert [(r["seed"], r["pairs"], len(r["runs"])) for r in body["results"]] == [
+        (1, 2, 4), (2, 1, 2)]
+    s = body["results"][0]["summary"]
+    assert s["op_s_p50"]["change_won"] == 2 and s["op_s_p50"]["gain_beyond_parent_iqr"]
+    assert s["ok_frac"]["change_won"] == s["ok_frac"]["parent_won"] == 0
+    assert body["results"][0]["runs"][0] == {
+        "pair": 0, "side": "parent", "correct": True, "attempted": 4, "failed": 1,
+        "metrics": {"op_s_p50": 6.0, "ok_frac": 0.75}}
+    with pytest.raises(SystemExit):
+        bench.main([*common, "--pairs", "0", "--seed", "1"])
