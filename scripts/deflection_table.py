@@ -36,7 +36,7 @@ EDGES = (-math.pi + THETA_MARGIN, -0.8 * math.pi, -0.62 * math.pi,
 DEEP = 1
 SHIFT = 1.2998
 DEGREE = 16
-MISS = 1e-9
+MISS = 2e-10
 
 
 def theta_of(eta_in: float) -> float:

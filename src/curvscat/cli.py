@@ -216,7 +216,7 @@ def _config_from(args) -> SolverConfig:
     return SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
 
 
-_SUMMARY = "curvscat/summary/v8"
+_SUMMARY = "curvscat/summary/v9"
 
 
 def _body(schema: str, inputs: dict, cfg: SolverConfig, **entries) -> dict:
@@ -317,7 +317,7 @@ def cmd_sweep(args, argv) -> int:
               + (f" eta_in = {r.eta_in:.9g}" if r.status == "ok" else ""))
 
     rows = shooting.sweep(grid, cfg, root_tol=args.root_tol, on_row=report)
-    body = _body("curvscat/sweep/v5", inputs, cfg, rows=[_field_dict(r) for r in rows])
+    body = _body("curvscat/sweep/v6", inputs, cfg, rows=[_field_dict(r) for r in rows])
     _emit(args, argv, inputs, {
         "sweep.csv": lambda path: write_sweep_csv(path, rows),
         "sweep.json": lambda path: write_json(path, body)})
@@ -329,7 +329,7 @@ def cmd_verify(args, argv) -> int:
     results = verification.run_suite(args.eta_in, cfg)
     all_pass = all(r.passed for r in results)
     inputs = {"eta_in": list(args.eta_in)}
-    report = _body("curvscat/verify/v5", inputs, cfg,
+    report = _body("curvscat/verify/v6", inputs, cfg,
                    items=[_field_dict(r) for r in results], passed=all_pass)
     _emit(args, argv, inputs,
           {"verify_report.json": lambda path: write_json(path, report)})

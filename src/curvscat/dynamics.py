@@ -11,8 +11,9 @@ with conserved total energy 2E = xi'^2 + eta'^2 + eta*exp(2*xi).  Every
 admitted scattering motion has E = 1/2 exactly, which confines it to the
 region eta < exp(-2*xi); the complement is the forbidden zone and its
 boundary eta = exp(-2*xi) is the locus of zero-velocity (singular) points.
-The equations are written once, as the source RHS_SHARED and RHS_SOURCE,
-from which the stepper generates every evaluation of the right-hand side.
+With E = exp(2*xi) they are polynomial (xi' = p, p' = -eta*E, eta' = q,
+q' = -E/2, E' = 2*p*E), and the stepper (taylor) generates their Taylor
+recurrence from that form.
 
 The load parameter of the underlying plate problem is gauge-fixed to 1.
 Other load values are reachable only through the homologous symmetry
@@ -47,16 +48,6 @@ class PhasePoint:
             if not math.isfinite(v):
                 raise ValueError(f"PhasePoint field {name} must be finite, got {v!r}")
 
-
-#: The right-hand side of the equations of motion in solver form, as
-#: expression source over y = (xi, xi_dot, eta, eta_dot) for the stepper's
-#: generated code (dop853.System): the shared e2 = exp(2*xi), then
-#: (xi', xi'', eta', eta'').  The exponent is clamped at 700 (min(a, b)
-#: being b if b < a else a) so that embedded-stage evaluations of a trial
-#: step stay finite; the integrator stops non-scattering runs at the
-#: certificate, long before xi nears the clamp.
-RHS_SHARED = (("e2", "exp(700.0 if 700.0 < 2.0 * y0 else 2.0 * y0)"),)
-RHS_SOURCE = ("y1", "-y2 * e2", "y3", "-0.5 * e2")
 
 #: Floor on the exponent of the exponentials taken over sampled windows
 #: (exp_floored).  Below about -708 np.exp returns subnormal results, which

@@ -1,35 +1,37 @@
-"""Adaptive integration of the scattering equations from asymptotic data.
+"""Integration of the scattering equations from asymptotic data.
 
 Runs start from the free-motion expansion at closed_forms.start_time, where
 its expansion parameter eta_in*w, w = exp(2*(xi_in + t_start)), is at most
-2.3e-8 at every eta_in.  Stepping uses the embedded adaptive Runge-Kutta
-pair DOP853 with dense output (dop853.solve_ivp, which takes scipy's steps
-on plain floats); the scheme is incidental, the contract is the tolerances.
-The equations are written once, as source (dynamics.RHS_SHARED and
-RHS_SOURCE), and so are the events below: escape, eta = 0 and the
-certificate, and for integrate also eta = eta_in/2 and xi_dot = 0.  The
-stepper compiles each of the two systems into one module and checks the
-events inside its kernel on every accepted step; the escape event is the
-one escape test.
+2.3e-8 at every eta_in.  Stepping is taylor.solve_ivp: order-24 Taylor
+steps of the polynomial form of the equations, each step's polynomial the
+motion to round-off and its own dense output, so there is no tolerance to
+set.  The escape test and the certificate are checked at step ends, and
+the eta crossings t0 and t_half and xi_dot = 0 (t_m) are located by
+Newton's method on the polynomial of the step where they fall.  integrate
+and deflection_of take the same steps from the one kernel.
 
 A run ends in one of four ways, its Outcome:
-  * ESCAPED: |eta*exp(2*xi)| and exp(4*xi), the order of the free leg's
-    neglected terms, both below escape_tol while xi_dot < 0 (the gate keeps
-    the criterion from firing on the inbound leg).  The speed defect
+  * ESCAPED: |eta*exp(2*xi)| and exp(2*xi), which bound the free leg's
+    neglected terms, both below escape_tol at a step end while xi_dot < 0
+    (the gate keeps the criterion from firing on the inbound leg).  The
+    bound on exp(2*xi) itself keeps a step end near the eta = 0 crossing,
+    where the first term vanishes, from passing.  The speed defect
     |xi_dot^2 + eta_dot^2 - 1| is no term: by the energy identity it is
-    |eta*exp(2*xi)| plus the solver's drift, which must not block escape;
+    |eta*exp(2*xi)| plus the solver's round-off;
   * CERTIFIED non-scattering: eta < 0 with xi_dot > 0.  eta_dot < 0
     throughout, so from there xi'' = -eta*exp(2*xi) > 0 keeps xi_dot > 0,
-    the escape gate never opens and xi diverges.  The run stops there and
-    keeps the state in events.blowup.  Data with eta_in <= 0 start inside
-    it and make no solver call;
+    the escape gate never opens and xi diverges.  The run stops at the
+    first step end inside it and keeps the state in events.blowup.  Data
+    with eta_in <= 0 start inside it and make no solver call;
   * OUT_OF_BUDGET: no escape within max_time after t_start.  A budget
     below the spacing of floats at t_start makes no solver call;
-  * SOLVER_FAILURE: a step below 10 ulp of t, which raises NotConvergedError
-    with the stepper's message in place of a trajectory.
+  * SOLVER_FAILURE: a step below 10 ulp of t, or a state beyond the float
+    range, which raises NotConvergedError with the stepper's message in
+    place of a trajectory.
 A run that did not escape gives no angle: NotConvergedError carries how.
 
-The solver stops at escape and keeps the state there in events.escape.
+The solver stops at the first step end past escape and keeps the state
+there in events.escape.
 After it, samples and the eta crossings come from the closed-form free leg
 (closed_forms.free_leg), and the deflection angle is the direction of the
 line it approaches (closed_forms.free_asymptote), read from the escape
@@ -51,11 +53,12 @@ each unless it lies inside the gap or within 1e-12 of a time already
 placed.  Trajectory.off_grid names the at most four placed samples, and
 Trajectory.window gives the regular ones, which radial reconstruction and
 the quadrature read; every reader, verify included, reads the gapped
-samples as they are.  The dense output gives the samples up to escape,
-and the free leg the ones after it.  From eta_in ~ 19 on, the window's far
-tail reaches 2*xi < -708, where np.exp makes subnormal results at some
-hundred times the cost of normal ones; the free leg and the energy floor their exponents at
-dynamics.EXP_FLOOR, which changes no sample and no energy.
+samples as they are.  The steps' polynomials give the samples up to
+escape, and the free leg the ones after it.  From eta_in ~ 19 on, the
+window's far tail reaches 2*xi < -708, where np.exp makes subnormal results
+at some hundred times the cost of normal ones; the free leg and the energy
+floor their exponents at dynamics.EXP_FLOOR, which changes no sample and no
+energy.
 
 deflection_of(a, cfg) gives deflection(integrate(a, cfg)) bit for bit from
 the same solver call without dense output or samples.
@@ -73,8 +76,8 @@ import numpy as np
 
 from .closed_forms import (AsymptoticData, free_asymptote, free_leg,
                            free_motion_expansion, start_time)
-from .dop853 import MIN_RTOL, Event, System, solve_ivp
-from .dynamics import RHS_SHARED, RHS_SOURCE, PhasePoint, energy_array
+from .dynamics import PhasePoint, energy_array
+from .taylor import CERTIFIED, ESCAPED, FAILED, solve_ivp
 
 MIN_TAIL, TAIL_PAD = 12.0, 6.0     # the window past t0 and past escape
 
@@ -102,16 +105,13 @@ class NotConvergedError(Exception):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances, budget and sample spacing for integrate().
+    """Escape test, budget and sample spacing for integrate().
 
     max_time is a duration budget measured from the start time.  Every field
-    must be finite and positive, and rel_tol at least the stepper's floor
-    MIN_RTOL; each field is one command-line flag (rel_tol is --rel-tol).
-    The absolute tolerance is no field: abs_tol follows rel_tol, so one
-    setting scales both (Hairer, Norsett & Wanner, Solving ODEs I, II.4).
+    must be finite and positive; each field is one command-line flag.  The
+    stepper has no tolerance: its steps keep the motion to round-off.
     """
 
-    rel_tol: float = 1e-10
     escape_tol: float = 1e-7
     max_time: float = 600.0
     dense_step: float = 0.01
@@ -120,13 +120,6 @@ class SolverConfig:
         for name, value in vars(self).items():
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"SolverConfig.{name} must be finite and positive")
-        if self.rel_tol < MIN_RTOL:
-            raise ValueError(f"SolverConfig.rel_tol must be at least 100 eps = {MIN_RTOL!r}")
-
-    @property
-    def abs_tol(self) -> float:
-        """The stepper's absolute tolerance, rel_tol/100 (1e-12 at the default)."""
-        return self.rel_tol / 100.0
 
 
 @dataclass(frozen=True)
@@ -202,27 +195,6 @@ class Trajectory:
         return float(np.max(np.abs(2.0 * self.energy - 1.0)))
 
 
-# The events, as source over the state y0..y3 = (xi, xi_dot, eta, eta_dot)
-# and the shared e2 = exp(2*xi) of dynamics.RHS_SHARED.  Escape is negative
-# when the state passes the escape test.  The certificate turns positive
-# once eta < 0 and xi_dot > 0: eta_dot < 0 always, so from there
-# xi'' = -eta*e^{2 xi} > 0 keeps xi_dot > 0 and the escape gate xi_dot < 0
-# never opens.
-_ESCAPE = Event("1.0 if y1 >= 0.0 else max(abs(y2 * e2), e2 * e2) - escape_tol",
-                direction=-1, terminal=True)
-_STOPS = (_ESCAPE, Event("y2", direction=-1),
-          Event("min(-y2, y1)", direction=1, terminal=True))
-
-# Events 0-2 are escape (terminal), eta = 0 and the certificate (terminal).
-# eta = 0 is listed ahead of the certificate, which fires at that same root
-# when xi_dot > 0 there, so the crossing is kept.  A sampled run also
-# watches eta = eta_in/2 and xi_dot = 0 (events 3 and 4).
-_SOLVER = System(RHS_SOURCE, RHS_SHARED, _STOPS, ("escape_tol",))
-_SAMPLED = System(RHS_SOURCE, RHS_SHARED,
-                  _STOPS + (Event("y2 - half", direction=-1), Event("y1", direction=-1)),
-                  ("escape_tol", "half"))
-
-
 def _free_leg_crossing(y_e, level: float) -> float:
     """Time after escape state y_e at which the free leg's eta falls to level.
 
@@ -242,8 +214,7 @@ def _solve(a: AsymptoticData, cfg: SolverConfig, sampled: bool):
     """One solver call from the free start state to escape, the
     non-scattering certificate or the end of the budget, and its stop.
 
-    A sampled run keeps the dense output and watches all five events
-    (_SAMPLED), otherwise only the three stops.  Returns (p0, sol, outcome):
+    A sampled run keeps each step's polynomial.  Returns (p0, sol, outcome):
     the start state, the solve_ivp result and how the run ended.  Data with
     eta_in <= 0 start certified and make no call (sol is None), and so does
     a budget too small to move t off the start time, out of budget.  A
@@ -254,24 +225,18 @@ def _solve(a: AsymptoticData, cfg: SolverConfig, sampled: bool):
         return p0, None, Outcome.CERTIFIED
     if p0.t + cfg.max_time == p0.t:
         return p0, None, Outcome.OUT_OF_BUDGET
-    sol = solve_ivp(_SAMPLED if sampled else _SOLVER, (p0.t, p0.t + cfg.max_time),
-                    [p0.xi, p0.xi_dot, p0.eta, p0.eta_dot], rtol=cfg.rel_tol,
-                    atol=cfg.abs_tol, dense_output=sampled,
-                    params={"escape_tol": cfg.escape_tol, "half": 0.5 * a.eta_in})
-    if sol.status == -1:
+    sol = solve_ivp((p0.t, p0.t + cfg.max_time), [p0.xi, p0.xi_dot, p0.eta, p0.eta_dot],
+                    cfg.escape_tol, dense_output=sampled)
+    if sol.status == FAILED:
         raise NotConvergedError(Outcome.SOLVER_FAILURE, sol.message)
-    if len(sol.t_events[0]):
-        return p0, sol, Outcome.ESCAPED
-    return p0, sol, Outcome.CERTIFIED if len(sol.t_events[2]) else Outcome.OUT_OF_BUDGET
-
-
-def _first(ev_list) -> Optional[float]:
-    return float(ev_list[0]) if len(ev_list) else None
+    return p0, sol, {ESCAPED: Outcome.ESCAPED, CERTIFIED: Outcome.CERTIFIED}.get(
+        sol.status, Outcome.OUT_OF_BUDGET)
 
 
 def _stop_state(sol) -> PhasePoint:
     """The state at which the solver call ended."""
-    return PhasePoint(float(sol.t[-1]), *(float(sol.y[k, -1]) for k in (0, 2, 1, 3)))
+    xi, xi_dot, eta, eta_dot = sol.y
+    return PhasePoint(float(sol.t[-1]), xi, eta, xi_dot, eta_dot)
 
 
 def grid_steps(t_lo: float, t_hi: float, step: float) -> int:
@@ -341,11 +306,13 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
     t_start = t_end = p0.t
     t_escape = t0 = t_half = t_m = gap = None
     if sol is not None:
-        t_escape, t0, t_half, t_m = (_first(sol.t_events[k]) for k in (0, 1, 3, 4))
+        # the crossings inside the steps taken; past escape the free leg's
+        t0, t_half, t_m = (sol.crossing(j, level)
+                           for j, level in ((2, 0.0), (2, 0.5 * a.eta_in), (1, 0.0)))
         t_end = float(sol.t[-1])
     if outcome is Outcome.ESCAPED:
         budget = t_start + cfg.max_time
-        y_e = sol.y[:, -1]
+        t_escape, y_e = t_end, sol.y
         if t0 is None:
             t0 = t_escape + _free_leg_crossing(y_e, 0.0)
         if t_half is None:
@@ -364,10 +331,10 @@ def integrate(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> Trajecto
     elif outcome is Outcome.ESCAPED:
         k = int(np.searchsorted(ts, t_escape, side="right"))
         Y = np.empty((4, len(ts)))
-        Y[:, :k] = sol.sol(ts[:k])
+        Y[:, :k] = sol(ts[:k])
         Y[:, k:] = free_leg(y_e, ts[k:] - t_escape)
     else:
-        Y = sol.sol(ts)
+        Y = sol(ts)
 
     blowup = escape = None
     if outcome is Outcome.CERTIFIED:
@@ -401,13 +368,13 @@ def deflection(traj: Trajectory) -> float:
 def deflection_of(a: AsymptoticData, cfg: SolverConfig = SolverConfig()) -> float:
     """deflection(integrate(a, cfg)) without building the trajectory.
 
-    Runs the same solver call with no dense output and no sampling and reads
-    the same escape state, its last, so the two agree bit for bit.  Raises
-    the same NotConvergedError as deflection(integrate(a, cfg)) wherever
-    that raises.
+    Takes the same steps without keeping their polynomials and reads the
+    same escape state, the last step end, so the two agree bit for bit.
+    Raises the same NotConvergedError as deflection(integrate(a, cfg))
+    wherever that raises.
     """
     _, sol, outcome = _solve(a, cfg, sampled=False)
     if outcome is not Outcome.ESCAPED:
         raise NotConvergedError(outcome)
-    v_xi, _, v_eta, _ = free_asymptote(sol.y[:, -1])
+    v_xi, _, v_eta, _ = free_asymptote(sol.y)
     return math.atan2(v_eta, v_xi)

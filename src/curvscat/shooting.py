@@ -7,9 +7,8 @@ eta_in grows, above a scattering onset near eta_in = 1.2998.
 
 The search starts at the tabulated inverse map (deflection_table.eta_in_of),
 clamped to CEILING.  At the default SolverConfig the seed lands within
-deflection_table.MISS = 1e-9 of the target, so at the default root_tol it is
-the root: one solver call per shot (over the 872 targets of benchmark shoot
-seeds 1-30 the worst miss is 2.5e-11).  Other solver settings move the map,
+deflection_table.MISS = 2e-10 of the target, so at the default root_tol it
+is the root: one solver call per shot.  Other solver settings move the map,
 and the seed can then miss; a miss changes only the cost.
 
 Every later probe follows one rule (Newton's method inside a bracket, as in

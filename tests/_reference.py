@@ -9,9 +9,9 @@ reproduce.  theta_tight and continue_tight are the tight-tolerance
 references for the deflection angle and the free leg after escape: scipy's
 DOP853 at rtol 1e-13 on the same equations, sharing no code with the package.
 final_residual checks a Picard limit against the motion equations by
-centered differences.  The documented right-hand side, the DOP853 stage
-loops and the interpolant are the oracle for the stepper's generated
-functions, the future-zone iteration on separate X and Y arrays for
+centered differences.  The documented right-hand side and the Taylor
+recurrence written as loops are the oracle for the stepper's generated
+kernel, the future-zone iteration on separate X and Y arrays for
 picard's stacked one, the two-temporary scan of every iterate pair for the
 ordering picard's ladder loop reads from each step's difference, the
 unfloored exponentials for the floored ones
@@ -31,13 +31,12 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import simpson as scipy_simpson
 from scipy.integrate import solve_ivp
 
-from curvscat import dop853, integrator
+from curvscat import integrator, taylor
 from curvscat.analysis import GradientFlowState, gradient_flow_run
 from curvscat.closed_forms import (AsymptoticData, _require_positive_eta_in,
                                    free_asymptote, lncosh, past_tails, start_time,
@@ -211,223 +210,89 @@ def final_residual(xi, eta, h) -> tuple[float, float]:
     return float(np.max(np.abs(r_xi))), float(np.max(np.abs(r_eta)))
 
 
-# --- DOP853 stage loops -------------------------------------------------------
-# The stepper's stage sums, error norm and dense-output coefficients as loops
-# over the non-zeros of the tableau, its interpolant one component at a
-# time, and its step loop with generic event callables, as the stepper
-# computed them before it generated its functions from each system's
-# source; those must equal them bit for bit.
+# --- the Taylor recurrence as loops -------------------------------------------
+# The stepper's kernel written by hand: the coefficients order by order from
+# the two Cauchy products, the step size from the last two, and the state at
+# the step's end by Horner's rule.  Each sum adds its terms in the order the
+# generated source does, so the kernel must equal it bit for bit.
 
 
-def _advance(K, row, y, h):
-    """y + h * sum_k a_k * K[k], componentwise: the state of a stage."""
-    out = []
-    for j, v in enumerate(y):
-        s = 0.0
-        for k, a in row:
-            s += a * K[k][j]
-        out.append(v + s * h)
-    return out
+def taylor_coefficients(state, e0, order=taylor.ORDER):
+    """Coefficient lists 0..order of xi, xi_dot, eta and eta_dot about
+    state = (xi, xi_dot, eta, eta_dot), where E = exp(2*xi) is e0:
+    xi' = p, p' = -eta*E, eta' = q, q' = -E/2 and E' = 2*p*E."""
+    x, p, y, q = ([float(v)] for v in state)
+    e = [e0]
+    for k in range(order):
+        n = k + 1
+        eta_e = y[0] * e[k]
+        for j in range(1, n):
+            eta_e += y[j] * e[k - j]
+        x.append(p[k] / n)
+        p.append(-eta_e / n)
+        y.append(q[k] / n)
+        q.append(e[k] / (-2.0 * n))
+        if n < order:
+            p_e = p[0] * e[k]
+            for j in range(1, n):
+                p_e += p[j] * e[k - j]
+            e.append(p_e / (n / 2.0))
+    return x, p, y, q
 
 
-def dop853_step(fun, t, y, f, h):
-    """Stages 1-11 of a step from f = fun(t, y); (y_new, stages 0-11)."""
-    K = [f]
-    for c, row in dop853._STAGES:
-        K.append(fun(t + c * h, _advance(K, row, y, h)))
-    return _advance(K, dop853._B, y, h), K
+def horner(c, s):
+    """sum_j c[j] s^j by Horner's rule."""
+    v = c[-1]
+    for cj in reversed(c[:-1]):
+        v = v * s + cj
+    return v
 
 
-def dop853_error_norm(K, h, y, y_new, rtol, atol):
-    s5 = s3 = 0.0
-    for j, (a, b) in enumerate(zip(y, y_new)):
-        e5 = e3 = 0.0
-        for k, c5, c3 in dop853._E:
-            e5 += c5 * K[k][j]
-            e3 += c3 * K[k][j]
-        scale = atol + max(abs(a), abs(b)) * rtol
-        s5 += (e5 / scale) ** 2
-        s3 += (e3 / scale) ** 2
-    if s5 == 0.0 and s3 == 0.0:
-        return 0.0
-    return abs(h) * s5 / math.sqrt((s5 + 0.01 * s3) * len(y))
-
-
-def dop853_dense(fun, K, t_old, h, y_old, y_new):
-    """Stages 13-15 and the interpolant's coefficients F_0..F_6 per component."""
-    K = list(K)
-    for c, row in dop853._EXTRA_STAGES:
-        K.append(fun(t_old + c * h, _advance(K, row, y_old, h)))
-    f_old, f_new = K[0], K[dop853.N_STAGES]
-    coeffs = []
-    for j, (a, b) in enumerate(zip(y_old, y_new)):
-        d3 = d4 = d5 = d6 = 0.0
-        for k, c3, c4, c5, c6 in dop853._D:
-            v = K[k][j]
-            d3 += c3 * v
-            d4 += c4 * v
-            d5 += c5 * v
-            d6 += c6 * v
-        dy = b - a
-        coeffs.append((dy, h * f_old[j] - dy, 2 * dy - h * (f_new[j] + f_old[j]),
-                       h * d3, h * d4, h * d5, h * d6))
-    return coeffs
-
-
-class Step(NamedTuple):
-    """An accepted step (t_old, h, y_old, coeffs) and its 7th-order
-    interpolant, step(t): coeffs[j] holds the polynomial coefficients
-    F_0..F_6 of component j, evaluated in the nested form of dop853.f's
-    CONTD8, one component at a time."""
-
-    t_old: float
-    h: float
-    y_old: list
-    coeffs: list
-
-    def __call__(self, t):
-        x = (t - self.t_old) / self.h
-        x1 = 1 - x
-        return [((((((c6 * x + c5) * x1 + c4) * x + c3) * x1 + c2) * x + c1) * x1 + c0)
-                * x + a
-                for a, (c0, c1, c2, c3, c4, c5, c6) in zip(self.y_old, self.coeffs)]
-
-
-def _active_events(g, g_new, directions):
-    """Indices of the events whose sign change over the step matches their
-    direction (> 0 rising, < 0 falling, 0 either); a zero counts both ways."""
-    active = []
-    for i, (a, b, d) in enumerate(zip(g, g_new, directions)):
-        up = a <= 0.0 <= b
-        down = a >= 0.0 >= b
-        if (up and d > 0) or (down and d < 0) or ((up or down) and d == 0):
-            active.append(i)
-    return active
-
-
-def dop853_solve_loops(fun, t_span, y0, *, rtol, atol, dense_output=False, events=()):
-    """dop853.solve_ivp as it stepped before the attempt kernel: any fun(t, y)
-    and event callables ev(t, y) with terminal and direction attributes,
-    the stages by the loops above, every event evaluated on the full state
-    of the interpolant.  The attempt kernel must equal it bit for bit."""
-    t, t_bound = float(t_span[0]), float(t_span[1])
-    y = [float(v) for v in y0]
-    rtol = max(rtol, 100 * dop853.EPS)
-    directions = [getattr(ev, "direction", 0) for ev in events]
-    terminal = [bool(getattr(ev, "terminal", False)) for ev in events]
-    t_events = [[] for _ in events]
-    g = [ev(t, y) for ev in events]
-    f = fun(t, y)
-    h_abs = dop853._initial_step(fun, t, y, f, t_bound, rtol, atol)
-    nfev = 2
-    ts, ys, steps = [t], [y], []
-    status, message = None, None
-    while status is None:
-        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                status, message = -1, dop853.TOO_SMALL_STEP
-                break
-            t_new = min(t + h_abs, t_bound)
-            h = t_new - t
-            h_abs = abs(h)
-            y_new, K = dop853_step(fun, t, y, f, h)
-            K.append(fun(t_new, y_new))
-            nfev += dop853.N_STAGES
-            err = dop853_error_norm(K, h, y, y_new, rtol, atol)
-            if err < 1:
-                factor = (dop853.MAX_FACTOR if err == 0 else
-                          min(dop853.MAX_FACTOR, dop853.SAFETY * err ** dop853.ERROR_EXPONENT))
-                if rejected:
-                    factor = min(1.0, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(dop853.MIN_FACTOR, dop853.SAFETY * err ** dop853.ERROR_EXPONENT)
-            rejected = True
-        if status == -1:
-            break
-        if t_new >= t_bound:
-            status = 0
-        t_old, y_old, t, y, f = t, y, t_new, y_new, K[dop853.N_STAGES]
-
-        step = None
-        if dense_output:
-            step = Step(t_old, h, y_old, dop853_dense(fun, K, t_old, h, y_old, y))
-            nfev += 3
-            steps.append(step)
-        t_end, y_end = t, y
-        if events:
-            g_new = [ev(t, y) for ev in events]
-            active = _active_events(g, g_new, directions)
-            if active:
-                if step is None:
-                    step = Step(t_old, h, y_old, dop853_dense(fun, K, t_old, h, y_old, y))
-                    nfev += 3
-                roots = []
-                for i in active:
-                    ev = events[i]
-                    roots.append((dop853.brentq(lambda s: ev(s, step(s)), t_old, t,
-                                                xtol=4 * dop853.EPS, rtol=4 * dop853.EPS), i))
-                if any(terminal[i] for i in active):
-                    roots.sort(key=lambda r: r[0])
-                    cut = next(k for k, (_, i) in enumerate(roots) if terminal[i])
-                    roots = roots[:cut + 1]
-                    status = 1
-                    t_end = roots[-1][0]
-                    y_end = step(t_end)
-                for root, i in roots:
-                    t_events[i].append(root)
-            g = g_new
-        if dense_output and len(ts) > 1 and ts[-1] == t_end:
-            steps.pop()
-        else:
-            ts.append(t_end)
-            ys.append(y_end)
-
-    return dop853.OdeResult(
-        t=np.array(ts), y=np.array(ys, dtype=float).T,
-        t_events=[np.array(te, dtype=float) for te in t_events], nfev=nfev,
-        status=status, message=dop853.MESSAGES.get(status, message),
-        sol=dop853.DenseSolution(ts, steps) if dense_output else None)
+def taylor_step(state, e0, t, t_bound, order=taylor.ORDER):
+    """What the kernel returns: (h, t_new, xi, xi_dot, eta, eta_dot,
+    coeffs), the step size the last two coefficients allow, the step's end
+    min(t + h, t_bound), the state there and the coefficients of the four
+    components, one after the other."""
+    c = taylor_coefficients(state, e0, order)
+    tol = taylor.TOL * (1.0 + max(abs(v) for v in state))
+    h = math.inf
+    for j in (order - 1, order):
+        r = max(abs(comp[j]) for comp in c)
+        if r > 0.0:
+            h = min(h, (tol / r) ** (1.0 / j))
+    if state[1] != 0.0:
+        h = min(h, math.exp(math.lgamma(order + 1) / order) / 2.0 / abs(state[1]))
+    h *= taylor.SAFETY
+    t_new = min(t + h, t_bound)
+    s = t_new - t
+    return (h, t_new, *(horner(comp, s) for comp in c),
+            tuple(v for comp in c for v in comp))
 
 
 def escape_residual(y, tol):
-    """integrator's escape test, written out: negative when
-    y = (xi, xi_dot, eta, eta_dot) passes it.  The two terms are the order
-    of what the free leg neglects, |eta*exp(2*xi)| and exp(4*xi); the speed
-    defect |xi_dot^2 + eta_dot^2 - 1| is no term, since by the energy
-    identity it is |eta*exp(2*xi)| plus the solver's drift."""
+    """integrator's escape test, written out: not above 0 when
+    y = (xi, xi_dot, eta, eta_dot) passes it.  The two terms bound what the
+    free leg neglects, |eta*exp(2*xi)| and exp(2*xi) itself, which stays
+    small where eta crosses 0; the speed defect |xi_dot^2 + eta_dot^2 - 1|
+    is no term, since by the energy identity it is |eta*exp(2*xi)| plus the
+    solver's round-off."""
     if y[1] >= 0.0:
         return 1.0
-    e2 = math.exp(min(2.0 * y[0], 700.0))
-    return max(abs(y[2] * e2), e2 * e2) - tol
+    e2 = math.exp(2.0 * y[0])
+    return max(abs(y[2] * e2), e2) - tol
+
+
+def certified(y) -> bool:
+    """The non-scattering certificate, written out: eta < 0 with xi_dot > 0."""
+    return y[2] < 0.0 and y[1] > 0.0
 
 
 def rhs(t, y):
     """Right-hand side of the equations of motion in solver form, as
     documented: y = (xi, xi_dot, eta, eta_dot); returns (xi', xi'', eta',
-    eta'').  Autonomous: t is unused.  The exponent is clamped at 700, as
-    dynamics.RHS_SHARED clamps it."""
-    e2 = math.exp(min(2.0 * y[0], 700.0))
+    eta'').  Autonomous: t is unused."""
+    e2 = math.exp(2.0 * y[0])
     return (y[1], -y[2] * e2, y[3], -0.5 * e2)
-
-
-def scipy_callables(system, params):
-    """(fun, events) of a dop853.System for scipy's solve_ivp and for
-    dop853_solve_loops, from the functions compiled from the system's
-    source: fun(t, y) and one ev(t, y) per event with its terminal and
-    direction attributes."""
-    args = tuple(params[name] for name in system.params)
-    functions = system.functions
-    events = []
-    for ev, value in zip(system.events, functions.values):
-        def event(t, y, value=value):
-            return value(y, *args)
-        event.terminal, event.direction = ev.terminal, ev.direction
-        events.append(event)
-    return functions.fun, events
 
 
 def _cumtrapz(values, step, initial):
@@ -600,7 +465,7 @@ def quadrature_unfloored(traj, irregular=False) -> tuple[float, float]:
 # --- sample assembly by appends and inserts -----------------------------------
 # integrate's samples as they were assembled before one insert placed the
 # extra times: an append and an insert per extra time, each copying the
-# arrays, and the dense output gathered by fancy indexing.
+# arrays.
 
 
 def sample_times_loop(t_start, t_end, h, events):
@@ -626,21 +491,6 @@ def sample_times_loop(t_start, t_end, h, events):
     return ts, mask
 
 
-def dense_fancy(dense, t):
-    """dop853.DenseSolution(t) with each step's coefficients gathered by
-    fancy indexing."""
-    t = np.asarray(t, dtype=float)
-    k = np.clip(np.searchsorted(dense.ts, t, side="left") - 1, 0, len(dense._h) - 1)
-    x = (t - dense._t_old[k]) / dense._h[k]
-    x1 = 1 - x
-    y = np.zeros((len(dense._y_old),) + t.shape)
-    for p in range(6, -1, -1):
-        y += dense._coeffs[p][:, k]
-        y *= x if p % 2 == 0 else x1
-    y += dense._y_old[:, k]
-    return y
-
-
 def integrate_samples_loop(a, cfg):
     """(t, mask, Y) of integrate(a, cfg), Y holding the rows xi,
     xi_dot, eta, eta_dot, assembled the old way from the same solver call."""
@@ -648,12 +498,12 @@ def integrate_samples_loop(a, cfg):
     t_start = t_end = p0.t
     t_escape = t0 = t_half = t_m = None
     if sol is not None:
-        t_escape, t0, t_half, t_m = (integrator._first(sol.t_events[k])
-                                     for k in (0, 1, 3, 4))
+        t0, t_half, t_m = (sol.crossing(j, level)
+                           for j, level in ((2, 0.0), (2, 0.5 * a.eta_in), (1, 0.0)))
         t_end = float(sol.t[-1])
     if outcome is integrator.Outcome.ESCAPED:
         budget = t_start + cfg.max_time
-        y_e = sol.y[:, -1]
+        t_escape, y_e = t_end, sol.y
         if t0 is None:
             t0 = t_escape + integrator._free_leg_crossing(y_e, 0.0)
         if t_half is None:
@@ -667,10 +517,10 @@ def integrate_samples_loop(a, cfg):
     elif outcome is integrator.Outcome.ESCAPED:
         k = int(np.searchsorted(ts, t_escape, side="right"))
         Y = np.empty((4, len(ts)))
-        Y[:, :k] = dense_fancy(sol.sol, ts[:k])
+        Y[:, :k] = sol(ts[:k])
         Y[:, k:] = free_leg_unfloored(y_e, ts[k:] - t_escape)
     else:
-        Y = dense_fancy(sol.sol, ts)
+        Y = sol(ts)
     return ts, mask, Y
 
 
@@ -841,17 +691,11 @@ def detect_events(traj) -> TrajectoryEvents:
     Sign changes are located by scanning and refined by bisection (to 1e-12
     in t) on a local cubic Hermite model built from the sampled values and
     their sampled derivatives.  Absent events are reported absent; a stored
-    blow-up or escape record is passed through.  A run certified on its eta
-    side, -eta <= xi_dot at the last sample, stopped on the eta = 0
-    crossing, so its last eta (zero to the event finder's roundoff, either
-    sign) reads 0.
+    blow-up or escape record is passed through.
     """
     if len(traj) < 2:
         raise ValueError("need at least 2 samples to detect events")
     t, xi, eta, xi_dot, eta_dot = traj.t, traj.xi, traj.eta, traj.xi_dot, traj.eta_dot
-    if traj.events.blowup is not None and -eta[-1] <= xi_dot[-1]:
-        eta = eta.copy()
-        eta[-1] = min(eta[-1], 0.0)
     xi_ddot = -eta * np.exp(2.0 * xi)
     ein = traj.asymptotics.eta_in
 

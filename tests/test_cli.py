@@ -50,7 +50,7 @@ def test_solve_emits_files_and_summary(tmp_path):
     for name in ("trajectory.csv", "radial.csv", "summary.json", "manifest.json"):
         assert (out / name).exists()
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["schema"] == "curvscat/summary/v8"
+    assert summary["schema"] == "curvscat/summary/v9"
     assert list(summary["fits"]) == ["u_slope", "u_intercept", "k_slope", "k_intercept"]
     assert abs(summary["theta"] - ORACLE_THETA_ETA8) < 1e-6
     assert 2 * math.pi < summary["kappa"] < 4 * math.pi
@@ -108,7 +108,7 @@ def test_solve_summary_layout(tmp_path, eta_in, keys):
     text = (out / "summary.json").read_text()
     summary = json.loads(text)
     assert list(summary) == keys
-    assert summary["schema"] == "curvscat/summary/v8"
+    assert summary["schema"] == "curvscat/summary/v9"
     assert summary["inputs"] == {"eta_in": float(eta_in), "xi_in": 0.0}
     assert list(summary["config"]) == list(asdict(SolverConfig()))
     traj = integrate(AsymptoticData(0.0, float(eta_in)), SolverConfig())
@@ -120,7 +120,7 @@ def test_solve_summary_layout(tmp_path, eta_in, keys):
     if eta_in == "-1":
         p = traj.point(0)
         assert text == _json_render({
-            "schema": "curvscat/summary/v8",
+            "schema": "curvscat/summary/v9",
             "inputs": {"eta_in": -1.0, "xi_in": 0.0},
             "events": {"t0": None, "t_half": None, "t_m": None, "certified": {
                 "t": p.t, "xi": p.xi, "eta": p.eta, "xi_dot": p.xi_dot,
@@ -252,13 +252,13 @@ def test_flow_has_only_its_own_settings():
 
 def test_every_settable_value_acts():
     # the window past escape is two constants, the search's upper end one
-    # (shooting.CEILING), abs_tol follows rel_tol and flow's nu0 is
+    # (shooting.CEILING), the stepper has no tolerance and flow's nu0 is
     # derived, so each command offers only values that change what it reports
     counts = {name: sum(1 for a in sub._actions if a.option_strings and a.dest != "help")
               for name, sub in _subparsers().items()}
-    assert counts == {"solve": 7, "shoot": 7, "sweep": 9, "verify": 6, "flow": 6}
+    assert counts == {"solve": 6, "shoot": 6, "sweep": 8, "verify": 5, "flow": 6}
     assert [f.name for f in fields(SolverConfig)] == [
-        "rel_tol", "escape_tol", "max_time", "dense_step"]
+        "escape_tol", "max_time", "dense_step"]
 
 
 def test_no_radial_data_has_one_text(tmp_path, capsys):
@@ -279,10 +279,11 @@ def test_no_radial_data_has_one_text(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", [f.name.replace("_", "-")
-                                  for f in fields(SolverConfig)])
+                                  for f in fields(SolverConfig)] + ["rel-tol"])
 def test_flow_rejects_solver_flags(tmp_path, capsys, flag):
     # flow integrates nothing: a solver flag would be recorded without
-    # acting, so it is a usage error and no directory is made
+    # acting, so it is a usage error and no directory is made; so is the
+    # retired --rel-tol, as in every command
     out = tmp_path / "flow"
     assert _run("flow", "--mu0", "-0.7", "--delta", "1e-4", f"--{flag}", "1",
                 "--out-dir", str(out)) == EXIT_USAGE
@@ -408,7 +409,7 @@ def test_sweep_n_below_one_is_usage_error(tmp_path, capsys, n):
     (("sweep", "--theta-min", "-0.8pi", "--theta-max", "-0.75pi", "--n", "2",
       "--eta-ceiling", "inf"), "ceiling"),
     (("solve", "--eta-in", "8", "--rel-tol", "1e-14"),
-     "error: SolverConfig.rel_tol must be at least 100 eps = 2.220446049250313e-14\n"),
+     "usage error: unrecognized arguments: --rel-tol 1e-14\n"),
     (("solve", "--eta-in", "8", "--tail-pad", "30"), "unrecognized arguments: --tail-pad"),
     (("verify", "--eta-in", "8", "--min-tail", "5"), "unrecognized arguments: --min-tail"),
     (("flow", "--mu0", "-0.6", "--nu0", "-0.8", "--delta", "1e-4"),
@@ -418,9 +419,10 @@ def test_sweep_n_below_one_is_usage_error(tmp_path, capsys, n):
     (("flow", "--mu0", "-1.5", "--delta", "1e-4"), "error: mu0 must lie in (-1, 0), got -1.5\n"),
     (("flow", "--mu0", "0.5", "--delta", "1e-4"), "error: mu0 must lie in (-1, 0), got 0.5\n"),
     (("flow", "--mu0", "-1", "--delta", "1e-4"), "error: mu0 must lie in (-1, 0), got -1.0\n"),
-    *(pytest.param(args + ("--abs-tol", "1e-12"),
-                   "usage error: unrecognized arguments: --abs-tol 1e-12\n",
-                   id=f"abs-tol-{args[0]}")
+    *(pytest.param(args + (f"--{flag}", "1e-12"),
+                   f"usage error: unrecognized arguments: --{flag} 1e-12\n",
+                   id=f"{flag}-{args[0]}")
+      for flag in ("abs-tol", "rel-tol")
       for args in [("solve", "--eta-in", "8"), ("shoot", "--theta=-0.75pi"),
                    ("sweep", "--theta-min=-0.9pi", "--theta-max=-0.6pi", "--n", "2"),
                    ("verify", "--eta-in", "8"), ("flow", "--mu0", "-0.7", "--delta", "1e-4")]),
@@ -430,10 +432,10 @@ def test_bad_search_and_flow_arguments_are_usage_errors(tmp_path, capsys,
     # bad search arguments, flow inputs that are not finite, a negative
     # flow budget and a verify with no data are usage errors, raised before
     # any directory is made.  So is every setting that would not act as
-    # recorded: a rel_tol below the stepper's floor, the window flags,
-    # flow's --nu0, --eta-ceiling (now shooting.CEILING) and --abs-tol (now
-    # rel_tol/100, at any value, even the 1e-12 it takes at the default),
-    # which are gone, and a one-row sweep between two angles.
+    # recorded: the window flags, flow's --nu0, --eta-ceiling (now
+    # shooting.CEILING), --abs-tol and --rel-tol (the Taylor stepper keeps
+    # the motion to round-off and takes no tolerance), which are gone, and
+    # a one-row sweep between two angles.
     # Each is refused with one message even when warnings are errors
     out = tmp_path / "run"
     with warnings.catch_warnings():

@@ -31,9 +31,11 @@ def test_seed_misses_within_the_bound():
     targets = set(np.linspace(table.EDGES[0], table.EDGES[-1], 100).tolist())
     targets |= set(table.EDGES)
     targets |= {table.EDGES[0] + inset, table.EDGES[-1] - inset}
-    # inside the eta_in band 2.32491-2.32566, where deflection_of declares
-    # escape near the eta = 0 crossing and jumps by 7.4e-10
-    targets.add(deflection_of(AsymptoticData(0.0, 2.32515), cfg))
+    # inside the eta_in band 2.32491-2.32566, where DOP853 declared escape
+    # near the eta = 0 crossing and jumped by 7.4e-10, and near the onset,
+    # where Theta steps as escape moves from one step end to the next
+    targets |= {deflection_of(AsymptoticData(0.0, eta), cfg)
+                for eta in (2.32515, 1.29985, 1.2998348)}
     assert len(targets) >= 100
     for theta in sorted(targets):
         eta = table.eta_in_of(theta)[0]

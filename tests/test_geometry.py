@@ -119,7 +119,7 @@ def test_pokhozaev_residual_values():
 def test_pde_residual_second_order(cfg):
     res = []
     for h in (0.04, 0.02):
-        c = replace(cfg, dense_step=h, rel_tol=1e-12)
+        c = replace(cfg, dense_step=h)
         sol = to_radial(integrate(AsymptoticData(0.0, 8.0), c))
         res.append(pde_residual(sol))
     for i in range(2):

@@ -211,18 +211,26 @@ def test_integrating_predicted_last_probes_changes_cost_only(target, cfg, monkey
 
 
 def test_shoot_solver_calls_over_the_range(cfg, monkeypatch):
-    # the seed is the root: one integrate per shot and no deflection_of
+    # the seed is the root: one integrate per shot and no deflection_of,
+    # so one solver call, as benchmark shoot counts them
+    import curvscat.integrator as integrator
+    calls = []
+    solve_ivp = integrator.solve_ivp
+    monkeypatch.setattr(integrator, "solve_ivp",
+                        lambda *args, **kwargs: calls.append(1) or solve_ivp(*args, **kwargs))
     for target in np.linspace(-0.99 * PI, -0.51 * PI, 49):
         evals, integrations = _count_solver_calls(monkeypatch)
+        calls.clear()
         res = shoot(float(target), cfg, root_tol=1e-8)
         assert abs(res.theta_achieved - target) <= 1e-9
         assert (evals, integrations) == ([], [res.eta_in_found]), target / PI
+        assert len(calls) == 1, target / PI
         assert res.iterations == 0
         assert res.bracket == (res.eta_in_found, res.eta_in_found)
 
 
 def test_shoot_accepts_the_law_step_directly(cfg, monkeypatch):
-    # at root_tol 1e-10 the table's bound, 1e-9, no longer vouches for the
+    # at root_tol 1e-10 the table's bound, 2e-10, no longer vouches for the
     # seed, and here it misses by 1e-7 relative; the Newton step with the
     # table's slope lands within root_tol/10 and is integrated once, as
     # predicted
@@ -239,7 +247,7 @@ def test_shoot_accepts_the_law_step_directly(cfg, monkeypatch):
     assert abs(res.theta_achieved + 0.95 * PI) <= 1e-11
 
 
-@pytest.mark.parametrize("cfg_kw", [{"rel_tol": 1e-7}, {"max_time": 100.0}])
+@pytest.mark.parametrize("cfg_kw", [{"escape_tol": 1e-3}, {"max_time": 100.0}])
 @pytest.mark.parametrize("target", [-0.55 * PI, -0.75 * PI, -0.95 * PI])
 def test_shoot_off_the_default_config_still_lands(cfg_kw, target):
     # the table is fitted at the default SolverConfig; elsewhere the seed may
@@ -249,33 +257,24 @@ def test_shoot_off_the_default_config_still_lands(cfg_kw, target):
     assert res.trajectory.config == SolverConfig(**cfg_kw)
 
 
-def test_shoot_at_rel_tol_1e6_lands_over_the_range():
-    # the energy drift here (2.7e-6 at eta_in 1.4165) exceeds escape_tol;
-    # the escape test reads only the potential, so the drift cannot block
-    # escape and pin the lower edge
-    cfg = SolverConfig(rel_tol=1e-6)
-    for target in np.linspace(-0.99, -0.51, 49) * PI:
-        res = shoot(float(target), cfg)
-        assert abs(res.theta_achieved - target) <= 1e-8, target
-
-
 @pytest.mark.parametrize("target", [-0.55 * PI, -0.75 * PI, -0.95 * PI])
-def test_shoot_at_rel_tol_1e7_takes_one_newton_step(target, monkeypatch):
-    # the seed misses the map at rel_tol 1e-7; one Newton step with the
-    # table's slope lands, integrated in full as predicted
+def test_shoot_at_escape_tol_1e4_takes_one_newton_step(target, monkeypatch):
+    # the seed misses the map at escape_tol 1e-4 (by up to 2.6e-8); one
+    # Newton step with the table's slope lands, integrated in full as
+    # predicted
     evals, integrations = _count_solver_calls(monkeypatch)
-    res = shoot(target, SolverConfig(rel_tol=1e-7), root_tol=1e-8)
+    res = shoot(target, SolverConfig(escape_tol=1e-4), root_tol=1e-8)
     assert abs(res.theta_achieved - target) <= 1e-9
     assert len(evals) + len(integrations) <= 2
 
 
 @pytest.mark.parametrize("target", [-0.55 * PI, -0.75 * PI])
 def test_shoot_accepts_a_collapsed_bracket_end(target, cfg):
-    # at root_tol 1e-11 the seed misses by more than root_tol/10, and the
+    # at root_tol 3e-12 the seed misses by more than root_tol/10, and the
     # Newton step from it lies within 1e-12 relative: the bracket has
     # collapsed onto the seed, which is accepted as it lies within root_tol
-    res = shoot(target, cfg, root_tol=1e-11)
-    assert 1e-12 < abs(res.theta_achieved - target) <= 1e-11
+    res = shoot(target, cfg, root_tol=3e-12)
+    assert 3e-13 < abs(res.theta_achieved - target) <= 3e-12
     assert res.scanned == [(res.eta_in_found, res.theta_achieved)]
 
 

@@ -69,16 +69,20 @@ def _assert_gap_changes_no_item(eta_in, cfg):
     return items
 
 
+# a grid too coarse for the area-curvature identity's quadrature
+FAILING = {"dense_step": 0.5}
+
+
 @pytest.mark.parametrize("eta_in, overrides", [
     (4.8, {}), (8.0, {}), (12.0, {}), (21.0, {}), (23.9, {}),
-    (8.0, {"rel_tol": 1e-3}),             # items fail
+    (8.0, FAILING),                       # an item fails
     (21.0, {"dense_step": 0.0137}),
 ])
 def test_items_read_the_same_without_the_gap(eta_in, overrides):
     cfg = SolverConfig(**overrides)
     items = _assert_gap_changes_no_item(eta_in, cfg)
     assert [(r.name, r.passed, r.detail) for r in run_suite((eta_in,), cfg)] == items
-    if overrides.get("rel_tol"):
+    if overrides is FAILING:
         assert not all(passed for _, passed, _ in items)
 
 
